@@ -761,10 +761,7 @@ pub fn e8_live_backend(jobs: Jobs) -> Vec<Table> {
         for &k in kills {
             cluster.kill(k);
         }
-        let quiescent = cluster.await_quiescence(
-            std::time::Duration::from_millis(150),
-            std::time::Duration::from_secs(30),
-        );
+        let quiescent = cluster.await_quiescence(std::time::Duration::from_secs(30));
         // Quiescence means every posted event was acknowledged — the
         // kill path drains dead inboxes instead of leaking their counts.
         assert!(
@@ -780,16 +777,13 @@ pub fn e8_live_backend(jobs: Jobs) -> Vec<Table> {
             .collect();
 
         // Sharded event-loop run, free-running (same quiescence
-        // contract, re-expressed as per-shard pending counters).
+        // contract: one exact outstanding-event counter).
         let sharded_started = Instant::now();
         let mut sharded = ShardedCluster::start(graph.clone(), ProtocolConfig::default(), shards);
         for &k in kills {
             sharded.kill(k);
         }
-        let sharded_quiescent = sharded.await_quiescence(
-            std::time::Duration::from_millis(150),
-            std::time::Duration::from_secs(30),
-        );
+        let sharded_quiescent = sharded.await_quiescence(std::time::Duration::from_secs(30));
         assert!(
             !sharded_quiescent || sharded.pending() == 0,
             "sharded quiescent with outstanding events"

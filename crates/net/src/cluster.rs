@@ -2,7 +2,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 use precipice_core::{
@@ -119,34 +119,21 @@ impl LiveCluster {
         self.oracle.kill(node);
     }
 
-    /// Blocks until no event has been outstanding for `quiet`, or until
-    /// `timeout` elapses. Returns `true` on quiescence.
+    /// Blocks until no event is outstanding, or until `timeout`
+    /// elapses. Returns `true` on quiescence, at once if already idle.
     ///
     /// Quiescence here means: every posted message/notification has been
     /// fully processed and no handler is mid-flight — with an event-driven
     /// protocol nothing can happen afterwards without external input.
-    pub fn await_quiescence(&self, quiet: Duration, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut quiet_since: Option<Instant> = None;
-        loop {
-            if self.oracle.pending() == 0 {
-                let since = *quiet_since.get_or_insert_with(Instant::now);
-                if since.elapsed() >= quiet {
-                    // Zero pending means every Init ran (each is charged
-                    // at spawn) and every posted event was processed, so
-                    // no handler is mid-flight; new events can only come
-                    // from handlers or from kills, which need `&mut
-                    // self`. A full quiet window is genuinely final.
-                    return true;
-                }
-            } else {
-                quiet_since = None;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
+    /// The oracle's counter makes that exact: every `Init` is charged at
+    /// spawn, every event is charged before it is sent and acknowledged
+    /// only after its handler (and the posts it made) finished, a killed
+    /// node's inbox is drained event by event, and new work can only
+    /// come from handlers or from kills, which need `&mut self`. So the
+    /// waiter sleeps until the acknowledgement that reaches zero, and
+    /// that zero is final.
+    pub fn await_quiescence(&self, timeout: Duration) -> bool {
+        self.oracle.await_zero(timeout)
     }
 
     /// Stops all threads (orderly for survivors) and collects the final
@@ -296,8 +283,8 @@ fn execute(
 mod tests {
     use super::*;
     use precipice_graph::{path, torus, GridDims, Region};
+    use std::time::Instant;
 
-    const QUIET: Duration = Duration::from_millis(150);
     const TIMEOUT: Duration = Duration::from_secs(20);
 
     #[test]
@@ -305,7 +292,7 @@ mod tests {
         let mut cluster = LiveCluster::start(path(3), ProtocolConfig::default());
         cluster.kill(NodeId(1));
         assert!(
-            cluster.await_quiescence(QUIET, TIMEOUT),
+            cluster.await_quiescence(TIMEOUT),
             "cluster must go quiescent"
         );
         let report = cluster.shutdown();
@@ -323,7 +310,7 @@ mod tests {
         // must decide on exactly {5} with the same value.
         let mut cluster = LiveCluster::start(torus(GridDims::square(4)), ProtocolConfig::default());
         cluster.kill(NodeId(5));
-        assert!(cluster.await_quiescence(QUIET, TIMEOUT));
+        assert!(cluster.await_quiescence(TIMEOUT));
         let report = cluster.shutdown();
         let region = Region::from_iter([NodeId(5)]);
         let first = report
@@ -356,7 +343,7 @@ mod tests {
         for k in killed {
             cluster.kill(k);
         }
-        assert!(cluster.await_quiescence(QUIET, TIMEOUT));
+        assert!(cluster.await_quiescence(TIMEOUT));
         assert_eq!(cluster.oracle().pending(), 0);
         let report = cluster.shutdown();
 
@@ -399,7 +386,7 @@ mod tests {
         let mut cluster = LiveCluster::start(path(7), ProtocolConfig::optimized());
         cluster.kill(NodeId(1));
         cluster.kill(NodeId(5));
-        assert!(cluster.await_quiescence(QUIET, TIMEOUT));
+        assert!(cluster.await_quiescence(TIMEOUT));
         let report = cluster.shutdown();
         let r1 = Region::from_iter([NodeId(1)]);
         let r5 = Region::from_iter([NodeId(5)]);
@@ -414,7 +401,7 @@ mod tests {
     /// Kills issued immediately after start race the node threads'
     /// `Init` handlers (some may not have been scheduled at all yet).
     /// Each Init is charged to the pending counter at spawn, so the
-    /// quiet window cannot close until every subscription — and any
+    /// counter cannot reach zero until every subscription — and any
     /// crash notification it immediately triggers — has landed;
     /// otherwise quiescence could be declared with agreements still
     /// ahead.
@@ -423,7 +410,7 @@ mod tests {
         let mut cluster = LiveCluster::start(torus(GridDims::square(4)), ProtocolConfig::default());
         // No sleep: the kill lands before most threads ran Init.
         cluster.kill(NodeId(5));
-        assert!(cluster.await_quiescence(QUIET, TIMEOUT));
+        assert!(cluster.await_quiescence(TIMEOUT));
         assert_eq!(cluster.oracle().pending(), 0);
         let report = cluster.shutdown();
         let region = Region::from_iter([NodeId(5)]);
@@ -455,7 +442,7 @@ mod tests {
         cluster.kill(x);
         let started = Instant::now();
         assert!(
-            cluster.await_quiescence(QUIET, TIMEOUT),
+            cluster.await_quiescence(TIMEOUT),
             "cluster must settle after a kill under load"
         );
         assert!(
@@ -479,7 +466,7 @@ mod tests {
     #[test]
     fn shutdown_without_kills_is_clean() {
         let cluster = LiveCluster::start(path(4), ProtocolConfig::default());
-        assert!(cluster.await_quiescence(QUIET, TIMEOUT));
+        assert!(cluster.await_quiescence(TIMEOUT));
         let report = cluster.shutdown();
         assert!(report.decisions.is_empty());
         assert!(report.killed.is_empty());

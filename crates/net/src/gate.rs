@@ -25,7 +25,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use precipice_core::{ProtocolConfig, View};
 use precipice_graph::{Graph, NodeId};
@@ -151,8 +151,8 @@ pub struct GatedOutcome {
 ///
 /// # Panics
 ///
-/// Panics if the shards fail to drain a released event within a
-/// generous internal timeout (only possible if a shard thread died).
+/// Panics if the shards fail to drain a released event within 30 s
+/// (only possible if a shard thread died).
 pub fn gated_run(
     graph: Arc<Graph>,
     config: ProtocolConfig,
@@ -207,7 +207,12 @@ pub fn gated_run(
             }
         }
         cluster.release_gated(event);
-        drain(&cluster);
+        // Handler outputs go back to the gate uncharged, so the counter
+        // returns to zero after exactly one handler invocation.
+        assert!(
+            cluster.await_quiescence(Duration::from_secs(30)),
+            "shard failed to drain a gated release"
+        );
     }
 
     let decision_steps = cluster.decision_steps();
@@ -219,24 +224,6 @@ pub fn gated_run(
         decision_steps,
         released,
         order_hash: hash,
-    }
-}
-
-/// Busy-waits (with micro-sleeps) until the shards finished the one
-/// event in flight. Handler outputs go back to the gate, so this
-/// settles after exactly one handler invocation.
-fn drain<P>(cluster: &ShardedCluster<P>)
-where
-    P: precipice_core::DecisionPolicy + Send + 'static,
-    P::Value: Send + Sync,
-{
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while cluster.pending() != 0 {
-        assert!(
-            Instant::now() < deadline,
-            "shard failed to drain a gated release"
-        );
-        std::thread::sleep(Duration::from_micros(20));
     }
 }
 
@@ -338,6 +325,33 @@ mod tests {
         );
         assert_eq!(one.order_hash, four.order_hash);
         assert_eq!(one.report, four.report);
+    }
+
+    #[test]
+    fn seed_sweep_is_shard_count_independent() {
+        // 32 seeds x adjacent + distant kills: every release waits on
+        // the zero-transition waiter, so a wake-up that came early (a
+        // handler still posting) or late would shift the parked set and
+        // with it the order hash, the decisions or their steps.
+        let graph = Arc::new(torus(GridDims::square(4)));
+        let kills = [NodeId(5), NodeId(6), NodeId(15)];
+        for seed in 0..32 {
+            let run = |shards| {
+                gated_run(
+                    Arc::clone(&graph),
+                    ProtocolConfig::default(),
+                    shards,
+                    &kills,
+                    seed,
+                )
+            };
+            let (one, four) = (run(1), run(4));
+            assert_eq!(one.order_hash, four.order_hash, "seed {seed}");
+            assert_eq!(one.report, four.report, "seed {seed}");
+            assert_eq!(one.decision_steps, four.decision_steps, "seed {seed}");
+            assert_eq!(one.crash_steps, four.crash_steps, "seed {seed}");
+            assert_eq!(one.released, four.released, "seed {seed}");
+        }
     }
 
     #[test]

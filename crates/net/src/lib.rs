@@ -31,6 +31,14 @@
 //! messages it sent earlier remain deliverable, matching the paper's
 //! reliable-channel model.
 //!
+//! Quiescence is detected exactly in both backends: every event is
+//! charged to one outstanding-event counter before it is enqueued and
+//! discharged only after its handler — and every post that handler
+//! made — is done, so the counter reads zero only when nothing is
+//! queued or running. `await_quiescence(timeout)` sleeps until the
+//! discharge that reaches zero wakes it; the invariant is spelt out in
+//! the `shard` module docs.
+//!
 //! # Example
 //!
 //! ```
@@ -40,7 +48,10 @@
 //!
 //! let mut cluster = ShardedCluster::start(torus(GridDims::square(4)), Default::default(), 2);
 //! cluster.kill(NodeId(9));
-//! assert!(cluster.await_quiescence(Duration::from_millis(100), Duration::from_secs(10)));
+//! // Returns the moment the last handler does: the outstanding-event
+//! // counter is exact, so there is no settling window to sit out.
+//! assert!(cluster.await_quiescence(Duration::from_secs(10)));
+//! assert_eq!(cluster.pending(), 0);
 //! // Only the 4 border nodes ever materialized.
 //! assert_eq!(cluster.activated(), 4);
 //! let report = cluster.shutdown();
@@ -53,6 +64,7 @@
 mod cluster;
 mod gate;
 mod oracle;
+mod quiesce;
 pub mod ring;
 mod serve;
 mod shard;

@@ -1,10 +1,12 @@
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use crossbeam::channel::Sender;
 use parking_lot::Mutex;
 use precipice_graph::NodeId;
+
+use crate::quiesce::Outstanding;
 
 /// Inbox traffic of a live node: either a protocol message or a
 /// failure-detector notification. Generic over the raw protocol payload.
@@ -45,7 +47,7 @@ pub struct Oracle<M> {
     state: Mutex<OracleState<M>>,
     /// Outstanding (sent, not yet fully processed) events across the
     /// cluster; zero means quiescent.
-    pending: AtomicU64,
+    pending: Outstanding,
 }
 
 impl<M> std::fmt::Debug for Oracle<M> {
@@ -53,7 +55,7 @@ impl<M> std::fmt::Debug for Oracle<M> {
         let state = self.state.lock();
         f.debug_struct("Oracle")
             .field("crashed", &state.crashed)
-            .field("pending", &self.pending.load(Ordering::SeqCst))
+            .field("pending", &self.pending.get())
             .finish()
     }
 }
@@ -67,7 +69,7 @@ impl<M> Oracle<M> {
                 notified: BTreeSet::new(),
                 inboxes: BTreeMap::new(),
             }),
-            pending: AtomicU64::new(0),
+            pending: Outstanding::default(),
         })
     }
 
@@ -82,31 +84,39 @@ impl<M> Oracle<M> {
     /// subscribes to neighbours and may immediately observe a crash —
     /// has not been scheduled yet.
     pub(crate) fn charge(&self) {
-        self.pending.fetch_add(1, Ordering::SeqCst);
+        self.pending.charge();
     }
 
     /// Sends an inbox event, bumping the pending counter.
     pub(crate) fn post(&self, to: NodeId, event: Inbox<M>) {
         let state = self.state.lock();
         if let Some(tx) = state.inboxes.get(&to) {
-            self.pending.fetch_add(1, Ordering::SeqCst);
+            self.pending.charge();
             if tx.send(event).is_err() {
                 // Receiver already gone (killed/shut down): the event
                 // will never be processed.
-                self.pending.fetch_sub(1, Ordering::SeqCst);
+                self.pending.done();
             }
         }
     }
 
-    /// Marks one posted event (or charged work unit) as fully processed.
+    /// Marks one posted event (or charged work unit) as fully
+    /// processed; the acknowledgement that reaches zero wakes
+    /// [`Oracle::await_zero`].
     pub(crate) fn done(&self) {
-        self.pending.fetch_sub(1, Ordering::SeqCst);
+        self.pending.done();
     }
 
     /// Current number of posted-but-unprocessed events and charged work
     /// units (zero exactly when the cluster is quiescent).
     pub fn pending(&self) -> u64 {
-        self.pending.load(Ordering::SeqCst)
+        self.pending.get()
+    }
+
+    /// Blocks until nothing is outstanding or `timeout` elapses;
+    /// `true` on zero.
+    pub(crate) fn await_zero(&self, timeout: Duration) -> bool {
+        self.pending.wait_zero(timeout)
     }
 
     /// Subscribes `observer` to `target`'s crash; notifies at once if

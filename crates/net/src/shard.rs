@@ -18,11 +18,11 @@
 //! - **Bounded MPSC rings.** Cross-shard traffic flows over one
 //!   [`Ring`] per shard (see [`ring`](crate::ring)) instead of one
 //!   channel per node.
-//! - **Per-shard pending counters.** The kill-switch quiescence oracle
-//!   is re-expressed as one atomic counter per shard: a post charges
-//!   the *target's* shard before the event is enqueued, the owning
-//!   shard acknowledges after the handler (and everything it posted)
-//!   is done. All counters at zero for a quiet window ⇒ quiescent.
+//! - **One outstanding-event counter.** The kill-switch quiescence
+//!   oracle is one atomic shared by all shards (see *Quiescence*
+//!   below): zero ⇒ quiescent, exactly, and
+//!   [`ShardedCluster::await_quiescence`] sleeps on the 1 → 0
+//!   transition instead of polling.
 //!
 //! Failure detection keeps the graph-backed semantics of the sim's
 //! `FailureDetector::with_static_graph`: every node is implicitly
@@ -31,12 +31,38 @@
 //! monitors are recorded only for non-neighbours, and a kill notifies
 //! `neighbours(q) ∪ dynamic(q)` exactly once per (observer, target)
 //! pair, in ascending node order.
+//!
+//! # Quiescence
+//!
+//! The paper's event model (§2.3) lets a node act only on a delivery
+//! or a crash notification, so the cluster is quiescent exactly when no
+//! such event is queued and no handler is running. One counter tracks
+//! that, under this invariant:
+//!
+//! - an event is **charged before it is pushed** to a ring, so it is
+//!   counted before any consumer can see it;
+//! - it is **discharged only after its handler has returned**, and
+//!   every post that handler made has itself been charged — the count
+//!   cannot dip to zero between a handler's outputs and its
+//!   acknowledgement;
+//! - a push **refused by a closed ring** is discharged on the spot
+//!   (nobody will ever handle it);
+//! - the only source of events besides handlers is
+//!   [`ShardedCluster::kill`], which needs `&mut self` — so while a
+//!   waiter holds `&self`, **a zero is final**.
+//!
+//! A single counter rather than one per shard: a reader summing
+//! per-shard counters one after another can see each at zero while an
+//! event hops between them, and every `deliver` already serialises on
+//! the failure-detector lock, so the shared cache line costs nothing
+//! new. Gated runs park posts in the gate *uncharged*; there zero means
+//! "the one released event has been handled".
 
 use std::collections::{btree_map, BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use precipice_core::{
     Action, CliffEdgeNode, DecisionPolicy, Event, Message, NodeIdValuePolicy, ProtocolConfig,
@@ -46,6 +72,7 @@ use precipice_graph::{Graph, NodeId};
 
 use crate::cluster::LiveReport;
 use crate::gate::Gate;
+use crate::quiesce::Outstanding;
 use crate::ring::{Pop, Ring};
 
 /// Capacity of each shard's bounded ring; bursts beyond it spill (see
@@ -138,7 +165,8 @@ pub(crate) struct Router<V> {
     /// Nodes per shard range (last shard takes the remainder).
     range: usize,
     rings: Vec<Arc<Ring<ShardEvent<V>>>>,
-    pending: Vec<AtomicU64>,
+    /// Events charged and not yet discharged, across all shards.
+    outstanding: Outstanding,
     fd: Mutex<FdState>,
     /// When set, posts are parked here instead of entering the rings —
     /// the delivery gate for schedule exploration.
@@ -159,7 +187,7 @@ impl<V: precipice_core::WireSize> Router<V> {
             rings: (0..shards)
                 .map(|_| Arc::new(Ring::new(RING_CAPACITY)))
                 .collect(),
-            pending: (0..shards).map(|_| AtomicU64::new(0)).collect(),
+            outstanding: Outstanding::default(),
             fd: Mutex::new(FdState::default()),
             gate,
             step: AtomicU64::new(0),
@@ -180,8 +208,8 @@ impl<V: precipice_core::WireSize> Router<V> {
         self.fd.lock().expect("fd lock").crashed.contains(&node)
     }
 
-    /// Routes `event` towards its owner: charges the target shard and
-    /// enqueues, or parks it in the gate when one is installed. Called
+    /// Routes `event` towards its owner: charges and enqueues it, or
+    /// parks it in the gate when one is installed. Called
     /// with the fd lock held, so a concurrent kill cannot slip between
     /// the liveness check and the enqueue.
     fn route(&self, event: ShardEvent<V>) {
@@ -192,13 +220,15 @@ impl<V: precipice_core::WireSize> Router<V> {
         }
     }
 
-    /// Sends `event` into its owner's ring for real, charging the
-    /// shard's pending counter first (quiescence must never observe the
-    /// window between enqueue and charge).
+    /// Sends `event` into its owner's ring for real, charging it first
+    /// (quiescence must never observe the window between enqueue and
+    /// charge). A ring closed by shutdown refuses the push; nobody will
+    /// handle that event, so it is discharged here.
     pub(crate) fn release(&self, event: ShardEvent<V>) {
-        let shard = self.shard_of(event.to());
-        self.pending[shard].fetch_add(1, Ordering::SeqCst);
-        self.rings[shard].push(event);
+        self.outstanding.charge();
+        if !self.rings[self.shard_of(event.to())].push(event) {
+            self.outstanding.done();
+        }
     }
 
     /// A protocol message from `from` to `to`; dropped if `to` is dead.
@@ -268,24 +298,6 @@ impl<V: precipice_core::WireSize> Router<V> {
             }
         }
         true
-    }
-
-    /// Acknowledges one fully-handled (or dropped) event on `shard`.
-    fn done(&self, shard: usize) {
-        let before = self.pending[shard].fetch_sub(1, Ordering::SeqCst);
-        debug_assert!(before > 0, "pending counter underflow on shard {shard}");
-    }
-
-    /// Outstanding events across all shards.
-    pub(crate) fn pending_sum(&self) -> u64 {
-        self.pending.iter().map(|p| p.load(Ordering::SeqCst)).sum()
-    }
-
-    fn shard_pending(&self) -> Vec<u64> {
-        self.pending
-            .iter()
-            .map(|p| p.load(Ordering::SeqCst))
-            .collect()
     }
 
     /// The logical release clock (0 outside gated runs).
@@ -432,12 +444,7 @@ where
 
     /// Outstanding (posted but not yet fully handled) events.
     pub fn pending(&self) -> u64 {
-        self.router.pending_sum()
-    }
-
-    /// Outstanding events per shard.
-    pub fn shard_pending(&self) -> Vec<u64> {
-        self.router.shard_pending()
+        self.router.outstanding.get()
     }
 
     /// Nodes activated on demand so far — the live analogue of the
@@ -477,6 +484,17 @@ where
             .collect()
     }
 
+    /// How many nodes have decided so far (killed nodes excluded):
+    /// `decisions_snapshot().len()` without cloning a single view.
+    pub fn decision_count(&self) -> usize {
+        self.decisions
+            .lock()
+            .expect("decisions lock")
+            .keys()
+            .filter(|node| !self.killed.contains(node))
+            .count()
+    }
+
     /// Advances the gated release clock (gate controller only).
     pub(crate) fn bump_step(&self) -> u64 {
         self.router.bump_step()
@@ -499,31 +517,19 @@ where
             .collect()
     }
 
-    /// Blocks until no event has been outstanding for `quiet`, or until
-    /// `timeout` elapses. Returns `true` on quiescence.
+    /// Blocks until no event is outstanding, or until `timeout`
+    /// elapses. Returns `true` on quiescence; returns at once when the
+    /// cluster is already idle or `timeout` is zero.
     ///
-    /// Same contract as the thread-per-node oracle: a post charges the
-    /// target shard *before* enqueueing and the shard acknowledges only
-    /// after the handler (and everything it posted) is done, so all
-    /// counters at zero means no handler is mid-flight; a full quiet
-    /// window with no kills in between is genuinely final.
-    pub fn await_quiescence(&self, quiet: Duration, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut quiet_since: Option<Instant> = None;
-        loop {
-            if self.router.pending_sum() == 0 {
-                let since = *quiet_since.get_or_insert_with(Instant::now);
-                if since.elapsed() >= quiet {
-                    return true;
-                }
-            } else {
-                quiet_since = None;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
+    /// Exact, not heuristic: an event is charged to the outstanding
+    /// counter before it is pushed and discharged only after its
+    /// handler — and every post that handler made — is done, so the
+    /// counter reads zero only when no event is queued and no handler
+    /// is running, and with `&self` borrowed here no kill can
+    /// start new work — so the waiter sleeps until the discharge that
+    /// reaches zero wakes it, and that zero is final.
+    pub fn await_quiescence(&self, timeout: Duration) -> bool {
+        self.router.outstanding.wait_zero(timeout)
     }
 
     /// Stops all shards (draining their rings first) and collects the
@@ -576,7 +582,7 @@ where
         match ring.pop(IDLE_TICK) {
             Pop::Item(event) => {
                 handle_event(event, &router, &factory, config, &decisions, &mut nodes);
-                router.done(shard);
+                router.outstanding.done();
             }
             Pop::TimedOut => continue,
             Pop::Closed => break,
@@ -660,12 +666,59 @@ fn execute<V: Clone + precipice_core::WireSize>(
     }
 }
 
+/// A cluster a test can hold busy: its policy factory reports on the
+/// first channel that a handler has entered it, then blocks until the
+/// returned sender is dropped. The factory runs inside an event
+/// handler, so while it blocks at least one event is outstanding.
+#[cfg(test)]
+pub(crate) fn held_cluster(
+    graph: Graph,
+    shards: usize,
+) -> (
+    ShardedCluster,
+    std::sync::mpsc::Receiver<()>,
+    std::sync::mpsc::Sender<()>,
+) {
+    let (entered_tx, entered_rx) = std::sync::mpsc::channel();
+    let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+    let cluster = ShardedCluster::start_with(
+        Arc::new(graph),
+        ProtocolConfig::default(),
+        shards,
+        move |_me| {
+            let _ = entered_tx.send(());
+            let _ = release_rx.recv();
+            NodeIdValuePolicy
+        },
+    );
+    (cluster, entered_rx, release_tx)
+}
+
+/// Asserts that `op` can complete in under 5 ms — fastest of five
+/// tries, so one descheduling on a loaded test host does not read as a
+/// sleep. (The polled quiet window this guards against took ≥ 100 ms
+/// every time.)
+#[cfg(test)]
+pub(crate) fn assert_does_not_sleep(what: &str, mut op: impl FnMut()) {
+    let fastest = (0..5)
+        .map(|_| {
+            let started = std::time::Instant::now();
+            op();
+            started.elapsed()
+        })
+        .min()
+        .expect("five tries");
+    assert!(
+        fastest < Duration::from_millis(5),
+        "{what} took {fastest:?}"
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use precipice_graph::{path, torus, GridDims, Region};
 
-    const QUIET: Duration = Duration::from_millis(150);
     const TIMEOUT: Duration = Duration::from_secs(20);
 
     fn run_one(graph: Graph, shards: usize, kills: &[NodeId]) -> (LiveReport, u64) {
@@ -673,10 +726,7 @@ mod tests {
         for &k in kills {
             cluster.kill(k);
         }
-        assert!(
-            cluster.await_quiescence(QUIET, TIMEOUT),
-            "must go quiescent"
-        );
+        assert!(cluster.await_quiescence(TIMEOUT), "must go quiescent");
         assert_eq!(cluster.pending(), 0);
         let activated = cluster.activated();
         (cluster.shutdown(), activated)
@@ -717,7 +767,7 @@ mod tests {
         assert_eq!(cluster.activated(), 0, "startup activates nothing");
         assert_eq!(cluster.pending(), 0, "startup posts nothing");
         cluster.kill(NodeId(100));
-        assert!(cluster.await_quiescence(QUIET, TIMEOUT));
+        assert!(cluster.await_quiescence(TIMEOUT));
         assert_eq!(cluster.activated(), 4);
         let report = cluster.shutdown();
         assert_eq!(report.stats.len(), 4, "stats only for touched nodes");
@@ -728,10 +778,72 @@ mod tests {
     fn quiescent_immediately_without_kills() {
         let cluster =
             ShardedCluster::start(torus(GridDims::square(5)), ProtocolConfig::default(), 2);
-        assert!(cluster.await_quiescence(Duration::from_millis(20), TIMEOUT));
+        assert_does_not_sleep("an idle await", || {
+            assert!(cluster.await_quiescence(TIMEOUT));
+        });
         let report = cluster.shutdown();
         assert!(report.decisions.is_empty());
         assert!(report.stats.is_empty());
+    }
+
+    #[test]
+    fn waiter_is_woken_by_the_last_done_and_not_before() {
+        let (mut cluster, entered, release) = held_cluster(torus(GridDims::square(4)), 4);
+        cluster.kill(NodeId(9));
+        entered.recv().expect("a handler is running");
+        // Busy for certain: a handler sits inside the policy factory.
+        assert!(cluster.pending() > 0);
+        assert_does_not_sleep("a zero-timeout await on a busy cluster", || {
+            assert!(!cluster.await_quiescence(Duration::ZERO));
+        });
+        let (woke_tx, woke_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let cluster = &cluster;
+            s.spawn(move || {
+                let quiescent = cluster.await_quiescence(TIMEOUT);
+                woke_tx
+                    .send((quiescent, cluster.pending(), cluster.decision_count()))
+                    .expect("report wake-up");
+            });
+            assert!(
+                woke_rx.recv_timeout(Duration::from_millis(50)).is_err(),
+                "waiter returned while a handler was still running"
+            );
+            drop(release);
+            // Woken by the discharge that reached zero: nothing is
+            // outstanding and the whole border has decided.
+            assert_eq!(woke_rx.recv_timeout(TIMEOUT), Ok((true, 0, 4)));
+        });
+        assert_eq!(cluster.shutdown().decisions.len(), 4);
+    }
+
+    #[test]
+    fn push_refused_by_a_closed_ring_is_discharged() {
+        let router: Arc<Router<NodeId>> = Router::new(Arc::new(path(4)), 2, None);
+        router.rings[1].close();
+        router.release(ShardEvent::Notify {
+            to: NodeId(3),
+            crashed: NodeId(2),
+        });
+        assert_eq!(router.outstanding.get(), 0, "refused push left a charge");
+        router.release(ShardEvent::Notify {
+            to: NodeId(0),
+            crashed: NodeId(1),
+        });
+        assert_eq!(router.outstanding.get(), 1, "accepted push stays charged");
+    }
+
+    #[test]
+    fn decision_count_matches_snapshot_and_excludes_killed() {
+        let mut cluster = ShardedCluster::start(path(5), ProtocolConfig::default(), 2);
+        cluster.kill(NodeId(2));
+        assert!(cluster.await_quiescence(TIMEOUT));
+        assert_eq!(cluster.decision_count(), 2);
+        // Node 1 decided; once killed it no longer counts.
+        cluster.kill(NodeId(1));
+        assert!(cluster.await_quiescence(TIMEOUT));
+        assert_eq!(cluster.decision_count(), cluster.decisions_snapshot().len());
+        assert!(!cluster.decisions_snapshot().contains_key(&NodeId(1)));
     }
 
     #[test]
@@ -767,7 +879,7 @@ mod tests {
                 ConstPolicy(7u32)
             });
         cluster.kill(NodeId(1));
-        assert!(cluster.await_quiescence(QUIET, TIMEOUT));
+        assert!(cluster.await_quiescence(TIMEOUT));
         let report = cluster.shutdown();
         assert_eq!(report.decisions.len(), 2);
         for (_, value) in report.decisions.values() {

@@ -19,7 +19,6 @@ use precipice_core::ProtocolConfig;
 use precipice_graph::{path, stream_torus, torus, GridDims, NodeId};
 use precipice_net::{gated_run, LiveCluster, LiveReport, ServeSession, ShardedCluster};
 
-const QUIET: Duration = Duration::from_millis(200);
 // Generous: these tests share the machine with the rest of the suite.
 const TIMEOUT: Duration = Duration::from_secs(120);
 
@@ -29,7 +28,7 @@ fn threaded(graph: precipice_graph::Graph, config: ProtocolConfig, kills: &[Node
     for &k in kills {
         cluster.kill(k);
     }
-    assert!(cluster.await_quiescence(QUIET, TIMEOUT), "threaded drain");
+    assert!(cluster.await_quiescence(TIMEOUT), "threaded drain");
     cluster.shutdown()
 }
 
@@ -44,7 +43,7 @@ fn sharded(
     for &k in kills {
         cluster.kill(k);
     }
-    assert!(cluster.await_quiescence(QUIET, TIMEOUT), "sharded drain");
+    assert!(cluster.await_quiescence(TIMEOUT), "sharded drain");
     cluster.shutdown()
 }
 

@@ -33,8 +33,6 @@ use crate::exec::ExecOutcome;
 use crate::report::{Decision, RunReport};
 use crate::scenario::Scenario;
 
-/// Quiet window after which the live run is considered drained.
-const QUIET: Duration = Duration::from_millis(100);
 /// Hard wall-clock cap on a free-running live execution.
 const TIMEOUT: Duration = Duration::from_secs(120);
 
@@ -68,7 +66,7 @@ where
     for &(node, _) in &kills {
         cluster.kill(node);
     }
-    let quiescent = cluster.await_quiescence(QUIET, TIMEOUT);
+    let quiescent = cluster.await_quiescence(TIMEOUT);
 
     let counters = cluster.counters();
     let report = cluster.shutdown();

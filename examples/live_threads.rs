@@ -23,7 +23,7 @@ fn main() {
     println!("killing n13...");
     cluster.kill(NodeId(13));
 
-    let quiescent = cluster.await_quiescence(Duration::from_millis(200), Duration::from_secs(20));
+    let quiescent = cluster.await_quiescence(Duration::from_secs(20));
     println!("quiescent: {quiescent}");
 
     let report = cluster.shutdown();
