@@ -1,4 +1,4 @@
-//! Report binary: E8 — simulator vs live backends (threaded + sharded).
+//! Report binary: E8 — simulator vs the sharded live runtime.
 //!
 //! Regenerates the experiment's tables (see the `precipice_bench::experiments` module
 //! docs for the E1–E8 index). Run with `cargo run --release -p precipice-bench --bin e8_live_backend -- [--jobs N]`.
@@ -17,7 +17,7 @@ fn main() {
     if deterministic {
         print!("{}", precipice_bench::deterministic_markdown(&tables));
     } else {
-        println!("# E8 — simulator vs live backends\n");
+        println!("# E8 — simulator vs the live runtime\n");
         precipice_bench::experiments::print_tables(&tables);
     }
 }

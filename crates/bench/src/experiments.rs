@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use precipice_core::ProtocolConfig;
 use precipice_graph::{NodeId, Region};
-use precipice_net::{gated_run, LiveCluster, ShardedCluster};
+use precipice_net::{gated_run, live_consistent, LiveReport, ShardedCluster};
 use precipice_runtime::{Exec, Scenario};
 use precipice_sim::SimTime;
 use precipice_workload::figures::{figure3_scenario, Figure1, Figure2};
@@ -660,24 +660,22 @@ pub fn e7_ablations(jobs: Jobs) -> Vec<Table> {
     vec![t, t2]
 }
 
-/// E8 — the live backends vs the simulator: identical decisions on
-/// deterministic scenarios, plus wall-clock cost of each backend.
+/// E8 — the live runtime vs the simulator: identical decisions on
+/// deterministic scenarios, plus wall-clock cost of each.
 ///
-/// Three live observations per case:
+/// Two live observations per case:
 ///
 /// - **gated** (deterministic table): one gated schedule of the sharded
 ///   runtime ([`gated_run`], fixed seed). Deterministic in the scenario
 ///   and seed and **independent of the shard count** — CI byte-diffs
 ///   this table at `PRECIPICE_SHARDS=1` vs `2` to keep that honest.
-/// - **threaded** and **sharded** free-running (volatile table):
-///   decider counts under real scheduling plus wall-clocks, excluded
-///   from determinism diffs. The quiescence invariant
-///   (`Oracle::pending() == 0` after a quiescent run) is asserted on
-///   every invocation; the identical/spec-consistent verdicts are
-///   reported in the volatile table.
+/// - **sharded** free-running (volatile table): decider count under
+///   real scheduling plus wall-clocks, excluded from determinism diffs.
+///   The quiescence invariant (`pending() == 0` after a quiescent run)
+///   is asserted on every invocation; the identical/spec-consistent
+///   verdicts are reported in the volatile table.
 ///
-/// `PRECIPICE_SHARDS` selects the sharded backend's worker count
-/// (default 2).
+/// `PRECIPICE_SHARDS` selects the runtime's worker count (default 2).
 pub fn e8_live_backend(jobs: Jobs) -> Vec<Table> {
     let shards: usize = std::env::var("PRECIPICE_SHARDS")
         .ok()
@@ -696,15 +694,13 @@ pub fn e8_live_backend(jobs: Jobs) -> Vec<Table> {
         ],
     );
     let mut live = Table::new(
-        "E8 — live backends vs simulator (volatile: thread scheduling, wall-clock)",
+        "E8 — live runtime vs simulator (volatile: thread scheduling, wall-clock)",
         [
             "topology",
-            "live deciders",
             "sharded deciders",
             "identical decisions",
             "live spec-consistent",
             "sim wall (ms)",
-            "live wall (ms)",
             "sharded wall (ms)",
         ],
     )
@@ -731,12 +727,10 @@ pub fn e8_live_backend(jobs: Jobs) -> Vec<Table> {
         quiescent: bool,
         sim_messages: u64,
         sim_decisions: BTreeMap<NodeId, (Region, NodeId)>,
-        live_decisions: BTreeMap<NodeId, (Region, NodeId)>,
-        sharded_decisions: BTreeMap<NodeId, (Region, NodeId)>,
+        sharded: LiveReport,
         gated_deciders: usize,
         gated_hash: u64,
         sim_wall: f64,
-        live_wall: f64,
         sharded_wall: f64,
     }
     let results = SweepSpec::new(jobs).map(&cases, |_, (_, graph, kills)| {
@@ -755,46 +749,21 @@ pub fn e8_live_backend(jobs: Jobs) -> Vec<Table> {
             .map(|(&n, d)| (n, (d.view.region().clone(), d.value)))
             .collect();
 
-        // Live thread-per-node run.
-        let live_started = Instant::now();
-        let mut cluster = LiveCluster::start(graph.clone(), ProtocolConfig::default());
+        // Sharded event-loop run, free-running.
+        let sharded_started = Instant::now();
+        let mut cluster = ShardedCluster::start(graph.clone(), ProtocolConfig::default(), shards);
         for &k in kills {
             cluster.kill(k);
         }
         let quiescent = cluster.await_quiescence(std::time::Duration::from_secs(30));
-        // Quiescence means every posted event was acknowledged — the
-        // kill path drains dead inboxes instead of leaking their counts.
+        // Quiescence means every charged event was discharged, the
+        // ones dropped at a dead node included.
         assert!(
-            !quiescent || cluster.oracle().pending() == 0,
+            !quiescent || cluster.pending() == 0,
             "quiescent with outstanding events"
         );
-        let live_report = cluster.shutdown();
-        let live_wall = live_started.elapsed().as_secs_f64() * 1000.0;
-        let live_decisions: BTreeMap<NodeId, (Region, NodeId)> = live_report
-            .decisions
-            .iter()
-            .map(|(&n, (v, d))| (n, (v.region().clone(), *d)))
-            .collect();
-
-        // Sharded event-loop run, free-running (same quiescence
-        // contract: one exact outstanding-event counter).
-        let sharded_started = Instant::now();
-        let mut sharded = ShardedCluster::start(graph.clone(), ProtocolConfig::default(), shards);
-        for &k in kills {
-            sharded.kill(k);
-        }
-        let sharded_quiescent = sharded.await_quiescence(std::time::Duration::from_secs(30));
-        assert!(
-            !sharded_quiescent || sharded.pending() == 0,
-            "sharded quiescent with outstanding events"
-        );
-        let sharded_report = sharded.shutdown();
+        let sharded = cluster.shutdown();
         let sharded_wall = sharded_started.elapsed().as_secs_f64() * 1000.0;
-        let sharded_decisions: BTreeMap<NodeId, (Region, NodeId)> = sharded_report
-            .decisions
-            .iter()
-            .map(|(&n, (v, d))| (n, (v.region().clone(), *d)))
-            .collect();
 
         // One gated schedule: deterministic in (scenario, seed) and
         // independent of the shard count — safe for the byte-diff table.
@@ -807,46 +776,34 @@ pub fn e8_live_backend(jobs: Jobs) -> Vec<Table> {
         );
 
         E8Row {
-            quiescent: quiescent && sharded_quiescent,
+            quiescent,
             sim_messages,
             sim_decisions,
-            live_decisions,
-            sharded_decisions,
+            sharded,
             gated_deciders: gated.report.decisions.len(),
             gated_hash: gated.order_hash,
             sim_wall,
-            live_wall,
             sharded_wall,
         }
     });
-    for ((label, _, kills), row) in cases.iter().zip(results) {
+    for ((label, graph, kills), row) in cases.iter().zip(results) {
         // Multi-kill outcomes are legitimately schedule-dependent (weak
         // progress): equality with one particular sim schedule is only
-        // meaningful for single kills. Spec consistency always is:
-        // decided regions contain only killed nodes, equal regions get
-        // equal values, distinct regions never partially overlap.
+        // meaningful for single kills. Spec consistency always is.
         let identical = if kills.len() == 1 {
-            (row.quiescent
-                && row.sim_decisions == row.live_decisions
-                && row.sim_decisions == row.sharded_decisions)
-                .to_string()
+            let sharded_decisions: BTreeMap<NodeId, (Region, NodeId)> = row
+                .sharded
+                .decisions
+                .iter()
+                .map(|(&n, (v, d))| (n, (v.region().clone(), *d)))
+                .collect();
+            (row.quiescent && row.sim_decisions == sharded_decisions).to_string()
         } else {
             "n/a (schedule-dependent)".to_owned()
         };
-        let mut consistent = row.quiescent && !row.live_decisions.is_empty();
-        for decisions in [&row.live_decisions, &row.sharded_decisions] {
-            let live_vec: Vec<&(Region, NodeId)> = decisions.values().collect();
-            for (i, (ra, va)) in live_vec.iter().enumerate() {
-                consistent &= ra.iter().all(|m| kills.contains(&m));
-                for (rb, vb) in live_vec.iter().skip(i + 1) {
-                    if ra == rb {
-                        consistent &= va == vb;
-                    } else {
-                        consistent &= !ra.intersects(rb);
-                    }
-                }
-            }
-        }
+        let consistent = row.quiescent
+            && !row.sharded.decisions.is_empty()
+            && live_consistent(&row.sharded, graph);
 
         t.push_row([
             (*label).to_owned(),
@@ -858,12 +815,10 @@ pub fn e8_live_backend(jobs: Jobs) -> Vec<Table> {
         ]);
         live.push_row([
             (*label).to_owned(),
-            row.live_decisions.len().to_string(),
-            row.sharded_decisions.len().to_string(),
+            row.sharded.decisions.len().to_string(),
             identical,
             consistent.to_string(),
             fmt_num(row.sim_wall),
-            fmt_num(row.live_wall),
             fmt_num(row.sharded_wall),
         ]);
     }

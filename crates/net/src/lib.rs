@@ -1,43 +1,42 @@
-//! Live backends for cliff-edge consensus: a sharded event-loop runtime
-//! (the default) and the original thread-per-node reference.
+//! The live runtime for cliff-edge consensus: a sharded event loop over
+//! one shared topology.
 //!
-//! Both run the exact same sans-io
+//! It runs the exact same sans-io
 //! [`CliffEdgeNode`](precipice_core::CliffEdgeNode) state machine as the
 //! simulator, under genuine concurrency and nondeterministic scheduling
 //! (experiment E8) — demonstrating that the protocol core is
-//! transport-agnostic.
+//! transport-agnostic. Detector and transport are implemented
+//! independently of the simulator's, which is why the simulator serves
+//! as this runtime's differential reference: on schedule-independent
+//! scenarios the two must report equal decisions, protocol counters and
+//! killed sets (`tests/net_backend.rs`, the runtime crate's `live`
+//! tests).
 //!
-//! - [`ShardedCluster`] — `W` worker shards own disjoint ranges of one
-//!   shared topology (owned or mapped `.pcsr`), activate nodes on
-//!   demand, and exchange events over bounded MPSC [`ring`]s. This is
-//!   the backend behind `Engine::Live`, `precipice serve`
-//!   ([`ServeSession`]) and live schedule exploration ([`gated_run`]).
-//!   Footprint is proportional to the *touched* nodes, so one process
-//!   hosts 10⁶-node topologies.
-//! - [`LiveCluster`] — one OS thread and one unbounded channel per
-//!   node. Kept as the executable reference the sharded runtime is
-//!   differentially tested against (`tests/sharded_vs_threaded.rs`);
-//!   practical to a few thousand nodes.
+//! [`ShardedCluster`] — `W` worker shards own disjoint ranges of one
+//! shared topology (owned or mapped `.pcsr`), activate nodes on demand,
+//! and exchange events over bounded MPSC [`ring`]s. It is behind
+//! `Engine::Live`, `precipice serve` ([`ServeSession`]) and live
+//! schedule exploration ([`gated_run`]). Footprint is proportional to
+//! the *touched* nodes, so one process hosts 10⁶-node topologies.
 //!
-//! The paper's perfect failure detector is a **kill-switch oracle** in
-//! both backends: crashes are always *induced* (via `kill`), so the
-//! runtime knows the ground truth and can notify observers without ever
-//! suspecting a live node — the only way to realize a perfect FD in an
-//! asynchronous system. The sharded runtime resolves observers from the
-//! shared graph (neighbours are implicitly subscribed, so passive nodes
-//! are never woken just to subscribe), exactly like the sim's
-//! graph-backed detector. A killed node stops processing immediately —
-//! queued and in-flight events addressed to it are dropped — while
-//! messages it sent earlier remain deliverable, matching the paper's
-//! reliable-channel model.
+//! The paper's perfect failure detector is a **kill-switch oracle**:
+//! crashes are always *induced* (via `kill`), so the runtime knows the
+//! ground truth and can notify observers without ever suspecting a live
+//! node — the only way to realize a perfect FD in an asynchronous
+//! system. Observers are resolved from the shared graph (neighbours are
+//! implicitly subscribed, so passive nodes are never woken just to
+//! subscribe), exactly like the sim's graph-backed detector. A killed
+//! node stops processing immediately — queued and in-flight events
+//! addressed to it are dropped — while messages it sent earlier remain
+//! deliverable, matching the paper's reliable-channel model.
 //!
-//! Quiescence is detected exactly in both backends: every event is
-//! charged to one outstanding-event counter before it is enqueued and
-//! discharged only after its handler — and every post that handler
-//! made — is done, so the counter reads zero only when nothing is
-//! queued or running. `await_quiescence(timeout)` sleeps until the
-//! discharge that reaches zero wakes it; the invariant is spelt out in
-//! the `shard` module docs.
+//! Quiescence is detected exactly: every event is charged to one
+//! outstanding-event counter before it is enqueued and discharged only
+//! after its handler — and every post that handler made — is done, so
+//! the counter reads zero only when nothing is queued or running.
+//! `await_quiescence(timeout)` sleeps until the discharge that reaches
+//! zero wakes it; the invariant is spelt out in the `shard` module
+//! docs.
 //!
 //! # Example
 //!
@@ -69,8 +68,7 @@ pub mod ring;
 mod serve;
 mod shard;
 
-pub use cluster::{LiveCluster, LiveReport};
+pub use cluster::LiveReport;
 pub use gate::{gated_run, live_consistent, GatedOutcome};
-pub use oracle::Oracle;
 pub use serve::ServeSession;
 pub use shard::{RouterCounters, ShardedCluster};

@@ -1,223 +1,143 @@
+//! The kill-switch perfect failure detector's policy, without threads.
+//!
+//! Crashes are always *induced* (via `kill`), so the runtime knows the
+//! ground truth: only killed nodes are ever reported (strong accuracy)
+//! and every observer of a killed node is told exactly once — at once
+//! if it starts monitoring after the kill (strong completeness).
+//! Observers are resolved from the shared graph, like the sim's
+//! `FailureDetector::with_static_graph`: every node implicitly monitors
+//! its graph neighbours, so only non-neighbour monitors are stored.
+//!
+//! [`FdState`] decides *who* is notified; the `Router` in
+//! [`shard`](crate::shard) keeps it behind one mutex and does the
+//! routing, so a kill cannot slip between a liveness check and an
+//! enqueue.
+
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
-use std::time::Duration;
 
-use crossbeam::channel::Sender;
-use parking_lot::Mutex;
-use precipice_graph::NodeId;
+use precipice_graph::{Graph, NodeId};
 
-use crate::quiesce::Outstanding;
-
-/// Inbox traffic of a live node: either a protocol message or a
-/// failure-detector notification. Generic over the raw protocol payload.
-#[derive(Debug)]
-pub(crate) enum Inbox<M> {
-    /// A protocol message from a peer.
-    Proto {
-        /// Sender.
-        from: NodeId,
-        /// Payload.
-        message: M,
-    },
-    /// The failure detector reports `0`'s crash.
-    Crash(NodeId),
-    /// Orderly termination (not a crash): drain and exit.
-    Shutdown,
-}
-
-struct OracleState<M> {
-    /// Ground-truth kills.
+/// Failure-detector bookkeeping for one cluster.
+#[derive(Debug, Default)]
+pub(crate) struct FdState {
+    /// Nodes killed so far.
     crashed: BTreeSet<NodeId>,
-    /// target -> observers awaiting its crash.
-    subscribers: BTreeMap<NodeId, BTreeSet<NodeId>>,
-    /// Exactly-once notification guard.
+    /// Dynamic (non-neighbour) subscriptions: target → observers.
+    dynamic: BTreeMap<NodeId, BTreeSet<NodeId>>,
+    /// (observer, target) pairs already notified — exactly-once guard.
     notified: BTreeSet<(NodeId, NodeId)>,
-    /// Inbox senders, per node.
-    inboxes: BTreeMap<NodeId, Sender<Inbox<M>>>,
 }
 
-/// The kill-switch perfect failure detector shared by a
-/// [`LiveCluster`](crate::LiveCluster).
-///
-/// Strong accuracy: only killed nodes (via
-/// [`LiveCluster::kill`](crate::LiveCluster::kill)) are ever reported.
-/// Strong completeness: every subscriber of a killed node is notified
-/// exactly once — immediately if it subscribes after the kill.
-pub struct Oracle<M> {
-    state: Mutex<OracleState<M>>,
-    /// Outstanding (sent, not yet fully processed) events across the
-    /// cluster; zero means quiescent.
-    pending: Outstanding,
-}
-
-impl<M> std::fmt::Debug for Oracle<M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = self.state.lock();
-        f.debug_struct("Oracle")
-            .field("crashed", &state.crashed)
-            .field("pending", &self.pending.get())
-            .finish()
-    }
-}
-
-impl<M> Oracle<M> {
-    pub(crate) fn new() -> Arc<Self> {
-        Arc::new(Oracle {
-            state: Mutex::new(OracleState {
-                crashed: BTreeSet::new(),
-                subscribers: BTreeMap::new(),
-                notified: BTreeSet::new(),
-                inboxes: BTreeMap::new(),
-            }),
-            pending: Outstanding::default(),
-        })
-    }
-
-    pub(crate) fn register(&self, node: NodeId, sender: Sender<Inbox<M>>) {
-        self.state.lock().inboxes.insert(node, sender);
-    }
-
-    /// Counts one unit of outstanding work that is not an inbox event
-    /// (a node's `Init` handler, charged at spawn and acknowledged via
-    /// [`Oracle::done`] once the handler ran). Without it, quiescence
-    /// could be declared while a freshly spawned thread — whose `Init`
-    /// subscribes to neighbours and may immediately observe a crash —
-    /// has not been scheduled yet.
-    pub(crate) fn charge(&self) {
-        self.pending.charge();
-    }
-
-    /// Sends an inbox event, bumping the pending counter.
-    pub(crate) fn post(&self, to: NodeId, event: Inbox<M>) {
-        let state = self.state.lock();
-        if let Some(tx) = state.inboxes.get(&to) {
-            self.pending.charge();
-            if tx.send(event).is_err() {
-                // Receiver already gone (killed/shut down): the event
-                // will never be processed.
-                self.pending.done();
-            }
-        }
-    }
-
-    /// Marks one posted event (or charged work unit) as fully
-    /// processed; the acknowledgement that reaches zero wakes
-    /// [`Oracle::await_zero`].
-    pub(crate) fn done(&self) {
-        self.pending.done();
-    }
-
-    /// Current number of posted-but-unprocessed events and charged work
-    /// units (zero exactly when the cluster is quiescent).
-    pub fn pending(&self) -> u64 {
-        self.pending.get()
-    }
-
-    /// Blocks until nothing is outstanding or `timeout` elapses;
-    /// `true` on zero.
-    pub(crate) fn await_zero(&self, timeout: Duration) -> bool {
-        self.pending.wait_zero(timeout)
-    }
-
-    /// Subscribes `observer` to `target`'s crash; notifies at once if
-    /// `target` is already dead.
-    pub(crate) fn subscribe(&self, observer: NodeId, target: NodeId) {
-        let already_crashed = {
-            let mut state = self.state.lock();
-            if state.crashed.contains(&target) {
-                state.notified.insert((observer, target))
-            } else {
-                state
-                    .subscribers
-                    .entry(target)
-                    .or_default()
-                    .insert(observer);
-                false
-            }
-        };
-        if already_crashed {
-            self.post(observer, Inbox::Crash(target));
-        }
-    }
-
-    /// Records `target`'s crash and notifies all current subscribers.
-    pub(crate) fn kill(&self, target: NodeId) -> Vec<NodeId> {
-        let to_notify: Vec<NodeId> = {
-            let mut state = self.state.lock();
-            if !state.crashed.insert(target) {
-                return Vec::new();
-            }
-            // A dead node's inbox must not accumulate further traffic.
-            state.inboxes.remove(&target);
-            let observers = state.subscribers.remove(&target).unwrap_or_default();
-            observers
-                .into_iter()
-                .filter(|obs| state.notified.insert((*obs, target)))
-                .collect()
-        };
-        for obs in &to_notify {
-            self.post(*obs, Inbox::Crash(target));
-        }
-        to_notify
-    }
-
+impl FdState {
     /// `true` if `node` was killed.
-    pub fn is_crashed(&self, node: NodeId) -> bool {
-        self.state.lock().crashed.contains(&node)
+    pub(crate) fn is_crashed(&self, node: NodeId) -> bool {
+        self.crashed.contains(&node)
+    }
+
+    /// `observer` asks to monitor `target`. Returns `true` when
+    /// `observer` must be notified now: `target` is already dead and
+    /// this pair was never notified. Graph neighbours are implicitly
+    /// covered and recorded nowhere; a live non-neighbour is stored.
+    pub(crate) fn monitor(&mut self, graph: &Graph, observer: NodeId, target: NodeId) -> bool {
+        if self.crashed.contains(&target) {
+            return self.notified.insert((observer, target));
+        }
+        if !graph.has_edge(observer, target) {
+            self.dynamic.entry(target).or_default().insert(observer);
+        }
+        false
+    }
+
+    /// Marks `q` crashed and returns the observers to notify —
+    /// `neighbours(q) ∪ dynamic(q)`, ascending, each (observer, `q`)
+    /// pair at most once ever. Empty if `q` was already dead. Observers
+    /// that are themselves dead are included: their notification is
+    /// dropped at delivery, mirroring the sim.
+    pub(crate) fn kill(&mut self, graph: &Graph, q: NodeId) -> Vec<NodeId> {
+        if !self.crashed.insert(q) {
+            return Vec::new();
+        }
+        let dynamic = self.dynamic.remove(&q).unwrap_or_default();
+        let mut observers: Vec<NodeId> =
+            graph.neighbors(q).iter().copied().chain(dynamic).collect();
+        observers.sort_unstable();
+        observers.dedup();
+        observers.retain(|&obs| self.notified.insert((obs, q)));
+        observers
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
+    use crate::ShardedCluster;
+    use precipice_core::ProtocolConfig;
+    use precipice_graph::path;
+    use std::time::Duration;
 
     #[test]
     fn subscribe_then_kill_notifies_once() {
-        let oracle: Arc<Oracle<()>> = Oracle::new();
-        let (tx, rx) = unbounded();
-        oracle.register(NodeId(0), tx);
-        oracle.subscribe(NodeId(0), NodeId(5));
-        oracle.subscribe(NodeId(0), NodeId(5));
-        assert_eq!(oracle.kill(NodeId(5)), vec![NodeId(0)]);
-        assert!(matches!(rx.try_recv(), Ok(Inbox::Crash(NodeId(5)))));
-        assert!(rx.try_recv().is_err(), "exactly once");
-        assert_eq!(oracle.pending(), 1, "notification not yet processed");
-        oracle.done();
-        assert_eq!(oracle.pending(), 0);
+        let graph = path(9);
+        let mut fd = FdState::default();
+        // 0 monitors the non-neighbour 5 twice; 4 and 6 are implicit.
+        assert!(!fd.monitor(&graph, NodeId(0), NodeId(5)));
+        assert!(!fd.monitor(&graph, NodeId(0), NodeId(5)));
+        // A neighbour's explicit monitor adds nothing to the implicit one.
+        assert!(!fd.monitor(&graph, NodeId(4), NodeId(5)));
+        assert_eq!(
+            fd.kill(&graph, NodeId(5)),
+            vec![NodeId(0), NodeId(4), NodeId(6)],
+            "ascending, each observer once"
+        );
+        for observer in [0, 4, 6].map(NodeId) {
+            assert!(
+                !fd.monitor(&graph, observer, NodeId(5)),
+                "{observer} notified twice"
+            );
+        }
     }
 
     #[test]
     fn late_subscription_fires_immediately() {
-        let oracle: Arc<Oracle<()>> = Oracle::new();
-        let (tx, rx) = unbounded();
-        oracle.register(NodeId(1), tx);
-        oracle.kill(NodeId(9));
-        oracle.subscribe(NodeId(1), NodeId(9));
-        assert!(matches!(rx.try_recv(), Ok(Inbox::Crash(NodeId(9)))));
-        assert!(oracle.is_crashed(NodeId(9)));
+        let graph = path(12);
+        let mut fd = FdState::default();
+        fd.kill(&graph, NodeId(9));
+        assert!(fd.is_crashed(NodeId(9)));
+        assert!(!fd.is_crashed(NodeId(1)));
+        assert!(fd.monitor(&graph, NodeId(1), NodeId(9)), "fires now");
+        assert!(!fd.monitor(&graph, NodeId(1), NodeId(9)), "and only once");
     }
 
     #[test]
     fn double_kill_is_noop() {
-        let oracle: Arc<Oracle<()>> = Oracle::new();
-        let (tx, rx) = unbounded();
-        oracle.register(NodeId(0), tx);
-        oracle.subscribe(NodeId(0), NodeId(2));
-        oracle.kill(NodeId(2));
-        assert!(oracle.kill(NodeId(2)).is_empty());
-        let _ = rx.try_recv();
-        assert!(rx.try_recv().is_err());
+        let graph = path(5);
+        let mut fd = FdState::default();
+        fd.monitor(&graph, NodeId(0), NodeId(2));
+        assert_eq!(fd.kill(&graph, NodeId(2)).len(), 3);
+        assert!(fd.kill(&graph, NodeId(2)).is_empty());
+        assert!(fd.is_crashed(NodeId(2)));
     }
 
+    /// The one detector behaviour that needs the router: an event
+    /// addressed to a dead node is dropped — counted, discharged and
+    /// never handled, so the node is not even activated.
     #[test]
     fn posts_to_killed_nodes_are_dropped() {
-        let oracle: Arc<Oracle<()>> = Oracle::new();
-        let (tx, rx) = unbounded();
-        oracle.register(NodeId(3), tx);
-        oracle.kill(NodeId(3));
-        oracle.post(NodeId(3), Inbox::Shutdown);
-        assert!(rx.try_recv().is_err(), "inbox unregistered on kill");
-        assert_eq!(oracle.pending(), 0);
+        let timeout = Duration::from_secs(20);
+        let mut cluster = ShardedCluster::start(path(3), ProtocolConfig::default(), 2);
+        cluster.kill(NodeId(0));
+        assert!(cluster.await_quiescence(timeout));
+        let before = cluster.counters().dropped;
+        // 1's crash is reported to both neighbours; 0 is dead.
+        cluster.kill(NodeId(1));
+        assert!(cluster.await_quiescence(timeout));
+        assert_eq!(cluster.pending(), 0, "a dropped event stayed charged");
+        assert!(cluster.counters().dropped > before);
+        assert_eq!(cluster.activated(), 2, "dead node 0 must not activate");
+        let report = cluster.shutdown();
+        assert_eq!(
+            report.stats.keys().copied().collect::<Vec<_>>(),
+            [NodeId(2)]
+        );
     }
 }

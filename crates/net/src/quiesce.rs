@@ -1,4 +1,4 @@
-//! The outstanding-event counter both live backends detect quiescence
+//! The outstanding-event counter the live runtime detects quiescence
 //! with: one atomic, and a waiter woken on its 1 → 0 transition.
 //!
 //! The counter is only as exact as its callers' discipline — see the

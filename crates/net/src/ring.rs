@@ -3,9 +3,8 @@
 //! Each worker shard owns exactly one [`Ring`]; every other shard (and
 //! the control thread) posts into it. The common case stays inside a
 //! **fixed-capacity circular buffer** — one allocation at startup, cache-
-//! friendly FIFO churn — which is what replaces the per-node unbounded
-//! crossbeam channels of the thread-per-node backend: with `W` shards
-//! there are `W` rings total instead of `N` channels for `N` nodes.
+//! friendly FIFO churn. Mailboxes are per shard, not per node: with `W`
+//! shards there are `W` rings in total, whatever the topology's size.
 //!
 //! # Why pushes never block
 //!
@@ -18,8 +17,7 @@
 //! the hot path allocation-free, while the spill count
 //! ([`Ring::spilled`]) reports how often a burst exceeded it.
 //!
-//! Built on `std::sync::{Mutex, Condvar}` — the vendored `parking_lot`
-//! has no condvar, and the vendored crossbeam has no bounded channel.
+//! Built on `std::sync::{Mutex, Condvar}` only.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};

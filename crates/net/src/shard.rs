@@ -1,11 +1,10 @@
-//! The sharded event-loop runtime: `W` worker shards instead of one
-//! thread per node.
+//! The sharded event-loop runtime: `W` worker shards over one shared
+//! topology.
 //!
-//! The thread-per-node backend ([`LiveCluster`](crate::LiveCluster))
-//! tops out around thousands of nodes — every node costs an OS thread
-//! and an unbounded channel *up front*, whether the scenario ever
-//! touches it or not. This module replaces that with the design the sim
-//! side has used since the footprint-proportional rework:
+//! The paper's point is that agreeing on a crashed region costs what
+//! the region's border costs, so nothing here is paid per node up
+//! front — no thread, no channel, no protocol state. The design is the
+//! one the sim side has used since the footprint-proportional rework:
 //!
 //! - **Disjoint node ranges.** The id space of one shared
 //!   [`Arc<Graph>`] (owned or mapped `.pcsr`) is cut into `W` contiguous
@@ -16,8 +15,7 @@
 //!   like the sim's lazy process table. A 10⁶-node topology with one
 //!   crashed node allocates state for the border only.
 //! - **Bounded MPSC rings.** Cross-shard traffic flows over one
-//!   [`Ring`] per shard (see [`ring`](crate::ring)) instead of one
-//!   channel per node.
+//!   [`Ring`] per shard (see [`ring`](crate::ring)).
 //! - **One outstanding-event counter.** The kill-switch quiescence
 //!   oracle is one atomic shared by all shards (see *Quiescence*
 //!   below): zero ⇒ quiescent, exactly, and
@@ -30,7 +28,8 @@
 //! neighbourhood is a no-op and never forces activation), dynamic
 //! monitors are recorded only for non-neighbours, and a kill notifies
 //! `neighbours(q) ∪ dynamic(q)` exactly once per (observer, target)
-//! pair, in ascending node order.
+//! pair, in ascending node order. That policy is [`FdState`]; the
+//! [`Router`] here holds it behind one lock and routes what it decides.
 //!
 //! # Quiescence
 //!
@@ -72,6 +71,7 @@ use precipice_graph::{Graph, NodeId};
 
 use crate::cluster::LiveReport;
 use crate::gate::Gate;
+use crate::oracle::FdState;
 use crate::quiesce::Outstanding;
 use crate::ring::{Pop, Ring};
 
@@ -109,17 +109,6 @@ impl<V> ShardEvent<V> {
             ShardEvent::Deliver { to, .. } | ShardEvent::Notify { to, .. } => *to,
         }
     }
-}
-
-/// Failure-detector bookkeeping, shared by all shards under one lock.
-#[derive(Debug, Default)]
-struct FdState {
-    /// Nodes killed so far.
-    crashed: BTreeSet<NodeId>,
-    /// Dynamic (non-neighbour) subscriptions: target → observers.
-    dynamic: BTreeMap<NodeId, BTreeSet<NodeId>>,
-    /// (observer, target) pairs already notified — exactly-once guard.
-    notified: BTreeSet<(NodeId, NodeId)>,
 }
 
 /// Transport counters, kept as atomics and snapshotted on demand.
@@ -167,6 +156,7 @@ pub(crate) struct Router<V> {
     rings: Vec<Arc<Ring<ShardEvent<V>>>>,
     /// Events charged and not yet discharged, across all shards.
     outstanding: Outstanding,
+    /// Failure-detector bookkeeping, shared by all shards.
     fd: Mutex<FdState>,
     /// When set, posts are parked here instead of entering the rings —
     /// the delivery gate for schedule exploration.
@@ -205,7 +195,7 @@ impl<V: precipice_core::WireSize> Router<V> {
     }
 
     pub(crate) fn is_crashed(&self, node: NodeId) -> bool {
-        self.fd.lock().expect("fd lock").crashed.contains(&node)
+        self.fd.lock().expect("fd lock").is_crashed(node)
     }
 
     /// Routes `event` towards its owner: charges and enqueues it, or
@@ -234,7 +224,7 @@ impl<V: precipice_core::WireSize> Router<V> {
     /// A protocol message from `from` to `to`; dropped if `to` is dead.
     fn deliver(&self, from: NodeId, to: NodeId, message: Message<V>) {
         let fd = self.fd.lock().expect("fd lock");
-        if fd.crashed.contains(&to) {
+        if fd.is_crashed(to) {
             self.counters.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
@@ -246,58 +236,28 @@ impl<V: precipice_core::WireSize> Router<V> {
         drop(fd);
     }
 
-    /// `observer` asks to monitor `target` (a dynamic `Monitor` action).
-    ///
-    /// Graph neighbours are implicitly covered and recorded nowhere; a
-    /// non-neighbour target is stored. If the target is already dead
-    /// and this pair was never notified, the notification fires now.
+    /// `observer` asks to monitor `target` (a dynamic `Monitor`
+    /// action); if `target` is already dead the notification fires now.
     fn monitor(&self, observer: NodeId, target: NodeId) {
         let mut fd = self.fd.lock().expect("fd lock");
-        if fd.crashed.contains(&target) {
-            if fd.notified.insert((observer, target)) {
-                self.counters.notifications.fetch_add(1, Ordering::Relaxed);
-                self.route(ShardEvent::Notify {
-                    to: observer,
-                    crashed: target,
-                });
-            }
-            return;
+        if fd.monitor(&self.graph, observer, target) {
+            self.notify(observer, target);
         }
-        if self.graph.has_edge(observer, target) {
-            return;
-        }
-        fd.dynamic.entry(target).or_default().insert(observer);
     }
 
-    /// Marks `q` crashed and notifies `neighbours(q) ∪ dynamic(q)` in
-    /// ascending order, exactly once per pair. Returns `false` if `q`
-    /// was already dead. Notifications to observers that are themselves
-    /// dead are enqueued and dropped at delivery, mirroring the sim.
-    pub(crate) fn kill(&self, q: NodeId) -> bool {
+    /// Marks `q` crashed and notifies its observers (see
+    /// [`FdState::kill`]); a no-op if `q` was already dead.
+    pub(crate) fn kill(&self, q: NodeId) {
         let mut fd = self.fd.lock().expect("fd lock");
-        if !fd.crashed.insert(q) {
-            return false;
+        for observer in fd.kill(&self.graph, q) {
+            self.notify(observer, q);
         }
-        let dynamic = fd.dynamic.remove(&q).unwrap_or_default();
-        let mut observers: Vec<NodeId> = self
-            .graph
-            .neighbors(q)
-            .iter()
-            .copied()
-            .chain(dynamic)
-            .collect();
-        observers.sort_unstable();
-        observers.dedup();
-        for obs in observers {
-            if fd.notified.insert((obs, q)) {
-                self.counters.notifications.fetch_add(1, Ordering::Relaxed);
-                self.route(ShardEvent::Notify {
-                    to: obs,
-                    crashed: q,
-                });
-            }
-        }
-        true
+    }
+
+    /// Routes one crash notification. Called with the fd lock held.
+    fn notify(&self, to: NodeId, crashed: NodeId) {
+        self.counters.notifications.fetch_add(1, Ordering::Relaxed);
+        self.route(ShardEvent::Notify { to, crashed });
     }
 
     /// The logical release clock (0 outside gated runs).
@@ -328,10 +288,11 @@ type DecisionCell<V> = BTreeMap<NodeId, (View, V, u64)>;
 
 /// A running sharded cluster over one shared topology.
 ///
-/// Generic over the [`DecisionPolicy`] so [`Scenario::exec`] policies
-/// carry over; plain [`ShardedCluster::start`] gives the default
-/// coordinator-election policy. See the [module docs](self) for the
-/// design and the [crate docs](crate) for an end-to-end example.
+/// Generic over the [`DecisionPolicy`] so the runtime crate's
+/// `Scenario::exec` policies carry over; plain
+/// [`ShardedCluster::start`] gives the default coordinator-election
+/// policy. See the [module docs](self) for the design and the
+/// [crate docs](crate) for an end-to-end example.
 pub struct ShardedCluster<P: DecisionPolicy = NodeIdValuePolicy> {
     router: Arc<Router<P::Value>>,
     handles: Vec<JoinHandle<ShardNodes<P>>>,

@@ -223,20 +223,44 @@ mod tests {
         assert!(check_spec(&out.report).is_empty());
     }
 
+    /// The simulator is the sharded runtime's differential reference:
+    /// the two share only `CliffEdgeNode`, so on schedule-independent
+    /// scenarios every protocol observable must come out equal —
+    /// under both configs, at 1 and 4 shards.
     #[test]
     fn live_engine_matches_sim_decisions() {
-        let scenario = torus_scenario();
-        let sim = scenario.exec(Exec::new()).report;
-        let live = scenario
-            .exec(Exec::new().engine(Engine::Live { shards: 3 }))
-            .report;
-        assert_eq!(sim.decisions.len(), live.decisions.len());
-        for (node, d) in &sim.decisions {
-            let l = &live.decisions[node];
-            assert_eq!(d.view, l.view);
-            assert_eq!(d.value, l.value);
+        use precipice_core::ProtocolConfig;
+        let cases = [
+            (torus(GridDims::square(4)), vec![NodeId(9)]),
+            (path(9), vec![NodeId(2), NodeId(6)]),
+        ];
+        let observables = |r: &RunReport<NodeId>| {
+            let decisions: Vec<_> = r
+                .decisions
+                .iter()
+                .map(|(&node, d)| (node, d.view.clone(), d.value))
+                .collect();
+            let killed: Vec<NodeId> = r.crashed.keys().copied().collect();
+            (decisions, r.stats.clone(), killed)
+        };
+        for (graph, kills) in &cases {
+            for config in [ProtocolConfig::faithful(), ProtocolConfig::optimized()] {
+                let scenario = Scenario::builder(graph.clone())
+                    .crashes(kills.iter().map(|&k| (k, SimTime::from_millis(1))))
+                    .protocol(config)
+                    .build();
+                let sim = scenario.exec(Exec::new()).report;
+                assert_eq!(sim.decisions.len(), 4, "whole border decides");
+                for shards in [1, 4] {
+                    let live = scenario
+                        .exec(Exec::new().engine(Engine::Live { shards }))
+                        .report;
+                    let what = format!("{kills:?}, {shards} shards, {config:?}");
+                    assert!(live.outcome.is_quiescent(), "{what}");
+                    assert_eq!(observables(&sim), observables(&live), "{what}");
+                }
+            }
         }
-        assert_eq!(sim.stats, live.stats);
     }
 
     #[test]

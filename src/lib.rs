@@ -16,7 +16,7 @@
 //! | [`consensus`] | `precipice-core` | the cliff-edge consensus state machine (paper Algorithm 1) |
 //! | [`runtime`] | `precipice-runtime` | scenario runner and the CD1–CD7 specification checker |
 //! | [`baseline`] | `precipice-baseline` | global flooding consensus, gossip dissemination, no-arbitration ablation |
-//! | [`net`] | `precipice-net` | sharded live event-loop runtime, `precipice serve` sessions, gated live schedule exploration (plus the thread-per-node reference) |
+//! | [`net`] | `precipice-net` | sharded live event-loop runtime, `precipice serve` sessions, gated live schedule exploration |
 //! | [`workload`] | `precipice-workload` | failure-pattern generators, figure scenarios, sweeps, result tables |
 //!
 //! # Quickstart
@@ -42,7 +42,7 @@
 //!
 //! See the `examples/` directory for richer scenarios (the paper's
 //! Figure-1 cities network, overlay repair, cascade storms, and the live
-//! threaded backend).
+//! sharded runtime).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,56 +1,68 @@
-//! Integration tests of the live backends (E8): the same sans-io core
-//! under genuine concurrency still honors the specification — on the
-//! thread-per-node reference and on the sharded event-loop runtime,
-//! which must agree with each other on schedule-independent scenarios.
+//! Integration tests of the live runtime (E8): the same sans-io core
+//! under genuine concurrency still honors the specification, and on
+//! schedule-independent scenarios reports exactly what the simulator
+//! reports.
 
 use std::time::Duration;
 
 use precipice::consensus::ProtocolConfig;
-use precipice::graph::{path, torus, GridDims, NodeId, Region};
-use precipice::net::LiveCluster;
+use precipice::graph::{is_connected_subset, path, torus, Graph, GridDims, NodeId, Region};
+use precipice::net::{live_consistent, LiveReport, ShardedCluster};
+use precipice::runtime::{Exec, Scenario};
+use precipice::sim::SimTime;
 
 // Generous: live tests share the machine with whatever else is running
 // (e.g. `cargo bench` in CI).
 const TIMEOUT: Duration = Duration::from_secs(120);
 
-/// Mini spec-checker for live reports (no trace is available, so CD3 is
-/// out of scope; CD2/CD5/CD6 are checkable from decisions alone).
-fn assert_live_consistent(
-    report: &precipice::net::LiveReport,
-    graph: &precipice::graph::Graph,
-    killed: &[NodeId],
-) {
-    for (node, (view, _)) in &report.decisions {
-        // CD2: only killed nodes in views; decider on the border.
-        for m in view.region().iter() {
-            assert!(killed.contains(&m), "{node} decided live node {m}");
-        }
-        assert!(view.border().contains(*node));
-        assert!(precipice::graph::is_connected_subset(graph, view.region()));
+/// Runs `kills` on the sharded runtime to quiescence.
+fn run_live(graph: &Graph, config: ProtocolConfig, kills: &[NodeId], shards: usize) -> LiveReport {
+    let mut cluster = ShardedCluster::start(graph.clone(), config, shards);
+    for &k in kills {
+        cluster.kill(k);
     }
-    let ds: Vec<_> = report.decisions.iter().collect();
-    for (i, (p, (vp, dp))) in ds.iter().enumerate() {
-        for (q, (vq, dq)) in ds.iter().skip(i + 1) {
-            if vp.region() == vq.region() {
-                assert_eq!(vp, vq, "{p}/{q} same region, different borders");
-                assert_eq!(dp, dq, "{p}/{q} CD5 violation");
-            } else {
-                assert!(
-                    !vp.region().intersects(vq.region()),
-                    "{p}/{q} CD6 violation"
-                );
-            }
-        }
+    assert!(cluster.await_quiescence(TIMEOUT));
+    cluster.shutdown()
+}
+
+/// Runs `kills` on the simulator and re-expresses its report in the
+/// live runtime's shape.
+fn run_sim(graph: &Graph, config: ProtocolConfig, kills: &[NodeId]) -> LiveReport {
+    let report = Scenario::builder(graph.clone())
+        .crashes(kills.iter().map(|&k| (k, SimTime::from_millis(1))))
+        .protocol(config)
+        .build()
+        .exec(Exec::new())
+        .report;
+    assert!(report.outcome.is_quiescent());
+    LiveReport {
+        decisions: report
+            .decisions
+            .into_iter()
+            .map(|(node, d)| (node, (d.view, d.value)))
+            .collect(),
+        stats: report.stats,
+        killed: report.crashed.into_keys().collect(),
+    }
+}
+
+/// Spec check for live reports (no trace is available, so CD3 is out of
+/// scope; CD2/CD5/CD6 are checkable from decisions alone).
+fn assert_live_consistent(report: &LiveReport, graph: &Graph, killed: &[NodeId]) {
+    assert_eq!(report.killed, killed.iter().copied().collect());
+    assert!(live_consistent(report, graph), "{report:?}");
+    for (node, (view, _)) in &report.decisions {
+        assert!(
+            is_connected_subset(graph, view.region()),
+            "{node} decided a disconnected region"
+        );
     }
 }
 
 #[test]
 fn live_single_region_deterministic_outcome() {
     let graph = torus(GridDims::square(4));
-    let mut cluster = LiveCluster::start(graph.clone(), ProtocolConfig::default());
-    cluster.kill(NodeId(9));
-    assert!(cluster.await_quiescence(TIMEOUT));
-    let report = cluster.shutdown();
+    let report = run_live(&graph, ProtocolConfig::default(), &[NodeId(9)], 3);
     assert_live_consistent(&report, &graph, &[NodeId(9)]);
     let region: Region = [NodeId(9)].into_iter().collect();
     let border = graph.border_of(region.iter());
@@ -63,12 +75,9 @@ fn live_single_region_deterministic_outcome() {
 #[test]
 fn live_two_disjoint_regions() {
     let graph = path(9);
-    let mut cluster = LiveCluster::start(graph.clone(), ProtocolConfig::default());
-    cluster.kill(NodeId(2));
-    cluster.kill(NodeId(6));
-    assert!(cluster.await_quiescence(TIMEOUT));
-    let report = cluster.shutdown();
-    assert_live_consistent(&report, &graph, &[NodeId(2), NodeId(6)]);
+    let kills = [NodeId(2), NodeId(6)];
+    let report = run_live(&graph, ProtocolConfig::default(), &kills, 3);
+    assert_live_consistent(&report, &graph, &kills);
     assert_eq!(report.decisions.len(), 4, "both borders decide");
 }
 
@@ -76,12 +85,7 @@ fn live_two_disjoint_regions() {
 fn live_adjacent_kills_under_optimized_config() {
     let graph = torus(GridDims::square(5));
     let killed = [NodeId(7), NodeId(8), NodeId(12)];
-    let mut cluster = LiveCluster::start(graph.clone(), ProtocolConfig::optimized());
-    for k in killed {
-        cluster.kill(k);
-    }
-    assert!(cluster.await_quiescence(TIMEOUT));
-    let report = cluster.shutdown();
+    let report = run_live(&graph, ProtocolConfig::optimized(), &killed, 4);
     assert_live_consistent(&report, &graph, &killed);
     assert!(!report.decisions.is_empty(), "cluster-level progress");
 }
@@ -92,12 +96,7 @@ fn live_repeated_runs_stay_consistent() {
     for round in 0..3 {
         let graph = torus(GridDims::square(4));
         let killed = [NodeId(5), NodeId(6)];
-        let mut cluster = LiveCluster::start(graph.clone(), ProtocolConfig::default());
-        for k in killed {
-            cluster.kill(k);
-        }
-        assert!(cluster.await_quiescence(TIMEOUT), "round {round}");
-        let report = cluster.shutdown();
+        let report = run_live(&graph, ProtocolConfig::default(), &killed, 2 + round);
         assert_live_consistent(&report, &graph, &killed);
         assert!(!report.decisions.is_empty(), "round {round}");
     }
@@ -105,61 +104,58 @@ fn live_repeated_runs_stay_consistent() {
 
 #[test]
 fn live_kill_before_any_subscription_settles() {
-    // Kill immediately after start: the detector's
-    // subscribe-after-crash path must still deliver notifications.
+    // Kill two neighbours back to back, before anything ran: each is
+    // an implicit observer of the other, and whoever learns of the
+    // first crash and then monitors the second must still be told.
     let graph = path(4);
-    let mut cluster = LiveCluster::start(graph.clone(), ProtocolConfig::default());
-    cluster.kill(NodeId(1));
-    cluster.kill(NodeId(2));
-    assert!(cluster.await_quiescence(TIMEOUT));
-    let report = cluster.shutdown();
-    assert_live_consistent(&report, &graph, &[NodeId(1), NodeId(2)]);
+    let kills = [NodeId(1), NodeId(2)];
+    let report = run_live(&graph, ProtocolConfig::default(), &kills, 1);
+    assert_live_consistent(&report, &graph, &kills);
     assert!(!report.decisions.is_empty());
 }
 
 #[test]
 fn sharded_single_region_deterministic_outcome() {
     let graph = torus(GridDims::square(4));
-    let mut cluster =
-        precipice::net::ShardedCluster::start(graph.clone(), ProtocolConfig::default(), 2);
-    cluster.kill(NodeId(9));
-    assert!(cluster.await_quiescence(TIMEOUT));
-    let report = cluster.shutdown();
+    let report = run_live(&graph, ProtocolConfig::default(), &[NodeId(9)], 2);
     assert_live_consistent(&report, &graph, &[NodeId(9)]);
-    assert!(precipice::net::live_consistent(&report, &graph));
     let region: Region = [NodeId(9)].into_iter().collect();
     let border = graph.border_of(region.iter());
     assert_eq!(report.decisions.len(), border.len(), "whole border decides");
 }
 
+/// The name is historical: the reference was a thread-per-node backend,
+/// now retired. The reference is the simulator, which shares only the
+/// sans-io `CliffEdgeNode` with the sharded runtime — detector and
+/// transport are implemented independently on the two sides. On
+/// schedule-independent scenarios decisions, values, `ProtocolStats`
+/// and the killed set must be equal, under both configs, at 1 and 4
+/// shards.
 #[test]
 fn sharded_matches_threaded_on_single_kill() {
-    let run_threaded = || {
-        let mut c = LiveCluster::start(torus(GridDims::square(4)), ProtocolConfig::default());
-        c.kill(NodeId(9));
-        assert!(c.await_quiescence(TIMEOUT));
-        c.shutdown()
-    };
-    let run_sharded = |shards| {
-        let mut c = precipice::net::ShardedCluster::start(
-            torus(GridDims::square(4)),
-            ProtocolConfig::default(),
-            shards,
-        );
-        c.kill(NodeId(9));
-        assert!(c.await_quiescence(TIMEOUT));
-        c.shutdown()
-    };
-    let reference = run_threaded();
-    assert_eq!(reference, run_sharded(1));
-    assert_eq!(reference, run_sharded(3));
+    let cases: [(Graph, &[NodeId]); 2] = [
+        (torus(GridDims::square(4)), &[NodeId(9)]),
+        (path(9), &[NodeId(2), NodeId(6)]),
+    ];
+    for (graph, kills) in &cases {
+        for config in [ProtocolConfig::faithful(), ProtocolConfig::optimized()] {
+            let reference = run_sim(graph, config, kills);
+            assert_eq!(reference.decisions.len(), 4, "whole border decides");
+            for shards in [1, 4] {
+                assert_eq!(
+                    reference,
+                    run_live(graph, config, kills, shards),
+                    "{kills:?}, {shards} shards, {config:?}"
+                );
+            }
+        }
+    }
 }
 
 #[test]
 fn live_engine_exec_report_is_checkable() {
+    use precipice::runtime::check_spec;
     use precipice::runtime::exec::Engine;
-    use precipice::runtime::{check_spec, Exec, Scenario};
-    use precipice::sim::SimTime;
 
     let scenario = Scenario::builder(torus(GridDims::square(4)))
         .crash(NodeId(9), SimTime::from_millis(1))
