@@ -1,18 +1,13 @@
-//! Report binary: per-run setup/run cost of cliff-edge consensus vs
-//! system size N, before (eager node construction) and after (lazy,
-//! footprint-proportional) — the implementation-level measurement of the
-//! paper's headline claim that cost depends on the crashed region's
-//! footprint, not on N.
+//! Report binary: per-run cost of cliff-edge consensus vs system size N
+//! — the implementation-level measurement of the paper's headline claim
+//! that cost depends on the crashed region's footprint, not on N.
 //!
-//! For each torus size the binary measures the one-time graph build, the
-//! *eager* per-run cost (all N `CliffEdgeNode`s constructed, every
-//! `on_start` executed, O(N) stats collection — the pre-PR-5 path, kept
-//! as `Engine::Eager`) and the *lazy* per-run cost
-//! ([`Scenario::run`]: spawn-on-demand processes, graph-backed failure
-//! detection). Both arms execute bit-identical schedules (asserted via
-//! trace hashes), so the ratio is pure setup/teardown overhead. The
-//! eager arm is skipped above 32768 nodes, where pre-building the
-//! process table is exactly the cost this report exists to show off.
+//! For each torus size the binary measures the one-time graph build and
+//! the per-run cost of [`Scenario::exec`] (spawn-on-demand processes,
+//! graph-backed failure detection). The eager "before" arm this report
+//! was introduced with — all N nodes built and started per run — went
+//! with the eager engine; the committed `BENCH_locality.json` keeps its
+//! last measurements.
 //!
 //! Each size additionally gets a **mapped** row: the identical torus
 //! served zero-copy from the streamed `.pcsr` cache
@@ -49,7 +44,7 @@ use precipice_bench::{
 };
 use precipice_core::ProtocolConfig;
 use precipice_graph::Graph;
-use precipice_runtime::{Engine, Exec, Scenario};
+use precipice_runtime::{Exec, Scenario};
 use precipice_workload::patterns::schedule;
 use precipice_workload::sweep::Jobs;
 
@@ -65,7 +60,6 @@ struct SizeRow {
     /// effectively zero once the file exists.
     build_ms: f64,
     graph_bytes: usize,
-    eager_run_ms: Option<f64>,
     lazy_run_ms: f64,
     active_nodes: usize,
     messages: u64,
@@ -148,26 +142,19 @@ fn main() {
             vec![1, 2, 3],
         )
     };
-    // Eager runs pre-build all N processes; past this size that is the
-    // very overhead being measured, and the differential tests already
-    // pin equivalence, so the "before" arm stops here.
-    let eager_cap = 32_768usize;
-
     let mut rows: Vec<SizeRow> = Vec::new();
     println!(
-        "{:>9} {:>7} {:>10} {:>11} {:>13} {:>13} {:>8} {:>9}",
-        "N", "storage", "build ms", "graph MB", "eager run ms", "lazy run ms", "active", "messages"
+        "{:>9} {:>7} {:>10} {:>11} {:>13} {:>8} {:>9}",
+        "N", "storage", "build ms", "graph MB", "lazy run ms", "active", "messages"
     );
     let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len().max(1) as f64;
     let print_row = |row: &SizeRow| {
         println!(
-            "{:>9} {:>7} {:>10.2} {:>11.2} {:>13} {:>13.2} {:>8} {:>9}",
+            "{:>9} {:>7} {:>10.2} {:>11.2} {:>13.2} {:>8} {:>9}",
             row.n,
             row.storage,
             row.build_ms,
             row.graph_bytes as f64 / (1 << 20) as f64,
-            row.eager_run_ms
-                .map_or("—".to_owned(), |ms| format!("{ms:.2}")),
             row.lazy_run_ms,
             row.active_nodes,
             row.messages
@@ -179,7 +166,6 @@ fn main() {
         let build_ms = build_started.elapsed().as_secs_f64() * 1000.0;
         let graph_bytes = graph.memory_bytes();
 
-        let mut eager_ms: Vec<f64> = Vec::new();
         let mut lazy_ms: Vec<f64> = Vec::new();
         let mut lazy_hashes: Vec<u64> = Vec::new();
         let mut active_per_seed: Vec<usize> = Vec::new();
@@ -192,16 +178,6 @@ fn main() {
             lazy_hashes.push(lazy.trace_hash);
             active_per_seed.push(lazy.metrics.nodes_with_traffic().len());
             messages_per_seed.push(lazy.metrics.messages_sent());
-            if graph.len() <= eager_cap {
-                let eager_started = Instant::now();
-                let eager = scenario.exec(Exec::new().engine(Engine::Eager)).report;
-                eager_ms.push(eager_started.elapsed().as_secs_f64() * 1000.0);
-                assert_eq!(
-                    eager.trace_hash, lazy.trace_hash,
-                    "eager and lazy runs diverged at n={n} seed={seed}"
-                );
-                assert_eq!(eager.decisions, lazy.decisions);
-            }
         }
         // Run times are seed-averaged, so the footprint columns must be
         // too (latency sampling is seed-dependent; pairing a mean time
@@ -211,7 +187,6 @@ fn main() {
             storage: "owned",
             build_ms,
             graph_bytes,
-            eager_run_ms: (!eager_ms.is_empty()).then(|| mean(&eager_ms)),
             lazy_run_ms: mean(&lazy_ms),
             active_nodes: mean(
                 &active_per_seed
@@ -270,7 +245,6 @@ fn main() {
             storage: "mapped",
             build_ms: open_ms,
             graph_bytes: mapped.memory_bytes(),
-            eager_run_ms: None,
             lazy_run_ms: mean(&mapped_ms),
             active_nodes: mean(&mapped_active).round() as usize,
             messages: mean(&mapped_msgs).round() as u64,
@@ -298,7 +272,7 @@ fn main() {
     };
 
     let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"precipice-bench-locality/2\",\n");
+    json.push_str("{\n  \"schema\": \"precipice-bench-locality/3\",\n");
     let _ = writeln!(json, "  \"host_cpus\": {},", Jobs::available().get());
     let _ = writeln!(json, "  \"test_mode\": {test_mode},");
     json.push_str("  \"per_run\": [\n");
@@ -306,17 +280,8 @@ fn main() {
         let _ = write!(
             json,
             "    {{\"n\": {}, \"storage\": \"{}\", \"build_ms\": {:.2}, \"graph_bytes\": {}, \
-             \"eager_run_ms\": {}, \"lazy_run_ms\": {:.2}, \"active_nodes\": {}, \
-             \"messages\": {}}}",
-            r.n,
-            r.storage,
-            r.build_ms,
-            r.graph_bytes,
-            r.eager_run_ms
-                .map_or("null".to_owned(), |ms| format!("{ms:.2}")),
-            r.lazy_run_ms,
-            r.active_nodes,
-            r.messages
+             \"lazy_run_ms\": {:.2}, \"active_nodes\": {}, \"messages\": {}}}",
+            r.n, r.storage, r.build_ms, r.graph_bytes, r.lazy_run_ms, r.active_nodes, r.messages
         );
         json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }

@@ -14,8 +14,10 @@
 //!
 //! Jobs are chunked into waves of `k` run slots; each wave executes in
 //! lockstep over the shared graph and results come back in job order.
-//! Every run is bit-identical to the same job executed on the scalar
-//! engines (see the [`exec`](crate::exec) equivalence contract).
+//! Every run is bit-identical to the same job executed alone through
+//! [`Scenario::exec`] — which is itself a one-job wave of a fresh
+//! runner — whatever the wave width, the job's position in the wave or
+//! the runs its slot hosted before.
 
 use std::sync::Arc;
 
@@ -61,8 +63,7 @@ impl BatchRunner<NodeIdValuePolicy> {
 impl<P: DecisionPolicy> BatchRunner<P> {
     /// Builds a runner over `scenario` with waves of `wave` run slots
     /// (clamped to at least 1). `make_policy` constructs each node's
-    /// decision policy, called lazily at the node's activation —
-    /// exactly like the scalar lazy engine.
+    /// decision policy, called lazily at the node's activation.
     pub fn new<F>(scenario: &Scenario, wave: usize, mut make_policy: F) -> Self
     where
         F: FnMut(NodeId) -> P + 'static,
@@ -146,6 +147,8 @@ mod tests {
             .build()
     }
 
+    /// "Scalar" in these two names is a fresh one-slot `exec` per job;
+    /// the runner under test reuses four slots across ragged waves.
     #[test]
     fn seed_sweep_matches_scalar_per_seed() {
         let s = scenario();

@@ -8,30 +8,25 @@
 //! replaced the historical 2×3 matrix of `run*` methods; their
 //! deprecated forwarders have since been removed.)
 //!
-//! # Engine equivalence contract
+//! # The simulator
 //!
-//! The three *simulated* engines produce **bit-identical** observables
-//! for the same scenario and options — same [`RunReport`] (trace hash,
-//! metrics, decisions, stats) and same recorded [`Schedule`]:
-//!
-//! - [`Engine::Lazy`] (default): footprint-proportional scalar run;
-//!   processes spawn immediately before their first event.
-//! - [`Engine::Eager`]: the executable reference; all `n` processes are
-//!   built up front and `on_start` runs at time zero. Equivalent for
-//!   protocols whose `on_start` only monitors graph neighbours (the
-//!   cliff-edge protocol's line 4) — see `tests/lazy_eager_differential.rs`.
-//! - [`Engine::Batched`]: the lockstep multi-run engine
-//!   ([`precipice_sim::batch`]); one `exec` call runs a single-variant
-//!   wave, while sweep drivers ([`crate::BatchRunner`]) reuse its slot
-//!   arenas across thousands of runs. Equivalence is enforced by the
-//!   `batched ≡ scalar` differential tests and the CI byte-diff job.
+//! [`Engine::Sim`] (the default) is the deterministic simulator: one
+//! `exec` is a one-job [`BatchRunner`](crate::BatchRunner) wave over
+//! [`precipice_sim`]'s slot engine, with processes spawned lazily at
+//! their first event, so a run's cost follows the crashed region's
+//! footprint rather than `n`. Budgeted drivers (seed sweeps, schedule
+//! fuzzing) hold on to a `BatchRunner` instead and reuse its slot
+//! arenas across thousands of runs; per run the two are bit-identical
+//! — same [`RunReport`] (trace hash, metrics, decisions, stats) and
+//! same recorded [`Schedule`] — which the `batched ≡ scalar`
+//! differential tests pin.
 //!
 //! # The live engine
 //!
 //! [`Engine::Live`] steps outside the simulation: the scenario runs on
 //! the sharded event-loop runtime (`precipice-net`) with real threads
 //! and real queues. Decisions, views and protocol stats still match
-//! the simulated engines (the state machine is identical), but the
+//! the simulator's (the state machine is identical), but the
 //! schedule is whatever the OS produced: timing fields are coarse
 //! logical stamps, the trace hash is zero, `message_pairs` is absent
 //! and the scenario's [`SchedulePolicy`] and latency model do not
@@ -46,25 +41,12 @@ use precipice_sim::{Schedule, SchedulePolicy, Trace};
 use crate::report::RunReport;
 
 /// Which execution engine [`Scenario::exec`](crate::Scenario::exec)
-/// drives. All engines are observably equivalent (see the
-/// [module docs](self)); they differ in cost profile only.
+/// drives (see the [module docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
-    /// Footprint-proportional scalar execution (the default): processes
-    /// spawn lazily at their first event.
-    Lazy,
-    /// The eager reference: all `n` processes built up front, `on_start`
-    /// at time zero.
-    Eager,
-    /// The lockstep batch engine with waves of `k` run slots. For a
-    /// single `exec` this is a one-variant wave (useful to pin the
-    /// equivalence contract); budgeted drivers go through
-    /// [`BatchRunner`](crate::BatchRunner) to amortize slot arenas
-    /// across the whole budget.
-    Batched {
-        /// Run slots per lockstep wave.
-        k: usize,
-    },
+    /// The deterministic simulator (the default): footprint-proportional,
+    /// processes spawn lazily at their first event.
+    Sim,
     /// The sharded live backend (`precipice-net`): real worker threads
     /// own disjoint node ranges and exchange events over bounded MPSC
     /// rings. Free-running — observably equivalent on decisions, views
@@ -79,7 +61,7 @@ pub enum Engine {
 /// a decision-policy factory, a [`SchedulePolicy`], and an [`Engine`].
 ///
 /// `Exec::new()` is the classic run: [`NodeIdValuePolicy`] decisions,
-/// FIFO scheduling, lazy engine.
+/// FIFO scheduling, simulated.
 ///
 /// ```
 /// use precipice_graph::{path, NodeId};
@@ -104,12 +86,12 @@ pub struct Exec<P = NodeIdValuePolicy, F = fn(NodeId) -> NodeIdValuePolicy> {
 
 impl Exec {
     /// The classic run: [`NodeIdValuePolicy`] decisions (border
-    /// coordinator election), FIFO scheduling, lazy engine.
+    /// coordinator election), FIFO scheduling, simulated.
     pub fn new() -> Self {
         Exec {
             make_policy: |_me| NodeIdValuePolicy,
             schedule: SchedulePolicy::Fifo,
-            engine: Engine::Lazy,
+            engine: Engine::Sim,
             _marker: std::marker::PhantomData,
         }
     }

@@ -77,9 +77,8 @@ fn fold(mut h: u64, word: u64) -> u64 {
 ///   ([`check_spec_coverage`]).
 ///
 /// The signal is a pure function of the probe's observables, so it is
-/// identical across the scalar and batched engines and independent of
-/// worker count — the properties the deterministic exploration sweep
-/// relies on.
+/// independent of wave width and worker count — the properties the
+/// deterministic exploration sweep relies on.
 pub fn probe_coverage(out: &ExecOutcome<NodeId>) -> (Vec<Violation>, ProbeCoverage) {
     let (violations, branches) = check_spec_coverage(&out.report);
     let pairs = out

@@ -8,9 +8,10 @@
 //!   crash schedule, latency models, protocol configuration, seed), so a
 //!   run is reproducible from the scenario value alone.
 //! - [`Scenario::exec`] executes it under [`Exec`] options (decision
-//!   policy × scheduling policy × [`Engine`]); [`BatchRunner`] drives
-//!   whole seed sweeps and fuzz budgets through the lockstep batch
-//!   engine with identical per-run results.
+//!   policy × scheduling policy × [`Engine`]: the simulator or the live
+//!   runtime); [`BatchRunner`] drives whole seed sweeps and fuzz
+//!   budgets through the simulator's lockstep driver, reusing its
+//!   arenas, with identical per-run results.
 //! - [`Engine::Live`](exec::Engine::Live) targets the sharded live
 //!   runtime (`precipice-net`) through the same `exec` call, and
 //!   [`probe_live`] explores deterministic *gated* schedules on that

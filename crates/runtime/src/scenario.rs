@@ -1,11 +1,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use precipice_core::{CliffEdgeNode, DecisionPolicy, ProtocolConfig};
+use precipice_core::{DecisionPolicy, ProtocolConfig};
 use precipice_graph::{Graph, NodeId};
-use precipice_sim::{
-    Metrics, RunOutcome, SchedulePolicy, SimConfig, SimTime, Simulation, Trace, TraceEntry,
-};
+use precipice_sim::{Metrics, RunOutcome, SimConfig, SimTime, Trace, TraceEntry};
 
 use crate::adapter::{MulticastMode, ProtocolProcess};
 use crate::batch::{BatchJob, BatchRunner};
@@ -18,9 +16,9 @@ use crate::report::{Decision, RunReport};
 /// Build with [`Scenario::builder`]; execute with [`Scenario::exec`],
 /// which takes an [`Exec`] options value (decision policy × scheduling
 /// policy × engine) and always returns the report together with the
-/// recorded schedule. Two runs of an identical scenario produce
-/// bit-identical reports (same trace hash) — on *any* engine (see the
-/// [`exec`](crate::exec) module docs for the equivalence contract).
+/// recorded schedule. Two simulated runs of an identical scenario
+/// produce bit-identical reports (same trace hash); see the
+/// [`exec`](crate::exec) module docs for what the live engine keeps.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     /// Human-readable label (used by experiment tables).
@@ -48,19 +46,18 @@ impl Scenario {
     /// Executes the scenario under the given [`Exec`] options and
     /// returns the report plus the recorded schedule.
     ///
-    /// All engines are observably equivalent; the default
-    /// ([`Engine::Lazy`]) gives footprint-proportional execution: nodes
-    /// are spawned **lazily** ([`Simulation::lazy_with_policy`]), with
-    /// `make_policy` and the node constructor running on demand
-    /// immediately before a node's first event, and the failure
-    /// detector resolving crash observers straight from the graph (the
-    /// paper's §3.1 `monitorCrash(border(p))`, resolved at crash time).
-    /// Per-run setup cost and memory are therefore proportional to the
-    /// crashed region's footprint, not to `n` — the
-    /// implementation-level form of the paper's headline locality
-    /// claim. Stats and decisions are collected from activated nodes
-    /// only; non-activated nodes have default stats and no decision, so
-    /// every derived table is unchanged.
+    /// On the default [`Engine::Sim`] this is a one-job [`BatchRunner`]
+    /// wave: nodes are spawned **lazily**, with `make_policy` and the
+    /// node constructor running on demand immediately before a node's
+    /// first event, and the failure detector resolving crash observers
+    /// straight from the graph (the paper's §3.1
+    /// `monitorCrash(border(p))`, resolved at crash time). Per-run setup
+    /// cost and memory are therefore proportional to the crashed
+    /// region's footprint, not to `n` — the implementation-level form of
+    /// the paper's headline locality claim. Stats and decisions are
+    /// collected from activated nodes only; non-activated nodes have
+    /// default stats and no decision, so every derived table is
+    /// unchanged.
     pub fn exec<P, F>(&self, options: Exec<P, F>) -> ExecOutcome<P::Value>
     where
         P: DecisionPolicy + Send + 'static,
@@ -74,109 +71,20 @@ impl Scenario {
             ..
         } = options;
         match engine {
-            Engine::Lazy => self.exec_lazy(make_policy, schedule),
-            Engine::Eager => self.exec_eager(make_policy, schedule),
-            Engine::Batched { k } => {
-                let mut runner = BatchRunner::new(self, k, make_policy);
-                runner
-                    .run(&[BatchJob {
-                        seed: self.sim.seed,
-                        policy: schedule,
-                    }])
-                    .pop()
-                    .expect("one job in, one outcome out")
-            }
+            Engine::Sim => BatchRunner::new(self, 1, make_policy)
+                .run(&[BatchJob {
+                    seed: self.sim.seed,
+                    policy: schedule,
+                }])
+                .pop()
+                .expect("one job in, one outcome out"),
             Engine::Live { shards } => crate::live::exec_live(self, shards, make_policy),
-        }
-    }
-
-    /// The lazy (footprint-proportional) engine.
-    fn exec_lazy<P, F>(&self, make_policy: F, schedule: SchedulePolicy) -> ExecOutcome<P::Value>
-    where
-        P: DecisionPolicy,
-        F: FnMut(NodeId) -> P + 'static,
-    {
-        let graph = Arc::clone(&self.graph);
-        let protocol = self.protocol;
-        let multicast = self.multicast;
-        let mut make_policy = make_policy;
-        let factory = move |me: NodeId| {
-            ProtocolProcess::with_multicast_mode(
-                CliffEdgeNode::new(me, Arc::clone(&graph), make_policy(me), protocol),
-                multicast,
-            )
-        };
-        let mut sim = Simulation::lazy_with_policy(self.sim, &self.graph, factory, schedule);
-        for &(node, at) in &self.crashes {
-            sim.schedule_crash(node, at);
-        }
-        let outcome = sim.run();
-        self.collect(sim, outcome)
-    }
-
-    /// The **eager reference engine**: pre-builds all `n` processes and
-    /// runs their `on_start` at time zero, exactly as the simulator
-    /// always did before lazy activation. Kept as the executable
-    /// specification the other engines are differentially tested
-    /// against, and as the "before" arm of the `bench_locality` report.
-    fn exec_eager<P, F>(
-        &self,
-        mut make_policy: F,
-        schedule: SchedulePolicy,
-    ) -> ExecOutcome<P::Value>
-    where
-        P: DecisionPolicy,
-        F: FnMut(NodeId) -> P,
-    {
-        let processes: Vec<ProtocolProcess<P>> = self
-            .graph
-            .nodes()
-            .map(|me| {
-                ProtocolProcess::with_multicast_mode(
-                    CliffEdgeNode::new(me, Arc::clone(&self.graph), make_policy(me), self.protocol),
-                    self.multicast,
-                )
-            })
-            .collect();
-        let mut sim = Simulation::with_policy(self.sim, processes, schedule);
-        for &(node, at) in &self.crashes {
-            sim.schedule_crash(node, at);
-        }
-        let outcome = sim.run();
-        self.collect(sim, outcome)
-    }
-
-    /// Assembles the outcome from a finished scalar simulation (under
-    /// lazy execution `sim.processes()` yields activated nodes only,
-    /// which carry everything observable).
-    fn collect<P: DecisionPolicy>(
-        &self,
-        mut sim: Simulation<ProtocolProcess<P>>,
-        outcome: RunOutcome,
-    ) -> ExecOutcome<P::Value> {
-        let schedule = sim.recorded_schedule().unwrap_or_default();
-        let trace = sim.take_trace();
-        let report = assemble(
-            self,
-            sim.processes(),
-            sim.metrics().clone(),
-            &trace,
-            outcome,
-        );
-        ExecOutcome {
-            report,
-            schedule,
-            trace: Some(trace),
         }
     }
 }
 
-/// Assembles a [`RunReport`] from a finished run's observables —
-/// shared by every engine (the scalar runners hand over the live
-/// simulation's views; the batch runner hands over each
-/// [`BatchRun`](precipice_sim::BatchRun)'s materialized state), which
-/// is what makes "same inputs ⇒ same report" hold *across* engines and
-/// not just within one.
+/// Assembles a [`RunReport`] from one finished
+/// [`BatchRun`](precipice_sim::BatchRun)'s observables.
 pub(crate) fn assemble<'a, P>(
     scenario: &Scenario,
     procs: impl Iterator<Item = (NodeId, &'a ProtocolProcess<P>)>,
@@ -192,10 +100,10 @@ where
     let mut decisions = BTreeMap::new();
     let mut stats = BTreeMap::new();
     for (id, proc) in procs {
-        // Zeroed stats carry no information and would make the map
-        // O(n); skipping them keeps lazy and eager reports
-        // byte-identical (a never-activated node trivially has
-        // default stats) and every aggregate (sums, maxes) unchanged.
+        // Zeroed stats carry no information; skipping them makes the
+        // report independent of which bystanders happened to be
+        // activated (a never-activated node trivially has default
+        // stats) and leaves every aggregate (sums, maxes) unchanged.
         if *proc.node().stats() != Default::default() {
             stats.insert(id, *proc.node().stats());
         }
@@ -439,24 +347,36 @@ mod tests {
         assert_eq!(a.report.metrics, b.report.metrics);
     }
 
+    /// One engine, two ways in: the "lazy" arm is a fresh one-slot
+    /// `exec`, the "batched" arm the same job in the last slot of a
+    /// reused four-slot runner — arena reuse and lockstep interleaving
+    /// must leak nothing into it.
     #[test]
     fn batched_engine_matches_lazy_engine() {
+        use precipice_sim::SchedulePolicy;
         let scenario = Scenario::builder(precipice_graph::ring(8))
             .crash(NodeId(2), SimTime::from_millis(1))
             .crash(NodeId(3), SimTime::from_millis(4))
             .seed(7)
             .build();
+        let mut runner = BatchRunner::with_default_policy(&scenario, 4);
         for policy in [
             SchedulePolicy::Fifo,
             SchedulePolicy::Random(5),
             SchedulePolicy::Pcr(9),
         ] {
             let lazy = scenario.exec(Exec::new().schedule(policy.clone()));
-            let batched = scenario.exec(
-                Exec::new()
-                    .schedule(policy)
-                    .engine(Engine::Batched { k: 4 }),
-            );
+            let mut jobs: Vec<BatchJob> = (0..3)
+                .map(|i| BatchJob {
+                    seed: 100 + i,
+                    policy: SchedulePolicy::Random(i),
+                })
+                .collect();
+            jobs.push(BatchJob {
+                seed: scenario.sim.seed,
+                policy,
+            });
+            let batched = runner.run(&jobs).pop().expect("four jobs in");
             assert_eq!(lazy.report.trace_hash, batched.report.trace_hash);
             assert_eq!(lazy.report.metrics, batched.report.metrics);
             assert_eq!(lazy.report.decisions, batched.report.decisions);

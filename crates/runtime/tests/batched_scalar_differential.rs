@@ -1,21 +1,23 @@
-//! Differential tests: the lockstep batch engine ([`Engine::Batched`],
-//! [`BatchRunner`]) must be **byte-identical** to the scalar lazy
-//! engine on every observable — trace hash, metrics, decisions,
-//! per-node stats, message pairs, digest, and the recorded schedule —
-//! across seeds × topologies × [`SchedulePolicy`]s, and regardless of
-//! how runs are grouped into waves.
+//! Differential tests: a run executed inside a reused, lockstep
+//! [`BatchRunner`] wave must be **byte-identical** to the same run
+//! executed alone on every observable — trace hash, metrics,
+//! decisions, per-node stats, message pairs, digest, and the recorded
+//! schedule — across seeds × topologies × [`SchedulePolicy`]s, and
+//! regardless of how runs are grouped into waves.
 //!
-//! This is the bit-identity half of the batch engine's contract (the
-//! other half, the ≥5× serial speedup, is `bench_batch`'s job): a
-//! seed sweep or fuzz budget executed through reusable lockstep slots
-//! must be indistinguishable, result for result, from running each
-//! variant alone. Mirrors `lazy_eager_differential.rs`, which pins the
-//! lazy engine itself to the eager reference.
+//! Both arms are the simulator's one slot engine (what it must compute
+//! is pinned by the naive oracle in `precipice-sim`). "Scalar" in the
+//! names below is a fresh one-slot [`Scenario::exec`]; "batched" is a
+//! `BatchRunner` of 2–8 slots that has already hosted other runs. So
+//! these pin that arena reuse and lockstep interleaving leak nothing
+//! from one run into another. Mirrors `lazy_eager_differential.rs`,
+//! which pins the lazy start to the eager one.
 
 use proptest::prelude::*;
 
+use precipice_core::NodeIdValuePolicy;
 use precipice_graph::{random_geometric_connected, ring, torus, Graph, GridDims, NodeId};
-use precipice_runtime::{BatchJob, BatchRunner, Engine, Exec, Scenario};
+use precipice_runtime::{BatchJob, BatchRunner, Exec, ExecOutcome, Scenario};
 use precipice_sim::{SchedulePolicy, SimTime};
 
 #[derive(Debug, Clone, Copy)]
@@ -87,11 +89,36 @@ fn build_scenario(topo: Topo, n: usize, k: usize, gap_ms: u64, seed: u64) -> Sce
         .build()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+/// The "batched" arm: `job` at slot `position` of a full `wave`-wide
+/// lockstep wave whose other slots host decoy runs (other seeds; one
+/// of them fuzzed, to put an explorer in the slots), on a runner whose
+/// slots have all hosted a decoy before.
+fn run_in_reused_wave(
+    runner: &mut BatchRunner<NodeIdValuePolicy>,
+    wave: usize,
+    position: usize,
+    job: BatchJob,
+) -> ExecOutcome<NodeId> {
+    let mut jobs: Vec<BatchJob> = (0..wave as u64)
+        .map(|i| BatchJob {
+            seed: job.seed ^ (i + 1),
+            policy: match i {
+                0 => SchedulePolicy::Random(job.seed),
+                _ => SchedulePolicy::Fifo,
+            },
+        })
+        .collect();
+    jobs.rotate_right(position % wave); // the fuzzed decoy warms the job's slot
+    runner.run(&jobs);
+    jobs[position % wave] = job;
+    runner.run(&jobs).swap_remove(position % wave)
+}
 
-    /// One variant through `Engine::Batched` ≡ the same variant through
-    /// `Engine::Lazy`, for every policy kind.
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+    /// One variant inside a reused lockstep wave ≡ the same variant
+    /// alone, for every policy kind.
     #[test]
     fn batched_runs_are_byte_identical_to_scalar(
         topo in prop_oneof![Just(Topo::Torus), Just(Topo::Ring), Just(Topo::Geometric)],
@@ -101,7 +128,8 @@ proptest! {
         seed in any::<u64>(),
         policy_seed in any::<u64>(),
         policy_kind in 0usize..3,
-        wave in 1usize..5,
+        wave in 2usize..9,
+        position in 0usize..8,
     ) {
         let policy = match policy_kind {
             0 => SchedulePolicy::Fifo,
@@ -110,9 +138,11 @@ proptest! {
         };
         let scenario = build_scenario(topo, n, k, gap_ms, seed);
         let scalar = scenario.exec(Exec::new().schedule(policy.clone()));
-        let batched = scenario.exec(
-            Exec::new().schedule(policy).engine(Engine::Batched { k: wave }),
-        );
+        // The dense geometric runs are tens of thousands of events
+        // each; two decoy slots are enough company there.
+        let wave = if matches!(topo, Topo::Geometric) { wave.min(3) } else { wave };
+        let mut runner = BatchRunner::with_default_policy(&scenario, wave);
+        let batched = run_in_reused_wave(&mut runner, wave, position, BatchJob { seed, policy });
 
         prop_assert_eq!(
             scalar.report.trace_hash, batched.report.trace_hash,
@@ -128,10 +158,10 @@ proptest! {
     }
 
     /// A whole seed sweep through one reused `BatchRunner` — lockstep
-    /// waves, slot arenas reused across waves — matches per-seed scalar
-    /// execution result for result. Sweeps *across* seeds is exactly
-    /// the case the single-variant test above cannot cover: slots must
-    /// not leak any state between the runs they host.
+    /// waves, slot arenas reused across waves — matches per-seed
+    /// one-slot execution result for result. Sweeps *across* seeds is
+    /// exactly the case the single-variant test above cannot cover:
+    /// slots must not leak any state between the runs they host.
     #[test]
     fn seed_sweeps_through_reused_slots_match_scalar(
         topo in prop_oneof![Just(Topo::Torus), Just(Topo::Ring)],
@@ -139,12 +169,13 @@ proptest! {
         k in 1usize..5,
         base_seed in any::<u64>(),
         policy_seed in any::<u64>(),
-        wave in 1usize..5,
+        wave in 2usize..9,
     ) {
         let scenario = build_scenario(topo, n, k, 2, base_seed);
         // Mixed job kinds in one budget: seed sweep under FIFO plus a
-        // fuzz probe pair, like the explorer's feed.
-        let jobs: Vec<BatchJob> = (0..6)
+        // fuzz probe pair, like the explorer's feed. Nine jobs, so every
+        // wave width reuses slots, most with a ragged tail as well.
+        let jobs: Vec<BatchJob> = (0..9)
             .map(|i| BatchJob {
                 seed: base_seed.wrapping_add(i),
                 policy: match i % 3 {
@@ -172,31 +203,28 @@ proptest! {
         }
     }
 
-    /// Schedules recorded by the batch engine replay bit-for-bit on the
-    /// scalar engine and vice versa — recorded schedules are
-    /// engine-independent.
+    /// Schedules recorded inside a reused wave replay bit-for-bit on a
+    /// fresh one-slot run and vice versa — a recorded schedule does not
+    /// depend on where it was recorded.
     #[test]
     fn recorded_schedules_replay_across_engines(
         n in 9usize..36,
         k in 1usize..4,
         seed in any::<u64>(),
         policy_seed in any::<u64>(),
+        wave in 2usize..9,
     ) {
         let scenario = build_scenario(Topo::Torus, n, k, 2, seed);
-        let batched = scenario.exec(
-            Exec::new()
-                .schedule(SchedulePolicy::Random(policy_seed))
-                .engine(Engine::Batched { k: 2 }),
-        );
+        let mut runner = BatchRunner::with_default_policy(&scenario, wave);
+        let job = |policy| BatchJob { seed, policy };
+        let batched =
+            run_in_reused_wave(&mut runner, wave, 1, job(SchedulePolicy::Random(policy_seed)));
         let scalar_replay = scenario.exec(
             Exec::new().schedule(SchedulePolicy::Replay(batched.schedule.clone())),
         );
         prop_assert_eq!(batched.report.trace_hash, scalar_replay.report.trace_hash);
-        let batched_replay = scenario.exec(
-            Exec::new()
-                .schedule(SchedulePolicy::Replay(batched.schedule.clone()))
-                .engine(Engine::Batched { k: 1 }),
-        );
+        let replay = job(SchedulePolicy::Replay(batched.schedule.clone()));
+        let batched_replay = run_in_reused_wave(&mut runner, wave, 0, replay);
         prop_assert_eq!(batched.report.trace_hash, batched_replay.report.trace_hash);
         prop_assert_eq!(batched_replay.schedule, batched.schedule);
     }

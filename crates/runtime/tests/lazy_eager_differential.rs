@@ -1,11 +1,16 @@
-//! Differential tests: the lazy, footprint-proportional engine
-//! ([`Engine::Lazy`] — spawn-on-demand processes, graph-backed failure
-//! detection) must be **byte-identical** to the eager reference
-//! ([`Engine::Eager`] — all
-//! `n` processes pre-built, `on_start` at time zero) on every
-//! observable: trace hash, metrics, decisions, per-node stats, digest,
-//! and the recorded schedule, across seeds × topologies ×
-//! [`SchedulePolicy`]s.
+//! Differential tests: the lazy, footprint-proportional start that
+//! [`Scenario::exec`] runs on (spawn-on-demand processes, graph-backed
+//! failure detection) must be **byte-identical** to an eager start
+//! (all `n` processes pre-built, `on_start` at time zero, explicit
+//! subscriptions) on every observable: trace hash, metrics, decisions,
+//! per-node stats, and the recorded schedule, across seeds ×
+//! topologies × [`SchedulePolicy`]s.
+//!
+//! There is no eager *engine* any more — eager is just how
+//! [`Simulation::with_policy`] starts the one slot engine — so the
+//! eager arm is assembled here from public pieces: a
+//! [`ProtocolProcess`] over a [`CliffEdgeNode`] for every node of the
+//! scenario's graph, and the scenario's crash schedule.
 //!
 //! This is the executable form of the equivalence argument: cliff-edge
 //! `on_start` only monitors `border(me)`, which the graph-backed
@@ -14,9 +19,12 @@
 
 use proptest::prelude::*;
 
+use std::sync::Arc;
+
+use precipice_core::{CliffEdgeNode, NodeIdValuePolicy};
 use precipice_graph::{random_geometric_connected, ring, torus, Graph, GridDims, NodeId};
-use precipice_runtime::{Engine, Exec, Scenario};
-use precipice_sim::{SchedulePolicy, SimTime};
+use precipice_runtime::{Exec, ExecOutcome, ProtocolProcess, Scenario};
+use precipice_sim::{SchedulePolicy, SimTime, Simulation};
 
 #[derive(Debug, Clone, Copy)]
 enum Topo {
@@ -87,6 +95,53 @@ fn build_scenario(topo: Topo, n: usize, k: usize, gap_ms: u64, seed: u64) -> Sce
         .build()
 }
 
+/// Runs `scenario` under `policy` with an eager start — every process
+/// built up front — and requires `lazy`, an `exec` outcome of the same
+/// scenario, to agree with it on everything both expose.
+fn assert_matches_eager(
+    scenario: &Scenario,
+    policy: SchedulePolicy,
+    lazy: &ExecOutcome<NodeId>,
+) -> Result<(), TestCaseError> {
+    let processes: Vec<ProtocolProcess<NodeIdValuePolicy>> = scenario
+        .graph
+        .nodes()
+        .map(|me| {
+            let graph = Arc::clone(&scenario.graph);
+            let node = CliffEdgeNode::new(me, graph, NodeIdValuePolicy, scenario.protocol);
+            ProtocolProcess::with_multicast_mode(node, scenario.multicast)
+        })
+        .collect();
+    let mut eager = Simulation::with_policy(scenario.sim, processes, policy);
+    for &(node, at) in &scenario.crashes {
+        eager.schedule_crash(node, at);
+    }
+    prop_assert_eq!(lazy.report.outcome, eager.run());
+    prop_assert_eq!(eager.processes().count(), scenario.graph.len());
+    prop_assert_eq!(
+        lazy.report.trace_hash,
+        eager.trace().hash(),
+        "trace diverged"
+    );
+    prop_assert_eq!(&lazy.report.metrics, eager.metrics());
+    let recorded = eager.recorded_schedule().unwrap_or_default();
+    prop_assert_eq!(&lazy.schedule, &recorded, "recorded schedules diverged");
+    for (id, p) in eager.processes() {
+        let decision = p.decision().map(|(view, value, at)| (view, value, at));
+        let lazy_decision = lazy.report.decisions.get(&id);
+        prop_assert_eq!(
+            decision,
+            lazy_decision.map(|d| (&d.view, &d.value, &d.at)),
+            "{}",
+            id
+        );
+        // Reports keep non-default stats only.
+        let lazy_stats = lazy.report.stats.get(&id).copied().unwrap_or_default();
+        prop_assert_eq!(*p.node().stats(), lazy_stats, "{}", id);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
@@ -106,23 +161,12 @@ proptest! {
             _ => SchedulePolicy::Pcr(policy_seed),
         };
         let scenario = build_scenario(topo, n, k, gap_ms, seed);
-        let lazy_out = scenario.exec(Exec::new().schedule(policy.clone()));
-        let eager_out = scenario.exec(Exec::new().schedule(policy).engine(Engine::Eager));
-        let (lazy, lazy_sched) = (lazy_out.report, lazy_out.schedule);
-        let (eager, eager_sched) = (eager_out.report, eager_out.schedule);
-
-        prop_assert_eq!(lazy.trace_hash, eager.trace_hash, "trace diverged");
-        prop_assert_eq!(&lazy.decisions, &eager.decisions);
-        prop_assert_eq!(&lazy.metrics, &eager.metrics);
-        prop_assert_eq!(&lazy.stats, &eager.stats);
-        prop_assert_eq!(&lazy.message_pairs, &eager.message_pairs);
-        prop_assert_eq!(lazy.outcome, eager.outcome);
-        prop_assert_eq!(lazy_sched, eager_sched, "recorded schedules diverged");
-        prop_assert_eq!(lazy.digest(), eager.digest());
+        let lazy = scenario.exec(Exec::new().schedule(policy.clone()));
+        assert_matches_eager(&scenario, policy, &lazy)?;
     }
 
-    /// Replaying a lazily-recorded schedule through the eager runner (and
-    /// vice versa) reproduces the run — recorded schedules are
+    /// Replaying a lazily-recorded schedule through an eager start
+    /// reproduces the run — recorded schedules are
     /// representation-independent.
     #[test]
     fn recorded_schedules_replay_across_runners(
@@ -132,18 +176,12 @@ proptest! {
         policy_seed in any::<u64>(),
     ) {
         let scenario = build_scenario(Topo::Torus, n, k, 2, seed);
-        let out = scenario.exec(Exec::new().schedule(SchedulePolicy::Random(policy_seed)));
-        let (lazy, sched) = (out.report, out.schedule);
-        let eager_replay = scenario.exec(
-            Exec::new()
-                .schedule(SchedulePolicy::Replay(sched.clone()))
-                .engine(Engine::Eager),
-        );
-        prop_assert_eq!(lazy.trace_hash, eager_replay.report.trace_hash);
-        let replay_out =
-            scenario.exec(Exec::new().schedule(SchedulePolicy::Replay(sched.clone())));
-        prop_assert_eq!(lazy.trace_hash, replay_out.report.trace_hash);
-        prop_assert_eq!(replay_out.schedule, sched);
+        let lazy = scenario.exec(Exec::new().schedule(SchedulePolicy::Random(policy_seed)));
+        let replay = SchedulePolicy::Replay(lazy.schedule.clone());
+        assert_matches_eager(&scenario, replay.clone(), &lazy)?;
+        let lazy_replay = scenario.exec(Exec::new().schedule(replay));
+        prop_assert_eq!(lazy_replay.report.trace_hash, lazy.report.trace_hash);
+        prop_assert_eq!(lazy_replay.schedule, lazy.schedule);
     }
 }
 

@@ -1,48 +1,38 @@
-//! Lockstep multi-run batch engine: executes K scenario variants (seed
-//! sweeps, schedule-fuzz budgets) against one shared [`Graph`] topology,
-//! bit-identical per run to the scalar [`Simulation`](crate::Simulation)
-//! but several times faster per schedule.
+//! The simulator's one event loop — the run *slot* — and its lockstep
+//! multi-run driver, [`BatchSim`].
+//!
+//! A slot hosts one run at a time: [`Simulation`](crate::Simulation)
+//! owns a single slot for a single run, while `BatchSim` executes K
+//! scenario variants (seed sweeps, schedule-fuzz budgets) against one
+//! shared [`Graph`] topology, K slots advancing in lockstep.
 //!
 //! Every evaluation table and `check` budget in this repro is thousands
 //! of near-identical small runs, so the per-run constant factors — not
 //! any single run's asymptotics — bound how wide the tables can get.
-//! The scalar simulator pays them in full for every run: fresh
-//! allocations for queues, maps and traces; SipHash-ed `HashMap`/
-//! `HashSet` lookups and `BTreeMap` metric entries on *every* event; and
-//! an O(live) rescan of the pending list per scheduling decision under
-//! an exploring policy. The batch engine restructures all of that
-//! around run *slots* that survive from one run to the next:
+//! The slot is built around that:
 //!
-//! - **Arena reuse.** Each slot owns a [`RunState`] plus flat side
-//!   tables (event slab, node slots, channel slots) that are cleared,
-//!   never freed, between runs. After warm-up, a run allocates only
-//!   what the protocol itself allocates.
-//! - **Slab + 12-byte heap keys.** Events live in a slab (the
-//!   `RunState` pending vector with a free list); the FIFO hot path
-//!   orders `(time, seq, idx)` keys, never moving message payloads
-//!   through sift operations.
+//! - **Arena reuse.** A slot's event slab, node slots, channel slots,
+//!   trace buffer and scratch vectors are cleared, never freed, between
+//!   the runs it hosts. After warm-up, a run allocates only what the
+//!   protocol itself allocates.
+//! - **Slab + 12-byte heap keys.** Events live in a slab with a free
+//!   list; the FIFO hot path orders `(time, seq, idx)` keys, never
+//!   moving message payloads through sift operations.
 //! - **Incremental enabled frontier.** Under an exploring policy the
 //!   enabled set (per-channel FIFO heads plus all crash/notify events)
-//!   is maintained incrementally in a seq-ordered map and per-channel
-//!   intrusive lists, replacing the scalar per-step O(live) rescan.
+//!   is maintained incrementally in a seq-ordered vector and
+//!   per-channel intrusive lists, so a scheduling decision never
+//!   rescans the pending events.
 //! - **Open-addressed node/channel tables.** Per-event bookkeeping
-//!   (crash flags, per-node counters, FIFO clamp rows, channel delivery
+//!   (crash flags, per-node counters, FIFO clamps, channel delivery
 //!   counts) hits small Fibonacci-hashed `u64 -> u32` maps and dense
-//!   vectors instead of SipHash maps and B-trees; per-node [`Metrics`]
-//!   are materialized once at run finish.
+//!   vectors, sized by the run's *footprint* rather than by `n`;
+//!   per-node [`Metrics`] are materialized once at run finish.
 //!
-//! # Equivalence contract
-//!
-//! For every variant, the produced [`RunOutcome`], [`Metrics`],
-//! [`Trace`] (hash *and* entries), recorded [`Schedule`] and final
-//! process states are **bit-identical** to a lazy scalar run
-//! ([`Simulation::lazy_with_policy`](crate::Simulation::lazy_with_policy))
-//! of the same `(config, policy, crashes)` triple: the engine replays
-//! the scalar semantics exactly — same candidate enumeration order,
-//! same RNG draw order, same FIFO clamping, same lazy activation
-//! points — it only changes the data structures underneath. The
-//! `batched ≡ scalar` differential tests (here and in the runtime
-//! crate) enforce this per commit.
+//! What the loop must compute is pinned by a deliberately naive
+//! test-only interpreter (`reference.rs`): the differential tests here
+//! and there require equal [`RunOutcome`], [`Metrics`], [`Trace`] (hash
+//! *and* entries), honored [`Schedule`] and final process states.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -50,10 +40,12 @@ use std::mem;
 use std::sync::Arc;
 
 use precipice_graph::{Graph, NodeId};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 use crate::explore::{EventKey, Explorer, FrontierEntry, Schedule, SchedulePolicy};
 use crate::process::{Command, Context, Process};
-use crate::sim::{Entry, EventKind, RunState, SimConfig};
+use crate::sim::SimConfig;
 use crate::trace::TraceEntry;
 use crate::{FailureDetector, MessageSize, Metrics, NodeMetrics, RunOutcome, SimTime, Trace};
 
@@ -79,18 +71,18 @@ pub struct BatchVariant {
     pub crashes: Vec<(NodeId, SimTime)>,
 }
 
-/// Everything a scalar run exposes, collected for one batched run.
+/// Everything a finished run exposes, collected for one batched run.
 pub struct BatchRun<P> {
     /// How the run ended.
     pub outcome: RunOutcome,
-    /// Aggregate and per-node accounting, identical to the scalar run's.
+    /// Aggregate and per-node accounting.
     pub metrics: Metrics,
     /// The run's trace (hash always; entries iff `record_trace`).
     pub trace: Trace,
     /// Recorded scheduling deviations; `None` under [`SchedulePolicy::Fifo`].
     pub schedule: Option<Schedule>,
-    /// Activated processes in ascending node order (lazy-activation
-    /// footprint, exactly the scalar `processes()` iteration).
+    /// Activated processes in ascending node order (the lazy-activation
+    /// footprint).
     pub processes: Vec<(NodeId, P)>,
 }
 
@@ -185,8 +177,21 @@ impl MiniMap {
     }
 }
 
-/// FIFO-ordering key into the event slab; what the batch heap sifts
-/// instead of whole entries (message payloads stay put in the slab).
+enum EventKind<M> {
+    Deliver { to: NodeId, from: NodeId, msg: M },
+    Notify { to: NodeId, crashed: NodeId },
+    Crash { node: NodeId },
+}
+
+/// A scheduled event as it sits in the slab.
+struct Entry<M> {
+    at: SimTime,
+    seq: u64,
+    kind: EventKind<M>,
+}
+
+/// FIFO-ordering key into the event slab; what the heap sifts instead
+/// of whole entries (message payloads stay put in the slab).
 #[derive(PartialEq, Eq)]
 struct HeapKey {
     at: SimTime,
@@ -201,15 +206,18 @@ impl PartialOrd for HeapKey {
 }
 impl Ord for HeapKey {
     // Reversed: BinaryHeap is a max-heap, we need the earliest event.
+    // Total over `(time, seq)`, so equal timestamps pop in the order
+    // they were scheduled, independent of heap internals.
     fn cmp(&self, other: &Self) -> Ordering {
         (other.at, other.seq).cmp(&(self.at, self.seq))
     }
 }
 
-/// Per-directed-channel state: the FIFO clamp (scalar `fifo_last` row
-/// entry), the executed-delivery count (scalar
-/// `Explorer::channel_count`), and the pending-delivery FIFO as an
-/// intrusive list through the slab (scalar per-step channel-head scan).
+/// Per-directed-channel state: the FIFO clamp (last scheduled delivery
+/// time; clamping new deliveries to it keeps the channel FIFO under
+/// jittery latency), the executed-delivery count (the `nth` of the
+/// next delivery's [`EventKey`]), and the pending-delivery FIFO as an
+/// intrusive list through the slab.
 struct Channel {
     last_at: SimTime,
     delivered: u32,
@@ -217,12 +225,12 @@ struct Channel {
     tail: u32,
 }
 
-/// Per-touched-node state: dense replacement for the scalar `crashed`
-/// bit-vector, lazy-activation map and per-node metric entries.
-struct NodeSlot<P> {
-    id: NodeId,
-    proc: Option<P>,
-    crashed: bool,
+/// Per-touched-node state: the process (once activated), the crash
+/// flag and the per-node counters.
+pub(crate) struct NodeSlot<P> {
+    pub(crate) id: NodeId,
+    pub(crate) proc: Option<P>,
+    pub(crate) crashed: bool,
     stats: NodeMetrics,
 }
 
@@ -237,34 +245,43 @@ struct Counters {
     activations: u64,
 }
 
-/// One reusable run slot. All vectors/maps are cleared, never freed,
-/// between the runs a slot hosts.
-struct Slot<P: Process> {
+/// One reusable run slot: the event loop and all per-run mutable
+/// state. All vectors/maps are cleared, never freed, between the runs
+/// a slot hosts.
+pub(crate) struct Slot<P: Process> {
     config: SimConfig,
-    n: usize,
-    st: RunState<P::Msg>,
-    /// Free slab indices in `st.pending` (tombstones available for reuse).
+    pub(crate) n: usize,
+    /// Event slab. Executed entries become `None` tombstones whose
+    /// indices go on the `free` list (the frontier and the heap index
+    /// the slab; nothing ever scans it).
+    slab: Vec<Option<Entry<P::Msg>>>,
     free: Vec<u32>,
     /// Live event count (slab occupancy).
-    live: usize,
-    /// Intrusive next-pointers, parallel to `st.pending`: the per-channel
+    pub(crate) live: usize,
+    /// Intrusive next-pointers, parallel to `slab`: the per-channel
     /// pending-delivery FIFO.
     next_link: Vec<u32>,
     /// FIFO hot path: latency-ordered keys into the slab.
     heap: BinaryHeap<HeapKey>,
     /// Exploring hot path: enabled events (per-channel heads plus every
     /// crash/notify) as a seq-sorted vector — the policy picks over this
-    /// slice directly, with no per-step candidate rebuild. Slice order
-    /// is exactly the scalar candidate scan order (push seq).
+    /// slice directly, with no per-step candidate rebuild. A policy's RNG
+    /// draw is an index into it, so the seq order is part of every
+    /// explored stream (`tests/schedule_corpus.rs` pins them).
     frontier: Vec<FrontierEntry>,
-    explorer: Option<Explorer>,
-    fd: FailureDetector,
-    nodes: Vec<NodeSlot<P>>,
+    pub(crate) explorer: Option<Explorer>,
+    pub(crate) fd: FailureDetector,
+    pub(crate) nodes: Vec<NodeSlot<P>>,
     node_map: MiniMap,
     channels: Vec<Channel>,
     chan_map: MiniMap,
     counters: Counters,
-    outcome: Option<RunOutcome>,
+    pub(crate) trace: Trace,
+    rng: StdRng,
+    pub(crate) time: SimTime,
+    seq: u64,
+    pub(crate) events_processed: u64,
+    command_buf: Vec<Command<P::Msg>>,
 }
 
 #[inline]
@@ -273,12 +290,12 @@ fn chan_key(from: NodeId, to: NodeId) -> u64 {
 }
 
 impl<P: Process> Slot<P> {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         let config = SimConfig::default();
         Slot {
-            st: RunState::new(&config, 0),
             config,
             n: 0,
+            slab: Vec::new(),
             free: Vec::new(),
             live: 0,
             next_link: Vec::new(),
@@ -291,32 +308,70 @@ impl<P: Process> Slot<P> {
             channels: Vec::new(),
             chan_map: MiniMap::new(),
             counters: Counters::default(),
-            outcome: None,
+            trace: Trace::new(false),
+            rng: StdRng::seed_from_u64(config.seed),
+            time: SimTime::ZERO,
+            seq: 0,
+            events_processed: 0,
+            command_buf: Vec::new(),
         }
     }
 
-    /// Rearms the slot for `variant` and seeds its crash schedule,
-    /// mirroring the scalar `schedule_crash` loop.
-    fn reset(&mut self, graph: &Arc<Graph>, variant: &BatchVariant) {
-        self.config = variant.config;
-        self.n = graph.len();
-        self.st.reset(&variant.config, 0);
+    /// Rearms the slot for a fresh run over nodes `0..n`, keeping every
+    /// reusable allocation.
+    pub(crate) fn reset(
+        &mut self,
+        config: SimConfig,
+        n: usize,
+        policy: SchedulePolicy,
+        fd: FailureDetector,
+    ) {
+        self.config = config;
+        self.n = n;
+        self.slab.clear();
         self.free.clear();
         self.live = 0;
         self.next_link.clear();
         self.heap.clear();
         self.frontier.clear();
-        self.explorer = Explorer::new(variant.policy.clone());
-        self.fd = FailureDetector::with_static_graph(Arc::clone(graph));
+        self.explorer = Explorer::new(policy);
+        self.fd = fd;
         self.nodes.clear();
         self.node_map.clear();
         self.channels.clear();
         self.chan_map.clear();
         self.counters = Counters::default();
-        self.outcome = None;
-        for &(node, at) in &variant.crashes {
-            assert!(node.index() < self.n, "no such node {node}");
-            self.push_other(at, EventKind::Crash { node });
+        self.trace.reset(config.record_trace);
+        self.rng = StdRng::seed_from_u64(config.seed);
+        self.time = SimTime::ZERO;
+        self.seq = 0;
+        self.events_processed = 0;
+        self.command_buf.clear();
+    }
+
+    /// Schedules `node` to crash at `at`.
+    pub(crate) fn schedule_crash(&mut self, node: NodeId, at: SimTime) {
+        assert!(node.index() < self.n, "no such node {node}");
+        assert!(at >= self.time, "cannot schedule a crash in the past");
+        self.push_other(at, EventKind::Crash { node });
+    }
+
+    /// Eager start, part one: installs `processes[i]` as node `i`, so
+    /// no event ever spawns.
+    pub(crate) fn install(&mut self, processes: Vec<P>) {
+        debug_assert!(self.nodes.is_empty() && processes.len() == self.n);
+        for (i, proc) in processes.into_iter().enumerate() {
+            let ni = self.node_slot(NodeId::from_index(i));
+            self.nodes[ni].proc = Some(proc);
+        }
+    }
+
+    /// Eager start, part two: runs every installed process's `on_start`
+    /// (sends and monitors included) at the current time, in id order.
+    pub(crate) fn start_installed(&mut self) {
+        for ni in 0..self.nodes.len() {
+            let me = self.nodes[ni].id;
+            self.handle(ni, me, |p, ctx| p.on_start(ctx));
         }
     }
 
@@ -325,14 +380,14 @@ impl<P: Process> Slot<P> {
         self.live += 1;
         match self.free.pop() {
             Some(i) => {
-                self.st.pending[i as usize] = Some(entry);
+                self.slab[i as usize] = Some(entry);
                 self.next_link[i as usize] = NONE;
                 i
             }
             None => {
-                self.st.pending.push(Some(entry));
+                self.slab.push(Some(entry));
                 self.next_link.push(NONE);
-                (self.st.pending.len() - 1) as u32
+                (self.slab.len() - 1) as u32
             }
         }
     }
@@ -348,8 +403,8 @@ impl<P: Process> Slot<P> {
     /// Schedules a crash or failure-detector notification (always
     /// individually enabled under an exploring policy).
     fn push_other(&mut self, at: SimTime, kind: EventKind<P::Msg>) {
-        let seq = self.st.seq;
-        self.st.seq += 1;
+        let seq = self.seq;
+        self.seq += 1;
         let target = match kind {
             EventKind::Crash { node } => node,
             EventKind::Notify { to, .. } | EventKind::Deliver { to, .. } => to,
@@ -373,8 +428,8 @@ impl<P: Process> Slot<P> {
     /// Schedules a delivery on channel slot `ci` (enabled only as the
     /// channel head under an exploring policy).
     fn push_deliver(&mut self, at: SimTime, to: NodeId, from: NodeId, msg: P::Msg, ci: usize) {
-        let seq = self.st.seq;
-        self.st.seq += 1;
+        let seq = self.seq;
+        self.seq += 1;
         let idx = self.alloc(Entry {
             at,
             seq,
@@ -401,6 +456,12 @@ impl<P: Process> Slot<P> {
         } else {
             self.heap.push(HeapKey { at, seq, idx });
         }
+    }
+
+    /// The slot of `node`, if the run touched it.
+    pub(crate) fn node(&self, node: NodeId) -> Option<&NodeSlot<P>> {
+        let i = self.node_map.get(u64::from(node.0))?;
+        Some(&self.nodes[i as usize])
     }
 
     /// Dense slot for `node`, created on first touch.
@@ -438,14 +499,17 @@ impl<P: Process> Slot<P> {
     }
 
     /// Takes the next event out of the slab: the latency-ordered head
-    /// under FIFO, or the policy's pick over the enabled frontier.
-    /// The frontier vector is kept in seq order, which is the order the
-    /// first live entry per channel (plus every crash/notify) appears
-    /// in the scalar pending scan — so the policy sees the exact scalar
-    /// candidate enumeration, with no per-step rebuild.
+    /// under FIFO, or the installed policy's pick over the *enabled*
+    /// events otherwise. An event is enabled unless an earlier message
+    /// on the same FIFO channel is still pending (delivering it first
+    /// would violate the channel contract); crashes and
+    /// failure-detector notifications are always enabled. Per-channel
+    /// clamping makes a channel's head its earliest-timed message, so
+    /// the global `(time, seq)` minimum is always enabled and FIFO
+    /// replay is exact.
     fn pop_next(&mut self) -> Entry<P::Msg> {
         let idx = if let Some(explorer) = self.explorer.as_mut() {
-            let st = &self.st;
+            let slab = &self.slab;
             let chan_map = &self.chan_map;
             let channels = &self.channels;
             let frontier = &self.frontier;
@@ -458,7 +522,7 @@ impl<P: Process> Slot<P> {
             // Stable keys are built on demand only — for deviation
             // records and replay matching — never in the per-step scan.
             let key_of = |i: usize| {
-                let e = st.pending[frontier[i].idx as usize]
+                let e = slab[frontier[i].idx as usize]
                     .as_ref()
                     .expect("frontier entry is live");
                 match e.kind {
@@ -476,9 +540,9 @@ impl<P: Process> Slot<P> {
                     EventKind::Crash { node } => EventKey::Crash { node },
                 }
             };
-            let choice = explorer.choose_frontier(frontier, fifo, key_of);
+            let choice = explorer.choose(frontier, fifo, key_of);
             let picked = self.frontier.remove(choice);
-            let e = self.st.pending[picked.idx as usize]
+            let e = self.slab[picked.idx as usize]
                 .as_ref()
                 .expect("picked entry is live");
             if let EventKind::Deliver { to, from, .. } = e.kind {
@@ -488,13 +552,15 @@ impl<P: Process> Slot<P> {
                     .expect("delivery has a channel") as usize;
                 let ch = &mut self.channels[ci];
                 debug_assert_eq!(ch.head, picked.idx);
+                // Counts executed deliveries, including ones dropped at
+                // a crashed receiver — they consume a decision too.
                 ch.delivered += 1;
                 let next = self.next_link[picked.idx as usize];
                 ch.head = next;
                 if next == NONE {
                     ch.tail = NONE;
                 } else {
-                    let ne = self.st.pending[next as usize]
+                    let ne = self.slab[next as usize]
                         .as_ref()
                         .expect("successor is live");
                     let target = match ne.kind {
@@ -518,40 +584,47 @@ impl<P: Process> Slot<P> {
         };
         self.live -= 1;
         self.free.push(idx);
-        self.st.pending[idx as usize]
+        self.slab[idx as usize]
             .take()
             .expect("popped entry is live")
     }
 
-    /// Advances this run by up to `STRIDE` events; `true` once finished.
-    fn step_chunk<F: FnMut(usize, NodeId) -> P>(&mut self, spawn: &mut F, run: usize) -> bool {
+    /// Advances this run by up to `STRIDE` events; `Some` once it has
+    /// drained to quiescence or hit its event cap. A finished run stays
+    /// finished: calling again returns the same outcome.
+    ///
+    /// Under an exploring policy virtual time is the running maximum of
+    /// the executed events' scheduled times (it never runs backwards).
+    pub(crate) fn step_chunk<F: FnMut(usize, NodeId) -> P>(
+        &mut self,
+        spawn: &mut F,
+        run: usize,
+    ) -> Option<RunOutcome> {
         for _ in 0..STRIDE {
             if self.live == 0 {
-                self.finish(RunOutcome::Quiescent {
-                    events: self.st.events_processed,
-                    at: self.st.time,
+                return Some(RunOutcome::Quiescent {
+                    events: self.events_processed,
+                    at: self.time,
                 });
-                return true;
             }
             if let Some(cap) = self.config.max_events {
-                if self.st.events_processed >= cap {
-                    self.finish(RunOutcome::LimitReached {
-                        events: self.st.events_processed,
-                        at: self.st.time,
+                if self.events_processed >= cap {
+                    return Some(RunOutcome::LimitReached {
+                        events: self.events_processed,
+                        at: self.time,
                     });
-                    return true;
                 }
             }
             let entry = self.pop_next();
-            self.st.events_processed += 1;
-            self.st.time = self.st.time.max(entry.at);
+            self.events_processed += 1;
+            debug_assert!(
+                self.explorer.is_some() || entry.at >= self.time,
+                "time went backwards"
+            );
+            self.time = self.time.max(entry.at);
             self.dispatch(spawn, run, entry.kind);
         }
-        false
-    }
-
-    fn finish(&mut self, outcome: RunOutcome) {
-        self.outcome = Some(outcome);
+        None
     }
 
     fn dispatch<F: FnMut(usize, NodeId) -> P>(
@@ -567,8 +640,8 @@ impl<P: Process> Slot<P> {
                     return;
                 }
                 self.nodes[ni].crashed = true;
-                self.st.trace.record(TraceEntry::Crash {
-                    at: self.st.time,
+                self.trace.record(TraceEntry::Crash {
+                    at: self.time,
                     node,
                 });
                 for observer in self.fd.record_crash(node) {
@@ -587,19 +660,12 @@ impl<P: Process> Slot<P> {
                 let stats = &mut self.nodes[ni].stats;
                 stats.delivered += 1;
                 stats.activations += 1;
-                self.st.trace.record(TraceEntry::Deliver {
-                    at: self.st.time,
+                self.trace.record(TraceEntry::Deliver {
+                    at: self.time,
                     from,
                     to,
                 });
-                let mut cmds = mem::take(&mut self.st.command_buf);
-                {
-                    let mut ctx = Context::new(to, self.st.time, &mut cmds);
-                    let p = self.nodes[ni].proc.as_mut().expect("activated above");
-                    p.on_message(from, msg, &mut ctx);
-                }
-                self.execute_commands(to, ni, &mut cmds);
-                self.st.command_buf = cmds;
+                self.handle(ni, to, |p, ctx| p.on_message(from, msg, ctx));
             }
             EventKind::Notify { to, crashed } => {
                 let ni = self.node_slot(to);
@@ -610,27 +676,20 @@ impl<P: Process> Slot<P> {
                 self.counters.notifications += 1;
                 self.counters.activations += 1;
                 self.nodes[ni].stats.activations += 1;
-                self.st.trace.record(TraceEntry::Notify {
-                    at: self.st.time,
+                self.trace.record(TraceEntry::Notify {
+                    at: self.time,
                     observer: to,
                     crashed,
                 });
-                let mut cmds = mem::take(&mut self.st.command_buf);
-                {
-                    let mut ctx = Context::new(to, self.st.time, &mut cmds);
-                    let p = self.nodes[ni].proc.as_mut().expect("activated above");
-                    p.on_crash_notification(crashed, &mut ctx);
-                }
-                self.execute_commands(to, ni, &mut cmds);
-                self.st.command_buf = cmds;
+                self.handle(ni, to, |p, ctx| p.on_crash_notification(crashed, ctx));
             }
         }
     }
 
-    /// Lazy activation, exactly the scalar ordering: spawn, `on_start`
-    /// into the command buffer, install the process, then execute the
-    /// commands (so `on_start` sends/monitors happen *before* the
-    /// triggering event is recorded).
+    /// Lazy activation: a node's process is spawned — and its
+    /// `on_start` run, sends and monitors included — immediately before
+    /// its first event is recorded. Nodes that never receive an event
+    /// are never materialized.
     fn activate_if_needed<F: FnMut(usize, NodeId) -> P>(
         &mut self,
         spawn: &mut F,
@@ -638,18 +697,28 @@ impl<P: Process> Slot<P> {
         ni: usize,
         node: NodeId,
     ) {
-        if self.nodes[ni].proc.is_some() {
-            return;
+        if self.nodes[ni].proc.is_none() {
+            self.nodes[ni].proc = Some(spawn(run, node));
+            self.handle(ni, node, |p, ctx| p.on_start(ctx));
         }
-        let mut proc = spawn(run, node);
-        let mut cmds = mem::take(&mut self.st.command_buf);
+    }
+
+    /// Runs one handler of node `me` (slot `ni`) at the current time
+    /// and executes the commands it queued.
+    fn handle(
+        &mut self,
+        ni: usize,
+        me: NodeId,
+        handler: impl FnOnce(&mut P, &mut Context<'_, P::Msg>),
+    ) {
+        let mut cmds = mem::take(&mut self.command_buf);
         {
-            let mut ctx = Context::new(node, self.st.time, &mut cmds);
-            proc.on_start(&mut ctx);
+            let mut ctx = Context::new(me, self.time, &mut cmds);
+            let p = self.nodes[ni].proc.as_mut().expect("process exists");
+            handler(p, &mut ctx);
         }
-        self.nodes[ni].proc = Some(proc);
-        self.execute_commands(node, ni, &mut cmds);
-        self.st.command_buf = cmds;
+        self.execute_commands(me, ni, &mut cmds);
+        self.command_buf = cmds;
     }
 
     fn execute_commands(&mut self, me: NodeId, ni: usize, cmds: &mut Vec<Command<P::Msg>>) {
@@ -663,18 +732,17 @@ impl<P: Process> Slot<P> {
                     let stats = &mut self.nodes[ni].stats;
                     stats.sent += 1;
                     stats.sent_bytes += bytes;
-                    self.st.trace.record(TraceEntry::Send {
-                        at: self.st.time,
+                    self.trace.record(TraceEntry::Send {
+                        at: self.time,
                         from: me,
                         to,
                     });
-                    let latency = self.config.latency.sample(&mut self.st.rng);
+                    let latency = self.config.latency.sample(&mut self.rng);
                     let ci = self.chan_slot(me, to);
                     let ch = &mut self.channels[ci];
                     // New channels start at SimTime::ZERO, so the clamp
-                    // is the identity on the first send — exactly the
-                    // scalar row-absent case.
-                    let at = (self.st.time + latency).max(ch.last_at);
+                    // is the identity on the first send.
+                    let at = (self.time + latency).max(ch.last_at);
                     ch.last_at = at;
                     self.push_deliver(at, to, me, msg, ci);
                 }
@@ -688,8 +756,8 @@ impl<P: Process> Slot<P> {
     }
 
     fn schedule_notify(&mut self, observer: NodeId, crashed: NodeId) {
-        let latency = self.config.fd_latency.sample(&mut self.st.rng);
-        let at = self.st.time + latency;
+        let latency = self.config.fd_latency.sample(&mut self.rng);
+        let at = self.time + latency;
         self.push_other(
             at,
             EventKind::Notify {
@@ -699,53 +767,59 @@ impl<P: Process> Slot<P> {
         );
     }
 
-    /// Materializes the finished run's observables, leaving the slot's
-    /// allocations in place for the next run.
-    fn collect(&mut self) -> BatchRun<P> {
-        let outcome = self.outcome.take().expect("run finished");
+    /// Materializes the run's accounting so far.
+    pub(crate) fn metrics(&self) -> Metrics {
         let c = self.counters;
-        let mut per_node: Vec<(NodeId, NodeMetrics)> = self
-            .nodes
-            .iter()
-            .filter(|ns| ns.stats != NodeMetrics::default())
-            .map(|ns| (ns.id, ns.stats))
-            .collect();
-        per_node.sort_unstable_by_key(|&(id, _)| id);
-        let metrics = Metrics {
-            per_node: per_node.into_iter().collect(),
+        Metrics {
+            per_node: self
+                .nodes
+                .iter()
+                .filter(|ns| ns.stats != NodeMetrics::default())
+                .map(|ns| (ns.id, ns.stats))
+                .collect(),
             messages_sent: c.sent,
             messages_delivered: c.delivered,
             messages_dropped: c.dropped,
             bytes_sent: c.bytes,
             crash_notifications: c.notifications,
             events_processed: c.activations,
-            finished_at: self.st.time,
-        };
-        let trace = mem::replace(&mut self.st.trace, Trace::new(false));
-        let schedule = self.explorer.as_ref().map(Explorer::recorded);
+            finished_at: self.time,
+        }
+    }
+
+    /// Moves the activated processes out, in ascending node order.
+    pub(crate) fn take_processes(&mut self) -> Vec<(NodeId, P)> {
         let mut processes: Vec<(NodeId, P)> = self
             .nodes
             .drain(..)
             .filter_map(|ns| ns.proc.map(|p| (ns.id, p)))
             .collect();
         processes.sort_unstable_by_key(|&(id, _)| id);
+        processes
+    }
+
+    /// Materializes the finished run's observables, leaving the slot's
+    /// allocations in place for the next run.
+    fn collect(&mut self, outcome: RunOutcome) -> BatchRun<P> {
         BatchRun {
             outcome,
-            metrics,
-            trace,
-            schedule,
-            processes,
+            metrics: self.metrics(),
+            trace: mem::replace(&mut self.trace, Trace::new(false)),
+            schedule: self.explorer.as_ref().map(Explorer::recorded),
+            processes: self.take_processes(),
         }
     }
 }
 
-/// The lockstep batch engine: runs waves of scenario variants over one
+/// The lockstep batch driver: runs waves of scenario variants over one
 /// shared graph, reusing per-slot arenas across waves. See the
-/// [module docs](self) for the design and the equivalence contract.
+/// [module docs](self) for the design.
 ///
 /// `spawn(run, node)` constructs the process for `node` in the wave's
 /// `run`-th variant; it is called lazily, at the node's first event,
-/// exactly like the scalar lazy factory.
+/// and the failure detector resolves crash observers from the graph
+/// ([`FailureDetector::with_static_graph`]) — exactly like
+/// [`Simulation::lazy_with_policy`](crate::Simulation::lazy_with_policy).
 pub struct BatchSim<P: Process, F> {
     graph: Arc<Graph>,
     spawn: F,
@@ -762,7 +836,7 @@ impl<P: Process, F> std::fmt::Debug for BatchSim<P, F> {
 }
 
 impl<P: Process, F: FnMut(usize, NodeId) -> P> BatchSim<P, F> {
-    /// Creates an engine over `graph` with the lazy process factory
+    /// Creates a driver over `graph` with the lazy process factory
     /// `spawn`.
     pub fn new(graph: Arc<Graph>, spawn: F) -> Self {
         BatchSim {
@@ -781,132 +855,41 @@ impl<P: Process, F: FnMut(usize, NodeId) -> P> BatchSim<P, F> {
         while self.slots.len() < k {
             self.slots.push(Slot::new());
         }
-        let graph = &self.graph;
         let spawn = &mut self.spawn;
-        let slots = &mut self.slots;
-        for (i, variant) in variants.iter().enumerate() {
-            slots[i].reset(graph, variant);
+        let slots = &mut self.slots[..k];
+        for (slot, variant) in slots.iter_mut().zip(variants) {
+            slot.reset(
+                variant.config,
+                self.graph.len(),
+                variant.policy.clone(),
+                FailureDetector::with_static_graph(Arc::clone(&self.graph)),
+            );
+            for &(node, at) in &variant.crashes {
+                slot.schedule_crash(node, at);
+            }
         }
+        let mut outcomes: Vec<Option<RunOutcome>> = vec![None; k];
         let mut remaining = k;
-        let mut done = vec![false; k];
         while remaining > 0 {
-            for (i, done) in done.iter_mut().enumerate() {
-                if *done {
-                    continue;
-                }
-                if slots[i].step_chunk(spawn, i) {
-                    *done = true;
-                    remaining -= 1;
+            for (i, outcome) in outcomes.iter_mut().enumerate() {
+                if outcome.is_none() {
+                    *outcome = slots[i].step_chunk(spawn, i);
+                    remaining -= usize::from(outcome.is_some());
                 }
             }
         }
-        slots[..k].iter_mut().map(Slot::collect).collect()
+        slots
+            .iter_mut()
+            .zip(outcomes)
+            .map(|(slot, outcome)| slot.collect(outcome.expect("every run finished")))
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LatencyModel, Simulation};
-
-    #[derive(Clone, Debug)]
-    struct Blob(Vec<u8>);
-    impl MessageSize for Blob {
-        fn size_bytes(&self) -> usize {
-            self.0.len()
-        }
-    }
-
-    /// Gossip-ish test process: monitors graph neighbours on start, and
-    /// on a crash notification floods its neighbours with a couple of
-    /// rounds of payloads (so runs exercise channels, clamping, drops
-    /// and multi-hop causality).
-    struct Gossip {
-        graph: Arc<Graph>,
-        me: NodeId,
-        rounds: u8,
-        received: Vec<(SimTime, NodeId, u8)>,
-        notified: Vec<(SimTime, NodeId)>,
-    }
-
-    impl Gossip {
-        fn spawn(graph: &Arc<Graph>, me: NodeId) -> Self {
-            Gossip {
-                graph: Arc::clone(graph),
-                me,
-                rounds: 0,
-                received: Vec::new(),
-                notified: Vec::new(),
-            }
-        }
-    }
-
-    impl Process for Gossip {
-        type Msg = Blob;
-        fn on_start(&mut self, ctx: &mut Context<'_, Blob>) {
-            for &n in self.graph.neighbors(self.me) {
-                ctx.monitor(n);
-            }
-        }
-        fn on_message(&mut self, from: NodeId, msg: Blob, ctx: &mut Context<'_, Blob>) {
-            self.received.push((ctx.now(), from, msg.0[0]));
-            if msg.0[0] > 0 {
-                for &n in self.graph.neighbors(self.me) {
-                    ctx.send(n, Blob(vec![msg.0[0] - 1, self.me.0 as u8]));
-                }
-            }
-        }
-        fn on_crash_notification(&mut self, crashed: NodeId, ctx: &mut Context<'_, Blob>) {
-            self.notified.push((ctx.now(), crashed));
-            if self.rounds < 2 {
-                self.rounds += 1;
-                for &n in self.graph.neighbors(self.me) {
-                    ctx.send(n, Blob(vec![2, self.me.0 as u8]));
-                }
-            }
-        }
-    }
-
-    fn config(seed: u64) -> SimConfig {
-        SimConfig {
-            seed,
-            latency: LatencyModel::Uniform {
-                min: SimTime::from_micros(200),
-                max: SimTime::from_millis(2),
-            },
-            fd_latency: LatencyModel::Uniform {
-                min: SimTime::from_millis(1),
-                max: SimTime::from_millis(5),
-            },
-            record_trace: true,
-            max_events: None,
-        }
-    }
-
-    fn scalar_run(
-        graph: &Arc<Graph>,
-        variant: &BatchVariant,
-    ) -> (RunOutcome, Metrics, Trace, Option<Schedule>, Vec<NodeId>) {
-        let g = Arc::clone(graph);
-        let mut sim: Simulation<Gossip> = Simulation::lazy_with_policy(
-            variant.config,
-            graph,
-            move |me| Gossip::spawn(&g, me),
-            variant.policy.clone(),
-        );
-        for &(node, at) in &variant.crashes {
-            sim.schedule_crash(node, at);
-        }
-        let outcome = sim.run();
-        let activated: Vec<NodeId> = sim.processes().map(|(id, _)| id).collect();
-        (
-            outcome,
-            sim.metrics().clone(),
-            sim.trace().clone(),
-            sim.recorded_schedule(),
-            activated,
-        )
-    }
+    use crate::reference::tests::{assert_oracle_agrees, jittery as config, Gossip};
 
     fn variants_for(graph: &Arc<Graph>) -> Vec<BatchVariant> {
         let crash = NodeId((graph.len() / 2) as u32);
@@ -928,6 +911,9 @@ mod tests {
         vs
     }
 
+    /// The "scalar" arm is the naive oracle (`reference.rs`) since the
+    /// slot became the only event loop: FIFO variants run there as is,
+    /// exploring ones as a replay of the schedule the slot recorded.
     fn assert_batch_matches_scalar(graph: Arc<Graph>) {
         let variants = variants_for(&graph);
         let g = Arc::clone(&graph);
@@ -938,20 +924,8 @@ mod tests {
             let runs = batch.run(&variants);
             assert_eq!(runs.len(), variants.len());
             for (v, r) in variants.iter().zip(&runs) {
-                let (outcome, metrics, trace, schedule, activated) = scalar_run(&graph, v);
                 let tag = format!("wave {wave}, {:?} seed {}", v.policy.tag(), v.config.seed);
-                assert_eq!(r.outcome, outcome, "outcome diverged: {tag}");
-                assert_eq!(r.trace.hash(), trace.hash(), "trace hash diverged: {tag}");
-                assert_eq!(r.trace.len(), trace.len(), "trace len diverged: {tag}");
-                assert_eq!(
-                    r.trace.entries(),
-                    trace.entries(),
-                    "trace entries diverged: {tag}"
-                );
-                assert_eq!(r.metrics, metrics, "metrics diverged: {tag}");
-                assert_eq!(r.schedule, schedule, "schedule diverged: {tag}");
-                let ids: Vec<NodeId> = r.processes.iter().map(|&(id, _)| id).collect();
-                assert_eq!(ids, activated, "activation footprint diverged: {tag}");
+                assert_oracle_agrees(&graph, v, r, &tag);
             }
         }
     }
@@ -964,6 +938,50 @@ mod tests {
     #[test]
     fn batched_matches_scalar_on_a_ring() {
         assert_batch_matches_scalar(Arc::new(precipice_graph::ring(10)));
+    }
+
+    /// Slot hygiene: a slot that hosted a long run and then a short one
+    /// reports the short one exactly as a fresh slot does — nothing of
+    /// the 400-odd events (slab tombstones, channel counts, frontier,
+    /// node slots, trace) survives the reset.
+    #[test]
+    fn reused_slot_equals_fresh_slot() {
+        let graph = Arc::new(precipice_graph::torus(precipice_graph::GridDims::square(4)));
+        let spawn = |graph: &Arc<Graph>| {
+            let g = Arc::clone(graph);
+            move |_: usize, me: NodeId| Gossip::spawn(&g, me)
+        };
+        let long = BatchVariant {
+            config: config(9),
+            policy: SchedulePolicy::Random(4),
+            crashes: vec![
+                (NodeId(2), SimTime::from_millis(1)),
+                (NodeId(7), SimTime::from_millis(2)),
+            ],
+        };
+        for policy in [SchedulePolicy::Fifo, SchedulePolicy::Pcr(8)] {
+            let short = BatchVariant {
+                config: SimConfig {
+                    max_events: Some(10),
+                    ..config(3)
+                },
+                policy,
+                crashes: vec![(NodeId(5), SimTime::from_millis(1))],
+            };
+            let mut reused = BatchSim::new(Arc::clone(&graph), spawn(&graph));
+            let first = &reused.run(std::slice::from_ref(&long))[0];
+            assert!(first.outcome.events() >= 400, "{:?}", first.outcome);
+            let second = &reused.run(std::slice::from_ref(&short))[0];
+            assert_eq!(second.outcome.events(), 10);
+            let mut unused = BatchSim::new(Arc::clone(&graph), spawn(&graph));
+            let fresh = &unused.run(std::slice::from_ref(&short))[0];
+            assert_eq!(second.outcome, fresh.outcome);
+            assert_eq!(second.metrics, fresh.metrics);
+            assert_eq!(second.trace.hash(), fresh.trace.hash());
+            assert_eq!(second.trace.entries(), fresh.trace.entries());
+            assert_eq!(second.schedule, fresh.schedule);
+            assert_oracle_agrees(&graph, &short, second, "reused slot");
+        }
     }
 
     #[test]
@@ -1001,12 +1019,10 @@ mod tests {
             policy: SchedulePolicy::Fifo,
             crashes: vec![(NodeId(0), SimTime::from_millis(1))],
         };
-        let (run_outcome, metrics, ..) = scalar_run(&graph, &v);
         let r = &batch.run(std::slice::from_ref(&v))[0];
         assert!(!r.outcome.is_quiescent());
         assert_eq!(r.outcome.events(), 5);
-        assert_eq!(r.outcome, run_outcome);
-        assert_eq!(r.metrics, metrics);
+        assert_oracle_agrees(&graph, &v, r, "capped");
     }
 
     #[test]

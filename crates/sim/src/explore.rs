@@ -302,15 +302,15 @@ impl FromStr for Schedule {
     }
 }
 
-/// A frontier candidate as the batch engine stores it: position in the
+/// An enabled event as the policy sees it: position in the slot's
 /// event slab, scheduling order, and the target node — everything a
-/// policy pick needs *except* the stable [`EventKey`], which
-/// [`Explorer::choose_frontier`] materializes lazily (deviation
-/// recording and replay matching only), so the per-step scan does no
-/// per-candidate channel-count lookups.
+/// pick needs *except* the stable [`EventKey`], which
+/// [`Explorer::choose`] asks for lazily (deviation recording and replay
+/// matching only), so the per-step scan does no per-candidate
+/// channel-count lookups.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FrontierEntry {
-    /// Index into the batch slab.
+    /// Index into the event slab.
     pub idx: u32,
     /// Global push sequence number (FIFO tie-break; frontier sort key).
     pub seq: u64,
@@ -318,22 +318,6 @@ pub(crate) struct FrontierEntry {
     pub at: SimTime,
     /// Node whose state the event touches.
     pub target: NodeId,
-}
-
-/// A schedulable event as presented to the policy: its identity, its
-/// target node (whose handler runs), and its FIFO key.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Candidate {
-    /// Index into the simulator's pending list.
-    pub pending_idx: usize,
-    /// Stable identity.
-    pub key: EventKey,
-    /// Node whose state the event touches.
-    pub target: NodeId,
-    /// Scheduled (latency) execution time.
-    pub at: SimTime,
-    /// Global push sequence number (FIFO tie-break).
-    pub seq: u64,
 }
 
 /// Deterministic SplitMix64 — the explorer's private RNG, independent of
@@ -389,21 +373,16 @@ enum Mode {
     },
 }
 
-/// The engine behind a non-FIFO [`SchedulePolicy`]: picks among enabled
-/// candidates, records deviations, and tracks per-channel delivery
-/// counts for stable [`EventKey`]s.
+/// The engine behind a non-FIFO [`SchedulePolicy`]: picks among the
+/// enabled events and records deviations. Per-channel delivery counts
+/// (the `nth` of a delivery's stable [`EventKey`]) live on the slot's
+/// channel table, which hands keys over through `key_of`.
 #[derive(Debug, Clone)]
 pub(crate) struct Explorer {
     mode: Mode,
     recorded: Vec<Deviation>,
     step: u64,
-    /// Executed deliveries per directed channel (includes deliveries
-    /// dropped at a crashed receiver — they consume a decision too).
-    /// Maintained by [`Explorer::choose`] for the scalar candidate scan;
-    /// the batch engine tracks counts in its channel slots instead and
-    /// never reads this.
-    delivered: BTreeMap<(NodeId, NodeId), u32>,
-    /// Reusable dependent-set buffer for PCR picks over a frontier.
+    /// Reusable dependent-set buffer for PCR picks.
     scratch: Vec<u32>,
 }
 
@@ -431,36 +410,39 @@ impl Explorer {
             mode,
             recorded: Vec::new(),
             step: 0,
-            delivered: BTreeMap::new(),
             scratch: Vec::new(),
         })
     }
 
-    /// The per-channel delivery count (the `nth` for the next delivery
-    /// on `from -> to`).
-    pub fn channel_count(&self, from: NodeId, to: NodeId) -> u32 {
-        self.delivered.get(&(from, to)).copied().unwrap_or(0)
-    }
-
-    /// Picks the candidate to execute next. `fifo` is the index (into
-    /// `candidates`) of the latency-ordered choice. Records a deviation
-    /// when the pick differs from FIFO, and advances the decision step.
-    pub fn choose(&mut self, candidates: &[Candidate], fifo: usize) -> usize {
-        debug_assert!(!candidates.is_empty());
+    /// Picks the event to execute next out of the seq-ordered enabled
+    /// `frontier`; `fifo` is the index of the latency-ordered choice.
+    /// Records a deviation when the pick differs from FIFO, and
+    /// advances the decision step. `key_of(i)` produces candidate `i`'s
+    /// stable key on demand (replay matching and deviation recording —
+    /// the only consumers; it never touches the RNG).
+    pub(crate) fn choose(
+        &mut self,
+        frontier: &[FrontierEntry],
+        fifo: usize,
+        mut key_of: impl FnMut(usize) -> EventKey,
+    ) -> usize {
+        debug_assert!(!frontier.is_empty());
         let choice = match &mut self.mode {
-            Mode::Random(rng) => rng.below(candidates.len()),
+            Mode::Random(rng) => rng.below(frontier.len()),
             Mode::Pcr(rng) => {
                 // Only permute events dependent with the FIFO choice:
                 // those racing at the same target node. Everything else
                 // commutes (atomic handlers, per-node state).
-                let target = candidates[fifo].target;
-                let dependent: Vec<usize> = candidates
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| c.target == target)
-                    .map(|(i, _)| i)
-                    .collect();
-                dependent[rng.below(dependent.len())]
+                let target = frontier[fifo].target;
+                self.scratch.clear();
+                self.scratch.extend(
+                    frontier
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, c)| c.target == target)
+                        .map(|(i, _)| i as u32),
+                );
+                self.scratch[rng.below(self.scratch.len())] as usize
             }
             Mode::Replay { queue, next } => {
                 let mut choice = fifo;
@@ -469,7 +451,7 @@ impl Explorer {
                         // Honor the recorded pick if its event is
                         // enabled; a shrunk/stale deviation silently
                         // falls back to FIFO.
-                        if let Some(i) = candidates.iter().position(|c| c.key == dev.key) {
+                        if let Some(i) = (0..frontier.len()).find(|&i| key_of(i) == dev.key) {
                             choice = i;
                         }
                         *next += 1;
@@ -487,107 +469,6 @@ impl Explorer {
                 // Base replay first; at base-silent steps try the flip
                 // once, then extend past the base with occasional
                 // dependent picks (see `GuidedSpec`).
-                let mut choice = fifo;
-                let mut base_fired = false;
-                if let Some(dev) = queue.get(*next) {
-                    if dev.step == self.step {
-                        if let Some(i) = candidates.iter().position(|c| c.key == dev.key) {
-                            choice = i;
-                        }
-                        *next += 1;
-                        base_fired = true;
-                    }
-                }
-                if !base_fired {
-                    if let Some((first, second)) = *flip {
-                        if !*flipped && candidates[fifo].key == first {
-                            if let Some(i) = candidates.iter().position(|c| c.key == second) {
-                                choice = i;
-                                *flipped = true;
-                            }
-                        }
-                    }
-                    if choice == fifo && *next >= queue.len() && rng.below(4) == 0 {
-                        let target = candidates[fifo].target;
-                        let dependent: Vec<usize> = candidates
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, c)| c.target == target)
-                            .map(|(i, _)| i)
-                            .collect();
-                        choice = dependent[rng.below(dependent.len())];
-                    }
-                }
-                choice
-            }
-        };
-        if choice != fifo {
-            self.recorded.push(Deviation {
-                step: self.step,
-                key: candidates[choice].key,
-            });
-        }
-        if let EventKey::Deliver { from, to, .. } = candidates[choice].key {
-            *self.delivered.entry((from, to)).or_insert(0) += 1;
-        }
-        self.step += 1;
-        choice
-    }
-
-    /// Batch-engine counterpart of [`Explorer::choose`]: picks over a
-    /// seq-ordered enabled frontier without materializing per-candidate
-    /// [`EventKey`]s. The RNG draw sequence, deviation records and
-    /// decision-step numbering are bit-identical to `choose` on the
-    /// equivalent candidate list; `key_of(i)` produces candidate `i`'s
-    /// stable key on demand (replay matching and deviation recording —
-    /// the only consumers). Per-channel delivery counts are *not*
-    /// tracked here: the batch engine owns them (its channel slots),
-    /// and `key_of` reads them from there.
-    pub(crate) fn choose_frontier(
-        &mut self,
-        frontier: &[FrontierEntry],
-        fifo: usize,
-        mut key_of: impl FnMut(usize) -> EventKey,
-    ) -> usize {
-        debug_assert!(!frontier.is_empty());
-        let choice = match &mut self.mode {
-            Mode::Random(rng) => rng.below(frontier.len()),
-            Mode::Pcr(rng) => {
-                // Same dependent-set semantics as `choose`, with a
-                // reused index buffer instead of a fresh Vec per step.
-                let target = frontier[fifo].target;
-                self.scratch.clear();
-                self.scratch.extend(
-                    frontier
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, c)| c.target == target)
-                        .map(|(i, _)| i as u32),
-                );
-                self.scratch[rng.below(self.scratch.len())] as usize
-            }
-            Mode::Replay { queue, next } => {
-                let mut choice = fifo;
-                if let Some(dev) = queue.get(*next) {
-                    if dev.step == self.step {
-                        if let Some(i) = (0..frontier.len()).find(|&i| key_of(i) == dev.key) {
-                            choice = i;
-                        }
-                        *next += 1;
-                    }
-                }
-                choice
-            }
-            Mode::Guided {
-                queue,
-                next,
-                rng,
-                flip,
-                flipped,
-            } => {
-                // Mirror of the `choose` arm: identical RNG draw
-                // sequence (`key_of` calls never touch the RNG), so a
-                // guided run is bit-identical scalar vs batched.
                 let mut choice = fifo;
                 let mut base_fired = false;
                 if let Some(dev) = queue.get(*next) {
@@ -881,40 +762,58 @@ mod tests {
         assert!(xs.iter().any(|&x| x != xs[0]));
     }
 
+    /// A frontier of simultaneous events, one per `(key, target)` pair,
+    /// in seq order — what the slot hands [`Explorer::choose`].
+    fn frontier_of(events: &[(EventKey, u32)]) -> Vec<FrontierEntry> {
+        events
+            .iter()
+            .enumerate()
+            .map(|(i, &(_, target))| FrontierEntry {
+                idx: i as u32,
+                seq: i as u64,
+                at: SimTime::ZERO,
+                target: NodeId(target),
+            })
+            .collect()
+    }
+
+    fn crash_key(node: u32) -> EventKey {
+        EventKey::Crash { node: NodeId(node) }
+    }
+
     #[test]
     fn explorer_records_only_deviations() {
-        let mk = |idx: usize, node: u32, seq: u64| Candidate {
-            pending_idx: idx,
-            key: EventKey::Crash { node: NodeId(node) },
-            target: NodeId(node),
-            at: SimTime::ZERO,
-            seq,
-        };
+        let events = [(crash_key(1), 1), (crash_key(2), 2)];
+        let cands = frontier_of(&events);
+        let key_of = |i: usize| events[i].0;
         // Replay of an empty schedule is pure FIFO and records nothing.
         let mut ex = Explorer::new(SchedulePolicy::Replay(Schedule::fifo())).unwrap();
-        let cands = [mk(0, 1, 0), mk(1, 2, 1)];
-        assert_eq!(ex.choose(&cands, 0), 0);
-        assert_eq!(ex.choose(&cands, 1), 1);
+        assert_eq!(ex.choose(&cands, 0, key_of), 0);
+        assert_eq!(ex.choose(&cands, 1, key_of), 1);
         assert!(ex.recorded().is_empty());
         assert_eq!(ex.steps(), 2);
 
         // Replaying a deviation at step 1 honors it and re-records it.
         let sched = Schedule::new(vec![Deviation {
             step: 1,
-            key: EventKey::Crash { node: NodeId(2) },
+            key: crash_key(2),
         }]);
         let mut ex = Explorer::new(SchedulePolicy::Replay(sched.clone())).unwrap();
-        assert_eq!(ex.choose(&cands, 0), 0);
-        assert_eq!(ex.choose(&cands, 0), 1, "deviation picked over fifo");
+        assert_eq!(ex.choose(&cands, 0, key_of), 0);
+        assert_eq!(
+            ex.choose(&cands, 0, key_of),
+            1,
+            "deviation picked over fifo"
+        );
         assert_eq!(ex.recorded(), sched);
 
         // A deviation naming an absent event falls back to FIFO.
         let stale = Schedule::new(vec![Deviation {
             step: 0,
-            key: EventKey::Crash { node: NodeId(99) },
+            key: crash_key(99),
         }]);
         let mut ex = Explorer::new(SchedulePolicy::Replay(stale)).unwrap();
-        assert_eq!(ex.choose(&cands, 0), 0);
+        assert_eq!(ex.choose(&cands, 0, key_of), 0);
         assert!(ex.recorded().is_empty());
     }
 
@@ -923,26 +822,48 @@ mod tests {
         assert!(Explorer::new(SchedulePolicy::Fifo).is_none());
     }
 
+    /// Delivery counts live on the slot's channel table, so this drives
+    /// a real run: node 0 sends `x` and node 1 sends `a`, `b` to node 2,
+    /// all landing at 1ms in that (seq) order. A replay naming `D1>2#0`
+    /// at step 0 and `D1>2#1` at step 1 is honored in full only if the
+    /// channel's count advanced with the first delivery — otherwise the
+    /// second name matches nothing and `x` (FIFO) runs at step 1.
     #[test]
     fn channel_counts_advance_on_deliveries() {
-        let deliver = |idx: usize, nth: u32| Candidate {
-            pending_idx: idx,
-            key: EventKey::Deliver {
-                from: NodeId(0),
-                to: NodeId(1),
-                nth,
-            },
-            target: NodeId(1),
-            at: SimTime::ZERO,
-            seq: idx as u64,
-        };
-        let mut ex = Explorer::new(SchedulePolicy::Random(7)).unwrap();
-        assert_eq!(ex.channel_count(NodeId(0), NodeId(1)), 0);
-        ex.choose(&[deliver(0, 0)], 0);
-        assert_eq!(ex.channel_count(NodeId(0), NodeId(1)), 1);
-        ex.choose(&[deliver(0, 1)], 0);
-        assert_eq!(ex.channel_count(NodeId(0), NodeId(1)), 2);
-        assert_eq!(ex.channel_count(NodeId(1), NodeId(0)), 0);
+        use crate::{Context, Process, SimConfig, Simulation};
+
+        struct Node(Vec<NodeId>);
+        impl Process for Node {
+            type Msg = ();
+            fn on_start(&mut self, ctx: &mut Context<'_, ()>) {
+                for _ in 0..[1, 2, 0][ctx.me().index()] {
+                    ctx.send(NodeId(2), ());
+                }
+            }
+            fn on_message(&mut self, from: NodeId, _: (), _: &mut Context<'_, ()>) {
+                self.0.push(from);
+            }
+            fn on_crash_notification(&mut self, _: NodeId, _: &mut Context<'_, ()>) {}
+        }
+        let (from, to) = (NodeId(1), NodeId(2));
+        let deviations: Vec<Deviation> = (0..2)
+            .map(|nth| Deviation {
+                step: u64::from(nth),
+                key: EventKey::Deliver { from, to, nth },
+            })
+            .collect();
+        let mut sim = Simulation::with_policy(
+            SimConfig::default(),
+            (0..3).map(|_| Node(Vec::new())).collect(),
+            SchedulePolicy::Replay(Schedule::new(deviations.clone())),
+        );
+        assert!(sim.run().is_quiescent());
+        assert_eq!(
+            sim.process(to).0,
+            [from, from, NodeId(0)],
+            "a, b overtook x"
+        );
+        assert_eq!(sim.recorded_schedule().unwrap().deviations, deviations);
     }
 
     /// Lemire rejection makes `below` exactly uniform: over many draws
@@ -972,15 +893,9 @@ mod tests {
 
     #[test]
     fn guided_with_fifo_base_and_no_flip_extends_from_seed() {
-        let mk = |idx: usize, node: u32| Candidate {
-            pending_idx: idx,
-            key: EventKey::Crash { node: NodeId(node) },
-            target: NodeId(0),
-            at: SimTime::ZERO,
-            seq: idx as u64,
-        };
         // All candidates share a target, so every step the extension
         // fires it may pick any of them. Deterministic in the seed.
+        let events = [(crash_key(1), 0), (crash_key(2), 0), (crash_key(3), 0)];
         let spec = GuidedSpec {
             base: Schedule::fifo(),
             seed: 11,
@@ -988,8 +903,10 @@ mod tests {
         };
         let run = |spec: GuidedSpec| {
             let mut ex = Explorer::new(SchedulePolicy::Guided(spec)).unwrap();
-            let cands = [mk(0, 1), mk(1, 2), mk(2, 3)];
-            (0..16).map(|_| ex.choose(&cands, 0)).collect::<Vec<_>>()
+            let cands = frontier_of(&events);
+            (0..16)
+                .map(|_| ex.choose(&cands, 0, |i| events[i].0))
+                .collect::<Vec<_>>()
         };
         assert_eq!(run(spec.clone()), run(spec.clone()), "seed-deterministic");
         let other = GuidedSpec { seed: 12, ..spec };
@@ -999,29 +916,23 @@ mod tests {
 
     #[test]
     fn guided_honors_base_and_fires_flip_once() {
-        let crash = |node: u32| EventKey::Crash { node: NodeId(node) };
-        let mk = |idx: usize, node: u32| Candidate {
-            pending_idx: idx,
-            key: crash(node),
-            target: NodeId(node),
-            at: SimTime::ZERO,
-            seq: idx as u64,
-        };
-        let cands = [mk(0, 1), mk(1, 2), mk(2, 3)];
+        let events = [(crash_key(1), 1), (crash_key(2), 2), (crash_key(3), 3)];
+        let cands = frontier_of(&events);
+        let key_of = |i: usize| events[i].0;
         // Base deviates at step 0 to C2; flip (C1, C3) is armed.
         let spec = GuidedSpec {
             base: Schedule::new(vec![Deviation {
                 step: 0,
-                key: crash(2),
+                key: crash_key(2),
             }]),
             seed: 5,
-            flip: Some((crash(1), crash(3))),
+            flip: Some((crash_key(1), crash_key(3))),
         };
         let mut ex = Explorer::new(SchedulePolicy::Guided(spec)).unwrap();
         // Step 0: the base deviation wins (flip not consulted).
-        assert_eq!(ex.choose(&cands, 0), 1);
+        assert_eq!(ex.choose(&cands, 0, key_of), 1);
         // Step 1: base exhausted, fifo is C1 = flip.0, C3 enabled → flip.
-        assert_eq!(ex.choose(&cands, 0), 2);
+        assert_eq!(ex.choose(&cands, 0, key_of), 2);
         // Step 2: flip already spent; with seed 5 the extension draw
         // stays FIFO here, and the recorded schedule holds both
         // deviations — replayable like any other.
@@ -1030,14 +941,14 @@ mod tests {
             recorded.deviations[0],
             Deviation {
                 step: 0,
-                key: crash(2)
+                key: crash_key(2)
             }
         );
         assert_eq!(
             recorded.deviations[1],
             Deviation {
                 step: 1,
-                key: crash(3)
+                key: crash_key(3)
             }
         );
     }

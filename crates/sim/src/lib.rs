@@ -18,6 +18,17 @@
 //! sequence number, so a run is a pure function of `(processes, config,
 //! crash schedule)`.
 //!
+//! There is **one event loop** — the run slot in [`batch`] — and two
+//! drivers over it: [`Simulation`] owns one slot for one run, started
+//! eagerly (all `n` processes up front, `on_start` at time zero) or
+//! lazily (processes spawned at their first event, cost proportional
+//! to the run's footprint); [`BatchSim`] advances K slots in lockstep
+//! over a shared graph and reuses their arenas from wave to wave. A
+//! [`SchedulePolicy`] turns the loop from latency order into a pick
+//! over the enabled events ([`explore`]). What the loop must compute is
+//! pinned by a small, deliberately naive test-only interpreter
+//! (`reference.rs`) that the slot is differentially tested against.
+//!
 //! # Example
 //!
 //! ```
@@ -68,6 +79,8 @@ mod fd;
 mod latency;
 mod metrics;
 mod process;
+#[cfg(test)]
+mod reference;
 mod sim;
 mod time;
 mod trace;

@@ -32,8 +32,8 @@ pub struct NodeMetrics {
 /// tests assert whole-`Metrics` equality.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Metrics {
-    // pub(crate): the batch engine keeps these counters in flat K-wide
-    // arrays during a run and materializes a `Metrics` at run finish.
+    // pub(crate): the slot engine keeps these counters in flat tables
+    // during a run and materializes a `Metrics` at run finish.
     pub(crate) per_node: BTreeMap<NodeId, NodeMetrics>,
     pub(crate) messages_sent: u64,
     pub(crate) messages_delivered: u64,
@@ -100,10 +100,6 @@ impl Metrics {
         self.messages_dropped += dropped;
         self.crash_notifications += notifications;
         self.events_processed += events;
-    }
-
-    pub(crate) fn set_finished_at(&mut self, t: SimTime) {
-        self.finished_at = t;
     }
 
     /// Total messages handed to the network.
@@ -176,7 +172,7 @@ mod tests {
         m.record_drop();
         m.record_crash_notification();
         m.record_activation(NodeId(1));
-        m.set_finished_at(SimTime::from_millis(9));
+        m.finished_at = SimTime::from_millis(9);
 
         assert_eq!(m.messages_sent(), 3);
         assert_eq!(m.bytes_sent(), 22);

@@ -1,14 +1,11 @@
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
 
 use precipice_graph::{Graph, NodeId};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-use crate::explore::{Candidate, EventKey, Explorer, Schedule, SchedulePolicy};
-use crate::process::{Command, Context, MessageSize, Process};
-use crate::trace::{Trace, TraceEntry};
+use crate::batch::Slot;
+use crate::explore::{Explorer, Schedule, SchedulePolicy};
+use crate::process::Process;
+use crate::trace::Trace;
 use crate::{FailureDetector, LatencyModel, Metrics, SimTime};
 
 /// Configuration of a [`Simulation`].
@@ -90,182 +87,32 @@ impl RunOutcome {
     }
 }
 
-pub(crate) enum EventKind<M> {
-    Deliver { to: NodeId, from: NodeId, msg: M },
-    Notify { to: NodeId, crashed: NodeId },
-    Crash { node: NodeId },
-}
-
-pub(crate) struct Entry<M> {
-    pub(crate) at: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) kind: EventKind<M>,
-}
-
-impl<M> PartialEq for Entry<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Entry<M> {}
-impl<M> PartialOrd for Entry<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Entry<M> {
-    // Reversed: BinaryHeap is a max-heap, we need the *earliest* event.
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-/// Storage of the node programs: a pre-built dense vector (eager), or a
-/// factory plus the map of nodes activated so far (lazy).
-enum ProcessTable<P> {
-    /// Every process exists up front; `on_start` runs for all of them at
-    /// time zero (the classic mode).
-    Eager(Vec<P>),
-    /// Processes are spawned on demand: a node's process is constructed —
-    /// and its `on_start` run — immediately before its first event
-    /// (delivery or crash notification) is dispatched. Nodes that never
-    /// receive an event are never materialized, so per-run memory and
-    /// setup cost are proportional to the *active footprint*, not to `n`.
-    Lazy {
-        /// Total node count (ids `0..n`).
-        n: usize,
-        /// Spawns the process for a node, called at most once per node.
-        factory: Box<dyn FnMut(NodeId) -> P>,
-        /// Activated processes, keyed by id (ascending iteration).
-        active: BTreeMap<NodeId, P>,
-    },
-}
-
-impl<P> ProcessTable<P> {
-    fn len(&self) -> usize {
-        match self {
-            ProcessTable::Eager(v) => v.len(),
-            ProcessTable::Lazy { n, .. } => *n,
-        }
-    }
-}
-
-/// The per-run mutable state of a simulation, split from the run's
-/// immutable inputs (configuration, process table, scheduling policy)
-/// so drivers can **recycle** it: the scalar [`Simulation`] owns one
-/// for its single run; the lockstep batch engine
-/// ([`batch`](crate::batch)) owns one per concurrent run slot and
-/// [`reset`](RunState::reset)s them between waves, so a thousand-run
-/// sweep reuses the same heap allocations instead of reallocating
-/// queues, scratch tables and trace buffers per run.
-pub(crate) struct RunState<M> {
-    /// Crash flags, indexed by node (scalar driver only; the batch
-    /// engine keeps crash flags on its footprint-proportional node
-    /// slots and leaves this empty).
-    pub(crate) crashed: Vec<bool>,
-    /// Latency-ordered event queue (FIFO policy hot path).
-    pub(crate) queue: BinaryHeap<Entry<M>>,
-    /// Pending events in push (seq) order — used instead of `queue` when
-    /// an exploring [`SchedulePolicy`] is installed, so the scheduler can
-    /// pick any enabled event, not just the latency-ordered head.
-    /// Executed entries become `None` tombstones (swap-free removal); the
-    /// scalar driver compacts the vector once dead slots outnumber live
-    /// ones, while the batch engine treats the dead slots as a free list
-    /// (its frontier index never scans the vector).
-    pub(crate) pending: Vec<Option<Entry<M>>>,
-    pub(crate) pending_live: usize,
-    /// Scratch for the scalar `pop_next` scan: channels already seen this
-    /// scan (the first live entry per channel is its FIFO-enabled head).
-    /// Reused across steps; only membership-tested, never iterated, so
-    /// the hash order cannot leak into scheduling.
-    pub(crate) seen_channels: HashSet<(NodeId, NodeId)>,
-    /// Scratch candidate list, reused across steps.
-    pub(crate) candidates: Vec<Candidate>,
-    /// Last scheduled delivery time per directed channel; clamping new
-    /// deliveries to it keeps channels FIFO under jittery latency.
-    ///
-    /// Stored as a per-sender sorted row keyed on the receiver, so the
-    /// table costs O(channels actually used) — in localized workloads a
-    /// sender only ever talks to its border, and a run on a million-node
-    /// graph keeps rows for the handful of active senders only (a dense
-    /// n-slot row per sender would be 8 MB each at n = 10⁶). Lookups are
-    /// a hash on the sender plus a binary search on the receiver.
-    /// (Scalar driver only; the batch engine keeps the row on the
-    /// sender's node slot.)
-    pub(crate) fifo_last: HashMap<NodeId, Vec<(NodeId, SimTime)>>,
-    pub(crate) metrics: Metrics,
-    pub(crate) trace: Trace,
-    pub(crate) rng: StdRng,
-    pub(crate) time: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) started: bool,
-    pub(crate) events_processed: u64,
-    pub(crate) command_buf: Vec<Command<M>>,
-}
-
-impl<M> RunState<M> {
-    pub(crate) fn new(config: &SimConfig, n: usize) -> Self {
-        RunState {
-            crashed: vec![false; n],
-            queue: BinaryHeap::new(),
-            pending: Vec::new(),
-            pending_live: 0,
-            seen_channels: HashSet::new(),
-            candidates: Vec::new(),
-            fifo_last: HashMap::new(),
-            metrics: Metrics::default(),
-            trace: Trace::new(config.record_trace),
-            rng: StdRng::seed_from_u64(config.seed),
-            time: SimTime::ZERO,
-            seq: 0,
-            started: false,
-            events_processed: 0,
-            command_buf: Vec::new(),
-        }
-    }
-
-    /// Rearms the state for a fresh run under `config`, keeping every
-    /// reusable allocation (queues, scratch tables, trace storage).
-    pub(crate) fn reset(&mut self, config: &SimConfig, n: usize) {
-        self.crashed.clear();
-        self.crashed.resize(n, false);
-        self.queue.clear();
-        self.pending.clear();
-        self.pending_live = 0;
-        self.seen_channels.clear();
-        self.candidates.clear();
-        self.fifo_last.clear();
-        self.metrics = Metrics::default();
-        self.trace.reset(config.record_trace);
-        self.rng = StdRng::seed_from_u64(config.seed);
-        self.time = SimTime::ZERO;
-        self.seq = 0;
-        self.started = false;
-        self.events_processed = 0;
-        self.command_buf.clear();
-    }
-}
-
-/// Deterministic discrete-event simulator over a set of [`Process`]es.
+/// Deterministic discrete-event simulator over a set of [`Process`]es:
+/// the single-run driver of the slot engine (see
+/// [`batch`](crate::batch) for the event loop itself and for the
+/// lockstep multi-run driver).
 ///
 /// Nodes are identified by their index in the process vector (or by
-/// `NodeId(0)..NodeId(n)` in [lazy mode](Simulation::lazy_with_policy)).
+/// `NodeId(0)..NodeId(n)` under a [lazy start](Simulation::lazy_with_policy)).
 /// See the [crate docs](crate) for an end-to-end example.
 pub struct Simulation<P: Process> {
-    config: SimConfig,
-    procs: ProcessTable<P>,
-    explorer: Option<Explorer>,
-    fd: FailureDetector,
-    st: RunState<P::Msg>,
+    slot: Slot<P>,
+    /// Lazy start: spawns a node's process at its first event. Never
+    /// called after an eager start, where every process is installed.
+    spawn: Box<dyn FnMut(NodeId) -> P>,
+    /// Eager start: the installed processes' `on_start` has yet to run.
+    start_pending: bool,
+    /// Accounting as of the last [`run`](Simulation::run) return.
+    metrics: Metrics,
 }
 
 impl<P: Process> std::fmt::Debug for Simulation<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
-            .field("nodes", &self.procs.len())
-            .field("time", &self.st.time)
-            .field("queued", &(self.st.queue.len() + self.st.pending_live))
-            .field("events_processed", &self.st.events_processed)
+            .field("nodes", &self.slot.n)
+            .field("time", &self.slot.time)
+            .field("queued", &self.slot.live)
+            .field("events_processed", &self.slot.events_processed)
             .finish()
     }
 }
@@ -280,12 +127,21 @@ impl<P: Process> Simulation<P> {
 
     /// Creates a simulation whose event order is chosen by `policy` (see
     /// [`explore`](crate::explore)). With [`SchedulePolicy::Fifo`] this
-    /// is exactly [`Simulation::new`]; the other policies trade the
-    /// binary-heap hot path for a linear scan over pending events, which
-    /// is what a model-checking run wants anyway.
+    /// is exactly [`Simulation::new`].
+    ///
+    /// This is the **eager start**: all `n` processes exist up front
+    /// and their `on_start` runs — sends and monitors included — at time
+    /// zero, in id order, when [`run`](Simulation::run) is first called.
     pub fn with_policy(config: SimConfig, processes: Vec<P>, policy: SchedulePolicy) -> Self {
-        let n = processes.len();
-        Simulation::build(config, ProcessTable::Eager(processes), n, policy, None)
+        let mut slot = Slot::new();
+        slot.reset(config, processes.len(), policy, FailureDetector::new());
+        slot.install(processes);
+        Simulation {
+            slot,
+            spawn: Box::new(|node| unreachable!("node {node} was installed at construction")),
+            start_pending: true,
+            metrics: Metrics::default(),
+        }
     }
 
     /// Creates a **lazy** simulation over the `graph.len()` nodes of
@@ -320,47 +176,30 @@ impl<P: Process> Simulation<P> {
         factory: impl FnMut(NodeId) -> P + 'static,
         policy: SchedulePolicy,
     ) -> Self {
-        let n = graph.len();
-        let table = ProcessTable::Lazy {
-            n,
-            factory: Box::new(factory),
-            active: BTreeMap::new(),
-        };
-        Simulation::build(config, table, n, policy, Some(Arc::clone(graph)))
-    }
-
-    fn build(
-        config: SimConfig,
-        procs: ProcessTable<P>,
-        n: usize,
-        policy: SchedulePolicy,
-        fd_graph: Option<Arc<Graph>>,
-    ) -> Self {
+        let mut slot = Slot::new();
+        let fd = FailureDetector::with_static_graph(Arc::clone(graph));
+        slot.reset(config, graph.len(), policy, fd);
         Simulation {
-            st: RunState::new(&config, n),
-            config,
-            procs,
-            explorer: Explorer::new(policy),
-            fd: match fd_graph {
-                Some(g) => FailureDetector::with_static_graph(g),
-                None => FailureDetector::new(),
-            },
+            slot,
+            spawn: Box::new(factory),
+            start_pending: false,
+            metrics: Metrics::default(),
         }
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.procs.len()
+        self.slot.n
     }
 
     /// `true` if the simulation has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.procs.len() == 0
+        self.slot.n == 0
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.st.time
+        self.slot.time
     }
 
     /// Schedules `node` to crash at time `at`.
@@ -369,16 +208,25 @@ impl<P: Process> Simulation<P> {
     /// Must be called before the crash time is reached; scheduling in the
     /// past (relative to [`now`](Self::now)) panics.
     ///
+    /// Scheduling one node's crash twice leaves two pending events
+    /// under a single [`EventKey`](crate::EventKey), and a replayed
+    /// deviation naming it resolves to the earlier-scheduled of the two
+    /// — so a schedule recorded by an exploring policy on such a run
+    /// may not replay bit-for-bit. Fold duplicates before scheduling
+    /// (as `ScenarioBuilder::build` in the runtime crate does) when
+    /// replayability matters.
+    ///
     /// # Panics
     ///
     /// Panics if `node` is out of range or `at` is in the past.
     pub fn schedule_crash(&mut self, node: NodeId, at: SimTime) {
-        assert!(node.index() < self.procs.len(), "no such node {node}");
-        assert!(at >= self.st.time, "cannot schedule a crash in the past");
-        self.push(at, EventKind::Crash { node });
+        self.slot.schedule_crash(node, at);
     }
 
-    /// Runs until quiescence or until the configured event cap.
+    /// Runs until quiescence or until the configured event cap. Running
+    /// a finished simulation again is a no-op that returns the same
+    /// outcome (the cap cannot be raised, and a quiescent run only has
+    /// more to do if a crash was scheduled in between).
     ///
     /// # Event ordering
     ///
@@ -392,106 +240,17 @@ impl<P: Process> Simulation<P> {
     /// all enabled events; virtual time is then the running maximum of
     /// the executed events' scheduled times (it never runs backwards).
     pub fn run(&mut self) -> RunOutcome {
-        self.start_if_needed();
-        while self.has_pending() {
-            if let Some(cap) = self.config.max_events {
-                if self.st.events_processed >= cap {
-                    // Events stay queued so a later `run` could resume.
-                    self.st.metrics.set_finished_at(self.st.time);
-                    return RunOutcome::LimitReached {
-                        events: self.st.events_processed,
-                        at: self.st.time,
-                    };
-                }
+        if std::mem::take(&mut self.start_pending) {
+            self.slot.start_installed();
+        }
+        let spawn = &mut self.spawn;
+        let outcome = loop {
+            if let Some(outcome) = self.slot.step_chunk(&mut |_run, node| spawn(node), 0) {
+                break outcome;
             }
-            let entry = self.pop_next().expect("has_pending checked");
-            self.st.events_processed += 1;
-            debug_assert!(
-                self.explorer.is_some() || entry.at >= self.st.time,
-                "time went backwards"
-            );
-            self.st.time = self.st.time.max(entry.at);
-            self.dispatch(entry.kind);
-        }
-        self.st.metrics.set_finished_at(self.st.time);
-        RunOutcome::Quiescent {
-            events: self.st.events_processed,
-            at: self.st.time,
-        }
-    }
-
-    fn has_pending(&self) -> bool {
-        !self.st.queue.is_empty() || self.st.pending_live > 0
-    }
-
-    /// Pops the next event: the latency-ordered head under FIFO, or the
-    /// installed policy's pick over the *enabled* events otherwise. An
-    /// event is enabled unless an earlier message on the same FIFO
-    /// channel is still pending (delivering it first would violate the
-    /// channel contract); crashes and failure-detector notifications
-    /// are always enabled.
-    fn pop_next(&mut self) -> Option<Entry<P::Msg>> {
-        let Some(explorer) = self.explorer.as_mut() else {
-            return self.st.queue.pop();
         };
-        if self.st.pending_live == 0 {
-            return None;
-        }
-        // `pending` is in push (seq) order — tombstone compaction
-        // preserves it — so the first live entry seen per channel is the
-        // channel's earliest (per-channel FIFO clamping also makes it the
-        // earliest-timed, hence the global `(time, seq)` minimum is
-        // always enabled and FIFO replay is exact).
-        self.st.seen_channels.clear();
-        let mut candidates = std::mem::take(&mut self.st.candidates);
-        candidates.clear();
-        for (i, slot) in self.st.pending.iter().enumerate() {
-            let Some(e) = slot else { continue };
-            let (key, target) = match e.kind {
-                EventKind::Deliver { to, from, .. } => {
-                    if !self.st.seen_channels.insert((from, to)) {
-                        continue;
-                    }
-                    let key = EventKey::Deliver {
-                        from,
-                        to,
-                        nth: explorer.channel_count(from, to),
-                    };
-                    (key, to)
-                }
-                EventKind::Notify { to, crashed } => (
-                    EventKey::Notify {
-                        observer: to,
-                        crashed,
-                    },
-                    to,
-                ),
-                EventKind::Crash { node } => (EventKey::Crash { node }, node),
-            };
-            candidates.push(Candidate {
-                pending_idx: i,
-                key,
-                target,
-                at: e.at,
-                seq: e.seq,
-            });
-        }
-        let fifo = candidates
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| (c.at, c.seq))
-            .map(|(i, _)| i)
-            .expect("pending has live entries");
-        let choice = explorer.choose(&candidates, fifo);
-        let idx = candidates[choice].pending_idx;
-        self.st.candidates = candidates;
-        let entry = self.st.pending[idx].take().expect("candidate slot is live");
-        self.st.pending_live -= 1;
-        if self.st.pending.len() >= 32 && self.st.pending_live * 2 < self.st.pending.len() {
-            // Amortized O(1) per executed event; keeps seq order.
-            self.st.pending.retain(Option::is_some);
-        }
-        Some(entry)
+        self.metrics = self.slot.metrics();
+        outcome
     }
 
     /// The scheduling deviations the installed exploring policy actually
@@ -500,204 +259,25 @@ impl<P: Process> Simulation<P> {
     /// returns the deviations that were *honored* (stale ones dropped),
     /// which is what the shrinker starts from.
     pub fn recorded_schedule(&self) -> Option<Schedule> {
-        self.explorer.as_ref().map(Explorer::recorded)
+        self.slot.explorer.as_ref().map(Explorer::recorded)
     }
 
     /// Scheduling decisions taken so far under an exploring policy.
     pub fn scheduling_steps(&self) -> Option<u64> {
-        self.explorer.as_ref().map(Explorer::steps)
-    }
-
-    fn start_if_needed(&mut self) {
-        if self.st.started {
-            return;
-        }
-        self.st.started = true;
-        if matches!(self.procs, ProcessTable::Lazy { .. }) {
-            // Lazy mode: each node's `on_start` runs at activation time
-            // (immediately before its first event) instead.
-            return;
-        }
-        for i in 0..self.procs.len() {
-            let me = NodeId::from_index(i);
-            let mut cmds = std::mem::take(&mut self.st.command_buf);
-            {
-                let mut ctx = Context::new(me, self.st.time, &mut cmds);
-                let ProcessTable::Eager(procs) = &mut self.procs else {
-                    unreachable!("table mode never changes");
-                };
-                procs[i].on_start(&mut ctx);
-            }
-            self.execute_commands(me, &mut cmds);
-            self.st.command_buf = cmds;
-        }
-    }
-
-    /// Lazy mode: ensures `node`'s process exists, running its `on_start`
-    /// (and executing the resulting commands) if this is the activation.
-    fn activate_if_needed(&mut self, node: NodeId) {
-        let ProcessTable::Lazy {
-            factory, active, ..
-        } = &mut self.procs
-        else {
-            return;
-        };
-        if active.contains_key(&node) {
-            return;
-        }
-        let mut proc = factory(node);
-        let mut cmds = std::mem::take(&mut self.st.command_buf);
-        {
-            let mut ctx = Context::new(node, self.st.time, &mut cmds);
-            proc.on_start(&mut ctx);
-        }
-        active.insert(node, proc);
-        self.execute_commands(node, &mut cmds);
-        self.st.command_buf = cmds;
-    }
-
-    /// The process of `node`, which must already exist (always true in
-    /// eager mode; activation-dependent in lazy mode).
-    fn proc_mut(&mut self, node: NodeId) -> &mut P {
-        match &mut self.procs {
-            ProcessTable::Eager(v) => &mut v[node.index()],
-            ProcessTable::Lazy { active, .. } => active
-                .get_mut(&node)
-                .unwrap_or_else(|| panic!("node {node} not activated")),
-        }
-    }
-
-    fn dispatch(&mut self, kind: EventKind<P::Msg>) {
-        match kind {
-            EventKind::Crash { node } => {
-                if self.st.crashed[node.index()] {
-                    return;
-                }
-                self.st.crashed[node.index()] = true;
-                self.st.trace.record(TraceEntry::Crash {
-                    at: self.st.time,
-                    node,
-                });
-                for observer in self.fd.record_crash(node) {
-                    self.schedule_notify(observer, node);
-                }
-            }
-            EventKind::Deliver { to, from, msg } => {
-                if self.st.crashed[to.index()] {
-                    self.st.metrics.record_drop();
-                    return;
-                }
-                self.activate_if_needed(to);
-                self.st.metrics.record_delivery(to);
-                self.st.metrics.record_activation(to);
-                self.st.trace.record(TraceEntry::Deliver {
-                    at: self.st.time,
-                    from,
-                    to,
-                });
-                let mut cmds = std::mem::take(&mut self.st.command_buf);
-                {
-                    let mut ctx = Context::new(to, self.st.time, &mut cmds);
-                    self.proc_mut(to).on_message(from, msg, &mut ctx);
-                }
-                self.execute_commands(to, &mut cmds);
-                self.st.command_buf = cmds;
-            }
-            EventKind::Notify { to, crashed } => {
-                if self.st.crashed[to.index()] {
-                    return;
-                }
-                self.activate_if_needed(to);
-                self.st.metrics.record_crash_notification();
-                self.st.metrics.record_activation(to);
-                self.st.trace.record(TraceEntry::Notify {
-                    at: self.st.time,
-                    observer: to,
-                    crashed,
-                });
-                let mut cmds = std::mem::take(&mut self.st.command_buf);
-                {
-                    let mut ctx = Context::new(to, self.st.time, &mut cmds);
-                    self.proc_mut(to).on_crash_notification(crashed, &mut ctx);
-                }
-                self.execute_commands(to, &mut cmds);
-                self.st.command_buf = cmds;
-            }
-        }
-    }
-
-    fn execute_commands(&mut self, me: NodeId, cmds: &mut Vec<Command<P::Msg>>) {
-        for cmd in cmds.drain(..) {
-            match cmd {
-                Command::Send { to, msg } => {
-                    assert!(to.index() < self.procs.len(), "send to unknown node {to}");
-                    self.st.metrics.record_send(me, msg.size_bytes());
-                    self.st.trace.record(TraceEntry::Send {
-                        at: self.st.time,
-                        from: me,
-                        to,
-                    });
-                    let latency = self.config.latency.sample(&mut self.st.rng);
-                    let row = self.st.fifo_last.entry(me).or_default();
-                    let at = match row.binary_search_by_key(&to, |&(t, _)| t) {
-                        Ok(i) => {
-                            let at = (self.st.time + latency).max(row[i].1);
-                            row[i].1 = at;
-                            at
-                        }
-                        Err(i) => {
-                            let at = self.st.time + latency;
-                            row.insert(i, (to, at));
-                            at
-                        }
-                    };
-                    self.push(at, EventKind::Deliver { to, from: me, msg });
-                }
-                Command::Monitor { target } => {
-                    if self.fd.subscribe(me, target) {
-                        self.schedule_notify(me, target);
-                    }
-                }
-            }
-        }
-    }
-
-    fn schedule_notify(&mut self, observer: NodeId, crashed: NodeId) {
-        let latency = self.config.fd_latency.sample(&mut self.st.rng);
-        let at = self.st.time + latency;
-        self.push(
-            at,
-            EventKind::Notify {
-                to: observer,
-                crashed,
-            },
-        );
-    }
-
-    fn push(&mut self, at: SimTime, kind: EventKind<P::Msg>) {
-        let seq = self.st.seq;
-        self.st.seq += 1;
-        let entry = Entry { at, seq, kind };
-        if self.explorer.is_some() {
-            // Push order == seq order: `pending` stays sorted by seq.
-            self.st.pending.push(Some(entry));
-            self.st.pending_live += 1;
-        } else {
-            self.st.queue.push(entry);
-        }
+        self.slot.explorer.as_ref().map(Explorer::steps)
     }
 
     /// `true` if `node` has crashed (per the authoritative schedule, as of
     /// virtual now).
     pub fn is_crashed(&self, node: NodeId) -> bool {
-        self.st.crashed[node.index()]
+        self.slot.node(node).is_some_and(|ns| ns.crashed)
     }
 
     /// Node ids that never crashed.
     pub fn correct_nodes(&self) -> Vec<NodeId> {
-        (0..self.procs.len())
-            .filter(|&i| !self.st.crashed[i])
+        (0..self.slot.n)
             .map(NodeId::from_index)
+            .filter(|&node| !self.is_crashed(node))
             .collect()
     }
 
@@ -706,53 +286,49 @@ impl<P: Process> Simulation<P> {
     ///
     /// # Panics
     ///
-    /// Panics if `node` is out of range, or (in lazy mode) was never
-    /// activated — see [`try_process`](Simulation::try_process).
+    /// Panics if `node` is out of range, or (after a lazy start) was
+    /// never activated — see [`try_process`](Simulation::try_process).
     pub fn process(&self, node: NodeId) -> &P {
         self.try_process(node)
             .unwrap_or_else(|| panic!("node {node} not activated"))
     }
 
     /// Immutable access to a node's process, `None` if the node was never
-    /// activated (lazy mode) or is out of range.
+    /// activated (lazy start) or is out of range.
     pub fn try_process(&self, node: NodeId) -> Option<&P> {
-        match &self.procs {
-            ProcessTable::Eager(v) => v.get(node.index()),
-            ProcessTable::Lazy { active, .. } => active.get(&node),
-        }
+        self.slot.node(node)?.proc.as_ref()
     }
 
-    /// Iterates `(id, process)` pairs in ascending id order. In lazy mode
-    /// only *activated* nodes appear (everything observable — stats,
-    /// decisions — lives on activated nodes).
+    /// Iterates `(id, process)` pairs in ascending id order. After a
+    /// lazy start only *activated* nodes appear (everything observable —
+    /// stats, decisions — lives on activated nodes).
     pub fn processes(&self) -> Box<dyn Iterator<Item = (NodeId, &P)> + '_> {
-        match &self.procs {
-            ProcessTable::Eager(v) => Box::new(
-                v.iter()
-                    .enumerate()
-                    .map(|(i, p)| (NodeId::from_index(i), p)),
-            ),
-            ProcessTable::Lazy { active, .. } => Box::new(active.iter().map(|(&id, p)| (id, p))),
-        }
+        let mut procs: Vec<(NodeId, &P)> = self
+            .slot
+            .nodes
+            .iter()
+            .filter_map(|ns| Some((ns.id, ns.proc.as_ref()?)))
+            .collect();
+        procs.sort_unstable_by_key(|&(id, _)| id);
+        Box::new(procs.into_iter())
     }
 
-    /// Consumes the simulation, returning the processes (in lazy mode,
-    /// the activated ones, in ascending id order).
-    pub fn into_processes(self) -> Vec<P> {
-        match self.procs {
-            ProcessTable::Eager(v) => v,
-            ProcessTable::Lazy { active, .. } => active.into_values().collect(),
-        }
+    /// Consumes the simulation, returning the processes (after a lazy
+    /// start, the activated ones) in ascending id order.
+    pub fn into_processes(mut self) -> Vec<P> {
+        let processes = self.slot.take_processes();
+        processes.into_iter().map(|(_, p)| p).collect()
     }
 
-    /// Accounting for the run so far.
+    /// Accounting for the run, as of the last [`run`](Simulation::run)
+    /// return.
     pub fn metrics(&self) -> &Metrics {
-        &self.st.metrics
+        &self.metrics
     }
 
     /// Trace of the run so far.
     pub fn trace(&self) -> &Trace {
-        &self.st.trace
+        &self.slot.trace
     }
 
     /// Moves the trace out of a finished run (the simulation is left
@@ -760,18 +336,19 @@ impl<P: Process> Simulation<P> {
     /// the recorded entries to callers without cloning the entry
     /// buffer.
     pub fn take_trace(&mut self) -> Trace {
-        std::mem::replace(&mut self.st.trace, Trace::new(false))
+        std::mem::replace(&mut self.slot.trace, Trace::new(false))
     }
 
     /// The failure detector's authoritative state.
     pub fn failure_detector(&self) -> &FailureDetector {
-        &self.fd
+        &self.slot.fd
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Context, MessageSize, TraceEntry};
 
     #[derive(Clone, Debug)]
     struct Blob(Vec<u8>);
@@ -858,10 +435,10 @@ mod tests {
         assert!(times.windows(2).all(|w| w[0] <= w[1]));
     }
 
-    /// The FIFO-clamp table is a compact per-sender map now; the clamp
+    /// The FIFO clamp lives on footprint-sized channel slots; the clamp
     /// semantics must survive many sparse high-id senders interleaving
     /// traffic to shared receivers under heavy jitter (the access pattern
-    /// a dense per-sender row used to make trivially correct).
+    /// a dense per-sender row would make trivially correct).
     #[test]
     fn fifo_clamp_holds_across_many_sparse_senders() {
         let n = 512usize;
@@ -1225,15 +802,17 @@ mod tests {
         assert!(pcr.recorded_schedule().unwrap().is_empty());
     }
 
-    /// Tombstone compaction in the explorer's pending list must keep the
-    /// long-run cost linear *and* the schedule identical: a workload
-    /// large enough to trigger multiple compactions replays bit-for-bit.
+    /// Slab reuse under an exploring policy (nothing is compacted; the
+    /// name is pinned by the tier-1 floor): several hundred events
+    /// through a slab that never holds more than the 256 initial sends,
+    /// so freed indices are handed out again while channel lists and the
+    /// frontier point into it — and the recorded schedule still replays
+    /// bit-for-bit.
     #[test]
     fn long_explored_run_compacts_without_changing_the_schedule() {
         use crate::explore::SchedulePolicy;
         let build = || {
-            // 4 senders × 64 messages: several hundred pending entries,
-            // far past the compaction threshold.
+            // 4 senders × 64 messages, all pending at time zero.
             (0..6usize)
                 .map(|i| {
                     let mut r = Recorder::quiet();
@@ -1333,5 +912,84 @@ mod tests {
         );
         assert_eq!(sim.process(NodeId(2)).notified.len(), 1);
         assert_eq!(sim.metrics().crash_notifications(), 2);
+    }
+
+    /// Eager start: every installed process is visible in id order
+    /// whether or not an event ever reached it, `on_start` sends are
+    /// delivered, and the processes come back out whole.
+    #[test]
+    fn eager_start_installs_and_starts_every_process() {
+        let mut procs: Vec<Recorder> = (0..5).map(|_| Recorder::quiet()).collect();
+        procs[3].sends_on_start = vec![(NodeId(1), Blob(vec![7])), (NodeId(3), Blob(vec![8]))];
+        let mut sim = Simulation::new(SimConfig::default(), procs);
+        assert!(sim.run().is_quiescent());
+        let ids: Vec<NodeId> = sim.processes().map(|(id, _)| id).collect();
+        assert_eq!(ids, (0..5).map(NodeId).collect::<Vec<_>>());
+        assert_eq!(sim.process(NodeId(3)).received.len(), 1);
+        assert!(sim.process(NodeId(4)).received.is_empty());
+        assert_eq!(sim.metrics().messages_delivered(), 2);
+        let procs = sim.into_processes();
+        assert_eq!(procs.len(), 5);
+        assert_eq!(procs[1].received[0].2, vec![7]);
+    }
+
+    /// The equivalence contract of [`Simulation::lazy`]: for a process
+    /// whose `on_start` only monitors its graph neighbours, an eager
+    /// and a lazy start agree bit-for-bit, under FIFO and under an
+    /// exploring policy.
+    #[test]
+    fn eager_and_lazy_start_agree_for_neighbour_monitoring_processes() {
+        use crate::explore::SchedulePolicy;
+        let graph = Arc::new(precipice_graph::ring(9));
+        let watcher = |graph: &Graph, me: NodeId| {
+            let mut r = Recorder::quiet();
+            r.monitors_on_start = graph.neighbors(me).to_vec();
+            r
+        };
+        for policy in [SchedulePolicy::Fifo, SchedulePolicy::Random(17)] {
+            let all = graph.nodes().map(|me| watcher(&graph, me)).collect();
+            let mut eager = Simulation::with_policy(jittery_config(4), all, policy.clone());
+            let g = Arc::clone(&graph);
+            let spawn = move |me| watcher(&g, me);
+            let mut lazy = Simulation::lazy_with_policy(jittery_config(4), &graph, spawn, policy);
+            for sim in [&mut eager, &mut lazy] {
+                sim.schedule_crash(NodeId(4), SimTime::from_millis(1));
+                sim.schedule_crash(NodeId(5), SimTime::from_millis(3));
+            }
+            assert_eq!(eager.run(), lazy.run());
+            assert_eq!(eager.trace().entries(), lazy.trace().entries());
+            assert_eq!(eager.metrics(), lazy.metrics());
+            assert_eq!(eager.recorded_schedule(), lazy.recorded_schedule());
+            assert_eq!(eager.correct_nodes(), lazy.correct_nodes());
+            // Nodes near the crashes were notified identically; the lazy
+            // run never built the others.
+            assert!(lazy.processes().count() < 5);
+            for (id, p) in lazy.processes() {
+                assert!(!p.notified.is_empty());
+                assert_eq!(p.notified, eager.process(id).notified, "{id}");
+            }
+        }
+    }
+
+    /// Running a finished simulation again changes nothing: same
+    /// outcome, same observables — at quiescence and at the event cap.
+    #[test]
+    fn running_a_finished_simulation_again_is_a_noop() {
+        for cap in [None, Some(7)] {
+            let mut a = Recorder::quiet();
+            a.sends_on_start = (0..20u8).map(|i| (NodeId(1), Blob(vec![i]))).collect();
+            let config = SimConfig {
+                max_events: cap,
+                ..jittery_config(6)
+            };
+            let mut sim = Simulation::new(config, vec![a, Recorder::quiet()]);
+            sim.schedule_crash(NodeId(1), SimTime::from_millis(9));
+            let first = sim.run();
+            assert_eq!(first.is_quiescent(), cap.is_none());
+            let (hash, metrics, now) = (sim.trace().hash(), sim.metrics().clone(), sim.now());
+            assert_eq!(sim.run(), first);
+            assert_eq!((sim.trace().hash(), sim.now()), (hash, now));
+            assert_eq!(sim.metrics(), &metrics);
+        }
     }
 }

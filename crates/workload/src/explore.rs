@@ -271,8 +271,8 @@ impl Default for ExploreConfig {
 pub const FEED_CHUNK: usize = 128;
 
 /// Probes per lockstep batch wave. Must divide [`FEED_CHUNK`] so the
-/// feed's early-stopping boundaries stay on the exact probe counts the
-/// per-probe scalar feed historically stopped at.
+/// feed's early-stopping boundaries stay on the exact probe counts a
+/// probe-at-a-time feed stops at.
 const WAVE: usize = 16;
 
 /// Compact per-probe observation (full reports never cross the worker
@@ -366,8 +366,8 @@ pub fn explore_scenario(scenario: &Scenario, cfg: &ExploreConfig, jobs: Jobs) ->
     // mutation reads the corpus/coverage state as of the chunk
     // boundary), the chunk's waves run in parallel through per-worker
     // [`BatchRunner`]s (slot arenas reused across every wave the
-    // worker claims; per-probe results bit-identical to scalar
-    // [`rt::probe`] runs by the engine-equivalence contract), and the
+    // worker claims; per-probe results bit-identical to one-at-a-time
+    // [`rt::probe`] runs), and the
     // results merge back serially in probe order — carrying a running
     // violating-probe count (O(1) per probe; the historical feed
     // re-scanned the whole prefix at every chunk boundary) and the
@@ -779,10 +779,10 @@ mod tests {
         assert_eq!(fingerprint(&a), fingerprint(&b));
     }
 
-    /// The reroute through the lockstep batch runner must not change a
-    /// single digest field relative to per-probe scalar runs — the
-    /// byte-identity half of the engine-equivalence contract, checked
-    /// at the explorer's own observation granularity. 21 probes: a full
+    /// Feeding probes through reused lockstep waves must not change a
+    /// single digest field relative to running each probe alone ("scalar"
+    /// here is `rt::probe`, a fresh one-slot run per probe) — checked at
+    /// the explorer's own observation granularity. 21 probes: a full
     /// wave, a ragged tail, and the FIFO baseline.
     #[test]
     fn batched_feed_matches_per_probe_scalar_runs() {
@@ -835,6 +835,8 @@ mod tests {
         assert!(a.states_per_1000() > 0.0);
     }
 
+    /// "Scalar" is a fresh one-slot `exec`; "batched" is the same job in
+    /// a four-slot wave of a runner whose slots already hosted a wave.
     #[test]
     fn guided_probes_replay_bit_for_bit_on_scalar_and_batched_engines() {
         use precipice_runtime::Exec;
@@ -852,13 +854,15 @@ mod tests {
         });
         let scalar = s.exec(Exec::new().schedule(policy.clone()));
         let mut runner = BatchRunner::with_default_policy(&s, 4);
-        let batched = runner
-            .run(&[BatchJob {
+        let mut jobs: Vec<BatchJob> = (0..4)
+            .map(|i| BatchJob {
                 seed: s.sim.seed,
-                policy: policy.clone(),
-            }])
-            .pop()
-            .expect("one outcome");
+                policy: SchedulePolicy::Pcr(i),
+            })
+            .collect();
+        runner.run(&jobs);
+        jobs[2].policy = policy.clone();
+        let batched = runner.run(&jobs).swap_remove(2);
         assert_eq!(scalar.report.trace_hash, batched.report.trace_hash);
         assert_eq!(scalar.schedule, batched.schedule);
         // And the recorded deviations replay the run bit-for-bit.
