@@ -101,7 +101,7 @@ impl<P> std::fmt::Debug for BatchRun<P> {
 /// operations in a run, and a SipHash-ed `HashMap` spends more time
 /// hashing the 8-byte key than probing. Insert-only between clears
 /// (values are stable slot indices), so there are no tombstones.
-struct MiniMap {
+pub(crate) struct MiniMap {
     slots: Vec<(u64, u32)>,
     len: usize,
 }
@@ -111,7 +111,7 @@ struct MiniMap {
 const EMPTY: u64 = u64::MAX;
 
 impl MiniMap {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         MiniMap {
             slots: vec![(EMPTY, 0); 16],
             len: 0,
@@ -130,7 +130,7 @@ impl MiniMap {
     }
 
     #[inline]
-    fn get(&self, key: u64) -> Option<u32> {
+    pub(crate) fn get(&self, key: u64) -> Option<u32> {
         let mask = self.slots.len() - 1;
         let mut i = Self::bucket(key, mask);
         loop {
@@ -146,7 +146,7 @@ impl MiniMap {
     }
 
     /// Inserts a key known to be absent.
-    fn insert(&mut self, key: u64, value: u32) {
+    pub(crate) fn insert(&mut self, key: u64, value: u32) {
         if (self.len + 1) * 4 >= self.slots.len() * 3 {
             self.grow();
         }
@@ -257,7 +257,7 @@ pub(crate) struct Slot<P: Process> {
     slab: Vec<Option<Entry<P::Msg>>>,
     free: Vec<u32>,
     /// Live event count (slab occupancy).
-    pub(crate) live: usize,
+    live: usize,
     /// Intrusive next-pointers, parallel to `slab`: the per-channel
     /// pending-delivery FIFO.
     next_link: Vec<u32>,
@@ -270,6 +270,13 @@ pub(crate) struct Slot<P: Process> {
     /// explored stream (`tests/schedule_corpus.rs` pins them).
     frontier: Vec<FrontierEntry>,
     pub(crate) explorer: Option<Explorer>,
+    /// Crashes asked for since the last [`commit_crashes`](Self::commit_crashes),
+    /// one per node — the earliest time asked for, in first-call order
+    /// (`ScenarioBuilder::build`'s rule). A node therefore never has two
+    /// pending crash events under its one `EventKey::Crash`, which a
+    /// replay could only resolve to one of them.
+    crash_plan: Vec<(NodeId, SimTime)>,
+    crash_index: MiniMap,
     pub(crate) fd: FailureDetector,
     pub(crate) nodes: Vec<NodeSlot<P>>,
     node_map: MiniMap,
@@ -285,7 +292,7 @@ pub(crate) struct Slot<P: Process> {
 }
 
 #[inline]
-fn chan_key(from: NodeId, to: NodeId) -> u64 {
+pub(crate) fn chan_key(from: NodeId, to: NodeId) -> u64 {
     (u64::from(from.0) << 32) | u64::from(to.0)
 }
 
@@ -302,6 +309,8 @@ impl<P: Process> Slot<P> {
             heap: BinaryHeap::new(),
             frontier: Vec::new(),
             explorer: None,
+            crash_plan: Vec::new(),
+            crash_index: MiniMap::new(),
             fd: FailureDetector::new(),
             nodes: Vec::new(),
             node_map: MiniMap::new(),
@@ -335,6 +344,8 @@ impl<P: Process> Slot<P> {
         self.heap.clear();
         self.frontier.clear();
         self.explorer = Explorer::new(policy);
+        self.crash_plan.clear();
+        self.crash_index.clear();
         self.fd = fd;
         self.nodes.clear();
         self.node_map.clear();
@@ -349,11 +360,38 @@ impl<P: Process> Slot<P> {
         self.command_buf.clear();
     }
 
-    /// Schedules `node` to crash at `at`.
+    /// Plans `node` to crash at `at`; the crash becomes an event at the
+    /// next [`commit_crashes`](Self::commit_crashes).
     pub(crate) fn schedule_crash(&mut self, node: NodeId, at: SimTime) {
         assert!(node.index() < self.n, "no such node {node}");
         assert!(at >= self.time, "cannot schedule a crash in the past");
-        self.push_other(at, EventKind::Crash { node });
+        match self.crash_index.get(u64::from(node.0)) {
+            Some(i) => {
+                let planned = &mut self.crash_plan[i as usize].1;
+                *planned = (*planned).min(at);
+            }
+            None => {
+                let i = self.crash_plan.len() as u32;
+                self.crash_index.insert(u64::from(node.0), i);
+                self.crash_plan.push((node, at));
+            }
+        }
+    }
+
+    /// Turns the planned crashes into events. Drivers call this before
+    /// they step the run.
+    pub(crate) fn commit_crashes(&mut self) {
+        let mut plan = mem::take(&mut self.crash_plan);
+        for (node, at) in plan.drain(..) {
+            self.push_other(at, EventKind::Crash { node });
+        }
+        self.crash_plan = plan;
+        self.crash_index.clear();
+    }
+
+    /// Events waiting to run, planned crashes included.
+    pub(crate) fn queued(&self) -> usize {
+        self.live + self.crash_plan.len()
     }
 
     /// Eager start, part one: installs `processes[i]` as node `i`, so
@@ -805,7 +843,7 @@ impl<P: Process> Slot<P> {
             outcome,
             metrics: self.metrics(),
             trace: mem::replace(&mut self.trace, Trace::new(false)),
-            schedule: self.explorer.as_ref().map(Explorer::recorded),
+            schedule: self.explorer.as_mut().map(Explorer::take_recorded),
             processes: self.take_processes(),
         }
     }
@@ -867,6 +905,7 @@ impl<P: Process, F: FnMut(usize, NodeId) -> P> BatchSim<P, F> {
             for &(node, at) in &variant.crashes {
                 slot.schedule_crash(node, at);
             }
+            slot.commit_crashes();
         }
         let mut outcomes: Vec<Option<RunOutcome>> = vec![None; k];
         let mut remaining = k;

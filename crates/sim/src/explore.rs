@@ -50,13 +50,32 @@
 //! associative and order-insensitive at the element level, which is
 //! what lets the parallel explorer fold per-probe coverage in fixed
 //! probe order and stay `--jobs`-independent.
+//!
+//! Both ends of that pipeline are flat, because an exploration pushes
+//! every executed event of every probe through them (a 256-schedule
+//! budget on a 144-node torus is ~900 k pairs, ~300 k of them
+//! distinct). A probe's pairs are a plain `Vec` of
+//! `(first, second)` keys in execution order, filled in one pass over
+//! its trace. The map *interns* event keys — each key gets a `u32` id
+//! the first time the serial, probe-order fold meets it — and stores a
+//! pair as the two ids packed into one `u64`, with a byte of direction
+//! bits beside it (nine bytes a pair, plus four-byte index slots at a
+//! load of 3/8 to 3/4). Ids are an artefact of the fold order and
+//! **never observable**: counts, novelty verdicts and the sorted
+//! flip-candidate list are functions of the key pairs alone, and two
+//! maps are equal when they hold the same set of orders, states and
+//! branches, whatever ids they handed out on the way. The ordered-map
+//! implementation this replaced lives on in the test module as the
+//! differential oracle.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
+use std::mem;
 use std::str::FromStr;
 
 use precipice_graph::NodeId;
 
+use crate::batch::{chan_key, MiniMap};
 use crate::trace::TraceEntry;
 use crate::SimTime;
 
@@ -153,6 +172,18 @@ pub enum EventKey {
         /// The crashing node.
         node: NodeId,
     },
+}
+
+impl EventKey {
+    /// Hash for the coverage map's intern table.
+    fn hash64(self) -> u64 {
+        let (tag, a, b, c) = match self {
+            EventKey::Deliver { from, to, nth } => (0, from.0, to.0, nth),
+            EventKey::Notify { observer, crashed } => (1, observer.0, crashed.0, 0),
+            EventKey::Crash { node } => (2, node.0, 0, 0),
+        };
+        mix64(mix64(u64::from(a) << 32 | u64::from(b)) ^ (u64::from(c) << 2 | tag))
+    }
 }
 
 impl fmt::Display for EventKey {
@@ -320,6 +351,15 @@ pub(crate) struct FrontierEntry {
     pub target: NodeId,
 }
 
+/// The SplitMix64 output function: a bijective 64-bit mixer. Finishes
+/// every [`SplitMix`] draw and hashes the coverage tables' keys.
+#[inline]
+fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// Deterministic SplitMix64 — the explorer's private RNG, independent of
 /// the simulator's latency stream.
 #[derive(Debug, Clone)]
@@ -328,10 +368,7 @@ struct SplitMix(u64);
 impl SplitMix {
     fn next(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        mix64(self.0)
     }
 
     /// Uniform draw from `0..n` (n > 0), exactly unbiased via Lemire's
@@ -522,34 +559,95 @@ impl Explorer {
         }
     }
 
+    /// Moves the deviations taken so far out (result assembly of a
+    /// finished run: a fuzzed schedule is most of the run's steps).
+    pub fn take_recorded(&mut self) -> Schedule {
+        Schedule {
+            deviations: mem::take(&mut self.recorded),
+        }
+    }
+
     /// Decision steps taken so far.
     pub fn steps(&self) -> u64 {
         self.step
     }
 }
 
-/// Direction bit: the canonical-lower key of a race pair executed first.
+/// Direction bit: the lower-id key of a race pair executed first.
 const PAIR_LO_FIRST: u8 = 1;
-/// Direction bit: the canonical-higher key executed first.
+/// Direction bit: the higher-id key executed first.
 const PAIR_HI_FIRST: u8 = 2;
 
 /// What one probe contributed to coverage: the ordered race pairs its
 /// trace executed, a hash of the decision/view state the run ended in,
 /// and the CD-checker branches its report exercised.
-///
-/// Pairs are keyed canonically (`min(a,b), max(a,b)`) with a direction
-/// bitmask, so two runs that execute the same dependent events in
-/// opposite orders contribute the same key with different bits — the
-/// union having both bits set is exactly "this race has been seen in
-/// both orders".
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProbeCoverage {
-    /// Ordered dependent-event pairs: canonical pair → direction bits.
-    pub pairs: BTreeMap<(EventKey, EventKey), u8>,
+    /// Ordered dependent-event pairs, each `(first, second)` in the
+    /// order the run executed them (see [`race_pairs_of`]). Two runs
+    /// that execute the same dependent events in opposite orders
+    /// contribute `(a, b)` and `(b, a)`; a map that has seen both has
+    /// seen the race in both orders.
+    pub pairs: Vec<(EventKey, EventKey)>,
     /// Hash of the run's final decision/view state (view-lattice point).
     pub state: u64,
     /// CD-checker branch bitmask the run's report exercised.
     pub branches: u32,
+}
+
+/// Open-addressed index over a dense, append-only key vector the caller
+/// owns: a slot holds a position in that vector (an *id*), and the
+/// caller supplies hashing and equality as closures over ids. Four
+/// bytes per slot whatever the key, and growth rehashes ids only — the
+/// keys never move.
+#[derive(Debug, Clone, Default)]
+struct IdTable {
+    slots: Vec<u32>,
+}
+
+/// Empty-slot marker of an [`IdTable`].
+const VACANT: u32 = u32::MAX;
+
+impl IdTable {
+    /// Looks up the key hashing to `hash`: `Some(id)` if `is_key(id)`
+    /// holds for an indexed id, else claims a slot for id `len` — the
+    /// position the caller must now push the key at — and returns
+    /// `None`. `hash_of(id)` rehashes an indexed key on growth.
+    fn find_or_claim(
+        &mut self,
+        len: usize,
+        hash: u64,
+        is_key: impl Fn(usize) -> bool,
+        hash_of: impl Fn(usize) -> u64,
+    ) -> Option<usize> {
+        debug_assert!(len < VACANT as usize, "id space exhausted");
+        if (len + 1) * 4 > self.slots.len() * 3 {
+            self.slots = vec![VACANT; (self.slots.len() * 2).max(16)];
+            for id in 0..len {
+                let slot = self.probe(hash_of(id), |_| false);
+                self.slots[slot] = id as u32;
+            }
+        }
+        let slot = self.probe(hash, is_key);
+        match self.slots[slot] {
+            VACANT => {
+                self.slots[slot] = len as u32;
+                None
+            }
+            id => Some(id as usize),
+        }
+    }
+
+    /// First slot from `hash`'s bucket that is vacant or holds the key.
+    #[inline]
+    fn probe(&self, hash: u64, is_key: impl Fn(usize) -> bool) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        while self.slots[i] != VACANT && !is_key(self.slots[i] as usize) {
+            i = (i + 1) & mask;
+        }
+        i
+    }
 }
 
 /// Deterministic union of per-probe coverage: which race pairs have
@@ -562,12 +660,41 @@ pub struct ProbeCoverage {
 /// of the worker count), and [`CoverageMap::merge`] is an associative,
 /// commutative set union, tested by the workload crate's property
 /// suite.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// # Representation
+///
+/// Event keys are **interned**: the first time a key is folded in it
+/// gets the next `u32` id, and a race pair is stored as one `u64` —
+/// `(lower id) << 32 | higher id` — with its two direction bits in a
+/// byte beside it, both in dense vectors indexed through an
+/// `IdTable`. Ids follow fold order, so two maps holding the same
+/// coverage generally disagree on every id; nothing public exposes
+/// them. That is also why `==` is **set equality** — same
+/// `(first, second)` orders seen, same states, same branches — rather
+/// than a comparison of the tables.
+#[derive(Debug, Clone, Default)]
 pub struct CoverageMap {
-    pairs: BTreeMap<(EventKey, EventKey), u8>,
+    /// Interned event keys; a key's id is its position.
+    keys: Vec<EventKey>,
+    key_index: IdTable,
+    /// Race pairs as packed id pairs, with their direction bits.
+    pairs: Vec<u64>,
+    pair_bits: Vec<u8>,
+    pair_index: IdTable,
     states: BTreeSet<u64>,
     branches: u32,
 }
+
+impl PartialEq for CoverageMap {
+    fn eq(&self, other: &Self) -> bool {
+        self.branches == other.branches
+            && self.states == other.states
+            && self.pairs.len() == other.pairs.len()
+            && self.canonical() == other.canonical()
+    }
+}
+
+impl Eq for CoverageMap {}
 
 impl CoverageMap {
     /// An empty map.
@@ -575,17 +702,85 @@ impl CoverageMap {
         CoverageMap::default()
     }
 
+    fn intern(&mut self, key: EventKey) -> u32 {
+        let keys = &self.keys;
+        let found = self.key_index.find_or_claim(
+            keys.len(),
+            key.hash64(),
+            |id| keys[id] == key,
+            |id| keys[id].hash64(),
+        );
+        found.unwrap_or_else(|| {
+            self.keys.push(key);
+            self.keys.len() - 1
+        }) as u32
+    }
+
+    /// Records that `first` ran before `second`; `true` if that order
+    /// (or the pair itself) is new to the map.
+    fn add_pair(&mut self, first: EventKey, second: EventKey) -> bool {
+        let (a, b) = (self.intern(first), self.intern(second));
+        let (pair, bit) = if a <= b {
+            (u64::from(a) << 32 | u64::from(b), PAIR_LO_FIRST)
+        } else {
+            (u64::from(b) << 32 | u64::from(a), PAIR_HI_FIRST)
+        };
+        let pairs = &self.pairs;
+        let found = self.pair_index.find_or_claim(
+            pairs.len(),
+            mix64(pair),
+            |id| pairs[id] == pair,
+            |id| mix64(pairs[id]),
+        );
+        match found {
+            Some(id) => {
+                let seen = self.pair_bits[id];
+                self.pair_bits[id] = seen | bit;
+                seen & bit == 0
+            }
+            None => {
+                self.pairs.push(pair);
+                self.pair_bits.push(bit);
+                true
+            }
+        }
+    }
+
+    /// The ids packed into `pair`, lower first.
+    fn ids(pair: u64) -> (usize, usize) {
+        ((pair >> 32) as usize, pair as u32 as usize)
+    }
+
+    /// Every order seen, as `(first, second)`; a pair seen both ways
+    /// appears twice. Table order — a function of the fold order.
+    fn orders(&self) -> impl Iterator<Item = (EventKey, EventKey)> + '_ {
+        self.pairs
+            .iter()
+            .zip(&self.pair_bits)
+            .flat_map(move |(&pair, &bits)| {
+                let (lo, hi) = Self::ids(pair);
+                let (lo, hi) = (self.keys[lo], self.keys[hi]);
+                let lo_first = (bits & PAIR_LO_FIRST != 0).then_some((lo, hi));
+                let hi_first = (bits & PAIR_HI_FIRST != 0).then_some((hi, lo));
+                lo_first.into_iter().chain(hi_first)
+            })
+    }
+
+    /// The orders seen, sorted: the map's pair content independent of
+    /// how it was built.
+    fn canonical(&self) -> Vec<(EventKey, EventKey)> {
+        let mut orders: Vec<_> = self.orders().collect();
+        orders.sort_unstable();
+        orders
+    }
+
     /// Folds one probe's coverage in and reports whether it advanced
     /// the map: a new race pair, a new direction on a known pair, a new
     /// final state, or a new checker branch.
     pub fn observe(&mut self, probe: &ProbeCoverage) -> bool {
         let mut novel = false;
-        for (&pair, &bits) in &probe.pairs {
-            let entry = self.pairs.entry(pair).or_insert(0);
-            if *entry | bits != *entry {
-                *entry |= bits;
-                novel = true;
-            }
+        for &(first, second) in &probe.pairs {
+            novel |= self.add_pair(first, second);
         }
         novel |= self.states.insert(probe.state);
         if self.branches | probe.branches != self.branches {
@@ -596,10 +791,10 @@ impl CoverageMap {
     }
 
     /// Unions `other` in (associative and commutative; `a.merge(&b)`
-    /// equals `b.merge(&a)` element-wise).
+    /// equals `b.merge(&a)`).
     pub fn merge(&mut self, other: &CoverageMap) {
-        for (&pair, &bits) in &other.pairs {
-            *self.pairs.entry(pair).or_insert(0) |= bits;
+        for (first, second) in other.orders() {
+            self.add_pair(first, second);
         }
         self.states.extend(other.states.iter().copied());
         self.branches |= other.branches;
@@ -617,10 +812,8 @@ impl CoverageMap {
 
     /// Race pairs observed in **both** orders.
     pub fn flipped_pairs(&self) -> usize {
-        self.pairs
-            .values()
-            .filter(|&&b| b == PAIR_LO_FIRST | PAIR_HI_FIRST)
-            .count()
+        let both = PAIR_LO_FIRST | PAIR_HI_FIRST;
+        self.pair_bits.iter().filter(|&&b| b == both).count()
     }
 
     /// Checker-branch bitmask accumulated so far.
@@ -636,20 +829,51 @@ impl CoverageMap {
     /// Race pairs seen in exactly one order so far, each as
     /// `(first, second)` in the *observed* execution order — the flip
     /// candidates a guided mutation reverses (run `second` when `first`
-    /// is the FIFO choice).
+    /// is the FIFO choice). Sorted by the pair's keys, smaller key
+    /// first, so an index into the list names the same candidate
+    /// however the map was built. Costs a sort of every candidate:
+    /// callers that draw several should draw them from one call.
     pub fn never_flipped(&self) -> Vec<(EventKey, EventKey)> {
-        self.pairs
+        // Rank the interned keys once, so that the candidates sort as
+        // small integers instead of as pairs of keys.
+        let mut ranked: Vec<u32> = (0..self.keys.len() as u32).collect();
+        ranked.sort_unstable_by_key(|&id| self.keys[id as usize]);
+        let mut rank = vec![0u32; ranked.len()];
+        for (r, &id) in ranked.iter().enumerate() {
+            rank[id as usize] = r as u32;
+        }
+        let both = PAIR_LO_FIRST | PAIR_HI_FIRST;
+        // (smaller rank, larger rank, whether the smaller ran first)
+        let mut single: Vec<(u32, u32, bool)> = self
+            .pairs
             .iter()
-            .filter_map(|(&(lo, hi), &bits)| match bits {
-                PAIR_LO_FIRST => Some((lo, hi)),
-                PAIR_HI_FIRST => Some((hi, lo)),
-                _ => None,
+            .zip(&self.pair_bits)
+            .filter(|&(_, &bits)| bits != both)
+            .map(|(&pair, &bits)| {
+                let (lo, hi) = Self::ids(pair);
+                let (lo, hi) = (rank[lo], rank[hi]);
+                let lo_first = bits == PAIR_LO_FIRST;
+                if lo <= hi {
+                    (lo, hi, lo_first)
+                } else {
+                    (hi, lo, !lo_first)
+                }
+            })
+            .collect();
+        single.sort_unstable();
+        let key = |rank: u32| self.keys[ranked[rank as usize] as usize];
+        single
+            .into_iter()
+            .map(|(small, large, small_first)| match small_first {
+                true => (key(small), key(large)),
+                false => (key(large), key(small)),
             })
             .collect()
     }
 }
 
-/// Extracts the ordered race pairs a recorded trace executed.
+/// Extracts the ordered race pairs a recorded trace executed, each as
+/// `(first, second)` in execution order, in trace order of `second`.
 ///
 /// Two executed events are *dependent* when they touch the same target
 /// node (the PCR commutativity rule: handlers are atomic and state is
@@ -657,42 +881,52 @@ impl CoverageMap {
 /// node's crash and failure-detector notifications; everything else
 /// commutes). For each executed event this pairs it with the
 /// immediately preceding executed event at the same target — the
-/// adjacent transposition a scheduler could actually have made —
-/// keyed canonically with a direction bit (see [`ProbeCoverage`]).
+/// adjacent transposition a scheduler could actually have made.
 /// `Send` entries are bookkeeping, not scheduling decisions, and are
 /// skipped; delivery `nth` indices are reconstructed from per-channel
 /// counters exactly as the explorer assigns them.
-pub fn race_pairs_of(entries: &[TraceEntry]) -> BTreeMap<(EventKey, EventKey), u8> {
-    let mut pairs: BTreeMap<(EventKey, EventKey), u8> = BTreeMap::new();
-    let mut delivered: BTreeMap<(NodeId, NodeId), u32> = BTreeMap::new();
-    let mut last_at_target: BTreeMap<NodeId, EventKey> = BTreeMap::new();
+///
+/// One pass, no ordered containers: per-channel counts and the last
+/// event per target sit in dense vectors behind two small `MiniMap`s
+/// (the run slot's node/channel tables), and the output is sized up
+/// front. An event runs once, so no pair repeats within a trace.
+pub fn race_pairs_of(entries: &[TraceEntry]) -> Vec<(EventKey, EventKey)> {
+    let scheduled = entries
+        .iter()
+        .filter(|e| !matches!(e, TraceEntry::Send { .. }))
+        .count();
+    let mut pairs = Vec::with_capacity(scheduled);
+    let (mut channels, mut delivered) = (MiniMap::new(), Vec::<u32>::new());
+    let (mut targets, mut last_at) = (MiniMap::new(), Vec::<EventKey>::new());
     for entry in entries {
         let (key, target) = match *entry {
             TraceEntry::Send { .. } => continue,
             TraceEntry::Deliver { from, to, .. } => {
-                let nth = delivered.entry((from, to)).or_insert(0);
-                let key = EventKey::Deliver {
-                    from,
-                    to,
-                    nth: *nth,
-                };
-                *nth += 1;
-                (key, to)
+                let chan = chan_key(from, to);
+                let ci = channels.get(chan).unwrap_or_else(|| {
+                    channels.insert(chan, delivered.len() as u32);
+                    delivered.push(0);
+                    delivered.len() as u32 - 1
+                }) as usize;
+                let nth = delivered[ci];
+                delivered[ci] += 1;
+                (EventKey::Deliver { from, to, nth }, to)
             }
             TraceEntry::Crash { node, .. } => (EventKey::Crash { node }, node),
             TraceEntry::Notify {
                 observer, crashed, ..
             } => (EventKey::Notify { observer, crashed }, observer),
         };
-        if let Some(&prev) = last_at_target.get(&target) {
-            let (canon, bits) = if prev <= key {
-                ((prev, key), PAIR_LO_FIRST)
-            } else {
-                ((key, prev), PAIR_HI_FIRST)
-            };
-            *pairs.entry(canon).or_insert(0) |= bits;
+        match targets.get(u64::from(target.0)) {
+            Some(ti) => {
+                let prev = mem::replace(&mut last_at[ti as usize], key);
+                pairs.push((prev, key));
+            }
+            None => {
+                targets.insert(u64::from(target.0), last_at.len() as u32);
+                last_at.push(key);
+            }
         }
-        last_at_target.insert(target, key);
     }
     pairs
 }
@@ -953,6 +1187,110 @@ mod tests {
         );
     }
 
+    /// The B-tree coverage pipeline this module ran on before the flat
+    /// one, kept verbatim as the differential oracle: pairs keyed
+    /// canonically (`min(a, b), max(a, b)`) with direction bits (1: the
+    /// lower key ran first, 2: the higher), folded into ordered maps.
+    mod oracle {
+        use std::collections::{BTreeMap, BTreeSet};
+
+        use super::super::{EventKey, TraceEntry};
+        use precipice_graph::NodeId;
+
+        pub(super) type Pairs = BTreeMap<(EventKey, EventKey), u8>;
+
+        pub(super) fn race_pairs_of(entries: &[TraceEntry]) -> Pairs {
+            let mut pairs = Pairs::new();
+            let mut delivered: BTreeMap<(NodeId, NodeId), u32> = BTreeMap::new();
+            let mut last_at_target: BTreeMap<NodeId, EventKey> = BTreeMap::new();
+            for entry in entries {
+                let (key, target) = match *entry {
+                    TraceEntry::Send { .. } => continue,
+                    TraceEntry::Deliver { from, to, .. } => {
+                        let nth = delivered.entry((from, to)).or_insert(0);
+                        let key = EventKey::Deliver {
+                            from,
+                            to,
+                            nth: *nth,
+                        };
+                        *nth += 1;
+                        (key, to)
+                    }
+                    TraceEntry::Crash { node, .. } => (EventKey::Crash { node }, node),
+                    TraceEntry::Notify {
+                        observer, crashed, ..
+                    } => (EventKey::Notify { observer, crashed }, observer),
+                };
+                if let Some(&prev) = last_at_target.get(&target) {
+                    let (canon, bits) = if prev <= key {
+                        ((prev, key), 1)
+                    } else {
+                        ((key, prev), 2)
+                    };
+                    *pairs.entry(canon).or_insert(0) |= bits;
+                }
+                last_at_target.insert(target, key);
+            }
+            pairs
+        }
+
+        #[derive(Default)]
+        pub(super) struct CoverageMap {
+            pub(super) pairs: Pairs,
+            pub(super) states: BTreeSet<u64>,
+            pub(super) branches: u32,
+        }
+
+        impl CoverageMap {
+            pub(super) fn observe(&mut self, pairs: &Pairs, state: u64, branches: u32) -> bool {
+                let mut novel = false;
+                for (&pair, &bits) in pairs {
+                    let entry = self.pairs.entry(pair).or_insert(0);
+                    if *entry | bits != *entry {
+                        *entry |= bits;
+                        novel = true;
+                    }
+                }
+                novel |= self.states.insert(state);
+                if self.branches | branches != self.branches {
+                    self.branches |= branches;
+                    novel = true;
+                }
+                novel
+            }
+
+            pub(super) fn flipped_pairs(&self) -> usize {
+                self.pairs.values().filter(|&&b| b == 3).count()
+            }
+
+            pub(super) fn never_flipped(&self) -> Vec<(EventKey, EventKey)> {
+                self.pairs
+                    .iter()
+                    .filter_map(|(&(lo, hi), &bits)| match bits {
+                        1 => Some((lo, hi)),
+                        2 => Some((hi, lo)),
+                        _ => None,
+                    })
+                    .collect()
+            }
+        }
+    }
+
+    /// Execution-ordered pairs in the oracle's form: canonical key,
+    /// direction bits.
+    fn directions(pairs: &[(EventKey, EventKey)]) -> oracle::Pairs {
+        let mut map = oracle::Pairs::new();
+        for &(first, second) in pairs {
+            let (canon, bits) = if first <= second {
+                ((first, second), 1)
+            } else {
+                ((second, first), 2)
+            };
+            *map.entry(canon).or_insert(0) |= bits;
+        }
+        map
+    }
+
     #[test]
     fn race_pairs_pair_adjacent_events_at_same_target() {
         let t = SimTime::from_nanos;
@@ -990,7 +1328,7 @@ mod tests {
                 to: NodeId(1),
             },
         ];
-        let pairs = race_pairs_of(&entries);
+        let executed = race_pairs_of(&entries);
         let d = |from: u32, to: u32, nth: u32| EventKey::Deliver {
             from: NodeId(from),
             to: NodeId(to),
@@ -1000,6 +1338,16 @@ mod tests {
             observer: NodeId(1),
             crashed: NodeId(5),
         };
+        // Execution order, as the trace lists the later event of each.
+        assert_eq!(
+            executed,
+            [
+                (d(0, 1, 0), d(2, 1, 0)),
+                (d(2, 1, 0), n15),
+                (n15, d(0, 1, 1))
+            ]
+        );
+        let pairs = directions(&executed);
         // Three adjacent pairs at node 1, none at node 5 (first event).
         assert_eq!(pairs.len(), 3);
         assert!(pairs.contains_key(&(d(0, 1, 0), d(2, 1, 0))));
@@ -1007,14 +1355,166 @@ mod tests {
         assert!(pairs.contains_key(&(d(0, 1, 1), n15)) || pairs.contains_key(&(n15, d(0, 1, 1))));
         // Direction: D0>1#0 (lower) executed before D2>1#0 (higher).
         assert_eq!(pairs[&(d(0, 1, 0), d(2, 1, 0))], 1);
+        assert_eq!(pairs, oracle::race_pairs_of(&entries));
+    }
+
+    /// Traced gossip runs on a path, a ring and a torus under FIFO and
+    /// both blind exploring policies, several seeds each.
+    fn recorded_traces() -> Vec<Vec<TraceEntry>> {
+        use crate::reference::tests::{jittery, Gossip};
+        use crate::{BatchSim, BatchVariant};
+        use std::sync::Arc;
+
+        let graphs = [
+            precipice_graph::path(9),
+            precipice_graph::ring(10),
+            precipice_graph::torus(precipice_graph::GridDims::square(5)),
+        ];
+        let mut traces = Vec::new();
+        for graph in graphs {
+            let graph = Arc::new(graph);
+            let mid = NodeId((graph.len() / 2) as u32);
+            let crashes = vec![
+                (mid, SimTime::from_millis(1)),
+                (NodeId(mid.0 + 1), SimTime::from_millis(3)),
+            ];
+            let variants: Vec<BatchVariant> = (0..4u64)
+                .flat_map(|seed| {
+                    [
+                        SchedulePolicy::Fifo,
+                        SchedulePolicy::Random(seed * 7 + 1),
+                        SchedulePolicy::Pcr(seed * 13 + 5),
+                    ]
+                    .map(|policy| BatchVariant {
+                        config: jittery(seed),
+                        policy,
+                        crashes: crashes.clone(),
+                    })
+                })
+                .collect();
+            let g = Arc::clone(&graph);
+            let mut batch = BatchSim::new(graph, move |_, me| Gossip::spawn(&g, me));
+            for run in batch.run(&variants) {
+                let entries = run.trace.entries().expect("jittery records").to_vec();
+                assert!(entries.len() > 50, "the crash set off a flood");
+                traces.push(entries);
+            }
+        }
+        traces
+    }
+
+    #[test]
+    fn flat_race_pairs_match_the_btree_oracle_on_recorded_traces() {
+        let mut reversed = 0;
+        for entries in recorded_traces() {
+            let flat = race_pairs_of(&entries);
+            let expected = oracle::race_pairs_of(&entries);
+            assert_eq!(flat.len(), expected.len(), "an event runs once: no repeats");
+            assert_eq!(directions(&flat), expected);
+            reversed += expected.values().filter(|&&bits| bits == 2).count();
+        }
+        assert!(reversed > 0, "both direction bits were exercised");
+    }
+
+    /// The interned map against the B-tree one, probe by probe over the
+    /// recorded traces: same novelty verdicts, same counts, same flip
+    /// candidates in the same order.
+    #[test]
+    fn flat_coverage_map_matches_the_btree_oracle_probe_by_probe() {
+        let mut flat = CoverageMap::new();
+        let mut expected = oracle::CoverageMap::default();
+        let traces = recorded_traces();
+        // Every trace twice: the second pass finds nothing new.
+        for (i, entries) in traces.iter().chain(&traces).enumerate() {
+            let (state, branches) = (i as u64 % 5, 1 << (i % 3));
+            let probe = ProbeCoverage {
+                pairs: race_pairs_of(entries),
+                state,
+                branches,
+            };
+            let novel = expected.observe(&oracle::race_pairs_of(entries), state, branches);
+            assert_eq!(flat.observe(&probe), novel, "probe {i}");
+            assert!(novel || i > 0, "the first probe is new");
+            assert!(!novel || i < traces.len(), "the second pass is not");
+            assert_eq!(flat.race_pairs(), expected.pairs.len());
+            assert_eq!(flat.flipped_pairs(), expected.flipped_pairs());
+            assert_eq!(flat.distinct_states(), expected.states.len());
+            assert_eq!(flat.branches(), expected.branches);
+        }
+        assert!(flat.race_pairs() > 1000 && flat.flipped_pairs() > 0);
+        assert_eq!(flat.never_flipped(), expected.never_flipped());
+    }
+
+    /// Interned ids follow fold order, so maps built from the same
+    /// probes in different orders differ in every table — and must
+    /// still compare equal, while any difference in content must not.
+    #[test]
+    fn coverage_map_equality_is_set_equality() {
+        let probes: Vec<ProbeCoverage> = recorded_traces()
+            .iter()
+            .enumerate()
+            .map(|(i, entries)| ProbeCoverage {
+                pairs: race_pairs_of(entries),
+                state: i as u64,
+                branches: 1 << (i % 4),
+            })
+            .collect();
+        let fold = |order: &mut dyn Iterator<Item = &ProbeCoverage>| {
+            let mut map = CoverageMap::new();
+            for probe in order {
+                map.observe(probe);
+            }
+            map
+        };
+        let forward = fold(&mut probes.iter());
+        let backward = fold(&mut probes.iter().rev());
+        assert_ne!(forward.keys, backward.keys, "different interning");
+        assert_eq!(forward, backward);
+        assert_eq!(forward.never_flipped(), backward.never_flipped());
+        // Merging halves, either way round, is the same set again.
+        let (lo, hi) = probes.split_at(probes.len() / 2);
+        let mut merged = fold(&mut hi.iter());
+        merged.merge(&fold(&mut lo.iter()));
+        assert_eq!(merged, forward);
+        // One extra order, state or branch breaks equality.
+        let (first, second) = probes[0].pairs[0];
+        for extra in [
+            ProbeCoverage {
+                pairs: vec![(second, first)],
+                state: probes[0].state,
+                branches: 0,
+            },
+            ProbeCoverage {
+                state: u64::MAX,
+                ..ProbeCoverage::default()
+            },
+            ProbeCoverage {
+                state: probes[0].state,
+                branches: 1 << 9,
+                ..ProbeCoverage::default()
+            },
+        ] {
+            let mut more = forward.clone();
+            assert!(more.observe(&extra));
+            assert_ne!(more, forward);
+        }
     }
 
     #[test]
     fn coverage_map_observe_and_never_flipped() {
         let crash = |n: u32| EventKey::Crash { node: NodeId(n) };
+        // Pairs as the oracle keys them: canonical pair, direction bits.
         let probe =
             |pairs: &[((EventKey, EventKey), u8)], state: u64, branches: u32| ProbeCoverage {
-                pairs: pairs.iter().copied().collect(),
+                pairs: pairs
+                    .iter()
+                    .flat_map(|&((lo, hi), bits)| {
+                        let lo_first = (bits & 1 != 0).then_some((lo, hi));
+                        lo_first
+                            .into_iter()
+                            .chain((bits & 2 != 0).then_some((hi, lo)))
+                    })
+                    .collect(),
                 state,
                 branches,
             };
@@ -1046,12 +1546,12 @@ mod tests {
         let mut a = CoverageMap::new();
         let mut b = CoverageMap::new();
         a.observe(&ProbeCoverage {
-            pairs: [((crash(1), crash(2)), 1u8)].into_iter().collect(),
+            pairs: vec![(crash(1), crash(2))],
             state: 7,
             branches: 0b001,
         });
         b.observe(&ProbeCoverage {
-            pairs: [((crash(1), crash(2)), 2u8)].into_iter().collect(),
+            pairs: vec![(crash(2), crash(1))],
             state: 8,
             branches: 0b100,
         });

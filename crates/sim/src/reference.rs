@@ -49,6 +49,8 @@ pub(crate) struct Reference<P: Process> {
 
 impl<P: Process> Reference<P> {
     /// A run of `crashes` over `graph`: FIFO, or a replay of `replay`.
+    /// A node listed twice crashes once, at the earliest time listed,
+    /// in the place of its first listing.
     pub(crate) fn new(
         config: SimConfig,
         graph: &Arc<Graph>,
@@ -56,12 +58,21 @@ impl<P: Process> Reference<P> {
         replay: Option<&Schedule>,
         crashes: &[(NodeId, SimTime)],
     ) -> Self {
-        let crashes = crashes.iter().map(|&(node, at)| (at, Kind::Crash { node }));
+        let mut pending: Vec<(SimTime, Kind<P::Msg>)> = Vec::new();
+        for &(node, at) in crashes {
+            let listed = pending
+                .iter_mut()
+                .find(|(_, kind)| matches!(kind, Kind::Crash { node: seen } if *seen == node));
+            match listed {
+                Some((earliest, _)) => *earliest = at.min(*earliest),
+                None => pending.push((at, Kind::Crash { node })),
+            }
+        }
         Reference {
             config,
             spawn: Box::new(spawn),
             replay: replay.map(|s| s.deviations.iter().map(|d| (d.step, d.key)).collect()),
-            pending: crashes.collect(),
+            pending,
             channels: BTreeMap::new(),
             fd: FailureDetector::with_static_graph(Arc::clone(graph)),
             rng: StdRng::seed_from_u64(config.seed),
@@ -397,29 +408,20 @@ pub(crate) mod tests {
         }
     }
 
-    /// A crash scheduled twice is two pending events under one
-    /// [`EventKey`], which a replay resolves to the earlier of the two
-    /// (see [`Simulation::schedule_crash`](crate::Simulation::schedule_crash)),
-    /// so the doubled schedule is checked under FIFO and under a replay
-    /// of what `Random` recorded on the undoubled one.
+    /// A crash scheduled twice is one pending crash, at the earlier
+    /// time (see [`Simulation::schedule_crash`](crate::Simulation::schedule_crash)):
+    /// the doubled schedule runs, under every policy, exactly as the
+    /// folded one does.
     #[test]
     fn oracle_agrees_on_a_ring_with_a_crash_scheduled_twice() {
         let graph = Arc::new(precipice_graph::ring(10));
-        let once = vec![(NodeId(3), ms(1)), (NodeId(8), ms(2))];
-        let twice = vec![(NodeId(3), ms(2)), (NodeId(3), ms(1)), (NodeId(8), ms(2))];
+        let once = [(NodeId(3), ms(1)), (NodeId(8), ms(2))];
+        let twice = [(NodeId(3), ms(2)), (NodeId(3), ms(1)), (NodeId(8), ms(2))];
         for seed in 0..4 {
-            let variant = |policy, crashes: &Vec<_>| BatchVariant {
-                config: jittery(seed),
-                policy,
-                crashes: crashes.clone(),
-            };
-            let random = check(&graph, &[variant(SchedulePolicy::Random(seed), &once)]);
-            let recorded = random[0].schedule.clone().expect("random records");
-            let doubled = [
-                variant(SchedulePolicy::Fifo, &twice),
-                variant(SchedulePolicy::Replay(recorded), &twice),
-            ];
-            let fifo = &check(&graph, &doubled)[0];
+            let folded = check_every_policy(&graph, jittery(seed), &once);
+            let fifo = check_every_policy(&graph, jittery(seed), &twice);
+            assert_eq!(fifo.outcome, folded.outcome);
+            assert_eq!(fifo.trace.hash(), folded.trace.hash());
             assert_eq!(
                 fifo.metrics.crash_notifications(),
                 4,
@@ -469,12 +471,11 @@ pub(crate) mod tests {
             max_events in prop_oneof![Just(None), Just(Some(60u64))],
         ) {
             let graph = Arc::new(precipice_graph::barabasi_albert(n, 2, graph_seed));
-            // One crash event per node: see the scheduled-twice unit test.
-            let crashes: BTreeMap<NodeId, SimTime> = crash_picks
+            // A node picked twice is scheduled twice: both sides fold it.
+            let crashes: Vec<(NodeId, SimTime)> = crash_picks
                 .iter()
                 .map(|&(pick, at)| (NodeId(pick % n as u32), ms(1 + at)))
                 .collect();
-            let crashes: Vec<(NodeId, SimTime)> = crashes.into_iter().collect();
             let min = SimTime::from_micros(500);
             let max = min + SimTime::from_micros(jitter_us);
             let latency = LatencyModel::Uniform { min, max };

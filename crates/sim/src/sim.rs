@@ -111,7 +111,7 @@ impl<P: Process> std::fmt::Debug for Simulation<P> {
         f.debug_struct("Simulation")
             .field("nodes", &self.slot.n)
             .field("time", &self.slot.time)
-            .field("queued", &self.slot.live)
+            .field("queued", &self.slot.queued())
             .field("events_processed", &self.slot.events_processed)
             .finish()
     }
@@ -208,13 +208,12 @@ impl<P: Process> Simulation<P> {
     /// Must be called before the crash time is reached; scheduling in the
     /// past (relative to [`now`](Self::now)) panics.
     ///
-    /// Scheduling one node's crash twice leaves two pending events
-    /// under a single [`EventKey`](crate::EventKey), and a replayed
-    /// deviation naming it resolves to the earlier-scheduled of the two
-    /// — so a schedule recorded by an exploring policy on such a run
-    /// may not replay bit-for-bit. Fold duplicates before scheduling
-    /// (as `ScenarioBuilder::build` in the runtime crate does) when
-    /// replayability matters.
+    /// Scheduling one node's crash again before the next
+    /// [`run`](Self::run) keeps a single pending crash, at the earliest
+    /// of the times asked for and in the position of the first call —
+    /// the rule `ScenarioBuilder::build` in the runtime crate applies —
+    /// so every pending event has its own [`EventKey`](crate::EventKey)
+    /// and a recorded schedule replays bit-for-bit.
     ///
     /// # Panics
     ///
@@ -240,6 +239,7 @@ impl<P: Process> Simulation<P> {
     /// all enabled events; virtual time is then the running maximum of
     /// the executed events' scheduled times (it never runs backwards).
     pub fn run(&mut self) -> RunOutcome {
+        self.slot.commit_crashes();
         if std::mem::take(&mut self.start_pending) {
             self.slot.start_installed();
         }
@@ -623,6 +623,41 @@ mod tests {
             1,
             "exactly one notification"
         );
+    }
+
+    /// A crash scheduled twice is one pending event at the earlier
+    /// time, so `C1` names one event and whatever an exploring policy
+    /// recorded replays bit-for-bit. (Two pending events under the one
+    /// name used to replay as the earlier-scheduled of them, whichever
+    /// the recording had picked.)
+    #[test]
+    fn double_scheduled_crash_records_and_replays_bit_for_bit() {
+        use crate::explore::SchedulePolicy;
+        let run = |policy: SchedulePolicy, crashes: &[u64]| {
+            let mut procs: Vec<Recorder> = (0..4).map(|_| Recorder::quiet()).collect();
+            for (i, p) in procs.iter_mut().enumerate() {
+                p.monitors_on_start = vec![NodeId(1)];
+                p.sends_on_start = (0..6u8)
+                    .map(|k| (NodeId((i as u32 + 1) % 4), Blob(vec![k])))
+                    .collect();
+            }
+            let mut sim = Simulation::with_policy(jittery_config(3), procs, policy);
+            for &at in crashes {
+                sim.schedule_crash(NodeId(1), SimTime::from_millis(at));
+            }
+            let outcome = sim.run();
+            assert!(outcome.is_quiescent());
+            let schedule = sim.recorded_schedule().expect("exploring policy");
+            (outcome, sim.trace().hash(), schedule)
+        };
+        for seed in 0..16 {
+            let recorded = run(SchedulePolicy::Random(seed), &[2, 9]);
+            assert!(!recorded.2.is_empty());
+            let replayed = run(SchedulePolicy::Replay(recorded.2.clone()), &[2, 9]);
+            assert_eq!(replayed, recorded, "seed {seed}");
+            // And the doubled schedule is the folded one.
+            assert_eq!(run(SchedulePolicy::Random(seed), &[2]), recorded);
+        }
     }
 
     /// Satellite audit: events carrying the *same* timestamp must pop in

@@ -14,13 +14,25 @@
 //!
 //! # Coverage-guided exploration
 //!
-//! Every probe also yields a [`ProbeCoverage`] signal — the ordered
-//! race pairs its trace executed, the view-lattice state it settled
-//! in, and the CD-checker branches its report exercised (see
+//! Every probe also yields a [`ProbeCoverage`](precipice_sim::ProbeCoverage)
+//! signal — the ordered race pairs its trace executed, the
+//! view-lattice state it settled in, and the CD-checker branches its
+//! report exercised (see
 //! [`precipice_runtime::probe_coverage`]). The explorer folds those
 //! into one [`CoverageMap`] **serially, in probe order, at fixed chunk
 //! boundaries**, so the map (and every novelty verdict derived from
 //! it) is identical for any worker count.
+//!
+//! The fold is the one place every executed event of every probe
+//! passes through, so both sides of it are flat (see
+//! [`precipice_sim::explore`]): workers hand back each probe's pairs
+//! as a plain vector, and the map interns event keys to `u32` ids **in
+//! this fold's order** and keeps a pair as one packed `u64`. Because
+//! the fold is serial and in probe order, the ids are the same for any
+//! worker count — and they are never observable anyway: every count,
+//! verdict and flip-candidate index is defined on the key pairs, and
+//! `CoverageMap` equality is set equality, so a map merged from
+//! per-worker parts equals the serially folded one.
 //!
 //! Under [`PolicyMix::Guided`] the coverage signal feeds back into
 //! schedule generation: probes whose coverage advanced the map are
@@ -31,6 +43,7 @@
 //! runs, so guided generation sees the same corpus state no matter how
 //! many workers execute the chunk.
 
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -125,12 +138,16 @@ const CORPUS_CAP: usize = 64;
 /// guided mutation when a corpus exists. Called serially at chunk
 /// boundaries, so the `(corpus, coverage)` state it reads is a pure
 /// function of the processed prefix — identical for any worker count.
+/// `flips` caches the chunk's flip candidates: the map is frozen while
+/// a chunk's policies are fixed, so its sorted candidate list is
+/// computed by the chunk's first flip mutation and shared by the rest.
 fn guided_policy(
     scenario: &Scenario,
     cfg: &ExploreConfig,
     index: u64,
     corpus: &[Schedule],
     coverage: &CoverageMap,
+    flips: &OnceCell<Vec<(EventKey, EventKey)>>,
 ) -> SchedulePolicy {
     if cfg.policy != PolicyMix::Guided || index == 0 {
         return cfg.policy.policy_for(cfg.seed, index);
@@ -171,7 +188,7 @@ fn guided_policy(
         },
         // Reverse a race pair seen in only one order so far.
         1 => {
-            let never = coverage.never_flipped();
+            let never = flips.get_or_init(|| coverage.never_flipped());
             let flip =
                 (!never.is_empty()).then(|| never[(splitmix(&mut st) as usize) % never.len()]);
             GuidedSpec {
@@ -388,12 +405,15 @@ pub fn explore_scenario(scenario: &Scenario, cfg: &ExploreConfig, jobs: Jobs) ->
     let mut start = 0usize;
     while start < budget {
         let end = start.saturating_add(chunk).min(budget);
-        let batch: Vec<BatchJob> = (start..end)
-            .map(|index| BatchJob {
-                seed: scenario.sim.seed,
-                policy: guided_policy(scenario, cfg, index as u64, &corpus, &coverage),
-            })
-            .collect();
+        let batch: Vec<BatchJob> = {
+            let flips = OnceCell::new();
+            (start..end)
+                .map(|index| BatchJob {
+                    seed: scenario.sim.seed,
+                    policy: guided_policy(scenario, cfg, index as u64, &corpus, &coverage, &flips),
+                })
+                .collect()
+        };
         let waves: Vec<usize> = (0..batch.len()).step_by(WAVE).collect();
         let wave_results = spec.map_with(
             &waves,

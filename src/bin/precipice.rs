@@ -731,6 +731,23 @@ fn run_check(opts: &CheckOptions) -> Result<bool, String> {
         "max deviations from FIFO".to_owned(),
         outcome.max_deviations().to_string(),
     ]);
+    let coverage = &outcome.coverage;
+    summary.push_row([
+        "race pairs seen".to_owned(),
+        coverage.race_pairs().to_string(),
+    ]);
+    summary.push_row([
+        "race pairs seen in both orders".to_owned(),
+        coverage.flipped_pairs().to_string(),
+    ]);
+    summary.push_row([
+        "distinct final states".to_owned(),
+        coverage.distinct_states().to_string(),
+    ]);
+    summary.push_row([
+        "checker branches hit".to_owned(),
+        coverage.branch_count().to_string(),
+    ]);
     summary.push_row([
         "violating schedules".to_owned(),
         outcome.violating().to_string(),

@@ -84,6 +84,50 @@ fn seed_sweep_passes_spec_and_is_parallel_deterministic() {
 }
 
 #[test]
+fn check_prints_its_coverage_counters_for_any_jobs() {
+    // `check` reports what the exploration's coverage map holds, and
+    // the rows sit inside the output CI byte-diffs across `--jobs`.
+    let base = [
+        "check",
+        "--topology",
+        "torus:6",
+        "--region",
+        "blob:3",
+        "--timing",
+        "cascade:2ms",
+        "--seed",
+        "7",
+        "--budget",
+        "48",
+    ];
+    let serial = precipice(&[&base[..], &["--jobs", "1"]].concat());
+    let parallel = precipice(&[&base[..], &["--jobs", "2"]].concat());
+    assert!(serial.status.success() && parallel.status.success());
+    assert_eq!(serial.stdout, parallel.stdout, "check depends on --jobs");
+    let stdout = String::from_utf8(serial.stdout).expect("utf-8 stdout");
+    let value_of = |row: &str| -> u64 {
+        let line = stdout
+            .lines()
+            .find(|l| l.split('|').nth(1).is_some_and(|cell| cell.trim() == row))
+            .unwrap_or_else(|| panic!("no {row:?} row in:\n{stdout}"));
+        let cell = line.split('|').nth(2).expect("value cell").trim();
+        cell.parse().unwrap_or_else(|_| panic!("{row}: {cell:?}"))
+    };
+    let pairs = value_of("race pairs seen");
+    let flipped = value_of("race pairs seen in both orders");
+    assert!(
+        pairs > 0 && flipped > 0 && flipped < pairs,
+        "{pairs} {flipped}"
+    );
+    assert!(value_of("distinct final states") >= 1);
+    assert!(value_of("checker branches hit") >= 1);
+    assert!(
+        stdout.contains("CD1-CD7 hold on all 48 explored schedules"),
+        "in:\n{stdout}"
+    );
+}
+
+#[test]
 fn graph_build_info_and_mapped_run_roundtrip() {
     // The on-disk topology pipeline, end to end through the real binary:
     // build a .pcsr file, inspect it, then run the consensus scenario on

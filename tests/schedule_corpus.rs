@@ -12,7 +12,7 @@ use precipice::consensus::ProtocolConfig;
 use precipice::graph::{torus, GridDims, NodeId, Region};
 use precipice::runtime::explore::probe;
 use precipice::runtime::{Scenario, Violation};
-use precipice::sim::{LatencyModel, Schedule, SchedulePolicy, SimConfig, SimTime};
+use precipice::sim::{EventKey, LatencyModel, Schedule, SchedulePolicy, SimConfig, SimTime};
 use precipice::workload::figures::Figure2;
 use precipice::workload::patterns::{blob_of_size, schedule, CrashTiming};
 
@@ -214,4 +214,64 @@ fn pinned_exploration_schedules_stay_clean() {
             );
         }
     }
+}
+
+/// The coverage counters of one fixed exploration, taken on the B-tree
+/// coverage map before it was replaced by the interned one: a 12×12
+/// torus, `blob:16` at the centre crashing at 1 ms, 256 mixed
+/// schedules, scenario and exploration seed 1 — operation 0 of the
+/// benchmark's `check_fuzz` workload. Every observable of the map must
+/// stay what that implementation reported, flip-candidate order
+/// included (guided mutation indexes into it).
+#[test]
+fn check_fuzz_exploration_coverage_stays_pinned() {
+    use precipice::workload::explore::{explore_scenario, ExploreConfig, PolicyMix};
+    use precipice::workload::sweep::Jobs;
+
+    let graph = torus(GridDims::square(12));
+    let region = blob_of_size(&graph, NodeId(6 * 12 + 6), 16);
+    let scenario = Scenario::builder(graph)
+        .crashes(schedule(
+            region.iter(),
+            CrashTiming::Simultaneous(SimTime::from_millis(1)),
+        ))
+        .sim_config(SimConfig {
+            seed: 1,
+            latency: LatencyModel::Uniform {
+                min: SimTime::from_micros(200),
+                max: SimTime::from_millis(2),
+            },
+            fd_latency: LatencyModel::Uniform {
+                min: SimTime::from_millis(1),
+                max: SimTime::from_millis(5),
+            },
+            record_trace: true,
+            max_events: Some(200_000_000),
+        })
+        .build();
+    let cfg = ExploreConfig {
+        budget: 256,
+        seed: 1,
+        policy: PolicyMix::Mixed,
+        ..ExploreConfig::default()
+    };
+    let outcome = explore_scenario(&scenario, &cfg, Jobs::serial());
+    assert_eq!(outcome.violating(), 0);
+    let events: u64 = outcome.probes.iter().map(|p| p.events).sum();
+    let deviations: usize = outcome.probes.iter().map(|p| p.deviations).sum();
+    assert_eq!((events, deviations), (985_996, 783_513));
+
+    let coverage = &outcome.coverage;
+    assert_eq!(coverage.race_pairs(), 301_408);
+    assert_eq!(coverage.flipped_pairs(), 99_748);
+    assert_eq!(coverage.distinct_states(), 17);
+    assert_eq!(coverage.branches(), 0xa8555);
+    let candidates = coverage.never_flipped();
+    assert_eq!(candidates.len(), 301_408 - 99_748);
+    let key = |s: &str| s.parse::<EventKey>().expect("event key parses");
+    assert_eq!(candidates[0], (key("D30>30#0"), key("D30>30#1")));
+    assert_eq!(
+        candidates[candidates.len() - 1],
+        (key("N114!102"), key("N114!90"))
+    );
 }
