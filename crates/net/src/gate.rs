@@ -8,8 +8,8 @@
 //! would-be post (protocol message or crash notification) in a central
 //! table instead of the shard rings, and a controller releases exactly
 //! one event at a time, waiting for the shards to go idle between
-//! releases. The run still exercises the real machinery — shard
-//! threads, rings, lazy activation, pending counters, the graph-backed
+//! releases. The run still exercises the real machinery — pool
+//! workers, rings, lazy activation, pending counters, the graph-backed
 //! FD — but its interleaving becomes a pure function of the
 //! controller's random seed.
 //!
@@ -23,7 +23,7 @@
 //! checker replay its timing-sensitive properties (CD2) against a live
 //! run.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -31,7 +31,7 @@ use precipice_core::{ProtocolConfig, View};
 use precipice_graph::{Graph, NodeId};
 
 use crate::cluster::LiveReport;
-use crate::shard::{ShardEvent, ShardedCluster};
+use crate::shard::{resident, ShardEvent, ShardedCluster};
 
 /// Where the router parks events while a gate controller is driving.
 #[derive(Debug)]
@@ -151,8 +151,9 @@ pub struct GatedOutcome {
 ///
 /// # Panics
 ///
-/// Panics if the shards fail to drain a released event within 30 s
-/// (only possible if a shard thread died).
+/// Panics if the shards fail to drain a released event within 30 s,
+/// or if the worker pool has to grow and the operating system refuses
+/// the thread.
 pub fn gated_run(
     graph: Arc<Graph>,
     config: ProtocolConfig,
@@ -162,12 +163,14 @@ pub fn gated_run(
 ) -> GatedOutcome {
     let gate = Gate::new();
     let mut cluster = ShardedCluster::launch(
+        resident(),
         Arc::clone(&graph),
         config,
         shards,
         |_me| precipice_core::NodeIdValuePolicy,
         Some(Arc::clone(&gate)),
-    );
+    )
+    .expect("spawn shard worker");
 
     let mut rng = seed ^ 0x9e37_79b9_7f4a_7c15;
     let mut injections: VecDeque<NodeId> = kills.iter().copied().collect();
@@ -252,9 +255,8 @@ fn fnv(mut hash: u64, words: &[u64]) -> u64 {
 /// the cheap live-side check; the full CD1–CD7 oracle lives in the
 /// runtime crate and runs over an assembled `RunReport`.
 pub fn live_consistent(report: &LiveReport, graph: &Graph) -> bool {
-    let killed: BTreeSet<NodeId> = report.killed.iter().copied().collect();
     for (node, (view, _)) in &report.decisions {
-        if !view.region().iter().all(|q| killed.contains(&q)) {
+        if !view.region().iter().all(|q| report.killed.contains(&q)) {
             return false;
         }
         if !view.border().contains(*node) {
@@ -264,14 +266,28 @@ pub fn live_consistent(report: &LiveReport, graph: &Graph) -> bool {
             return false;
         }
     }
-    for (a, (va, da)) in &report.decisions {
-        for (b, (vb, db)) in &report.decisions {
-            if a >= b {
-                continue;
-            }
-            let overlap = va.region().intersects(vb.region());
-            if overlap && (va != vb || da != db) {
-                return false;
+    let decisions: Vec<&(View, NodeId)> = report.decisions.values().collect();
+    pairs_agree(&decisions)
+}
+
+/// `true` if any two decisions whose regions overlap are the same
+/// `(view, value)`. Two overlapping regions share a crashed node, so
+/// this is "every crashed node is claimed by one `(view, value)`": one
+/// pass over the regions with a map from node to its first claimant,
+/// instead of a comparison per pair of decisions.
+fn pairs_agree(decisions: &[&(View, NodeId)]) -> bool {
+    let mut claimant: BTreeMap<NodeId, usize> = BTreeMap::new();
+    for (mine, decision) in decisions.iter().enumerate() {
+        // The last claimant this decision was found equal to: a region
+        // shared whole with an earlier decision costs one comparison.
+        let mut equal_to = mine;
+        for q in decision.0.region().iter() {
+            let first = *claimant.entry(q).or_insert(mine);
+            if first != mine && first != equal_to {
+                if decisions[first] != *decision {
+                    return false;
+                }
+                equal_to = first;
             }
         }
     }
@@ -281,7 +297,88 @@ pub fn live_consistent(report: &LiveReport, graph: &Graph) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use precipice_graph::{path, torus, GridDims};
+    use precipice_graph::{path, torus, GridDims, Region};
+    use std::collections::BTreeSet;
+
+    /// The definition [`pairs_agree`] replaced, kept as its oracle:
+    /// compare every pair of decisions.
+    fn pairs_agree_pairwise(decisions: &[&(View, NodeId)]) -> bool {
+        decisions.iter().enumerate().all(|(i, a)| {
+            decisions[i + 1..]
+                .iter()
+                .all(|b| !a.0.region().intersects(b.0.region()) || a == b)
+        })
+    }
+
+    #[test]
+    fn one_pass_agreement_matches_the_pairwise_oracle() {
+        // Random decision sets over a few regions of a 5x5 torus that
+        // nest, partially overlap and sit apart, each held by zero to
+        // three deciders with values that mostly, not always, match.
+        let graph = torus(GridDims::square(5));
+        let regions: Vec<Region> = [
+            &[6][..],
+            &[6, 7],
+            &[7, 8],
+            &[6, 7, 8],
+            &[12],
+            &[12, 13, 17],
+            &[17, 18],
+            &[21],
+        ]
+        .iter()
+        .map(|nodes| nodes.iter().copied().map(NodeId).collect())
+        .collect();
+        let views: Vec<View> = regions
+            .iter()
+            .map(|r| View::new(&graph, r.clone()))
+            .collect();
+        let overlapping = |a: &View, b: &View| a.region().intersects(b.region());
+
+        let (mut clean, mut partial_overlap, mut value_only) = (0, 0, 0);
+        for seed in 0..4000u64 {
+            let mut rng = seed;
+            let mut picked = Vec::new();
+            for view in &views {
+                let deciders = splitmix(&mut rng) % 4;
+                let shared = NodeId((splitmix(&mut rng) % 2) as u32);
+                for _ in 0..deciders.saturating_sub(1) {
+                    let stray = splitmix(&mut rng).is_multiple_of(8);
+                    let value = if stray { NodeId(2) } else { shared };
+                    picked.push((view.clone(), value));
+                }
+            }
+            // Deciders arrive in no particular order.
+            for i in (1..picked.len()).rev() {
+                picked.swap(i, (splitmix(&mut rng) % (i as u64 + 1)) as usize);
+            }
+            let decisions: Vec<&(View, NodeId)> = picked.iter().collect();
+            let verdict = pairs_agree(&decisions);
+            assert_eq!(verdict, pairs_agree_pairwise(&decisions), "seed {seed}");
+
+            let pairs = || {
+                decisions
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(i, a)| decisions[i + 1..].iter().map(move |b| (*a, *b)))
+            };
+            if verdict {
+                clean += 1;
+            } else if pairs().any(|(a, b)| a.0 != b.0 && overlapping(&a.0, &b.0)) {
+                partial_overlap += 1;
+            } else {
+                assert!(
+                    pairs().any(|(a, b)| a.0 == b.0 && a.1 != b.1),
+                    "seed {seed}"
+                );
+                value_only += 1;
+            }
+        }
+        // Every kind of verdict was exercised, not just the easy one.
+        assert!(clean > 50, "{clean} agreeing sets");
+        assert!(partial_overlap > 50, "{partial_overlap} partial overlaps");
+        assert!(value_only > 50, "{value_only} value disagreements");
+    }
 
     #[test]
     fn gated_run_is_deterministic_per_seed() {

@@ -12,12 +12,18 @@
 //! killed sets (`tests/net_backend.rs`, the runtime crate's `live`
 //! tests).
 //!
-//! [`ShardedCluster`] — `W` worker shards own disjoint ranges of one
-//! shared topology (owned or mapped `.pcsr`), activate nodes on demand,
-//! and exchange events over bounded MPSC [`ring`]s. It is behind
-//! `Engine::Live`, `precipice serve` ([`ServeSession`]) and live
-//! schedule exploration ([`gated_run`]). Footprint is proportional to
-//! the *touched* nodes, so one process hosts 10⁶-node topologies.
+//! [`ShardedCluster`] — one agreement *instance*: `W` shards own
+//! disjoint ranges of one shared topology (owned or mapped `.pcsr`),
+//! activate nodes on demand, and exchange events over bounded MPSC
+//! [`ring`]s. An instance owns no thread: it is a tenant of one
+//! process-wide pool of long-lived shard workers, where worker `i` runs
+//! shard `i` of whichever instance has events queued, so starting and
+//! shutting down an instance spawns and joins nothing, and a panic in
+//! one instance's policy fails that instance alone
+//! ([`ShardedCluster::failure`]). It is behind `Engine::Live`,
+//! `precipice serve` ([`ServeSession`]) and live schedule exploration
+//! ([`gated_run`]). Footprint is proportional to the *touched* nodes,
+//! so one process hosts 10⁶-node topologies, and many of them.
 //!
 //! The paper's perfect failure detector is a **kill-switch oracle**:
 //! crashes are always *induced* (via `kill`), so the runtime knows the
@@ -35,8 +41,11 @@
 //! after its handler — and every post that handler made — is done, so
 //! the counter reads zero only when nothing is queued or running.
 //! `await_quiescence(timeout)` sleeps until the discharge that reaches
-//! zero wakes it; the invariant is spelt out in the `shard` module
-//! docs.
+//! zero wakes it. Retirement is exact in the same way — a worker's turn
+//! on an instance is charged to that counter too, so when `shutdown()`
+//! returns no pool thread still holds the instance. Both invariants,
+//! and the pool's scheduling protocol, are spelt out in the `shard`
+//! module docs.
 //!
 //! # Example
 //!

@@ -1,10 +1,18 @@
 //! Bounded MPSC rings: the cross-shard mailboxes of the sharded runtime.
 //!
-//! Each worker shard owns exactly one [`Ring`]; every other shard (and
-//! the control thread) posts into it. The common case stays inside a
-//! **fixed-capacity circular buffer** — one allocation at startup, cache-
-//! friendly FIFO churn. Mailboxes are per shard, not per node: with `W`
-//! shards there are `W` rings in total, whatever the topology's size.
+//! Each shard of an instance owns exactly one [`Ring`]; every other
+//! shard (and the control thread) posts into it. The common case stays
+//! inside a **fixed-capacity circular buffer** — one allocation at
+//! startup, cache-friendly FIFO churn. Mailboxes are per shard, not per
+//! node: an instance with `W` shards has `W` rings in total, whatever
+//! the topology's size.
+//!
+//! The runtime consumes a ring in two ways. A pool worker sleeps in the
+//! blocking [`Ring::pop`] on its *token* ring — the one place a thread
+//! waits — and, holding a token, drains an instance's *event* ring with
+//! the non-blocking [`Ring::try_pop`]: an empty event ring sends the
+//! worker back to its tokens, never to sleep (the `shard` module docs
+//! have the protocol).
 //!
 //! # Why pushes never block
 //!
@@ -21,7 +29,7 @@
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Outcome of a blocking [`Ring::pop`].
 #[derive(Debug, PartialEq, Eq)]
@@ -51,13 +59,35 @@ struct RingState<T> {
     closed: bool,
 }
 
+impl<T> RingState<T> {
+    /// Dequeues the oldest event, if any.
+    fn take(&mut self) -> Option<T> {
+        if self.len == 0 {
+            return None;
+        }
+        let head = self.head;
+        let item = self.slots[head].take().expect("occupied head");
+        self.head = (head + 1) % self.slots.len();
+        self.len -= 1;
+        // Promote one spilled event into the freed slot so the spill
+        // drains in arrival order.
+        if let Some(promoted) = self.spill.pop_front() {
+            let tail = (self.head + self.len) % self.slots.len();
+            self.slots[tail] = Some(promoted);
+            self.len += 1;
+        }
+        Some(item)
+    }
+}
+
 /// A bounded multi-producer single-consumer ring with an unbounded
 /// overflow lane (see the [module docs](self) for why overflow beats
 /// blocking here).
 ///
-/// Multiple threads may push; one shard thread pops. Nothing enforces
-/// the single consumer — the queue stays correct with several — but the
-/// sharded runtime dedicates one ring per shard.
+/// Multiple threads may push; one thread at a time pops. Nothing
+/// enforces the single consumer — the queue stays correct with several —
+/// but the sharded runtime has one per ring: worker `i` is the only
+/// thread that pops its token ring or any instance's shard-`i` ring.
 #[derive(Debug)]
 pub struct Ring<T> {
     state: Mutex<RingState<T>>,
@@ -106,37 +136,45 @@ impl<T> Ring<T> {
     }
 
     /// Dequeues the oldest event, waiting up to `timeout` for one to
-    /// arrive. Returns [`Pop::Closed`] once the ring is closed *and*
-    /// empty — close is drain-then-stop, not abort.
+    /// arrive — with no deadline when `timeout` is too large to
+    /// represent, as `Duration::MAX` is. Returns [`Pop::Closed`] once
+    /// the ring is closed *and* empty — close is drain-then-stop, not
+    /// abort.
     pub fn pop(&self, timeout: Duration) -> Pop<T> {
         let mut s = self.state.lock().expect("ring lock");
+        // Set on the first wait: a pop that finds an event queued never
+        // reads the clock. The inner `None` is "no deadline".
+        let mut deadline: Option<Option<Instant>> = None;
         loop {
-            if s.len > 0 {
-                let head = s.head;
-                let item = s.slots[head].take().expect("occupied head");
-                s.head = (head + 1) % s.slots.len();
-                s.len -= 1;
-                // Promote one spilled event into the freed slot so the
-                // spill drains in arrival order.
-                if let Some(promoted) = s.spill.pop_front() {
-                    let tail = (s.head + s.len) % s.slots.len();
-                    s.slots[tail] = Some(promoted);
-                    s.len += 1;
-                }
+            if let Some(item) = s.take() {
                 return Pop::Item(item);
             }
             if s.closed {
                 return Pop::Closed;
             }
-            let (next, wait) = self
-                .ready
-                .wait_timeout(s, timeout)
-                .expect("ring condvar wait");
-            s = next;
-            if wait.timed_out() && s.len == 0 {
-                return if s.closed { Pop::Closed } else { Pop::TimedOut };
+            let Some(at) = *deadline.get_or_insert_with(|| Instant::now().checked_add(timeout))
+            else {
+                s = self.ready.wait(s).expect("ring condvar wait");
+                continue;
+            };
+            let left = at.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Pop::TimedOut;
             }
+            s = self
+                .ready
+                .wait_timeout(s, left)
+                .expect("ring condvar wait")
+                .0;
         }
+    }
+
+    /// Dequeues the oldest event if one is queued; never waits. `None`
+    /// means *empty right now* whether or not the ring is closed — the
+    /// caller that drains event rings has its own way to learn that an
+    /// instance is over.
+    pub fn try_pop(&self) -> Option<T> {
+        self.state.lock().expect("ring lock").take()
     }
 
     /// Closes the ring: future pushes are refused, the consumer drains
@@ -203,6 +241,54 @@ mod tests {
         assert!(!ring.push("b"), "push after close is refused");
         assert_eq!(ring.pop(TICK), Pop::Item("a"));
         assert_eq!(ring.pop(TICK), Pop::Closed);
+    }
+
+    #[test]
+    fn try_pop_never_waits_and_ignores_close() {
+        let ring = Ring::new(2);
+        assert_eq!(ring.try_pop(), None::<i32>);
+        for i in 0..3 {
+            ring.push(i);
+        }
+        ring.close();
+        // Same drain-then-stop order as `pop`, spill lane included.
+        assert_eq!(ring.try_pop(), Some(0));
+        assert_eq!(ring.try_pop(), Some(1));
+        assert_eq!(ring.try_pop(), Some(2));
+        assert_eq!(ring.try_pop(), None);
+    }
+
+    #[test]
+    fn pop_without_a_deadline_wakes_on_push_and_on_close() {
+        let ring = Arc::new(Ring::new(2));
+        let (got_tx, got_rx) = std::sync::mpsc::channel();
+        let waiter = {
+            let ring = Arc::clone(&ring);
+            std::thread::spawn(move || loop {
+                // `MAX` overflows `Instant`: waits with no deadline.
+                let popped = ring.pop(Duration::MAX);
+                let closed = popped == Pop::Closed;
+                got_tx.send(popped).expect("report pop");
+                if closed {
+                    break;
+                }
+            })
+        };
+        assert!(
+            got_rx.recv_timeout(Duration::from_millis(50)).is_err(),
+            "returned from an empty open ring"
+        );
+        ring.push(7);
+        assert_eq!(
+            got_rx.recv_timeout(Duration::from_secs(30)),
+            Ok(Pop::Item(7))
+        );
+        ring.close();
+        assert_eq!(
+            got_rx.recv_timeout(Duration::from_secs(30)),
+            Ok(Pop::Closed)
+        );
+        waiter.join().unwrap();
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! subcommand, factored as a library so tests can drive it in-process:
 //! one command line in, one response line out, no I/O in here. Each
 //! *instance* is an independent [`ShardedCluster`] over its own
-//! topology — many instances run concurrently in one process, and a
-//! mapped `.pcsr` topology puts a 10⁶-node instance within one
-//! process's reach.
+//! topology, and all of them are tenants of one resident pool of shard
+//! workers (see the [`shard`](crate::shard) module docs): `open` and
+//! `close` spawn and join nothing, many instances run concurrently in
+//! one process, and a mapped `.pcsr` topology puts a 10⁶-node instance
+//! within one process's reach.
 //!
 //! # Protocol
 //!
@@ -28,14 +30,23 @@
 //! `topology` accepts `torus:N`, `grid:WxH`, `ring:N`, `path:N`,
 //! `star:N` and `pcsr:PATH` (a mapped graph store file). `id` defaults
 //! to `"default"` everywhere. Fields a command does not name are
-//! ignored.
+//! ignored. `shards` is the instance's own shard count (the reply
+//! echoes it) and may not exceed the topology's node count: the pool
+//! grows to the largest count ever opened and keeps those workers.
+//!
+//! A panic inside one instance's handlers (a decision policy's, in
+//! practice) fails that instance only. Its queued events are
+//! discharged, so an `await` in progress returns; from then on every
+//! command naming it replies `"ok":false` with the panic message, and
+//! `close` still removes it. Other instances are unaffected.
 //!
 //! `await` blocks until the instance's outstanding-event counter reads
 //! zero — an exact condition (see the [`shard`](crate::shard) module
 //! docs), so it replies at once on an idle or never-crashed instance
 //! and as soon as the last handler returns otherwise. After
 //! `timeout_ms` (default 30 000) it replies `"quiescent":false` with
-//! the number of events still outstanding.
+//! what is still outstanding: events, plus the worker turns scheduled
+//! to handle them.
 //!
 //! A worked session (`$` = request, `>` = response):
 //!
@@ -61,7 +72,7 @@ use precipice_core::ProtocolConfig;
 use precipice_graph::{grid, path, ring, star, torus, Graph, GridDims, NodeId, Region};
 
 use crate::gate::live_consistent;
-use crate::shard::ShardedCluster;
+use crate::shard::{resident, ShardedCluster};
 
 /// Default worker shard count for instances that don't specify one.
 const DEFAULT_SHARDS: usize = 2;
@@ -140,11 +151,21 @@ impl ServeSession {
         if shards == 0 {
             return Err("\"shards\" must be a positive integer".into());
         }
+        // Checked before the pool grows: workers, once spawned, stay.
+        if shards > graph.len() {
+            return Err(format!(
+                "\"shards\" is {shards}, but the topology has only {} nodes",
+                graph.len()
+            ));
+        }
         let config = match request.get("optimized").and_then(Json::as_bool) {
             Some(true) => ProtocolConfig::optimized(),
             _ => ProtocolConfig::default(),
         };
-        let cluster = ShardedCluster::start_shared(Arc::new(graph), config, shards);
+        let factory = |_me| precipice_core::NodeIdValuePolicy;
+        let cluster =
+            ShardedCluster::launch(resident(), Arc::new(graph), config, shards, factory, None)
+                .map_err(|e| format!("cannot start {shards} shard workers: {e}"))?;
         let nodes = cluster.graph().len();
         let shards = cluster.shards();
         self.instances.insert(id.clone(), cluster);
@@ -156,11 +177,15 @@ impl ServeSession {
         ]))
     }
 
+    /// The instance `request` names, unless it has failed.
     fn instance(&mut self, request: &Json) -> Result<&mut ShardedCluster, String> {
         let id = instance_id(request);
-        self.instances
+        let cluster = self
+            .instances
             .get_mut(&id)
-            .ok_or_else(|| format!("no open instance {id:?}"))
+            .ok_or_else(|| format!("no open instance {id:?}"))?;
+        unfailed(&id, cluster)?;
+        Ok(cluster)
     }
 
     fn crash(&mut self, request: &Json) -> Result<Json, String> {
@@ -178,8 +203,11 @@ impl ServeSession {
 
     fn await_quiet(&mut self, request: &Json) -> Result<Json, String> {
         let timeout = duration_field(request, "timeout_ms", 30_000)?;
+        let id = instance_id(request);
         let cluster = self.instance(request)?;
         let quiescent = cluster.await_quiescence(timeout);
+        // A failure during the wait is what ended it.
+        unfailed(&id, cluster)?;
         let pending = cluster.pending();
         Ok(Json::obj([
             ("ok", Json::Bool(true)),
@@ -239,7 +267,7 @@ impl ServeSession {
             .instances
             .remove(&id)
             .ok_or_else(|| format!("no open instance {id:?}"))?;
-        Ok(close_report(id, cluster))
+        close_report(id, cluster)
     }
 
     fn shutdown_all(&mut self) -> Result<Json, String> {
@@ -247,7 +275,8 @@ impl ServeSession {
         let mut all_consistent = true;
         for (id, cluster) in std::mem::take(&mut self.instances) {
             let report = close_report(id.clone(), cluster);
-            all_consistent &= report.get("consistent").and_then(Json::as_bool) == Some(true);
+            all_consistent &=
+                report.is_ok_and(|r| r.get("consistent").and_then(Json::as_bool) == Some(true));
             closed.push(Json::from(id));
         }
         self.finished = true;
@@ -259,22 +288,37 @@ impl ServeSession {
     }
 }
 
+/// `Err` with the panic message if a handler of `cluster` panicked.
+fn unfailed(id: &str, cluster: &ShardedCluster) -> Result<(), String> {
+    cluster
+        .failure()
+        .map_or(Ok(()), |panic| Err(failed(id, panic)))
+}
+
+fn failed(id: &str, panic: &str) -> String {
+    format!("instance {id:?} failed: {panic}")
+}
+
 /// Shuts `cluster` down and summarizes it: decision count, kill count,
 /// and the live agreement verdict (every decision internally consistent
 /// and pairwise in agreement — the full CD1–CD7 oracle is the runtime
-/// checker's job).
-fn close_report(id: String, cluster: ShardedCluster) -> Json {
+/// checker's job). A failed instance is shut down all the same and
+/// reported as the error it died of.
+fn close_report(id: String, cluster: ShardedCluster) -> Result<Json, String> {
     let graph = Arc::clone(cluster.graph());
     let killed = cluster.killed().len();
-    let report = cluster.shutdown();
+    let (report, failure) = cluster.retire();
+    if let Some(panic) = failure {
+        return Err(failed(&id, &panic));
+    }
     let consistent = live_consistent(&report, &graph);
-    Json::obj([
+    Ok(Json::obj([
         ("ok", Json::Bool(true)),
         ("id", Json::from(id)),
         ("decisions", Json::from(report.decisions.len())),
         ("killed", Json::from(killed)),
         ("consistent", Json::Bool(consistent)),
-    ])
+    ]))
 }
 
 fn err(message: String) -> Json {
@@ -430,6 +474,11 @@ mod tests {
             fail(&s.handle_line(r#"{"cmd":"open","id":"x","topology":"torus"}"#))
                 .contains("malformed")
         );
+        // Refused before a million workers are asked of the pool.
+        assert!(fail(
+            &s.handle_line(r#"{"cmd":"open","id":"x","topology":"path:3","shards":1000000}"#)
+        )
+        .contains("only 3 nodes"));
         // The session is still usable.
         ok(&s.handle_line(r#"{"cmd":"status"}"#));
         ok(&s.handle_line(r#"{"cmd":"shutdown"}"#));
@@ -484,6 +533,69 @@ mod tests {
         let status = ok(&s.handle_line(r#"{"cmd":"status"}"#));
         assert_eq!(status.get("decisions").and_then(Json::as_u64), Some(4));
         ok(&s.handle_line(r#"{"cmd":"shutdown"}"#));
+    }
+
+    #[test]
+    fn a_failed_instance_says_why_and_the_others_carry_on() {
+        let mut s = ServeSession::new(1);
+        let exploding = ShardedCluster::start_with(
+            Arc::new(torus(GridDims::square(4))),
+            ProtocolConfig::default(),
+            1,
+            |me| {
+                assert!(me != NodeId(10), "policy exploded");
+                precipice_core::NodeIdValuePolicy
+            },
+        );
+        s.instances.insert("a".into(), exploding);
+        ok(&s.handle_line(r#"{"cmd":"open","id":"b","topology":"torus:4"}"#));
+        ok(&s.handle_line(r#"{"cmd":"crash","id":"a","node":9}"#));
+        ok(&s.handle_line(r#"{"cmd":"crash","id":"b","node":9}"#));
+
+        // The panic ends the wait; nothing is left to time out on.
+        let why = fail(&s.handle_line(r#"{"cmd":"await","id":"a","timeout_ms":20000}"#));
+        assert!(why.contains(r#"instance "a" failed"#), "{why}");
+        assert!(why.contains("policy exploded"), "{why}");
+        for cmd in ["read", "status", "crash"] {
+            let line = format!(r#"{{"cmd":"{cmd}","id":"a","node":8}}"#);
+            assert!(fail(&s.handle_line(&line)).contains("policy exploded"));
+        }
+
+        // Same worker, other tenant: untouched.
+        let waited = ok(&s.handle_line(r#"{"cmd":"await","id":"b","timeout_ms":20000}"#));
+        assert_eq!(waited.get("quiescent").and_then(Json::as_bool), Some(true));
+        let read = ok(&s.handle_line(r#"{"cmd":"read","id":"b","node":10}"#));
+        assert_eq!(read.get("decided").and_then(Json::as_bool), Some(true));
+
+        assert!(fail(&s.handle_line(r#"{"cmd":"close","id":"a"}"#)).contains("policy exploded"));
+        assert!(fail(&s.handle_line(r#"{"cmd":"status","id":"a"}"#)).contains("no open instance"));
+        let closed = ok(&s.handle_line(r#"{"cmd":"close","id":"b"}"#));
+        assert_eq!(closed.get("consistent").and_then(Json::as_bool), Some(true));
+        assert_eq!(closed.get("decisions").and_then(Json::as_u64), Some(4));
+        ok(&s.handle_line(r#"{"cmd":"shutdown"}"#));
+    }
+
+    #[test]
+    fn shutdown_is_not_consistent_over_a_failed_instance() {
+        let mut s = ServeSession::new(1);
+        let exploding = ShardedCluster::start_with(
+            Arc::new(path(3)),
+            ProtocolConfig::default(),
+            1,
+            |_me| -> precipice_core::NodeIdValuePolicy { panic!("no policy today") },
+        );
+        s.instances.insert("a".into(), exploding);
+        ok(&s.handle_line(r#"{"cmd":"open","id":"b","topology":"path:3"}"#));
+        // Not awaited: the panic happens while `shutdown` drains.
+        s.instances.get_mut("a").expect("inserted").kill(NodeId(1));
+        let down = ok(&s.handle_line(r#"{"cmd":"shutdown"}"#));
+        assert_eq!(down.get("consistent").and_then(Json::as_bool), Some(false));
+        assert_eq!(
+            down.get("closed")
+                .and_then(Json::as_array)
+                .map(<[Json]>::len),
+            Some(2)
+        );
     }
 
     #[test]

@@ -1,15 +1,17 @@
-//! The sharded event-loop runtime: `W` worker shards over one shared
-//! topology.
+//! The sharded event-loop runtime: instances of `W` shards over one
+//! shared topology each, run by one resident pool of worker threads.
 //!
 //! The paper's point is that agreeing on a crashed region costs what
 //! the region's border costs, so nothing here is paid per node up
-//! front — no thread, no channel, no protocol state. The design is the
-//! one the sim side has used since the footprint-proportional rework:
+//! front — no thread, no channel, no protocol state — and nothing is
+//! paid per *instance* beyond its own tables: opening one spawns
+//! nothing, closing one joins nothing. The design is the one the sim
+//! side has used since the footprint-proportional rework:
 //!
 //! - **Disjoint node ranges.** The id space of one shared
 //!   [`Arc<Graph>`] (owned or mapped `.pcsr`) is cut into `W` contiguous
-//!   ranges; shard `i` owns range `i` and is the only thread that ever
-//!   holds protocol state for those nodes.
+//!   ranges; shard `i` owns range `i`, and only one thread at a time
+//!   ever touches protocol state for those nodes.
 //! - **Lazy activation.** A node materializes (policy built, `Init`
 //!   run) the first time an event addressed to it is popped — exactly
 //!   like the sim's lazy process table. A 10⁶-node topology with one
@@ -21,6 +23,8 @@
 //!   below): zero ⇒ quiescent, exactly, and
 //!   [`ShardedCluster::await_quiescence`] sleeps on the 1 → 0
 //!   transition instead of polling.
+//! - **Tenancy.** An instance owns no thread. It is a tenant of the
+//!   process-wide worker pool (see *The pool* below).
 //!
 //! Failure detection keeps the graph-backed semantics of the sim's
 //! `FailureDetector::with_static_graph`: every node is implicitly
@@ -30,6 +34,51 @@
 //! `neighbours(q) ∪ dynamic(q)` exactly once per (observer, target)
 //! pair, in ascending node order. That policy is [`FdState`]; the
 //! [`Router`] here holds it behind one lock and routes what it decides.
+//!
+//! # The pool
+//!
+//! One pool of long-lived workers serves every instance in the process.
+//! Worker `i` sleeps on its own **token ring** and runs shard `i` of
+//! whichever instance a token names. The pool grows to the largest
+//! shard count any instance has asked for and never shrinks; an
+//! instance with `W` shards is served by workers `0..W`.
+//!
+//! An instance keeps everything that is its own — [`Router`], per-shard
+//! event rings, [`FdState`], outstanding counter, decisions — plus, per
+//! shard, a node table behind a lock and a `scheduled` flag. The flag
+//! says *a token for this shard is queued or running*:
+//!
+//! - A producer ([`Router::release`]) pushes the event, then swaps the
+//!   flag to `true`; if it was `false`, that producer hands worker `i`
+//!   one token (`Arc<dyn Tenant>`, shard).
+//! - The worker holding a token pops the shard's ring without blocking.
+//!   After [`DRAIN_BATCH`] events it puts the token at the back of its
+//!   token ring, so a storm on one instance delays a neighbour by a
+//!   batch, not by the storm. On an empty ring it stores `false`, looks
+//!   at the ring once more, and retires the token unless the ring is
+//!   non-empty *and* it wins the flag back.
+//!
+//! No event is stranded: every flag access is `SeqCst` and the ring's
+//! mutex orders the push against the second look. A producer that read
+//! `true` either read it before the worker's store — then its push
+//! precedes the worker's second look, which sees it — or read a `true`
+//! that a later producer or the worker itself wrote after winning
+//! `false → true`, and the winner owns a token. Only the winner of that
+//! edge makes a token, and all tokens for shard `i` go to worker `i`,
+//! so a shard has one consumer at a time and its node-table lock is
+//! never contended.
+//!
+//! A handler runs under `catch_unwind`. A panic — a policy's, in
+//! practice — fails *that instance*: the message is kept for
+//! [`ShardedCluster::failure`], the instance's rings are closed so
+//! later posts are refused, and what is still queued is discharged
+//! unhandled, so a waiter wakes. The worker and its other tenants carry
+//! on. The panic is caught inside the node-table guard's scope, so that
+//! lock is not poisoned; the locks a handler takes further in can be,
+//! and every lock of an instance is therefore taken through [`lock`],
+//! which reads through poison: a failed instance handles nothing more,
+//! and what is read afterwards (decisions, stats, the crashed set) is
+//! only ever updated one whole entry at a time.
 //!
 //! # Quiescence
 //!
@@ -56,10 +105,44 @@
 //! the failure-detector lock, so the shared cache line costs nothing
 //! new. Gated runs park posts in the gate *uncharged*; there zero means
 //! "the one released event has been handled".
+//!
+//! # Retirement
+//!
+//! Closing an instance must be as exact as its quiescence: when
+//! [`ShardedCluster::shutdown`] returns, no pool thread holds the
+//! instance. Otherwise a descheduled worker keeps the last `Arc` —
+//! graph mapping and all — alive beside the next instance's. So **a
+//! token is charged to the same counter** as the events it will drain:
+//!
+//! - charged by the producer that won the flag, before the token is
+//!   pushed (the event that caused it is still charged, so the count
+//!   does not touch zero in between);
+//! - carried over, not re-charged, when a turn ends at the batch bound
+//!   and the token goes to the back of the ring;
+//! - **discharged by the worker only after `drain` has returned and the
+//!   worker has dropped its handle** — which is why the counter sits in
+//!   its own `Arc`, cloned before the turn.
+//!
+//! Zero therefore means *nothing queued, nothing running, nobody
+//! holding*, and `shutdown` is: close the rings, wait for zero, read
+//! the node tables. A [`ShardedCluster`] dropped without `shutdown`
+//! closes its rings too; what is queued drains, and the instance goes
+//! with whichever handle — the caller's or a worker's — is dropped
+//! last.
+//!
+//! # Lock order
+//!
+//! A shard's node-table lock (held for a whole turn), then `fd`, then
+//! the gate's queue lock; the policy-factory and decisions locks are
+//! taken under the node-table lock and hold nothing; ring mutexes —
+//! event rings and token rings alike — and the pool's worker list are
+//! leaves. Nothing takes `fd` while holding a ring or gate lock.
 
+use std::any::Any;
 use std::collections::{btree_map, BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -79,8 +162,122 @@ use crate::ring::{Pop, Ring};
 /// [`ring`](crate::ring)).
 const RING_CAPACITY: usize = 1024;
 
-/// How long an idle shard sleeps in `pop` before re-checking its ring.
-const IDLE_TICK: Duration = Duration::from_millis(10);
+/// Capacity of a worker's token ring. A shard has at most one token
+/// queued, so a worker spills only past this many busy instances.
+const TOKEN_CAPACITY: usize = 64;
+
+/// Events a worker handles for one instance before the token goes to
+/// the back of its ring: what a storm can cost a neighbouring tenant
+/// per turn.
+const DRAIN_BATCH: usize = 64;
+
+/// Locks one of an instance's mutexes, reading through poison (see *The
+/// pool* in the [module docs](self) for why that is sound here).
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// What a pool worker knows of an instance, whatever its policy type.
+trait Tenant: Send + Sync {
+    /// Runs one turn of `shard`: handles up to [`DRAIN_BATCH`] queued
+    /// events. `true` if the turn ended at that bound — the shard is
+    /// still scheduled and its token must be queued again.
+    fn drain(&self, shard: usize) -> bool;
+
+    /// The instance's counter, in an `Arc` of its own so that a worker
+    /// can discharge a token after letting go of the instance.
+    fn outstanding(&self) -> Arc<Outstanding>;
+}
+
+/// One turn for shard `shard` of `tenant`, queued on worker `shard`.
+struct Token {
+    tenant: Arc<dyn Tenant>,
+    shard: usize,
+}
+
+/// A pool worker: run the turn each token names, retire the token.
+fn worker_main(tokens: &Ring<Token>) {
+    while let Pop::Item(Token { tenant, shard }) = tokens.pop(Duration::MAX) {
+        let outstanding = tenant.outstanding();
+        let retired = if tenant.drain(shard) {
+            // Refused only while the pool is being dropped, which needs
+            // every cluster on it gone: nobody waits for this instance.
+            !tokens.push(Token { tenant, shard })
+        } else {
+            drop(tenant);
+            true
+        };
+        // Last, and without the instance in hand: see *Retirement*.
+        if retired {
+            outstanding.done();
+        }
+    }
+}
+
+struct Worker {
+    tokens: Arc<Ring<Token>>,
+    thread: JoinHandle<()>,
+}
+
+/// Long-lived shard workers; see *The pool* in the [module docs](self).
+/// Production code uses the one [`resident`] pool; dropping a pool
+/// stops and joins its workers once their token rings are drained.
+pub(crate) struct Pool {
+    workers: Mutex<Vec<Worker>>,
+}
+
+impl Pool {
+    pub(crate) fn new() -> Arc<Self> {
+        Arc::new(Pool {
+            workers: Mutex::new(Vec::new()),
+        })
+    }
+
+    /// The token rings of workers `0..shards`, spawning the ones that
+    /// are not running yet.
+    fn tokens(&self, shards: usize) -> std::io::Result<Vec<Arc<Ring<Token>>>> {
+        let mut workers = self.workers.lock().expect("pool lock");
+        while workers.len() < shards {
+            let tokens = Arc::new(Ring::new(TOKEN_CAPACITY));
+            let thread = std::thread::Builder::new()
+                .name(format!("precipice-shard-{}", workers.len()))
+                .spawn({
+                    let tokens = Arc::clone(&tokens);
+                    move || worker_main(&tokens)
+                })?;
+            workers.push(Worker { tokens, thread });
+        }
+        Ok(workers[..shards]
+            .iter()
+            .map(|w| Arc::clone(&w.tokens))
+            .collect())
+    }
+}
+
+impl Drop for Pool {
+    fn drop(&mut self) {
+        let workers = std::mem::take(
+            self.workers
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner),
+        );
+        for worker in &workers {
+            worker.tokens.close();
+        }
+        for worker in workers {
+            // A worker cannot panic (handlers are caught), and a `Drop`
+            // has nobody to report to.
+            let _ = worker.thread.join();
+        }
+    }
+}
+
+/// The process-wide pool every `start*`, gated run and `precipice
+/// serve` instance runs on.
+pub(crate) fn resident() -> Arc<Pool> {
+    static POOL: OnceLock<Arc<Pool>> = OnceLock::new();
+    Arc::clone(POOL.get_or_init(Pool::new))
+}
 
 /// An event in flight towards the node that must handle it.
 #[derive(Debug)]
@@ -142,20 +339,24 @@ pub struct RouterCounters {
     pub events: u64,
 }
 
-/// The shared heart of the sharded runtime: ring addressing, quiescence
-/// accounting and graph-backed failure detection.
-///
-/// Lock ordering: `fd` before the gate's queue lock; ring mutexes are
-/// leaves. Nothing ever takes `fd` while holding a ring or gate lock.
-#[derive(Debug)]
+/// The shared heart of an instance: ring addressing, worker
+/// scheduling, quiescence accounting and graph-backed failure
+/// detection. Lock order is in the [module docs](self).
 pub(crate) struct Router<V> {
     graph: Arc<Graph>,
     shards: usize,
     /// Nodes per shard range (last shard takes the remainder).
     range: usize,
-    rings: Vec<Arc<Ring<ShardEvent<V>>>>,
-    /// Events charged and not yet discharged, across all shards.
-    outstanding: Outstanding,
+    rings: Vec<Ring<ShardEvent<V>>>,
+    /// Per shard: a token for it is queued or running.
+    scheduled: Vec<AtomicBool>,
+    /// Token ring of the worker serving each shard.
+    workers: Vec<Arc<Ring<Token>>>,
+    /// The instance this router is part of, as tokens name it.
+    tenant: Weak<dyn Tenant>,
+    /// Events and tokens charged and not yet discharged, across all
+    /// shards.
+    outstanding: Arc<Outstanding>,
     /// Failure-detector bookkeeping, shared by all shards.
     fd: Mutex<FdState>,
     /// When set, posts are parked here instead of entering the rings —
@@ -167,22 +368,29 @@ pub(crate) struct Router<V> {
 }
 
 impl<V: precipice_core::WireSize> Router<V> {
-    fn new(graph: Arc<Graph>, shards: usize, gate: Option<Arc<Gate<V>>>) -> Arc<Self> {
-        let shards = shards.max(1);
+    /// A router with one shard per worker token ring.
+    fn new(
+        graph: Arc<Graph>,
+        workers: Vec<Arc<Ring<Token>>>,
+        tenant: Weak<dyn Tenant>,
+        gate: Option<Arc<Gate<V>>>,
+    ) -> Self {
+        let shards = workers.len();
         let range = graph.len().div_ceil(shards).max(1);
-        Arc::new(Router {
+        Router {
             graph,
             shards,
             range,
-            rings: (0..shards)
-                .map(|_| Arc::new(Ring::new(RING_CAPACITY)))
-                .collect(),
-            outstanding: Outstanding::default(),
+            rings: (0..shards).map(|_| Ring::new(RING_CAPACITY)).collect(),
+            scheduled: (0..shards).map(|_| AtomicBool::new(false)).collect(),
+            workers,
+            tenant,
+            outstanding: Arc::default(),
             fd: Mutex::new(FdState::default()),
             gate,
             step: AtomicU64::new(0),
             counters: Counters::default(),
-        })
+        }
     }
 
     pub(crate) fn graph(&self) -> &Arc<Graph> {
@@ -195,7 +403,7 @@ impl<V: precipice_core::WireSize> Router<V> {
     }
 
     pub(crate) fn is_crashed(&self, node: NodeId) -> bool {
-        self.fd.lock().expect("fd lock").is_crashed(node)
+        lock(&self.fd).is_crashed(node)
     }
 
     /// Routes `event` towards its owner: charges and enqueues it, or
@@ -212,18 +420,36 @@ impl<V: precipice_core::WireSize> Router<V> {
 
     /// Sends `event` into its owner's ring for real, charging it first
     /// (quiescence must never observe the window between enqueue and
-    /// charge). A ring closed by shutdown refuses the push; nobody will
-    /// handle that event, so it is discharged here.
+    /// charge), and schedules the shard if no token is out for it. A
+    /// ring closed by shutdown refuses the push; nobody will handle
+    /// that event, so it is discharged here.
     pub(crate) fn release(&self, event: ShardEvent<V>) {
         self.outstanding.charge();
-        if !self.rings[self.shard_of(event.to())].push(event) {
+        let shard = self.shard_of(event.to());
+        if !self.rings[shard].push(event) {
             self.outstanding.done();
+        } else if !self.scheduled[shard].swap(true, Ordering::SeqCst) {
+            // Only a handler or the owning cluster releases, and either
+            // holds the instance.
+            let tenant = self.tenant.upgrade().expect("released by a live instance");
+            self.outstanding.charge();
+            if !self.workers[shard].push(Token { tenant, shard }) {
+                self.outstanding.done();
+            }
+        }
+    }
+
+    /// Closes every ring: queued events still drain, later posts are
+    /// refused and discharged on the spot.
+    fn close(&self) {
+        for ring in &self.rings {
+            ring.close();
         }
     }
 
     /// A protocol message from `from` to `to`; dropped if `to` is dead.
     fn deliver(&self, from: NodeId, to: NodeId, message: Message<V>) {
-        let fd = self.fd.lock().expect("fd lock");
+        let fd = lock(&self.fd);
         if fd.is_crashed(to) {
             self.counters.dropped.fetch_add(1, Ordering::Relaxed);
             return;
@@ -239,7 +465,7 @@ impl<V: precipice_core::WireSize> Router<V> {
     /// `observer` asks to monitor `target` (a dynamic `Monitor`
     /// action); if `target` is already dead the notification fires now.
     fn monitor(&self, observer: NodeId, target: NodeId) {
-        let mut fd = self.fd.lock().expect("fd lock");
+        let mut fd = lock(&self.fd);
         if fd.monitor(&self.graph, observer, target) {
             self.notify(observer, target);
         }
@@ -248,7 +474,7 @@ impl<V: precipice_core::WireSize> Router<V> {
     /// Marks `q` crashed and notifies its observers (see
     /// [`FdState::kill`]); a no-op if `q` was already dead.
     pub(crate) fn kill(&self, q: NodeId) {
-        let mut fd = self.fd.lock().expect("fd lock");
+        let mut fd = lock(&self.fd);
         for observer in fd.kill(&self.graph, q) {
             self.notify(observer, q);
         }
@@ -286,36 +512,179 @@ impl<V: precipice_core::WireSize> Router<V> {
 /// A decision as the shards record it: view, value, release step.
 type DecisionCell<V> = BTreeMap<NodeId, (View, V, u64)>;
 
-/// A running sharded cluster over one shared topology.
+type ShardNodes<P> = BTreeMap<NodeId, CliffEdgeNode<Arc<Graph>, P>>;
+
+/// One agreement instance: everything a tenant of the pool owns.
+struct Instance<P: DecisionPolicy> {
+    router: Router<P::Value>,
+    config: ProtocolConfig,
+    /// Builds a node's policy the first time the node activates.
+    factory: Mutex<Box<dyn FnMut(NodeId) -> P + Send>>,
+    decisions: Mutex<DecisionCell<P::Value>>,
+    /// Per-shard node tables. Worker `i` holds lock `i` for a turn and
+    /// `shutdown` reads it after retirement; it is never contended.
+    nodes: Vec<Mutex<ShardNodes<P>>>,
+    /// The first handler panic's message; set once, then nothing more
+    /// is handled.
+    failed: OnceLock<String>,
+}
+
+impl<P> Instance<P>
+where
+    P: DecisionPolicy + Send + 'static,
+    P::Value: Send + Sync,
+{
+    /// An idle instance with one shard per worker token ring.
+    fn new(
+        graph: Arc<Graph>,
+        config: ProtocolConfig,
+        factory: impl FnMut(NodeId) -> P + Send + 'static,
+        gate: Option<Arc<Gate<P::Value>>>,
+        workers: Vec<Arc<Ring<Token>>>,
+    ) -> Arc<Self> {
+        Arc::new_cyclic(|me: &Weak<Self>| Instance {
+            nodes: workers.iter().map(|_| Mutex::default()).collect(),
+            router: Router::new(graph, workers, me.clone(), gate),
+            config,
+            factory: Mutex::new(Box::new(factory)),
+            decisions: Mutex::default(),
+            failed: OnceLock::new(),
+        })
+    }
+
+    /// Pop-side of the event loop for one event: activate on demand,
+    /// handle, execute the resulting actions.
+    fn handle(&self, event: ShardEvent<P::Value>, nodes: &mut ShardNodes<P>) {
+        let router = &self.router;
+        let to = event.to();
+        router.counters.events.fetch_add(1, Ordering::Relaxed);
+        if router.is_crashed(to) {
+            router.counters.dropped.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        let node = match nodes.entry(to) {
+            btree_map::Entry::Occupied(entry) => entry.into_mut(),
+            btree_map::Entry::Vacant(entry) => {
+                // First event for this node: build it and run Init before
+                // the event itself — the protocol requires Init first, and
+                // its neighbourhood monitor is free under graph-backed FD.
+                router.counters.activations.fetch_add(1, Ordering::Relaxed);
+                let policy = (lock(&self.factory))(to);
+                let mut node =
+                    CliffEdgeNode::new(to, Arc::clone(router.graph()), policy, self.config);
+                let init_actions = node.handle(Event::Init);
+                let node = entry.insert(node);
+                execute(to, init_actions, router, &self.decisions);
+                node
+            }
+        };
+        let actions = match event {
+            ShardEvent::Deliver { from, message, .. } => {
+                router.counters.delivered.fetch_add(1, Ordering::Relaxed);
+                node.handle(Event::Deliver { from, message })
+            }
+            ShardEvent::Notify { crashed, .. } => node.handle(Event::Crash(crashed)),
+        };
+        execute(to, actions, router, &self.decisions);
+    }
+
+    /// Marks the instance failed by a handler's panic and closes its
+    /// rings, so posts from now on are refused and what is queued is
+    /// discharged unhandled as the scheduled turns reach it.
+    fn fail(&self, panic: Box<dyn Any + Send>) {
+        let message = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or("a handler panicked");
+        let _ = self.failed.set(message.to_owned());
+        self.router.close();
+    }
+}
+
+impl<P> Tenant for Instance<P>
+where
+    P: DecisionPolicy + Send + 'static,
+    P::Value: Send + Sync,
+{
+    fn drain(&self, shard: usize) -> bool {
+        let router = &self.router;
+        let (ring, scheduled) = (&router.rings[shard], &router.scheduled[shard]);
+        let mut nodes = lock(&self.nodes[shard]);
+        for _ in 0..DRAIN_BATCH {
+            let Some(event) = ring.try_pop() else {
+                // Give the flag up, then look once more: a producer that
+                // pushed since the pop read `true` and scheduled nothing.
+                scheduled.store(false, Ordering::SeqCst);
+                if ring.queued() == 0 || scheduled.swap(true, Ordering::SeqCst) {
+                    return false;
+                }
+                continue;
+            };
+            if self.failed.get().is_none() {
+                // Caught below the guard on `nodes`, which stays clean.
+                let handled = catch_unwind(AssertUnwindSafe(|| self.handle(event, &mut nodes)));
+                if let Err(panic) = handled {
+                    self.fail(panic);
+                }
+            }
+            router.outstanding.done();
+        }
+        true
+    }
+
+    fn outstanding(&self) -> Arc<Outstanding> {
+        Arc::clone(&self.router.outstanding)
+    }
+}
+
+/// A running sharded cluster over one shared topology: one instance on
+/// the resident worker pool.
 ///
 /// Generic over the [`DecisionPolicy`] so the runtime crate's
 /// `Scenario::exec` policies carry over; plain
 /// [`ShardedCluster::start`] gives the default coordinator-election
 /// policy. See the [module docs](self) for the design and the
 /// [crate docs](crate) for an end-to-end example.
+///
+/// Dropping a cluster without [`shutdown`](Self::shutdown) retires it
+/// all the same: its rings close, what is queued drains, and nothing of
+/// it outlives the last event.
 pub struct ShardedCluster<P: DecisionPolicy = NodeIdValuePolicy> {
-    router: Arc<Router<P::Value>>,
-    handles: Vec<JoinHandle<ShardNodes<P>>>,
-    decisions: Arc<Mutex<DecisionCell<P::Value>>>,
+    instance: Arc<Instance<P>>,
+    /// Keeps the workers alive; the instance itself holds only their
+    /// token rings, so a pool is never dropped from one of its own
+    /// threads.
+    _pool: Arc<Pool>,
     killed: BTreeSet<NodeId>,
 }
-
-type ShardNodes<P> = BTreeMap<NodeId, CliffEdgeNode<Arc<Graph>, P>>;
 
 impl<P: DecisionPolicy> std::fmt::Debug for ShardedCluster<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedCluster")
-            .field("nodes", &self.router.graph.len())
-            .field("shards", &self.router.shards)
+            .field("nodes", &self.instance.router.graph.len())
+            .field("shards", &self.instance.router.shards)
             .field("killed", &self.killed)
             .finish()
     }
 }
 
+impl<P: DecisionPolicy> Drop for ShardedCluster<P> {
+    fn drop(&mut self) {
+        self.instance.router.close();
+    }
+}
+
 impl ShardedCluster<NodeIdValuePolicy> {
-    /// Starts `shards` worker shards over `graph` with the default
-    /// coordinator-election policy. No node state is allocated until a
-    /// node first receives an event.
+    /// Starts an instance of `shards` shards over `graph` with the
+    /// default coordinator-election policy. No node state is allocated
+    /// until a node first receives an event, and no thread is spawned
+    /// unless the pool has fewer than `shards` workers yet.
+    ///
+    /// # Panics
+    ///
+    /// Like every `start*`: if the pool has to grow and the operating
+    /// system refuses the thread.
     pub fn start(graph: Graph, config: ProtocolConfig, shards: usize) -> Self {
         Self::start_shared(Arc::new(graph), config, shards)
     }
@@ -333,8 +702,8 @@ where
     P: DecisionPolicy + Send + 'static,
     P::Value: Send + Sync,
 {
-    /// Starts the cluster with a per-node policy factory (the exec
-    /// API's `decide_with` hook). The factory runs on shard threads,
+    /// Starts the instance with a per-node policy factory (the exec
+    /// API's `decide_with` hook). The factory runs on pool workers,
     /// serialized by a lock, the first time each node activates.
     pub fn start_with<F>(
         graph: Arc<Graph>,
@@ -345,56 +714,46 @@ where
     where
         F: FnMut(NodeId) -> P + Send + 'static,
     {
-        Self::launch(graph, config, shards, factory, None)
+        Self::launch(resident(), graph, config, shards, factory, None).expect("spawn shard worker")
     }
 
+    /// Makes an instance of `shards` shards (at least one) a tenant of
+    /// `pool`, growing the pool to that many workers first; the only
+    /// failure is that growth.
     pub(crate) fn launch<F>(
+        pool: Arc<Pool>,
         graph: Arc<Graph>,
         config: ProtocolConfig,
         shards: usize,
         factory: F,
         gate: Option<Arc<Gate<P::Value>>>,
-    ) -> Self
+    ) -> std::io::Result<Self>
     where
         F: FnMut(NodeId) -> P + Send + 'static,
     {
-        let router = Router::new(graph, shards, gate);
-        let decisions: Arc<Mutex<DecisionCell<P::Value>>> = Arc::new(Mutex::new(BTreeMap::new()));
-        let factory = Arc::new(Mutex::new(factory));
-        let handles = (0..router.shards)
-            .map(|shard| {
-                let router = Arc::clone(&router);
-                let factory = Arc::clone(&factory);
-                let decisions = Arc::clone(&decisions);
-                std::thread::Builder::new()
-                    .name(format!("precipice-shard-{shard}"))
-                    .spawn(move || shard_main(shard, router, factory, config, decisions))
-                    .expect("spawn shard thread")
-            })
-            .collect();
-        ShardedCluster {
-            router,
-            handles,
-            decisions,
+        let workers = pool.tokens(shards.max(1))?;
+        Ok(ShardedCluster {
+            instance: Instance::new(graph, config, factory, gate, workers),
+            _pool: pool,
             killed: BTreeSet::new(),
-        }
+        })
     }
 
     /// The shared topology.
     pub fn graph(&self) -> &Arc<Graph> {
-        self.router.graph()
+        self.instance.router.graph()
     }
 
-    /// Worker shard count.
+    /// Shard count of this instance (the pool may have more workers).
     pub fn shards(&self) -> usize {
-        self.router.shards
+        self.instance.router.shards
     }
 
     /// Induces the crash of `node`: queued and future events addressed
     /// to it are dropped, and its observers are notified.
     pub fn kill(&mut self, node: NodeId) {
         if self.killed.insert(node) {
-            self.router.kill(node);
+            self.instance.router.kill(node);
         }
     }
 
@@ -403,42 +762,48 @@ where
         &self.killed
     }
 
-    /// Outstanding (posted but not yet fully handled) events.
+    /// Outstanding work: events posted but not yet fully handled, plus
+    /// the worker turns scheduled to handle them.
     pub fn pending(&self) -> u64 {
-        self.router.outstanding.get()
+        self.instance.router.outstanding.get()
+    }
+
+    /// Why this instance stopped handling events, if a handler of its
+    /// own panicked. A failed instance still goes quiescent (what was
+    /// queued is discharged unhandled) and still shuts down; its
+    /// decisions are whatever was reached before the panic.
+    pub fn failure(&self) -> Option<&str> {
+        self.instance.failed.get().map(String::as_str)
     }
 
     /// Nodes activated on demand so far — the live analogue of the
     /// sim's footprint metric. Never-activated nodes hold no state.
     pub fn activated(&self) -> u64 {
-        self.router.counters.activations.load(Ordering::Relaxed)
+        let counters = &self.instance.router.counters;
+        counters.activations.load(Ordering::Relaxed)
     }
 
     /// Events that overflowed a shard ring into its spill lane.
     pub fn spilled(&self) -> u64 {
-        self.router.rings.iter().map(|r| r.spilled()).sum()
+        self.instance.router.rings.iter().map(Ring::spilled).sum()
     }
 
     /// Transport accounting so far.
     pub fn counters(&self) -> RouterCounters {
-        self.router.snapshot()
+        self.instance.router.snapshot()
     }
 
     /// The decision of `node`, if it has decided (live read — valid
     /// mid-run, used by `precipice serve`'s `read` command).
     pub fn decision_of(&self, node: NodeId) -> Option<(View, P::Value)> {
-        self.decisions
-            .lock()
-            .expect("decisions lock")
+        lock(&self.instance.decisions)
             .get(&node)
             .map(|(view, value, _)| (view.clone(), value.clone()))
     }
 
     /// Snapshot of all decisions so far (killed nodes excluded).
     pub fn decisions_snapshot(&self) -> BTreeMap<NodeId, (View, P::Value)> {
-        self.decisions
-            .lock()
-            .expect("decisions lock")
+        lock(&self.instance.decisions)
             .iter()
             .filter(|(node, _)| !self.killed.contains(node))
             .map(|(node, (view, value, _))| (*node, (view.clone(), value.clone())))
@@ -448,9 +813,7 @@ where
     /// How many nodes have decided so far (killed nodes excluded):
     /// `decisions_snapshot().len()` without cloning a single view.
     pub fn decision_count(&self) -> usize {
-        self.decisions
-            .lock()
-            .expect("decisions lock")
+        lock(&self.instance.decisions)
             .keys()
             .filter(|node| !self.killed.contains(node))
             .count()
@@ -458,27 +821,25 @@ where
 
     /// Advances the gated release clock (gate controller only).
     pub(crate) fn bump_step(&self) -> u64 {
-        self.router.bump_step()
+        self.instance.router.bump_step()
     }
 
     /// Releases one parked event into the real rings (gate controller
     /// only).
     pub(crate) fn release_gated(&self, event: ShardEvent<P::Value>) {
-        self.router.release(event);
+        self.instance.router.release(event);
     }
 
     /// Release-clock stamps of all decisions so far (killed excluded).
     pub(crate) fn decision_steps(&self) -> BTreeMap<NodeId, u64> {
-        self.decisions
-            .lock()
-            .expect("decisions lock")
+        lock(&self.instance.decisions)
             .iter()
             .filter(|(node, _)| !self.killed.contains(node))
             .map(|(node, (_, _, step))| (*node, *step))
             .collect()
     }
 
-    /// Blocks until no event is outstanding, or until `timeout`
+    /// Blocks until nothing is outstanding, or until `timeout`
     /// elapses. Returns `true` on quiescence; returns at once when the
     /// cluster is already idle or `timeout` is zero.
     ///
@@ -490,108 +851,46 @@ where
     /// start new work — so the waiter sleeps until the discharge that
     /// reaches zero wakes it, and that zero is final.
     pub fn await_quiescence(&self, timeout: Duration) -> bool {
-        self.router.outstanding.wait_zero(timeout)
+        self.instance.router.outstanding.wait_zero(timeout)
     }
 
-    /// Stops all shards (draining their rings first) and collects the
-    /// final report. Killed nodes and never-touched nodes contribute no
-    /// stats; killed nodes' decisions are dropped with them.
-    pub fn shutdown(mut self) -> LiveReport<P::Value> {
-        for ring in &self.router.rings {
-            ring.close();
-        }
+    /// Retires the instance and collects the final report: closes the
+    /// rings, waits until what was queued has drained and no worker
+    /// holds the instance, reads the node tables. Killed nodes and
+    /// never-touched nodes contribute no stats; killed nodes' decisions
+    /// are dropped with them.
+    pub fn shutdown(self) -> LiveReport<P::Value> {
+        self.retire().0
+    }
+
+    /// [`shutdown`](Self::shutdown), plus the [`failure`](Self::failure)
+    /// as it stands once the last queued event has been handled.
+    pub(crate) fn retire(mut self) -> (LiveReport<P::Value>, Option<String>) {
+        let instance = &self.instance;
+        instance.router.close();
+        instance.router.outstanding.wait_zero(Duration::MAX);
+        let killed = std::mem::take(&mut self.killed);
         let mut stats = BTreeMap::new();
-        for handle in self.handles.drain(..) {
-            for (id, node) in handle.join().expect("shard thread panicked") {
-                if !self.killed.contains(&id) && *node.stats() != ProtocolStats::default() {
-                    stats.insert(id, *node.stats());
+        for table in &instance.nodes {
+            for (id, node) in lock(table).iter() {
+                if !killed.contains(id) && *node.stats() != ProtocolStats::default() {
+                    stats.insert(*id, *node.stats());
                 }
             }
         }
-        let decisions = self
-            .decisions
-            .lock()
-            .expect("decisions lock")
-            .iter()
-            .filter(|(node, _)| !self.killed.contains(node))
-            .map(|(node, (view, value, _))| (*node, (view.clone(), value.clone())))
+        // Nobody else is left to read them: taken, not cloned.
+        let decisions = std::mem::take(&mut *lock(&instance.decisions))
+            .into_iter()
+            .filter(|(node, _)| !killed.contains(node))
+            .map(|(node, (view, value, _))| (node, (view, value)))
             .collect();
-        LiveReport {
+        let report = LiveReport {
             decisions,
             stats,
-            killed: self.killed,
-        }
+            killed,
+        };
+        (report, instance.failed.get().cloned())
     }
-}
-
-/// One shard's event loop: pop, activate on demand, handle, execute the
-/// resulting actions, acknowledge.
-fn shard_main<P, F>(
-    shard: usize,
-    router: Arc<Router<P::Value>>,
-    factory: Arc<Mutex<F>>,
-    config: ProtocolConfig,
-    decisions: Arc<Mutex<DecisionCell<P::Value>>>,
-) -> ShardNodes<P>
-where
-    P: DecisionPolicy,
-    F: FnMut(NodeId) -> P,
-{
-    let ring = Arc::clone(&router.rings[shard]);
-    let mut nodes: ShardNodes<P> = BTreeMap::new();
-    loop {
-        match ring.pop(IDLE_TICK) {
-            Pop::Item(event) => {
-                handle_event(event, &router, &factory, config, &decisions, &mut nodes);
-                router.outstanding.done();
-            }
-            Pop::TimedOut => continue,
-            Pop::Closed => break,
-        }
-    }
-    nodes
-}
-
-fn handle_event<P, F>(
-    event: ShardEvent<P::Value>,
-    router: &Router<P::Value>,
-    factory: &Mutex<F>,
-    config: ProtocolConfig,
-    decisions: &Mutex<DecisionCell<P::Value>>,
-    nodes: &mut ShardNodes<P>,
-) where
-    P: DecisionPolicy,
-    F: FnMut(NodeId) -> P,
-{
-    let to = event.to();
-    router.counters.events.fetch_add(1, Ordering::Relaxed);
-    if router.is_crashed(to) {
-        router.counters.dropped.fetch_add(1, Ordering::Relaxed);
-        return;
-    }
-    let node = match nodes.entry(to) {
-        btree_map::Entry::Occupied(entry) => entry.into_mut(),
-        btree_map::Entry::Vacant(entry) => {
-            // First event for this node: build it and run Init before
-            // the event itself — the protocol requires Init first, and
-            // its neighbourhood monitor is free under graph-backed FD.
-            router.counters.activations.fetch_add(1, Ordering::Relaxed);
-            let policy = (factory.lock().expect("policy factory lock"))(to);
-            let mut node = CliffEdgeNode::new(to, Arc::clone(router.graph()), policy, config);
-            let init_actions = node.handle(Event::Init);
-            let node = entry.insert(node);
-            execute(to, init_actions, router, decisions);
-            node
-        }
-    };
-    let actions = match event {
-        ShardEvent::Deliver { from, message, .. } => {
-            router.counters.delivered.fetch_add(1, Ordering::Relaxed);
-            node.handle(Event::Deliver { from, message })
-        }
-        ShardEvent::Notify { crashed, .. } => node.handle(Event::Crash(crashed)),
-    };
-    execute(to, actions, router, decisions);
 }
 
 fn execute<V: Clone + precipice_core::WireSize>(
@@ -617,10 +916,7 @@ fn execute<V: Clone + precipice_core::WireSize>(
             }
             Action::Decide { view, value } => {
                 let step = router.step();
-                let previous = decisions
-                    .lock()
-                    .expect("decisions lock")
-                    .insert(me, (view, value, step));
+                let previous = lock(decisions).insert(me, (view, value, step));
                 debug_assert!(previous.is_none(), "{me} decided twice");
             }
         }
@@ -630,7 +926,9 @@ fn execute<V: Clone + precipice_core::WireSize>(
 /// A cluster a test can hold busy: its policy factory reports on the
 /// first channel that a handler has entered it, then blocks until the
 /// returned sender is dropped. The factory runs inside an event
-/// handler, so while it blocks at least one event is outstanding.
+/// handler, so while it blocks at least one event is outstanding — and
+/// a worker is parked, which is why the cluster gets a pool of its own
+/// rather than stalling every test on the resident one.
 #[cfg(test)]
 pub(crate) fn held_cluster(
     graph: Graph,
@@ -642,7 +940,8 @@ pub(crate) fn held_cluster(
 ) {
     let (entered_tx, entered_rx) = std::sync::mpsc::channel();
     let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
-    let cluster = ShardedCluster::start_with(
+    let cluster = ShardedCluster::launch(
+        Pool::new(),
         Arc::new(graph),
         ProtocolConfig::default(),
         shards,
@@ -651,7 +950,9 @@ pub(crate) fn held_cluster(
             let _ = release_rx.recv();
             NodeIdValuePolicy
         },
-    );
+        None,
+    )
+    .expect("spawn shard worker");
     (cluster, entered_rx, release_tx)
 }
 
@@ -780,18 +1081,32 @@ mod tests {
 
     #[test]
     fn push_refused_by_a_closed_ring_is_discharged() {
-        let router: Arc<Router<NodeId>> = Router::new(Arc::new(path(4)), 2, None);
+        // Token rings nobody serves: what is scheduled stays put.
+        let workers: Vec<_> = (0..2).map(|_| Arc::new(Ring::new(4))).collect();
+        let instance = Instance::new(
+            Arc::new(path(4)),
+            ProtocolConfig::default(),
+            |_me| NodeIdValuePolicy,
+            None,
+            workers.clone(),
+        );
+        let router = &instance.router;
         router.rings[1].close();
         router.release(ShardEvent::Notify {
             to: NodeId(3),
             crashed: NodeId(2),
         });
         assert_eq!(router.outstanding.get(), 0, "refused push left a charge");
-        router.release(ShardEvent::Notify {
-            to: NodeId(0),
-            crashed: NodeId(1),
-        });
-        assert_eq!(router.outstanding.get(), 1, "accepted push stays charged");
+        assert_eq!(workers[1].queued(), 0, "refused push scheduled a turn");
+        for _ in 0..2 {
+            router.release(ShardEvent::Notify {
+                to: NodeId(0),
+                crashed: NodeId(1),
+            });
+        }
+        // Two accepted events and the one token their shard needs.
+        assert_eq!(router.outstanding.get(), 3, "accepted pushes stay charged");
+        assert_eq!(workers[0].queued(), 1, "one token per false -> true edge");
     }
 
     #[test]
