@@ -185,7 +185,7 @@ impl GlobalProcess {
 
     fn advance(&mut self, ctx: &mut Context<'_, GlobalMsg>) {
         while self.decision.is_none() && self.joined && self.round_complete(self.round) {
-            // Early-termination criterion (see module docs): two rounds
+            // Early-termination condition (see module docs): two rounds
             // minimum, vector covering all live nodes.
             if self.round >= 2 && self.vector_complete() {
                 self.decide_on_union(ctx.now());

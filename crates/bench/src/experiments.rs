@@ -1,7 +1,7 @@
 //! The E1–E9 experiment implementations.
 //!
 //! Each function runs one experiment and returns printable result
-//! tables; the `src/bin/*` report binaries are thin wrappers. Everything
+//! tables; the `report` binary selects them through [`index`]. Everything
 //! is deterministic in the seeds embedded here: each experiment is a
 //! list of independent jobs (one simulation per job, seeding its own
 //! `Simulation`) sharded across workers by
@@ -972,41 +972,82 @@ fn schedule_region(
     schedule(region.iter(), simultaneous())
 }
 
-/// Runs every experiment, in order.
-pub fn all(jobs: Jobs) -> Vec<(String, Vec<Table>)> {
-    index()
-        .into_iter()
-        .map(|(_, title, f)| (title.to_owned(), f(jobs)))
-        .collect()
+/// One entry of the experiment index.
+#[derive(Debug, Clone, Copy)]
+pub struct Experiment {
+    /// The key `report` selects it by (`e1` … `e9`).
+    pub key: &'static str,
+    /// Short title, the section heading under `report all`.
+    pub title: &'static str,
+    /// The heading `report <key>` prints above the tables.
+    pub heading: &'static str,
+    /// Runs the experiment on the given worker count.
+    pub run: fn(Jobs) -> Vec<Table>,
 }
 
-/// The experiment runner signature shared by the index.
-pub type ExperimentFn = fn(Jobs) -> Vec<Table>;
-
-/// The experiment index as `(key, title, runner)` triples — the report
-/// binaries and the sweep benchmark iterate this list so a new
-/// experiment cannot be forgotten in one of them.
-pub fn index() -> Vec<(&'static str, &'static str, ExperimentFn)> {
+/// The experiment index, in report order: `report <key>` selects from
+/// it and `report all` runs it top to bottom.
+pub fn index() -> Vec<Experiment> {
+    let entry = |key, title, heading, run| Experiment {
+        key,
+        title,
+        heading,
+        run,
+    };
     vec![
-        ("e1", "E1 (Figure 1)", e1_figure1 as ExperimentFn),
-        ("e2", "E2 (Figure 2)", e2_figure2),
-        ("e3", "E3 (Figure 3)", e3_figure3),
-        ("e4", "E4 (locality scaling)", e4_locality_scaling),
-        ("e5", "E5 (region scaling)", e5_region_scaling),
-        ("e6", "E6 (churn convergence)", e6_churn_convergence),
-        ("e7", "E7 (ablations)", e7_ablations),
-        ("e8", "E8 (live backend)", e8_live_backend),
-        (
+        entry(
+            "e1",
+            "E1 (Figure 1)",
+            "E1 / Figure 1 — protocol instances and conflicting views",
+            e1_figure1,
+        ),
+        entry(
+            "e2",
+            "E2 (Figure 2)",
+            "E2 / Figure 2 — a cluster of adjacent faulty domains",
+            e2_figure2,
+        ),
+        entry(
+            "e3",
+            "E3 (Figure 3)",
+            "E3 / Figure 3 — convergence between overlapping views",
+            e3_figure3,
+        ),
+        entry(
+            "e4",
+            "E4 (locality scaling)",
+            "E4 — local complexity: cost vs system size",
+            e4_locality_scaling,
+        ),
+        entry(
+            "e5",
+            "E5 (region scaling)",
+            "E5 — cost vs crashed-region shape and extent",
+            e5_region_scaling,
+        ),
+        entry(
+            "e6",
+            "E6 (churn convergence)",
+            "E6 — convergence under ongoing failures",
+            e6_churn_convergence,
+        ),
+        entry(
+            "e7",
+            "E7 (ablations)",
+            "E7 — optimization and arbitration ablations",
+            e7_ablations,
+        ),
+        entry(
+            "e8",
+            "E8 (live backend)",
+            "E8 — simulator vs the live runtime",
+            e8_live_backend,
+        ),
+        entry(
             "e9",
             "E9 (adversarial schedule exploration)",
+            "E9 — adversarial schedule exploration",
             e9_schedule_exploration,
         ),
     ]
-}
-
-/// Prints tables to stdout with spacing.
-pub fn print_tables(tables: &[Table]) {
-    for t in tables {
-        println!("{t}");
-    }
 }

@@ -1,7 +1,8 @@
-//! Shared experiment machinery for the report binaries and criterion
-//! benches. See the [`experiments`] module docs for the experiment index
-//! (E1–E9); the binaries under `src/bin/` regenerate each table, and
-//! `cargo bench -p precipice-bench` runs the criterion suites.
+//! The E1–E9 experiment library. See the [`experiments`] module docs for
+//! the experiment index; the `report` binary regenerates each table, and
+//! the tests under `tests/` carry the checks that are exact (golden trace
+//! hashes, mapped ≡ owned, `--jobs` determinism, cost identical across
+//! N). Timings live in the repository's `benchmark/` package, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
@@ -13,20 +14,6 @@ use precipice_graph::{torus, Graph, GridDims, NodeId, Region};
 use precipice_runtime::{Exec, RunReport, Scenario};
 use precipice_sim::{LatencyModel, SimConfig, SimTime};
 use precipice_workload::patterns::{blob_of_size, line_region, schedule, CrashTiming};
-pub use precipice_workload::sweep::Jobs;
-
-/// Worker count for a report binary: `--jobs N` from the command line,
-/// else `PRECIPICE_JOBS`, else all available cores. Exits with status 2
-/// on a malformed flag.
-pub fn report_jobs() -> Jobs {
-    match Jobs::from_args(std::env::args().skip(1)) {
-        Ok(jobs) => jobs,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    }
-}
 
 /// Concatenated markdown of the non-volatile tables — the byte string
 /// the sweep determinism contract is checked against (volatile tables
@@ -180,26 +167,8 @@ pub fn simultaneous() -> CrashTiming {
     CrashTiming::Simultaneous(SimTime::from_millis(1))
 }
 
-/// System sizes of the set-algebra micro-benches (`protocol_micro`'s
-/// `set_algebra` group and the `bench_protocol` JSON report share this
-/// workload so their numbers stay comparable).
-pub const SET_ALGEBRA_SIZES: [usize; 4] = [64, 256, 1024, 4096];
-
-/// The canonical set-algebra workload at system size `n`: a torus, a
-/// compact blob region, and a thin line region, both of size
-/// `(n/32).clamp(4, 64)`.
-pub fn set_algebra_case(n: usize) -> (Graph, Region, Region) {
-    let g = torus_of(n);
-    let k = (n / 32).clamp(4, 64);
-    let blob = carve_region(&g, RegionShape::Blob, k);
-    let line = carve_region(&g, RegionShape::Line, k);
-    (g, blob, line)
-}
-
-/// The figure scenarios whose simulator trace hashes are pinned: the
-/// `bench_protocol` report records them and
-/// `crates/bench/tests/trace_golden.rs` asserts them against goldens, so
-/// the two artifacts can never silently pin different scenario sets.
+/// The figure scenarios whose simulator trace hashes
+/// `crates/bench/tests/trace_golden.rs` pins against goldens.
 pub fn pinned_figure_scenarios() -> Vec<(&'static str, Scenario)> {
     use precipice_workload::figures::{figure3_scenario, Figure1, Figure2};
     use precipice_workload::patterns::CrashTiming;

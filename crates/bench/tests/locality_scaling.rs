@@ -10,6 +10,9 @@
 //! machines jitter, debug builds shift constants) but far below the
 //! broken regime: a reintroduced O(N) scan shows up as a 40×+ ratio and
 //! fails loudly.
+//!
+//! Beside the wall-time ratio sits the exact half of the same claim: the
+//! run's cost is not merely flat across N, it is the same numbers.
 
 use precipice_bench::{carve_region, measure_cliff_edge, simultaneous, torus_of, RegionShape};
 use precipice_core::ProtocolConfig;
@@ -53,4 +56,36 @@ fn lazy_run_time_stays_flat_as_n_grows_1024x() {
         small * 1000.0,
         large * 1000.0,
     );
+}
+
+/// The paper's headline as an equation: for a fixed crashed region the
+/// agreement's cost — messages, bytes, nodes involved, deciders, rounds —
+/// is identical on a 64-node and on a million-node torus.
+#[test]
+fn run_cost_is_identical_from_64_to_a_million_nodes() {
+    let costs_at = |n: usize| {
+        let graph = torus_of(n);
+        let region = carve_region(&graph, RegionShape::Blob, 8);
+        [1, 2, 3].map(|seed| {
+            let (c, _) = measure_cliff_edge(
+                graph.clone(),
+                &region,
+                simultaneous(),
+                ProtocolConfig::default(),
+                seed,
+            );
+            assert!(c.decisions > 0, "run at n={n} seed={seed} undecided");
+            (
+                c.messages,
+                c.bytes,
+                c.active_nodes,
+                c.decisions,
+                c.max_round,
+            )
+        })
+    };
+    let smallest = costs_at(1 << 6);
+    for exp in [10, 16, 20] {
+        assert_eq!(costs_at(1 << exp), smallest, "cost moved at N = 2^{exp}");
+    }
 }

@@ -5,14 +5,14 @@
 //! refactor of the transport internals. These values were captured before
 //! the `fifo_last` flat-table optimization and pin the schedule exactly —
 //! if one of them moves, a perf change has altered observable behavior.
-//!
-//! The scenario set is shared with the `bench_protocol` report binary
-//! ([`precipice_bench::pinned_figure_scenarios`]), which records the same
-//! hashes into `BENCH_protocol.json`.
 
 use std::sync::Arc;
 
-use precipice_bench::{pinned_figure_scenarios, trace_hash_of};
+use precipice_bench::{
+    carve_region, mapped_torus_of, measure_cliff_edge, pinned_figure_scenarios, simultaneous,
+    torus_of, trace_hash_of, RegionShape,
+};
+use precipice_core::ProtocolConfig;
 use precipice_graph::Graph;
 
 const GOLDEN: [(&str, u64); 5] = [
@@ -69,5 +69,40 @@ fn figure_scenario_hashes_survive_mapped_topology() {
             got, want,
             "{name}: mapped topology changed the trace ({got:#018x} vs {want:#018x})"
         );
+    }
+}
+
+/// The same differential up the torus ladder: the E4 configuration (fixed
+/// 8-node blob) on `torus_of(n)` and on the identical torus served from
+/// the `.pcsr` cache must agree on schedule, traffic and decisions at
+/// every size and seed.
+#[test]
+fn torus_ladder_runs_survive_mapped_topology() {
+    for n in [64, 576, 1024, 4096] {
+        let owned = torus_of(n);
+        let mapped = mapped_torus_of(n);
+        assert_eq!(mapped.len(), owned.len());
+        let region = carve_region(&owned, RegionShape::Blob, 8);
+        for seed in 1..=3 {
+            let run = |graph: &Graph| {
+                let protocol = ProtocolConfig::default();
+                measure_cliff_edge(graph.clone(), &region, simultaneous(), protocol, seed)
+            };
+            let (owned_cost, owned_report) = run(&owned);
+            let (mapped_cost, mapped_report) = run(&mapped);
+            assert!(owned_cost.decisions > 0, "n={n} seed={seed} undecided");
+            assert_eq!(
+                mapped_report.trace_hash, owned_report.trace_hash,
+                "mapped and owned runs diverged at n={n} seed={seed}"
+            );
+            assert_eq!(
+                mapped_cost.messages, owned_cost.messages,
+                "n={n} seed={seed}"
+            );
+            assert_eq!(
+                mapped_report.decisions, owned_report.decisions,
+                "n={n} seed={seed}"
+            );
+        }
     }
 }

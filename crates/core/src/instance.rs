@@ -136,7 +136,7 @@ impl<D: Clone> Instance<D> {
     }
 
     /// `true` if the round-`round` vector has an entry (no `⊥`) for every
-    /// border node — the footnote-6 early-termination criterion. O(1) via
+    /// border node — the footnote-6 early-termination condition. O(1) via
     /// the `answered` cardinality.
     pub fn vector_complete(&self, round: u32) -> bool {
         self.answered

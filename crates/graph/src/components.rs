@@ -1,13 +1,13 @@
 //! Reachability and connected components over induced subgraphs.
 //!
-//! Two implementations live here. The **bitset path** (everything public
-//! except [`reference`]) runs breadth-first search word-parallel over the
-//! graph's neighbor-mask table: each frontier expansion is
+//! Two implementations live here. The **bitset path** (everything
+//! public) runs breadth-first search word-parallel over the graph's
+//! neighbor-mask table: each frontier expansion is
 //! `mask(p) & set & !seen` per word, so a whole 64-node block is examined
-//! in three ALU ops. The **[`reference`] module** retains the original
-//! `BTreeSet` implementations verbatim; they are the executable
-//! specification that the differential property tests in
-//! `tests/properties.rs` compare against byte-for-byte.
+//! in three ALU ops. The test-only **`reference` module** retains the
+//! original `BTreeSet` implementations verbatim; they are the executable
+//! specification that the differential tests at the bottom of this file
+//! compare against byte-for-byte.
 
 use std::collections::BTreeSet;
 
@@ -268,15 +268,12 @@ pub fn is_connected_subset(g: &Graph, region: &Region) -> bool {
     reachable_within_set(g, seed, &NodeSet::from(region)).len() == region.len()
 }
 
-pub mod reference {
+#[cfg(test)]
+mod reference {
     //! The original `BTreeSet`-based implementations, retained verbatim as
-    //! the executable specification for the bitset path.
-    //!
-    //! Differential property tests (`tests/properties.rs`) assert the
-    //! optimized implementations match these byte-for-byte on random
-    //! graphs and subsets; the perf report binary
-    //! (`precipice-bench`'s `bench_protocol`) measures both to produce
-    //! before/after numbers. Protocol code should never call these.
+    //! the executable specification for the bitset path: the differential
+    //! tests below assert the optimized implementations match these
+    //! byte-for-byte on random graphs and subsets.
 
     use std::collections::BTreeSet;
 
@@ -336,7 +333,8 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{grid, ring, GridDims};
+    use crate::{grid, random_tree, ring, GridDims};
+    use proptest::prelude::*;
 
     fn set(ids: &[u32]) -> BTreeSet<NodeId> {
         ids.iter().map(|&i| NodeId(i)).collect()
@@ -450,6 +448,77 @@ mod tests {
                     reachable_within(&g, p, &s),
                     reference::reachable_within(&g, p, &s)
                 );
+            }
+        }
+    }
+
+    /// An arbitrary connected graph: random tree plus random extra edges
+    /// (the strategy of `tests/properties.rs`).
+    fn arb_graph() -> impl Strategy<Value = Graph> {
+        (
+            3usize..40,
+            any::<u64>(),
+            proptest::collection::vec((any::<u32>(), any::<u32>()), 0..60),
+        )
+            .prop_map(|(n, seed, extra)| {
+                let tree = random_tree(n, seed);
+                let mut edges: Vec<(u32, u32)> = tree.edges().map(|(u, v)| (u.0, v.0)).collect();
+                for (a, b) in extra {
+                    edges.push((a % n as u32, b % n as u32));
+                }
+                Graph::from_edges(n, edges)
+            })
+    }
+
+    fn arb_subset(n: usize) -> impl Strategy<Value = BTreeSet<NodeId>> {
+        proptest::collection::btree_set(0..n as u32, 0..=n)
+            .prop_map(|raw| raw.into_iter().map(NodeId).collect())
+    }
+
+    proptest! {
+        /// Differential: the bitset implementations must match the retained
+        /// `BTreeSet` reference implementations byte-for-byte — same
+        /// components in the same order, same sorted borders, same reach
+        /// sets — on arbitrary graphs and subsets.
+        #[test]
+        fn bitset_algorithms_match_reference(
+            (g, set) in arb_graph().prop_flat_map(|g| {
+                let n = g.len();
+                (Just(g), arb_subset(n))
+            })
+        ) {
+            prop_assert_eq!(
+                connected_components(&g, &set),
+                reference::connected_components(&g, &set)
+            );
+            let ns = NodeSet::from(&set);
+            prop_assert_eq!(
+                connected_components_set(&g, &ns),
+                reference::connected_components(&g, &set)
+            );
+            prop_assert_eq!(
+                g.border_of(set.iter().copied()),
+                reference::border_of(&g, set.iter().copied())
+            );
+            let region: Region = set.iter().copied().collect();
+            prop_assert_eq!(
+                g.border_of_region_cached(&region).as_slice().to_vec(),
+                reference::border_of(&g, set.iter().copied())
+            );
+            for &start in &set {
+                prop_assert_eq!(
+                    reachable_within(&g, start, &set),
+                    reference::reachable_within(&g, start, &set)
+                );
+                prop_assert_eq!(
+                    reachable_within_set(&g, start, &ns).to_btree_set(),
+                    reference::reachable_within(&g, start, &set)
+                );
+            }
+            // A start outside the set reaches nothing, both ways.
+            if let Some(outside) = g.nodes().find(|p| !set.contains(p)) {
+                prop_assert!(reachable_within(&g, outside, &set).is_empty());
+                prop_assert!(reachable_within_set(&g, outside, &ns).is_empty());
             }
         }
     }

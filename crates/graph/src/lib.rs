@@ -19,8 +19,8 @@
 //! word-parallel ([`reachable_within_set`], [`connected_components_set`]),
 //! and region borders are memoized across the whole system
 //! ([`Graph::border_of_region_cached`]). The original `BTreeSet`
-//! implementations are retained in [`reference`] as the executable
-//! specification for the differential property tests.
+//! implementations are retained as a test-only module of `components.rs`,
+//! the executable specification for its differential property tests.
 //!
 //! The crate also provides the topology *generators* used by the
 //! experiment workloads (rings, grids, tori, random geometric graphs,
@@ -59,7 +59,7 @@ mod topology;
 
 pub use components::{
     connected_components, connected_components_set, is_connected_subset, reachable_within,
-    reachable_within_set, reference, BfsScratch,
+    reachable_within_set, BfsScratch,
 };
 pub use dot::to_dot;
 pub use generators::{

@@ -12,9 +12,8 @@ use std::collections::BTreeSet;
 use proptest::prelude::*;
 
 use precipice_graph::{
-    connected_components, connected_components_set, is_connected_subset, max_ranked_region,
-    random_tree, rank_cmp, reachable_within, reachable_within_set, reference, ring, torus, Graph,
-    GridDims, NodeId, NodeSet, Region,
+    connected_components, is_connected_subset, max_ranked_region, random_tree, rank_cmp, ring,
+    torus, Graph, GridDims, NodeId, NodeSet, Region,
 };
 
 /// An arbitrary connected graph: random tree plus random extra edges.
@@ -137,52 +136,6 @@ proptest! {
         let best = max_ranked_region(&g, regions.clone()).unwrap();
         for r in &regions {
             prop_assert_ne!(rank_cmp(&g, r, &best), Ordering::Greater);
-        }
-    }
-
-    /// Differential: the bitset implementations must match the retained
-    /// `BTreeSet` reference implementations byte-for-byte — same
-    /// components in the same order, same sorted borders, same reach
-    /// sets — on arbitrary graphs and subsets.
-    #[test]
-    fn bitset_algorithms_match_reference(
-        (g, set) in arb_graph().prop_flat_map(|g| {
-            let n = g.len();
-            (Just(g), arb_subset(n))
-        })
-    ) {
-        prop_assert_eq!(
-            connected_components(&g, &set),
-            reference::connected_components(&g, &set)
-        );
-        let ns = NodeSet::from(&set);
-        prop_assert_eq!(
-            connected_components_set(&g, &ns),
-            reference::connected_components(&g, &set)
-        );
-        prop_assert_eq!(
-            g.border_of(set.iter().copied()),
-            reference::border_of(&g, set.iter().copied())
-        );
-        let region: Region = set.iter().copied().collect();
-        prop_assert_eq!(
-            g.border_of_region_cached(&region).as_slice().to_vec(),
-            reference::border_of(&g, set.iter().copied())
-        );
-        for &start in &set {
-            prop_assert_eq!(
-                reachable_within(&g, start, &set),
-                reference::reachable_within(&g, start, &set)
-            );
-            prop_assert_eq!(
-                reachable_within_set(&g, start, &ns).to_btree_set(),
-                reference::reachable_within(&g, start, &set)
-            );
-        }
-        // A start outside the set reaches nothing, both ways.
-        if let Some(outside) = g.nodes().find(|p| !set.contains(p)) {
-            prop_assert!(reachable_within(&g, outside, &set).is_empty());
-            prop_assert!(reachable_within_set(&g, outside, &ns).is_empty());
         }
     }
 

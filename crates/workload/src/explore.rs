@@ -949,6 +949,107 @@ mod tests {
         assert!(!outcome.counterexamples.is_empty());
     }
 
+    /// Guided against blind on two fixed scenarios, every number pinned
+    /// (both arms are deterministic in the exploration seed and
+    /// independent of the worker count). Clean: the E9 torus row, a 6×6
+    /// torus whose 4-node centre blob crashes at once. Planted: an 8×8
+    /// torus where 27 and 29 crash at 1 ms — distance 2 apart, so their
+    /// instances are disjoint and never arbitrate — and their shared
+    /// border node 28 crashes at 9 ms, long after both quiesced under
+    /// FIFO, with four far-away crashes keeping unrelated traffic in
+    /// flight. The inverted arbitration is reachable only when a schedule
+    /// drags the late bridge crash into a live instance, which blind
+    /// fuzzing does by accident and the guided crash-pull pass on purpose.
+    #[test]
+    fn guided_catches_the_bridge_bug_in_fewer_probes_than_blind() {
+        use crate::patterns::{blob_of_size, schedule, CrashTiming};
+        use precipice_sim::{LatencyModel, SimConfig};
+
+        // Small enough that the guided corpus gets feedback several
+        // times within the budget (blind policies never read the corpus).
+        const CHUNK: usize = 4;
+        const CATCH_SEEDS: [u64; 5] = [1, 2, 3, 5, 8];
+        let sim = SimConfig {
+            seed: 7,
+            latency: LatencyModel::Uniform {
+                min: SimTime::from_micros(200),
+                max: SimTime::from_millis(2),
+            },
+            fd_latency: LatencyModel::Uniform {
+                min: SimTime::from_millis(1),
+                max: SimTime::from_millis(5),
+            },
+            record_trace: true,
+            max_events: Some(200_000_000),
+        };
+
+        let graph = torus(GridDims::square(6));
+        let region = blob_of_size(&graph, NodeId(18), 4);
+        let clean = Scenario::builder(graph)
+            .name("explore-coverage")
+            .crashes(schedule(
+                region.iter(),
+                CrashTiming::Simultaneous(SimTime::from_millis(1)),
+            ))
+            .sim_config(sim)
+            .build();
+        for policy in [PolicyMix::Mixed, PolicyMix::Guided] {
+            let cfg = ExploreConfig {
+                budget: 192,
+                seed: 42,
+                policy,
+                shrink_runs: 0,
+                chunk: CHUNK,
+                ..ExploreConfig::default()
+            };
+            let out = explore_scenario(&clean, &cfg, Jobs::new(2));
+            assert_eq!(out.violating(), 0, "{policy:?}: clean scenario violated");
+            assert_eq!(out.probes.len(), 192);
+            assert_eq!(out.coverage.distinct_states(), 5, "{policy:?}");
+            assert_eq!(out.coverage.branch_count(), 9, "{policy:?}");
+        }
+
+        let planted = Scenario::builder(torus(GridDims::square(8)))
+            .name("explore-planted-bug")
+            .crashes(vec![
+                (NodeId(27), SimTime::from_millis(1)),
+                (NodeId(29), SimTime::from_millis(1)),
+                (NodeId(28), SimTime::from_millis(9)),
+                (NodeId(0), SimTime::from_millis(2)),
+                (NodeId(4), SimTime::from_millis(5)),
+                (NodeId(40), SimTime::from_millis(8)),
+                (NodeId(44), SimTime::from_millis(11)),
+            ])
+            .protocol(ProtocolConfig::faithful().with_inverted_arbitration(true))
+            .sim_config(sim)
+            .build();
+        // Schedules spent up to and including the first violating one.
+        let catch_budget = |policy, seed, budget| {
+            let cfg = ExploreConfig {
+                budget,
+                seed,
+                policy,
+                stop_after: 1,
+                shrink_runs: 0,
+                chunk: CHUNK,
+                ..ExploreConfig::default()
+            };
+            explore_scenario(&planted, &cfg, Jobs::new(2))
+                .probes
+                .iter()
+                .position(|p| p.violations > 0)
+                .map(|i| i + 1)
+        };
+        // Guided gets half the blind budget: the claim is "less work".
+        let mut blind = CATCH_SEEDS.map(|seed| catch_budget(PolicyMix::Mixed, seed, 192));
+        let mut guided = CATCH_SEEDS.map(|seed| catch_budget(PolicyMix::Guided, seed, 96));
+        assert_eq!(blind, [7, 6, 6, 4, 8].map(Some));
+        assert_eq!(guided, [Some(2); 5], "guided must catch every seed");
+        blind.sort_unstable();
+        guided.sort_unstable();
+        assert!(guided[2] < blind[2], "guided median must beat blind");
+    }
+
     #[test]
     fn scenario_shrinking_reduces_nodes_and_crashes_on_planted_bug() {
         use precipice_core::ProtocolConfig as PC;

@@ -18,7 +18,7 @@
 //!   budget across the sweep workers, checks CD1–CD7 on every probe,
 //!   and shrinks violations to minimal replayable counterexamples;
 //! - [`stats`] / [`table`] — summary statistics and markdown/CSV tables
-//!   used by every report binary in `precipice-bench`.
+//!   used by the `report` binary of `precipice-bench`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]

@@ -37,9 +37,9 @@
 //!   budget — never on the worker count — so the processed prefix is
 //!   identical for any `--jobs`.
 //!
-//! Under that contract, report binaries produce byte-identical tables
-//! for `--jobs 1` and `--jobs N` — CI diffs the two outputs to keep the
-//! guarantee honest.
+//! Under that contract, the `report` binary produces byte-identical
+//! tables for `--jobs 1` and `--jobs N` — CI diffs the two outputs to
+//! keep the guarantee honest.
 //!
 //! # Example
 //!

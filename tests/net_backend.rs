@@ -12,7 +12,7 @@ use precipice::runtime::{Exec, Scenario};
 use precipice::sim::SimTime;
 
 // Generous: live tests share the machine with whatever else is running
-// (e.g. `cargo bench` in CI).
+// (e.g. the other test binaries in CI).
 const TIMEOUT: Duration = Duration::from_secs(120);
 
 /// Runs `kills` on the sharded runtime to quiescence.
