@@ -4,12 +4,13 @@
 //!
 //! Before the lazy-run fix the per-run cost hid an O(N) term (per-run
 //! allocation and scanning of full-size node tables), and the measured
-//! 2¹⁰ → 2²⁰ per-run ratio was ~44×. After the fix the dominant
-//! remaining per-run O(N) is the crashed-flag vector, which at 2²⁰ is a
-//! 1 MB memset — noise. The bound here is deliberately loose (CI
-//! machines jitter, debug builds shift constants) but far below the
-//! broken regime: a reintroduced O(N) scan shows up as a 40×+ ratio and
-//! fails loudly.
+//! 2¹⁰ → 2²⁰ per-run ratio was ~44×. No per-run O(N) term is left: the
+//! simulator's slot tables are sized by the run's footprint, and a
+//! border node's protocol state by its border, not by the magnitude of
+//! the ids around it (`tests/alloc_budget.rs` pins the latter in
+//! bytes). The bound here is deliberately loose (CI machines jitter,
+//! debug builds shift constants) but far below the broken regime: a
+//! reintroduced O(N) scan shows up as a 40×+ ratio and fails loudly.
 //!
 //! Beside the wall-time ratio sits the exact half of the same claim: the
 //! run's cost is not merely flat across N, it is the same numbers.

@@ -1,5 +1,6 @@
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 use std::fmt::Debug;
+use std::ops::Index;
 use std::sync::Arc;
 
 use precipice_graph::{NodeId, Region};
@@ -10,7 +11,7 @@ use crate::WireSize;
 ///
 /// The paper's opinion vectors hold `⊥`, `(accept, v)` or `reject`
 /// (Algorithm 1, lines 15–16 and 29–30). `⊥` is represented by *absence*
-/// from the [`OpinionVector`] map.
+/// from the [`OpinionVector`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Opinion<D> {
     /// The node proposed the view, with its suggested decision value.
@@ -35,8 +36,131 @@ impl<D> Opinion<D> {
 }
 
 /// A (partial) opinion vector: known opinions per border node; nodes
-/// absent from the map are at `⊥`.
-pub type OpinionVector<D> = BTreeMap<NodeId, Opinion<D>>;
+/// without an entry are at `⊥`.
+///
+/// A node-sorted array with the surface of a map. Vectors are at most
+/// border-sized, are merged far more often than they are probed, and
+/// travel by `Arc` between the instances of every participant, so the
+/// representation is the one a merge wants: two sorted slices join in
+/// one linear pass, and a vector that needs nothing from the join is
+/// shared as it is.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OpinionVector<D>(Vec<(NodeId, Opinion<D>)>);
+
+impl<D> Default for OpinionVector<D> {
+    fn default() -> Self {
+        OpinionVector(Vec::new())
+    }
+}
+
+impl<D> OpinionVector<D> {
+    /// The all-`⊥` vector.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Sets `node`'s opinion, returning the one it replaces (as
+    /// `BTreeMap::insert` does).
+    pub fn insert(&mut self, node: NodeId, opinion: Opinion<D>) -> Option<Opinion<D>> {
+        match self.0.binary_search_by_key(&node, |&(n, _)| n) {
+            Ok(i) => Some(std::mem::replace(&mut self.0[i].1, opinion)),
+            Err(i) => {
+                self.0.insert(i, (node, opinion));
+                None
+            }
+        }
+    }
+
+    /// `node`'s opinion, or `None` for `⊥`.
+    pub fn get(&self, node: &NodeId) -> Option<&Opinion<D>> {
+        self.0
+            .binary_search_by_key(node, |&(n, _)| n)
+            .ok()
+            .map(|i| &self.0[i].1)
+    }
+
+    /// Number of non-`⊥` entries.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// `true` for the all-`⊥` vector.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The non-`⊥` entries, in ascending node order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&NodeId, &Opinion<D>)> + '_ {
+        self.into_iter()
+    }
+
+    /// The non-`⊥` opinions, in ascending node order.
+    pub fn values(&self) -> impl ExactSizeIterator<Item = &Opinion<D>> + '_ {
+        self.0.iter().map(|(_, op)| op)
+    }
+
+    /// The entries as the sorted slice they are (merge-joins).
+    pub(crate) fn as_slice(&self) -> &[(NodeId, Opinion<D>)] {
+        &self.0
+    }
+}
+
+impl<D: Clone> OpinionVector<D> {
+    /// Algorithm 1 line 24: copies from `theirs` (sorted by node) every
+    /// entry this vector holds `⊥` for and keeps its own everywhere
+    /// else. `missing` is the number of such entries, which the caller's
+    /// read-only pass has counted. One backward merge in place: each
+    /// element moves at most once, and nothing is allocated while the
+    /// capacity lasts.
+    pub(crate) fn fill_bottoms(&mut self, theirs: &[(NodeId, Opinion<D>)], missing: usize) {
+        let mut mine = self.0.len();
+        let mut write = mine + missing;
+        let mut read = theirs.len();
+        self.0.resize(write, (NodeId(0), Opinion::Reject));
+        // `write - mine` entries of `theirs[..read]` are still to place.
+        while write > mine {
+            let (node, opinion) = &theirs[read - 1];
+            match (mine > 0).then(|| self.0[mine - 1].0.cmp(node)) {
+                Some(Ordering::Greater) => {
+                    mine -= 1;
+                    write -= 1;
+                    self.0.swap(mine, write);
+                }
+                Some(Ordering::Equal) => read -= 1,
+                _ => {
+                    read -= 1;
+                    write -= 1;
+                    self.0[write] = (*node, opinion.clone());
+                }
+            }
+        }
+        debug_assert!(
+            self.0.windows(2).all(|w| w[0].0 < w[1].0),
+            "`missing` miscounted or `theirs` unsorted"
+        );
+    }
+}
+
+impl<D> Index<&NodeId> for OpinionVector<D> {
+    type Output = Opinion<D>;
+
+    /// Panics if `node` is at `⊥`.
+    fn index(&self, node: &NodeId) -> &Opinion<D> {
+        self.get(node).expect("no opinion recorded for this node")
+    }
+}
+
+impl<'a, D> IntoIterator for &'a OpinionVector<D> {
+    type Item = (&'a NodeId, &'a Opinion<D>);
+    type IntoIter = std::iter::Map<
+        std::slice::Iter<'a, (NodeId, Opinion<D>)>,
+        fn(&'a (NodeId, Opinion<D>)) -> (&'a NodeId, &'a Opinion<D>),
+    >;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter().map(|(n, op)| (n, op))
+    }
+}
 
 /// The single message type of Algorithm 1: `[r, V, border(V), op]`.
 ///
@@ -95,17 +219,13 @@ impl<D> Message<D> {
 /// Builds the initial accept vector of a proposer (Algorithm 1 lines
 /// 15–16): everything `⊥` except the proposer's own `(accept, value)`.
 pub fn initial_accept_vector<D>(proposer: NodeId, value: D) -> Arc<OpinionVector<D>> {
-    let mut op = OpinionVector::new();
-    op.insert(proposer, Opinion::Accept(value));
-    Arc::new(op)
+    Arc::new(OpinionVector(vec![(proposer, Opinion::Accept(value))]))
 }
 
 /// Builds a rejection vector (Algorithm 1 lines 29–30): everything `⊥`
 /// except the rejecter's `reject`.
 pub fn rejection_vector<D>(rejecter: NodeId) -> Arc<OpinionVector<D>> {
-    let mut op = OpinionVector::new();
-    op.insert(rejecter, Opinion::Reject);
-    Arc::new(op)
+    Arc::new(OpinionVector(vec![(rejecter, Opinion::Reject)]))
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@ use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use precipice_graph::{NodeId, NodeSet, Region, Topology};
+use precipice_graph::{NodeId, Region, Topology};
 
 use crate::instance::Instance;
 use crate::message::{initial_accept_vector, rejection_vector, Message};
@@ -68,9 +68,6 @@ pub struct CliffEdgeNode<T, P: DecisionPolicy> {
     config: ProtocolConfig,
     /// `locallyCrashed`: crashes reported by the failure detector.
     locally_crashed: BTreeSet<NodeId>,
-    /// Dense mirror of `locally_crashed` for the word-parallel round
-    /// guards (kept in lock-step by `on_crash`).
-    crashed_set: NodeSet,
     /// `maxView`: highest-ranked crashed region known (line 10).
     max_view: Option<View>,
     /// `candidateView`: pending proposal, consumed by line 13.
@@ -132,7 +129,6 @@ where
             policy,
             config,
             locally_crashed: BTreeSet::new(),
-            crashed_set: NodeSet::new(),
             max_view: None,
             candidate_view: None,
             proposed: None,
@@ -225,7 +221,6 @@ where
         );
         self.stats.crashes_detected += 1;
         self.locally_crashed.insert(q);
-        self.crashed_set.insert(q);
 
         // Line 7: monitorCrash(border(q) \ locallyCrashed). We also drop
         // ourselves: self-monitoring can never fire.
@@ -239,9 +234,8 @@ where
             actions.push(Action::Monitor(targets));
         }
 
-        // Lines 8–11. The sorted mirror of `crashed_set` drives the
-        // component query so its cost tracks |locallyCrashed|, not the
-        // word extent of the highest crashed id.
+        // Lines 8–11. The component query walks the sorted set, so its
+        // cost tracks |locallyCrashed|, not the magnitude of the ids.
         let components = self.topology.components_of(&self.locally_crashed);
         let best = components
             .into_iter()
@@ -264,20 +258,17 @@ where
             self.stats.ignored_messages += 1;
             return;
         }
-        // One map traversal per delivery; the entry-key clone is a plain
-        // `Arc` refcount bump (`Region` is `Arc`-backed).
-        let stats = &mut self.stats;
-        let instance = self
-            .received
-            .entry(message.view.clone())
-            .or_insert_with(|| {
-                stats.views_seen += 1;
-                Instance::new(View::from_parts(
-                    message.view.clone(),
-                    message.border.clone(),
-                ))
-            });
+        if let Some(instance) = self.received.get_mut(&message.view) {
+            instance.merge(from, &message);
+            return;
+        }
+        self.stats.views_seen += 1;
+        let mut instance = Instance::new(View::from_parts(
+            message.view.clone(),
+            message.border.clone(),
+        ));
         instance.merge(from, &message);
+        self.received.insert(message.view, instance);
     }
 
     /// Re-evaluates the state guards of Algorithm 1 until none fires.
@@ -324,9 +315,7 @@ where
             // Fast-abort optimization: a known rejecter dooms the active
             // instance; skip the remaining rounds.
             if self.config.fast_abort_on_reject && self.is_active() {
-                let doomed = self
-                    .active_instance()
-                    .is_some_and(|inst| !inst.rejectors().is_empty());
+                let doomed = self.active_instance().is_some_and(Instance::has_rejectors);
                 if doomed {
                     self.proposed = None;
                     self.stats.aborted_instances += 1;
@@ -346,7 +335,7 @@ where
             if self.is_active() {
                 let complete = self
                     .active_instance()
-                    .is_some_and(|inst| inst.round_complete(self.round, &self.crashed_set));
+                    .is_some_and(|inst| inst.round_complete(self.round, &self.locally_crashed));
                 if complete {
                     self.complete_round(actions);
                     continue;

@@ -12,9 +12,13 @@
 //! The slot is built around that:
 //!
 //! - **Arena reuse.** A slot's event slab, node slots, channel slots,
-//!   trace buffer and scratch vectors are cleared, never freed, between
-//!   the runs it hosts. After warm-up, a run allocates only what the
-//!   protocol itself allocates.
+//!   heap, frontier and scratch vectors are cleared, never freed,
+//!   between the runs it hosts. The trace entries and the explorer's
+//!   deviation list are not reused: a finished run hands both to its
+//!   [`BatchRun`], so the slot remembers how long they got and the next
+//!   run allocates each once, at that capacity. After warm-up, a run
+//!   allocates those two buffers and what the protocol itself
+//!   allocates.
 //! - **Slab + 12-byte heap keys.** Events live in a slab with a free
 //!   list; the FIFO hot path orders `(time, seq, idx)` keys, never
 //!   moving message payloads through sift operations.
@@ -246,8 +250,9 @@ struct Counters {
 }
 
 /// One reusable run slot: the event loop and all per-run mutable
-/// state. All vectors/maps are cleared, never freed, between the runs
-/// a slot hosts.
+/// state. Vectors and maps are cleared, never freed, between the runs
+/// a slot hosts — except the two buffers a run's result takes with it
+/// (see `last_trace_entries`).
 pub(crate) struct Slot<P: Process> {
     config: SimConfig,
     pub(crate) n: usize,
@@ -284,6 +289,13 @@ pub(crate) struct Slot<P: Process> {
     chan_map: MiniMap,
     counters: Counters,
     pub(crate) trace: Trace,
+    /// Lengths the trace entries and the deviation list reached in the
+    /// last run that had them. [`collect`](Self::collect) moves both
+    /// buffers into the `BatchRun`, so [`reset`](Self::reset) allocates
+    /// the next run's at these capacities instead of regrowing them
+    /// from empty.
+    last_trace_entries: usize,
+    last_deviations: usize,
     rng: StdRng,
     pub(crate) time: SimTime,
     seq: u64,
@@ -318,6 +330,8 @@ impl<P: Process> Slot<P> {
             chan_map: MiniMap::new(),
             counters: Counters::default(),
             trace: Trace::new(false),
+            last_trace_entries: 0,
+            last_deviations: 0,
             rng: StdRng::seed_from_u64(config.seed),
             time: SimTime::ZERO,
             seq: 0,
@@ -344,6 +358,9 @@ impl<P: Process> Slot<P> {
         self.heap.clear();
         self.frontier.clear();
         self.explorer = Explorer::new(policy);
+        if let Some(explorer) = &mut self.explorer {
+            explorer.reserve(self.last_deviations);
+        }
         self.crash_plan.clear();
         self.crash_index.clear();
         self.fd = fd;
@@ -352,7 +369,8 @@ impl<P: Process> Slot<P> {
         self.channels.clear();
         self.chan_map.clear();
         self.counters = Counters::default();
-        self.trace.reset(config.record_trace);
+        self.trace
+            .reset(config.record_trace, self.last_trace_entries);
         self.rng = StdRng::seed_from_u64(config.seed);
         self.time = SimTime::ZERO;
         self.seq = 0;
@@ -836,14 +854,24 @@ impl<P: Process> Slot<P> {
         processes
     }
 
-    /// Materializes the finished run's observables, leaving the slot's
-    /// allocations in place for the next run.
+    /// Materializes the finished run's observables. The trace and the
+    /// recorded schedule move out with their buffers (their lengths are
+    /// kept for the next [`reset`](Self::reset)); the slot's other
+    /// allocations stay in place for the next run.
     fn collect(&mut self, outcome: RunOutcome) -> BatchRun<P> {
+        let trace = mem::replace(&mut self.trace, Trace::new(false));
+        let schedule = self.explorer.as_mut().map(Explorer::take_recorded);
+        if let Some(entries) = trace.entries() {
+            self.last_trace_entries = entries.len();
+        }
+        if let Some(schedule) = &schedule {
+            self.last_deviations = schedule.len();
+        }
         BatchRun {
             outcome,
             metrics: self.metrics(),
-            trace: mem::replace(&mut self.trace, Trace::new(false)),
-            schedule: self.explorer.as_mut().map(Explorer::take_recorded),
+            trace,
+            schedule,
             processes: self.take_processes(),
         }
     }

@@ -451,6 +451,12 @@ impl Explorer {
         })
     }
 
+    /// Makes room for `deviations` recorded deviations in one
+    /// allocation (the slot knows how many the run before it took).
+    pub fn reserve(&mut self, deviations: usize) {
+        self.recorded.reserve(deviations);
+    }
+
     /// Picks the event to execute next out of the seq-ordered enabled
     /// `frontier`; `fifo` is the index of the latency-ordered choice.
     /// Records a deviation when the pick differs from FIFO, and

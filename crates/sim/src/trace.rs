@@ -66,13 +66,14 @@ impl Trace {
         }
     }
 
-    /// Rearms the trace for a fresh run, keeping the entry buffer's
-    /// allocation when storage stays enabled (batch-engine slot reuse).
-    pub(crate) fn reset(&mut self, record_entries: bool) {
+    /// Rearms the trace for a fresh run. An entry buffer still in place
+    /// is kept; one that a finished run took with it is replaced by one
+    /// allocation with room for `expected` entries.
+    pub(crate) fn reset(&mut self, record_entries: bool, expected: usize) {
         if record_entries {
             match &mut self.entries {
                 Some(es) => es.clear(),
-                None => self.entries = Some(Vec::new()),
+                None => self.entries = Some(Vec::with_capacity(expected)),
             }
         } else {
             self.entries = None;

@@ -1,0 +1,206 @@
+//! Allocation pins for the protocol hot path, counted rather than
+//! timed: a counting `#[global_allocator]` (which is why this is its own
+//! test binary) and thread-local counters, so the harness's other
+//! threads never show up in a measurement.
+//!
+//! Two pins, both of which the tree-per-round `Instance` and the
+//! id-indexed crashed-set mirror of `CliffEdgeNode` exceeded:
+//!
+//! - allocations per simulated event of one `Scenario::exec` on the
+//!   shape the `check_fuzz` benchmark workload explores;
+//! - bytes one border node of a 2²⁰-node torus allocates to learn of a
+//!   crash and take a neighbour's proposal — O(border), whatever the
+//!   magnitude of the ids.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use precipice_core::{
+    CliffEdgeNode, Event, Message, NodeIdValuePolicy, Opinion, OpinionVector, ProtocolConfig,
+};
+use precipice_graph::{torus, GridDims, NodeId, Region, Topology};
+use precipice_runtime::{Exec, Scenario};
+use precipice_sim::{LatencyModel, SchedulePolicy, SimConfig, SimTime};
+use precipice_workload::patterns::{blob_of_size, schedule, CrashTiming};
+
+struct Counting;
+
+thread_local! {
+    /// `(allocations, bytes)` requested by this thread; reallocations
+    /// count as one allocation of the new size.
+    static ALLOCATED: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+fn count(bytes: usize) {
+    // `try_with`: the allocator also runs while a thread's locals are
+    // being torn down.
+    let _ = ALLOCATED.try_with(|c| {
+        let (allocations, total) = c.get();
+        c.set((allocations + 1, total + bytes as u64));
+    });
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// whose contract is the one the caller upholds; counting touches only a
+// `Cell` in thread-local storage and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// `(allocations, bytes)` this thread requested while `work` ran.
+fn allocated_by<R>(work: impl FnOnce() -> R) -> (R, u64, u64) {
+    let (allocations, bytes) = ALLOCATED.get();
+    let result = work();
+    let (allocations_after, bytes_after) = ALLOCATED.get();
+    (result, allocations_after - allocations, bytes_after - bytes)
+}
+
+/// The `check_fuzz` shape: a `blob:16` at the centre of a 12×12 torus
+/// crashing at once at 1 ms, trace recorded, faithful protocol,
+/// latencies as the benchmark draws them.
+fn fuzz_shape() -> Scenario {
+    let side = 12;
+    let graph = torus(GridDims::square(side));
+    let centre = NodeId((side / 2 * side + side / 2) as u32);
+    let region = blob_of_size(&graph, centre, 16);
+    let crashes = schedule(
+        region.iter(),
+        CrashTiming::Simultaneous(SimTime::from_millis(1)),
+    );
+    Scenario::builder(graph)
+        .name("alloc-budget")
+        .crashes(crashes)
+        .sim_config(SimConfig {
+            seed: 1,
+            latency: LatencyModel::Uniform {
+                min: SimTime::from_micros(200),
+                max: SimTime::from_millis(2),
+            },
+            fd_latency: LatencyModel::Uniform {
+                min: SimTime::from_millis(1),
+                max: SimTime::from_millis(5),
+            },
+            record_trace: true,
+            max_events: Some(200_000_000),
+        })
+        .build()
+}
+
+/// Ceiling on allocations per event of one cold `exec` — slot arenas
+/// growing from empty included — about a tenth above the worst of the
+/// three policies below. The tree-per-round instance state took 2.3–2.5
+/// here.
+const ALLOCATIONS_PER_EVENT: f64 = 1.15;
+
+#[test]
+fn an_explored_schedule_stays_within_its_allocation_budget() {
+    let scenario = fuzz_shape();
+    for policy in [
+        SchedulePolicy::Fifo,
+        SchedulePolicy::Random(1),
+        SchedulePolicy::Pcr(2),
+    ] {
+        let label = format!("{policy:?}");
+        let (outcome, allocations, bytes) =
+            allocated_by(|| scenario.exec(Exec::new().schedule(policy)));
+        let events = outcome.report.outcome.events();
+        let per_event = allocations as f64 / events as f64;
+        println!(
+            "alloc_budget: {label}: {allocations} allocations, {bytes} bytes, \
+             {events} events, {per_event:.3} allocations per event"
+        );
+        assert!(events > 1000, "{label}: the blob must be agreed on");
+        assert!(
+            per_event <= ALLOCATIONS_PER_EVENT,
+            "{label}: {per_event:.3} allocations per event, \
+             budget {ALLOCATIONS_PER_EVENT}"
+        );
+    }
+}
+
+/// A `side × side` torus answering neighbour queries from arithmetic, so
+/// a million-node topology costs the test nothing to build.
+struct ImplicitTorus {
+    side: u32,
+}
+
+impl ImplicitTorus {
+    fn node(&self, x: u32, y: u32) -> NodeId {
+        NodeId((y % self.side) * self.side + x % self.side)
+    }
+}
+
+impl Topology for ImplicitTorus {
+    fn neighbors_of(&self, p: NodeId) -> Vec<NodeId> {
+        let (x, y) = (p.0 % self.side, p.0 / self.side);
+        let mut neighbors = vec![
+            self.node(x + 1, y),
+            self.node(x + self.side - 1, y),
+            self.node(x, y + 1),
+            self.node(x, y + self.side - 1),
+        ];
+        neighbors.sort_unstable();
+        neighbors
+    }
+
+    fn node_count(&self) -> usize {
+        (self.side * self.side) as usize
+    }
+}
+
+#[test]
+fn a_border_node_of_a_million_node_torus_allocates_by_border_not_by_id() {
+    let topology = ImplicitTorus { side: 1024 };
+    let centre = topology.node(512, 512);
+    let me = topology.node(513, 512);
+    let neighbour = topology.node(511, 512);
+    let view = Region::from_iter([centre]);
+    let border: Region = topology.neighbors_of(centre).into_iter().collect();
+    let mut opinions = OpinionVector::new();
+    opinions.insert(neighbour, Opinion::Accept(neighbour));
+    let proposal = Message {
+        round: 1,
+        view,
+        border,
+        opinions: Arc::new(opinions),
+    };
+
+    let mut node = CliffEdgeNode::new(me, topology, NodeIdValuePolicy, ProtocolConfig::faithful());
+    let (actions, allocations, bytes) = allocated_by(|| {
+        let mut actions = node.handle(Event::Init);
+        actions.extend(node.handle(Event::Crash(centre)));
+        actions.extend(node.handle(Event::Deliver {
+            from: neighbour,
+            message: proposal,
+        }));
+        actions
+    });
+    println!("alloc_budget: border node at 2^20: {allocations} allocations, {bytes} bytes");
+    assert!(node.is_active(), "the crash must start an instance");
+    assert_eq!(actions.len(), 3, "monitor, monitor, propose: {actions:?}");
+    assert!(
+        bytes <= 4096,
+        "{bytes} bytes for one crash and one proposal at ids near 2^19"
+    );
+}
