@@ -1,3 +1,6 @@
+//! The perfect failure detector's policy (paper §3.1), shared by the
+//! simulator and the live runtime.
+
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -15,28 +18,30 @@ use precipice_graph::{Graph, NodeId};
 /// # Graph-backed static monitoring
 ///
 /// Every cliff-edge node's first act is `monitorCrash(border(me))`
-/// (Algorithm 1, line 4) — under an eager simulation that costs O(|E|)
+/// (Algorithm 1, line 4) — under an eager start that costs O(|E|)
 /// subscription bookkeeping before the first event fires. A detector
 /// built with [`with_static_graph`](FailureDetector::with_static_graph)
 /// instead treats the neighbourhood rule as *structural*: every node is
 /// considered subscribed to each of its graph neighbours from time zero,
 /// and a crashed node's observers are resolved **at crash time** as
-/// `neighbors(q) ∪ dynamic subscribers`, merged in ascending id order —
-/// the same set, in the same order, that explicit init-time
-/// subscriptions would have produced, so notification scheduling (and
-/// hence every RNG draw and trace entry downstream) is bit-identical to
-/// the eager detector. Only subscriptions *beyond* the subscriber's own
+/// `neighbors(q) ∪ dynamic subscribers`, in ascending id order — the
+/// same set, in the same order, that explicit init-time subscriptions
+/// would have produced, so notification scheduling (and hence every RNG
+/// draw and trace entry downstream) is bit-identical to the eager
+/// detector. Only subscriptions *beyond* the subscriber's own
 /// neighbourhood (line 7's `monitorCrash(border(q))` for a crashed `q`)
 /// are recorded dynamically. This is semantically the paper's
 /// `monitorCrash(border(p))`, resolved lazily.
 ///
-/// The detector is trivially *perfect* in the simulator because it is
-/// driven by the authoritative crash schedule: it never suspects a live
-/// node (strong accuracy) and never misses a crashed one (strong
-/// completeness).
+/// The detector is *perfect* because both engines drive it from the
+/// authoritative crash schedule — the simulator's scheduled crashes, the
+/// live runtime's induced kills: it never suspects a live node (strong
+/// accuracy) and never misses a crashed one (strong completeness).
 ///
-/// This type only tracks subscription/notification state; scheduling the
-/// notification events is the [`Simulation`](crate::Simulation)'s job.
+/// This type only decides *who* is notified; delivering the notification
+/// is the engine's job (the simulator's run slot schedules it after a
+/// detection latency, the live runtime's router posts it to the
+/// observer's shard).
 #[derive(Debug, Clone, Default)]
 pub struct FailureDetector {
     /// When set, `neighbors(q)` are implicit subscribers of `q` (see the
@@ -48,7 +53,7 @@ pub struct FailureDetector {
     /// (observer, target) pairs already notified or with a notification
     /// in flight — guards the exactly-once contract.
     notified: BTreeSet<(NodeId, NodeId)>,
-    /// Crashed nodes, in authoritative order.
+    /// Crashed nodes.
     crashed: BTreeSet<NodeId>,
 }
 
@@ -79,74 +84,43 @@ impl FailureDetector {
         &self.crashed
     }
 
-    /// `true` if the static rule already covers `observer` watching
-    /// `target`.
-    fn statically_monitors(&self, observer: NodeId, target: NodeId) -> bool {
-        self.static_graph
-            .as_ref()
-            .is_some_and(|g| g.has_edge(observer, target))
-    }
-
     /// Records that `observer` monitors `target`.
     ///
     /// Returns `true` if a notification must be scheduled *now* because
     /// `target` already crashed (and `observer` was not yet notified).
     #[must_use]
     pub fn subscribe(&mut self, observer: NodeId, target: NodeId) -> bool {
-        if self.notified.contains(&(observer, target)) {
-            return false;
-        }
         if self.crashed.contains(&target) {
-            self.notified.insert((observer, target));
-            return true;
+            return self.notified.insert((observer, target));
         }
         // A statically covered pair needs no bookkeeping: the crash of
-        // `target` resolves `observer` from the graph. (If `target` had
-        // already crashed, the pair was notified then, so the branches
-        // above keep exactly-once intact.)
-        if !self.statically_monitors(observer, target) {
+        // `target` resolves `observer` from the graph.
+        let covered = self
+            .static_graph
+            .as_ref()
+            .is_some_and(|g| g.has_edge(observer, target));
+        if !covered {
             self.subscribers.entry(target).or_default().insert(observer);
         }
         false
     }
 
     /// Records the crash of `node` and returns the observers that must be
-    /// notified (each at most once, ever), in ascending id order.
+    /// notified (each at most once, ever), in ascending id order. Empty if
+    /// `node` had already crashed. Observers that have crashed themselves
+    /// are included; the engines drop their notifications at delivery.
     pub fn record_crash(&mut self, node: NodeId) -> Vec<NodeId> {
-        let newly = self.crashed.insert(node);
-        debug_assert!(newly, "node {node} crashed twice");
+        if !self.crashed.insert(node) {
+            return Vec::new();
+        }
         let dynamic = self.subscribers.remove(&node).unwrap_or_default();
-        let mut observers: Vec<NodeId> = match &self.static_graph {
-            // Ascending merge of the (sorted) neighbourhood with the
-            // (sorted) dynamic subscribers; both are duplicate-free and
-            // `subscribe` never stores a statically covered pair, but a
-            // dedup merge keeps the invariant local.
-            Some(g) => {
-                let mut merged = Vec::with_capacity(g.degree(node) + dynamic.len());
-                let mut a = g.neighbors(node).iter().copied().peekable();
-                let mut b = dynamic.into_iter().peekable();
-                loop {
-                    let pick = match (a.peek(), b.peek()) {
-                        (Some(&x), Some(&y)) => {
-                            if x <= y {
-                                if x == y {
-                                    b.next();
-                                }
-                                a.next()
-                            } else {
-                                b.next()
-                            }
-                        }
-                        (Some(_), None) => a.next(),
-                        (None, Some(_)) => b.next(),
-                        (None, None) => break,
-                    };
-                    merged.extend(pick);
-                }
-                merged
-            }
-            None => dynamic.into_iter().collect(),
-        };
+        let neighbours = self
+            .static_graph
+            .as_ref()
+            .map_or(&[][..], |g| g.neighbors(node));
+        let mut observers: Vec<NodeId> = neighbours.iter().copied().chain(dynamic).collect();
+        observers.sort_unstable();
+        observers.dedup();
         observers.retain(|&obs| self.notified.insert((obs, node)));
         observers
     }
@@ -155,6 +129,7 @@ impl FailureDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use precipice_graph::path;
 
     #[test]
     fn subscribe_then_crash_notifies_once() {
@@ -294,5 +269,132 @@ mod tests {
         // exactly once.
         assert!(fd.subscribe(NodeId(3), NodeId(1)));
         assert!(!fd.subscribe(NodeId(3), NodeId(1)));
+    }
+
+    #[test]
+    fn subscribe_then_kill_notifies_once() {
+        let mut fd = FailureDetector::with_static_graph(Arc::new(path(9)));
+        // 0 monitors the non-neighbour 5 twice; 4 and 6 are implicit.
+        assert!(!fd.subscribe(NodeId(0), NodeId(5)));
+        assert!(!fd.subscribe(NodeId(0), NodeId(5)));
+        // A neighbour's explicit monitor adds nothing to the implicit one.
+        assert!(!fd.subscribe(NodeId(4), NodeId(5)));
+        assert_eq!(
+            fd.record_crash(NodeId(5)),
+            vec![NodeId(0), NodeId(4), NodeId(6)],
+            "ascending, each observer once"
+        );
+        for observer in [0, 4, 6].map(NodeId) {
+            assert!(
+                !fd.subscribe(observer, NodeId(5)),
+                "{observer} notified twice"
+            );
+        }
+    }
+
+    #[test]
+    fn late_subscription_fires_immediately() {
+        let mut fd = FailureDetector::with_static_graph(Arc::new(path(12)));
+        fd.record_crash(NodeId(9));
+        assert!(fd.is_crashed(NodeId(9)));
+        assert!(!fd.is_crashed(NodeId(1)));
+        assert!(fd.subscribe(NodeId(1), NodeId(9)), "fires now");
+        assert!(!fd.subscribe(NodeId(1), NodeId(9)), "and only once");
+    }
+
+    #[test]
+    fn double_kill_is_noop() {
+        let mut fd = FailureDetector::with_static_graph(Arc::new(path(5)));
+        let _ = fd.subscribe(NodeId(0), NodeId(2));
+        assert_eq!(fd.record_crash(NodeId(2)).len(), 3);
+        assert!(fd.record_crash(NodeId(2)).is_empty());
+        assert!(fd.is_crashed(NodeId(2)));
+    }
+
+    /// SplitMix64, so the model check needs no dependency.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// The whole policy against a brute-force model: a pair is notified
+    /// exactly once iff it is monitored — statically (graph neighbours,
+    /// in static mode) or by a `subscribe` — and its target crashed; the
+    /// notification comes from `subscribe` iff the pair was monitored
+    /// after the crash, from `record_crash` (ascending) otherwise. Random
+    /// graphs, crash orders and monitor calls — neighbours, strangers,
+    /// crashed targets, repeats, dead observers — in both modes.
+    #[test]
+    fn matches_a_brute_force_model() {
+        for seed in 0..2000u64 {
+            let mut rng = Rng(seed);
+            let n = 2 + rng.below(14) as u32;
+            let mut edges = Vec::new();
+            for u in 0..n {
+                for v in u + 1..n {
+                    if rng.below(4) == 0 {
+                        edges.push((u, v));
+                    }
+                }
+            }
+            let graph = Arc::new(Graph::from_edges(n as usize, edges.iter().copied()));
+            let is_static = seed % 2 == 0;
+            let (mut fd, mut monitored) = if is_static {
+                let pairs = edges
+                    .iter()
+                    .flat_map(|&(u, v)| [(NodeId(u), NodeId(v)), (NodeId(v), NodeId(u))]);
+                (
+                    FailureDetector::with_static_graph(Arc::clone(&graph)),
+                    pairs.collect(),
+                )
+            } else {
+                (FailureDetector::new(), BTreeSet::new())
+            };
+            let mut notified: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
+            let mut crashed: BTreeSet<NodeId> = BTreeSet::new();
+            for step in 0..48 {
+                let ctx = format!("seed {seed} step {step}");
+                let a = NodeId(rng.below(u64::from(n)) as u32);
+                if rng.below(3) == 0 {
+                    let expected: Vec<NodeId> = if crashed.insert(a) {
+                        let fire: Vec<NodeId> = monitored
+                            .iter()
+                            .filter(|&&(o, t)| t == a && !notified.contains(&(o, t)))
+                            .map(|&(o, _)| o)
+                            .collect();
+                        notified.extend(fire.iter().map(|&o| (o, a)));
+                        fire
+                    } else {
+                        Vec::new()
+                    };
+                    assert_eq!(fd.record_crash(a), expected, "{ctx}: crash {a}");
+                } else {
+                    let target = NodeId(rng.below(u64::from(n)) as u32);
+                    monitored.insert((a, target));
+                    let now = crashed.contains(&target) && notified.insert((a, target));
+                    assert_eq!(fd.subscribe(a, target), now, "{ctx}: {a} monitors {target}");
+                }
+                assert_eq!(fd.crashed(), &crashed, "{ctx}");
+            }
+            let due: BTreeSet<_> = monitored
+                .into_iter()
+                .filter(|(_, t)| crashed.contains(t))
+                .collect();
+            assert_eq!(
+                notified, due,
+                "seed {seed}: notified iff monitored and crashed"
+            );
+        }
     }
 }

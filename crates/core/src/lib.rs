@@ -19,7 +19,8 @@
 //! [`Message`]) and it returns the [`Action`]s to perform (subscribe to
 //! crashes, multicast a message, decide). The same core runs unchanged on
 //! the deterministic simulator (`precipice-runtime`) and on live threads
-//! (`precipice-net`).
+//! (`precipice-net`), and so does the perfect failure detector's policy,
+//! [`FailureDetector`]: both engines ask it who must learn of a crash.
 //!
 //! # Example
 //!
@@ -47,6 +48,7 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod config;
+mod fd;
 mod instance;
 pub mod json;
 mod message;
@@ -57,6 +59,7 @@ mod view;
 mod wire;
 
 pub use config::ProtocolConfig;
+pub use fd::FailureDetector;
 pub use message::{Message, Opinion, OpinionVector};
 pub use node::{Action, CliffEdgeNode, Event};
 pub use policy::{ConstPolicy, DecisionPolicy, NodeIdValuePolicy};

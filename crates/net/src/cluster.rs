@@ -1,7 +1,18 @@
-use std::collections::{BTreeMap, BTreeSet};
+//! [`ShardedCluster`], one agreement instance on the resident shard
+//! pool, and the [`LiveReport`] it shuts down into. The pool, router and
+//! instance machinery behind it live in `shard.rs`.
 
-use precipice_core::{ProtocolStats, View};
-use precipice_graph::NodeId;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::Duration;
+
+use precipice_core::{DecisionPolicy, NodeIdValuePolicy, ProtocolConfig, ProtocolStats, View};
+use precipice_graph::{Graph, NodeId};
+
+use crate::gate::Gate;
+use crate::ring::Ring;
+use crate::shard::{lock, resident, Instance, Pool, RouterCounters, ShardEvent};
 
 /// Final state of a live run, collected by
 /// [`ShardedCluster::shutdown`](crate::ShardedCluster::shutdown).
@@ -20,6 +31,261 @@ pub struct LiveReport<V = NodeId> {
     pub stats: BTreeMap<NodeId, ProtocolStats>,
     /// Nodes killed during the run.
     pub killed: BTreeSet<NodeId>,
+}
+
+/// A running sharded cluster over one shared topology: one instance on
+/// the resident worker pool.
+///
+/// Generic over the [`DecisionPolicy`] so the runtime crate's
+/// `Scenario::exec` policies carry over; plain
+/// [`ShardedCluster::start`] gives the default coordinator-election
+/// policy. See `shard.rs`'s module docs for the design and the
+/// [crate docs](crate) for an end-to-end example.
+///
+/// Dropping a cluster without [`shutdown`](Self::shutdown) retires it
+/// all the same: its rings close, what is queued drains, and nothing of
+/// it outlives the last event.
+pub struct ShardedCluster<P: DecisionPolicy = NodeIdValuePolicy> {
+    instance: Arc<Instance<P>>,
+    /// Keeps the workers alive; the instance itself holds only their
+    /// token rings, so a pool is never dropped from one of its own
+    /// threads.
+    _pool: Arc<Pool>,
+    killed: BTreeSet<NodeId>,
+}
+
+impl<P: DecisionPolicy> std::fmt::Debug for ShardedCluster<P> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ShardedCluster")
+            .field("nodes", &self.instance.router.graph().len())
+            .field("shards", &self.instance.router.shards)
+            .field("killed", &self.killed)
+            .finish()
+    }
+}
+
+impl<P: DecisionPolicy> Drop for ShardedCluster<P> {
+    fn drop(&mut self) {
+        self.instance.router.close();
+    }
+}
+
+impl ShardedCluster<NodeIdValuePolicy> {
+    /// Starts an instance of `shards` shards over `graph` with the
+    /// default coordinator-election policy. No node state is allocated
+    /// until a node first receives an event, and no thread is spawned
+    /// unless the pool has fewer than `shards` workers yet.
+    ///
+    /// # Panics
+    ///
+    /// Like every `start*`: if the pool has to grow and the operating
+    /// system refuses the thread.
+    pub fn start(graph: Graph, config: ProtocolConfig, shards: usize) -> Self {
+        Self::start_shared(Arc::new(graph), config, shards)
+    }
+
+    /// [`start`](Self::start) over an already-shared topology — the
+    /// entry point for mapped `.pcsr` graphs, where cloning the `Arc`
+    /// is the whole point.
+    pub fn start_shared(graph: Arc<Graph>, config: ProtocolConfig, shards: usize) -> Self {
+        Self::start_with(graph, config, shards, |_me| NodeIdValuePolicy)
+    }
+}
+
+impl<P> ShardedCluster<P>
+where
+    P: DecisionPolicy + Send + 'static,
+    P::Value: Send + Sync,
+{
+    /// Starts the instance with a per-node policy factory (the exec
+    /// API's `decide_with` hook). The factory runs on pool workers,
+    /// serialized by a lock, the first time each node activates.
+    pub fn start_with<F>(
+        graph: Arc<Graph>,
+        config: ProtocolConfig,
+        shards: usize,
+        factory: F,
+    ) -> Self
+    where
+        F: FnMut(NodeId) -> P + Send + 'static,
+    {
+        Self::launch(resident(), graph, config, shards, factory, None).expect("spawn shard worker")
+    }
+
+    /// Makes an instance of `shards` shards (at least one) a tenant of
+    /// `pool`, growing the pool to that many workers first; the only
+    /// failure is that growth.
+    pub(crate) fn launch<F>(
+        pool: Arc<Pool>,
+        graph: Arc<Graph>,
+        config: ProtocolConfig,
+        shards: usize,
+        factory: F,
+        gate: Option<Arc<Gate<P::Value>>>,
+    ) -> std::io::Result<Self>
+    where
+        F: FnMut(NodeId) -> P + Send + 'static,
+    {
+        let workers = pool.tokens(shards.max(1))?;
+        Ok(ShardedCluster {
+            instance: Instance::new(graph, config, factory, gate, workers),
+            _pool: pool,
+            killed: BTreeSet::new(),
+        })
+    }
+
+    /// The shared topology.
+    pub fn graph(&self) -> &Arc<Graph> {
+        self.instance.router.graph()
+    }
+
+    /// Shard count of this instance (the pool may have more workers).
+    pub fn shards(&self) -> usize {
+        self.instance.router.shards
+    }
+
+    /// Induces the crash of `node`: queued and future events addressed
+    /// to it are dropped, and its observers are notified.
+    pub fn kill(&mut self, node: NodeId) {
+        if self.killed.insert(node) {
+            self.instance.router.kill(node);
+        }
+    }
+
+    /// Nodes killed so far.
+    pub fn killed(&self) -> &BTreeSet<NodeId> {
+        &self.killed
+    }
+
+    /// Outstanding work: events posted but not yet fully handled, plus
+    /// the worker turns scheduled to handle them.
+    pub fn pending(&self) -> u64 {
+        self.instance.router.outstanding.get()
+    }
+
+    /// Why this instance stopped handling events, if a handler of its
+    /// own panicked. A failed instance still goes quiescent (what was
+    /// queued is discharged unhandled) and still shuts down; its
+    /// decisions are whatever was reached before the panic.
+    pub fn failure(&self) -> Option<&str> {
+        self.instance.failed.get().map(String::as_str)
+    }
+
+    /// Nodes activated on demand so far — the live analogue of the
+    /// sim's footprint metric. Never-activated nodes hold no state.
+    pub fn activated(&self) -> u64 {
+        let counters = &self.instance.router.counters;
+        counters.activations.load(Ordering::Relaxed)
+    }
+
+    /// Events that overflowed a shard ring into its spill lane.
+    pub fn spilled(&self) -> u64 {
+        self.instance.router.rings.iter().map(Ring::spilled).sum()
+    }
+
+    /// Transport accounting so far.
+    pub fn counters(&self) -> RouterCounters {
+        self.instance.router.snapshot()
+    }
+
+    /// The decision of `node`, if it has decided (live read — valid
+    /// mid-run, used by `precipice serve`'s `read` command).
+    pub fn decision_of(&self, node: NodeId) -> Option<(View, P::Value)> {
+        lock(&self.instance.decisions)
+            .get(&node)
+            .map(|(view, value, _)| (view.clone(), value.clone()))
+    }
+
+    /// Snapshot of all decisions so far (killed nodes excluded).
+    pub fn decisions_snapshot(&self) -> BTreeMap<NodeId, (View, P::Value)> {
+        lock(&self.instance.decisions)
+            .iter()
+            .filter(|(node, _)| !self.killed.contains(node))
+            .map(|(node, (view, value, _))| (*node, (view.clone(), value.clone())))
+            .collect()
+    }
+
+    /// How many nodes have decided so far (killed nodes excluded):
+    /// `decisions_snapshot().len()` without cloning a single view.
+    pub fn decision_count(&self) -> usize {
+        lock(&self.instance.decisions)
+            .keys()
+            .filter(|node| !self.killed.contains(node))
+            .count()
+    }
+
+    /// Advances the gated release clock (gate controller only).
+    pub(crate) fn bump_step(&self) -> u64 {
+        self.instance.router.bump_step()
+    }
+
+    /// Releases one parked event into the real rings (gate controller
+    /// only).
+    pub(crate) fn release_gated(&self, event: ShardEvent<P::Value>) {
+        self.instance.router.release(event);
+    }
+
+    /// Release-clock stamps of all decisions so far (killed excluded).
+    pub(crate) fn decision_steps(&self) -> BTreeMap<NodeId, u64> {
+        lock(&self.instance.decisions)
+            .iter()
+            .filter(|(node, _)| !self.killed.contains(node))
+            .map(|(node, (_, _, step))| (*node, *step))
+            .collect()
+    }
+
+    /// Blocks until nothing is outstanding, or until `timeout`
+    /// elapses. Returns `true` on quiescence; returns at once when the
+    /// cluster is already idle or `timeout` is zero.
+    ///
+    /// Exact, not heuristic: an event is charged to the outstanding
+    /// counter before it is pushed and discharged only after its
+    /// handler — and every post that handler made — is done, so the
+    /// counter reads zero only when no event is queued and no handler
+    /// is running, and with `&self` borrowed here no kill can
+    /// start new work — so the waiter sleeps until the discharge that
+    /// reaches zero wakes it, and that zero is final.
+    pub fn await_quiescence(&self, timeout: Duration) -> bool {
+        self.instance.router.outstanding.wait_zero(timeout)
+    }
+
+    /// Retires the instance and collects the final report: closes the
+    /// rings, waits until what was queued has drained and no worker
+    /// holds the instance, reads the node tables. Killed nodes and
+    /// never-touched nodes contribute no stats; killed nodes' decisions
+    /// are dropped with them.
+    pub fn shutdown(self) -> LiveReport<P::Value> {
+        self.retire().0
+    }
+
+    /// [`shutdown`](Self::shutdown), plus the [`failure`](Self::failure)
+    /// as it stands once the last queued event has been handled.
+    pub(crate) fn retire(mut self) -> (LiveReport<P::Value>, Option<String>) {
+        let instance = &self.instance;
+        instance.router.close();
+        instance.router.outstanding.wait_zero(Duration::MAX);
+        let killed = std::mem::take(&mut self.killed);
+        let mut stats = BTreeMap::new();
+        for table in &instance.nodes {
+            for (id, node) in lock(table).iter() {
+                if !killed.contains(id) && *node.stats() != ProtocolStats::default() {
+                    stats.insert(*id, *node.stats());
+                }
+            }
+        }
+        // Nobody else is left to read them: taken, not cloned.
+        let decisions = std::mem::take(&mut *lock(&instance.decisions))
+            .into_iter()
+            .filter(|(node, _)| !killed.contains(node))
+            .map(|(node, (view, value, _))| (node, (view, value)))
+            .collect();
+        let report = LiveReport {
+            decisions,
+            stats,
+            killed,
+        };
+        (report, instance.failed.get().cloned())
+    }
 }
 
 #[cfg(test)]

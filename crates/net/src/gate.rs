@@ -30,8 +30,8 @@ use std::time::Duration;
 use precipice_core::{ProtocolConfig, View};
 use precipice_graph::{Graph, NodeId};
 
-use crate::cluster::LiveReport;
-use crate::shard::{resident, ShardEvent, ShardedCluster};
+use crate::cluster::{LiveReport, ShardedCluster};
+use crate::shard::{resident, ShardEvent};
 
 /// Where the router parks events while a gate controller is driving.
 #[derive(Debug)]

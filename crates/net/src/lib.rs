@@ -5,12 +5,14 @@
 //! [`CliffEdgeNode`](precipice_core::CliffEdgeNode) state machine as the
 //! simulator, under genuine concurrency and nondeterministic scheduling
 //! (experiment E8) — demonstrating that the protocol core is
-//! transport-agnostic. Detector and transport are implemented
-//! independently of the simulator's, which is why the simulator serves
-//! as this runtime's differential reference: on schedule-independent
-//! scenarios the two must report equal decisions, protocol counters and
-//! killed sets (`tests/net_backend.rs`, the runtime crate's `live`
-//! tests).
+//! transport-agnostic. The transport is implemented independently of
+//! the simulator's, which is why the simulator serves as this runtime's
+//! differential reference: on schedule-independent scenarios the two
+//! must report equal decisions, protocol counters and killed sets
+//! (`tests/net_backend.rs`, the runtime crate's `live` tests). The
+//! failure-detector *policy* is not duplicated: both engines drive
+//! [`precipice_core::FailureDetector`], which its own tests pin against
+//! a brute-force model.
 //!
 //! [`ShardedCluster`] — one agreement *instance*: `W` shards own
 //! disjoint ranges of one shared topology (owned or mapped `.pcsr`),
@@ -31,10 +33,10 @@
 //! node — the only way to realize a perfect FD in an asynchronous
 //! system. Observers are resolved from the shared graph (neighbours are
 //! implicitly subscribed, so passive nodes are never woken just to
-//! subscribe), exactly like the sim's graph-backed detector. A killed
-//! node stops processing immediately — queued and in-flight events
-//! addressed to it are dropped — while messages it sent earlier remain
-//! deliverable, matching the paper's reliable-channel model.
+//! subscribe) by the same graph-backed detector the simulator uses. A
+//! killed node stops processing immediately — queued and in-flight
+//! events addressed to it are dropped — while messages it sent earlier
+//! remain deliverable, matching the paper's reliable-channel model.
 //!
 //! Quiescence is detected exactly: every event is charged to one
 //! outstanding-event counter before it is enqueued and discharged only
@@ -71,13 +73,12 @@
 
 mod cluster;
 mod gate;
-mod oracle;
 mod quiesce;
 pub mod ring;
 mod serve;
 mod shard;
 
-pub use cluster::LiveReport;
+pub use cluster::{LiveReport, ShardedCluster};
 pub use gate::{gated_run, live_consistent, GatedOutcome};
 pub use serve::ServeSession;
-pub use shard::{RouterCounters, ShardedCluster};
+pub use shard::RouterCounters;

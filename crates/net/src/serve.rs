@@ -71,8 +71,9 @@ use precipice_core::json::Json;
 use precipice_core::ProtocolConfig;
 use precipice_graph::{grid, path, ring, star, torus, Graph, GridDims, NodeId, Region};
 
+use crate::cluster::ShardedCluster;
 use crate::gate::live_consistent;
-use crate::shard::{resident, ShardedCluster};
+use crate::shard::resident;
 
 /// Default worker shard count for instances that don't specify one.
 const DEFAULT_SHARDS: usize = 2;

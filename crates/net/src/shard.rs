@@ -21,19 +21,21 @@
 //! - **One outstanding-event counter.** The kill-switch quiescence
 //!   oracle is one atomic shared by all shards (see *Quiescence*
 //!   below): zero ⇒ quiescent, exactly, and
-//!   [`ShardedCluster::await_quiescence`] sleeps on the 1 → 0
-//!   transition instead of polling.
+//!   [`ShardedCluster::await_quiescence`](crate::ShardedCluster::await_quiescence)
+//!   sleeps on the 1 → 0 transition instead of polling.
 //! - **Tenancy.** An instance owns no thread. It is a tenant of the
 //!   process-wide worker pool (see *The pool* below).
 //!
-//! Failure detection keeps the graph-backed semantics of the sim's
-//! `FailureDetector::with_static_graph`: every node is implicitly
-//! subscribed to its graph neighbours (so `Init`'s monitor of the
-//! neighbourhood is a no-op and never forces activation), dynamic
-//! monitors are recorded only for non-neighbours, and a kill notifies
-//! `neighbours(q) ∪ dynamic(q)` exactly once per (observer, target)
-//! pair, in ascending node order. That policy is [`FdState`]; the
-//! [`Router`] here holds it behind one lock and routes what it decides.
+//! Failure detection is the simulator's own policy: the one
+//! [`FailureDetector`] of `precipice-core`, built
+//! [`with_static_graph`](FailureDetector::with_static_graph) over the
+//! instance's topology. Every node is implicitly subscribed to its graph
+//! neighbours (so `Init`'s monitor of the neighbourhood is a no-op and
+//! never forces activation), dynamic monitors are recorded only for
+//! non-neighbours, and a kill notifies `neighbours(q) ∪ dynamic(q)`
+//! exactly once per (observer, target) pair, in ascending node order.
+//! The [`Router`] here holds the detector behind one lock and routes
+//! what it decides.
 //!
 //! # The pool
 //!
@@ -44,9 +46,9 @@
 //! instance with `W` shards is served by workers `0..W`.
 //!
 //! An instance keeps everything that is its own — [`Router`], per-shard
-//! event rings, [`FdState`], outstanding counter, decisions — plus, per
-//! shard, a node table behind a lock and a `scheduled` flag. The flag
-//! says *a token for this shard is queued or running*:
+//! event rings, failure detector, outstanding counter, decisions — plus,
+//! per shard, a node table behind a lock and a `scheduled` flag. The
+//! flag says *a token for this shard is queued or running*:
 //!
 //! - A producer ([`Router::release`]) pushes the event, then swaps the
 //!   flag to `true`; if it was `false`, that producer hands worker `i`
@@ -70,15 +72,16 @@
 //!
 //! A handler runs under `catch_unwind`. A panic — a policy's, in
 //! practice — fails *that instance*: the message is kept for
-//! [`ShardedCluster::failure`], the instance's rings are closed so
-//! later posts are refused, and what is still queued is discharged
-//! unhandled, so a waiter wakes. The worker and its other tenants carry
-//! on. The panic is caught inside the node-table guard's scope, so that
-//! lock is not poisoned; the locks a handler takes further in can be,
-//! and every lock of an instance is therefore taken through [`lock`],
-//! which reads through poison: a failed instance handles nothing more,
-//! and what is read afterwards (decisions, stats, the crashed set) is
-//! only ever updated one whole entry at a time.
+//! [`ShardedCluster::failure`](crate::ShardedCluster::failure), the
+//! instance's rings are closed so later posts are refused, and what is
+//! still queued is discharged unhandled, so a waiter wakes. The worker
+//! and its other tenants carry on. The panic is caught inside the
+//! node-table guard's scope, so that lock is not poisoned; the locks a
+//! handler takes further in can be, and every lock of an instance is
+//! therefore taken through [`lock`], which reads through poison: a
+//! failed instance handles nothing more, and what is read afterwards
+//! (decisions, stats, the crashed set) is only ever updated one whole
+//! entry at a time.
 //!
 //! # Quiescence
 //!
@@ -96,8 +99,8 @@
 //! - a push **refused by a closed ring** is discharged on the spot
 //!   (nobody will ever handle it);
 //! - the only source of events besides handlers is
-//!   [`ShardedCluster::kill`], which needs `&mut self` — so while a
-//!   waiter holds `&self`, **a zero is final**.
+//!   [`ShardedCluster::kill`](crate::ShardedCluster::kill), which needs
+//!   `&mut self` — so while a waiter holds `&self`, **a zero is final**.
 //!
 //! A single counter rather than one per shard: a reader summing
 //! per-shard counters one after another can see each at zero while an
@@ -109,10 +112,11 @@
 //! # Retirement
 //!
 //! Closing an instance must be as exact as its quiescence: when
-//! [`ShardedCluster::shutdown`] returns, no pool thread holds the
-//! instance. Otherwise a descheduled worker keeps the last `Arc` —
-//! graph mapping and all — alive beside the next instance's. So **a
-//! token is charged to the same counter** as the events it will drain:
+//! [`ShardedCluster::shutdown`](crate::ShardedCluster::shutdown)
+//! returns, no pool thread holds the instance. Otherwise a descheduled
+//! worker keeps the last `Arc` — graph mapping and all — alive beside
+//! the next instance's. So **a token is charged to the same counter**
+//! as the events it will drain:
 //!
 //! - charged by the producer that won the flag, before the token is
 //!   pushed (the event that caused it is still charged, so the count
@@ -125,21 +129,24 @@
 //!
 //! Zero therefore means *nothing queued, nothing running, nobody
 //! holding*, and `shutdown` is: close the rings, wait for zero, read
-//! the node tables. A [`ShardedCluster`] dropped without `shutdown`
-//! closes its rings too; what is queued drains, and the instance goes
-//! with whichever handle — the caller's or a worker's — is dropped
+//! the node tables. A [`ShardedCluster`](crate::ShardedCluster) dropped
+//! without `shutdown` closes its rings too; what is queued drains, and
+//! the instance goes with whichever handle — the caller's or a worker's
+//! — is dropped
 //! last.
 //!
 //! # Lock order
 //!
-//! A shard's node-table lock (held for a whole turn), then `fd`, then
-//! the gate's queue lock; the policy-factory and decisions locks are
-//! taken under the node-table lock and hold nothing; ring mutexes —
-//! event rings and token rings alike — and the pool's worker list are
-//! leaves. Nothing takes `fd` while holding a ring or gate lock.
+//! A shard's node-table lock (held for a whole turn), then `fd` (the
+//! router's [`FailureDetector`] mutex), then the gate's queue lock; the
+//! policy-factory and decisions locks are taken under the node-table
+//! lock and hold nothing; ring mutexes — event rings and token rings
+//! alike — and the pool's worker list are leaves. Nothing takes `fd`
+//! while holding a ring or gate lock, and the detector itself calls
+//! back into nothing.
 
 use std::any::Any;
-use std::collections::{btree_map, BTreeMap, BTreeSet};
+use std::collections::{btree_map, BTreeMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
@@ -147,14 +154,11 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use precipice_core::{
-    Action, CliffEdgeNode, DecisionPolicy, Event, Message, NodeIdValuePolicy, ProtocolConfig,
-    ProtocolStats, View,
+    Action, CliffEdgeNode, DecisionPolicy, Event, FailureDetector, Message, ProtocolConfig, View,
 };
 use precipice_graph::{Graph, NodeId};
 
-use crate::cluster::LiveReport;
 use crate::gate::Gate;
-use crate::oracle::FdState;
 use crate::quiesce::Outstanding;
 use crate::ring::{Pop, Ring};
 
@@ -173,7 +177,7 @@ const DRAIN_BATCH: usize = 64;
 
 /// Locks one of an instance's mutexes, reading through poison (see *The
 /// pool* in the [module docs](self) for why that is sound here).
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -190,7 +194,7 @@ trait Tenant: Send + Sync {
 }
 
 /// One turn for shard `shard` of `tenant`, queued on worker `shard`.
-struct Token {
+pub(crate) struct Token {
     tenant: Arc<dyn Tenant>,
     shard: usize,
 }
@@ -235,7 +239,7 @@ impl Pool {
 
     /// The token rings of workers `0..shards`, spawning the ones that
     /// are not running yet.
-    fn tokens(&self, shards: usize) -> std::io::Result<Vec<Arc<Ring<Token>>>> {
+    pub(crate) fn tokens(&self, shards: usize) -> std::io::Result<Vec<Arc<Ring<Token>>>> {
         let mut workers = self.workers.lock().expect("pool lock");
         while workers.len() < shards {
             let tokens = Arc::new(Ring::new(TOKEN_CAPACITY));
@@ -310,13 +314,13 @@ impl<V> ShardEvent<V> {
 
 /// Transport counters, kept as atomics and snapshotted on demand.
 #[derive(Debug, Default)]
-struct Counters {
+pub(crate) struct Counters {
     messages_sent: AtomicU64,
     bytes_sent: AtomicU64,
     delivered: AtomicU64,
     dropped: AtomicU64,
     notifications: AtomicU64,
-    activations: AtomicU64,
+    pub(crate) activations: AtomicU64,
     events: AtomicU64,
 }
 
@@ -344,10 +348,10 @@ pub struct RouterCounters {
 /// detection. Lock order is in the [module docs](self).
 pub(crate) struct Router<V> {
     graph: Arc<Graph>,
-    shards: usize,
+    pub(crate) shards: usize,
     /// Nodes per shard range (last shard takes the remainder).
     range: usize,
-    rings: Vec<Ring<ShardEvent<V>>>,
+    pub(crate) rings: Vec<Ring<ShardEvent<V>>>,
     /// Per shard: a token for it is queued or running.
     scheduled: Vec<AtomicBool>,
     /// Token ring of the worker serving each shard.
@@ -356,15 +360,16 @@ pub(crate) struct Router<V> {
     tenant: Weak<dyn Tenant>,
     /// Events and tokens charged and not yet discharged, across all
     /// shards.
-    outstanding: Arc<Outstanding>,
-    /// Failure-detector bookkeeping, shared by all shards.
-    fd: Mutex<FdState>,
+    pub(crate) outstanding: Arc<Outstanding>,
+    /// The failure detector, graph-backed over `graph`, shared by all
+    /// shards.
+    fd: Mutex<FailureDetector>,
     /// When set, posts are parked here instead of entering the rings —
     /// the delivery gate for schedule exploration.
     gate: Option<Arc<Gate<V>>>,
     /// Logical release clock; only advanced by a gate controller.
     step: AtomicU64,
-    counters: Counters,
+    pub(crate) counters: Counters,
 }
 
 impl<V: precipice_core::WireSize> Router<V> {
@@ -378,6 +383,7 @@ impl<V: precipice_core::WireSize> Router<V> {
         let shards = workers.len();
         let range = graph.len().div_ceil(shards).max(1);
         Router {
+            fd: Mutex::new(FailureDetector::with_static_graph(Arc::clone(&graph))),
             graph,
             shards,
             range,
@@ -386,7 +392,6 @@ impl<V: precipice_core::WireSize> Router<V> {
             workers,
             tenant,
             outstanding: Arc::default(),
-            fd: Mutex::new(FdState::default()),
             gate,
             step: AtomicU64::new(0),
             counters: Counters::default(),
@@ -441,7 +446,7 @@ impl<V: precipice_core::WireSize> Router<V> {
 
     /// Closes every ring: queued events still drain, later posts are
     /// refused and discharged on the spot.
-    fn close(&self) {
+    pub(crate) fn close(&self) {
         for ring in &self.rings {
             ring.close();
         }
@@ -466,16 +471,17 @@ impl<V: precipice_core::WireSize> Router<V> {
     /// action); if `target` is already dead the notification fires now.
     fn monitor(&self, observer: NodeId, target: NodeId) {
         let mut fd = lock(&self.fd);
-        if fd.monitor(&self.graph, observer, target) {
+        if fd.subscribe(observer, target) {
             self.notify(observer, target);
         }
     }
 
     /// Marks `q` crashed and notifies its observers (see
-    /// [`FdState::kill`]); a no-op if `q` was already dead.
+    /// [`FailureDetector::record_crash`]); a no-op if `q` was already
+    /// dead.
     pub(crate) fn kill(&self, q: NodeId) {
         let mut fd = lock(&self.fd);
-        for observer in fd.kill(&self.graph, q) {
+        for observer in fd.record_crash(q) {
             self.notify(observer, q);
         }
     }
@@ -496,7 +502,7 @@ impl<V: precipice_core::WireSize> Router<V> {
         self.step.fetch_add(1, Ordering::SeqCst) + 1
     }
 
-    fn snapshot(&self) -> RouterCounters {
+    pub(crate) fn snapshot(&self) -> RouterCounters {
         RouterCounters {
             messages_sent: self.counters.messages_sent.load(Ordering::Relaxed),
             bytes_sent: self.counters.bytes_sent.load(Ordering::Relaxed),
@@ -515,18 +521,18 @@ type DecisionCell<V> = BTreeMap<NodeId, (View, V, u64)>;
 type ShardNodes<P> = BTreeMap<NodeId, CliffEdgeNode<Arc<Graph>, P>>;
 
 /// One agreement instance: everything a tenant of the pool owns.
-struct Instance<P: DecisionPolicy> {
-    router: Router<P::Value>,
+pub(crate) struct Instance<P: DecisionPolicy> {
+    pub(crate) router: Router<P::Value>,
     config: ProtocolConfig,
     /// Builds a node's policy the first time the node activates.
     factory: Mutex<Box<dyn FnMut(NodeId) -> P + Send>>,
-    decisions: Mutex<DecisionCell<P::Value>>,
+    pub(crate) decisions: Mutex<DecisionCell<P::Value>>,
     /// Per-shard node tables. Worker `i` holds lock `i` for a turn and
     /// `shutdown` reads it after retirement; it is never contended.
-    nodes: Vec<Mutex<ShardNodes<P>>>,
+    pub(crate) nodes: Vec<Mutex<ShardNodes<P>>>,
     /// The first handler panic's message; set once, then nothing more
     /// is handled.
-    failed: OnceLock<String>,
+    pub(crate) failed: OnceLock<String>,
 }
 
 impl<P> Instance<P>
@@ -535,7 +541,7 @@ where
     P::Value: Send + Sync,
 {
     /// An idle instance with one shard per worker token ring.
-    fn new(
+    pub(crate) fn new(
         graph: Arc<Graph>,
         config: ProtocolConfig,
         factory: impl FnMut(NodeId) -> P + Send + 'static,
@@ -638,261 +644,6 @@ where
     }
 }
 
-/// A running sharded cluster over one shared topology: one instance on
-/// the resident worker pool.
-///
-/// Generic over the [`DecisionPolicy`] so the runtime crate's
-/// `Scenario::exec` policies carry over; plain
-/// [`ShardedCluster::start`] gives the default coordinator-election
-/// policy. See the [module docs](self) for the design and the
-/// [crate docs](crate) for an end-to-end example.
-///
-/// Dropping a cluster without [`shutdown`](Self::shutdown) retires it
-/// all the same: its rings close, what is queued drains, and nothing of
-/// it outlives the last event.
-pub struct ShardedCluster<P: DecisionPolicy = NodeIdValuePolicy> {
-    instance: Arc<Instance<P>>,
-    /// Keeps the workers alive; the instance itself holds only their
-    /// token rings, so a pool is never dropped from one of its own
-    /// threads.
-    _pool: Arc<Pool>,
-    killed: BTreeSet<NodeId>,
-}
-
-impl<P: DecisionPolicy> std::fmt::Debug for ShardedCluster<P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedCluster")
-            .field("nodes", &self.instance.router.graph.len())
-            .field("shards", &self.instance.router.shards)
-            .field("killed", &self.killed)
-            .finish()
-    }
-}
-
-impl<P: DecisionPolicy> Drop for ShardedCluster<P> {
-    fn drop(&mut self) {
-        self.instance.router.close();
-    }
-}
-
-impl ShardedCluster<NodeIdValuePolicy> {
-    /// Starts an instance of `shards` shards over `graph` with the
-    /// default coordinator-election policy. No node state is allocated
-    /// until a node first receives an event, and no thread is spawned
-    /// unless the pool has fewer than `shards` workers yet.
-    ///
-    /// # Panics
-    ///
-    /// Like every `start*`: if the pool has to grow and the operating
-    /// system refuses the thread.
-    pub fn start(graph: Graph, config: ProtocolConfig, shards: usize) -> Self {
-        Self::start_shared(Arc::new(graph), config, shards)
-    }
-
-    /// [`start`](Self::start) over an already-shared topology — the
-    /// entry point for mapped `.pcsr` graphs, where cloning the `Arc`
-    /// is the whole point.
-    pub fn start_shared(graph: Arc<Graph>, config: ProtocolConfig, shards: usize) -> Self {
-        Self::start_with(graph, config, shards, |_me| NodeIdValuePolicy)
-    }
-}
-
-impl<P> ShardedCluster<P>
-where
-    P: DecisionPolicy + Send + 'static,
-    P::Value: Send + Sync,
-{
-    /// Starts the instance with a per-node policy factory (the exec
-    /// API's `decide_with` hook). The factory runs on pool workers,
-    /// serialized by a lock, the first time each node activates.
-    pub fn start_with<F>(
-        graph: Arc<Graph>,
-        config: ProtocolConfig,
-        shards: usize,
-        factory: F,
-    ) -> Self
-    where
-        F: FnMut(NodeId) -> P + Send + 'static,
-    {
-        Self::launch(resident(), graph, config, shards, factory, None).expect("spawn shard worker")
-    }
-
-    /// Makes an instance of `shards` shards (at least one) a tenant of
-    /// `pool`, growing the pool to that many workers first; the only
-    /// failure is that growth.
-    pub(crate) fn launch<F>(
-        pool: Arc<Pool>,
-        graph: Arc<Graph>,
-        config: ProtocolConfig,
-        shards: usize,
-        factory: F,
-        gate: Option<Arc<Gate<P::Value>>>,
-    ) -> std::io::Result<Self>
-    where
-        F: FnMut(NodeId) -> P + Send + 'static,
-    {
-        let workers = pool.tokens(shards.max(1))?;
-        Ok(ShardedCluster {
-            instance: Instance::new(graph, config, factory, gate, workers),
-            _pool: pool,
-            killed: BTreeSet::new(),
-        })
-    }
-
-    /// The shared topology.
-    pub fn graph(&self) -> &Arc<Graph> {
-        self.instance.router.graph()
-    }
-
-    /// Shard count of this instance (the pool may have more workers).
-    pub fn shards(&self) -> usize {
-        self.instance.router.shards
-    }
-
-    /// Induces the crash of `node`: queued and future events addressed
-    /// to it are dropped, and its observers are notified.
-    pub fn kill(&mut self, node: NodeId) {
-        if self.killed.insert(node) {
-            self.instance.router.kill(node);
-        }
-    }
-
-    /// Nodes killed so far.
-    pub fn killed(&self) -> &BTreeSet<NodeId> {
-        &self.killed
-    }
-
-    /// Outstanding work: events posted but not yet fully handled, plus
-    /// the worker turns scheduled to handle them.
-    pub fn pending(&self) -> u64 {
-        self.instance.router.outstanding.get()
-    }
-
-    /// Why this instance stopped handling events, if a handler of its
-    /// own panicked. A failed instance still goes quiescent (what was
-    /// queued is discharged unhandled) and still shuts down; its
-    /// decisions are whatever was reached before the panic.
-    pub fn failure(&self) -> Option<&str> {
-        self.instance.failed.get().map(String::as_str)
-    }
-
-    /// Nodes activated on demand so far — the live analogue of the
-    /// sim's footprint metric. Never-activated nodes hold no state.
-    pub fn activated(&self) -> u64 {
-        let counters = &self.instance.router.counters;
-        counters.activations.load(Ordering::Relaxed)
-    }
-
-    /// Events that overflowed a shard ring into its spill lane.
-    pub fn spilled(&self) -> u64 {
-        self.instance.router.rings.iter().map(Ring::spilled).sum()
-    }
-
-    /// Transport accounting so far.
-    pub fn counters(&self) -> RouterCounters {
-        self.instance.router.snapshot()
-    }
-
-    /// The decision of `node`, if it has decided (live read — valid
-    /// mid-run, used by `precipice serve`'s `read` command).
-    pub fn decision_of(&self, node: NodeId) -> Option<(View, P::Value)> {
-        lock(&self.instance.decisions)
-            .get(&node)
-            .map(|(view, value, _)| (view.clone(), value.clone()))
-    }
-
-    /// Snapshot of all decisions so far (killed nodes excluded).
-    pub fn decisions_snapshot(&self) -> BTreeMap<NodeId, (View, P::Value)> {
-        lock(&self.instance.decisions)
-            .iter()
-            .filter(|(node, _)| !self.killed.contains(node))
-            .map(|(node, (view, value, _))| (*node, (view.clone(), value.clone())))
-            .collect()
-    }
-
-    /// How many nodes have decided so far (killed nodes excluded):
-    /// `decisions_snapshot().len()` without cloning a single view.
-    pub fn decision_count(&self) -> usize {
-        lock(&self.instance.decisions)
-            .keys()
-            .filter(|node| !self.killed.contains(node))
-            .count()
-    }
-
-    /// Advances the gated release clock (gate controller only).
-    pub(crate) fn bump_step(&self) -> u64 {
-        self.instance.router.bump_step()
-    }
-
-    /// Releases one parked event into the real rings (gate controller
-    /// only).
-    pub(crate) fn release_gated(&self, event: ShardEvent<P::Value>) {
-        self.instance.router.release(event);
-    }
-
-    /// Release-clock stamps of all decisions so far (killed excluded).
-    pub(crate) fn decision_steps(&self) -> BTreeMap<NodeId, u64> {
-        lock(&self.instance.decisions)
-            .iter()
-            .filter(|(node, _)| !self.killed.contains(node))
-            .map(|(node, (_, _, step))| (*node, *step))
-            .collect()
-    }
-
-    /// Blocks until nothing is outstanding, or until `timeout`
-    /// elapses. Returns `true` on quiescence; returns at once when the
-    /// cluster is already idle or `timeout` is zero.
-    ///
-    /// Exact, not heuristic: an event is charged to the outstanding
-    /// counter before it is pushed and discharged only after its
-    /// handler — and every post that handler made — is done, so the
-    /// counter reads zero only when no event is queued and no handler
-    /// is running, and with `&self` borrowed here no kill can
-    /// start new work — so the waiter sleeps until the discharge that
-    /// reaches zero wakes it, and that zero is final.
-    pub fn await_quiescence(&self, timeout: Duration) -> bool {
-        self.instance.router.outstanding.wait_zero(timeout)
-    }
-
-    /// Retires the instance and collects the final report: closes the
-    /// rings, waits until what was queued has drained and no worker
-    /// holds the instance, reads the node tables. Killed nodes and
-    /// never-touched nodes contribute no stats; killed nodes' decisions
-    /// are dropped with them.
-    pub fn shutdown(self) -> LiveReport<P::Value> {
-        self.retire().0
-    }
-
-    /// [`shutdown`](Self::shutdown), plus the [`failure`](Self::failure)
-    /// as it stands once the last queued event has been handled.
-    pub(crate) fn retire(mut self) -> (LiveReport<P::Value>, Option<String>) {
-        let instance = &self.instance;
-        instance.router.close();
-        instance.router.outstanding.wait_zero(Duration::MAX);
-        let killed = std::mem::take(&mut self.killed);
-        let mut stats = BTreeMap::new();
-        for table in &instance.nodes {
-            for (id, node) in lock(table).iter() {
-                if !killed.contains(id) && *node.stats() != ProtocolStats::default() {
-                    stats.insert(*id, *node.stats());
-                }
-            }
-        }
-        // Nobody else is left to read them: taken, not cloned.
-        let decisions = std::mem::take(&mut *lock(&instance.decisions))
-            .into_iter()
-            .filter(|(node, _)| !killed.contains(node))
-            .map(|(node, (view, value, _))| (node, (view, value)))
-            .collect();
-        let report = LiveReport {
-            decisions,
-            stats,
-            killed,
-        };
-        (report, instance.failed.get().cloned())
-    }
-}
-
 fn execute<V: Clone + precipice_core::WireSize>(
     me: NodeId,
     actions: Vec<Action<V>>,
@@ -934,13 +685,13 @@ pub(crate) fn held_cluster(
     graph: Graph,
     shards: usize,
 ) -> (
-    ShardedCluster,
+    crate::ShardedCluster,
     std::sync::mpsc::Receiver<()>,
     std::sync::mpsc::Sender<()>,
 ) {
     let (entered_tx, entered_rx) = std::sync::mpsc::channel();
     let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
-    let cluster = ShardedCluster::launch(
+    let cluster = crate::ShardedCluster::launch(
         Pool::new(),
         Arc::new(graph),
         ProtocolConfig::default(),
@@ -948,7 +699,7 @@ pub(crate) fn held_cluster(
         move |_me| {
             let _ = entered_tx.send(());
             let _ = release_rx.recv();
-            NodeIdValuePolicy
+            precipice_core::NodeIdValuePolicy
         },
         None,
     )
@@ -979,6 +730,8 @@ pub(crate) fn assert_does_not_sleep(what: &str, mut op: impl FnMut()) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{LiveReport, ShardedCluster};
+    use precipice_core::NodeIdValuePolicy;
     use precipice_graph::{path, torus, GridDims, Region};
 
     const TIMEOUT: Duration = Duration::from_secs(20);
@@ -1176,5 +929,27 @@ mod tests {
     fn shards_clamped_to_at_least_one() {
         let (report, _) = run_one(path(3), 0, &[NodeId(1)]);
         assert_eq!(report.decisions.len(), 2);
+    }
+
+    /// The one detector behaviour that needs the router: an event
+    /// addressed to a dead node is dropped — counted, discharged and
+    /// never handled, so the node is not even activated.
+    #[test]
+    fn posts_to_killed_nodes_are_dropped() {
+        let mut cluster = ShardedCluster::start(path(3), ProtocolConfig::default(), 2);
+        cluster.kill(NodeId(0));
+        assert!(cluster.await_quiescence(TIMEOUT));
+        let before = cluster.counters().dropped;
+        // 1's crash is reported to both neighbours; 0 is dead.
+        cluster.kill(NodeId(1));
+        assert!(cluster.await_quiescence(TIMEOUT));
+        assert_eq!(cluster.pending(), 0, "a dropped event stayed charged");
+        assert!(cluster.counters().dropped > before);
+        assert_eq!(cluster.activated(), 2, "dead node 0 must not activate");
+        let report = cluster.shutdown();
+        assert_eq!(
+            report.stats.keys().copied().collect::<Vec<_>>(),
+            [NodeId(2)]
+        );
     }
 }

@@ -75,7 +75,7 @@ use std::str::FromStr;
 
 use precipice_graph::NodeId;
 
-use crate::batch::{chan_key, MiniMap};
+use crate::slot::{chan_key, MiniMap};
 use crate::trace::TraceEntry;
 use crate::SimTime;
 
@@ -1197,7 +1197,7 @@ mod tests {
     /// one, kept verbatim as the differential oracle: pairs keyed
     /// canonically (`min(a, b), max(a, b)`) with direction bits (1: the
     /// lower key ran first, 2: the higher), folded into ordered maps.
-    mod oracle {
+    mod btree {
         use std::collections::{BTreeMap, BTreeSet};
 
         use super::super::{EventKey, TraceEntry};
@@ -1284,8 +1284,8 @@ mod tests {
 
     /// Execution-ordered pairs in the oracle's form: canonical key,
     /// direction bits.
-    fn directions(pairs: &[(EventKey, EventKey)]) -> oracle::Pairs {
-        let mut map = oracle::Pairs::new();
+    fn directions(pairs: &[(EventKey, EventKey)]) -> btree::Pairs {
+        let mut map = btree::Pairs::new();
         for &(first, second) in pairs {
             let (canon, bits) = if first <= second {
                 ((first, second), 1)
@@ -1361,7 +1361,7 @@ mod tests {
         assert!(pairs.contains_key(&(d(0, 1, 1), n15)) || pairs.contains_key(&(n15, d(0, 1, 1))));
         // Direction: D0>1#0 (lower) executed before D2>1#0 (higher).
         assert_eq!(pairs[&(d(0, 1, 0), d(2, 1, 0))], 1);
-        assert_eq!(pairs, oracle::race_pairs_of(&entries));
+        assert_eq!(pairs, btree::race_pairs_of(&entries));
     }
 
     /// Traced gossip runs on a path, a ring and a torus under FIFO and
@@ -1414,7 +1414,7 @@ mod tests {
         let mut reversed = 0;
         for entries in recorded_traces() {
             let flat = race_pairs_of(&entries);
-            let expected = oracle::race_pairs_of(&entries);
+            let expected = btree::race_pairs_of(&entries);
             assert_eq!(flat.len(), expected.len(), "an event runs once: no repeats");
             assert_eq!(directions(&flat), expected);
             reversed += expected.values().filter(|&&bits| bits == 2).count();
@@ -1428,7 +1428,7 @@ mod tests {
     #[test]
     fn flat_coverage_map_matches_the_btree_oracle_probe_by_probe() {
         let mut flat = CoverageMap::new();
-        let mut expected = oracle::CoverageMap::default();
+        let mut expected = btree::CoverageMap::default();
         let traces = recorded_traces();
         // Every trace twice: the second pass finds nothing new.
         for (i, entries) in traces.iter().chain(&traces).enumerate() {
@@ -1438,7 +1438,7 @@ mod tests {
                 state,
                 branches,
             };
-            let novel = expected.observe(&oracle::race_pairs_of(entries), state, branches);
+            let novel = expected.observe(&btree::race_pairs_of(entries), state, branches);
             assert_eq!(flat.observe(&probe), novel, "probe {i}");
             assert!(novel || i > 0, "the first probe is new");
             assert!(!novel || i < traces.len(), "the second pass is not");

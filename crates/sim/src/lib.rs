@@ -6,7 +6,9 @@
 //!   pluggable [`LatencyModel`]s,
 //! - a **perfect failure detector** offered as a subscription service
 //!   (`monitorCrash`), satisfying strong accuracy and strong completeness
-//!   by construction,
+//!   by construction — the policy is
+//!   [`precipice_core::FailureDetector`], the one the live runtime
+//!   drives too; the run slot only schedules its notifications,
 //! - **crash scheduling** for driving correlated-failure scenarios,
 //! - exact **accounting** of messages, bytes and deliveries per node
 //!   ([`Metrics`]), and an optional structured [`Trace`] whose running
@@ -18,7 +20,7 @@
 //! sequence number, so a run is a pure function of `(processes, config,
 //! crash schedule)`.
 //!
-//! There is **one event loop** — the run slot in [`batch`] — and two
+//! There is **one event loop** — the run slot (`slot.rs`) — and two
 //! drivers over it: [`Simulation`] owns one slot for one run, started
 //! eagerly (all `n` processes up front, `on_start` at time zero) or
 //! lazily (processes spawned at their first event, cost proportional
@@ -75,13 +77,13 @@
 
 pub mod batch;
 pub mod explore;
-mod fd;
 mod latency;
 mod metrics;
 mod process;
 #[cfg(test)]
 mod reference;
 mod sim;
+mod slot;
 mod time;
 mod trace;
 
@@ -90,7 +92,6 @@ pub use explore::{
     race_pairs_of, CoverageMap, Deviation, EventKey, GuidedSpec, ProbeCoverage, Schedule,
     SchedulePolicy,
 };
-pub use fd::FailureDetector;
 pub use latency::LatencyModel;
 pub use metrics::{Metrics, NodeMetrics};
 pub use process::{Command, Context, MessageSize, Process};

@@ -13,13 +13,14 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+use precipice_core::FailureDetector;
 use precipice_graph::{Graph, NodeId};
 use rand::{rngs::StdRng, SeedableRng};
 
 use crate::explore::{Deviation, EventKey, Schedule};
 use crate::process::{Command, Context, MessageSize, Process};
 use crate::trace::TraceEntry;
-use crate::{FailureDetector, Metrics, RunOutcome, SimConfig, SimTime, Trace};
+use crate::{Metrics, RunOutcome, SimConfig, SimTime, Trace};
 
 enum Kind<M> {
     Deliver { from: NodeId, to: NodeId, msg: M },

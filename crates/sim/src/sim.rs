@@ -1,12 +1,13 @@
 use std::sync::Arc;
 
+use precipice_core::FailureDetector;
 use precipice_graph::{Graph, NodeId};
 
-use crate::batch::Slot;
 use crate::explore::{Explorer, Schedule, SchedulePolicy};
 use crate::process::Process;
+use crate::slot::Slot;
 use crate::trace::Trace;
-use crate::{FailureDetector, LatencyModel, Metrics, SimTime};
+use crate::{LatencyModel, Metrics, SimTime};
 
 /// Configuration of a [`Simulation`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,9 +89,9 @@ impl RunOutcome {
 }
 
 /// Deterministic discrete-event simulator over a set of [`Process`]es:
-/// the single-run driver of the slot engine (see
-/// [`batch`](crate::batch) for the event loop itself and for the
-/// lockstep multi-run driver).
+/// the single-run driver of the run slot, the simulator's one event loop
+/// (`slot.rs`; [`batch`](crate::batch) is the lockstep multi-run
+/// driver).
 ///
 /// Nodes are identified by their index in the process vector (or by
 /// `NodeId(0)..NodeId(n)` under a [lazy start](Simulation::lazy_with_policy)).
@@ -337,11 +338,6 @@ impl<P: Process> Simulation<P> {
     /// buffer.
     pub fn take_trace(&mut self) -> Trace {
         std::mem::replace(&mut self.slot.trace, Trace::new(false))
-    }
-
-    /// The failure detector's authoritative state.
-    pub fn failure_detector(&self) -> &FailureDetector {
-        &self.slot.fd
     }
 }
 

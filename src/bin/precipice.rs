@@ -879,7 +879,7 @@ fn run_check_live(opts: &CheckOptions) -> Result<bool, String> {
         if !check_spec(&report).is_empty() {
             violating += 1;
             if worst.is_none() {
-                worst = Some((seed, report));
+                worst = Some((i, report));
             }
             if opts.stop_after != 0 && violating as usize >= opts.stop_after {
                 break;
@@ -906,26 +906,21 @@ fn run_check_live(opts: &CheckOptions) -> Result<bool, String> {
         println!("{summary}");
     }
 
-    if let Some((seed, report)) = &worst {
+    if let Some((i, report)) = &worst {
         let violations = check_spec(report);
+        let seed = base.seed.wrapping_add(*i);
         println!("## first violating live schedule: seed {seed}\n");
         print!("{}", render_violations(report, &violations));
-        let mut protocol_flags = String::new();
-        if base.optimized {
-            protocol_flags.push_str(" --optimized");
+        // The scenario exactly as parsed (the base seed also builds seeded
+        // topologies and timings), explored up to this schedule.
+        let mut line = format!("precipice check --backend live --budget {}", i + 1);
+        for (key, value) in spec_of(base) {
+            match value.as_str() {
+                "true" => line.push_str(&format!(" --{key}")),
+                _ => line.push_str(&format!(" --{key} {value}")),
+            }
         }
-        if base.no_arbitration {
-            protocol_flags.push_str(" --no-arbitration");
-        }
-        if base.invert_arbitration {
-            protocol_flags.push_str(" --invert-arbitration");
-        }
-        println!(
-            "\nreproduce: precipice check --backend live --seed {seed} --budget 1 \
-             --topology {} --region {} --timing {}{protocol_flags}",
-            base.topology, base.region, base.timing
-        );
-        println!();
+        println!("\nreproduce: {line}\n");
     }
 
     if violating == 0 {

@@ -125,9 +125,11 @@ fn sharded_single_region_deterministic_outcome() {
 }
 
 /// The name is historical: the reference was a thread-per-node backend,
-/// now retired. The reference is the simulator, which shares only the
-/// sans-io `CliffEdgeNode` with the sharded runtime — detector and
-/// transport are implemented independently on the two sides. On
+/// now retired. The reference is the simulator, which shares the sans-io
+/// `CliffEdgeNode` and the failure-detector policy
+/// (`precipice_core::FailureDetector`, pinned by its own model-checked
+/// tests) with the sharded runtime; the transport is implemented
+/// independently on the two sides. On
 /// schedule-independent scenarios decisions, values, `ProtocolStats`
 /// and the killed set must be equal, under both configs, at 1 and 4
 /// shards.
