@@ -130,6 +130,7 @@ impl FailureDetector {
 mod tests {
     use super::*;
     use precipice_graph::path;
+    use precipice_graph::rng::SplitMix;
 
     #[test]
     fn subscribe_then_crash_notifies_once() {
@@ -311,23 +312,6 @@ mod tests {
         assert!(fd.is_crashed(NodeId(2)));
     }
 
-    /// SplitMix64, so the model check needs no dependency.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-    }
-
     /// The whole policy against a brute-force model: a pair is notified
     /// exactly once iff it is monitored — statically (graph neighbours,
     /// in static mode) or by a `subscribe` — and its target crashed; the
@@ -338,7 +322,7 @@ mod tests {
     #[test]
     fn matches_a_brute_force_model() {
         for seed in 0..2000u64 {
-            let mut rng = Rng(seed);
+            let mut rng = SplitMix::new(seed);
             let n = 2 + rng.below(14) as u32;
             let mut edges = Vec::new();
             for u in 0..n {
@@ -365,7 +349,7 @@ mod tests {
             let mut crashed: BTreeSet<NodeId> = BTreeSet::new();
             for step in 0..48 {
                 let ctx = format!("seed {seed} step {step}");
-                let a = NodeId(rng.below(u64::from(n)) as u32);
+                let a = NodeId(rng.below(n as usize) as u32);
                 if rng.below(3) == 0 {
                     let expected: Vec<NodeId> = if crashed.insert(a) {
                         let fire: Vec<NodeId> = monitored
@@ -380,7 +364,7 @@ mod tests {
                     };
                     assert_eq!(fd.record_crash(a), expected, "{ctx}: crash {a}");
                 } else {
-                    let target = NodeId(rng.below(u64::from(n)) as u32);
+                    let target = NodeId(rng.below(n as usize) as u32);
                     monitored.insert((a, target));
                     let now = crashed.contains(&target) && notified.insert((a, target));
                     assert_eq!(fd.subscribe(a, target), now, "{ctx}: {a} monitors {target}");

@@ -282,7 +282,7 @@ impl<D: Clone> Instance<D> {
 mod tests {
     use super::*;
     use crate::message::{initial_accept_vector, rejection_vector};
-    use precipice_graph::{Graph, Region};
+    use precipice_graph::{rng::SplitMix, Graph, Region};
     use std::collections::BTreeMap;
 
     fn star_view() -> View {
@@ -520,20 +520,13 @@ mod tests {
         }
     }
 
-    /// SplitMix64, so the differential needs no dependency.
-    struct Rng(u64);
+    /// The differential's draws: a [`SplitMix`] stream plus domain
+    /// helpers.
+    struct Rng(SplitMix);
 
     impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
-
         fn below(&mut self, n: usize) -> usize {
-            (self.next() % n as u64) as usize
+            self.0.below(n)
         }
 
         fn chance(&mut self, percent: usize) -> bool {
@@ -591,7 +584,7 @@ mod tests {
     /// same messages and must answer every query alike after each one.
     fn run_differential(members: usize, sequences: usize, seed: u64) {
         const PEERS: usize = 2;
-        let mut rng = Rng(seed);
+        let mut rng = Rng(SplitMix::new(seed));
         for sequence in 0..sequences {
             let mut id = 1 << 20;
             let border: Vec<NodeId> = (0..members)
@@ -628,7 +621,11 @@ mod tests {
                 let (from, message) = match rng.below(10) {
                     0..=2 => (
                         from,
-                        msg(round, &view, initial_accept_vector(from, rng.next() as u32)),
+                        msg(
+                            round,
+                            &view,
+                            initial_accept_vector(from, rng.0.next_u64() as u32),
+                        ),
                     ),
                     3 => (from, msg(round, &view, rejection_vector(from))),
                     4 | 5 => {

@@ -333,8 +333,8 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::{cases, Rng};
     use crate::{grid, random_tree, ring, GridDims};
-    use proptest::prelude::*;
 
     fn set(ids: &[u32]) -> BTreeSet<NodeId> {
         ids.iter().map(|&i| NodeId(i)).collect()
@@ -453,73 +453,74 @@ mod tests {
     }
 
     /// An arbitrary connected graph: random tree plus random extra edges
-    /// (the strategy of `tests/properties.rs`).
-    fn arb_graph() -> impl Strategy<Value = Graph> {
-        (
-            3usize..40,
-            any::<u64>(),
-            proptest::collection::vec((any::<u32>(), any::<u32>()), 0..60),
-        )
-            .prop_map(|(n, seed, extra)| {
-                let tree = random_tree(n, seed);
-                let mut edges: Vec<(u32, u32)> = tree.edges().map(|(u, v)| (u.0, v.0)).collect();
-                for (a, b) in extra {
-                    edges.push((a % n as u32, b % n as u32));
-                }
-                Graph::from_edges(n, edges)
-            })
+    /// (the generator of `tests/properties.rs`).
+    fn arb_graph(rng: &mut Rng) -> Graph {
+        let n = rng.gen_range(3..40);
+        let tree = random_tree(n, rng.next_u64());
+        let mut edges: Vec<(u32, u32)> = tree.edges().map(|(u, v)| (u.0, v.0)).collect();
+        for _ in 0..rng.gen_range(0..60usize) {
+            let (a, b) = (rng.next_u64() as u32, rng.next_u64() as u32);
+            edges.push((a % n as u32, b % n as u32));
+        }
+        Graph::from_edges(n, edges)
     }
 
-    fn arb_subset(n: usize) -> impl Strategy<Value = BTreeSet<NodeId>> {
-        proptest::collection::btree_set(0..n as u32, 0..=n)
-            .prop_map(|raw| raw.into_iter().map(NodeId).collect())
+    /// A subset of `g`'s nodes: a drawn target size, bounded retries.
+    fn arb_subset(rng: &mut Rng, g: &Graph) -> BTreeSet<NodeId> {
+        let len = rng.gen_range(0..=g.len());
+        let mut set = BTreeSet::new();
+        for _ in 0..len * 10 + 16 {
+            if set.len() == len {
+                break;
+            }
+            set.insert(NodeId(rng.gen_range(0..g.len()) as u32));
+        }
+        set
     }
 
-    proptest! {
-        /// Differential: the bitset implementations must match the retained
-        /// `BTreeSet` reference implementations byte-for-byte — same
-        /// components in the same order, same sorted borders, same reach
-        /// sets — on arbitrary graphs and subsets.
-        #[test]
-        fn bitset_algorithms_match_reference(
-            (g, set) in arb_graph().prop_flat_map(|g| {
-                let n = g.len();
-                (Just(g), arb_subset(n))
-            })
-        ) {
-            prop_assert_eq!(
+    /// Differential: the bitset implementations must match the retained
+    /// `BTreeSet` reference implementations byte-for-byte — same
+    /// components in the same order, same sorted borders, same reach
+    /// sets — on arbitrary graphs and subsets.
+    #[test]
+    fn bitset_algorithms_match_reference() {
+        cases("bitset_algorithms_match_reference", 64, |rng| {
+            let g = arb_graph(rng);
+            let set = arb_subset(rng, &g);
+            assert_eq!(
                 connected_components(&g, &set),
                 reference::connected_components(&g, &set)
             );
             let ns = NodeSet::from(&set);
-            prop_assert_eq!(
+            assert_eq!(
                 connected_components_set(&g, &ns),
                 reference::connected_components(&g, &set)
             );
-            prop_assert_eq!(
+            assert_eq!(
                 g.border_of(set.iter().copied()),
                 reference::border_of(&g, set.iter().copied())
             );
             let region: Region = set.iter().copied().collect();
-            prop_assert_eq!(
+            assert_eq!(
                 g.border_of_region_cached(&region).as_slice().to_vec(),
                 reference::border_of(&g, set.iter().copied())
             );
             for &start in &set {
-                prop_assert_eq!(
+                assert_eq!(
                     reachable_within(&g, start, &set),
                     reference::reachable_within(&g, start, &set)
                 );
-                prop_assert_eq!(
+                assert_eq!(
                     reachable_within_set(&g, start, &ns).to_btree_set(),
                     reference::reachable_within(&g, start, &set)
                 );
             }
             // A start outside the set reaches nothing, both ways.
-            if let Some(outside) = g.nodes().find(|p| !set.contains(p)) {
-                prop_assert!(reachable_within(&g, outside, &set).is_empty());
-                prop_assert!(reachable_within_set(&g, outside, &ns).is_empty());
+            let outside = g.nodes().find(|p| !set.contains(p));
+            if let Some(outside) = outside {
+                assert!(reachable_within(&g, outside, &set).is_empty());
+                assert!(reachable_within_set(&g, outside, &ns).is_empty());
             }
-        }
+        });
     }
 }

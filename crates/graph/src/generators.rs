@@ -1,7 +1,7 @@
 //! Topology generators for experiment workloads.
 //!
 //! All random generators are deterministic functions of their `seed`
-//! parameter (`rand::rngs::StdRng`), so every experiment is reproducible
+//! parameter (an [`Rng`] stream), so every experiment is reproducible
 //! from its scenario description alone. Generators that cannot guarantee
 //! connectivity by construction (`erdos_renyi_connected`,
 //! `random_geometric_connected`) retry with a derived seed until the graph
@@ -15,10 +15,7 @@
 //! [`.pcsr` file](crate::GraphStore) directly: a 10⁸-node torus streams
 //! to disk through a fixed-size buffer, never holding O(E) in memory.
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
-
+use crate::rng::Rng;
 use crate::store::{GraphStore, StoreError, StoreSummary};
 use crate::{Graph, GraphBuilder, NodeId};
 
@@ -253,7 +250,7 @@ pub fn random_tree(n: usize, seed: u64) -> Graph {
     if n == 2 {
         return Graph::from_edges(2, [(0, 1)]);
     }
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let prufer: Vec<usize> = (0..n - 2).map(|_| rng.gen_range(0..n)).collect();
     let mut degree = vec![1usize; n];
     for &p in &prufer {
@@ -298,7 +295,7 @@ pub fn erdos_renyi_connected(n: usize, p: f64, seed: u64) -> Graph {
     );
     for attempt in 0..64u64 {
         let mut rng =
-            StdRng::seed_from_u64(seed.wrapping_add(attempt.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+            Rng::seed_from_u64(seed.wrapping_add(attempt.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
         let mut b = GraphBuilder::new(n);
         for u in 0..n {
             for v in (u + 1)..n {
@@ -331,10 +328,8 @@ pub fn random_geometric_connected(n: usize, radius: f64, seed: u64) -> Graph {
     let r2 = radius * radius;
     for attempt in 0..64u64 {
         let mut rng =
-            StdRng::seed_from_u64(seed.wrapping_add(attempt.wrapping_mul(0xD134_2543_DE82_EF95)));
-        let pts: Vec<(f64, f64)> = (0..n)
-            .map(|_| (rng.gen::<f64>(), rng.gen::<f64>()))
-            .collect();
+            Rng::seed_from_u64(seed.wrapping_add(attempt.wrapping_mul(0xD134_2543_DE82_EF95)));
+        let pts: Vec<(f64, f64)> = (0..n).map(|_| (rng.gen_f64(), rng.gen_f64())).collect();
         let mut b = GraphBuilder::new(n);
         for u in 0..n {
             for v in (u + 1)..n {
@@ -362,7 +357,7 @@ pub fn random_geometric_connected(n: usize, radius: f64, seed: u64) -> Graph {
 pub fn barabasi_albert(n: usize, m: usize, seed: u64) -> Graph {
     assert!(m > 0, "attachment count m must be positive");
     assert!(n > m, "need n > m (got n={n}, m={m})");
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut b = GraphBuilder::new(n);
     // Repeated-endpoint list: sampling uniformly from it is sampling
     // proportional to degree.
@@ -381,7 +376,7 @@ pub fn barabasi_albert(n: usize, m: usize, seed: u64) -> Graph {
     for new in m..n {
         let mut targets = std::collections::BTreeSet::new();
         while targets.len() < m {
-            let &t = endpoints.choose(&mut rng).expect("endpoint list non-empty");
+            let &t = rng.choose(&endpoints).expect("endpoint list non-empty");
             if t != new {
                 targets.insert(t);
             }
@@ -418,7 +413,7 @@ pub fn watts_strogatz(n: usize, k: usize, beta: f64, seed: u64) -> Graph {
     );
     for attempt in 0..64u64 {
         let mut rng =
-            StdRng::seed_from_u64(seed.wrapping_add(attempt.wrapping_mul(0xA24B_AED4_963E_E407)));
+            Rng::seed_from_u64(seed.wrapping_add(attempt.wrapping_mul(0xA24B_AED4_963E_E407)));
         let mut b = GraphBuilder::new(n);
         for u in 0..n {
             for off in 1..=(k / 2) {

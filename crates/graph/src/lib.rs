@@ -54,6 +54,7 @@ mod node;
 mod nodeset;
 mod rank;
 mod region;
+pub mod rng;
 mod store;
 mod topology;
 

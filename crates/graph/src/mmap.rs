@@ -2,8 +2,8 @@
 //!
 //! The on-disk graph store ([`crate::store`]) wants zero-copy access to
 //! multi-gigabyte CSR sections; copying them through `read` would cost
-//! exactly the O(E) allocation the format exists to avoid. The container
-//! has no mmap crate vendored, so this module binds the two libc entry
+//! exactly the O(E) allocation the format exists to avoid. The workspace
+//! has no external dependencies, so this module binds the two libc entry
 //! points directly (`mmap`/`munmap`, POSIX, present on every platform
 //! this crate builds for) behind a safe owner type.
 //!

@@ -9,52 +9,52 @@
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
-use proptest::prelude::*;
-
+use precipice_graph::rng::{cases, Rng, SampleRange};
 use precipice_graph::{
     connected_components, is_connected_subset, max_ranked_region, random_tree, rank_cmp, ring,
     torus, Graph, GridDims, NodeId, NodeSet, Region,
 };
 
 /// An arbitrary connected graph: random tree plus random extra edges.
-fn arb_graph() -> impl Strategy<Value = Graph> {
-    (
-        3usize..40,
-        any::<u64>(),
-        proptest::collection::vec((any::<u32>(), any::<u32>()), 0..60),
-    )
-        .prop_map(|(n, seed, extra)| {
-            let tree = random_tree(n, seed);
-            let mut edges: Vec<(u32, u32)> = tree.edges().map(|(u, v)| (u.0, v.0)).collect();
-            for (a, b) in extra {
-                edges.push((a % n as u32, b % n as u32));
-            }
-            Graph::from_edges(n, edges)
-        })
+fn arb_graph(rng: &mut Rng) -> Graph {
+    let n = rng.gen_range(3..40);
+    let tree = random_tree(n, rng.next_u64());
+    let mut edges: Vec<(u32, u32)> = tree.edges().map(|(u, v)| (u.0, v.0)).collect();
+    for _ in 0..rng.gen_range(0..60usize) {
+        let (a, b) = (rng.next_u64() as u32, rng.next_u64() as u32);
+        edges.push((a % n as u32, b % n as u32));
+    }
+    Graph::from_edges(n, edges)
 }
 
-fn arb_subset(n: usize) -> impl Strategy<Value = BTreeSet<NodeId>> {
-    proptest::collection::btree_set(0..n as u32, 0..=n)
-        .prop_map(|raw| raw.into_iter().map(NodeId).collect())
+/// Distinct ids below `bound`, aiming for a count drawn from `lens`
+/// with bounded retries (a crowded range yields fewer).
+fn ids(rng: &mut Rng, bound: usize, lens: impl SampleRange<usize>) -> BTreeSet<NodeId> {
+    let len = rng.gen_range(lens);
+    let mut set = BTreeSet::new();
+    for _ in 0..len * 10 + 16 {
+        if set.len() == len {
+            break;
+        }
+        set.insert(NodeId(rng.gen_range(0..bound) as u32));
+    }
+    set
 }
 
-proptest! {
-    #[test]
-    fn components_partition_input(
-        (g, set) in arb_graph().prop_flat_map(|g| {
-            let n = g.len();
-            (Just(g), arb_subset(n))
-        })
-    ) {
+#[test]
+fn components_partition_input() {
+    cases("components_partition_input", 64, |rng| {
+        let g = arb_graph(rng);
+        let set = ids(rng, g.len(), 0..=g.len());
         let comps = connected_components(&g, &set);
         // Union equals the input set.
         let union: BTreeSet<NodeId> = comps.iter().flat_map(Region::iter).collect();
-        prop_assert_eq!(&union, &set);
+        assert_eq!(&union, &set);
         // Pairwise disjoint and each connected.
         for (i, a) in comps.iter().enumerate() {
-            prop_assert!(is_connected_subset(&g, a));
+            assert!(is_connected_subset(&g, a));
             for b in comps.iter().skip(i + 1) {
-                prop_assert!(!a.intersects(b));
+                assert!(!a.intersects(b));
             }
         }
         // Maximality: no edge of G joins two distinct components.
@@ -62,144 +62,159 @@ proptest! {
             for b in comps.iter().skip(i + 1) {
                 for p in a.iter() {
                     for &q in g.neighbors(p) {
-                        prop_assert!(!b.contains(q), "edge {}-{} crosses components", p, q);
+                        assert!(!b.contains(q), "edge {}-{} crosses components", p, q);
                     }
                 }
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn border_is_disjoint_and_adjacent(
-        (g, set) in arb_graph().prop_flat_map(|g| {
-            let n = g.len();
-            (Just(g), arb_subset(n))
-        })
-    ) {
+#[test]
+fn border_is_disjoint_and_adjacent() {
+    cases("border_is_disjoint_and_adjacent", 64, |rng| {
+        let g = arb_graph(rng);
+        let set = ids(rng, g.len(), 0..=g.len());
         let border = g.border_of(set.iter().copied());
         for q in &border {
-            prop_assert!(!set.contains(q));
-            prop_assert!(g.neighbors(*q).iter().any(|p| set.contains(p)));
+            assert!(!set.contains(q));
+            assert!(g.neighbors(*q).iter().any(|p| set.contains(p)));
         }
         // Completeness: any non-member adjacent to a member is in the border.
         for p in g.nodes() {
             if !set.contains(&p) && g.neighbors(p).iter().any(|q| set.contains(q)) {
-                prop_assert!(border.contains(&p));
+                assert!(border.contains(&p));
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn ranking_is_a_strict_total_order(
-        (g, sets) in arb_graph().prop_flat_map(|g| {
-            let n = g.len();
-            (Just(g), proptest::collection::vec(arb_subset(n), 3))
-        })
-    ) {
-        let regions: Vec<Region> = sets.iter().map(|s| s.iter().copied().collect()).collect();
+#[test]
+fn ranking_is_a_strict_total_order() {
+    cases("ranking_is_a_strict_total_order", 64, |rng| {
+        let g = arb_graph(rng);
+        let regions: Vec<Region> = (0..3)
+            .map(|_| ids(rng, g.len(), 0..=g.len()).into_iter().collect())
+            .collect();
         let (a, b, c) = (&regions[0], &regions[1], &regions[2]);
         // Antisymmetry: cmp(a,b) is the reverse of cmp(b,a).
-        prop_assert_eq!(rank_cmp(&g, a, b), rank_cmp(&g, b, a).reverse());
+        assert_eq!(rank_cmp(&g, a, b), rank_cmp(&g, b, a).reverse());
         // Equality only for equal regions (strictness/totality).
         if rank_cmp(&g, a, b) == Ordering::Equal {
-            prop_assert_eq!(a, b);
+            assert_eq!(a, b);
         }
         // Transitivity over the sampled triple.
         if rank_cmp(&g, a, b) != Ordering::Greater && rank_cmp(&g, b, c) != Ordering::Greater {
-            prop_assert_ne!(rank_cmp(&g, a, c), Ordering::Greater);
+            assert_ne!(rank_cmp(&g, a, c), Ordering::Greater);
         }
-    }
+    });
+}
 
-    #[test]
-    fn ranking_subsumes_strict_inclusion(
-        (g, set) in arb_graph().prop_flat_map(|g| {
-            let n = g.len();
-            (Just(g), arb_subset(n))
-        }),
-        drop_idx in any::<prop::sample::Index>()
-    ) {
-        prop_assume!(!set.is_empty());
+#[test]
+fn ranking_subsumes_strict_inclusion() {
+    cases("ranking_subsumes_strict_inclusion", 64, |rng| {
+        // Draw until the set is non-empty, so every case checks.
+        let (g, set, drop_idx) = loop {
+            let g = arb_graph(rng);
+            let set: Vec<NodeId> = ids(rng, g.len(), 0..=g.len()).into_iter().collect();
+            let drop_idx = rng.next_u64();
+            if !set.is_empty() {
+                break (g, set, drop_idx);
+            }
+        };
         let big: Region = set.iter().copied().collect();
-        let drop = *drop_idx.get(&set.iter().copied().collect::<Vec<_>>());
+        let drop = set[(drop_idx % set.len() as u64) as usize];
         let small: Region = set.iter().copied().filter(|&p| p != drop).collect();
-        prop_assert_eq!(rank_cmp(&g, &big, &small), Ordering::Greater);
-    }
+        assert_eq!(rank_cmp(&g, &big, &small), Ordering::Greater);
+    });
+}
 
-    #[test]
-    fn max_ranked_region_is_maximum(
-        (g, sets) in arb_graph().prop_flat_map(|g| {
-            let n = g.len();
-            (Just(g), proptest::collection::vec(arb_subset(n), 1..6))
-        })
-    ) {
-        let regions: Vec<Region> = sets.iter().map(|s| s.iter().copied().collect()).collect();
+#[test]
+fn max_ranked_region_is_maximum() {
+    cases("max_ranked_region_is_maximum", 64, |rng| {
+        let g = arb_graph(rng);
+        let regions: Vec<Region> = (0..rng.gen_range(1..6usize))
+            .map(|_| ids(rng, g.len(), 0..=g.len()).into_iter().collect())
+            .collect();
         let best = max_ranked_region(&g, regions.clone()).unwrap();
         for r in &regions {
-            prop_assert_ne!(rank_cmp(&g, r, &best), Ordering::Greater);
+            assert_ne!(rank_cmp(&g, r, &best), Ordering::Greater);
         }
-    }
+    });
+}
 
-    /// NodeSet is a faithful set: against a `BTreeSet` model, an
-    /// arbitrary interleaving of inserts and removes leaves both with the
-    /// same members, cardinality, and iteration order.
-    #[test]
-    fn nodeset_matches_btreeset_model(
-        ops in proptest::collection::vec((any::<bool>(), 0u32..300), 0..120)
-    ) {
+/// NodeSet is a faithful set: against a `BTreeSet` model, an
+/// arbitrary interleaving of inserts and removes leaves both with the
+/// same members, cardinality, and iteration order.
+#[test]
+fn nodeset_matches_btreeset_model() {
+    cases("nodeset_matches_btreeset_model", 64, |rng| {
         let mut model = BTreeSet::new();
         let mut set = NodeSet::new();
-        for (insert, id) in ops {
-            let p = NodeId(id);
+        for _ in 0..rng.gen_range(0..120usize) {
+            let insert = rng.next_u64() & 1 == 1;
+            let p = NodeId(rng.gen_range(0..300usize) as u32);
             if insert {
-                prop_assert_eq!(set.insert(p), model.insert(p));
+                assert_eq!(set.insert(p), model.insert(p));
             } else {
-                prop_assert_eq!(set.remove(p), model.remove(&p));
+                assert_eq!(set.remove(p), model.remove(&p));
             }
         }
-        prop_assert_eq!(set.len(), model.len());
-        prop_assert_eq!(set.iter().collect::<Vec<_>>(),
-                        model.iter().copied().collect::<Vec<_>>());
-        prop_assert_eq!(set.min(), model.first().copied());
+        assert_eq!(set.len(), model.len());
+        assert_eq!(
+            set.iter().collect::<Vec<_>>(),
+            model.iter().copied().collect::<Vec<_>>()
+        );
+        assert_eq!(set.min(), model.first().copied());
         for id in 0..300u32 {
-            prop_assert_eq!(set.contains(NodeId(id)), model.contains(&NodeId(id)));
+            assert_eq!(set.contains(NodeId(id)), model.contains(&NodeId(id)));
         }
-    }
+    });
+}
 
-    /// NodeSet bulk word operations agree with element-wise set algebra.
-    #[test]
-    fn nodeset_bulk_ops_match_setwise(
-        ids_a in proptest::collection::btree_set(0u32..200, 0..40),
-        ids_b in proptest::collection::btree_set(0u32..200, 0..40)
-    ) {
-        let a: BTreeSet<NodeId> = ids_a.iter().map(|&i| NodeId(i)).collect();
-        let b: BTreeSet<NodeId> = ids_b.iter().map(|&i| NodeId(i)).collect();
+/// NodeSet bulk word operations agree with element-wise set algebra.
+#[test]
+fn nodeset_bulk_ops_match_setwise() {
+    cases("nodeset_bulk_ops_match_setwise", 64, |rng| {
+        let a = ids(rng, 200, 0..40);
+        let b = ids(rng, 200, 0..40);
         let (na, nb) = (NodeSet::from(&a), NodeSet::from(&b));
 
         let mut u = na.clone();
         u.union_with(&nb);
-        prop_assert_eq!(u.to_btree_set(), a.union(&b).copied().collect::<BTreeSet<_>>());
+        assert_eq!(
+            u.to_btree_set(),
+            a.union(&b).copied().collect::<BTreeSet<_>>()
+        );
         let mut i = na.clone();
         i.intersect_with(&nb);
-        prop_assert_eq!(i.to_btree_set(), a.intersection(&b).copied().collect::<BTreeSet<_>>());
+        assert_eq!(
+            i.to_btree_set(),
+            a.intersection(&b).copied().collect::<BTreeSet<_>>()
+        );
         let mut d = na.clone();
         d.difference_with(&nb);
-        prop_assert_eq!(d.to_btree_set(), a.difference(&b).copied().collect::<BTreeSet<_>>());
-        prop_assert_eq!(na.intersects(&nb), !i.is_empty());
-        prop_assert_eq!(na.is_subset_of(&nb), a.is_subset(&b));
-    }
+        assert_eq!(
+            d.to_btree_set(),
+            a.difference(&b).copied().collect::<BTreeSet<_>>()
+        );
+        assert_eq!(na.intersects(&nb), !i.is_empty());
+        assert_eq!(na.is_subset_of(&nb), a.is_subset(&b));
+    });
+}
 
-    #[test]
-    fn region_set_operations_behave(ids_a in proptest::collection::btree_set(0u32..64, 0..20),
-                                     ids_b in proptest::collection::btree_set(0u32..64, 0..20)) {
-        let a: Region = ids_a.iter().map(|&i| NodeId(i)).collect();
-        let b: Region = ids_b.iter().map(|&i| NodeId(i)).collect();
+#[test]
+fn region_set_operations_behave() {
+    cases("region_set_operations_behave", 64, |rng| {
+        let a: Region = ids(rng, 64, 0..20).into_iter().collect();
+        let b: Region = ids(rng, 64, 0..20).into_iter().collect();
         let inter = a.intersection(&b);
         let union = a.union(&b);
-        prop_assert_eq!(a.intersects(&b), !inter.is_empty());
-        prop_assert!(inter.is_subset_of(&a) && inter.is_subset_of(&b));
-        prop_assert!(a.is_subset_of(&union) && b.is_subset_of(&union));
-        prop_assert_eq!(union.len() + inter.len(), a.len() + b.len());
-    }
+        assert_eq!(a.intersects(&b), !inter.is_empty());
+        assert!(inter.is_subset_of(&a) && inter.is_subset_of(&b));
+        assert!(a.is_subset_of(&union) && b.is_subset_of(&union));
+        assert_eq!(union.len() + inter.len(), a.len() + b.len());
+    });
 }
 
 #[test]

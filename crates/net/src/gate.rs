@@ -28,7 +28,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use precipice_core::{ProtocolConfig, View};
-use precipice_graph::{Graph, NodeId};
+use precipice_graph::{rng::SplitMix, Graph, NodeId};
 
 use crate::cluster::{LiveReport, ShardedCluster};
 use crate::shard::{resident, ShardEvent};
@@ -172,7 +172,7 @@ pub fn gated_run(
     )
     .expect("spawn shard worker");
 
-    let mut rng = seed ^ 0x9e37_79b9_7f4a_7c15;
+    let mut rng = SplitMix::new(seed ^ 0x9e37_79b9_7f4a_7c15);
     let mut injections: VecDeque<NodeId> = kills.iter().copied().collect();
     let mut pairs = Vec::new();
     let mut crash_steps = Vec::new();
@@ -186,7 +186,7 @@ pub fn gated_run(
         if choices == 0 {
             break;
         }
-        let pick = (splitmix(&mut rng) % choices as u64) as usize;
+        let pick = (rng.next_u64() % choices as u64) as usize;
         let step = cluster.bump_step();
         released += 1;
         if pick < injections.len() {
@@ -228,15 +228,6 @@ pub fn gated_run(
         released,
         order_hash: hash,
     }
-}
-
-/// SplitMix64 — the repo's standard tiny deterministic RNG.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// FNV-1a over a few words.
@@ -337,20 +328,20 @@ mod tests {
 
         let (mut clean, mut partial_overlap, mut value_only) = (0, 0, 0);
         for seed in 0..4000u64 {
-            let mut rng = seed;
+            let mut rng = SplitMix::new(seed);
             let mut picked = Vec::new();
             for view in &views {
-                let deciders = splitmix(&mut rng) % 4;
-                let shared = NodeId((splitmix(&mut rng) % 2) as u32);
+                let deciders = rng.next_u64() % 4;
+                let shared = NodeId((rng.next_u64() % 2) as u32);
                 for _ in 0..deciders.saturating_sub(1) {
-                    let stray = splitmix(&mut rng).is_multiple_of(8);
+                    let stray = rng.next_u64().is_multiple_of(8);
                     let value = if stray { NodeId(2) } else { shared };
                     picked.push((view.clone(), value));
                 }
             }
             // Deciders arrive in no particular order.
             for i in (1..picked.len()).rev() {
-                picked.swap(i, (splitmix(&mut rng) % (i as u64 + 1)) as usize);
+                picked.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
             }
             let decisions: Vec<&(View, NodeId)> = picked.iter().collect();
             let verdict = pairs_agree(&decisions);

@@ -366,22 +366,25 @@ fn parse_topology(spec: &str) -> Result<Graph, String> {
     let (kind, arg) = spec
         .split_once(':')
         .ok_or_else(|| format!("malformed topology {spec:?}"))?;
-    let n = |arg: &str| -> Result<usize, String> {
-        arg.parse::<usize>()
-            .map_err(|_| format!("bad topology size {arg:?}"))
+    // The generators assert their preconditions: a size below one is
+    // refused here, not left to abort the session and every instance.
+    let n = |arg: &str, min: usize| match arg.parse::<usize>() {
+        Ok(n) if n >= min => Ok(n),
+        Ok(n) => Err(format!("{spec:?}: size {n} is below the minimum of {min}")),
+        Err(_) => Err(format!("bad topology size {arg:?}")),
     };
     match kind {
-        "torus" => Ok(torus(GridDims::square(n(arg)?))),
+        "torus" => Ok(torus(GridDims::square(n(arg, 3)?))),
         "grid" => match arg.split_once('x') {
             Some((w, h)) => Ok(grid(GridDims {
-                width: n(w)?,
-                height: n(h)?,
+                width: n(w, 1)?,
+                height: n(h, 1)?,
             })),
-            None => Ok(grid(GridDims::square(n(arg)?))),
+            None => Ok(grid(GridDims::square(n(arg, 1)?))),
         },
-        "ring" => Ok(ring(n(arg)?)),
-        "path" => Ok(path(n(arg)?)),
-        "star" => Ok(star(n(arg)?)),
+        "ring" => Ok(ring(n(arg, 3)?)),
+        "path" => Ok(path(n(arg, 1)?)),
+        "star" => Ok(star(n(arg, 2)?)),
         other => Err(format!("unknown topology kind {other:?}")),
     }
 }
@@ -480,6 +483,15 @@ mod tests {
             &s.handle_line(r#"{"cmd":"open","id":"x","topology":"path:3","shards":1000000}"#)
         )
         .contains("only 3 nodes"));
+        // Sizes below a generator's minimum are refused, and every open
+        // instance keeps answering.
+        ok(&s.handle_line(r#"{"cmd":"open","id":"a","topology":"ring:5"}"#));
+        for bad in "ring:2 torus:2 grid:0x3 grid:0 path:0 star:1".split(' ') {
+            let line = format!(r#"{{"cmd":"open","id":"x","topology":"{bad}"}}"#);
+            assert!(fail(&s.handle_line(&line)).contains("minimum"), "{bad}");
+        }
+        ok(&s.handle_line(r#"{"cmd":"crash","id":"a","node":1}"#));
+        ok(&s.handle_line(r#"{"cmd":"await","id":"a","timeout_ms":20000}"#));
         // The session is still usable.
         ok(&s.handle_line(r#"{"cmd":"status"}"#));
         ok(&s.handle_line(r#"{"cmd":"shutdown"}"#));

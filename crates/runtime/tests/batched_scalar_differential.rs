@@ -13,9 +13,8 @@
 //! from one run into another. Mirrors `lazy_eager_differential.rs`,
 //! which pins the lazy start to the eager one.
 
-use proptest::prelude::*;
-
 use precipice_core::NodeIdValuePolicy;
+use precipice_graph::rng::cases;
 use precipice_graph::{random_geometric_connected, ring, torus, Graph, GridDims, NodeId};
 use precipice_runtime::{BatchJob, BatchRunner, Exec, ExecOutcome, Scenario};
 use precipice_sim::{SchedulePolicy, SimTime};
@@ -114,63 +113,67 @@ fn run_in_reused_wave(
     runner.run(&jobs).swap_remove(position % wave)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
-
-    /// One variant inside a reused lockstep wave ≡ the same variant
-    /// alone, for every policy kind.
-    #[test]
-    fn batched_runs_are_byte_identical_to_scalar(
-        topo in prop_oneof![Just(Topo::Torus), Just(Topo::Ring), Just(Topo::Geometric)],
-        n in 9usize..64,
-        k in 1usize..6,
-        gap_ms in prop_oneof![Just(0u64), Just(2u64), Just(30u64)],
-        seed in any::<u64>(),
-        policy_seed in any::<u64>(),
-        policy_kind in 0usize..3,
-        wave in 2usize..9,
-        position in 0usize..8,
-    ) {
-        let policy = match policy_kind {
+/// One variant inside a reused lockstep wave ≡ the same variant
+/// alone, for every policy kind.
+#[test]
+fn batched_runs_are_byte_identical_to_scalar() {
+    cases("batched_runs_are_byte_identical_to_scalar", 16, |rng| {
+        let topo = [Topo::Torus, Topo::Ring, Topo::Geometric][rng.gen_range(0..3usize)];
+        let n = rng.gen_range(9..64);
+        let k = rng.gen_range(1..6);
+        let gap_ms = [0, 2, 30][rng.gen_range(0..3usize)];
+        let seed = rng.next_u64();
+        let policy_seed = rng.next_u64();
+        let policy = match rng.gen_range(0..3usize) {
             0 => SchedulePolicy::Fifo,
             1 => SchedulePolicy::Random(policy_seed),
             _ => SchedulePolicy::Pcr(policy_seed),
         };
+        let wave = rng.gen_range(2..9usize);
+        let position = rng.gen_range(0..8);
         let scenario = build_scenario(topo, n, k, gap_ms, seed);
         let scalar = scenario.exec(Exec::new().schedule(policy.clone()));
         // The dense geometric runs are tens of thousands of events
         // each; two decoy slots are enough company there.
-        let wave = if matches!(topo, Topo::Geometric) { wave.min(3) } else { wave };
+        let wave = if matches!(topo, Topo::Geometric) {
+            wave.min(3)
+        } else {
+            wave
+        };
         let mut runner = BatchRunner::with_default_policy(&scenario, wave);
         let batched = run_in_reused_wave(&mut runner, wave, position, BatchJob { seed, policy });
 
-        prop_assert_eq!(
+        assert_eq!(
             scalar.report.trace_hash, batched.report.trace_hash,
             "trace diverged"
         );
-        prop_assert_eq!(&scalar.report.decisions, &batched.report.decisions);
-        prop_assert_eq!(&scalar.report.metrics, &batched.report.metrics);
-        prop_assert_eq!(&scalar.report.stats, &batched.report.stats);
-        prop_assert_eq!(&scalar.report.message_pairs, &batched.report.message_pairs);
-        prop_assert_eq!(scalar.report.outcome, batched.report.outcome);
-        prop_assert_eq!(&scalar.schedule, &batched.schedule, "recorded schedules diverged");
-        prop_assert_eq!(scalar.report.digest(), batched.report.digest());
-    }
+        assert_eq!(&scalar.report.decisions, &batched.report.decisions);
+        assert_eq!(&scalar.report.metrics, &batched.report.metrics);
+        assert_eq!(&scalar.report.stats, &batched.report.stats);
+        assert_eq!(&scalar.report.message_pairs, &batched.report.message_pairs);
+        assert_eq!(scalar.report.outcome, batched.report.outcome);
+        assert_eq!(
+            &scalar.schedule, &batched.schedule,
+            "recorded schedules diverged"
+        );
+        assert_eq!(scalar.report.digest(), batched.report.digest());
+    });
+}
 
-    /// A whole seed sweep through one reused `BatchRunner` — lockstep
-    /// waves, slot arenas reused across waves — matches per-seed
-    /// one-slot execution result for result. Sweeps *across* seeds is
-    /// exactly the case the single-variant test above cannot cover:
-    /// slots must not leak any state between the runs they host.
-    #[test]
-    fn seed_sweeps_through_reused_slots_match_scalar(
-        topo in prop_oneof![Just(Topo::Torus), Just(Topo::Ring)],
-        n in 9usize..49,
-        k in 1usize..5,
-        base_seed in any::<u64>(),
-        policy_seed in any::<u64>(),
-        wave in 2usize..9,
-    ) {
+/// A whole seed sweep through one reused `BatchRunner` — lockstep
+/// waves, slot arenas reused across waves — matches per-seed
+/// one-slot execution result for result. Sweeps *across* seeds is
+/// exactly the case the single-variant test above cannot cover:
+/// slots must not leak any state between the runs they host.
+#[test]
+fn seed_sweeps_through_reused_slots_match_scalar() {
+    cases("seed_sweeps_through_reused_slots_match_scalar", 16, |rng| {
+        let topo = [Topo::Torus, Topo::Ring][rng.gen_range(0..2usize)];
+        let n = rng.gen_range(9..49);
+        let k = rng.gen_range(1..5);
+        let base_seed = rng.next_u64();
+        let policy_seed = rng.next_u64();
+        let wave = rng.gen_range(2..9usize);
         let scenario = build_scenario(topo, n, k, 2, base_seed);
         // Mixed job kinds in one budget: seed sweep under FIFO plus a
         // fuzz probe pair, like the explorer's feed. Nine jobs, so every
@@ -187,45 +190,50 @@ proptest! {
             .collect();
         let mut runner = BatchRunner::with_default_policy(&scenario, wave);
         let outcomes = runner.run(&jobs);
-        prop_assert_eq!(outcomes.len(), jobs.len());
+        assert_eq!(outcomes.len(), jobs.len());
         for (job, got) in jobs.iter().zip(&outcomes) {
             let mut variant = scenario.clone();
             variant.sim.seed = job.seed;
             let want = variant.exec(Exec::new().schedule(job.policy.clone()));
-            prop_assert_eq!(
+            assert_eq!(
                 got.report.trace_hash, want.report.trace_hash,
-                "seed {} diverged", job.seed
+                "seed {} diverged",
+                job.seed
             );
-            prop_assert_eq!(&got.report.decisions, &want.report.decisions);
-            prop_assert_eq!(&got.report.metrics, &want.report.metrics);
-            prop_assert_eq!(&got.report.stats, &want.report.stats);
-            prop_assert_eq!(&got.schedule, &want.schedule);
+            assert_eq!(&got.report.decisions, &want.report.decisions);
+            assert_eq!(&got.report.metrics, &want.report.metrics);
+            assert_eq!(&got.report.stats, &want.report.stats);
+            assert_eq!(&got.schedule, &want.schedule);
         }
-    }
+    });
+}
 
-    /// Schedules recorded inside a reused wave replay bit-for-bit on a
-    /// fresh one-slot run and vice versa — a recorded schedule does not
-    /// depend on where it was recorded.
-    #[test]
-    fn recorded_schedules_replay_across_engines(
-        n in 9usize..36,
-        k in 1usize..4,
-        seed in any::<u64>(),
-        policy_seed in any::<u64>(),
-        wave in 2usize..9,
-    ) {
+/// Schedules recorded inside a reused wave replay bit-for-bit on a
+/// fresh one-slot run and vice versa — a recorded schedule does not
+/// depend on where it was recorded.
+#[test]
+fn recorded_schedules_replay_across_engines() {
+    cases("recorded_schedules_replay_across_engines", 16, |rng| {
+        let n = rng.gen_range(9..36);
+        let k = rng.gen_range(1..4);
+        let seed = rng.next_u64();
+        let policy_seed = rng.next_u64();
+        let wave = rng.gen_range(2..9usize);
         let scenario = build_scenario(Topo::Torus, n, k, 2, seed);
         let mut runner = BatchRunner::with_default_policy(&scenario, wave);
         let job = |policy| BatchJob { seed, policy };
-        let batched =
-            run_in_reused_wave(&mut runner, wave, 1, job(SchedulePolicy::Random(policy_seed)));
-        let scalar_replay = scenario.exec(
-            Exec::new().schedule(SchedulePolicy::Replay(batched.schedule.clone())),
+        let batched = run_in_reused_wave(
+            &mut runner,
+            wave,
+            1,
+            job(SchedulePolicy::Random(policy_seed)),
         );
-        prop_assert_eq!(batched.report.trace_hash, scalar_replay.report.trace_hash);
+        let scalar_replay =
+            scenario.exec(Exec::new().schedule(SchedulePolicy::Replay(batched.schedule.clone())));
+        assert_eq!(batched.report.trace_hash, scalar_replay.report.trace_hash);
         let replay = job(SchedulePolicy::Replay(batched.schedule.clone()));
         let batched_replay = run_in_reused_wave(&mut runner, wave, 0, replay);
-        prop_assert_eq!(batched.report.trace_hash, batched_replay.report.trace_hash);
-        prop_assert_eq!(batched_replay.schedule, batched.schedule);
-    }
+        assert_eq!(batched.report.trace_hash, batched_replay.report.trace_hash);
+        assert_eq!(batched_replay.schedule, batched.schedule);
+    });
 }

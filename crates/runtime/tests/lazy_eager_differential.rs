@@ -17,11 +17,10 @@
 //! detector resolves structurally at crash time, so deferring a node's
 //! construction to its first event changes nothing the run can observe.
 
-use proptest::prelude::*;
-
 use std::sync::Arc;
 
 use precipice_core::{CliffEdgeNode, NodeIdValuePolicy};
+use precipice_graph::rng::cases;
 use precipice_graph::{random_geometric_connected, ring, torus, Graph, GridDims, NodeId};
 use precipice_runtime::{Exec, ExecOutcome, ProtocolProcess, Scenario};
 use precipice_sim::{SchedulePolicy, SimTime, Simulation};
@@ -98,11 +97,7 @@ fn build_scenario(topo: Topo, n: usize, k: usize, gap_ms: u64, seed: u64) -> Sce
 /// Runs `scenario` under `policy` with an eager start — every process
 /// built up front — and requires `lazy`, an `exec` outcome of the same
 /// scenario, to agree with it on everything both expose.
-fn assert_matches_eager(
-    scenario: &Scenario,
-    policy: SchedulePolicy,
-    lazy: &ExecOutcome<NodeId>,
-) -> Result<(), TestCaseError> {
+fn assert_matches_eager(scenario: &Scenario, policy: SchedulePolicy, lazy: &ExecOutcome<NodeId>) {
     let processes: Vec<ProtocolProcess<NodeIdValuePolicy>> = scenario
         .graph
         .nodes()
@@ -116,20 +111,20 @@ fn assert_matches_eager(
     for &(node, at) in &scenario.crashes {
         eager.schedule_crash(node, at);
     }
-    prop_assert_eq!(lazy.report.outcome, eager.run());
-    prop_assert_eq!(eager.processes().count(), scenario.graph.len());
-    prop_assert_eq!(
+    assert_eq!(lazy.report.outcome, eager.run());
+    assert_eq!(eager.processes().count(), scenario.graph.len());
+    assert_eq!(
         lazy.report.trace_hash,
         eager.trace().hash(),
         "trace diverged"
     );
-    prop_assert_eq!(&lazy.report.metrics, eager.metrics());
+    assert_eq!(&lazy.report.metrics, eager.metrics());
     let recorded = eager.recorded_schedule().unwrap_or_default();
-    prop_assert_eq!(&lazy.schedule, &recorded, "recorded schedules diverged");
+    assert_eq!(&lazy.schedule, &recorded, "recorded schedules diverged");
     for (id, p) in eager.processes() {
         let decision = p.decision().map(|(view, value, at)| (view, value, at));
         let lazy_decision = lazy.report.decisions.get(&id);
-        prop_assert_eq!(
+        assert_eq!(
             decision,
             lazy_decision.map(|d| (&d.view, &d.value, &d.at)),
             "{}",
@@ -137,52 +132,48 @@ fn assert_matches_eager(
         );
         // Reports keep non-default stats only.
         let lazy_stats = lazy.report.stats.get(&id).copied().unwrap_or_default();
-        prop_assert_eq!(*p.node().stats(), lazy_stats, "{}", id);
+        assert_eq!(*p.node().stats(), lazy_stats, "{}", id);
     }
-    Ok(())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
-
-    #[test]
-    fn lazy_runs_are_byte_identical_to_eager(
-        topo in prop_oneof![Just(Topo::Torus), Just(Topo::Ring), Just(Topo::Geometric)],
-        n in 9usize..64,
-        k in 1usize..6,
-        gap_ms in prop_oneof![Just(0u64), Just(2u64), Just(30u64)],
-        seed in any::<u64>(),
-        policy_seed in any::<u64>(),
-        policy_kind in 0usize..3,
-    ) {
-        let policy = match policy_kind {
+#[test]
+fn lazy_runs_are_byte_identical_to_eager() {
+    cases("lazy_runs_are_byte_identical_to_eager", 32, |rng| {
+        let topo = [Topo::Torus, Topo::Ring, Topo::Geometric][rng.gen_range(0..3usize)];
+        let n = rng.gen_range(9..64);
+        let k = rng.gen_range(1..6);
+        let gap_ms = [0, 2, 30][rng.gen_range(0..3usize)];
+        let seed = rng.next_u64();
+        let policy_seed = rng.next_u64();
+        let policy = match rng.gen_range(0..3usize) {
             0 => SchedulePolicy::Fifo,
             1 => SchedulePolicy::Random(policy_seed),
             _ => SchedulePolicy::Pcr(policy_seed),
         };
         let scenario = build_scenario(topo, n, k, gap_ms, seed);
         let lazy = scenario.exec(Exec::new().schedule(policy.clone()));
-        assert_matches_eager(&scenario, policy, &lazy)?;
-    }
+        assert_matches_eager(&scenario, policy, &lazy);
+    });
+}
 
-    /// Replaying a lazily-recorded schedule through an eager start
-    /// reproduces the run — recorded schedules are
-    /// representation-independent.
-    #[test]
-    fn recorded_schedules_replay_across_runners(
-        n in 9usize..36,
-        k in 1usize..4,
-        seed in any::<u64>(),
-        policy_seed in any::<u64>(),
-    ) {
+/// Replaying a lazily-recorded schedule through an eager start
+/// reproduces the run — recorded schedules are
+/// representation-independent.
+#[test]
+fn recorded_schedules_replay_across_runners() {
+    cases("recorded_schedules_replay_across_runners", 32, |rng| {
+        let n = rng.gen_range(9..36);
+        let k = rng.gen_range(1..4);
+        let seed = rng.next_u64();
+        let policy_seed = rng.next_u64();
         let scenario = build_scenario(Topo::Torus, n, k, 2, seed);
         let lazy = scenario.exec(Exec::new().schedule(SchedulePolicy::Random(policy_seed)));
         let replay = SchedulePolicy::Replay(lazy.schedule.clone());
-        assert_matches_eager(&scenario, replay.clone(), &lazy)?;
+        assert_matches_eager(&scenario, replay.clone(), &lazy);
         let lazy_replay = scenario.exec(Exec::new().schedule(replay));
-        prop_assert_eq!(lazy_replay.report.trace_hash, lazy.report.trace_hash);
-        prop_assert_eq!(lazy_replay.schedule, lazy.schedule);
-    }
+        assert_eq!(lazy_replay.report.trace_hash, lazy.report.trace_hash);
+        assert_eq!(lazy_replay.schedule, lazy.schedule);
+    });
 }
 
 /// A border node that never sends or receives a protocol message before

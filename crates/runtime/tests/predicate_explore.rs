@@ -6,8 +6,7 @@
 //! crashed-region ⇄ condition-region isomorphism must hold for *every*
 //! delivery order, not just the one the latency sample happens to pick.
 
-use proptest::prelude::*;
-
+use precipice_graph::rng::cases;
 use precipice_graph::{ring, torus, GridDims, NodeId};
 use precipice_runtime::explore::probe;
 use precipice_runtime::{check_spec, PredicateScenario};
@@ -58,47 +57,51 @@ fn build(
     builder.seed(seed).build()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+/// Afflicted-region scenarios satisfy the full specification on the
+/// latency-ordered run AND under an adversarially explored random
+/// schedule derived from the same seed.
+#[test]
+fn predicate_regions_satisfy_spec_under_exploration() {
+    cases(
+        "predicate_regions_satisfy_spec_under_exploration",
+        24,
+        |rng| {
+            let topo = [Topo::Torus, Topo::Ring][rng.gen_range(0..2usize)];
+            let n = rng.gen_range(9..36);
+            let start = rng.next_u64() as u32;
+            let count = rng.gen_range(1..5);
+            let gap_ms = [0, 4, 40][rng.gen_range(0..3usize)];
+            let seed = rng.next_u64();
+            let scenario = build(topo, n, start, count, gap_ms, seed);
 
-    /// Afflicted-region scenarios satisfy the full specification on the
-    /// latency-ordered run AND under an adversarially explored random
-    /// schedule derived from the same seed.
-    #[test]
-    fn predicate_regions_satisfy_spec_under_exploration(
-        topo in prop_oneof![Just(Topo::Torus), Just(Topo::Ring)],
-        n in 9usize..36,
-        start in any::<u32>(),
-        count in 1usize..5,
-        gap_ms in prop_oneof![Just(0u64), Just(4u64), Just(40u64)],
-        seed in any::<u64>(),
-    ) {
-        let scenario = build(topo, n, start, count, gap_ms, seed);
+            // Plain run: the isomorphism carries CD1–CD7 over verbatim.
+            let report = scenario.run();
+            let violations = check_spec(&report);
+            assert!(violations.is_empty(), "plain run: {violations:?}");
+            assert!(!report.decisions.is_empty(), "someone agreed on the zone");
 
-        // Plain run: the isomorphism carries CD1–CD7 over verbatim.
-        let report = scenario.run();
-        let violations = check_spec(&report);
-        prop_assert!(violations.is_empty(), "plain run: {violations:?}");
-        prop_assert!(!report.decisions.is_empty(), "someone agreed on the zone");
-
-        // Explored run: same scenario, adversarial delivery/affliction
-        // order. Must stay clean and must replay bit-for-bit.
-        let explored = probe(scenario.as_scenario(), SchedulePolicy::Random(seed ^ 0xa11e));
-        prop_assert!(
-            explored.violations.is_empty(),
-            "explored schedule: {:?} (schedule {})",
-            explored.violations,
-            explored.schedule
-        );
-        let replayed = probe(
-            scenario.as_scenario(),
-            SchedulePolicy::Replay(explored.schedule.clone()),
-        );
-        prop_assert_eq!(replayed.report.trace_hash, explored.report.trace_hash);
-    }
+            // Explored run: same scenario, adversarial delivery/affliction
+            // order. Must stay clean and must replay bit-for-bit.
+            let explored = probe(
+                scenario.as_scenario(),
+                SchedulePolicy::Random(seed ^ 0xa11e),
+            );
+            assert!(
+                explored.violations.is_empty(),
+                "explored schedule: {:?} (schedule {})",
+                explored.violations,
+                explored.schedule
+            );
+            let replayed = probe(
+                scenario.as_scenario(),
+                SchedulePolicy::Replay(explored.schedule.clone()),
+            );
+            assert_eq!(replayed.report.trace_hash, explored.report.trace_hash);
+        },
+    );
 }
 
-/// Deterministic smoke corpus (no proptest shrinkage): one fixed case
+/// Deterministic smoke corpus: one fixed case
 /// per topology × timing, explored under both fuzzing policies.
 #[test]
 fn fixed_predicate_corpus_is_clean_under_both_policies() {

@@ -73,6 +73,7 @@ use std::fmt;
 use std::mem;
 use std::str::FromStr;
 
+use precipice_graph::rng::{mix64, SplitMix};
 use precipice_graph::NodeId;
 
 use crate::slot::{chan_key, MiniMap};
@@ -351,48 +352,6 @@ pub(crate) struct FrontierEntry {
     pub target: NodeId,
 }
 
-/// The SplitMix64 output function: a bijective 64-bit mixer. Finishes
-/// every [`SplitMix`] draw and hashes the coverage tables' keys.
-#[inline]
-fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Deterministic SplitMix64 — the explorer's private RNG, independent of
-/// the simulator's latency stream.
-#[derive(Debug, Clone)]
-struct SplitMix(u64);
-
-impl SplitMix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        mix64(self.0)
-    }
-
-    /// Uniform draw from `0..n` (n > 0), exactly unbiased via Lemire's
-    /// multiply-shift rejection: the naive `next() % n` it replaced
-    /// over-weights small residues whenever `n` does not divide 2^64 —
-    /// for non-power-of-two candidate counts some events were
-    /// measurably likelier than others, skewing every Random/PCR
-    /// exploration stream.
-    fn below(&mut self, n: usize) -> usize {
-        let n = n as u64;
-        debug_assert!(n > 0);
-        let mut m = u128::from(self.next()) * u128::from(n);
-        if (m as u64) < n {
-            // Reject the (2^64 mod n)-sized low fringe; every surviving
-            // draw maps to exactly floor(2^64 / n) inputs.
-            let threshold = n.wrapping_neg() % n;
-            while (m as u64) < threshold {
-                m = u128::from(self.next()) * u128::from(n);
-            }
-        }
-        (m >> 64) as usize
-    }
-}
-
 #[derive(Debug, Clone)]
 enum Mode {
     Random(SplitMix),
@@ -429,8 +388,10 @@ impl Explorer {
     pub fn new(policy: SchedulePolicy) -> Option<Explorer> {
         let mode = match policy {
             SchedulePolicy::Fifo => return None,
-            SchedulePolicy::Random(seed) => Mode::Random(SplitMix(seed ^ 0x5eed_5eed_5eed_5eed)),
-            SchedulePolicy::Pcr(seed) => Mode::Pcr(SplitMix(seed ^ 0x9c12_9c12_9c12_9c12)),
+            SchedulePolicy::Random(seed) => {
+                Mode::Random(SplitMix::new(seed ^ 0x5eed_5eed_5eed_5eed))
+            }
+            SchedulePolicy::Pcr(seed) => Mode::Pcr(SplitMix::new(seed ^ 0x9c12_9c12_9c12_9c12)),
             SchedulePolicy::Replay(schedule) => Mode::Replay {
                 queue: schedule.deviations,
                 next: 0,
@@ -438,7 +399,7 @@ impl Explorer {
             SchedulePolicy::Guided(spec) => Mode::Guided {
                 queue: spec.base.deviations,
                 next: 0,
-                rng: SplitMix(spec.seed ^ 0x6a1d_6a1d_6a1d_6a1d),
+                rng: SplitMix::new(spec.seed ^ 0x6a1d_6a1d_6a1d_6a1d),
                 flip: spec.flip,
                 flipped: false,
             },
@@ -992,8 +953,8 @@ mod tests {
 
     #[test]
     fn splitmix_below_is_deterministic() {
-        let mut a = SplitMix(42);
-        let mut b = SplitMix(42);
+        let mut a = SplitMix::new(42);
+        let mut b = SplitMix::new(42);
         let xs: Vec<usize> = (0..32).map(|_| a.below(7)).collect();
         let ys: Vec<usize> = (0..32).map(|_| b.below(7)).collect();
         assert_eq!(xs, ys);
@@ -1114,7 +1075,7 @@ mod tests {
     /// bound asserted is the honest statistical one (5 sigma).
     #[test]
     fn below_is_unbiased_across_residues() {
-        let mut rng = SplitMix(0xfeed_f00d);
+        let mut rng = SplitMix::new(0xfeed_f00d);
         const N: usize = 7;
         const DRAWS: usize = 70_000;
         let mut counts = [0usize; N];

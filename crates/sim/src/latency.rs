@@ -1,4 +1,4 @@
-use rand::Rng;
+use precipice_graph::rng::Rng;
 
 use crate::SimTime;
 
@@ -12,14 +12,14 @@ use crate::SimTime;
 /// # Example
 ///
 /// ```
+/// use precipice_graph::rng::Rng;
 /// use precipice_sim::{LatencyModel, SimTime};
-/// use rand::SeedableRng;
 ///
 /// let model = LatencyModel::Uniform {
 ///     min: SimTime::from_millis(1),
 ///     max: SimTime::from_millis(5),
 /// };
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+/// let mut rng = Rng::seed_from_u64(7);
 /// let d = model.sample(&mut rng);
 /// assert!(d >= SimTime::from_millis(1) && d <= SimTime::from_millis(5));
 /// ```
@@ -51,7 +51,7 @@ impl LatencyModel {
     /// # Panics
     ///
     /// Panics if a `Uniform` model has `min > max`.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> SimTime {
+    pub fn sample(&self, rng: &mut Rng) -> SimTime {
         match *self {
             LatencyModel::Constant(d) => d,
             LatencyModel::Uniform { min, max } => {
@@ -81,12 +81,10 @@ impl Default for LatencyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn constant_always_same() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let m = LatencyModel::Constant(SimTime::from_micros(30));
         for _ in 0..10 {
             assert_eq!(m.sample(&mut rng), SimTime::from_micros(30));
@@ -95,7 +93,7 @@ mod tests {
 
     #[test]
     fn uniform_within_bounds_and_varies() {
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = Rng::seed_from_u64(2);
         let (min, max) = (SimTime::from_nanos(10), SimTime::from_nanos(1_000_000));
         let m = LatencyModel::Uniform { min, max };
         let samples: Vec<SimTime> = (0..100).map(|_| m.sample(&mut rng)).collect();
@@ -105,7 +103,7 @@ mod tests {
 
     #[test]
     fn degenerate_uniform_is_constant() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         let t = SimTime::from_millis(4);
         let m = LatencyModel::Uniform { min: t, max: t };
         assert_eq!(m.sample(&mut rng), t);
@@ -126,7 +124,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "min")]
     fn inverted_uniform_panics() {
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = Rng::seed_from_u64(4);
         let m = LatencyModel::Uniform {
             min: SimTime::from_millis(2),
             max: SimTime::from_millis(1),

@@ -14,8 +14,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use precipice_core::FailureDetector;
-use precipice_graph::{Graph, NodeId};
-use rand::{rngs::StdRng, SeedableRng};
+use precipice_graph::{rng::Rng, Graph, NodeId};
 
 use crate::explore::{Deviation, EventKey, Schedule};
 use crate::process::{Command, Context, MessageSize, Process};
@@ -39,7 +38,7 @@ pub(crate) struct Reference<P: Process> {
     /// Per channel: last scheduled delivery time (the FIFO clamp), executed deliveries.
     channels: BTreeMap<(NodeId, NodeId), (SimTime, u32)>,
     fd: FailureDetector,
-    rng: StdRng,
+    rng: Rng,
     now: SimTime,
     steps: u64,
     pub(crate) nodes: BTreeMap<NodeId, P>,
@@ -76,7 +75,7 @@ impl<P: Process> Reference<P> {
             pending,
             channels: BTreeMap::new(),
             fd: FailureDetector::with_static_graph(Arc::clone(graph)),
-            rng: StdRng::seed_from_u64(config.seed),
+            rng: Rng::seed_from_u64(config.seed),
             now: SimTime::ZERO,
             steps: 0,
             nodes: BTreeMap::new(),
@@ -213,7 +212,7 @@ impl<P: Process> Reference<P> {
 /// The slot engine against the oracle. `Gossip`, `jittery` and
 /// `assert_oracle_agrees` are shared with the `batch` test module.
 pub(crate) mod tests {
-    use proptest::prelude::*;
+    use precipice_graph::rng::cases;
 
     use super::*;
     use crate::{BatchRun, BatchSim, BatchVariant, GuidedSpec, LatencyModel, SchedulePolicy};
@@ -457,31 +456,32 @@ pub(crate) mod tests {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
-
-        /// Random connected graphs × crash sets × latency jitter × event
-        /// cap, each under every policy kind.
-        #[test]
-        fn oracle_agrees_on_random_scenarios(
-            n in 6usize..24,
-            graph_seed in any::<u64>(),
-            crash_picks in proptest::collection::vec((any::<u32>(), 0u64..6), 1..5),
-            jitter_us in prop_oneof![Just(0u64), Just(300u64), Just(5_000u64)],
-            seed in any::<u64>(),
-            max_events in prop_oneof![Just(None), Just(Some(60u64))],
-        ) {
-            let graph = Arc::new(precipice_graph::barabasi_albert(n, 2, graph_seed));
+    /// Random connected graphs × crash sets × latency jitter × event
+    /// cap, each under every policy kind.
+    #[test]
+    fn oracle_agrees_on_random_scenarios() {
+        cases("oracle_agrees_on_random_scenarios", 24, |rng| {
+            let n = rng.gen_range(6..24);
+            let graph = Arc::new(precipice_graph::barabasi_albert(n, 2, rng.next_u64()));
             // A node picked twice is scheduled twice: both sides fold it.
-            let crashes: Vec<(NodeId, SimTime)> = crash_picks
-                .iter()
-                .map(|&(pick, at)| (NodeId(pick % n as u32), ms(1 + at)))
+            let crashes: Vec<(NodeId, SimTime)> = (0..rng.gen_range(1..5usize))
+                .map(|_| {
+                    let pick = rng.next_u64() as u32 % n as u32;
+                    (NodeId(pick), ms(1 + rng.gen_range(0..6u64)))
+                })
                 .collect();
+            let jitter_us = [0, 300, 5_000][rng.gen_range(0..3usize)];
+            let seed = rng.next_u64();
+            let max_events = [None, Some(60)][rng.gen_range(0..2usize)];
             let min = SimTime::from_micros(500);
             let max = min + SimTime::from_micros(jitter_us);
             let latency = LatencyModel::Uniform { min, max };
-            let config = SimConfig { latency, max_events, ..jittery(seed) };
+            let config = SimConfig {
+                latency,
+                max_events,
+                ..jittery(seed)
+            };
             check_every_policy(&graph, config, &crashes);
-        }
+        });
     }
 }

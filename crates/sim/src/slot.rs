@@ -42,9 +42,7 @@ use std::collections::BinaryHeap;
 use std::mem;
 
 use precipice_core::FailureDetector;
-use precipice_graph::NodeId;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use precipice_graph::{rng::Rng, NodeId};
 
 use crate::batch::BatchRun;
 use crate::explore::{EventKey, Explorer, FrontierEntry, SchedulePolicy};
@@ -258,7 +256,7 @@ pub(crate) struct Slot<P: Process> {
     /// from empty.
     last_trace_entries: usize,
     last_deviations: usize,
-    rng: StdRng,
+    rng: Rng,
     pub(crate) time: SimTime,
     seq: u64,
     pub(crate) events_processed: u64,
@@ -294,7 +292,7 @@ impl<P: Process> Slot<P> {
             trace: Trace::new(false),
             last_trace_entries: 0,
             last_deviations: 0,
-            rng: StdRng::seed_from_u64(config.seed),
+            rng: Rng::seed_from_u64(config.seed),
             time: SimTime::ZERO,
             seq: 0,
             events_processed: 0,
@@ -333,7 +331,7 @@ impl<P: Process> Slot<P> {
         self.counters = Counters::default();
         self.trace
             .reset(config.record_trace, self.last_trace_entries);
-        self.rng = StdRng::seed_from_u64(config.seed);
+        self.rng = Rng::seed_from_u64(config.seed);
         self.time = SimTime::ZERO;
         self.seq = 0;
         self.events_processed = 0;

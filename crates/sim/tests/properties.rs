@@ -2,8 +2,7 @@
 //! channels under arbitrary jitter, exactly-once failure detection,
 //! message conservation, and bit-determinism.
 
-use proptest::prelude::*;
-
+use precipice_graph::rng::{cases, Rng};
 use precipice_graph::NodeId;
 use precipice_sim::{Context, LatencyModel, MessageSize, Process, SimConfig, SimTime, Simulation};
 
@@ -79,21 +78,35 @@ fn jittery(seed: u64) -> SimConfig {
     }
 }
 
-proptest! {
-    /// Per-channel FIFO: each receiver sees each sender's tags in send
-    /// order, whatever the latency jitter does.
-    #[test]
-    fn channels_are_fifo_under_jitter(
-        n in 2usize..6,
-        scripts in proptest::collection::vec(
-            proptest::collection::vec((any::<u8>(), any::<u32>()), 0..30),
-            1..6
-        ),
-        seed in any::<u64>(),
-    ) {
+/// `count` scripts (or monitor lists), each of a length drawn from
+/// `len`, of items drawn by `item`.
+fn lists<T>(
+    rng: &mut Rng,
+    count: std::ops::Range<usize>,
+    len: std::ops::Range<usize>,
+    item: fn(&mut Rng) -> T,
+) -> Vec<Vec<T>> {
+    (0..rng.gen_range(count))
+        .map(|_| (0..rng.gen_range(len.clone())).map(|_| item(rng)).collect())
+        .collect()
+}
+
+/// One scripted send: a destination byte and a tag.
+fn send(rng: &mut Rng) -> (u8, u32) {
+    (rng.next_u64() as u8, rng.next_u64() as u32)
+}
+
+/// Per-channel FIFO: each receiver sees each sender's tags in send
+/// order, whatever the latency jitter does.
+#[test]
+fn channels_are_fifo_under_jitter() {
+    cases("channels_are_fifo_under_jitter", 64, |rng| {
+        let n = rng.gen_range(2..6);
+        let scripts = lists(rng, 1..6, 0..30, send);
+        let seed = rng.next_u64();
         let procs = build(n, scripts.clone(), vec![]);
         let mut sim = Simulation::new(jittery(seed), procs);
-        prop_assert!(sim.run().is_quiescent());
+        assert!(sim.run().is_quiescent());
         for receiver in 0..n {
             let got = &sim.process(NodeId(receiver as u32)).received;
             for sender in 0..n {
@@ -111,73 +124,76 @@ proptest! {
                     .filter(|(from, _)| *from == NodeId(sender as u32))
                     .map(|&(_, tag)| tag)
                     .collect();
-                prop_assert_eq!(&received_tags, &sent_tags,
-                    "channel {}->{} reordered", sender, receiver);
+                assert_eq!(
+                    &received_tags, &sent_tags,
+                    "channel {}->{} reordered",
+                    sender, receiver
+                );
             }
         }
-    }
+    });
+}
 
-    /// Conservation: sent = delivered + dropped, and with no crashes
-    /// nothing is dropped.
-    #[test]
-    fn message_conservation(
-        n in 2usize..6,
-        scripts in proptest::collection::vec(
-            proptest::collection::vec((any::<u8>(), any::<u32>()), 0..20),
-            1..6
-        ),
-        seed in any::<u64>(),
-    ) {
+/// Conservation: sent = delivered + dropped, and with no crashes
+/// nothing is dropped.
+#[test]
+fn message_conservation() {
+    cases("message_conservation", 64, |rng| {
+        let n = rng.gen_range(2..6);
+        let scripts = lists(rng, 1..6, 0..20, send);
         let procs = build(n, scripts, vec![]);
-        let mut sim = Simulation::new(jittery(seed), procs);
+        let mut sim = Simulation::new(jittery(rng.next_u64()), procs);
         sim.run();
         let m = sim.metrics();
-        prop_assert_eq!(m.messages_sent(), m.messages_delivered() + m.messages_dropped());
-        prop_assert_eq!(m.messages_dropped(), 0);
-    }
+        assert_eq!(
+            m.messages_sent(),
+            m.messages_delivered() + m.messages_dropped()
+        );
+        assert_eq!(m.messages_dropped(), 0);
+    });
+}
 
-    /// Determinism: the same sealed inputs give bit-identical traces;
-    /// different seeds (with jitter and enough traffic) differ.
-    #[test]
-    fn runs_are_deterministic(
-        scripts in proptest::collection::vec(
-            proptest::collection::vec((any::<u8>(), any::<u32>()), 5..20),
-            2..5
-        ),
-        seed in any::<u64>(),
-    ) {
+/// Determinism: the same sealed inputs give bit-identical traces;
+/// different seeds (with jitter and enough traffic) differ.
+#[test]
+fn runs_are_deterministic() {
+    cases("runs_are_deterministic", 64, |rng| {
+        let scripts = lists(rng, 2..5, 5..20, send);
+        let seed = rng.next_u64();
         let n = 5;
         let run = |s: u64| {
             let mut sim = Simulation::new(jittery(s), build(n, scripts.clone(), vec![]));
             sim.run();
             sim.trace().hash()
         };
-        prop_assert_eq!(run(seed), run(seed));
-    }
+        assert_eq!(run(seed), run(seed));
+    });
+}
 
-    /// Exactly-once detection under random monitor sets and crashes.
-    #[test]
-    fn failure_detection_exactly_once(
-        monitors in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), 0..8),
-            4..8
-        ),
-        crash_mask in any::<u8>(),
-        seed in any::<u64>(),
-    ) {
+/// Exactly-once detection under random monitor sets and crashes.
+#[test]
+fn failure_detection_exactly_once() {
+    cases("failure_detection_exactly_once", 64, |rng| {
+        // Draw until at least one node stays alive, so every case checks.
+        let (monitors, crashed, seed) = loop {
+            let monitors = lists(rng, 4..8, 0..8, |rng| rng.next_u64() as u8);
+            let crash_mask = rng.next_u64() as u8;
+            let seed = rng.next_u64();
+            let crashed: Vec<NodeId> = (0..monitors.len())
+                .filter(|i| crash_mask & (1 << (i % 8)) != 0)
+                .map(|i| NodeId(i as u32))
+                .collect();
+            if crashed.len() < monitors.len() {
+                break (monitors, crashed, seed);
+            }
+        };
         let n = monitors.len();
-        let crashed: Vec<NodeId> = (0..n)
-            .filter(|i| crash_mask & (1 << (i % 8)) != 0)
-            .map(|i| NodeId(i as u32))
-            .collect();
-        // Keep at least one node alive.
-        prop_assume!(crashed.len() < n);
         let procs = build(n, vec![], monitors.clone());
         let mut sim = Simulation::new(jittery(seed), procs);
         for &c in &crashed {
             sim.schedule_crash(c, SimTime::from_millis(2));
         }
-        prop_assert!(sim.run().is_quiescent());
+        assert!(sim.run().is_quiescent());
         for (i, monitor_list) in monitors.iter().enumerate() {
             let me = NodeId(i as u32);
             if crashed.contains(&me) {
@@ -193,8 +209,8 @@ proptest! {
                 .collect();
             let got = &sim.process(me).notified;
             let got_set: std::collections::BTreeSet<NodeId> = got.iter().copied().collect();
-            prop_assert_eq!(&got_set, &expected, "node {} notifications", i);
-            prop_assert_eq!(got.len(), got_set.len(), "duplicate notification at {}", i);
+            assert_eq!(&got_set, &expected, "node {} notifications", i);
+            assert_eq!(got.len(), got_set.len(), "duplicate notification at {}", i);
         }
-    }
+    });
 }

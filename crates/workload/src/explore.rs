@@ -47,7 +47,7 @@ use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use precipice_graph::{ring, torus, Graph, GridDims, NodeId};
+use precipice_graph::{ring, rng::SplitMix, torus, Graph, GridDims, NodeId};
 use precipice_runtime::explore as rt;
 use precipice_runtime::{probe_coverage, BatchJob, BatchRunner, Counterexample, Scenario};
 use precipice_sim::{
@@ -120,16 +120,6 @@ fn probe_seed(seed: u64, index: u64) -> u64 {
         .wrapping_add(index.wrapping_mul(0x2545_f491_4f6c_dd1d))
 }
 
-/// One splitmix64 step — the guided driver's mutation-selection
-/// stream, independent of the schedule policies' private RNGs.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Most coverage-advancing schedules the guided corpus retains (ring
 /// replacement beyond that: newest admission evicts the oldest).
 const CORPUS_CAP: usize = 64;
@@ -176,10 +166,12 @@ fn guided_policy(
     if corpus.is_empty() || index % 4 < 2 {
         return PolicyMix::Mixed.policy_for(cfg.seed, index);
     }
-    let mut st = probe_seed(cfg.seed, index);
-    let base = corpus[(splitmix(&mut st) as usize) % corpus.len()].clone();
-    let extend_seed = splitmix(&mut st);
-    let spec = match splitmix(&mut st) % 4 {
+    // The mutation-selection stream, independent of the schedule
+    // policies' private RNGs.
+    let mut st = SplitMix::new(probe_seed(cfg.seed, index));
+    let base = corpus[(st.next_u64() as usize) % corpus.len()].clone();
+    let extend_seed = st.next_u64();
+    let spec = match st.next_u64() % 4 {
         // Replay the parent and wander past its end.
         0 => GuidedSpec {
             base,
@@ -189,8 +181,7 @@ fn guided_policy(
         // Reverse a race pair seen in only one order so far.
         1 => {
             let never = flips.get_or_init(|| coverage.never_flipped());
-            let flip =
-                (!never.is_empty()).then(|| never[(splitmix(&mut st) as usize) % never.len()]);
+            let flip = (!never.is_empty()).then(|| never[(st.next_u64() as usize) % never.len()]);
             GuidedSpec {
                 base,
                 seed: extend_seed,
@@ -200,8 +191,8 @@ fn guided_policy(
         // Splice: the parent's prefix up to a cut step, a second
         // parent's suffix after it (steps stay strictly increasing).
         2 => {
-            let donor = &corpus[(splitmix(&mut st) as usize) % corpus.len()];
-            let cut = base.deviations[(splitmix(&mut st) as usize) % base.deviations.len()].step;
+            let donor = &corpus[(st.next_u64() as usize) % corpus.len()];
+            let cut = base.deviations[(st.next_u64() as usize) % base.deviations.len()].step;
             let mut devs: Vec<Deviation> = base
                 .deviations
                 .iter()
@@ -226,8 +217,8 @@ fn guided_policy(
         // replayed past the pull: its recorded deviations reference
         // event orders the pull just invalidated.
         _ => {
-            let (node, _) = scenario.crashes[(splitmix(&mut st) as usize) % scenario.crashes.len()];
-            let step = splitmix(&mut st) % 32;
+            let (node, _) = scenario.crashes[(st.next_u64() as usize) % scenario.crashes.len()];
+            let step = st.next_u64() % 32;
             GuidedSpec {
                 base: Schedule::new(vec![Deviation {
                     step,

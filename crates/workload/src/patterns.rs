@@ -2,11 +2,8 @@
 
 use std::collections::BTreeSet;
 
-use precipice_graph::{Graph, NodeId, Region};
+use precipice_graph::{rng::Rng, Graph, NodeId, Region};
 use precipice_sim::SimTime;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
 
 /// The BFS ball of the given hop `radius` around `center` (inclusive).
 ///
@@ -91,9 +88,8 @@ pub fn line_region(graph: &Graph, start: NodeId, k: usize) -> Region {
 /// sampled. Singletons are kept at graph distance ≥ 3 from each other so
 /// their borders stay disjoint (separate faulty clusters).
 pub fn scattered_singletons(graph: &Graph, count: usize, seed: u64) -> Vec<NodeId> {
-    let mut rng = StdRng::seed_from_u64(seed);
     let mut candidates: Vec<NodeId> = graph.nodes().collect();
-    candidates.shuffle(&mut rng);
+    Rng::seed_from_u64(seed).shuffle(&mut candidates);
     let mut chosen: Vec<NodeId> = Vec::new();
     let mut blocked: BTreeSet<NodeId> = BTreeSet::new();
     for c in candidates {
@@ -122,9 +118,8 @@ pub fn scattered_singletons(graph: &Graph, count: usize, seed: u64) -> Vec<NodeI
 /// Blob borders are kept disjoint (distance ≥ 3 between blobs), so each
 /// blob is its own faulty cluster.
 pub fn multi_blob(graph: &Graph, count: usize, size: usize, seed: u64) -> Vec<Region> {
-    let mut rng = StdRng::seed_from_u64(seed);
     let mut seeds: Vec<NodeId> = graph.nodes().collect();
-    seeds.shuffle(&mut rng);
+    Rng::seed_from_u64(seed).shuffle(&mut seeds);
     let mut blobs: Vec<Region> = Vec::new();
     let mut blocked: BTreeSet<NodeId> = BTreeSet::new();
     for s in seeds {
@@ -215,7 +210,7 @@ where
             window,
             seed,
         } => {
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = Rng::seed_from_u64(seed);
             nodes
                 .into_iter()
                 .map(|n| {

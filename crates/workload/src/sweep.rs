@@ -354,10 +354,8 @@ mod tests {
                 std::thread::sleep(std::time::Duration::from_millis(8 - i as u64));
             }
             // A deterministic per-job "simulation": splitmix over the seed.
-            let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            format!("{i}:{:x}", z ^ (z >> 31))
+            let z = precipice_graph::rng::SplitMix::new(seed).next_u64();
+            format!("{i}:{z:x}")
         };
         let serial = SweepSpec::new(Jobs::serial()).map(&inputs, job);
         let parallel = SweepSpec::new(Jobs::new(4)).map(&inputs, job);

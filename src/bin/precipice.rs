@@ -193,6 +193,27 @@ fn parse_args<I: Iterator<Item = String>>(mut args: I) -> Result<Options, String
     Ok(opts)
 }
 
+/// Parses a topology size, refusing one below `min`: the generators
+/// assert their preconditions, so an unchecked size would abort the
+/// process instead of reporting a usage error.
+fn size(s: &str, min: usize) -> Result<usize, String> {
+    match s.parse::<usize>() {
+        Ok(n) if n >= min => Ok(n),
+        Ok(n) => Err(format!("topology size {n} is below the minimum of {min}")),
+        Err(e) => Err(format!("bad number {s:?}: {e}")),
+    }
+}
+
+/// Parses a real topology parameter that must satisfy `ok`, which
+/// `want` describes.
+fn param(s: &str, ok: fn(f64) -> bool, want: &str) -> Result<f64, String> {
+    match s.parse::<f64>() {
+        Ok(x) if ok(x) => Ok(x),
+        Ok(x) => Err(format!("topology parameter {x} out of range: {want}")),
+        Err(e) => Err(format!("bad number {s:?}: {e}")),
+    }
+}
+
 fn parse_topology(spec: &str, seed: u64) -> Result<Graph, String> {
     // `pcsr:<path>` maps an on-disk topology zero-copy; match it before
     // the colon split, since paths may contain colons.
@@ -200,39 +221,31 @@ fn parse_topology(spec: &str, seed: u64) -> Result<Graph, String> {
         return Graph::open_pcsr(file).map_err(|e| format!("cannot open {file:?}: {e}"));
     }
     let parts: Vec<&str> = spec.split(':').collect();
-    let num = |s: &str| {
-        s.parse::<usize>()
-            .map_err(|e| format!("bad number {s:?}: {e}"))
-    };
-    let fnum = |s: &str| {
-        s.parse::<f64>()
-            .map_err(|e| format!("bad number {s:?}: {e}"))
-    };
     match parts.as_slice() {
-        ["torus", side] => Ok(precipice::graph::torus(GridDims::square(num(side)?))),
+        ["torus", side] => Ok(precipice::graph::torus(GridDims::square(size(side, 3)?))),
         ["grid", dims] => {
             let (w, h) = dims
                 .split_once('x')
                 .ok_or_else(|| format!("grid wants <w>x<h>, got {dims:?}"))?;
             Ok(precipice::graph::grid(GridDims {
-                width: num(w)?,
-                height: num(h)?,
+                width: size(w, 1)?,
+                height: size(h, 1)?,
             }))
         }
-        ["ring", n] => Ok(precipice::graph::ring(num(n)?)),
-        ["path", n] => Ok(precipice::graph::path(num(n)?)),
-        ["star", n] => Ok(precipice::graph::star(num(n)?)),
+        ["ring", n] => Ok(precipice::graph::ring(size(n, 3)?)),
+        ["path", n] => Ok(precipice::graph::path(size(n, 1)?)),
+        ["star", n] => Ok(precipice::graph::star(size(n, 2)?)),
         ["geometric", n, r] => Ok(precipice::graph::random_geometric_connected(
-            num(n)?,
-            fnum(r)?,
+            size(n, 1)?,
+            param(r, |r| r > 0.0, "the radius must be positive")?,
             seed,
         )),
         ["er", n, p] => Ok(precipice::graph::erdos_renyi_connected(
-            num(n)?,
-            fnum(p)?,
+            size(n, 1)?,
+            param(p, |p| (0.0..=1.0).contains(&p), "p must be in [0, 1]")?,
             seed,
         )),
-        ["tree", n] => Ok(precipice::graph::random_tree(num(n)?, seed)),
+        ["tree", n] => Ok(precipice::graph::random_tree(size(n, 1)?, seed)),
         _ => Err(format!("unknown topology spec {spec:?}")),
     }
 }
@@ -1123,26 +1136,22 @@ fn stream_spec(
     seed: u64,
 ) -> Result<(precipice::graph::StoreSummary, &'static str), String> {
     use precipice::graph::{stream_grid, stream_path, stream_ring, stream_torus};
-    let num = |s: &str| {
-        s.parse::<usize>()
-            .map_err(|e| format!("bad number {s:?}: {e}"))
-    };
     let streamed = match spec.split(':').collect::<Vec<_>>().as_slice() {
-        ["torus", side] => Some(stream_torus(GridDims::square(num(side)?), out)),
+        ["torus", side] => Some(stream_torus(GridDims::square(size(side, 3)?), out)),
         ["grid", dims] => {
             let (w, h) = dims
                 .split_once('x')
                 .ok_or_else(|| format!("grid wants <w>x<h>, got {dims:?}"))?;
             Some(stream_grid(
                 GridDims {
-                    width: num(w)?,
-                    height: num(h)?,
+                    width: size(w, 1)?,
+                    height: size(h, 1)?,
                 },
                 out,
             ))
         }
-        ["ring", n] => Some(stream_ring(num(n)?, out)),
-        ["path", n] => Some(stream_path(num(n)?, out)),
+        ["ring", n] => Some(stream_ring(size(n, 3)?, out)),
+        ["path", n] => Some(stream_path(size(n, 1)?, out)),
         _ => None,
     };
     match streamed {
@@ -1287,6 +1296,12 @@ mod tests {
         assert!(parse_topology("er:30:0.3", 1).unwrap().is_connected());
         assert!(parse_topology("moebius:4", 0).is_err());
         assert!(parse_topology("grid:3", 0).is_err());
+        // Below a generator's precondition: a reported error, not an abort.
+        for bad in "er:30:1.5 er:30:nan geometric:30:0 tree:0 torus:2 grid:0x3 ring:2 star:1 path:0"
+            .split(' ')
+        {
+            assert!(parse_topology(bad, 0).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -262,4 +262,14 @@ fn bad_flags_exit_nonzero() {
     let out = precipice(&["--topology", "moebius:4"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown topology"));
+    // A size below the generator's minimum is a usage error too, not an
+    // abort, whether the topology is built in memory or streamed.
+    for args in [
+        &["--topology", "torus:2"][..],
+        &["graph", "build", "torus:2", "-o", "x"],
+    ] {
+        let out = precipice(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("minimum"));
+    }
 }

@@ -9,9 +9,8 @@
 
 use std::collections::BTreeSet;
 
-use proptest::prelude::*;
-
 use precipice::consensus::ProtocolConfig;
+use precipice::graph::rng::{cases, Rng};
 use precipice::graph::{
     erdos_renyi_connected, random_geometric_connected, random_tree, ring, torus, Graph, GridDims,
     NodeId,
@@ -60,21 +59,13 @@ fn build_graph(recipe: &Recipe) -> Graph {
         TopologyKind::TreePlus => {
             // A tree plus a few chords: sparse, high-diameter.
             let tree = random_tree(recipe.n.max(4), recipe.seed);
-            let n = tree.len() as u32;
+            let n = tree.len() as u64;
             let mut edges: Vec<(u32, u32)> = tree.edges().map(|(u, v)| (u.0, v.0)).collect();
-            let mut x = recipe.seed | 1;
+            let mut rng = Rng::seed_from_u64(recipe.seed ^ 0x9E37_79B9_7F4A_7C15);
             for _ in 0..(recipe.n / 4) {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let a = (x >> 33) as u32 % n;
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let b = (x >> 33) as u32 % n;
-                edges.push((a, b));
+                edges.push((rng.gen_range(0..n) as u32, rng.gen_range(0..n) as u32));
             }
-            Graph::from_edges(n as usize, edges)
+            Graph::from_edges(tree.len(), edges)
         }
     }
 }
@@ -84,12 +75,9 @@ fn build_graph(recipe: &Recipe) -> Graph {
 fn pick_crash_set(graph: &Graph, recipe: &Recipe) -> BTreeSet<NodeId> {
     let n = graph.len();
     let mut crashed = BTreeSet::new();
-    let mut x = recipe.seed ^ 0x5851_F42D_4C95_7F2D;
+    let mut rng = Rng::seed_from_u64(recipe.seed ^ 0x5851_F42D_4C95_7F2D);
     for _ in 0..recipe.regions {
-        x = x
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let seed_node = NodeId(((x >> 33) as usize % n) as u32);
+        let seed_node = NodeId(rng.gen_range(0..n) as u32);
         let mut ball = vec![seed_node];
         let mut frontier = vec![seed_node];
         for _ in 0..recipe.radius {
@@ -136,15 +124,12 @@ fn run_recipe(recipe: &Recipe) -> (usize, Vec<String>) {
             record_trace: true,
             max_events: Some(20_000_000),
         });
-    let mut x = recipe.seed ^ 0xABCD_EF01_2345_6789;
+    let mut rng = Rng::seed_from_u64(recipe.seed ^ 0xABCD_EF01_2345_6789);
     for &node in &crashed {
         let at = if recipe.spread_ms == 0 {
             SimTime::from_millis(1)
         } else {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            SimTime::from_micros(1 + (x >> 33) % (recipe.spread_ms * 1000))
+            SimTime::from_micros(1 + rng.gen_range(0..recipe.spread_ms * 1000))
         };
         builder = builder.crash(node, at);
     }
@@ -156,117 +141,116 @@ fn run_recipe(recipe: &Recipe) -> (usize, Vec<String>) {
     )
 }
 
-fn arb_config() -> impl Strategy<Value = ProtocolConfig> {
-    (any::<bool>(), any::<bool>()).prop_map(|(early, fast)| {
-        ProtocolConfig::faithful()
-            .with_early_termination(early)
-            .with_fast_abort(fast)
-    })
+fn arb_config(rng: &mut Rng) -> ProtocolConfig {
+    let early = rng.next_u64() & 1 == 1;
+    let fast = rng.next_u64() & 1 == 1;
+    ProtocolConfig::faithful()
+        .with_early_termination(early)
+        .with_fast_abort(fast)
 }
 
-fn arb_topology() -> impl Strategy<Value = TopologyKind> {
-    prop_oneof![
-        Just(TopologyKind::Ring),
-        Just(TopologyKind::Torus),
-        Just(TopologyKind::Geometric),
-        Just(TopologyKind::ErdosRenyi),
-        Just(TopologyKind::TreePlus),
-    ]
+fn arb_topology(rng: &mut Rng) -> TopologyKind {
+    *rng.choose(&[
+        TopologyKind::Ring,
+        TopologyKind::Torus,
+        TopologyKind::Geometric,
+        TopologyKind::ErdosRenyi,
+        TopologyKind::TreePlus,
+    ])
+    .unwrap()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
-
-    /// The flagship property: an arbitrary correlated-failure scenario
-    /// satisfies the complete CD1–CD7 specification at quiescence.
-    #[test]
-    fn spec_holds_on_random_scenarios(
-        topology in arb_topology(),
-        n in 9usize..40,
-        seed in any::<u64>(),
-        regions in 1usize..4,
-        radius in 0usize..3,
-        spread_ms in prop_oneof![Just(0u64), Just(5u64), Just(60u64)],
-        config in arb_config(),
-        multicast in prop_oneof![Just(MulticastMode::Atomic), Just(MulticastMode::Sequential)],
-    ) {
-        let recipe = Recipe { topology, n, seed, regions, radius, spread_ms, config, multicast };
+/// The flagship property: an arbitrary correlated-failure scenario
+/// satisfies the complete CD1–CD7 specification at quiescence.
+#[test]
+fn spec_holds_on_random_scenarios() {
+    cases("spec_holds_on_random_scenarios", 48, |rng| {
+        let recipe = Recipe {
+            topology: arb_topology(rng),
+            n: rng.gen_range(9..40),
+            seed: rng.next_u64(),
+            regions: rng.gen_range(1..4),
+            radius: rng.gen_range(0..3),
+            spread_ms: [0, 5, 60][rng.gen_range(0..3usize)],
+            config: arb_config(rng),
+            multicast: [MulticastMode::Atomic, MulticastMode::Sequential][rng.gen_range(0..2usize)],
+        };
         let (_, violations) = run_recipe(&recipe);
-        prop_assert!(violations.is_empty(), "violations: {violations:#?} for {recipe:?}");
-    }
+        assert!(
+            violations.is_empty(),
+            "violations: {violations:#?} for {recipe:?}"
+        );
+    });
+}
 
-    /// Simultaneous mass failure of a large ball — the hardest locality
-    /// shape — still satisfies the spec, and someone decides.
-    #[test]
-    fn big_ball_failures_decide(
-        seed in any::<u64>(),
-        config in arb_config(),
-    ) {
+/// Simultaneous mass failure of a large ball — the hardest locality
+/// shape — still satisfies the spec, and someone decides.
+#[test]
+fn big_ball_failures_decide() {
+    cases("big_ball_failures_decide", 48, |rng| {
         let recipe = Recipe {
             topology: TopologyKind::Torus,
             n: 49,
-            seed,
+            seed: rng.next_u64(),
             regions: 1,
             radius: 2,
             spread_ms: 0,
-            config,
+            config: arb_config(rng),
             multicast: MulticastMode::Atomic,
         };
         let (decisions, violations) = run_recipe(&recipe);
-        prop_assert!(violations.is_empty(), "violations: {violations:#?}");
-        prop_assert!(decisions > 0, "nobody decided on a torus ball failure");
-    }
+        assert!(violations.is_empty(), "violations: {violations:#?}");
+        assert!(decisions > 0, "nobody decided on a torus ball failure");
+    });
+}
 
-    /// Crashes drizzling in over a long window (every crash races the
-    /// ongoing agreement) keep all properties intact.
-    #[test]
-    fn slow_cascade_converges(
-        seed in any::<u64>(),
-        topology in arb_topology(),
-        config in arb_config(),
-    ) {
+/// Crashes drizzling in over a long window (every crash races the
+/// ongoing agreement) keep all properties intact.
+#[test]
+fn slow_cascade_converges() {
+    cases("slow_cascade_converges", 48, |rng| {
         let recipe = Recipe {
-            topology,
+            seed: rng.next_u64(),
+            topology: arb_topology(rng),
+            config: arb_config(rng),
             n: 25,
-            seed,
             regions: 2,
             radius: 1,
             spread_ms: 250,
-            config,
             multicast: MulticastMode::Atomic,
         };
         let (_, violations) = run_recipe(&recipe);
-        prop_assert!(violations.is_empty(), "violations: {violations:#?}");
-    }
+        assert!(violations.is_empty(), "violations: {violations:#?}");
+    });
+}
 
-    /// The paper's multicast is a *plain loop* a crash can interrupt:
-    /// cascading crashes now leave partial multicasts behind, the exact
-    /// adversary of Lemma 3's cascading-crashes argument. The spec must
-    /// still hold.
-    #[test]
-    fn spec_holds_under_partial_multicasts(
-        seed in any::<u64>(),
-        topology in arb_topology(),
-        config in arb_config(),
-        spread_ms in prop_oneof![Just(3u64), Just(30u64)],
-    ) {
+/// The paper's multicast is a *plain loop* a crash can interrupt:
+/// cascading crashes now leave partial multicasts behind, the exact
+/// adversary of Lemma 3's cascading-crashes argument. The spec must
+/// still hold.
+#[test]
+fn spec_holds_under_partial_multicasts() {
+    cases("spec_holds_under_partial_multicasts", 48, |rng| {
         let recipe = Recipe {
-            topology,
+            seed: rng.next_u64(),
+            topology: arb_topology(rng),
+            config: arb_config(rng),
+            spread_ms: [3, 30][rng.gen_range(0..2usize)],
             n: 25,
-            seed,
             regions: 2,
             radius: 1,
-            spread_ms,
-            config,
             multicast: MulticastMode::Sequential,
         };
         let (_, violations) = run_recipe(&recipe);
-        prop_assert!(violations.is_empty(), "violations: {violations:#?} for {recipe:?}");
-    }
+        assert!(
+            violations.is_empty(),
+            "violations: {violations:#?} for {recipe:?}"
+        );
+    });
 }
 
 /// Deterministic regression corpus: one fixed recipe per topology kind,
-/// checked exhaustively (fast, no proptest shrinkage involved).
+/// checked exhaustively.
 #[test]
 fn fixed_corpus_satisfies_spec() {
     let kinds = [
