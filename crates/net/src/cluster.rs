@@ -178,7 +178,7 @@ where
         counters.activations.load(Ordering::Relaxed)
     }
 
-    /// Events that overflowed a shard ring into its spill lane.
+    /// Events pushed onto a shard ring already at its capacity.
     pub fn spilled(&self) -> u64 {
         self.instance.router.rings.iter().map(Ring::spilled).sum()
     }

@@ -1,11 +1,10 @@
-//! Bounded MPSC rings: the cross-shard mailboxes of the sharded runtime.
+//! MPSC rings: the cross-shard mailboxes of the sharded runtime.
 //!
 //! Each shard of an instance owns exactly one [`Ring`]; every other
-//! shard (and the control thread) posts into it. The common case stays
-//! inside a **fixed-capacity circular buffer** — one allocation at
-//! startup, cache-friendly FIFO churn. Mailboxes are per shard, not per
-//! node: an instance with `W` shards has `W` rings in total, whatever
-//! the topology's size.
+//! shard (and the control thread) posts into it. A ring is one FIFO
+//! queue, allocated up front for its capacity. Mailboxes are per shard,
+//! not per node: an instance with `W` shards has `W` rings in total,
+//! whatever the topology's size.
 //!
 //! The runtime consumes a ring in two ways. A pool worker sleeps in the
 //! blocking [`Ring::pop`] on its *token* ring — the one place a thread
@@ -18,12 +17,19 @@
 //!
 //! A shard posts into peer rings *from inside an event handler*. If a
 //! push could block on a full ring, two shards flooding each other would
-//! deadlock (each stuck pushing, neither draining). So a push that finds
-//! the ring full **spills** into an unbounded overflow queue instead of
-//! blocking; the consumer refills the ring from the spill as it drains.
-//! The ring capacity therefore bounds *steady-state* memory and keeps
-//! the hot path allocation-free, while the spill count
-//! ([`Ring::spilled`]) reports how often a burst exceeded it.
+//! deadlock (each stuck pushing, neither draining). So the capacity is a
+//! **spill threshold**, not a bound: a push that finds `capacity` events
+//! already queued still enqueues, past the up-front allocation, and
+//! counts as spilled ([`Ring::spilled`] reports how often a burst
+//! exceeded the capacity).
+//!
+//! # Why pushes rarely wake anyone
+//!
+//! A push wakes the consumer only if it is asleep in [`Ring::pop`]. The
+//! sleeper registers under the ring mutex before it waits, and the wait
+//! releases that mutex atomically, so a push that reads no sleeper under
+//! the same mutex cannot miss one. Event rings are only ever
+//! [`Ring::try_pop`]ped, so a push onto one never makes a wake-up call.
 //!
 //! Built on `std::sync::{Mutex, Condvar}` only.
 
@@ -44,44 +50,20 @@ pub enum Pop<T> {
 
 #[derive(Debug)]
 struct RingState<T> {
-    /// The bounded circular buffer. `None` slots are free.
-    slots: Vec<Option<T>>,
-    /// Index of the oldest element (next to pop).
-    head: usize,
-    /// Number of occupied slots.
-    len: usize,
-    /// Overflow for bursts beyond `slots.len()`; drained back into the
-    /// ring as slots free up, preserving global FIFO order.
-    spill: VecDeque<T>,
-    /// Total events that ever took the spill path.
+    /// Queued events, oldest first.
+    queue: VecDeque<T>,
+    /// Queue length at or past which a push counts as spilled.
+    capacity: usize,
+    /// Total pushes that found `capacity` or more events queued.
     spilled: u64,
+    /// Consumers waiting in `pop` right now.
+    sleepers: usize,
     /// No further pushes will be accepted once set.
     closed: bool,
 }
 
-impl<T> RingState<T> {
-    /// Dequeues the oldest event, if any.
-    fn take(&mut self) -> Option<T> {
-        if self.len == 0 {
-            return None;
-        }
-        let head = self.head;
-        let item = self.slots[head].take().expect("occupied head");
-        self.head = (head + 1) % self.slots.len();
-        self.len -= 1;
-        // Promote one spilled event into the freed slot so the spill
-        // drains in arrival order.
-        if let Some(promoted) = self.spill.pop_front() {
-            let tail = (self.head + self.len) % self.slots.len();
-            self.slots[tail] = Some(promoted);
-            self.len += 1;
-        }
-        Some(item)
-    }
-}
-
-/// A bounded multi-producer single-consumer ring with an unbounded
-/// overflow lane (see the [module docs](self) for why overflow beats
+/// A multi-producer single-consumer ring whose capacity is a spill
+/// threshold (see the [module docs](self) for why overflow beats
 /// blocking here).
 ///
 /// Multiple threads may push; one thread at a time pops. Nothing
@@ -96,42 +78,38 @@ pub struct Ring<T> {
 
 impl<T> Ring<T> {
     /// Creates a ring holding up to `capacity` events before spilling.
-    /// A zero capacity is clamped to one slot.
+    /// A zero capacity is clamped to one.
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
-        let mut slots = Vec::with_capacity(capacity);
-        slots.resize_with(capacity, || None);
         Ring {
             state: Mutex::new(RingState {
-                slots,
-                head: 0,
-                len: 0,
-                spill: VecDeque::new(),
+                queue: VecDeque::with_capacity(capacity),
+                capacity,
                 spilled: 0,
+                sleepers: 0,
                 closed: false,
             }),
             ready: Condvar::new(),
         }
     }
 
-    /// Enqueues `item`; never blocks. Returns `false` (dropping the
-    /// item) if the ring is closed.
+    /// Enqueues `item`; never blocks, and wakes the consumer only if it
+    /// sleeps in [`pop`](Ring::pop). Returns `false` (dropping the item)
+    /// if the ring is closed.
     pub fn push(&self, item: T) -> bool {
         let mut s = self.state.lock().expect("ring lock");
         if s.closed {
             return false;
         }
-        if s.len < s.slots.len() {
-            let tail = (s.head + s.len) % s.slots.len();
-            debug_assert!(s.slots[tail].is_none(), "tail slot must be free");
-            s.slots[tail] = Some(item);
-            s.len += 1;
-        } else {
-            s.spill.push_back(item);
+        if s.queue.len() >= s.capacity {
             s.spilled += 1;
         }
+        s.queue.push_back(item);
+        let wake = s.sleepers > 0;
         drop(s);
-        self.ready.notify_one();
+        if wake {
+            self.ready.notify_one();
+        }
         true
     }
 
@@ -146,26 +124,31 @@ impl<T> Ring<T> {
         // reads the clock. The inner `None` is "no deadline".
         let mut deadline: Option<Option<Instant>> = None;
         loop {
-            if let Some(item) = s.take() {
+            if let Some(item) = s.queue.pop_front() {
                 return Pop::Item(item);
             }
             if s.closed {
                 return Pop::Closed;
             }
-            let Some(at) = *deadline.get_or_insert_with(|| Instant::now().checked_add(timeout))
-            else {
-                s = self.ready.wait(s).expect("ring condvar wait");
-                continue;
-            };
-            let left = at.saturating_duration_since(Instant::now());
-            if left.is_zero() {
+            let at = *deadline.get_or_insert_with(|| Instant::now().checked_add(timeout));
+            let left = at.map(|at| at.saturating_duration_since(Instant::now()));
+            if left.is_some_and(|left| left.is_zero()) {
                 return Pop::TimedOut;
             }
-            s = self
-                .ready
-                .wait_timeout(s, left)
-                .expect("ring condvar wait")
-                .0;
+            // Registered under the lock the wait releases: a push either
+            // ran before this and queued what the loop re-reads, or
+            // reads the sleeper and wakes it.
+            s.sleepers += 1;
+            s = match left {
+                None => self.ready.wait(s).expect("ring condvar wait"),
+                Some(left) => {
+                    self.ready
+                        .wait_timeout(s, left)
+                        .expect("ring condvar wait")
+                        .0
+                }
+            };
+            s.sleepers -= 1;
         }
     }
 
@@ -174,7 +157,7 @@ impl<T> Ring<T> {
     /// caller that drains event rings has its own way to learn that an
     /// instance is over.
     pub fn try_pop(&self) -> Option<T> {
-        self.state.lock().expect("ring lock").take()
+        self.state.lock().expect("ring lock").queue.pop_front()
     }
 
     /// Closes the ring: future pushes are refused, the consumer drains
@@ -184,13 +167,12 @@ impl<T> Ring<T> {
         self.ready.notify_all();
     }
 
-    /// Events currently queued (ring + spill).
+    /// Events currently queued.
     pub fn queued(&self) -> usize {
-        let s = self.state.lock().expect("ring lock");
-        s.len + s.spill.len()
+        self.state.lock().expect("ring lock").queue.len()
     }
 
-    /// Total events that overflowed the bounded buffer so far.
+    /// Total pushes so far that found the ring at or past capacity.
     pub fn spilled(&self) -> u64 {
         self.state.lock().expect("ring lock").spilled
     }
@@ -251,7 +233,7 @@ mod tests {
             ring.push(i);
         }
         ring.close();
-        // Same drain-then-stop order as `pop`, spill lane included.
+        // Same drain-then-stop order as `pop`, spilled events included.
         assert_eq!(ring.try_pop(), Some(0));
         assert_eq!(ring.try_pop(), Some(1));
         assert_eq!(ring.try_pop(), Some(2));
@@ -337,7 +319,125 @@ mod tests {
             .collect();
         want.sort_unstable();
         assert_eq!(got, want);
-        // Per-producer FIFO is preserved even across the spill lane.
+    }
+
+    /// The spill count on a capacity-2 ring after every step of an
+    /// interleaving, as worked out by hand on the old two-lane layout:
+    /// two slots plus an overflow lane, a push spilled iff both slots
+    /// were full, and each pop promoted the oldest spilled event into the
+    /// slot it freed. `(queued, spilled)` follows each step.
+    #[test]
+    fn spill_count_matches_the_two_lane_rule() {
+        enum Step {
+            Push(char),
+            TryPop(char),
+            PopTick(char),
+        }
+        use Step::*;
+        let steps = [
+            (Push('a'), 1, 0),    // slots [a]
+            (Push('b'), 2, 0),    // slots [a b], both full
+            (Push('c'), 3, 1),    // spill [c]
+            (TryPop('a'), 2, 1),  // c promoted: slots [b c]
+            (Push('d'), 3, 2),    // spill [d]
+            (PopTick('b'), 2, 2), // d promoted: slots [c d]
+            (TryPop('c'), 1, 2),  // slots [d]
+            (Push('e'), 2, 2),    // slots [d e]
+            (Push('f'), 3, 3),    // spill [f]
+            (Push('g'), 4, 4),    // spill [f g]
+            (PopTick('d'), 3, 4), // f promoted: slots [e f], spill [g]
+            (TryPop('e'), 2, 4),  // g promoted: slots [f g]
+            (Push('h'), 3, 5),    // spill [h]
+            (PopTick('f'), 2, 5), // h promoted: slots [g h]
+            (TryPop('g'), 1, 5),  // slots [h]
+            (Push('i'), 2, 5),    // slots [h i]
+            (PopTick('h'), 1, 5),
+            (TryPop('i'), 0, 5),
+        ];
+        let ring = Ring::new(2);
+        for (n, (step, queued, spilled)) in steps.into_iter().enumerate() {
+            match step {
+                Push(v) => assert!(ring.push(v)),
+                TryPop(v) => assert_eq!(ring.try_pop(), Some(v)),
+                PopTick(v) => assert_eq!(ring.pop(TICK), Pop::Item(v)),
+            }
+            assert_eq!(
+                (ring.queued(), ring.spilled()),
+                (queued, spilled),
+                "after step {n}"
+            );
+        }
+        assert_eq!(ring.pop(Duration::from_millis(1)), Pop::TimedOut);
+    }
+
+    /// Three producers yield between pushes while a consumer takes every
+    /// item with `next`, which may come back empty-handed. A watchdog
+    /// fails the test instead of letting a lost wake-up hang it.
+    fn assert_no_wake_up_is_lost(mut next: impl FnMut(&Ring<u32>) -> Option<u32> + Send + 'static) {
+        const PER_PRODUCER: u32 = 2000;
+        let ring = Arc::new(Ring::new(4));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let consumer = {
+            let ring = Arc::clone(&ring);
+            std::thread::spawn(move || {
+                let mut got = Vec::new();
+                while got.len() < 3 * PER_PRODUCER as usize {
+                    got.extend(next(&ring));
+                }
+                done_tx.send(got).expect("report the items");
+            })
+        };
+        let producers: Vec<_> = (0..3)
+            .map(|p| {
+                let ring = Arc::clone(&ring);
+                std::thread::spawn(move || {
+                    for i in 0..PER_PRODUCER {
+                        assert!(ring.push(p * PER_PRODUCER + i));
+                        std::thread::yield_now();
+                    }
+                })
+            })
+            .collect();
+        for p in producers {
+            p.join().unwrap();
+        }
+        let got = done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the consumer stalled: a push's wake-up was lost");
+        consumer.join().unwrap();
+        for p in 0..3 {
+            let mine: Vec<u32> = got
+                .iter()
+                .copied()
+                .filter(|v| v / PER_PRODUCER == p)
+                .collect();
+            let want: Vec<u32> = (p * PER_PRODUCER..(p + 1) * PER_PRODUCER).collect();
+            assert_eq!(mine, want, "producer {p}'s items, in its order");
+        }
+    }
+
+    #[test]
+    fn a_consumer_that_only_sleeps_misses_no_push() {
+        assert_no_wake_up_is_lost(|ring| match ring.pop(Duration::MAX) {
+            Pop::Item(v) => Some(v),
+            other => panic!("open ring returned {other:?}"),
+        });
+    }
+
+    #[test]
+    fn a_consumer_that_sleeps_and_polls_in_turn_misses_no_push() {
+        let mut sleep = false;
+        assert_no_wake_up_is_lost(move |ring| {
+            sleep = !sleep;
+            if !sleep {
+                return ring.try_pop();
+            }
+            match ring.pop(TICK) {
+                Pop::Item(v) => Some(v),
+                Pop::TimedOut => None,
+                Pop::Closed => panic!("open ring returned Closed"),
+            }
+        });
     }
 
     #[test]

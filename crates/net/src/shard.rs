@@ -16,8 +16,8 @@
 //!   run) the first time an event addressed to it is popped — exactly
 //!   like the sim's lazy process table. A 10⁶-node topology with one
 //!   crashed node allocates state for the border only.
-//! - **Bounded MPSC rings.** Cross-shard traffic flows over one
-//!   [`Ring`] per shard (see [`ring`](crate::ring)).
+//! - **MPSC rings.** Cross-shard traffic flows over one [`Ring`] per
+//!   shard (see [`ring`](crate::ring)).
 //! - **One outstanding-event counter.** The kill-switch quiescence
 //!   oracle is one atomic shared by all shards (see *Quiescence*
 //!   below): zero ⇒ quiescent, exactly, and
@@ -104,10 +104,11 @@
 //!
 //! A single counter rather than one per shard: a reader summing
 //! per-shard counters one after another can see each at zero while an
-//! event hops between them, and every `deliver` already serialises on
-//! the failure-detector lock, so the shared cache line costs nothing
-//! new. Gated runs park posts in the gate *uncharged*; there zero means
-//! "the one released event has been handled".
+//! event hops between them, and every multicast already takes the
+//! failure-detector lock, once for all its copies, so the shared cache
+//! line costs nothing new. Gated runs park posts in the gate
+//! *uncharged*; there zero means "the one released event has been
+//! handled".
 //!
 //! # Retirement
 //!
@@ -162,7 +163,7 @@ use crate::gate::Gate;
 use crate::quiesce::Outstanding;
 use crate::ring::{Pop, Ring};
 
-/// Capacity of each shard's bounded ring; bursts beyond it spill (see
+/// Capacity of each shard's ring; bursts beyond it spill (see
 /// [`ring`](crate::ring)).
 const RING_CAPACITY: usize = 1024;
 
@@ -372,7 +373,7 @@ pub(crate) struct Router<V> {
     pub(crate) counters: Counters,
 }
 
-impl<V: precipice_core::WireSize> Router<V> {
+impl<V: Clone + precipice_core::WireSize> Router<V> {
     /// A router with one shard per worker token ring.
     fn new(
         graph: Arc<Graph>,
@@ -452,18 +453,32 @@ impl<V: precipice_core::WireSize> Router<V> {
         }
     }
 
-    /// A protocol message from `from` to `to`; dropped if `to` is dead.
-    fn deliver(&self, from: NodeId, to: NodeId, message: Message<V>) {
+    /// One protocol multicast from `from`, under one fd lock so that no
+    /// kill lands between two copies: a copy for a dead recipient is
+    /// dropped, the others are routed in `recipients` order, the last
+    /// taking `message` itself.
+    fn multicast(&self, from: NodeId, recipients: &[NodeId], message: Message<V>) {
+        let size = message.wire_size() as u64;
         let fd = lock(&self.fd);
-        if fd.is_crashed(to) {
-            self.counters.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
+        let mut sent = 0;
+        let mut post = |to: NodeId, message: Message<V>| {
+            if !fd.is_crashed(to) {
+                sent += 1;
+                self.route(ShardEvent::Deliver { to, from, message });
+            }
+        };
+        if let Some((&last, rest)) = recipients.split_last() {
+            for &to in rest {
+                post(to, message.clone());
+            }
+            post(last, message);
         }
-        self.counters.messages_sent.fetch_add(1, Ordering::Relaxed);
-        self.counters
+        let (counters, dropped) = (&self.counters, recipients.len() as u64 - sent);
+        counters.dropped.fetch_add(dropped, Ordering::Relaxed);
+        counters.messages_sent.fetch_add(sent, Ordering::Relaxed);
+        counters
             .bytes_sent
-            .fetch_add(message.wire_size() as u64, Ordering::Relaxed);
-        self.route(ShardEvent::Deliver { to, from, message });
+            .fetch_add(sent * size, Ordering::Relaxed);
         drop(fd);
     }
 
@@ -660,11 +675,7 @@ fn execute<V: Clone + precipice_core::WireSize>(
             Action::Multicast {
                 recipients,
                 message,
-            } => {
-                for to in recipients {
-                    router.deliver(me, to, message.clone());
-                }
-            }
+            } => router.multicast(me, &recipients, message),
             Action::Decide { view, value } => {
                 let step = router.step();
                 let previous = lock(decisions).insert(me, (view, value, step));
@@ -860,6 +871,71 @@ mod tests {
         // Two accepted events and the one token their shard needs.
         assert_eq!(router.outstanding.get(), 3, "accepted pushes stay charged");
         assert_eq!(workers[0].queued(), 1, "one token per false -> true edge");
+    }
+
+    #[test]
+    fn multicast_drops_dead_copies_and_routes_live_ones_in_order() {
+        // One token ring nobody serves: everything routed stays queued.
+        let workers = vec![Arc::new(Ring::new(4))];
+        let instance = Instance::new(
+            Arc::new(path(6)),
+            ProtocolConfig::default(),
+            |_me| NodeIdValuePolicy,
+            None,
+            workers.clone(),
+        );
+        let router = &instance.router;
+        router.kill(NodeId(2));
+        router.kill(NodeId(4));
+        let mut opinions = precipice_core::OpinionVector::new();
+        opinions.insert(NodeId(1), precipice_core::Opinion::Accept(NodeId(1)));
+        let message = Message {
+            round: 1,
+            view: [NodeId(2)].into_iter().collect(),
+            border: [NodeId(1), NodeId(3)].into_iter().collect(),
+            opinions: Arc::new(opinions),
+        };
+        // 4 (round) + 8 (view) + 12 (border) + 4 + 9 (one accept).
+        assert_eq!(message.wire_size(), 37);
+        let recipients = [1, 2, 3, 4, 5].map(NodeId);
+        router.multicast(NodeId(0), &recipients, message.clone());
+        // The last recipient is dead: the moved message is dropped.
+        router.multicast(NodeId(1), &[NodeId(3), NodeId(4)], message.clone());
+
+        let counters = router.snapshot();
+        assert_eq!(counters.dropped, 3, "2 and 4, then 4");
+        assert_eq!(counters.messages_sent, 4);
+        assert_eq!(counters.bytes_sent, 4 * 37);
+        assert_eq!(counters.notifications, 4);
+        // Eight events and the one token their shard needs.
+        assert_eq!(router.outstanding.get(), 9);
+        assert_eq!(workers[0].queued(), 1);
+        let queued: Vec<_> = std::iter::from_fn(|| router.rings[0].try_pop())
+            .map(|event| match event {
+                ShardEvent::Notify { to, crashed } => ('n', crashed.0, to.0),
+                ShardEvent::Deliver {
+                    to,
+                    from,
+                    message: m,
+                } => {
+                    assert_eq!(m, message);
+                    ('d', from.0, to.0)
+                }
+            })
+            .collect();
+        assert_eq!(
+            queued,
+            [
+                ('n', 2, 1),
+                ('n', 2, 3),
+                ('n', 4, 3),
+                ('n', 4, 5),
+                ('d', 0, 1),
+                ('d', 0, 3),
+                ('d', 0, 5),
+                ('d', 1, 3),
+            ]
+        );
     }
 
     #[test]
