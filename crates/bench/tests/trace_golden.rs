@@ -13,7 +13,10 @@ use precipice_bench::{
     torus_of, trace_hash_of, RegionShape,
 };
 use precipice_core::ProtocolConfig;
-use precipice_graph::Graph;
+use precipice_graph::{torus, Graph, GridDims, NodeId, Region};
+use precipice_runtime::{Exec, MulticastMode, Scenario};
+use precipice_sim::{LatencyModel, SchedulePolicy, SimConfig, SimTime};
+use precipice_workload::patterns::{blob_of_size, schedule, CrashTiming};
 
 const GOLDEN: [(&str, u64); 5] = [
     ("fig1a_seed0", 0x503e1af1edce1c88),
@@ -103,6 +106,59 @@ fn torus_ladder_runs_survive_mapped_topology() {
                 mapped_report.decisions, owned_report.decisions,
                 "n={n} seed={seed}"
             );
+        }
+    }
+}
+
+/// `MulticastMode::Sequential` serves one recipient per self-addressed
+/// chain hop, so a crash can cut a multicast short; every pin above runs
+/// `Atomic`. This pins the CLI's `--topology torus:8 --region blob:4
+/// --timing cascade:2ms --seed 3 --sequential-multicast` run, FIFO and
+/// under one `Random` exploration: trace hash, messages sent, deciders
+/// and the one `(region, value)` they all decided.
+#[test]
+fn sequential_multicast_runs_are_stable() {
+    const DECIDERS: [u32; 8] = [16, 25, 31, 34, 38, 40, 41, 47];
+    const PINS: [(SchedulePolicy, u64, u64); 2] = [
+        (SchedulePolicy::Fifo, 0x23740ec08db3ceda, 1084),
+        (SchedulePolicy::Random(3), 0x80cd89069756e424, 1080),
+    ];
+    let graph = torus(GridDims::square(8));
+    let region = blob_of_size(&graph, NodeId(32), 4);
+    let timing = CrashTiming::Cascade {
+        start: SimTime::from_millis(1),
+        step: SimTime::from_millis(2),
+    };
+    let scenario = Scenario::builder(graph)
+        .crashes(schedule(region.iter(), timing))
+        .protocol(ProtocolConfig::faithful())
+        .multicast(MulticastMode::Sequential)
+        .sim_config(SimConfig {
+            seed: 3,
+            latency: LatencyModel::Uniform {
+                min: SimTime::from_micros(200),
+                max: SimTime::from_millis(2),
+            },
+            fd_latency: LatencyModel::Uniform {
+                min: SimTime::from_millis(1),
+                max: SimTime::from_millis(5),
+            },
+            record_trace: true,
+            max_events: Some(100_000_000),
+        })
+        .build();
+    let agreed: Region = [24, 32, 33, 39].into_iter().map(NodeId).collect();
+    for (policy, hash, messages) in PINS {
+        let label = format!("{policy:?}");
+        let report = scenario.exec(Exec::new().schedule(policy)).report;
+        let got = report.trace_hash;
+        assert_eq!(got, hash, "{label}: trace hash {got:#018x}");
+        assert_eq!(report.metrics.messages_sent(), messages, "{label}");
+        let deciders: Vec<u32> = report.decisions.keys().map(|n| n.0).collect();
+        assert_eq!(deciders, DECIDERS, "{label}");
+        for decision in report.decisions.values() {
+            assert_eq!(decision.view.region(), &agreed, "{label}");
+            assert_eq!(decision.value, NodeId(16), "{label}");
         }
     }
 }

@@ -16,11 +16,14 @@
 //!
 //! [`CliffEdgeNode`] is a pure state machine: feed it an [`Event`]
 //! (initialization, a failure-detector notification, or a delivered
-//! [`Message`]) and it returns the [`Action`]s to perform (subscribe to
-//! crashes, multicast a message, decide). The same core runs unchanged on
-//! the deterministic simulator (`precipice-runtime`) and on live threads
-//! (`precipice-net`), and so does the perfect failure detector's policy,
-//! [`FailureDetector`]: both engines ask it who must learn of a crash.
+//! [`Message`]) with [`drive`](CliffEdgeNode::drive) and it performs
+//! Algorithm 1's outputs (subscribe to crashes, multicast a message,
+//! decide) on the [`Host`] it is handed. The deterministic simulator
+//! (`precipice-runtime`) and live threads (`precipice-net`) are one
+//! `Host` each and run the same core unchanged, and so does the perfect
+//! failure detector's policy, [`FailureDetector`]: both engines ask it
+//! who must learn of a crash. [`handle`](CliffEdgeNode::handle), used
+//! below, drives the recording host, a `Vec` of [`Action`]s.
 //!
 //! # Example
 //!
@@ -61,7 +64,7 @@ mod wire;
 pub use config::ProtocolConfig;
 pub use fd::FailureDetector;
 pub use message::{Message, Opinion, OpinionVector};
-pub use node::{Action, CliffEdgeNode, Event};
+pub use node::{Action, CliffEdgeNode, Event, Host};
 pub use policy::{ConstPolicy, DecisionPolicy, NodeIdValuePolicy};
 pub use stats::ProtocolStats;
 pub use view::View;

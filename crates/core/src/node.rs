@@ -25,7 +25,8 @@ pub enum Event<D> {
     },
 }
 
-/// An output effect requested by the protocol state machine.
+/// One [`Host`] output of the protocol state machine, as the recording
+/// host behind [`CliffEdgeNode::handle`] stores it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Action<D> {
     /// Subscribe to crash notifications for these nodes
@@ -51,13 +52,46 @@ pub enum Action<D> {
     },
 }
 
+/// The engine a node runs on: Algorithm 1's three outputs (§3.1),
+/// performed in the order the node issues them.
+pub trait Host<D> {
+    /// `⟨monitorCrash | S⟩`: subscribe to the crashes of `targets`.
+    fn monitor(&mut self, targets: &[NodeId]);
+    /// `⟨multicast | R, [m]⟩`: send `message` to each recipient in order
+    /// (see [`Action::Multicast`]).
+    fn multicast(&mut self, recipients: &[NodeId], message: Message<D>);
+    /// `⟨decide | S, d⟩`: the node agreed on `view` with value `value`.
+    /// Called at most once per node.
+    fn decide(&mut self, view: &View, value: &D);
+}
+
+/// The recording host: each output becomes one [`Action`].
+impl<D: Clone> Host<D> for Vec<Action<D>> {
+    fn monitor(&mut self, targets: &[NodeId]) {
+        self.push(Action::Monitor(targets.to_vec()));
+    }
+
+    fn multicast(&mut self, recipients: &[NodeId], message: Message<D>) {
+        let recipients = recipients.to_vec();
+        self.push(Action::Multicast {
+            recipients,
+            message,
+        });
+    }
+
+    fn decide(&mut self, view: &View, value: &D) {
+        let (view, value) = (view.clone(), value.clone());
+        self.push(Action::Decide { view, value });
+    }
+}
+
 /// The cliff-edge consensus state machine for one node (paper
 /// Algorithm 1).
 ///
-/// Drive it by feeding [`Event`]s to [`handle`](CliffEdgeNode::handle)
-/// and executing the returned [`Action`]s. See the
+/// Feed it [`Event`]s with [`drive`](CliffEdgeNode::drive) and the
+/// [`Host`] it runs on, or with [`handle`](CliffEdgeNode::handle). See the
 /// [crate documentation](crate) for an example and
-/// `precipice-runtime`/`precipice-net` for ready-made drivers.
+/// `precipice-runtime`/`precipice-net` for the two engine hosts.
 ///
 /// `T` supplies on-demand topology queries (the paper's topology
 /// service); `P` supplies application decision values.
@@ -187,34 +221,40 @@ where
         self.config
     }
 
-    /// Feeds one event and returns the actions to execute, in order.
+    /// Feeds one event and performs its outputs on `host`, in order.
     ///
     /// This runs the triggering handler and then re-evaluates the
     /// algorithm's state guards (lines 12, 26, 32) to a fixpoint, since
     /// several `upon` clauses of Algorithm 1 are pure state predicates.
-    pub fn handle(&mut self, event: Event<P::Value>) -> Vec<Action<P::Value>> {
-        let mut actions = Vec::new();
+    pub fn drive(&mut self, event: Event<P::Value>, host: &mut impl Host<P::Value>) {
         match event {
-            Event::Init => self.on_init(&mut actions),
-            Event::Crash(q) => self.on_crash(q, &mut actions),
+            Event::Init => self.on_init(host),
+            Event::Crash(q) => self.on_crash(q, host),
             Event::Deliver { from, message } => self.on_deliver(from, message),
         }
-        self.run_guards(&mut actions);
+        self.run_guards(host);
+    }
+
+    /// Feeds one event and returns its outputs as [`Action`]s, in order:
+    /// [`drive`](Self::drive) into the recording host.
+    pub fn handle(&mut self, event: Event<P::Value>) -> Vec<Action<P::Value>> {
+        let mut actions = Vec::new();
+        self.drive(event, &mut actions);
         actions
     }
 
     /// Line 4: subscribe to the crashes of our direct neighbours.
-    fn on_init(&mut self, actions: &mut Vec<Action<P::Value>>) {
+    fn on_init(&mut self, host: &mut impl Host<P::Value>) {
         let border = self.topology.neighbors_of(self.me);
         if !border.is_empty() {
-            actions.push(Action::Monitor(border));
+            host.monitor(&border);
         }
     }
 
     /// Lines 5–11: extend `locallyCrashed`, monitor the crashed node's
     /// own border (view construction floods outward through the crashed
     /// region), and refresh `maxView`/`candidateView`.
-    fn on_crash(&mut self, q: NodeId, actions: &mut Vec<Action<P::Value>>) {
+    fn on_crash(&mut self, q: NodeId, host: &mut impl Host<P::Value>) {
         debug_assert!(
             !self.locally_crashed.contains(&q),
             "perfect FD must notify at most once (got {q} twice)"
@@ -231,7 +271,7 @@ where
             .filter(|n| *n != self.me && !self.locally_crashed.contains(n))
             .collect();
         if !targets.is_empty() {
-            actions.push(Action::Monitor(targets));
+            host.monitor(&targets);
         }
 
         // Lines 8–11. The component query walks the sorted set, so its
@@ -277,7 +317,7 @@ where
     /// `received` to `rejected`; proposals are rank-increasing; rounds
     /// advance; at most one fast abort per instance), so the loop
     /// terminates.
-    fn run_guards(&mut self, actions: &mut Vec<Action<P::Value>>) {
+    fn run_guards(&mut self, host: &mut impl Host<P::Value>) {
         loop {
             // Guard line 26: some received view ranks strictly below our
             // (last) proposal — reject it. Lowest-ranked first, for
@@ -307,7 +347,7 @@ where
                         .received
                         .remove(&low)
                         .expect("target came from received");
-                    self.do_reject(instance.into_view(), actions);
+                    self.do_reject(instance.into_view(), host);
                     continue;
                 }
             }
@@ -326,7 +366,7 @@ where
             // Guard line 12: no active instance and a candidate is
             // pending — propose it.
             if self.proposed.is_none() && self.candidate_view.is_some() {
-                self.do_propose(actions);
+                self.do_propose(host);
                 continue;
             }
 
@@ -337,7 +377,7 @@ where
                     .active_instance()
                     .is_some_and(|inst| inst.round_complete(self.round, &self.locally_crashed));
                 if complete {
-                    self.complete_round(actions);
+                    self.complete_round(host);
                     continue;
                 }
             }
@@ -353,7 +393,7 @@ where
 
     /// Lines 26–31: reject `low` (already removed from `received`),
     /// notify its border, and ignore it from now on.
-    fn do_reject(&mut self, low: View, actions: &mut Vec<Action<P::Value>>) {
+    fn do_reject(&mut self, low: View, host: &mut impl Host<P::Value>) {
         debug_assert!(
             self.config.invert_arbitration
                 || self
@@ -363,23 +403,18 @@ where
             "only strictly lower-ranked views are rejected"
         );
         self.stats.rejects_sent += 1;
-        let (region, border) = low.into_parts();
-        let recipients = border.iter().collect();
-        self.rejected.insert(region.clone());
+        self.rejected.insert(low.region().clone());
         let message = Message {
             round: 1,
-            view: region,
-            border,
+            view: low.region().clone(),
+            border: low.border().clone(),
             opinions: rejection_vector(self.me),
         };
-        actions.push(Action::Multicast {
-            recipients,
-            message,
-        });
+        host.multicast(low.border().as_slice(), message);
     }
 
     /// Lines 12–17: start the consensus instance for the candidate view.
-    fn do_propose(&mut self, actions: &mut Vec<Action<P::Value>>) {
+    fn do_propose(&mut self, host: &mut impl Host<P::Value>) {
         let view = self
             .candidate_view
             .take()
@@ -420,14 +455,11 @@ where
             border: view.border().clone(),
             opinions: initial_accept_vector(self.me, value),
         };
-        actions.push(Action::Multicast {
-            recipients: view.border().iter().collect(),
-            message,
-        });
+        host.multicast(view.border().as_slice(), message);
     }
 
     /// Lines 32–40: the current round of the active instance completed.
-    fn complete_round(&mut self, actions: &mut Vec<Action<P::Value>>) {
+    fn complete_round(&mut self, host: &mut impl Host<P::Value>) {
         let vp = self
             .current_view
             .clone()
@@ -440,7 +472,7 @@ where
             .expect("guard checked membership");
 
         if r >= total {
-            self.finalize(&vp, r, actions);
+            self.finalize(&vp, r, host);
             return;
         }
 
@@ -455,11 +487,8 @@ where
                 opinions: instance.vector_arc(r),
             };
             self.stats.round_messages += 1;
-            actions.push(Action::Multicast {
-                recipients: vp.border().iter().collect(),
-                message,
-            });
-            self.finalize(&vp, r, actions);
+            host.multicast(vp.border().as_slice(), message);
+            self.finalize(&vp, r, host);
             return;
         }
 
@@ -474,25 +503,19 @@ where
             border: vp.border().clone(),
             opinions: instance.vector_arc(r),
         };
-        actions.push(Action::Multicast {
-            recipients: vp.border().iter().collect(),
-            message,
-        });
+        host.multicast(vp.border().as_slice(), message);
     }
 
     /// Lines 33–37: evaluate the completed instance.
-    fn finalize(&mut self, vp: &View, round: u32, actions: &mut Vec<Action<P::Value>>) {
+    fn finalize(&mut self, vp: &View, round: u32, host: &mut impl Host<P::Value>) {
         let instance = self.received.get(vp.region()).expect("instance exists");
         match instance.all_accept_values(round) {
             Some(values) => {
                 let value = self.policy.pick(&values);
                 debug_assert!(self.decided.is_none(), "{}: second decision", self.me);
-                self.decided = Some((vp.clone(), value.clone()));
                 self.stats.decided_instances += 1;
-                actions.push(Action::Decide {
-                    view: vp.clone(),
-                    value,
-                });
+                let (view, value) = self.decided.insert((vp.clone(), value));
+                host.decide(view, value);
             }
             None => {
                 // Line 37: the attempt failed; proposed resets so the

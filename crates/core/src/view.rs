@@ -58,11 +58,6 @@ impl View {
         &self.region
     }
 
-    /// Consumes the view, yielding `(region, border)` without cloning.
-    pub fn into_parts(self) -> (Region, Region) {
-        (self.region, self.border)
-    }
-
     /// The border of the region — the instance's participants.
     pub fn border(&self) -> &Region {
         &self.border

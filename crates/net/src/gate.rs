@@ -31,50 +31,48 @@ use precipice_core::{ProtocolConfig, View};
 use precipice_graph::{rng::SplitMix, Graph, NodeId};
 
 use crate::cluster::{LiveReport, ShardedCluster};
-use crate::shard::{resident, ShardEvent};
+use crate::shard::{lock, resident, ShardEvent};
 
 /// Where the router parks events while a gate controller is driving.
 #[derive(Debug)]
 pub(crate) struct Gate<V> {
-    parked: Mutex<VecDeque<(u64, ShardEvent<V>)>>,
-    next_seq: Mutex<u64>,
+    parked: Mutex<Parked<V>>,
 }
+
+/// The next sequence number, beside the events parked so far in
+/// sequence order: one lock, so numbering and queueing never interleave.
+type Parked<V> = (u64, VecDeque<(u64, ShardEvent<V>)>);
 
 impl<V> Gate<V> {
     pub(crate) fn new() -> Arc<Self> {
         Arc::new(Gate {
-            parked: Mutex::new(VecDeque::new()),
-            next_seq: Mutex::new(0),
+            parked: Mutex::new((0, VecDeque::new())),
         })
     }
 
     /// Parks `event`, preserving global arrival order via a sequence
     /// number (channel FIFO needs it).
     pub(crate) fn park(&self, event: ShardEvent<V>) {
-        let mut seq = self.next_seq.lock().expect("gate seq lock");
-        let n = *seq;
-        *seq += 1;
-        self.parked
-            .lock()
-            .expect("gate queue lock")
-            .push_back((n, event));
+        let (next_seq, queue) = &mut *lock(&self.parked);
+        queue.push_back((*next_seq, event));
+        *next_seq += 1;
     }
 
     /// Removes and returns the parked event with sequence `seq`.
     fn take(&self, seq: u64) -> Option<ShardEvent<V>> {
-        let mut parked = self.parked.lock().expect("gate queue lock");
-        let at = parked.iter().position(|(s, _)| *s == seq)?;
-        parked.remove(at).map(|(_, ev)| ev)
+        let queue = &mut lock(&self.parked).1;
+        let at = queue.iter().position(|(s, _)| *s == seq)?;
+        queue.remove(at).map(|(_, ev)| ev)
     }
 
     /// The current frontier: all parked notifications plus, per
     /// `(from, to)` channel, the earliest parked delivery. Returned as
     /// `(seq, label)` in sequence order.
     fn enabled(&self) -> Vec<(u64, EventLabel)> {
-        let parked = self.parked.lock().expect("gate queue lock");
+        let (_, parked) = &*lock(&self.parked);
         let mut earliest: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::new();
         let mut out = Vec::new();
-        for (seq, ev) in parked.iter() {
+        for (seq, ev) in parked {
             match ev {
                 ShardEvent::Notify { to, crashed } => {
                     out.push((

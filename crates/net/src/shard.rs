@@ -74,7 +74,8 @@
 //! practice — fails *that instance*: the message is kept for
 //! [`ShardedCluster::failure`](crate::ShardedCluster::failure), the
 //! instance's rings are closed so later posts are refused, and what is
-//! still queued is discharged unhandled, so a waiter wakes. The worker
+//! still queued — the outputs the handler routed before it panicked
+//! among them — is discharged unhandled, so a waiter wakes. The worker
 //! and its other tenants carry on. The panic is caught inside the
 //! node-table guard's scope, so that lock is not poisoned; the locks a
 //! handler takes further in can be, and every lock of an instance is
@@ -104,11 +105,11 @@
 //!
 //! A single counter rather than one per shard: a reader summing
 //! per-shard counters one after another can see each at zero while an
-//! event hops between them, and every multicast already takes the
-//! failure-detector lock, once for all its copies, so the shared cache
-//! line costs nothing new. Gated runs park posts in the gate
-//! *uncharged*; there zero means "the one released event has been
-//! handled".
+//! event hops between them, and every multicast and every monitor
+//! already takes the failure-detector lock, once for all its copies or
+//! targets, so the shared cache line costs nothing new. Gated runs park
+//! posts in the gate *uncharged*; there zero means "the one released
+//! event has been handled".
 //!
 //! # Retirement
 //!
@@ -139,12 +140,12 @@
 //! # Lock order
 //!
 //! A shard's node-table lock (held for a whole turn), then `fd` (the
-//! router's [`FailureDetector`] mutex), then the gate's queue lock; the
-//! policy-factory and decisions locks are taken under the node-table
-//! lock and hold nothing; ring mutexes — event rings and token rings
-//! alike — and the pool's worker list are leaves. Nothing takes `fd`
-//! while holding a ring or gate lock, and the detector itself calls
-//! back into nothing.
+//! router's [`FailureDetector`] mutex, taken once per multicast and once
+//! per monitor), then the gate's lock; the policy-factory and decisions
+//! locks are taken under the node-table lock and hold nothing; ring
+//! mutexes — event rings and token rings alike — and the pool's worker
+//! list are leaves. Nothing takes `fd` while holding a ring or gate
+//! lock, and the detector itself calls back into nothing.
 
 use std::any::Any;
 use std::collections::{btree_map, BTreeMap};
@@ -155,7 +156,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use precipice_core::{
-    Action, CliffEdgeNode, DecisionPolicy, Event, FailureDetector, Message, ProtocolConfig, View,
+    CliffEdgeNode, DecisionPolicy, Event, FailureDetector, Host, Message, ProtocolConfig, View,
 };
 use precipice_graph::{Graph, NodeId};
 
@@ -482,12 +483,14 @@ impl<V: Clone + precipice_core::WireSize> Router<V> {
         drop(fd);
     }
 
-    /// `observer` asks to monitor `target` (a dynamic `Monitor`
-    /// action); if `target` is already dead the notification fires now.
-    fn monitor(&self, observer: NodeId, target: NodeId) {
+    /// `observer` asks to monitor `targets`, under one fd lock; each
+    /// target already dead is notified now, in `targets` order.
+    fn monitor(&self, observer: NodeId, targets: &[NodeId]) {
         let mut fd = lock(&self.fd);
-        if fd.subscribe(observer, target) {
-            self.notify(observer, target);
+        for &target in targets {
+            if fd.subscribe(observer, target) {
+                self.notify(observer, target);
+            }
         }
     }
 
@@ -574,7 +577,7 @@ where
     }
 
     /// Pop-side of the event loop for one event: activate on demand,
-    /// handle, execute the resulting actions.
+    /// then drive the node with the live runtime as its host.
     fn handle(&self, event: ShardEvent<P::Value>, nodes: &mut ShardNodes<P>) {
         let router = &self.router;
         let to = event.to();
@@ -583,6 +586,11 @@ where
             router.counters.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
+        let mut host = LiveHost {
+            me: to,
+            router,
+            decisions: &self.decisions,
+        };
         let node = match nodes.entry(to) {
             btree_map::Entry::Occupied(entry) => entry.into_mut(),
             btree_map::Entry::Vacant(entry) => {
@@ -593,20 +601,17 @@ where
                 let policy = (lock(&self.factory))(to);
                 let mut node =
                     CliffEdgeNode::new(to, Arc::clone(router.graph()), policy, self.config);
-                let init_actions = node.handle(Event::Init);
-                let node = entry.insert(node);
-                execute(to, init_actions, router, &self.decisions);
-                node
+                node.drive(Event::Init, &mut host);
+                entry.insert(node)
             }
         };
-        let actions = match event {
+        match event {
             ShardEvent::Deliver { from, message, .. } => {
                 router.counters.delivered.fetch_add(1, Ordering::Relaxed);
-                node.handle(Event::Deliver { from, message })
+                node.drive(Event::Deliver { from, message }, &mut host);
             }
-            ShardEvent::Notify { crashed, .. } => node.handle(Event::Crash(crashed)),
-        };
-        execute(to, actions, router, &self.decisions);
+            ShardEvent::Notify { crashed, .. } => node.drive(Event::Crash(crashed), &mut host),
+        }
     }
 
     /// Marks the instance failed by a handler's panic and closes its
@@ -659,29 +664,26 @@ where
     }
 }
 
-fn execute<V: Clone + precipice_core::WireSize>(
+/// The live runtime as a [`Host`], for one handled event of node `me`.
+struct LiveHost<'a, V> {
     me: NodeId,
-    actions: Vec<Action<V>>,
-    router: &Router<V>,
-    decisions: &Mutex<DecisionCell<V>>,
-) {
-    for action in actions {
-        match action {
-            Action::Monitor(targets) => {
-                for target in targets {
-                    router.monitor(me, target);
-                }
-            }
-            Action::Multicast {
-                recipients,
-                message,
-            } => router.multicast(me, &recipients, message),
-            Action::Decide { view, value } => {
-                let step = router.step();
-                let previous = lock(decisions).insert(me, (view, value, step));
-                debug_assert!(previous.is_none(), "{me} decided twice");
-            }
-        }
+    router: &'a Router<V>,
+    decisions: &'a Mutex<DecisionCell<V>>,
+}
+
+impl<V: Clone + precipice_core::WireSize> Host<V> for LiveHost<'_, V> {
+    fn monitor(&mut self, targets: &[NodeId]) {
+        self.router.monitor(self.me, targets);
+    }
+
+    fn multicast(&mut self, recipients: &[NodeId], message: Message<V>) {
+        self.router.multicast(self.me, recipients, message);
+    }
+
+    fn decide(&mut self, view: &View, value: &V) {
+        let decision = (view.clone(), value.clone(), self.router.step());
+        let previous = lock(self.decisions).insert(self.me, decision);
+        debug_assert!(previous.is_none(), "{} decided twice", self.me);
     }
 }
 

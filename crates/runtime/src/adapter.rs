@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use precipice_core::{Action, CliffEdgeNode, DecisionPolicy, Event, Message, View, WireSize};
+use precipice_core::{CliffEdgeNode, DecisionPolicy, Event, Host, Message, View, WireSize};
 use precipice_graph::{Graph, NodeId};
 use precipice_sim::{Context, MessageSize, Process, SimTime};
 
@@ -58,9 +58,9 @@ impl<D: WireSize> MessageSize for ProtoMsg<D> {
 
 /// A [`CliffEdgeNode`] adapted to the simulator's [`Process`] interface.
 ///
-/// The adapter executes the node's [`Action`]s against the simulator
-/// context (sends, failure-detector subscriptions) and records the
-/// decision with its virtual timestamp.
+/// Each handler call drives the node into a `SimHost`, which turns its
+/// outputs into simulator sends and failure-detector subscriptions and
+/// records the decision with its virtual timestamp.
 pub struct ProtocolProcess<P: DecisionPolicy> {
     node: CliffEdgeNode<Arc<Graph>, P>,
     decision: Option<(View, P::Value, SimTime)>,
@@ -78,15 +78,6 @@ impl<P: DecisionPolicy> std::fmt::Debug for ProtocolProcess<P> {
 }
 
 impl<P: DecisionPolicy> ProtocolProcess<P> {
-    /// Wraps a protocol node with atomic multicasts.
-    pub fn new(node: CliffEdgeNode<Arc<Graph>, P>) -> Self {
-        ProtocolProcess {
-            node,
-            decision: None,
-            multicast_mode: MulticastMode::Atomic,
-        }
-    }
-
     /// Wraps a protocol node with the given multicast realization.
     pub fn with_multicast_mode(
         node: CliffEdgeNode<Arc<Graph>, P>,
@@ -109,60 +100,66 @@ impl<P: DecisionPolicy> ProtocolProcess<P> {
         self.decision.as_ref()
     }
 
-    fn execute(
-        &mut self,
-        actions: Vec<Action<P::Value>>,
-        ctx: &mut Context<'_, ProtoMsg<P::Value>>,
-    ) {
-        for action in actions {
-            match action {
-                Action::Monitor(targets) => {
-                    for t in targets {
-                        ctx.monitor(t);
-                    }
-                }
-                Action::Multicast {
-                    recipients,
-                    message,
-                } => match self.multicast_mode {
-                    MulticastMode::Atomic => {
-                        for to in recipients {
-                            ctx.send(to, ProtoMsg::Protocol(message.clone()));
-                        }
-                    }
-                    MulticastMode::Sequential => {
-                        self.chain_step(recipients, message, ctx);
-                    }
-                },
-                Action::Decide { view, value } => {
-                    debug_assert!(self.decision.is_none(), "decide emitted twice");
-                    self.decision = Some((view, value, ctx.now()));
-                }
-            }
+    fn drive(&mut self, event: Event<P::Value>, ctx: &mut Context<'_, ProtoMsg<P::Value>>) {
+        let mut host = SimHost {
+            ctx,
+            mode: self.multicast_mode,
+            decision: &mut self.decision,
+        };
+        self.node.drive(event, &mut host);
+    }
+}
+
+/// The simulator as a [`Host`], for one handler call.
+struct SimHost<'a, 'c, D> {
+    ctx: &'a mut Context<'c, ProtoMsg<D>>,
+    mode: MulticastMode,
+    decision: &'a mut Option<(View, D, SimTime)>,
+}
+
+impl<D: Clone> Host<D> for SimHost<'_, '_, D> {
+    fn monitor(&mut self, targets: &[NodeId]) {
+        for &target in targets {
+            self.ctx.monitor(target);
         }
     }
 
-    /// Serves the next recipient of a sequential multicast and queues the
-    /// continuation (if any) back to ourselves.
-    fn chain_step(
-        &mut self,
-        recipients: Vec<NodeId>,
-        message: Message<P::Value>,
-        ctx: &mut Context<'_, ProtoMsg<P::Value>>,
-    ) {
-        let Some((&first, rest)) = recipients.split_first() else {
-            return;
-        };
-        ctx.send(first, ProtoMsg::Protocol(message.clone()));
-        if !rest.is_empty() {
-            ctx.send(
-                ctx.me(),
-                ProtoMsg::Chain {
-                    remaining: rest.to_vec(),
-                    message,
-                },
-            );
+    fn multicast(&mut self, recipients: &[NodeId], message: Message<D>) {
+        match self.mode {
+            MulticastMode::Atomic => {
+                for &to in recipients {
+                    self.ctx.send(to, ProtoMsg::Protocol(message.clone()));
+                }
+            }
+            MulticastMode::Sequential => chain_step(recipients, message, self.ctx),
         }
+    }
+
+    fn decide(&mut self, view: &View, value: &D) {
+        debug_assert!(self.decision.is_none(), "decide emitted twice");
+        *self.decision = Some((view.clone(), value.clone(), self.ctx.now()));
+    }
+}
+
+/// Serves the next recipient of a sequential multicast and queues the
+/// continuation (if any) back to ourselves.
+fn chain_step<D: Clone>(
+    recipients: &[NodeId],
+    message: Message<D>,
+    ctx: &mut Context<'_, ProtoMsg<D>>,
+) {
+    let Some((&first, rest)) = recipients.split_first() else {
+        return;
+    };
+    ctx.send(first, ProtoMsg::Protocol(message.clone()));
+    if !rest.is_empty() {
+        ctx.send(
+            ctx.me(),
+            ProtoMsg::Chain {
+                remaining: rest.to_vec(),
+                message,
+            },
+        );
     }
 }
 
@@ -170,26 +167,21 @@ impl<P: DecisionPolicy> Process for ProtocolProcess<P> {
     type Msg = ProtoMsg<P::Value>;
 
     fn on_start(&mut self, ctx: &mut Context<'_, Self::Msg>) {
-        let actions = self.node.handle(Event::Init);
-        self.execute(actions, ctx);
+        self.drive(Event::Init, ctx);
     }
 
     fn on_message(&mut self, from: NodeId, msg: Self::Msg, ctx: &mut Context<'_, Self::Msg>) {
         match msg {
-            ProtoMsg::Protocol(message) => {
-                let actions = self.node.handle(Event::Deliver { from, message });
-                self.execute(actions, ctx);
-            }
+            ProtoMsg::Protocol(message) => self.drive(Event::Deliver { from, message }, ctx),
             ProtoMsg::Chain { remaining, message } => {
                 debug_assert_eq!(from, self.node.me(), "chains are self-addressed");
-                self.chain_step(remaining, message, ctx);
+                chain_step(&remaining, message, ctx);
             }
         }
     }
 
     fn on_crash_notification(&mut self, crashed: NodeId, ctx: &mut Context<'_, Self::Msg>) {
-        let actions = self.node.handle(Event::Crash(crashed));
-        self.execute(actions, ctx);
+        self.drive(Event::Crash(crashed), ctx);
     }
 }
 
@@ -222,7 +214,7 @@ mod tests {
     fn adapter_exposes_node_state() {
         let g = Arc::new(Graph::from_edges(2, [(0, 1)]));
         let node = CliffEdgeNode::new(NodeId(0), g, NodeIdValuePolicy, ProtocolConfig::default());
-        let proc = ProtocolProcess::new(node);
+        let proc = ProtocolProcess::with_multicast_mode(node, MulticastMode::Atomic);
         assert_eq!(proc.node().me(), NodeId(0));
         assert!(proc.decision().is_none());
         assert_eq!(proc.multicast_mode, MulticastMode::Atomic);

@@ -109,9 +109,11 @@ fn fuzz_shape() -> Scenario {
 
 /// Ceiling on allocations per event of one cold `exec` — slot arenas
 /// growing from empty included — about a tenth above the worst of the
-/// three policies below. The tree-per-round instance state took 2.3–2.5
-/// here.
-const ALLOCATIONS_PER_EVENT: f64 = 1.15;
+/// three policies below (0.666 / 0.840 / 0.743). The tree-per-round
+/// instance state took 2.3–2.5 here, and a `Vec` of actions plus a
+/// recipient `Vec` per multicast, built for every event and unpacked by
+/// the engine, took 0.85–1.04.
+const ALLOCATIONS_PER_EVENT: f64 = 0.92;
 
 #[test]
 fn an_explored_schedule_stays_within_its_allocation_budget() {
@@ -187,6 +189,9 @@ fn a_border_node_of_a_million_node_torus_allocates_by_border_not_by_id() {
     };
 
     let mut node = CliffEdgeNode::new(me, topology, NodeIdValuePolicy, ProtocolConfig::faithful());
+    // Through the recording host, which copies each node list it is
+    // handed into an `Action` (two monitor target lists and one recipient
+    // list here); an engine host copies none.
     let (actions, allocations, bytes) = allocated_by(|| {
         let mut actions = node.handle(Event::Init);
         actions.extend(node.handle(Event::Crash(centre)));
