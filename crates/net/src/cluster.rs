@@ -12,7 +12,7 @@ use precipice_graph::{Graph, NodeId};
 
 use crate::gate::Gate;
 use crate::ring::Ring;
-use crate::shard::{lock, resident, Instance, Pool, RouterCounters, ShardEvent};
+use crate::shard::{lock, resident, Instance, Pool, RouterCounters};
 
 /// Final state of a live run, collected by
 /// [`ShardedCluster::shutdown`](crate::ShardedCluster::shutdown).
@@ -46,7 +46,7 @@ pub struct LiveReport<V = NodeId> {
 /// all the same: its rings close, what is queued drains, and nothing of
 /// it outlives the last event.
 pub struct ShardedCluster<P: DecisionPolicy = NodeIdValuePolicy> {
-    instance: Arc<Instance<P>>,
+    pub(crate) instance: Arc<Instance<P>>,
     /// Keeps the workers alive; the instance itself holds only their
     /// token rings, so a pool is never dropped from one of its own
     /// threads.
@@ -212,17 +212,6 @@ where
             .keys()
             .filter(|node| !self.killed.contains(node))
             .count()
-    }
-
-    /// Advances the gated release clock (gate controller only).
-    pub(crate) fn bump_step(&self) -> u64 {
-        self.instance.router.bump_step()
-    }
-
-    /// Releases one parked event into the real rings (gate controller
-    /// only).
-    pub(crate) fn release_gated(&self, event: ShardEvent<P::Value>) {
-        self.instance.router.release(event);
     }
 
     /// Release-clock stamps of all decisions so far (killed excluded).

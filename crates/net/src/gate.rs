@@ -1,37 +1,34 @@
-//! Delivery gating: deterministic schedule exploration on the *real*
-//! sharded backend.
+//! Delivery gating: the simulator's schedule explorer, driving the
+//! *real* sharded backend. With a gate installed the router parks every
+//! would-be post here instead of in the shard rings, and [`gated_run`]
+//! releases one event at a time, waiting for the shards to go idle in
+//! between: the run exercises the real machinery — pool workers, rings,
+//! lazy activation, pending counters, the graph-backed FD — but the next
+//! event is picked by the simulator's own [`Explorer`], so every
+//! [`SchedulePolicy`], recorded [`Schedule`], replay and shrink carries
+//! over between the engines.
 //!
-//! The sim side explores adversarial schedules by replacing its event
-//! queue's ordering (`SchedulePolicy`). The live backend has no queue
-//! to reorder — events race through rings — so this module ports the
-//! idea as a **gate**: with a gate installed, the router parks every
-//! would-be post (protocol message or crash notification) in a central
-//! table instead of the shard rings, and a controller releases exactly
-//! one event at a time, waiting for the shards to go idle between
-//! releases. The run still exercises the real machinery — pool
-//! workers, rings, lazy activation, pending counters, the graph-backed
-//! FD — but its interleaving becomes a pure function of the
-//! controller's random seed.
-//!
-//! The enabled set mirrors the sim explorer's frontier: every pending
-//! crash *injection*, every parked crash *notification*, and — per
-//! `(from, to)` channel — only the **earliest** parked delivery (live
-//! channels are FIFO, so later messages on a channel cannot overtake).
-//!
-//! One release is one tick of a logical clock; crash injections and
-//! decisions are stamped with it, which is what lets the runtime's
-//! checker replay its timing-sensitive properties (CD2) against a live
-//! run.
+//! The gate is a frontier in the simulator's sense, kept seq-sorted: the
+//! crash injections (parked first, in the order given, as the run slot
+//! commits a scenario's crashes), every parked notification, and per
+//! `(from, to)` channel only the earliest parked delivery. Entries are
+//! named by [`EventKey`]s, a delivery's `nth` being the count released
+//! on its channel before it. Every `at` is zero, so the simulator's FIFO
+//! choice, the `(at, seq)` minimum, is the earliest parked event. One
+//! release is one tick of the logical clock that stamps crash
+//! injections and decisions, which is what lets the runtime's checker
+//! replay its timing-sensitive properties (CD2) against a live run.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use precipice_core::{ProtocolConfig, View};
-use precipice_graph::{rng::SplitMix, Graph, NodeId};
+use precipice_core::{DecisionPolicy, Message, ProtocolConfig, View};
+use precipice_graph::{rng::mix64, Graph, NodeId};
+use precipice_sim::{EventKey, Explorer, FrontierEntry, Schedule, SchedulePolicy, SimTime};
 
 use crate::cluster::{LiveReport, ShardedCluster};
-use crate::shard::{lock, resident, ShardEvent};
+use crate::shard::{lock, resident, RouterCounters, ShardEvent};
 
 /// Where the router parks events while a gate controller is driving.
 #[derive(Debug)]
@@ -39,80 +36,127 @@ pub(crate) struct Gate<V> {
     parked: Mutex<Parked<V>>,
 }
 
-/// The next sequence number, beside the events parked so far in
-/// sequence order: one lock, so numbering and queueing never interleave.
-type Parked<V> = (u64, VecDeque<(u64, ShardEvent<V>)>);
+/// The enabled events in seq order — what a policy picks from — with
+/// their keys (`keys[i]` names `frontier[i]`), the next sequence number,
+/// the events released so far (the logical clock), and per channel the deliveries released so far and those parked, the
+/// front one on the frontier.
+#[derive(Debug)]
+struct Parked<V> {
+    frontier: Vec<FrontierEntry>,
+    keys: Vec<EventKey>,
+    next_seq: u64,
+    released: u64,
+    channels: BTreeMap<(NodeId, NodeId), Channel<V>>,
+}
 
-impl<V> Gate<V> {
-    pub(crate) fn new() -> Arc<Self> {
-        Arc::new(Gate {
-            parked: Mutex::new((0, VecDeque::new())),
-        })
-    }
+type Release<V> = (u64, EventKey, Option<ShardEvent<V>>);
+type Channel<V> = (u32, VecDeque<(u64, Message<V>)>);
 
-    /// Parks `event`, preserving global arrival order via a sequence
-    /// number (channel FIFO needs it).
-    pub(crate) fn park(&self, event: ShardEvent<V>) {
-        let (next_seq, queue) = &mut *lock(&self.parked);
-        queue.push_back((*next_seq, event));
-        *next_seq += 1;
-    }
-
-    /// Removes and returns the parked event with sequence `seq`.
-    fn take(&self, seq: u64) -> Option<ShardEvent<V>> {
-        let queue = &mut lock(&self.parked).1;
-        let at = queue.iter().position(|(s, _)| *s == seq)?;
-        queue.remove(at).map(|(_, ev)| ev)
-    }
-
-    /// The current frontier: all parked notifications plus, per
-    /// `(from, to)` channel, the earliest parked delivery. Returned as
-    /// `(seq, label)` in sequence order.
-    fn enabled(&self) -> Vec<(u64, EventLabel)> {
-        let (_, parked) = &*lock(&self.parked);
-        let mut earliest: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::new();
-        let mut out = Vec::new();
-        for (seq, ev) in parked {
-            match ev {
-                ShardEvent::Notify { to, crashed } => {
-                    out.push((
-                        *seq,
-                        EventLabel::Notify {
-                            to: *to,
-                            crashed: *crashed,
-                        },
-                    ));
-                }
-                ShardEvent::Deliver { to, from, .. } => {
-                    earliest.entry((*from, *to)).or_insert(*seq);
-                }
-            }
-        }
-        for ((from, to), seq) in earliest {
-            out.push((seq, EventLabel::Deliver { from, to }));
-        }
-        out.sort_by_key(|(seq, _)| *seq);
-        out
+impl<V> Parked<V> {
+    /// Puts `key`, parked as `seq`, on the frontier at its place in seq
+    /// order: an append, unless a delivery is unblocked behind later ones.
+    fn enable(&mut self, seq: u64, key: EventKey) {
+        let target = match key {
+            EventKey::Crash { node } => node,
+            EventKey::Notify { observer, .. } => observer,
+            EventKey::Deliver { to, .. } => to,
+        };
+        let (idx, at) = (0, SimTime::ZERO);
+        let i = self.frontier.partition_point(|e| e.seq < seq);
+        let entry = FrontierEntry {
+            idx,
+            seq,
+            at,
+            target,
+        };
+        self.frontier.insert(i, entry);
+        self.keys.insert(i, key);
     }
 }
 
-/// What a released event was, for hashing and message-pair recording.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EventLabel {
-    /// A crash notification to `to` about `crashed`.
-    Notify {
-        /// Observer being notified.
-        to: NodeId,
-        /// The crashed node.
-        crashed: NodeId,
-    },
-    /// A protocol message on channel `(from, to)`.
-    Deliver {
-        /// Sender.
-        from: NodeId,
-        /// Receiver.
-        to: NodeId,
-    },
+impl<V> Gate<V> {
+    /// A gate holding the crash injections of `kills`, in that order.
+    pub(crate) fn new(kills: &[NodeId]) -> Arc<Self> {
+        let mut parked = Parked {
+            frontier: Vec::new(),
+            keys: Vec::new(),
+            next_seq: kills.len() as u64,
+            released: 0,
+            channels: BTreeMap::new(),
+        };
+        for (seq, &node) in (0..).zip(kills) {
+            parked.enable(seq, EventKey::Crash { node });
+        }
+        Arc::new(Gate {
+            parked: Mutex::new(parked),
+        })
+    }
+
+    /// Events released so far: the clock decisions are stamped with.
+    pub(crate) fn released(&self) -> u64 {
+        lock(&self.parked).released
+    }
+
+    /// Parks `event`: a notification goes straight onto the frontier, a
+    /// delivery behind whatever its channel still holds.
+    pub(crate) fn park(&self, event: ShardEvent<V>) {
+        let parked = &mut *lock(&self.parked);
+        let seq = parked.next_seq;
+        parked.next_seq += 1;
+        match event {
+            ShardEvent::Notify { to, crashed } => {
+                parked.enable(
+                    seq,
+                    EventKey::Notify {
+                        observer: to,
+                        crashed,
+                    },
+                );
+            }
+            ShardEvent::Deliver { to, from, message } => {
+                let (released, queue) = parked.channels.entry((from, to)).or_default();
+                queue.push_back((seq, message));
+                if queue.len() == 1 {
+                    let nth = *released;
+                    parked.enable(seq, EventKey::Deliver { from, to, nth });
+                }
+            }
+        }
+    }
+
+    /// Lets `explorer` pick an enabled event (index 0, the earliest
+    /// parked, is the FIFO choice) and takes it off the frontier,
+    /// enabling the next delivery on its channel; with the release's clock
+    /// tick, and no post for a crash injection. `None` once nothing is
+    /// parked.
+    fn release(&self, explorer: &mut Explorer) -> Option<Release<V>> {
+        let parked = &mut *lock(&self.parked);
+        if parked.frontier.is_empty() {
+            return None;
+        }
+        let keys = &parked.keys;
+        let pick = explorer.choose(&parked.frontier, 0, |i| keys[i]);
+        parked.frontier.remove(pick);
+        let key = parked.keys.remove(pick);
+        parked.released += 1;
+        let post = match key {
+            EventKey::Crash { .. } => None,
+            EventKey::Notify { observer, crashed } => Some(ShardEvent::Notify {
+                to: observer,
+                crashed,
+            }),
+            EventKey::Deliver { from, to, .. } => {
+                let (released, queue) = parked.channels.get_mut(&(from, to)).expect("parked");
+                let (_, message) = queue.pop_front().expect("an enabled delivery is queued");
+                *released += 1;
+                if let Some((seq, nth)) = queue.front().map(|&(seq, _)| (seq, *released)) {
+                    parked.enable(seq, EventKey::Deliver { from, to, nth });
+                }
+                Some(ShardEvent::Deliver { to, from, message })
+            }
+        };
+        Some((parked.released, key, post))
+    }
 }
 
 /// Everything a gated run observed, in logical-clock terms.
@@ -122,10 +166,11 @@ enum EventLabel {
 /// reacted to, which is what the runtime checker's timing-sensitive
 /// properties need.
 #[derive(Debug)]
-pub struct GatedOutcome {
+pub struct GatedOutcome<V = NodeId> {
     /// Final report, same shape as a free-running shutdown.
-    pub report: LiveReport,
-    /// Every `(from, to)` protocol delivery, in release order.
+    pub report: LiveReport<V>,
+    /// Every `(from, to)` protocol message released, in release order
+    /// (copies to a dead node included; they are dropped where handled).
     pub message_pairs: Vec<(NodeId, NodeId)>,
     /// Release step at which each node was crash-injected.
     pub crash_steps: Vec<(NodeId, u64)>,
@@ -133,81 +178,73 @@ pub struct GatedOutcome {
     pub decision_steps: BTreeMap<NodeId, u64>,
     /// Total events released (the run's logical length).
     pub released: u64,
-    /// FNV-1a hash of the release sequence — two gated runs explored
+    /// Hash of the release sequence — two gated runs explored
     /// the same schedule iff their order hashes match.
     pub order_hash: u64,
+    /// The policy's deviations from the gate's FIFO order, replayable.
+    pub schedule: Schedule,
+    /// Transport accounting at the end of the run.
+    pub counters: RouterCounters,
 }
 
-/// Runs one fully-gated schedule of the sharded backend: crash `kills`
-/// (in the given order preference; the seed decides actual placement)
-/// on `graph` and drive every delivery one release at a time.
+/// Runs one fully-gated schedule of the sharded backend: crash-injects
+/// `kills` and drives every post one release at a time, each picked by
+/// `policy` through the simulator's [`Explorer`] ([`SchedulePolicy::Fifo`]:
+/// earliest parked first). `factory` builds each node's decision policy.
 ///
-/// Deterministic: the outcome is a pure function of
-/// `(graph, config, kills, seed)` — independent of `shards`, wall-clock
-/// speed, and thread scheduling. Exercised by the differential tests
-/// and `precipice check --backend live`.
+/// Deterministic: the outcome is a pure function of `(graph, config,
+/// kills, policy)` — independent of `shards`, wall-clock speed, and
+/// thread scheduling — and replaying its
+/// [`schedule`](GatedOutcome::schedule) reproduces it.
 ///
 /// # Panics
 ///
 /// Panics if the shards fail to drain a released event within 30 s,
 /// or if the worker pool has to grow and the operating system refuses
 /// the thread.
-pub fn gated_run(
+pub fn gated_run<P, F>(
     graph: Arc<Graph>,
     config: ProtocolConfig,
     shards: usize,
     kills: &[NodeId],
-    seed: u64,
-) -> GatedOutcome {
-    let gate = Gate::new();
-    let mut cluster = ShardedCluster::launch(
-        resident(),
-        Arc::clone(&graph),
-        config,
-        shards,
-        |_me| precipice_core::NodeIdValuePolicy,
-        Some(Arc::clone(&gate)),
-    )
-    .expect("spawn shard worker");
-
-    let mut rng = SplitMix::new(seed ^ 0x9e37_79b9_7f4a_7c15);
-    let mut injections: VecDeque<NodeId> = kills.iter().copied().collect();
+    policy: SchedulePolicy,
+    factory: F,
+) -> GatedOutcome<P::Value>
+where
+    P: DecisionPolicy + Send + 'static,
+    P::Value: Send + Sync,
+    F: FnMut(NodeId) -> P + Send + 'static,
+{
+    let gate = Gate::new(kills);
+    let gated = Some(Arc::clone(&gate));
+    let mut cluster = ShardedCluster::launch(resident(), graph, config, shards, factory, gated)
+        .expect("spawn shard worker");
+    let mut explorer = Explorer::new(policy)
+        .or_else(|| Explorer::new(SchedulePolicy::Replay(Schedule::fifo())))
+        .expect("a replay explores");
     let mut pairs = Vec::new();
     let mut crash_steps = Vec::new();
-    let mut released = 0u64;
-    let mut hash = 0xcbf2_9ce4_8422_2325u64; // FNV offset basis
+    let mut hash = 0u64;
 
-    loop {
-        // Frontier: all remaining injections + the gate's enabled set.
-        let parked = gate.enabled();
-        let choices = injections.len() + parked.len();
-        if choices == 0 {
-            break;
-        }
-        let pick = (rng.next_u64() % choices as u64) as usize;
-        let step = cluster.bump_step();
-        released += 1;
-        if pick < injections.len() {
-            let victim = injections.remove(pick).expect("index in range");
-            crash_steps.push((victim, step));
-            hash = fnv(hash, &[1, victim.0 as u64, 0, step]);
-            cluster.kill(victim);
-            // A kill's notifications park in the gate; nothing to wait
-            // for.
+    while let Some((step, key, post)) = gate.release(&mut explorer) {
+        let (tag, a, b) = match key {
+            EventKey::Crash { node } => (1, node, NodeId(0)),
+            EventKey::Deliver { from, to, .. } => (2, from, to),
+            EventKey::Notify { observer, crashed } => (3, observer, crashed),
+        };
+        let words = [tag, u64::from(a.0), u64::from(b.0), step];
+        hash = words.iter().fold(hash, |hash, &word| mix64(hash ^ word));
+        let Some(post) = post else {
+            // A crash injection: its notifications park in the gate, so
+            // there is nothing to wait for.
+            crash_steps.push((a, step));
+            cluster.kill(a);
             continue;
+        };
+        if matches!(key, EventKey::Deliver { .. }) {
+            pairs.push((a, b));
         }
-        let (seq, label) = parked[pick - injections.len()];
-        let event = gate.take(seq).expect("enabled event still parked");
-        match label {
-            EventLabel::Deliver { from, to } => {
-                pairs.push((from, to));
-                hash = fnv(hash, &[2, from.0 as u64, to.0 as u64, step]);
-            }
-            EventLabel::Notify { to, crashed } => {
-                hash = fnv(hash, &[3, to.0 as u64, crashed.0 as u64, step]);
-            }
-        }
-        cluster.release_gated(event);
+        cluster.instance.router.release(post);
         // Handler outputs go back to the gate uncharged, so the counter
         // returns to zero after exactly one handler invocation.
         assert!(
@@ -217,26 +254,17 @@ pub fn gated_run(
     }
 
     let decision_steps = cluster.decision_steps();
-    let report = cluster.shutdown();
+    let counters = cluster.counters();
     GatedOutcome {
-        report,
+        report: cluster.shutdown(),
         message_pairs: pairs,
         crash_steps,
         decision_steps,
-        released,
+        released: explorer.steps(),
         order_hash: hash,
+        schedule: explorer.take_recorded(),
+        counters,
     }
-}
-
-/// FNV-1a over a few words.
-fn fnv(mut hash: u64, words: &[u64]) -> u64 {
-    for w in words {
-        for byte in w.to_le_bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-    hash
 }
 
 /// Sanity verdict over a gated (or free-running) live report: every
@@ -286,8 +314,33 @@ fn pairs_agree(decisions: &[&(View, NodeId)]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use precipice_graph::{path, torus, GridDims, Region};
+    use precipice_core::NodeIdValuePolicy;
+    use precipice_graph::{path, ring, rng::SplitMix, torus, GridDims, Region};
     use std::collections::BTreeSet;
+
+    /// One gated run under the default config and decision policy.
+    fn run(
+        graph: &Arc<Graph>,
+        shards: usize,
+        kills: &[NodeId],
+        policy: SchedulePolicy,
+    ) -> GatedOutcome {
+        let config = ProtocolConfig::default();
+        gated_run(Arc::clone(graph), config, shards, kills, policy, |_me| {
+            NodeIdValuePolicy
+        })
+    }
+
+    /// Asserts that two gated runs are the same run.
+    fn assert_same(a: &GatedOutcome, b: &GatedOutcome, what: &str) {
+        assert_eq!(a.order_hash, b.order_hash, "{what}");
+        assert_eq!(a.report, b.report, "{what}");
+        assert_eq!(a.message_pairs, b.message_pairs, "{what}");
+        assert_eq!(a.decision_steps, b.decision_steps, "{what}");
+        assert_eq!(a.crash_steps, b.crash_steps, "{what}");
+        assert_eq!(a.released, b.released, "{what}");
+        assert_eq!(a.schedule, b.schedule, "{what}");
+    }
 
     /// The definition [`pairs_agree`] replaced, kept as its oracle:
     /// compare every pair of decisions.
@@ -372,72 +425,66 @@ mod tests {
     #[test]
     fn gated_run_is_deterministic_per_seed() {
         let graph = Arc::new(torus(GridDims::square(4)));
-        let a = gated_run(
-            Arc::clone(&graph),
-            ProtocolConfig::default(),
-            1,
-            &[NodeId(9)],
-            7,
-        );
-        let b = gated_run(
-            Arc::clone(&graph),
-            ProtocolConfig::default(),
-            1,
-            &[NodeId(9)],
-            7,
-        );
-        assert_eq!(a.order_hash, b.order_hash);
-        assert_eq!(a.report, b.report);
-        assert_eq!(a.message_pairs, b.message_pairs);
-        assert_eq!(a.decision_steps, b.decision_steps);
+        let a = run(&graph, 1, &[NodeId(9)], SchedulePolicy::Random(7));
+        let b = run(&graph, 1, &[NodeId(9)], SchedulePolicy::Random(7));
+        assert_same(&a, &b, "Random(7) twice");
     }
 
     #[test]
     fn gated_run_is_shard_count_independent() {
         let graph = Arc::new(torus(GridDims::square(4)));
-        let one = gated_run(
-            Arc::clone(&graph),
-            ProtocolConfig::default(),
-            1,
-            &[NodeId(5)],
-            3,
-        );
-        let four = gated_run(
-            Arc::clone(&graph),
-            ProtocolConfig::default(),
-            4,
-            &[NodeId(5)],
-            3,
-        );
-        assert_eq!(one.order_hash, four.order_hash);
-        assert_eq!(one.report, four.report);
+        let one = run(&graph, 1, &[NodeId(5)], SchedulePolicy::Random(3));
+        let four = run(&graph, 4, &[NodeId(5)], SchedulePolicy::Random(3));
+        assert_same(&one, &four, "1 vs 4 shards");
     }
 
     #[test]
     fn seed_sweep_is_shard_count_independent() {
-        // 32 seeds x adjacent + distant kills: every release waits on
-        // the zero-transition waiter, so a wake-up that came early (a
-        // handler still posting) or late would shift the parked set and
-        // with it the order hash, the decisions or their steps.
-        let graph = Arc::new(torus(GridDims::square(4)));
-        let kills = [NodeId(5), NodeId(6), NodeId(15)];
-        for seed in 0..32 {
-            let run = |shards| {
-                gated_run(
-                    Arc::clone(&graph),
-                    ProtocolConfig::default(),
-                    shards,
-                    &kills,
-                    seed,
-                )
-            };
-            let (one, four) = (run(1), run(4));
-            assert_eq!(one.order_hash, four.order_hash, "seed {seed}");
-            assert_eq!(one.report, four.report, "seed {seed}");
-            assert_eq!(one.decision_steps, four.decision_steps, "seed {seed}");
-            assert_eq!(one.crash_steps, four.crash_steps, "seed {seed}");
-            assert_eq!(one.released, four.released, "seed {seed}");
+        // Every release waits on the zero-transition waiter, so a wake-up
+        // that came early (a handler still posting) or late would shift
+        // the frontier and with it the order hash, the decisions or their
+        // steps. Each schedule — under `Random`, `Pcr` and the gate's FIFO
+        // order, the streams `check --backend live`'s mixed policy draws
+        // on — is recorded at one shard, run again at four, and replayed
+        // through the gate at one and four: all four are the same run.
+        let cases: [(Graph, &[u32]); 6] = [
+            (path(9), &[3, 4]),
+            (path(9), &[2, 6]),
+            (ring(10), &[2, 3, 4]),
+            (ring(10), &[0, 9, 5]),
+            (torus(GridDims::square(4)), &[5, 6, 15]),
+            (torus(GridDims::square(4)), &[5, 6, 10]),
+        ];
+        for (graph, kills) in cases {
+            let graph = Arc::new(graph);
+            let kills: Vec<NodeId> = kills.iter().copied().map(NodeId).collect();
+            let policies = (0..4)
+                .flat_map(|seed| [SchedulePolicy::Random(seed), SchedulePolicy::Pcr(seed)])
+                .chain([SchedulePolicy::Fifo]);
+            for policy in policies {
+                let what = format!("kills {kills:?} under {policy:?}");
+                let recorded = run(&graph, 1, &kills, policy.clone());
+                assert_same(&recorded, &run(&graph, 4, &kills, policy), &what);
+                for shards in [1, 4] {
+                    let replay = SchedulePolicy::Replay(recorded.schedule.clone());
+                    let replayed = run(&graph, shards, &kills, replay);
+                    let what = format!("{what}, replayed at {shards} shards");
+                    assert_same(&recorded, &replayed, &what);
+                }
+            }
         }
+    }
+
+    #[test]
+    fn fifo_releases_the_crashes_first_and_records_no_deviation() {
+        // Crash injections are parked ahead of everything, so the gate's
+        // FIFO order kills them all, in the order given, before any
+        // notification goes out.
+        let graph = Arc::new(torus(GridDims::square(4)));
+        let fifo = run(&graph, 2, &[NodeId(6), NodeId(5)], SchedulePolicy::Fifo);
+        assert_eq!(fifo.crash_steps, [(NodeId(6), 1), (NodeId(5), 2)]);
+        assert!(fifo.schedule.is_empty());
+        assert!(live_consistent(&fifo.report, &graph));
     }
 
     #[test]
@@ -445,14 +492,8 @@ mod tests {
         let graph = Arc::new(torus(GridDims::square(4)));
         let hashes: BTreeSet<u64> = (0..6)
             .map(|seed| {
-                gated_run(
-                    Arc::clone(&graph),
-                    ProtocolConfig::default(),
-                    2,
-                    &[NodeId(5), NodeId(6)],
-                    seed,
-                )
-                .order_hash
+                let kills = [NodeId(5), NodeId(6)];
+                run(&graph, 2, &kills, SchedulePolicy::Random(seed)).order_hash
             })
             .collect();
         assert!(hashes.len() > 1, "six seeds must not all collapse");
@@ -460,13 +501,8 @@ mod tests {
 
     #[test]
     fn gated_agreement_matches_protocol_on_path() {
-        let outcome = gated_run(
-            Arc::new(path(5)),
-            ProtocolConfig::default(),
-            2,
-            &[NodeId(2)],
-            11,
-        );
+        let graph = Arc::new(path(5));
+        let outcome = run(&graph, 2, &[NodeId(2)], SchedulePolicy::Random(11));
         assert_eq!(outcome.report.decisions.len(), 2);
         assert!(live_consistent(&outcome.report, &path(5)));
         // Decisions happen strictly after the crash they react to.

@@ -7,10 +7,11 @@
 //! (experiment E8) — demonstrating that the protocol core is
 //! transport-agnostic. The transport is implemented independently of
 //! the simulator's, which is why the simulator serves as this runtime's
-//! differential reference: on schedule-independent scenarios the two
-//! must report equal decisions, protocol counters and killed sets
-//! (`tests/net_backend.rs`, the runtime crate's `live` tests). The
-//! failure-detector *policy* is not duplicated: both engines drive
+//! differential reference: the two must report equal decisions,
+//! protocol counters and killed sets on schedule-independent scenarios,
+//! and on any one schedule once [`gated_run`] picks it through the
+//! simulator's explorer (`tests/net_backend.rs`). The failure-detector
+//! *policy* is not duplicated: both engines drive
 //! [`precipice_core::FailureDetector`], which its own tests pin against
 //! a brute-force model.
 //!

@@ -35,7 +35,9 @@
 //! non-neighbours, and a kill notifies `neighbours(q) ∪ dynamic(q)`
 //! exactly once per (observer, target) pair, in ascending node order.
 //! The [`Router`] here holds the detector behind one lock and routes
-//! what it decides.
+//! what it decides. A multicast does not consult it: every copy is
+//! routed, and one addressed to a dead node is dropped where it is
+//! handled, as the simulator drops it at delivery.
 //!
 //! # The pool
 //!
@@ -105,11 +107,11 @@
 //!
 //! A single counter rather than one per shard: a reader summing
 //! per-shard counters one after another can see each at zero while an
-//! event hops between them, and every multicast and every monitor
-//! already takes the failure-detector lock, once for all its copies or
-//! targets, so the shared cache line costs nothing new. Gated runs park
-//! posts in the gate *uncharged*; there zero means "the one released
-//! event has been handled".
+//! event hops between them, and every handled event already takes the
+//! failure-detector lock to read the crashed set, so the shared cache
+//! line costs nothing new. Gated runs park posts in the gate
+//! *uncharged*; there zero means "the one released event has been
+//! handled".
 //!
 //! # Retirement
 //!
@@ -140,12 +142,14 @@
 //! # Lock order
 //!
 //! A shard's node-table lock (held for a whole turn), then `fd` (the
-//! router's [`FailureDetector`] mutex, taken once per multicast and once
-//! per monitor), then the gate's lock; the policy-factory and decisions
-//! locks are taken under the node-table lock and hold nothing; ring
-//! mutexes — event rings and token rings alike — and the pool's worker
-//! list are leaves. Nothing takes `fd` while holding a ring or gate
-//! lock, and the detector itself calls back into nothing.
+//! router's [`FailureDetector`] mutex, taken once per handled event and
+//! once per monitor — a multicast takes none), then the gate's lock
+//! (also taken by a decision, to read the release clock); the
+//! policy-factory and decisions locks are taken under the node-table
+//! lock and hold nothing; ring mutexes — event rings and token rings
+//! alike — and the pool's worker list are leaves. Nothing takes `fd`
+//! while holding a ring or gate lock, and the detector itself calls
+//! back into nothing.
 
 use std::any::Any;
 use std::collections::{btree_map, BTreeMap};
@@ -369,8 +373,6 @@ pub(crate) struct Router<V> {
     /// When set, posts are parked here instead of entering the rings —
     /// the delivery gate for schedule exploration.
     gate: Option<Arc<Gate<V>>>,
-    /// Logical release clock; only advanced by a gate controller.
-    step: AtomicU64,
     pub(crate) counters: Counters,
 }
 
@@ -395,7 +397,6 @@ impl<V: Clone + precipice_core::WireSize> Router<V> {
             tenant,
             outstanding: Arc::default(),
             gate,
-            step: AtomicU64::new(0),
             counters: Counters::default(),
         }
     }
@@ -414,9 +415,7 @@ impl<V: Clone + precipice_core::WireSize> Router<V> {
     }
 
     /// Routes `event` towards its owner: charges and enqueues it, or
-    /// parks it in the gate when one is installed. Called
-    /// with the fd lock held, so a concurrent kill cannot slip between
-    /// the liveness check and the enqueue.
+    /// parks it in the gate when one is installed.
     fn route(&self, event: ShardEvent<V>) {
         if let Some(gate) = &self.gate {
             gate.park(event);
@@ -454,33 +453,30 @@ impl<V: Clone + precipice_core::WireSize> Router<V> {
         }
     }
 
-    /// One protocol multicast from `from`, under one fd lock so that no
-    /// kill lands between two copies: a copy for a dead recipient is
-    /// dropped, the others are routed in `recipients` order, the last
-    /// taking `message` itself.
+    /// One protocol multicast from `from`: every copy is routed, in
+    /// `recipients` order, the last taking `message` itself. A copy for
+    /// a dead recipient is dropped where it is handled, as the simulator
+    /// drops it at delivery, so no detector lock is taken here.
     fn multicast(&self, from: NodeId, recipients: &[NodeId], message: Message<V>) {
         let size = message.wire_size() as u64;
-        let fd = lock(&self.fd);
-        let mut sent = 0;
-        let mut post = |to: NodeId, message: Message<V>| {
-            if !fd.is_crashed(to) {
-                sent += 1;
-                self.route(ShardEvent::Deliver { to, from, message });
-            }
+        let Some((&last, rest)) = recipients.split_last() else {
+            return;
         };
-        if let Some((&last, rest)) = recipients.split_last() {
-            for &to in rest {
-                post(to, message.clone());
-            }
-            post(last, message);
+        for &to in rest {
+            let message = message.clone();
+            self.route(ShardEvent::Deliver { to, from, message });
         }
-        let (counters, dropped) = (&self.counters, recipients.len() as u64 - sent);
-        counters.dropped.fetch_add(dropped, Ordering::Relaxed);
+        self.route(ShardEvent::Deliver {
+            to: last,
+            from,
+            message,
+        });
+        let sent = recipients.len() as u64;
+        let counters = &self.counters;
         counters.messages_sent.fetch_add(sent, Ordering::Relaxed);
         counters
             .bytes_sent
             .fetch_add(sent * size, Ordering::Relaxed);
-        drop(fd);
     }
 
     /// `observer` asks to monitor `targets`, under one fd lock; each
@@ -510,14 +506,9 @@ impl<V: Clone + precipice_core::WireSize> Router<V> {
         self.route(ShardEvent::Notify { to, crashed });
     }
 
-    /// The logical release clock (0 outside gated runs).
+    /// The gate's release clock (0 outside gated runs).
     fn step(&self) -> u64 {
-        self.step.load(Ordering::SeqCst)
-    }
-
-    /// Advances the release clock (gate controller only).
-    pub(crate) fn bump_step(&self) -> u64 {
-        self.step.fetch_add(1, Ordering::SeqCst) + 1
+        self.gate.as_ref().map_or(0, |gate| gate.released())
     }
 
     pub(crate) fn snapshot(&self) -> RouterCounters {
@@ -875,9 +866,14 @@ mod tests {
         assert_eq!(workers[0].queued(), 1, "one token per false -> true edge");
     }
 
+    /// A multicast routes every copy in recipient order — the simulator
+    /// sends to dead recipients too — and `messages_sent` counts them
+    /// all. A copy for a dead node is dropped where it is handled:
+    /// counted once in `dropped`, discharged, never activating the node.
     #[test]
     fn multicast_drops_dead_copies_and_routes_live_ones_in_order() {
-        // One token ring nobody serves: everything routed stays queued.
+        // One token ring nobody serves: everything routed stays queued
+        // until the test takes the shard's turn itself.
         let workers = vec![Arc::new(Ring::new(4))];
         let instance = Instance::new(
             Arc::new(path(6)),
@@ -901,18 +897,20 @@ mod tests {
         assert_eq!(message.wire_size(), 37);
         let recipients = [1, 2, 3, 4, 5].map(NodeId);
         router.multicast(NodeId(0), &recipients, message.clone());
-        // The last recipient is dead: the moved message is dropped.
+        // The last recipient is dead: the moved message is routed too.
         router.multicast(NodeId(1), &[NodeId(3), NodeId(4)], message.clone());
 
         let counters = router.snapshot();
-        assert_eq!(counters.dropped, 3, "2 and 4, then 4");
-        assert_eq!(counters.messages_sent, 4);
-        assert_eq!(counters.bytes_sent, 4 * 37);
+        assert_eq!(counters.dropped, 0, "nothing handled yet");
+        assert_eq!(counters.messages_sent, 7);
+        assert_eq!(counters.bytes_sent, 7 * 37);
         assert_eq!(counters.notifications, 4);
-        // Eight events and the one token their shard needs.
-        assert_eq!(router.outstanding.get(), 9);
+        // Eleven events and the one token their shard needs.
+        assert_eq!(router.outstanding.get(), 12);
         assert_eq!(workers[0].queued(), 1);
-        let queued: Vec<_> = std::iter::from_fn(|| router.rings[0].try_pop())
+        let queued: Vec<_> = std::iter::from_fn(|| router.rings[0].try_pop()).collect();
+        let labels: Vec<_> = queued
+            .iter()
             .map(|event| match event {
                 ShardEvent::Notify { to, crashed } => ('n', crashed.0, to.0),
                 ShardEvent::Deliver {
@@ -920,24 +918,45 @@ mod tests {
                     from,
                     message: m,
                 } => {
-                    assert_eq!(m, message);
+                    assert_eq!(m, &message);
                     ('d', from.0, to.0)
                 }
             })
             .collect();
         assert_eq!(
-            queued,
+            labels,
             [
                 ('n', 2, 1),
                 ('n', 2, 3),
                 ('n', 4, 3),
                 ('n', 4, 5),
                 ('d', 0, 1),
+                ('d', 0, 2),
                 ('d', 0, 3),
+                ('d', 0, 4),
                 ('d', 0, 5),
                 ('d', 1, 3),
+                ('d', 1, 4),
             ]
         );
+
+        // Queue the dead copies again, discharge the rest unhandled, and
+        // take the shard's turn as its worker would.
+        for event in queued {
+            if router.is_crashed(event.to()) {
+                assert!(router.rings[0].push(event));
+            } else {
+                router.outstanding.done();
+            }
+        }
+        assert!(!instance.drain(0), "three drops fit in one turn");
+        drop(workers[0].try_pop().expect("the shard's token"));
+        router.outstanding.done();
+        let counters = router.snapshot();
+        assert_eq!(counters.dropped, 3, "0 -> 2, 0 -> 4 and 1 -> 4, once each");
+        assert_eq!(counters.events, 3);
+        assert_eq!((counters.delivered, counters.activations), (0, 0));
+        assert_eq!(router.outstanding.get(), 0, "a dropped copy stayed charged");
     }
 
     #[test]

@@ -17,9 +17,10 @@
 
 use std::time::{Duration, Instant};
 
-use precipice_core::ProtocolConfig;
+use precipice_core::{NodeIdValuePolicy, ProtocolConfig};
 use precipice_graph::{path, stream_torus, torus, Graph, GridDims, NodeId};
 use precipice_net::{gated_run, LiveReport, ServeSession, ShardedCluster};
+use precipice_sim::SchedulePolicy;
 
 // Generous: these tests share the machine with the rest of the suite.
 const TIMEOUT: Duration = Duration::from_secs(120);
@@ -75,20 +76,17 @@ fn distant_kills_reports_are_identical_across_backends() {
 fn gated_adjacent_kills_are_shard_count_independent() {
     let kills = [NodeId(5), NodeId(6)];
     for seed in [0, 1, 7] {
-        let a = gated_run(
-            std::sync::Arc::new(torus(GridDims::square(4))),
-            ProtocolConfig::faithful(),
-            1,
-            &kills,
-            seed,
-        );
-        let b = gated_run(
-            std::sync::Arc::new(torus(GridDims::square(4))),
-            ProtocolConfig::faithful(),
-            4,
-            &kills,
-            seed,
-        );
+        let gated = |shards| {
+            gated_run(
+                std::sync::Arc::new(torus(GridDims::square(4))),
+                ProtocolConfig::faithful(),
+                shards,
+                &kills,
+                SchedulePolicy::Random(seed),
+                |_me| NodeIdValuePolicy,
+            )
+        };
+        let (a, b) = (gated(1), gated(4));
         assert_eq!(a.report, b.report, "seed {seed}");
         assert_eq!(a.order_hash, b.order_hash, "seed {seed}");
         assert_eq!(a.message_pairs, b.message_pairs, "seed {seed}");

@@ -4,9 +4,7 @@
 //! [`Scenario::exec`](crate::Scenario::exec) is the single entry point
 //! for every backend: one call taking an [`Exec`] options value
 //! (decision-policy factory, [`SchedulePolicy`], [`Engine`]) and always
-//! returning the report together with the recorded schedule. (It
-//! replaced the historical 2×3 matrix of `run*` methods; their
-//! deprecated forwarders have since been removed.)
+//! returning the report together with the recorded schedule.
 //!
 //! # The simulator
 //!
@@ -25,14 +23,17 @@
 //!
 //! [`Engine::Live`] steps outside the simulation: the scenario runs on
 //! the sharded event-loop runtime (`precipice-net`) with real threads
-//! and real queues. Decisions, views and protocol stats still match
-//! the simulator's (the state machine is identical), but the
-//! schedule is whatever the OS produced: timing fields are coarse
-//! logical stamps, the trace hash is zero, `message_pairs` is absent
-//! and the scenario's [`SchedulePolicy`] and latency model do not
-//! apply. For *deterministic* live schedules use
-//! [`probe_live`](crate::probe_live), which gates the same backend one
-//! released event at a time.
+//! and real queues. Under [`SchedulePolicy::Fifo`] it runs free, and
+//! the schedule is whatever the OS produced: decisions, views and stats
+//! still match the simulator's where they do not depend on it, but
+//! timing fields are coarse logical stamps, the trace hash is zero and
+//! `message_pairs` absent. Any other policy runs *gated*: events are
+//! released one at a time, each picked by the simulator's own explorer,
+//! so the run is deterministic, its [`Schedule`] replays it on either
+//! engine, and timing fields are release steps (the gate's own FIFO
+//! order is `Replay(Schedule::fifo())`). Latencies never apply, and
+//! [`MulticastMode::Sequential`](crate::MulticastMode::Sequential)
+//! multicasts atomically: the live runtime has no chain for it yet.
 
 use precipice_core::{DecisionPolicy, NodeIdValuePolicy};
 use precipice_graph::NodeId;
@@ -49,8 +50,8 @@ pub enum Engine {
     Sim,
     /// The sharded live backend (`precipice-net`): real worker threads
     /// own disjoint node ranges and exchange events over bounded MPSC
-    /// rings. Free-running — observably equivalent on decisions, views
-    /// and stats, but not on schedules (see the [module docs](self)).
+    /// rings; free-running under FIFO, gated under any other policy, and
+    /// atomic for `Sequential` multicasts (see the [module docs](self)).
     Live {
         /// Worker shard count (clamped to at least 1).
         shards: usize,

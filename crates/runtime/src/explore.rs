@@ -10,8 +10,8 @@
 //! sweep engine lives there); this module owns everything that runs on
 //! a single schedule:
 //!
-//! - [`probe`] — run + check one schedule;
-//! - [`shrink_schedule`] — delta-debugging (ddmin) over the deviation
+//! - [`probe_on`] — run + check one schedule, on either engine;
+//! - [`shrink_schedule_on`] — delta-debugging (ddmin) over the deviation
 //!   list: find a locally minimal sub-schedule that still violates the
 //!   specification, exploiting that every subset of a recorded schedule
 //!   is itself a valid schedule (dropped deviations fall back to FIFO);
@@ -27,7 +27,7 @@ use precipice_sim::{race_pairs_of, Deviation, ProbeCoverage, Schedule, ScheduleP
 
 use crate::checker::check_spec_coverage;
 use crate::exec::ExecOutcome;
-use crate::{check_spec, Exec, RunReport, Scenario, Violation};
+use crate::{check_spec, Engine, Exec, RunReport, Scenario, Violation};
 
 /// One explored schedule: the run it produced, the replayable schedule
 /// trace, and the specification verdict.
@@ -41,11 +41,17 @@ pub struct ScheduleProbe {
     pub violations: Vec<Violation>,
 }
 
-/// Runs `scenario` under `policy` and checks the specification.
+/// [`probe_on`] the simulator.
 pub fn probe(scenario: &Scenario, policy: SchedulePolicy) -> ScheduleProbe {
-    let out = scenario.exec(Exec::new().schedule(policy));
+    probe_on(scenario, policy, Engine::Sim)
+}
+
+/// Runs `scenario` under `policy` on `engine` and checks the
+/// specification (on [`Engine::Live`], an exploring policy runs gated).
+pub fn probe_on(scenario: &Scenario, policy: SchedulePolicy, engine: Engine) -> ScheduleProbe {
+    let out = scenario.exec(Exec::new().schedule(policy).engine(engine));
+    let violations = check_spec(&out.report);
     let (report, schedule) = (out.report, out.schedule);
-    let violations = check_spec(&report);
     ScheduleProbe {
         report,
         schedule,
@@ -122,10 +128,15 @@ pub struct Counterexample {
     pub shrink_runs: u64,
 }
 
-/// Delta-debugs `schedule` against `scenario` down to a locally minimal
-/// deviation list that still violates the specification (classic ddmin
-/// over the deviation set, plus a final one-at-a-time pass), spending at
-/// most `max_runs` replays.
+/// [`shrink_schedule_on`] the simulator.
+pub fn shrink_schedule(scenario: &Scenario, schedule: &Schedule, max_runs: u64) -> Counterexample {
+    shrink_schedule_on(scenario, schedule, max_runs, Engine::Sim)
+}
+
+/// Delta-debugs `schedule` against `scenario`, replaying on `engine`,
+/// down to a locally minimal deviation list that still violates the
+/// specification (classic ddmin over the deviation set, plus a final
+/// one-at-a-time pass), spending at most `max_runs` replays.
 ///
 /// The caller should pass a schedule known to violate; if even the full
 /// schedule replays clean (a schedule-dependent flake — possible when
@@ -133,7 +144,12 @@ pub struct Counterexample {
 /// which cannot happen for honored replays), the returned
 /// counterexample carries the clean replay's empty violation list and
 /// the caller must discard it.
-pub fn shrink_schedule(scenario: &Scenario, schedule: &Schedule, max_runs: u64) -> Counterexample {
+pub fn shrink_schedule_on(
+    scenario: &Scenario,
+    schedule: &Schedule,
+    max_runs: u64,
+    engine: Engine,
+) -> Counterexample {
     let original_len = schedule.len();
     if max_runs == 0 {
         // Zero budget means "skip shrinking": echo the input untouched
@@ -151,10 +167,8 @@ pub fn shrink_schedule(scenario: &Scenario, schedule: &Schedule, max_runs: u64) 
     let mut runs: u64 = 0;
     let replay = |devs: &[Deviation], runs: &mut u64| -> (ScheduleProbe, Schedule) {
         *runs += 1;
-        let p = probe(
-            scenario,
-            SchedulePolicy::Replay(Schedule::new(devs.to_vec())),
-        );
+        let replay = SchedulePolicy::Replay(Schedule::new(devs.to_vec()));
+        let p = probe_on(scenario, replay, engine);
         let honored = p.schedule.clone();
         (p, honored)
     };
@@ -506,6 +520,30 @@ mod tests {
         // And the pretty-printer names the property with context.
         let rendered = render_violations(&replayed.report, &replayed.violations);
         assert!(rendered.contains("CD"), "rendered: {rendered}");
+    }
+
+    #[test]
+    fn live_counterexample_shrinks_and_replays_through_the_gate() {
+        // The planted bug on adjacent path crashes, found, shrunk and
+        // replayed on the gated live engine alone.
+        let mut protocol = ProtocolConfig::faithful();
+        protocol.invert_arbitration = true;
+        let scenario = Scenario::builder(precipice_graph::path(9))
+            .crash(NodeId(3), SimTime::from_millis(1))
+            .crash(NodeId(4), SimTime::from_millis(2))
+            .protocol(protocol)
+            .build();
+        let live = Engine::Live { shards: 2 };
+        let found = (0..32)
+            .map(|seed| probe_on(&scenario, SchedulePolicy::Random(seed), live))
+            .find(|p| !p.violations.is_empty())
+            .expect("inverted arbitration must violate within 32 live schedules");
+        let ce = shrink_schedule_on(&scenario, &found.schedule, 200, live);
+        assert!(!ce.violations.is_empty(), "shrinking keeps the violation");
+        assert!(ce.schedule.len() <= found.schedule.len());
+        let replayed = probe_on(&scenario, SchedulePolicy::Replay(ce.schedule.clone()), live);
+        assert_eq!(replayed.report.trace_hash, ce.trace_hash);
+        assert_eq!(replayed.violations, ce.violations);
     }
 
     #[test]

@@ -60,8 +60,8 @@ pub use checker::{branch, check_spec, check_spec_coverage, Violation};
 pub use domains::{faulty_clusters, faulty_domains};
 pub use exec::{Engine, Exec, ExecOutcome};
 pub use explore::{
-    probe, probe_coverage, render_violations, shrink_schedule, Artifact, Counterexample,
-    ScheduleProbe,
+    probe, probe_coverage, probe_on, render_violations, shrink_schedule, shrink_schedule_on,
+    Artifact, Counterexample, ScheduleProbe,
 };
 pub use live::probe_live;
 pub use predicate::{PredicateScenario, PredicateScenarioBuilder};

@@ -1,24 +1,9 @@
 //! The live-backend execution adapter: runs a [`Scenario`] on the
 //! sharded event-loop runtime ([`precipice_net::ShardedCluster`]) and
 //! re-expresses the outcome as the same [`RunReport`] every other
-//! engine produces.
-//!
-//! Two modes, mirroring the sim side's run-vs-explore split:
-//!
-//! - [`exec_live`] (behind [`Engine::Live`](crate::Engine::Live)) —
-//!   free-running: real threads, real rings, nondeterministic
-//!   interleavings. Wall-clock timing is not simulated, so decision
-//!   times are stamped on a coarse logical clock (all at or after the
-//!   last scheduled crash), the trace hash is zero, and
-//!   `message_pairs` is `None` (CD3 is a per-schedule property; a
-//!   free-running report has no single schedule to pin it to).
-//! - [`probe_live`] — one *gated* schedule: the controller releases
-//!   events one at a time ([`precipice_net::gated_run`]), so the
-//!   outcome is a pure function of `(scenario, seed)`, timestamps are
-//!   release-clock steps, and `message_pairs` is recorded. This is the
-//!   backend behind `precipice check --backend live`: the same
-//!   [`check_spec`](crate::check_spec) properties, checked against the
-//!   real runtime instead of the simulator.
+//! engine produces — free-running under [`SchedulePolicy::Fifo`], gated
+//! ([`precipice_net::gated_run`]) under any other policy. The
+//! [`exec`](crate::exec) module docs say what each run keeps.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -26,32 +11,107 @@ use std::time::Duration;
 
 use precipice_core::DecisionPolicy;
 use precipice_graph::NodeId;
-use precipice_net::{gated_run, ShardedCluster};
-use precipice_sim::{Metrics, RunOutcome, Schedule, SimTime};
+use precipice_net::{gated_run, RouterCounters, ShardedCluster};
+use precipice_sim::{Metrics, RunOutcome, Schedule, SchedulePolicy, SimTime};
 
-use crate::exec::ExecOutcome;
+use crate::exec::{Engine, Exec, ExecOutcome};
 use crate::report::{Decision, RunReport};
 use crate::scenario::Scenario;
 
 /// Hard wall-clock cap on a free-running live execution.
 const TIMEOUT: Duration = Duration::from_secs(120);
 
-/// Runs `scenario` free-running on the sharded live backend with
-/// `shards` worker threads (the [`Engine::Live`](crate::Engine::Live)
-/// arm of [`Scenario::exec`]).
-///
-/// The simulator's latency model and schedule policy do not apply —
-/// the OS scheduler provides the nondeterminism — so only the
-/// scenario's graph, protocol config and crash *order* (by scheduled
-/// time, ties by node id) carry over. Decisions are stamped at one
-/// tick past the latest scheduled crash time, which keeps the
-/// agreement- and timing-properties of [`check_spec`](crate::check_spec)
-/// meaningful on the resulting report.
+/// Runs `scenario` on the sharded live backend with `shards` worker
+/// threads: the [`Engine::Live`](crate::Engine::Live) arm of
+/// [`Scenario::exec`]. A gated run's timestamps are its release steps
+/// in microseconds, so a crash is always stamped before the decisions
+/// that react to it.
 pub(crate) fn exec_live<P, F>(
     scenario: &Scenario,
     shards: usize,
+    policy: SchedulePolicy,
     make_policy: F,
 ) -> ExecOutcome<P::Value>
+where
+    P: DecisionPolicy + Send + 'static,
+    P::Value: Send + Sync,
+    F: FnMut(NodeId) -> P + Send + 'static,
+{
+    if policy == SchedulePolicy::Fifo {
+        return free_running(scenario, shards, make_policy);
+    }
+    let kills: Vec<NodeId> = scenario.crashes.iter().map(|&(node, _)| node).collect();
+    let graph = Arc::clone(&scenario.graph);
+    let run = gated_run(
+        graph,
+        scenario.protocol,
+        shards,
+        &kills,
+        policy,
+        make_policy,
+    );
+    let at = SimTime::from_micros;
+    let mut decisions = BTreeMap::new();
+    for (node, (view, value)) in run.report.decisions {
+        let at = at(run.decision_steps.get(&node).copied().unwrap_or(0));
+        decisions.insert(node, Decision { view, value, at });
+    }
+    let last = decisions.values().map(|d| d.at).max();
+    let report = RunReport {
+        graph: Arc::clone(&scenario.graph),
+        crashed: run
+            .crash_steps
+            .iter()
+            .map(|&(q, step)| (q, at(step)))
+            .collect(),
+        decisions,
+        metrics: metrics_of(run.counters),
+        stats: run.report.stats,
+        message_pairs: Some(run.message_pairs),
+        trace_hash: run.order_hash,
+        outcome: RunOutcome::Quiescent {
+            events: run.released,
+            at: last.unwrap_or(SimTime::ZERO),
+        },
+    };
+    let schedule = run.schedule;
+    ExecOutcome {
+        report,
+        schedule,
+        trace: None,
+    }
+}
+
+/// The live runtime's transport totals as the simulator's [`Metrics`].
+fn metrics_of(counters: RouterCounters) -> Metrics {
+    let mut metrics = Metrics::default();
+    let RouterCounters {
+        messages_sent,
+        bytes_sent,
+        delivered,
+        dropped,
+        notifications,
+        events,
+        ..
+    } = counters;
+    metrics.record_backend_totals(
+        messages_sent,
+        bytes_sent,
+        delivered,
+        dropped,
+        notifications,
+        events,
+    );
+    metrics
+}
+
+/// The free-running arm of [`exec_live`]: the OS scheduler provides the
+/// nondeterminism, so only the scenario's graph, protocol config and
+/// crash *order* (by scheduled time, ties by node id) carry over.
+/// Decisions are stamped at one tick past the latest scheduled crash
+/// time, which keeps the agreement- and timing-properties of
+/// [`check_spec`](crate::check_spec) meaningful on the resulting report.
+fn free_running<P, F>(scenario: &Scenario, shards: usize, make_policy: F) -> ExecOutcome<P::Value>
 where
     P: DecisionPolicy + Send + 'static,
     P::Value: Send + Sync,
@@ -93,16 +153,6 @@ where
         })
         .collect();
 
-    let mut metrics = Metrics::default();
-    metrics.record_backend_totals(
-        counters.messages_sent,
-        counters.bytes_sent,
-        counters.delivered,
-        counters.dropped,
-        counters.notifications,
-        counters.events,
-    );
-
     let outcome = if quiescent {
         RunOutcome::Quiescent {
             events: counters.events,
@@ -120,7 +170,7 @@ where
             graph,
             crashed,
             decisions,
-            metrics,
+            metrics: metrics_of(counters),
             stats: report.stats,
             message_pairs: None,
             trace_hash: 0,
@@ -132,69 +182,14 @@ where
 }
 
 /// Explores one gated schedule of `scenario` on the live backend and
-/// returns a fully-checkable [`RunReport`].
-///
-/// Deterministic in `(scenario, seed)` and independent of `shards` —
-/// the gate serializes the run to one released event at a time (see
-/// [`precipice_net::gated_run`]). Timestamps are the release clock
-/// mapped to microseconds, so crash stamps always precede the decision
-/// stamps of the nodes that reacted to them, and `message_pairs`
-/// carries the full delivery sequence for the locality check (CD3).
-/// The report's `trace_hash` is the schedule's order hash: two probes
-/// collide iff they explored the same release sequence.
+/// returns a fully-checkable [`RunReport`]: the
+/// [`Engine::Live`](crate::Engine::Live) run under
+/// [`SchedulePolicy::Random`]`(seed)`, deterministic in `(scenario,
+/// seed)` and independent of `shards`. Its `trace_hash` is the order
+/// hash: two probes collide iff they explored the same release sequence.
 pub fn probe_live(scenario: &Scenario, shards: usize, seed: u64) -> RunReport<NodeId> {
-    let mut kills: Vec<(NodeId, SimTime)> = scenario.crashes.clone();
-    kills.sort_by_key(|&(node, at)| (at, node));
-    let kill_order: Vec<NodeId> = kills.iter().map(|&(node, _)| node).collect();
-
-    let outcome = gated_run(
-        Arc::clone(&scenario.graph),
-        scenario.protocol,
-        shards,
-        &kill_order,
-        seed,
-    );
-
-    let crashed: BTreeMap<NodeId, SimTime> = outcome
-        .crash_steps
-        .iter()
-        .map(|&(node, step)| (node, SimTime::from_micros(step)))
-        .collect();
-    let decisions: BTreeMap<NodeId, Decision<NodeId>> = outcome
-        .report
-        .decisions
-        .into_iter()
-        .map(|(node, (view, value))| {
-            let step = outcome.decision_steps.get(&node).copied().unwrap_or(0);
-            (
-                node,
-                Decision {
-                    view,
-                    value,
-                    at: SimTime::from_micros(step),
-                },
-            )
-        })
-        .collect();
-
-    let last = decisions
-        .values()
-        .map(|d| d.at)
-        .max()
-        .unwrap_or(SimTime::ZERO);
-    RunReport {
-        graph: Arc::clone(&scenario.graph),
-        crashed,
-        decisions,
-        metrics: Metrics::default(),
-        stats: outcome.report.stats,
-        message_pairs: Some(outcome.message_pairs),
-        trace_hash: outcome.order_hash,
-        outcome: RunOutcome::Quiescent {
-            events: outcome.released,
-            at: last,
-        },
-    }
+    let exec = Exec::new().schedule(SchedulePolicy::Random(seed));
+    scenario.exec(exec.engine(Engine::Live { shards })).report
 }
 
 #[cfg(test)]

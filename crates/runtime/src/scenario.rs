@@ -78,7 +78,7 @@ impl Scenario {
                 }])
                 .pop()
                 .expect("one job in, one outcome out"),
-            Engine::Live { shards } => crate::live::exec_live(self, shards, make_policy),
+            Engine::Live { shards } => crate::live::exec_live(self, shards, schedule, make_policy),
         }
     }
 }

@@ -334,15 +334,15 @@ impl FromStr for Schedule {
     }
 }
 
-/// An enabled event as the policy sees it: position in the slot's
-/// event slab, scheduling order, and the target node — everything a
-/// pick needs *except* the stable [`EventKey`], which
-/// [`Explorer::choose`] asks for lazily (deviation recording and replay
-/// matching only), so the per-step scan does no per-candidate
-/// channel-count lookups.
+/// An enabled event as the policy sees it: the engine's handle on it,
+/// scheduling order, and the target node — everything a pick needs
+/// *except* the stable [`EventKey`], which [`Explorer::choose`] asks for
+/// lazily (deviation recording and replay matching only), so the
+/// per-step scan does no per-candidate channel-count lookups. The live
+/// runtime's delivery gate fills it too, with `idx` and `at` zero.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct FrontierEntry {
-    /// Index into the event slab.
+pub struct FrontierEntry {
+    /// The engine's handle on the event (the slot's slab index).
     pub idx: u32,
     /// Global push sequence number (FIFO tie-break; frontier sort key).
     pub seq: u64,
@@ -370,11 +370,11 @@ enum Mode {
 }
 
 /// The engine behind a non-FIFO [`SchedulePolicy`]: picks among the
-/// enabled events and records deviations. Per-channel delivery counts
-/// (the `nth` of a delivery's stable [`EventKey`]) live on the slot's
-/// channel table, which hands keys over through `key_of`.
+/// enabled events and records deviations. The engine driving it — the
+/// run slot, or the live runtime's delivery gate — keeps the frontier
+/// and hands stable keys over through `key_of`.
 #[derive(Debug, Clone)]
-pub(crate) struct Explorer {
+pub struct Explorer {
     mode: Mode,
     recorded: Vec<Deviation>,
     step: u64,
@@ -419,12 +419,13 @@ impl Explorer {
     }
 
     /// Picks the event to execute next out of the seq-ordered enabled
-    /// `frontier`; `fifo` is the index of the latency-ordered choice.
+    /// `frontier`; `fifo` is the index of the engine's FIFO choice (the
+    /// slot's latency order, the gate's earliest parked event).
     /// Records a deviation when the pick differs from FIFO, and
     /// advances the decision step. `key_of(i)` produces candidate `i`'s
     /// stable key on demand (replay matching and deviation recording —
     /// the only consumers; it never touches the RNG).
-    pub(crate) fn choose(
+    pub fn choose(
         &mut self,
         frontier: &[FrontierEntry],
         fifo: usize,

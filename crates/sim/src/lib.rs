@@ -89,8 +89,8 @@ mod trace;
 
 pub use batch::{BatchRun, BatchSim, BatchVariant};
 pub use explore::{
-    race_pairs_of, CoverageMap, Deviation, EventKey, GuidedSpec, ProbeCoverage, Schedule,
-    SchedulePolicy,
+    race_pairs_of, CoverageMap, Deviation, EventKey, Explorer, FrontierEntry, GuidedSpec,
+    ProbeCoverage, Schedule, SchedulePolicy,
 };
 pub use latency::LatencyModel;
 pub use metrics::{Metrics, NodeMetrics};

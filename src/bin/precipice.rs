@@ -27,13 +27,16 @@
 //! violations look like).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Display;
 use std::process::ExitCode;
 
 use precipice::consensus::ProtocolConfig;
 use precipice::graph::{to_dot, Graph, GridDims, NodeId, Region};
-use precipice::runtime::explore::{probe, render_violations, Artifact};
-use precipice::runtime::{check_spec, Exec, MulticastMode, RunDigest, RunReport, Scenario};
-use precipice::sim::{LatencyModel, SchedulePolicy, SimConfig, SimTime};
+use precipice::runtime::explore::{
+    probe, probe_on, render_violations, shrink_schedule_on, Artifact, Counterexample,
+};
+use precipice::runtime::{check_spec, Engine, Exec, MulticastMode, RunDigest, RunReport, Scenario};
+use precipice::sim::{LatencyModel, Schedule, SchedulePolicy, SimConfig, SimTime};
 use precipice::workload::explore::{
     explore_scenario, shrink_scenario, ExploreConfig, PolicyMix, ShrinkTopology,
 };
@@ -79,12 +82,12 @@ OPTIONS:
 CHECK OPTIONS (adversarial schedule exploration):
     --budget <n>        schedules to explore        [default: 1000]
     --policy <p>        random | pcr | mixed | guided
-                        (guided = coverage-guided corpus mutation)
-                                                    [default: mixed]
+                        (guided = coverage-guided corpus mutation,
+                        sim backend only)           [default: mixed]
     --stop-after <k>    stop once k violating schedules were found
                         (0 = always spend the whole budget) [default: 0]
     --artifact <path>   write the first shrunk counterexample here
-                        (default: print it inline; sim backend only)
+                        (default: print it inline)
     --shrink-scenario   also minimize the *scenario* of the first
                         violation: drop crashes, shrink torus/ring
                         topologies (crashes remapped), re-shrink the
@@ -92,6 +95,7 @@ CHECK OPTIONS (adversarial schedule exploration):
     --backend <b>       sim | live — explore simulator schedules, or
                         gate the sharded live runtime and explore *real*
                         backend schedules one released event at a time
+                        (live: no --sequential-multicast yet)
                                                     [default: sim]
     --shards <n>        live-backend worker shards  [default: 2]
 
@@ -541,17 +545,6 @@ fn print_single(
     }
 }
 
-/// Which runtime `check` explores schedules of.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CheckBackend {
-    /// The deterministic simulator (delivery/crash schedule fuzzing
-    /// with shrinking and replayable artifacts).
-    Sim,
-    /// The sharded live runtime, gated to one released event at a time
-    /// — every explored schedule ran on real threads and real queues.
-    Live,
-}
-
 /// Options of the `check` subcommand: the base scenario flags plus the
 /// exploration knobs.
 #[derive(Debug, Clone, PartialEq)]
@@ -562,8 +555,9 @@ struct CheckOptions {
     stop_after: usize,
     artifact: Option<String>,
     shrink_scenario: bool,
-    backend: CheckBackend,
-    shards: usize,
+    /// The simulator, or the sharded live runtime gated to one released
+    /// event at a time.
+    engine: Engine,
 }
 
 /// Parses `check` arguments: exploration flags are extracted here, the
@@ -574,7 +568,7 @@ fn parse_check_args<I: Iterator<Item = String>>(args: I) -> Result<CheckOptions,
     let mut stop_after: usize = 0;
     let mut artifact: Option<String> = None;
     let mut shrink_scenario = false;
-    let mut backend = CheckBackend::Sim;
+    let mut live = false;
     let mut shards: usize = 2;
     let mut rest: Vec<String> = Vec::new();
     let mut args = args.peekable();
@@ -601,9 +595,9 @@ fn parse_check_args<I: Iterator<Item = String>>(args: I) -> Result<CheckOptions,
             "--artifact" => artifact = Some(value("--artifact")?),
             "--shrink-scenario" => shrink_scenario = true,
             "--backend" => {
-                backend = match value("--backend")?.as_str() {
-                    "sim" => CheckBackend::Sim,
-                    "live" => CheckBackend::Live,
+                live = match value("--backend")?.as_str() {
+                    "sim" => false,
+                    "live" => true,
                     other => return Err(format!("--backend wants sim or live, got {other:?}")),
                 }
             }
@@ -622,13 +616,21 @@ fn parse_check_args<I: Iterator<Item = String>>(args: I) -> Result<CheckOptions,
     if base.runs != 1 {
         return Err("--runs does not apply to `check` (one scenario, many schedules)".to_owned());
     }
-    if backend == CheckBackend::Live && artifact.is_some() {
-        return Err(
-            "--artifact applies to the sim backend only; live schedules replay by seed".to_owned(),
-        );
-    }
-    if backend == CheckBackend::Live && shrink_scenario {
-        return Err("--shrink-scenario applies to the sim backend only".to_owned());
+    let sim_only = [
+        (shrink_scenario, "--shrink-scenario", ""),
+        (
+            policy == PolicyMix::Guided,
+            "--policy guided",
+            ": it is steered by trace coverage, which gated live runs do not record",
+        ),
+        (
+            base.sequential_multicast,
+            "--sequential-multicast",
+            ": the live runtime has no multicast chain yet",
+        ),
+    ];
+    if let Some((_, flag, why)) = sim_only.iter().find(|(on, ..)| live && *on) {
+        return Err(format!("{flag} applies to the sim backend only{why}"));
     }
     Ok(CheckOptions {
         base,
@@ -637,8 +639,11 @@ fn parse_check_args<I: Iterator<Item = String>>(args: I) -> Result<CheckOptions,
         stop_after,
         artifact,
         shrink_scenario,
-        backend,
-        shards,
+        engine: if live {
+            Engine::Live { shards }
+        } else {
+            Engine::Sim
+        },
     })
 }
 
@@ -706,14 +711,46 @@ fn shrink_topology_of(spec: &str) -> ShrinkTopology {
 /// Runs the `check` subcommand. Returns `Ok(true)` when no schedule
 /// violated the specification.
 fn run_check(opts: &CheckOptions) -> Result<bool, String> {
-    if opts.backend == CheckBackend::Live {
-        return run_check_live(opts);
-    }
     let base = &opts.base;
     let graph = parse_topology(&base.topology, base.seed)?;
     let region = parse_region(&base.region, &graph, base.at)?;
     parse_timing(&base.timing, base.seed)?;
     let scenario = scenario_for(base, &graph, &region, base.seed);
+    let (explored, violating) = match opts.engine {
+        Engine::Sim => explore_sim(opts, &scenario)?,
+        Engine::Live { shards } => explore_live(opts, &scenario, shards)?,
+    };
+    if violating == 0 {
+        println!("specification: CD1-CD7 hold on all {explored} explored schedules ✓");
+        Ok(true)
+    } else {
+        println!("specification VIOLATED on {violating} of {explored} explored schedules");
+        Ok(false)
+    }
+}
+
+/// Prints `check`'s summary table: `rows`, then the policy and seed.
+fn print_summary(opts: &CheckOptions, title: &str, rows: &[(&str, &dyn Display)]) {
+    let base = &opts.base;
+    let title = format!("{title} ({} / {})", base.topology, base.region);
+    let mut summary = Table::new(title, ["metric", "value"]);
+    for (metric, value) in rows {
+        summary.push_row([metric.to_string(), value.to_string()]);
+    }
+    let policy = format!("{:?} / {}", opts.policy, base.seed).to_lowercase();
+    summary.push_row(["policy / seed".to_owned(), policy]);
+    if base.csv {
+        print!("{}", summary.to_csv());
+    } else {
+        println!("{summary}");
+    }
+}
+
+/// `check` on the simulator: the parallel, coverage-tracking
+/// exploration, its shrunk counterexamples and, if asked, the scenario
+/// shrink. Returns the schedules explored and how many violated.
+fn explore_sim(opts: &CheckOptions, scenario: &Scenario) -> Result<(u64, u64), String> {
+    let base = &opts.base;
     let jobs = base.jobs.map(Jobs::new).unwrap_or_else(Jobs::from_env);
     let cfg = ExploreConfig {
         budget: opts.budget,
@@ -722,102 +759,32 @@ fn run_check(opts: &CheckOptions) -> Result<bool, String> {
         stop_after: opts.stop_after,
         ..ExploreConfig::default()
     };
-    let outcome = explore_scenario(&scenario, &cfg, jobs);
-
-    let mut summary = Table::new(
-        format!(
-            "adversarial schedule exploration ({} / {})",
-            base.topology, base.region
-        ),
-        ["metric", "value"],
-    );
-    summary.push_row(["budget".to_owned(), opts.budget.to_string()]);
-    summary.push_row([
-        "schedules explored".to_owned(),
-        outcome.schedules().to_string(),
-    ]);
-    summary.push_row([
-        "unique orderings".to_owned(),
-        outcome.unique_orderings().to_string(),
-    ]);
-    summary.push_row([
-        "max deviations from FIFO".to_owned(),
-        outcome.max_deviations().to_string(),
-    ]);
-    let coverage = &outcome.coverage;
-    summary.push_row([
-        "race pairs seen".to_owned(),
-        coverage.race_pairs().to_string(),
-    ]);
-    summary.push_row([
-        "race pairs seen in both orders".to_owned(),
-        coverage.flipped_pairs().to_string(),
-    ]);
-    summary.push_row([
-        "distinct final states".to_owned(),
-        coverage.distinct_states().to_string(),
-    ]);
-    summary.push_row([
-        "checker branches hit".to_owned(),
-        coverage.branch_count().to_string(),
-    ]);
-    summary.push_row([
-        "violating schedules".to_owned(),
-        outcome.violating().to_string(),
-    ]);
-    summary.push_row([
-        "counterexamples shrunk".to_owned(),
-        outcome.counterexamples.len().to_string(),
-    ]);
-    summary.push_row([
-        "min counterexample (decisions)".to_owned(),
-        outcome
-            .min_counterexample_len()
-            .map_or("-".to_owned(), |n| n.to_string()),
-    ]);
-    summary.push_row([
-        "policy / seed".to_owned(),
-        format!("{:?} / {}", opts.policy, base.seed).to_lowercase(),
-    ]);
-    if base.csv {
-        print!("{}", summary.to_csv());
-    } else {
-        println!("{summary}");
-    }
+    let outcome = explore_scenario(scenario, &cfg, jobs);
+    let (o, c) = (&outcome, &outcome.coverage);
+    let min = o
+        .min_counterexample_len()
+        .map_or("-".to_owned(), |n| n.to_string());
+    let rows: [(&str, &dyn Display); 11] = [
+        ("budget", &opts.budget),
+        ("schedules explored", &o.schedules()),
+        ("unique orderings", &o.unique_orderings()),
+        ("max deviations from FIFO", &o.max_deviations()),
+        ("race pairs seen", &c.race_pairs()),
+        ("race pairs seen in both orders", &c.flipped_pairs()),
+        ("distinct final states", &c.distinct_states()),
+        ("checker branches hit", &c.branch_count()),
+        ("violating schedules", &o.violating()),
+        ("counterexamples shrunk", &o.counterexamples.len()),
+        ("min counterexample (decisions)", &min),
+    ];
+    print_summary(opts, "adversarial schedule exploration", &rows);
 
     for (k, (probe_idx, ce)) in outcome.counterexamples.iter().enumerate() {
-        println!(
-            "## counterexample {}: probe {probe_idx}, shrunk {} -> {} scheduling decisions in {} replays\n",
-            k + 1,
-            ce.original_len,
-            ce.schedule.len(),
-            ce.shrink_runs
-        );
-        // Replay the minimized schedule for the human-readable diff of
-        // the offending properties.
-        let replayed = probe(&scenario, SchedulePolicy::Replay(ce.schedule.clone()));
-        print!(
-            "{}",
-            render_violations(&replayed.report, &replayed.violations)
-        );
-        let artifact = Artifact::new(spec_of(base), ce);
-        match (&opts.artifact, k) {
-            (Some(path), 0) => {
-                std::fs::write(path, artifact.render())
-                    .map_err(|e| format!("writing {path:?}: {e}"))?;
-                // Stderr keeps stdout byte-comparable across --jobs.
-                eprintln!("wrote {path}");
-            }
-            _ => {
-                println!("\nreplayable artifact (save and `precipice replay <file>`):\n");
-                print!("{}", artifact.render());
-            }
-        }
-        println!();
+        print_counterexample(opts, scenario, k, *probe_idx, ce)?;
     }
 
     if opts.shrink_scenario && outcome.violating() > 0 {
-        match shrink_scenario(&scenario, shrink_topology_of(&base.topology), &cfg) {
+        match shrink_scenario(scenario, shrink_topology_of(&base.topology), &cfg) {
             Some(s) => {
                 println!(
                     "## scenario shrink: {} -> {} nodes, {} -> {} crashes in {} oracle probes\n",
@@ -850,102 +817,103 @@ fn run_check(opts: &CheckOptions) -> Result<bool, String> {
             None => println!("## scenario shrink: oracle found no violation within its budget\n"),
         }
     }
-
-    if outcome.violating() == 0 {
-        println!(
-            "specification: CD1-CD7 hold on all {} explored schedules ✓",
-            outcome.schedules()
-        );
-        Ok(true)
-    } else {
-        println!(
-            "specification VIOLATED on {} of {} explored schedules",
-            outcome.violating(),
-            outcome.schedules()
-        );
-        Ok(false)
-    }
+    Ok((outcome.schedules(), outcome.violating()))
 }
 
-/// Runs `check --backend live`: explores `budget` gated schedules of
-/// the sharded live runtime (seeds `seed..seed+budget`) and checks
-/// every resulting report against CD1–CD7. Each explored schedule ran
-/// on real shard threads; a violating one is reproducible from its
-/// seed alone (the gate makes the outcome a pure function of scenario
-/// × seed, independent of shard count and machine speed).
-fn run_check_live(opts: &CheckOptions) -> Result<bool, String> {
-    let base = &opts.base;
-    let graph = parse_topology(&base.topology, base.seed)?;
-    let region = parse_region(&base.region, &graph, base.at)?;
-    parse_timing(&base.timing, base.seed)?;
-    let scenario = scenario_for(base, &graph, &region, base.seed);
-
-    let mut explored = 0u64;
-    let mut violating = 0u64;
+/// `check --backend live`: explores `budget` gated schedules of the
+/// sharded live runtime — the policy stream the simulator's exploration
+/// draws, probe 0 being the gate's FIFO order. Each ran on real shard
+/// threads and is a pure function of scenario × policy, independent of
+/// shard count and machine speed; the first violating one is shrunk
+/// through the gate into a replayable counterexample.
+fn explore_live(
+    opts: &CheckOptions,
+    scenario: &Scenario,
+    shards: usize,
+) -> Result<(u64, u64), String> {
+    let (mut explored, mut violating) = (0u64, 0u64);
     let mut orderings = BTreeSet::new();
-    let mut worst: Option<(u64, RunReport<NodeId>)> = None;
+    let mut first: Option<(u64, Schedule)> = None;
     for i in 0..opts.budget {
-        let seed = base.seed.wrapping_add(i);
-        let report = precipice::runtime::probe_live(&scenario, opts.shards, seed);
+        // FIFO would run the live engine free; gated, FIFO is the empty
+        // replay.
+        let policy = match opts.policy.policy_for(opts.base.seed, i) {
+            SchedulePolicy::Fifo => SchedulePolicy::Replay(Schedule::fifo()),
+            policy => policy,
+        };
+        let p = probe_on(scenario, policy, opts.engine);
         explored += 1;
-        orderings.insert(report.trace_hash);
-        if !check_spec(&report).is_empty() {
+        orderings.insert(p.report.trace_hash);
+        if !p.violations.is_empty() {
             violating += 1;
-            if worst.is_none() {
-                worst = Some((i, report));
-            }
+            first.get_or_insert((i, p.schedule));
             if opts.stop_after != 0 && violating as usize >= opts.stop_after {
                 break;
             }
         }
     }
+    let rows: [(&str, &dyn Display); 5] = [
+        ("budget", &opts.budget),
+        ("schedules explored", &explored),
+        ("unique orderings", &orderings.len()),
+        ("violating schedules", &violating),
+        ("shards", &shards),
+    ];
+    print_summary(opts, "live-backend schedule exploration", &rows);
+    if let Some((probe_idx, schedule)) = &first {
+        let shrink_runs = ExploreConfig::default().shrink_runs;
+        let ce = shrink_schedule_on(scenario, schedule, shrink_runs, opts.engine);
+        print_counterexample(opts, scenario, 0, *probe_idx, &ce)?;
+    }
+    Ok((explored, violating))
+}
 
-    let mut summary = Table::new(
-        format!(
-            "live-backend schedule exploration ({} / {})",
-            base.topology, base.region
-        ),
-        ["metric", "value"],
+/// Prints counterexample `k`, found at probe `probe_idx`: its shrink,
+/// the offending properties of its replay, and its artifact — written to
+/// `--artifact` for the first one, printed inline otherwise. A live
+/// artifact carries `backend = live`, so `precipice replay` re-runs it
+/// through the gate.
+fn print_counterexample(
+    opts: &CheckOptions,
+    scenario: &Scenario,
+    k: usize,
+    probe_idx: u64,
+    ce: &Counterexample,
+) -> Result<(), String> {
+    println!(
+        "## counterexample {}: probe {probe_idx}, shrunk {} -> {} scheduling decisions in {} replays\n",
+        k + 1,
+        ce.original_len,
+        ce.schedule.len(),
+        ce.shrink_runs
     );
-    summary.push_row(["budget".to_owned(), opts.budget.to_string()]);
-    summary.push_row(["schedules explored".to_owned(), explored.to_string()]);
-    summary.push_row(["unique orderings".to_owned(), orderings.len().to_string()]);
-    summary.push_row(["violating schedules".to_owned(), violating.to_string()]);
-    summary.push_row(["shards".to_owned(), opts.shards.to_string()]);
-    summary.push_row(["first seed".to_owned(), base.seed.to_string()]);
-    if base.csv {
-        print!("{}", summary.to_csv());
-    } else {
-        println!("{summary}");
+    // Replay the minimized schedule for the human-readable diff of the
+    // offending properties.
+    let replay = SchedulePolicy::Replay(ce.schedule.clone());
+    let replayed = probe_on(scenario, replay, opts.engine);
+    print!(
+        "{}",
+        render_violations(&replayed.report, &replayed.violations)
+    );
+    let mut spec = spec_of(&opts.base);
+    if opts.engine != Engine::Sim {
+        spec.insert("backend".to_owned(), "live".to_owned());
     }
-
-    if let Some((i, report)) = &worst {
-        let violations = check_spec(report);
-        let seed = base.seed.wrapping_add(*i);
-        println!("## first violating live schedule: seed {seed}\n");
-        print!("{}", render_violations(report, &violations));
-        // The scenario exactly as parsed (the base seed also builds seeded
-        // topologies and timings), explored up to this schedule.
-        let mut line = format!("precipice check --backend live --budget {}", i + 1);
-        for (key, value) in spec_of(base) {
-            match value.as_str() {
-                "true" => line.push_str(&format!(" --{key}")),
-                _ => line.push_str(&format!(" --{key} {value}")),
-            }
+    let artifact = Artifact::new(spec, ce);
+    match (&opts.artifact, k) {
+        (Some(path), 0) => {
+            std::fs::write(path, artifact.render())
+                .map_err(|e| format!("writing {path:?}: {e}"))?;
+            // Stderr keeps stdout byte-comparable across --jobs.
+            eprintln!("wrote {path}");
         }
-        println!("\nreproduce: {line}\n");
+        _ => {
+            println!("\nreplayable artifact (save and `precipice replay <file>`):\n");
+            print!("{}", artifact.render());
+        }
     }
-
-    if violating == 0 {
-        println!(
-            "specification: CD1-CD7 hold on all {explored} live schedules ({} shards) ✓",
-            opts.shards
-        );
-        Ok(true)
-    } else {
-        println!("specification VIOLATED on {violating} of {explored} live schedules");
-        Ok(false)
-    }
+    println!();
+    Ok(())
 }
 
 /// Runs the `serve` subcommand: a long-lived process speaking
@@ -1003,12 +971,20 @@ fn parse_serve_args<I: Iterator<Item = String>>(mut args: I) -> Result<usize, St
 fn run_replay(path: &str) -> Result<bool, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path:?}: {e}"))?;
     let artifact = Artifact::parse(&text)?;
-    let opts = options_from_spec(&artifact.spec)?;
+    // A live counterexample replays through the gate, at any shard count.
+    let mut spec = artifact.spec.clone();
+    let engine = match spec.remove("backend").as_deref() {
+        None => Engine::Sim,
+        Some("live") => Engine::Live { shards: 2 },
+        Some(other) => return Err(format!("unknown backend {other:?} in artifact")),
+    };
+    let opts = options_from_spec(&spec)?;
     let graph = parse_topology(&opts.topology, opts.seed)?;
     let region = parse_region(&opts.region, &graph, opts.at)?;
     parse_timing(&opts.timing, opts.seed)?;
     let scenario = scenario_for(&opts, &graph, &region, opts.seed);
-    let replayed = probe(&scenario, SchedulePolicy::Replay(artifact.schedule.clone()));
+    let replay = SchedulePolicy::Replay(artifact.schedule.clone());
+    let replayed = probe_on(&scenario, replay, engine);
 
     println!("# replaying {path}\n");
     println!(
@@ -1412,14 +1388,25 @@ mod tests {
         assert!(check_parse(&["--bogus"]).is_err());
 
         let live = check_parse(&["--backend", "live", "--shards", "4"]).unwrap();
-        assert_eq!(live.backend, CheckBackend::Live);
-        assert_eq!(live.shards, 4);
-        assert_eq!(check_parse(&[]).unwrap().backend, CheckBackend::Sim);
+        assert_eq!(live.engine, Engine::Live { shards: 4 });
+        assert_eq!(check_parse(&[]).unwrap().engine, Engine::Sim);
         assert!(check_parse(&["--backend", "quantum"]).is_err());
         assert!(check_parse(&["--shards", "0"]).is_err());
+        assert_eq!(
+            check_parse(&["--backend", "live", "--artifact", "/tmp/x"])
+                .unwrap()
+                .artifact
+                .as_deref(),
+            Some("/tmp/x"),
+            "live schedules replay from an artifact"
+        );
         assert!(
-            check_parse(&["--backend", "live", "--artifact", "/tmp/x"]).is_err(),
-            "live schedules replay by seed, not artifact"
+            check_parse(&["--backend", "live", "--policy", "guided"]).is_err(),
+            "guided is steered by trace coverage, which gated runs do not record"
+        );
+        assert!(
+            check_parse(&["--backend", "live", "--sequential-multicast"]).is_err(),
+            "the live runtime has no multicast chain yet"
         );
         assert!(
             check_parse(&["--backend", "live", "--shrink-scenario"]).is_err(),
@@ -1453,8 +1440,7 @@ mod tests {
             stop_after: 0,
             artifact: None,
             shrink_scenario: false,
-            backend: CheckBackend::Sim,
-            shards: 2,
+            engine: Engine::Sim,
         };
         assert_eq!(run_check(&opts), Ok(true));
     }
@@ -1474,14 +1460,16 @@ mod tests {
             stop_after: 0,
             artifact: None,
             shrink_scenario: false,
-            backend: CheckBackend::Live,
-            shards: 2,
+            engine: Engine::Live { shards: 2 },
         };
         assert_eq!(run_check(&opts), Ok(true));
     }
 
     #[test]
     fn live_check_catches_planted_bug() {
+        let dir = std::env::temp_dir().join("precipice-check-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let artifact_path = dir.join("live-ce.txt");
         let opts = CheckOptions {
             base: Options {
                 topology: "path:9".into(),
@@ -1494,15 +1482,24 @@ mod tests {
             budget: 48,
             policy: PolicyMix::Mixed,
             stop_after: 1,
-            artifact: None,
+            artifact: Some(artifact_path.to_string_lossy().into_owned()),
             shrink_scenario: false,
-            backend: CheckBackend::Live,
-            shards: 2,
+            engine: Engine::Live { shards: 2 },
         };
         assert_eq!(
             run_check(&opts),
             Ok(false),
             "the planted bug must be caught on the live backend"
+        );
+        // Its shrunk counterexample replays through the gate.
+        let text = std::fs::read_to_string(&artifact_path).expect("artifact written");
+        let artifact = Artifact::parse(&text).expect("artifact parses");
+        assert!(!artifact.violations.is_empty());
+        assert_eq!(artifact.spec["backend"], "live");
+        assert_eq!(
+            run_replay(&artifact_path.to_string_lossy()),
+            Ok(true),
+            "replay must reproduce the live counterexample"
         );
     }
 
@@ -1526,8 +1523,7 @@ mod tests {
             stop_after: 1,
             artifact: Some(artifact_path.to_string_lossy().into_owned()),
             shrink_scenario: false,
-            backend: CheckBackend::Sim,
-            shards: 2,
+            engine: Engine::Sim,
         };
         assert_eq!(
             run_check(&opts),

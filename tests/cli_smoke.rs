@@ -127,43 +127,40 @@ fn check_prints_its_coverage_counters_for_any_jobs() {
     );
 }
 
-/// The `## first violating live schedule` block of a `check --backend
-/// live` run, up to the verdict line; empty if no schedule violated.
-fn first_violation_block(stdout: &str) -> String {
-    stdout
-        .lines()
-        .skip_while(|l| !l.starts_with("## first violating live schedule"))
-        .take_while(|l| !l.starts_with("specification"))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 #[test]
-fn live_check_reproduce_line_reproduces_the_first_violation() {
-    // The printed line must carry the whole scenario: `--at` places the
+fn live_check_artifact_replays_the_first_violation() {
+    // The artifact must carry the whole scenario: `--at` places the
     // region, and the base seed builds the tree and the `spread` timing
     // as well as numbering the explored schedules.
-    for scenario in [
+    let dir = std::env::temp_dir().join("precipice-cli-smoke");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (k, scenario) in [
         "--topology tree:24 --region blob:3 --at 7 --timing cascade:2ms --seed 3 --budget 64",
         "--topology tree:30 --region blob:2 --timing spread:3ms --seed 0 --budget 32",
-    ] {
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let artifact = dir.join(format!("live-bug-{k}.txt"));
+        let artifact = artifact.to_str().unwrap();
         let args: Vec<&str> = ["check", "--backend", "live"]
             .into_iter()
             .chain(scenario.split_whitespace())
             .chain(["--stop-after", "1", "--invert-arbitration"])
+            .chain(["--artifact", artifact])
             .collect();
         let out = precipice(&args);
         let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
         assert_eq!(out.status.code(), Some(1), "bug not caught:\n{stdout}");
-        let line = stdout
-            .lines()
-            .find_map(|l| l.strip_prefix("reproduce: precipice "))
-            .unwrap_or_else(|| panic!("no reproduce line in:\n{stdout}"));
-        let rerun = precipice(&line.split_whitespace().collect::<Vec<_>>());
-        let rerun = String::from_utf8(rerun.stdout).expect("utf-8 stdout");
-        let block = first_violation_block(&stdout);
-        assert!(!block.is_empty(), "in:\n{stdout}");
-        assert_eq!(first_violation_block(&rerun), block, "`{line}` diverged");
+        let text = std::fs::read_to_string(artifact).expect("artifact written");
+        assert!(text.contains("spec backend = live"), "in:\n{text}");
+        let replay = precipice(&["replay", artifact]);
+        let replayed = String::from_utf8(replay.stdout).expect("utf-8 stdout");
+        assert_eq!(replay.status.code(), Some(0), "`{scenario}`:\n{replayed}");
+        assert!(
+            replayed.contains("counterexample reproduced ✓"),
+            "`{scenario}`:\n{replayed}"
+        );
     }
 }
 
@@ -272,4 +269,9 @@ fn bad_flags_exit_nonzero() {
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(String::from_utf8_lossy(&out.stderr).contains("minimum"));
     }
+    // The live runtime has no sequential-multicast chain yet: refused,
+    // not run atomically without a word.
+    let out = precipice(&["check", "--backend", "live", "--sequential-multicast"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--sequential-multicast"));
 }

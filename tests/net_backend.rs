@@ -1,15 +1,20 @@
 //! Integration tests of the live runtime (E8): the same sans-io core
-//! under genuine concurrency still honors the specification, and on
-//! schedule-independent scenarios reports exactly what the simulator
-//! reports.
+//! under genuine concurrency still honors the specification, reports
+//! exactly what the simulator reports on schedule-independent
+//! scenarios, and — gated — runs the schedules the simulator runs,
+//! order-dependent ones included, to the same observables.
 
 use std::time::Duration;
 
-use precipice::consensus::ProtocolConfig;
-use precipice::graph::{is_connected_subset, path, torus, Graph, GridDims, NodeId, Region};
+use precipice::consensus::{ProtocolConfig, ProtocolStats, View};
+use precipice::graph::rng::SplitMix;
+use precipice::graph::{
+    is_connected_subset, path, random_tree, ring, torus, Graph, GridDims, NodeId, Region,
+};
 use precipice::net::{live_consistent, LiveReport, ShardedCluster};
-use precipice::runtime::{Exec, Scenario};
+use precipice::runtime::{Engine, Exec, ExecOutcome, RunReport, Scenario};
 use precipice::sim::SimTime;
+use precipice::sim::{EventKey, GuidedSpec, LatencyModel, Schedule, SchedulePolicy, SimConfig};
 
 // Generous: live tests share the machine with whatever else is running
 // (e.g. the other test binaries in CI).
@@ -168,4 +173,141 @@ fn live_engine_exec_report_is_checkable() {
     assert!(report.outcome.is_quiescent());
     assert_eq!(report.decisions.len(), 4);
     assert!(check_spec(&report).is_empty());
+}
+
+/// The gated live engine, as `check --backend live` runs it.
+const GATED: Engine = Engine::Live { shards: 2 };
+
+/// What two engines must agree on after one schedule: each surviving
+/// node's decision and `ProtocolStats`, and the messages sent. (The live
+/// runtime reports surviving nodes only, where the simulator also keeps
+/// the nodes that crashed after acting, so those are left out.)
+type Observables = (
+    Vec<(NodeId, View, NodeId)>,
+    Vec<(NodeId, ProtocolStats)>,
+    u64,
+);
+
+fn observables(report: &RunReport<NodeId>) -> Observables {
+    let alive = |node: &NodeId| !report.crashed.contains_key(node);
+    let decisions = report.decisions.iter().filter(|(n, _)| alive(n));
+    let stats = report.stats.iter().filter(|(n, _)| alive(n));
+    (
+        decisions
+            .map(|(&n, d)| (n, d.view.clone(), d.value))
+            .collect(),
+        stats.map(|(&n, &s)| (n, s)).collect(),
+        report.metrics.messages_sent(),
+    )
+}
+
+/// One run of `scenario` under `policy` on `engine`.
+fn run(scenario: &Scenario, policy: SchedulePolicy, engine: Engine) -> ExecOutcome<NodeId> {
+    scenario.exec(Exec::new().schedule(policy).engine(engine))
+}
+
+/// sim ≡ gated live on schedules that depend on order. Under
+/// `Random(s)` both engines draw one stream over the same seq-sorted
+/// frontier — the crash injections first, then every post in the order
+/// it was made — so they run the same events in the same order whatever
+/// the crash times and latencies, and must end alike.
+#[test]
+fn random_schedules_agree_across_engines() {
+    let mut rng = SplitMix::new(30);
+    for seed in 0..256u64 {
+        let graph = match seed % 5 {
+            0 => path(9),
+            1 => ring(10),
+            2 => torus(GridDims::square(4)),
+            3 => torus(GridDims::square(5)),
+            _ => random_tree(16, seed),
+        };
+        let n = graph.len();
+        let crashes: Vec<(NodeId, SimTime)> = (0..1 + rng.below(3))
+            .map(|_| {
+                let at = SimTime::from_micros(rng.below(4000) as u64);
+                (NodeId(rng.below(n) as u32), at)
+            })
+            .collect();
+        let scenario = Scenario::builder(graph).crashes(crashes).seed(seed).build();
+        let sim = run(&scenario, SchedulePolicy::Random(seed), Engine::Sim);
+        let live = run(&scenario, SchedulePolicy::Random(seed), GATED);
+        assert_eq!(
+            observables(&sim.report),
+            observables(&live.report),
+            "seed {seed}, crashes {:?}",
+            scenario.crashes
+        );
+    }
+}
+
+/// With zero message and detector latency and simultaneous crashes,
+/// every event the simulator holds is due at one instant, so its FIFO
+/// choice — the `(at, seq)` minimum — is its earliest enabled event,
+/// as the gate's is. Then every policy records the same schedule on
+/// both engines, and a schedule recorded on either replays on the
+/// other to the same observables.
+#[test]
+fn zero_latency_schedules_are_engine_independent() {
+    let instant = SimConfig {
+        latency: LatencyModel::Constant(SimTime::ZERO),
+        fd_latency: LatencyModel::Constant(SimTime::ZERO),
+        ..SimConfig::default().with_trace()
+    };
+    let cases: [(Graph, &[u32]); 4] = [
+        (path(9), &[3, 4]),
+        (ring(10), &[2, 3, 7]),
+        (torus(GridDims::square(4)), &[5, 6]),
+        (torus(GridDims::square(5)), &[6, 7, 12]),
+    ];
+    for (graph, kills) in cases {
+        let scenario = Scenario::builder(graph)
+            .crashes(kills.iter().map(|&k| (NodeId(k), SimTime::ZERO)))
+            .sim_config(instant)
+            .build();
+        let (first, last) = (kills[0], kills[kills.len() - 1]);
+        for seed in 0..6 {
+            let recorded = run(&scenario, SchedulePolicy::Random(seed), Engine::Sim).schedule;
+            let half = recorded.deviations[..recorded.len() / 2].to_vec();
+            let guided = GuidedSpec {
+                base: Schedule::new(half),
+                seed,
+                flip: Some((
+                    EventKey::Crash {
+                        node: NodeId(first),
+                    },
+                    EventKey::Crash { node: NodeId(last) },
+                )),
+            };
+            for policy in [
+                SchedulePolicy::Random(seed),
+                SchedulePolicy::Pcr(seed),
+                SchedulePolicy::Replay(recorded.clone()),
+                SchedulePolicy::Guided(guided),
+            ] {
+                let what = format!("kills {kills:?} under {policy:?}");
+                let sim = run(&scenario, policy.clone(), Engine::Sim);
+                let live = run(&scenario, policy, GATED);
+                assert_eq!(sim.schedule, live.schedule, "{what}");
+                assert_eq!(
+                    observables(&sim.report),
+                    observables(&live.report),
+                    "{what}"
+                );
+                // Each engine's recording replays on the other.
+                for (recorded, engine, want) in [
+                    (&sim.schedule, GATED, &sim.report),
+                    (&live.schedule, Engine::Sim, &live.report),
+                ] {
+                    let replayed = run(&scenario, SchedulePolicy::Replay(recorded.clone()), engine);
+                    assert_eq!(&replayed.schedule, recorded, "{what}, replayed");
+                    assert_eq!(
+                        observables(&replayed.report),
+                        observables(want),
+                        "{what}, replayed on {engine:?}"
+                    );
+                }
+            }
+        }
+    }
 }
