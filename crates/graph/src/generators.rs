@@ -281,13 +281,17 @@ pub fn random_tree(n: usize, seed: u64) -> Graph {
 /// A connected Erdős–Rényi graph `G(n, p)`.
 ///
 /// Samples `G(n, p)` and retries (with a seed derived from `seed`) until
-/// the result is connected; gives up after 64 attempts.
+/// the result is connected.
+///
+/// # Errors
+///
+/// Returns an error if no connected sample is found after 64 attempts
+/// (`p` too small for `n`).
 ///
 /// # Panics
 ///
-/// Panics if `n == 0`, if `p` is not in `[0, 1]`, or if no connected sample
-/// is found after 64 attempts (`p` too small for `n`).
-pub fn erdos_renyi_connected(n: usize, p: f64, seed: u64) -> Graph {
+/// Panics if `n == 0` or if `p` is not in `[0, 1]`.
+pub fn erdos_renyi_connected(n: usize, p: f64, seed: u64) -> Result<Graph, String> {
     assert!(n > 0, "graph needs at least 1 node");
     assert!(
         (0.0..=1.0).contains(&p),
@@ -306,10 +310,12 @@ pub fn erdos_renyi_connected(n: usize, p: f64, seed: u64) -> Graph {
         }
         let g = b.build();
         if g.is_connected() {
-            return g;
+            return Ok(g);
         }
     }
-    panic!("no connected G({n}, {p}) sample after 64 attempts; increase p");
+    Err(format!(
+        "no connected G({n}, {p}) sample after 64 attempts; increase p"
+    ))
 }
 
 /// A connected random geometric graph: `n` points uniform in the unit
@@ -317,12 +323,17 @@ pub fn erdos_renyi_connected(n: usize, p: f64, seed: u64) -> Graph {
 ///
 /// This is the topology whose "network topology mirrors physical
 /// proximity" (§2.1) — correlated regional failures are geometric balls.
-/// Retries with derived seeds until connected; gives up after 64 attempts.
+/// Retries with derived seeds until connected.
+///
+/// # Errors
+///
+/// Returns an error if no connected sample is found after 64 attempts
+/// (`radius` too small for `n`).
 ///
 /// # Panics
 ///
-/// Panics if `n == 0`, `radius <= 0`, or no connected sample is found.
-pub fn random_geometric_connected(n: usize, radius: f64, seed: u64) -> Graph {
+/// Panics if `n == 0` or `radius <= 0`.
+pub fn random_geometric_connected(n: usize, radius: f64, seed: u64) -> Result<Graph, String> {
     assert!(n > 0, "graph needs at least 1 node");
     assert!(radius > 0.0, "radius must be positive, got {radius}");
     let r2 = radius * radius;
@@ -341,10 +352,12 @@ pub fn random_geometric_connected(n: usize, radius: f64, seed: u64) -> Graph {
         }
         let g = b.build();
         if g.is_connected() {
-            return g;
+            return Ok(g);
         }
     }
-    panic!("no connected geometric graph (n={n}, radius={radius}) after 64 attempts");
+    Err(format!(
+        "no connected geometric graph (n={n}, radius={radius}) after 64 attempts; increase the radius"
+    ))
 }
 
 /// A Barabási–Albert preferential-attachment graph: starts from a clique
@@ -395,13 +408,16 @@ pub fn barabasi_albert(n: usize, m: usize, seed: u64) -> Graph {
 /// edge rewired with probability `beta` to a uniform random endpoint.
 ///
 /// Rewiring never disconnects deliberately; the function retries until the
-/// sample is connected (64 attempts).
+/// sample is connected.
+///
+/// # Errors
+///
+/// Returns an error if no connected sample is found after 64 attempts.
 ///
 /// # Panics
 ///
-/// Panics if `k` is odd or zero, `n <= k`, `beta ∉ [0,1]`, or no connected
-/// sample is found.
-pub fn watts_strogatz(n: usize, k: usize, beta: f64, seed: u64) -> Graph {
+/// Panics if `k` is odd or zero, `n <= k`, or `beta ∉ [0,1]`.
+pub fn watts_strogatz(n: usize, k: usize, beta: f64, seed: u64) -> Result<Graph, String> {
     assert!(
         k > 0 && k.is_multiple_of(2),
         "k must be positive and even, got {k}"
@@ -432,10 +448,12 @@ pub fn watts_strogatz(n: usize, k: usize, beta: f64, seed: u64) -> Graph {
         }
         let g = b.build();
         if g.is_connected() {
-            return g;
+            return Ok(g);
         }
     }
-    panic!("no connected Watts-Strogatz sample (n={n}, k={k}, beta={beta}) after 64 attempts");
+    Err(format!(
+        "no connected Watts-Strogatz sample (n={n}, k={k}, beta={beta}) after 64 attempts"
+    ))
 }
 
 #[cfg(test)]
@@ -511,17 +529,17 @@ mod tests {
     fn generators_are_deterministic() {
         assert_eq!(random_tree(20, 7), random_tree(20, 7));
         assert_eq!(
-            erdos_renyi_connected(30, 0.2, 3),
-            erdos_renyi_connected(30, 0.2, 3)
+            erdos_renyi_connected(30, 0.2, 3).expect("connected"),
+            erdos_renyi_connected(30, 0.2, 3).expect("connected")
         );
         assert_eq!(barabasi_albert(30, 2, 5), barabasi_albert(30, 2, 5));
         assert_eq!(
-            random_geometric_connected(30, 0.35, 9),
-            random_geometric_connected(30, 0.35, 9)
+            random_geometric_connected(30, 0.35, 9).expect("connected"),
+            random_geometric_connected(30, 0.35, 9).expect("connected")
         );
         assert_eq!(
-            watts_strogatz(30, 4, 0.1, 11),
-            watts_strogatz(30, 4, 0.1, 11)
+            watts_strogatz(30, 4, 0.1, 11).expect("connected"),
+            watts_strogatz(30, 4, 0.1, 11).expect("connected")
         );
     }
 
@@ -531,14 +549,21 @@ mod tests {
     }
 
     #[test]
+    fn a_sparse_sample_is_an_error_not_a_panic() {
+        let err = erdos_renyi_connected(40, 0.001, 1).unwrap_err();
+        assert!(err.contains("G(40, 0.001)"), "{err}");
+        assert!(random_geometric_connected(40, 0.01, 1).is_err());
+    }
+
+    #[test]
     fn erdos_renyi_connected_is_connected() {
-        let g = erdos_renyi_connected(40, 0.15, 13);
+        let g = erdos_renyi_connected(40, 0.15, 13).expect("connected");
         assert!(g.is_connected());
     }
 
     #[test]
     fn geometric_connected_is_connected() {
-        let g = random_geometric_connected(50, 0.3, 17);
+        let g = random_geometric_connected(50, 0.3, 17).expect("connected");
         assert!(g.is_connected());
     }
 
@@ -553,7 +578,7 @@ mod tests {
 
     #[test]
     fn watts_strogatz_connected_and_sized() {
-        let g = watts_strogatz(40, 4, 0.2, 29);
+        let g = watts_strogatz(40, 4, 0.2, 29).expect("connected");
         assert!(g.is_connected());
         assert_eq!(g.len(), 40);
         // Rewiring may merge duplicate edges, so edge count is at most n*k/2.

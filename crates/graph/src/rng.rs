@@ -272,13 +272,19 @@ mod tests {
             )
         };
         assert_eq!(hash(random_tree(20, 7)), 0x17cbb0ca67406787);
-        assert_eq!(hash(erdos_renyi_connected(30, 0.2, 3)), 0xc54ba75030ebd83c);
         assert_eq!(
-            hash(random_geometric_connected(30, 0.35, 9)),
+            hash(erdos_renyi_connected(30, 0.2, 3).expect("connected")),
+            0xc54ba75030ebd83c
+        );
+        assert_eq!(
+            hash(random_geometric_connected(30, 0.35, 9).expect("connected")),
             0x5c3341cecad1daee
         );
         assert_eq!(hash(barabasi_albert(30, 2, 5)), 0x1d0ba537f85857b7);
-        assert_eq!(hash(watts_strogatz(30, 4, 0.1, 11)), 0x211ed6b3f18e153f);
+        assert_eq!(
+            hash(watts_strogatz(30, 4, 0.1, 11).expect("connected")),
+            0x211ed6b3f18e153f
+        );
     }
 
     /// The node-order shuffles of `patterns::scattered_singletons` and

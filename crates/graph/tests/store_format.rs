@@ -85,7 +85,10 @@ fn mapped_kernels_are_bit_identical_across_topologies() {
     assert_mapped_equivalent(&path(1), "diff-path1.pcsr");
     assert_mapped_equivalent(&star(130), "diff-star.pcsr");
     assert_mapped_equivalent(&barabasi_albert(200, 3, 11), "diff-ba.pcsr");
-    assert_mapped_equivalent(&watts_strogatz(150, 6, 0.2, 7), "diff-ws.pcsr");
+    assert_mapped_equivalent(
+        &watts_strogatz(150, 6, 0.2, 7).expect("connected"),
+        "diff-ws.pcsr",
+    );
 }
 
 #[test]

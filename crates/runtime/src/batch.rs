@@ -1,7 +1,6 @@
 //! Budgeted batch execution: many scenario variants through one
-//! lockstep [`BatchSim`], amortizing slot arenas, the shared
-//! [`Graph`](precipice_graph::Graph), and process allocations across
-//! the whole budget.
+//! [`BatchSim`], amortizing its slot's arenas and the shared
+//! [`Graph`](precipice_graph::Graph) across the whole budget.
 //!
 //! A [`BatchRunner`] is built once per scenario shape (graph + crash
 //! schedule + protocol + latency model) and then fed [`BatchJob`]s —
@@ -12,12 +11,11 @@
 //! - **fuzz budgets** (schedule exploration): same `seed`, varying
 //!   [`SchedulePolicy`] (one probe per budget index).
 //!
-//! Jobs are chunked into waves of `k` run slots; each wave executes in
-//! lockstep over the shared graph and results come back in job order.
-//! Every run is bit-identical to the same job executed alone through
-//! [`Scenario::exec`] — which is itself a one-job wave of a fresh
-//! runner — whatever the wave width, the job's position in the wave or
-//! the runs its slot hosted before.
+//! Jobs run one after another, each to the end, on the one reused slot,
+//! and results come back in job order. Every run is bit-identical to
+//! the same job executed alone through [`Scenario::exec`] — which is
+//! itself a one-job batch of a fresh runner — whatever runs the slot
+//! hosted before.
 
 use std::sync::Arc;
 
@@ -47,24 +45,27 @@ type Spawn<P> = Box<dyn FnMut(usize, NodeId) -> ProtocolProcess<P>>;
 /// [module docs](self).
 pub struct BatchRunner<P: DecisionPolicy> {
     scenario: Scenario,
-    wave: usize,
     sim: BatchSim<ProtocolProcess<P>, Spawn<P>>,
 }
 
 impl BatchRunner<NodeIdValuePolicy> {
     /// Runner with the default [`NodeIdValuePolicy`] decisions
     /// (border-coordinator election) — the batch analogue of
-    /// [`Exec::new`](crate::Exec::new).
+    /// [`Exec::new`](crate::Exec::new). `wave` is ignored, as in
+    /// [`new`](BatchRunner::new).
     pub fn with_default_policy(scenario: &Scenario, wave: usize) -> Self {
         BatchRunner::new(scenario, wave, |_me| NodeIdValuePolicy)
     }
 }
 
 impl<P: DecisionPolicy> BatchRunner<P> {
-    /// Builds a runner over `scenario` with waves of `wave` run slots
-    /// (clamped to at least 1). `make_policy` constructs each node's
-    /// decision policy, called lazily at the node's activation.
-    pub fn new<F>(scenario: &Scenario, wave: usize, mut make_policy: F) -> Self
+    /// Builds a runner over `scenario`. `make_policy` constructs each
+    /// node's decision policy, called lazily at the node's activation.
+    ///
+    /// `_wave` is ignored: every job runs on one reused slot. The
+    /// argument stays until the benchmark package, which passes it,
+    /// stops doing so.
+    pub fn new<F>(scenario: &Scenario, _wave: usize, mut make_policy: F) -> Self
     where
         F: FnMut(NodeId) -> P + 'static,
     {
@@ -80,45 +81,46 @@ impl<P: DecisionPolicy> BatchRunner<P> {
         });
         BatchRunner {
             scenario: scenario.clone(),
-            wave: wave.max(1),
             sim: BatchSim::new(graph, spawn),
         }
     }
 
-    /// Executes `jobs`, chunked into lockstep waves, returning one
-    /// [`ExecOutcome`] per job in job order. Slot arenas are reused
-    /// across waves *and* across `run` calls.
+    /// Executes `jobs`, returning one [`ExecOutcome`] per job in job
+    /// order. The slot's arenas are reused across jobs *and* across
+    /// `run` calls.
     pub fn run(&mut self, jobs: &[BatchJob]) -> Vec<ExecOutcome<P::Value>> {
-        let mut out = Vec::with_capacity(jobs.len());
-        for chunk in jobs.chunks(self.wave) {
-            let variants: Vec<BatchVariant> = chunk
-                .iter()
-                .map(|job| BatchVariant {
-                    config: SimConfig {
-                        seed: job.seed,
-                        ..self.scenario.sim
-                    },
-                    policy: job.policy.clone(),
-                    crashes: self.scenario.crashes.clone(),
-                })
-                .collect();
-            for run in self.sim.run(&variants) {
-                let report = assemble(
-                    &self.scenario,
-                    run.processes.iter().map(|(id, p)| (*id, p)),
-                    run.metrics,
-                    &run.trace,
-                    run.outcome,
-                );
-                out.push(ExecOutcome {
-                    report,
-                    schedule: run.schedule.unwrap_or_default(),
-                    // The run owns its trace — moving it out is free.
-                    trace: Some(run.trace),
-                });
-            }
+        jobs.iter().map(|job| self.run_one(job)).collect()
+    }
+
+    /// Executes one job on the reused slot. Its processes are folded
+    /// into the report as soon as it finishes, so a budget never holds
+    /// more than one run's processes.
+    pub fn run_one(&mut self, job: &BatchJob) -> ExecOutcome<P::Value> {
+        let variant = BatchVariant {
+            config: SimConfig {
+                seed: job.seed,
+                ..self.scenario.sim
+            },
+            policy: job.policy.clone(),
+            crashes: self.scenario.crashes.clone(),
+        };
+        let run = self
+            .sim
+            .run(std::slice::from_ref(&variant))
+            .pop()
+            .expect("one variant in, one run out");
+        ExecOutcome {
+            report: assemble(
+                &self.scenario,
+                run.processes.iter().map(|(id, p)| (*id, p)),
+                run.metrics,
+                &run.trace,
+                run.outcome,
+            ),
+            schedule: run.schedule.unwrap_or_default(),
+            // The run owns its trace — moving it out is free.
+            trace: Some(run.trace),
         }
-        out
     }
 }
 
@@ -126,7 +128,6 @@ impl<P: DecisionPolicy> std::fmt::Debug for BatchRunner<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BatchRunner")
             .field("scenario", &self.scenario.name)
-            .field("wave", &self.wave)
             .finish_non_exhaustive()
     }
 }
@@ -148,7 +149,7 @@ mod tests {
     }
 
     /// "Scalar" in these two names is a fresh one-slot `exec` per job;
-    /// the runner under test reuses four slots across ragged waves.
+    /// the runner under test reuses its one slot for every job.
     #[test]
     fn seed_sweep_matches_scalar_per_seed() {
         let s = scenario();
@@ -158,9 +159,7 @@ mod tests {
                 policy: SchedulePolicy::Fifo,
             })
             .collect();
-        // Wave of 4 over 9 jobs: exercises full waves, a ragged tail,
-        // and slot reuse across waves.
-        let mut runner = BatchRunner::new(&s, 4, |_me| NodeIdValuePolicy);
+        let mut runner = BatchRunner::new(&s, 1, |_me| NodeIdValuePolicy);
         let outcomes = runner.run(&jobs);
         assert_eq!(outcomes.len(), jobs.len());
         for (job, got) in jobs.iter().zip(&outcomes) {
@@ -187,7 +186,7 @@ mod tests {
                 },
             })
             .collect();
-        let mut runner = BatchRunner::new(&s, 4, |_me| NodeIdValuePolicy);
+        let mut runner = BatchRunner::new(&s, 1, |_me| NodeIdValuePolicy);
         let outcomes = runner.run(&jobs);
         for (job, got) in jobs.iter().zip(&outcomes) {
             let want = s.exec(Exec::new().schedule(job.policy.clone()));
@@ -195,7 +194,7 @@ mod tests {
             assert_eq!(got.report.metrics, want.report.metrics);
             assert_eq!(got.schedule, want.schedule);
         }
-        // Runner reuse: a second budget over the same slots still agrees.
+        // Runner reuse: a second budget on the same slot still agrees.
         let again = runner.run(&jobs[..3]);
         for (got, want) in again.iter().zip(&outcomes[..3]) {
             assert_eq!(got.report.trace_hash, want.report.trace_hash);

@@ -9,7 +9,7 @@
 //! # The simulator
 //!
 //! [`Engine::Sim`] (the default) is the deterministic simulator: one
-//! `exec` is a one-job [`BatchRunner`](crate::BatchRunner) wave over
+//! `exec` is a one-job [`BatchRunner`](crate::BatchRunner) batch over
 //! [`precipice_sim`]'s slot engine, with processes spawned lazily at
 //! their first event, so a run's cost follows the crashed region's
 //! footprint rather than `n`. Budgeted drivers (seed sweeps, schedule

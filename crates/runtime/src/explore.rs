@@ -83,7 +83,7 @@ fn fold(mut h: u64, word: u64) -> u64 {
 ///   ([`check_spec_coverage`]).
 ///
 /// The signal is a pure function of the probe's observables, so it is
-/// independent of wave width and worker count — the properties the
+/// independent of slot reuse and worker count — the properties the
 /// deterministic exploration sweep relies on.
 pub fn probe_coverage(out: &ExecOutcome<NodeId>) -> (Vec<Violation>, ProbeCoverage) {
     let (violations, branches) = check_spec_coverage(&out.report);

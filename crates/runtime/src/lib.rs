@@ -10,7 +10,7 @@
 //! - [`Scenario::exec`] executes it under [`Exec`] options (decision
 //!   policy × scheduling policy × [`Engine`]: the simulator or the live
 //!   runtime); [`BatchRunner`] drives whole seed sweeps and fuzz
-//!   budgets through the simulator's lockstep driver, reusing its
+//!   budgets through the simulator's batch driver, reusing one slot's
 //!   arenas, with identical per-run results.
 //! - [`Engine::Live`](exec::Engine::Live) targets the sharded live
 //!   runtime (`precipice-net`) through the same `exec` call, and

@@ -47,7 +47,7 @@ impl Scenario {
     /// returns the report plus the recorded schedule.
     ///
     /// On the default [`Engine::Sim`] this is a one-job [`BatchRunner`]
-    /// wave: nodes are spawned **lazily**, with `make_policy` and the
+    /// batch: nodes are spawned **lazily**, with `make_policy` and the
     /// node constructor running on demand immediately before a node's
     /// first event, and the failure detector resolving crash observers
     /// straight from the graph (the paper's §3.1
@@ -71,13 +71,10 @@ impl Scenario {
             ..
         } = options;
         match engine {
-            Engine::Sim => BatchRunner::new(self, 1, make_policy)
-                .run(&[BatchJob {
-                    seed: self.sim.seed,
-                    policy: schedule,
-                }])
-                .pop()
-                .expect("one job in, one outcome out"),
+            Engine::Sim => BatchRunner::new(self, 1, make_policy).run_one(&BatchJob {
+                seed: self.sim.seed,
+                policy: schedule,
+            }),
             Engine::Live { shards } => crate::live::exec_live(self, shards, schedule, make_policy),
         }
     }
@@ -348,9 +345,9 @@ mod tests {
     }
 
     /// One engine, two ways in: the "lazy" arm is a fresh one-slot
-    /// `exec`, the "batched" arm the same job in the last slot of a
-    /// reused four-slot runner — arena reuse and lockstep interleaving
-    /// must leak nothing into it.
+    /// `exec`, the "batched" arm the same job run last on a runner whose
+    /// slot hosted fuzzed runs just before — arena reuse must leak
+    /// nothing into it.
     #[test]
     fn batched_engine_matches_lazy_engine() {
         use precipice_sim::SchedulePolicy;
@@ -359,7 +356,7 @@ mod tests {
             .crash(NodeId(3), SimTime::from_millis(4))
             .seed(7)
             .build();
-        let mut runner = BatchRunner::with_default_policy(&scenario, 4);
+        let mut runner = BatchRunner::with_default_policy(&scenario, 1);
         for policy in [
             SchedulePolicy::Fifo,
             SchedulePolicy::Random(5),

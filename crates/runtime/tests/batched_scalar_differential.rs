@@ -1,17 +1,16 @@
-//! Differential tests: a run executed inside a reused, lockstep
-//! [`BatchRunner`] wave must be **byte-identical** to the same run
-//! executed alone on every observable — trace hash, metrics,
-//! decisions, per-node stats, message pairs, digest, and the recorded
-//! schedule — across seeds × topologies × [`SchedulePolicy`]s, and
-//! regardless of how runs are grouped into waves.
+//! Differential tests for slot reuse: a run on a [`BatchRunner`] whose
+//! one slot has already hosted other runs must be **byte-identical** to
+//! the same run executed alone on every observable — trace hash,
+//! metrics, decisions, per-node stats, message pairs, digest, and the
+//! recorded schedule — across seeds × topologies × [`SchedulePolicy`]s.
 //!
 //! Both arms are the simulator's one slot engine (what it must compute
 //! is pinned by the naive oracle in `precipice-sim`). "Scalar" in the
 //! names below is a fresh one-slot [`Scenario::exec`]; "batched" is a
-//! `BatchRunner` of 2–8 slots that has already hosted other runs. So
-//! these pin that arena reuse and lockstep interleaving leak nothing
-//! from one run into another. Mirrors `lazy_eager_differential.rs`,
-//! which pins the lazy start to the eager one.
+//! `BatchRunner` whose slot hosted decoy runs, some of them fuzzed,
+//! just before. So these pin that arena reuse leaks nothing from one
+//! run into the next. Mirrors `lazy_eager_differential.rs`, which pins
+//! the lazy start to the eager one.
 
 use precipice_core::NodeIdValuePolicy;
 use precipice_graph::rng::cases;
@@ -55,7 +54,7 @@ fn build_graph(topo: Topo, n: usize) -> Graph {
             torus(GridDims::square(side))
         }
         Topo::Ring => ring(n.max(4)),
-        Topo::Geometric => random_geometric_connected(n.max(8), 0.35, 42),
+        Topo::Geometric => random_geometric_connected(n.max(8), 0.35, 42).expect("connected"),
     }
 }
 
@@ -88,33 +87,30 @@ fn build_scenario(topo: Topo, n: usize, k: usize, gap_ms: u64, seed: u64) -> Sce
         .build()
 }
 
-/// The "batched" arm: `job` at slot `position` of a full `wave`-wide
-/// lockstep wave whose other slots host decoy runs (other seeds; one
-/// of them fuzzed, to put an explorer in the slots), on a runner whose
-/// slots have all hosted a decoy before.
-fn run_in_reused_wave(
+/// The "batched" arm: `job` on a runner whose slot has just hosted
+/// `decoys` runs of other seeds — a FIFO one, then fuzzed ones, so the
+/// job follows a run that left an explorer and a recorded schedule in
+/// the slot.
+fn run_on_reused_slot(
     runner: &mut BatchRunner<NodeIdValuePolicy>,
-    wave: usize,
-    position: usize,
+    decoys: u64,
     job: BatchJob,
 ) -> ExecOutcome<NodeId> {
-    let mut jobs: Vec<BatchJob> = (0..wave as u64)
+    let warm: Vec<BatchJob> = (0..decoys)
         .map(|i| BatchJob {
             seed: job.seed ^ (i + 1),
             policy: match i {
-                0 => SchedulePolicy::Random(job.seed),
-                _ => SchedulePolicy::Fifo,
+                0 => SchedulePolicy::Fifo,
+                _ => SchedulePolicy::Random(job.seed ^ i),
             },
         })
         .collect();
-    jobs.rotate_right(position % wave); // the fuzzed decoy warms the job's slot
-    runner.run(&jobs);
-    jobs[position % wave] = job;
-    runner.run(&jobs).swap_remove(position % wave)
+    runner.run(&warm);
+    runner.run_one(&job)
 }
 
-/// One variant inside a reused lockstep wave ≡ the same variant
-/// alone, for every policy kind.
+/// One variant on a reused slot ≡ the same variant alone, for every
+/// policy kind.
 #[test]
 fn batched_runs_are_byte_identical_to_scalar() {
     cases("batched_runs_are_byte_identical_to_scalar", 16, |rng| {
@@ -129,19 +125,10 @@ fn batched_runs_are_byte_identical_to_scalar() {
             1 => SchedulePolicy::Random(policy_seed),
             _ => SchedulePolicy::Pcr(policy_seed),
         };
-        let wave = rng.gen_range(2..9usize);
-        let position = rng.gen_range(0..8);
         let scenario = build_scenario(topo, n, k, gap_ms, seed);
         let scalar = scenario.exec(Exec::new().schedule(policy.clone()));
-        // The dense geometric runs are tens of thousands of events
-        // each; two decoy slots are enough company there.
-        let wave = if matches!(topo, Topo::Geometric) {
-            wave.min(3)
-        } else {
-            wave
-        };
-        let mut runner = BatchRunner::with_default_policy(&scenario, wave);
-        let batched = run_in_reused_wave(&mut runner, wave, position, BatchJob { seed, policy });
+        let mut runner = BatchRunner::with_default_policy(&scenario, 1);
+        let batched = run_on_reused_slot(&mut runner, 2, BatchJob { seed, policy });
 
         assert_eq!(
             scalar.report.trace_hash, batched.report.trace_hash,
@@ -160,9 +147,9 @@ fn batched_runs_are_byte_identical_to_scalar() {
     });
 }
 
-/// A whole seed sweep through one reused `BatchRunner` — lockstep
-/// waves, slot arenas reused across waves — matches per-seed
-/// one-slot execution result for result. Sweeps *across* seeds is
+/// A whole seed sweep through one reused `BatchRunner` — every run on
+/// the slot the run before it used — matches per-seed fresh one-slot
+/// execution result for result. Sweeps *across* seeds is
 /// exactly the case the single-variant test above cannot cover:
 /// slots must not leak any state between the runs they host.
 #[test]
@@ -173,11 +160,10 @@ fn seed_sweeps_through_reused_slots_match_scalar() {
         let k = rng.gen_range(1..5);
         let base_seed = rng.next_u64();
         let policy_seed = rng.next_u64();
-        let wave = rng.gen_range(2..9usize);
         let scenario = build_scenario(topo, n, k, 2, base_seed);
         // Mixed job kinds in one budget: seed sweep under FIFO plus a
-        // fuzz probe pair, like the explorer's feed. Nine jobs, so every
-        // wave width reuses slots, most with a ragged tail as well.
+        // fuzz probe pair, like the explorer's feed, so the slot goes
+        // FIFO → Random → Pcr → FIFO and on.
         let jobs: Vec<BatchJob> = (0..9)
             .map(|i| BatchJob {
                 seed: base_seed.wrapping_add(i),
@@ -188,7 +174,7 @@ fn seed_sweeps_through_reused_slots_match_scalar() {
                 },
             })
             .collect();
-        let mut runner = BatchRunner::with_default_policy(&scenario, wave);
+        let mut runner = BatchRunner::with_default_policy(&scenario, 1);
         let outcomes = runner.run(&jobs);
         assert_eq!(outcomes.len(), jobs.len());
         for (job, got) in jobs.iter().zip(&outcomes) {
@@ -208,8 +194,8 @@ fn seed_sweeps_through_reused_slots_match_scalar() {
     });
 }
 
-/// Schedules recorded inside a reused wave replay bit-for-bit on a
-/// fresh one-slot run and vice versa — a recorded schedule does not
+/// Schedules recorded on a reused slot replay bit-for-bit on a fresh
+/// one-slot run and vice versa — a recorded schedule does not
 /// depend on where it was recorded.
 #[test]
 fn recorded_schedules_replay_across_engines() {
@@ -218,21 +204,15 @@ fn recorded_schedules_replay_across_engines() {
         let k = rng.gen_range(1..4);
         let seed = rng.next_u64();
         let policy_seed = rng.next_u64();
-        let wave = rng.gen_range(2..9usize);
         let scenario = build_scenario(Topo::Torus, n, k, 2, seed);
-        let mut runner = BatchRunner::with_default_policy(&scenario, wave);
+        let mut runner = BatchRunner::with_default_policy(&scenario, 1);
         let job = |policy| BatchJob { seed, policy };
-        let batched = run_in_reused_wave(
-            &mut runner,
-            wave,
-            1,
-            job(SchedulePolicy::Random(policy_seed)),
-        );
+        let batched = run_on_reused_slot(&mut runner, 2, job(SchedulePolicy::Random(policy_seed)));
         let scalar_replay =
             scenario.exec(Exec::new().schedule(SchedulePolicy::Replay(batched.schedule.clone())));
         assert_eq!(batched.report.trace_hash, scalar_replay.report.trace_hash);
         let replay = job(SchedulePolicy::Replay(batched.schedule.clone()));
-        let batched_replay = run_in_reused_wave(&mut runner, wave, 0, replay);
+        let batched_replay = run_on_reused_slot(&mut runner, 1, replay);
         assert_eq!(batched.report.trace_hash, batched_replay.report.trace_hash);
         assert_eq!(batched_replay.schedule, batched.schedule);
     });

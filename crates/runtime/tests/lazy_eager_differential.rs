@@ -61,7 +61,7 @@ fn build_graph(topo: Topo, n: usize) -> Graph {
             torus(GridDims::square(side))
         }
         Topo::Ring => ring(n.max(4)),
-        Topo::Geometric => random_geometric_connected(n.max(8), 0.35, 42),
+        Topo::Geometric => random_geometric_connected(n.max(8), 0.35, 42).expect("connected"),
     }
 }
 

@@ -1,7 +1,7 @@
-//! The lockstep multi-run driver, [`BatchSim`]: K scenario variants
-//! (seed sweeps, schedule-fuzz budgets) against one shared [`Graph`]
-//! topology, one run slot each (`slot.rs`, the simulator's one event
-//! loop), the K slots advancing in lockstep and reused from wave to wave.
+//! The multi-run driver, [`BatchSim`]: scenario variants (seed sweeps,
+//! schedule-fuzz budgets) against one shared [`Graph`] topology, each
+//! run to the end, in order, on one reused run slot (`slot.rs`, the
+//! simulator's one event loop).
 
 use std::sync::Arc;
 
@@ -52,27 +52,27 @@ impl<P> std::fmt::Debug for BatchRun<P> {
     }
 }
 
-/// The lockstep batch driver: runs waves of scenario variants over one
-/// shared graph, reusing per-slot arenas across waves (what a slot keeps
-/// between runs is in `slot.rs`'s module docs).
+/// The batch driver: runs scenario variants one after another over one
+/// shared graph, on one slot whose arenas every run reuses (what a slot
+/// keeps between runs is in `slot.rs`'s module docs).
 ///
-/// `spawn(run, node)` constructs the process for `node` in the wave's
-/// `run`-th variant; it is called lazily, at the node's first event,
-/// and the failure detector resolves crash observers from the graph
-/// ([`FailureDetector::with_static_graph`]) — exactly like
+/// `spawn(i, node)` constructs the process for `node` in the `i`-th
+/// variant of a [`run`](Self::run) call; it is called lazily, at the
+/// node's first event, and the failure detector resolves crash
+/// observers from the graph ([`FailureDetector::with_static_graph`]) —
+/// exactly like
 /// [`Simulation::lazy_with_policy`](crate::Simulation::lazy_with_policy).
 pub struct BatchSim<P: Process, F> {
     graph: Arc<Graph>,
     spawn: F,
-    slots: Vec<Slot<P>>,
+    slot: Slot<P>,
 }
 
 impl<P: Process, F> std::fmt::Debug for BatchSim<P, F> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BatchSim")
             .field("nodes", &self.graph.len())
-            .field("slots", &self.slots.len())
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -83,47 +83,33 @@ impl<P: Process, F: FnMut(usize, NodeId) -> P> BatchSim<P, F> {
         BatchSim {
             graph,
             spawn,
-            slots: Vec::new(),
+            slot: Slot::new(),
         }
     }
 
-    /// Executes one wave: every variant runs to completion (quiescence
-    /// or its event cap), K-at-a-time in lockstep, and the results come
-    /// back in variant order. Calling `run` again reuses the slots'
-    /// allocations — drivers feed large budgets through repeated waves.
+    /// Runs every variant to completion (quiescence or its event cap),
+    /// in order, and returns the results in variant order. Every run —
+    /// in this call and in later ones — reuses the slot's allocations.
     pub fn run(&mut self, variants: &[BatchVariant]) -> Vec<BatchRun<P>> {
-        let k = variants.len();
-        while self.slots.len() < k {
-            self.slots.push(Slot::new());
-        }
+        let slot = &mut self.slot;
         let spawn = &mut self.spawn;
-        let slots = &mut self.slots[..k];
-        for (slot, variant) in slots.iter_mut().zip(variants) {
-            slot.reset(
-                variant.config,
-                self.graph.len(),
-                variant.policy.clone(),
-                FailureDetector::with_static_graph(Arc::clone(&self.graph)),
-            );
-            for &(node, at) in &variant.crashes {
-                slot.schedule_crash(node, at);
-            }
-            slot.commit_crashes();
-        }
-        let mut outcomes: Vec<Option<RunOutcome>> = vec![None; k];
-        let mut remaining = k;
-        while remaining > 0 {
-            for (i, outcome) in outcomes.iter_mut().enumerate() {
-                if outcome.is_none() {
-                    *outcome = slots[i].step_chunk(spawn, i);
-                    remaining -= usize::from(outcome.is_some());
+        variants
+            .iter()
+            .enumerate()
+            .map(|(i, variant)| {
+                slot.reset(
+                    variant.config,
+                    self.graph.len(),
+                    variant.policy.clone(),
+                    FailureDetector::with_static_graph(Arc::clone(&self.graph)),
+                );
+                for &(node, at) in &variant.crashes {
+                    slot.schedule_crash(node, at);
                 }
-            }
-        }
-        slots
-            .iter_mut()
-            .zip(outcomes)
-            .map(|(slot, outcome)| slot.collect(outcome.expect("every run finished")))
+                slot.commit_crashes();
+                let outcome = slot.run(&mut |node| spawn(i, node));
+                slot.collect(outcome)
+            })
             .collect()
     }
 }
@@ -161,13 +147,13 @@ mod tests {
         let variants = variants_for(&graph);
         let g = Arc::clone(&graph);
         let mut batch = BatchSim::new(Arc::clone(&graph), move |_, me| Gossip::spawn(&g, me));
-        // Two waves over the same variants: the second exercises arena
-        // reuse and must be bit-identical to the first.
-        for wave in 0..2 {
+        // Two passes over the same variants: every run reuses the slot,
+        // and the second pass must be bit-identical to the first.
+        for pass in 0..2 {
             let runs = batch.run(&variants);
             assert_eq!(runs.len(), variants.len());
             for (v, r) in variants.iter().zip(&runs) {
-                let tag = format!("wave {wave}, {:?} seed {}", v.policy.tag(), v.config.seed);
+                let tag = format!("pass {pass}, {:?} seed {}", v.policy.tag(), v.config.seed);
                 assert_oracle_agrees(&graph, v, r, &tag);
             }
         }

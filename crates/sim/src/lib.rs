@@ -24,8 +24,8 @@
 //! drivers over it: [`Simulation`] owns one slot for one run, started
 //! eagerly (all `n` processes up front, `on_start` at time zero) or
 //! lazily (processes spawned at their first event, cost proportional
-//! to the run's footprint); [`BatchSim`] advances K slots in lockstep
-//! over a shared graph and reuses their arenas from wave to wave. A
+//! to the run's footprint); [`BatchSim`] runs variant after variant
+//! over a shared graph on one slot, reusing its arenas. A
 //! [`SchedulePolicy`] turns the loop from latency order into a pick
 //! over the enabled events ([`explore`]). What the loop must compute is
 //! pinned by a small, deliberately naive test-only interpreter

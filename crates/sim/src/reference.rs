@@ -332,8 +332,8 @@ pub(crate) mod tests {
         assert_eq!(slot_nodes, oracle_nodes, "process states diverged: {tag}");
     }
 
-    /// Runs `variants` as one lockstep wave and checks each against the
-    /// oracle; returns the runs for follow-up (guided / replay) waves.
+    /// Runs `variants` through one batch and checks each against the
+    /// oracle; returns the runs for follow-up (guided / replay) batches.
     fn check(graph: &Arc<Graph>, variants: &[BatchVariant]) -> Vec<BatchRun<Gossip>> {
         let g = Arc::clone(graph);
         let mut batch = BatchSim::new(Arc::clone(graph), move |_, me| Gossip::spawn(&g, me));

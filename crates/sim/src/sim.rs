@@ -90,8 +90,7 @@ impl RunOutcome {
 
 /// Deterministic discrete-event simulator over a set of [`Process`]es:
 /// the single-run driver of the run slot, the simulator's one event loop
-/// (`slot.rs`; [`batch`](crate::batch) is the lockstep multi-run
-/// driver).
+/// (`slot.rs`; [`batch`](crate::batch) is the multi-run driver).
 ///
 /// Nodes are identified by their index in the process vector (or by
 /// `NodeId(0)..NodeId(n)` under a [lazy start](Simulation::lazy_with_policy)).
@@ -244,12 +243,7 @@ impl<P: Process> Simulation<P> {
         if std::mem::take(&mut self.start_pending) {
             self.slot.start_installed();
         }
-        let spawn = &mut self.spawn;
-        let outcome = loop {
-            if let Some(outcome) = self.slot.step_chunk(&mut |_run, node| spawn(node), 0) {
-                break outcome;
-            }
-        };
+        let outcome = self.slot.run(&mut self.spawn);
         self.metrics = self.slot.metrics();
         outcome
     }

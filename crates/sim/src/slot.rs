@@ -1,8 +1,9 @@
 //! The simulator's one event loop: the run *slot*.
 //!
-//! A slot hosts one run at a time. [`Simulation`](crate::Simulation)
-//! owns a single slot for a single run; [`BatchSim`](crate::BatchSim)
-//! advances K of them in lockstep over one shared topology.
+//! A slot hosts one run at a time and runs it to the end.
+//! [`Simulation`](crate::Simulation) owns a slot for a single run;
+//! [`BatchSim`](crate::BatchSim) reuses one slot for run after run over
+//! one shared topology.
 //!
 //! Every evaluation table and `check` budget in this repro is thousands
 //! of near-identical small runs, so the per-run constant factors — not
@@ -53,12 +54,6 @@ use crate::{MessageSize, Metrics, NodeMetrics, RunOutcome, SimTime, Trace};
 
 /// Sentinel for "no slab index" in intrusive channel lists.
 const NONE: u32 = u32::MAX;
-
-/// Events each live run advances per lockstep round. Small enough that
-/// the K runs march through comparable phases together (keeping the
-/// shared topology and slot tables hot), large enough that the
-/// round-robin bookkeeping is noise.
-const STRIDE: u32 = 64;
 
 /// Open-addressed `u64 -> u32` map with Fibonacci hashing and linear
 /// probing: the per-event node/channel lookups are the hottest
@@ -605,30 +600,25 @@ impl<P: Process> Slot<P> {
             .expect("popped entry is live")
     }
 
-    /// Advances this run by up to `STRIDE` events; `Some` once it has
-    /// drained to quiescence or hit its event cap. A finished run stays
-    /// finished: calling again returns the same outcome.
+    /// Runs to quiescence or to the configured event cap. A finished
+    /// run stays finished: calling again returns the same outcome.
     ///
     /// Under an exploring policy virtual time is the running maximum of
     /// the executed events' scheduled times (it never runs backwards).
-    pub(crate) fn step_chunk<F: FnMut(usize, NodeId) -> P>(
-        &mut self,
-        spawn: &mut F,
-        run: usize,
-    ) -> Option<RunOutcome> {
-        for _ in 0..STRIDE {
+    pub(crate) fn run(&mut self, spawn: &mut impl FnMut(NodeId) -> P) -> RunOutcome {
+        loop {
             if self.live == 0 {
-                return Some(RunOutcome::Quiescent {
+                return RunOutcome::Quiescent {
                     events: self.events_processed,
                     at: self.time,
-                });
+                };
             }
             if let Some(cap) = self.config.max_events {
                 if self.events_processed >= cap {
-                    return Some(RunOutcome::LimitReached {
+                    return RunOutcome::LimitReached {
                         events: self.events_processed,
                         at: self.time,
-                    });
+                    };
                 }
             }
             let entry = self.pop_next();
@@ -638,17 +628,11 @@ impl<P: Process> Slot<P> {
                 "time went backwards"
             );
             self.time = self.time.max(entry.at);
-            self.dispatch(spawn, run, entry.kind);
+            self.dispatch(spawn, entry.kind);
         }
-        None
     }
 
-    fn dispatch<F: FnMut(usize, NodeId) -> P>(
-        &mut self,
-        spawn: &mut F,
-        run: usize,
-        kind: EventKind<P::Msg>,
-    ) {
+    fn dispatch(&mut self, spawn: &mut impl FnMut(NodeId) -> P, kind: EventKind<P::Msg>) {
         match kind {
             EventKind::Crash { node } => {
                 let ni = self.node_slot(node);
@@ -670,7 +654,7 @@ impl<P: Process> Slot<P> {
                     self.counters.dropped += 1;
                     return;
                 }
-                self.activate_if_needed(spawn, run, ni, to);
+                self.activate_if_needed(spawn, ni, to);
                 self.counters.delivered += 1;
                 self.counters.activations += 1;
                 let stats = &mut self.nodes[ni].stats;
@@ -688,7 +672,7 @@ impl<P: Process> Slot<P> {
                 if self.nodes[ni].crashed {
                     return;
                 }
-                self.activate_if_needed(spawn, run, ni, to);
+                self.activate_if_needed(spawn, ni, to);
                 self.counters.notifications += 1;
                 self.counters.activations += 1;
                 self.nodes[ni].stats.activations += 1;
@@ -706,15 +690,9 @@ impl<P: Process> Slot<P> {
     /// `on_start` run, sends and monitors included — immediately before
     /// its first event is recorded. Nodes that never receive an event
     /// are never materialized.
-    fn activate_if_needed<F: FnMut(usize, NodeId) -> P>(
-        &mut self,
-        spawn: &mut F,
-        run: usize,
-        ni: usize,
-        node: NodeId,
-    ) {
+    fn activate_if_needed(&mut self, spawn: &mut impl FnMut(NodeId) -> P, ni: usize, node: NodeId) {
         if self.nodes[ni].proc.is_none() {
-            self.nodes[ni].proc = Some(spawn(run, node));
+            self.nodes[ni].proc = Some(spawn(node));
             self.handle(ni, node, |p, ctx| p.on_start(ctx));
         }
     }

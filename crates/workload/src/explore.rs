@@ -253,8 +253,8 @@ pub struct ExploreConfig {
     /// Probes per serial merge chunk — the early-stop granularity and
     /// the guided feedback latency. The default [`FEED_CHUNK`]
     /// preserves the historical stop boundaries; guided runs may
-    /// prefer a much smaller chunk (even below one wave) so the
-    /// corpus reacts faster at the cost of narrower parallelism.
+    /// prefer a much smaller chunk (down to one probe) so the corpus
+    /// reacts faster at the cost of narrower parallelism.
     pub chunk: usize,
 }
 
@@ -277,11 +277,6 @@ impl Default for ExploreConfig {
 /// Fixed chunk size of the budgeted feed (worker-independent early
 /// stopping granularity).
 pub const FEED_CHUNK: usize = 128;
-
-/// Probes per lockstep batch wave. Must divide [`FEED_CHUNK`] so the
-/// feed's early-stopping boundaries stay on the exact probe counts a
-/// probe-at-a-time feed stops at.
-const WAVE: usize = 16;
 
 /// Compact per-probe observation (full reports never cross the worker
 /// boundary; a violating probe additionally ships its schedule for the
@@ -372,8 +367,8 @@ pub fn explore_scenario(scenario: &Scenario, cfg: &ExploreConfig, jobs: Jobs) ->
     // the raw budget, so `--budget 4000000000 --stop-after 1` is fine.
     // Each chunk's policies are fixed serially up front (guided
     // mutation reads the corpus/coverage state as of the chunk
-    // boundary), the chunk's waves run in parallel through per-worker
-    // [`BatchRunner`]s (slot arenas reused across every wave the
+    // boundary), the chunk's probes run in parallel through per-worker
+    // [`BatchRunner`]s (slot arenas reused across every probe the
     // worker claims; per-probe results bit-identical to one-at-a-time
     // [`rt::probe`] runs), and the
     // results merge back serially in probe order — carrying a running
@@ -383,7 +378,6 @@ pub fn explore_scenario(scenario: &Scenario, cfg: &ExploreConfig, jobs: Jobs) ->
     // land on the same probe counts as the historical per-probe feed,
     // so blind digests — and any early-stopped prefix — are
     // byte-identical to it, for any worker count.
-    const _: () = assert!(FEED_CHUNK.is_multiple_of(WAVE));
     let budget = usize::try_from(cfg.budget.max(1)).unwrap_or(usize::MAX);
     let chunk = cfg.chunk.max(1);
     let spec = SweepSpec::new(jobs);
@@ -405,35 +399,25 @@ pub fn explore_scenario(scenario: &Scenario, cfg: &ExploreConfig, jobs: Jobs) ->
                 })
                 .collect()
         };
-        let waves: Vec<usize> = (0..batch.len()).step_by(WAVE).collect();
-        let wave_results = spec.map_with(
-            &waves,
-            || BatchRunner::with_default_policy(scenario, WAVE),
-            |runner, _w, &lo| {
-                let hi = lo.saturating_add(WAVE).min(batch.len());
-                let wave_jobs = &batch[lo..hi];
-                runner
-                    .run(wave_jobs)
-                    .into_iter()
-                    .zip(wave_jobs)
-                    .enumerate()
-                    .map(|(k, (out, job))| {
-                        let (violations, cov) = probe_coverage(&out);
-                        let digest = ProbeDigest {
-                            index: (start + lo + k) as u64,
-                            policy: job.policy.tag(),
-                            trace_hash: out.report.trace_hash,
-                            deviations: out.schedule.len(),
-                            events: out.report.outcome.events(),
-                            violations: violations.len(),
-                            schedule: None,
-                        };
-                        (digest, cov, out.schedule)
-                    })
-                    .collect::<Vec<_>>()
+        let results = spec.map_with(
+            &batch,
+            || BatchRunner::with_default_policy(scenario, 1),
+            |runner, k, job| {
+                let out = runner.run_one(job);
+                let (violations, cov) = probe_coverage(&out);
+                let digest = ProbeDigest {
+                    index: (start + k) as u64,
+                    policy: job.policy.tag(),
+                    trace_hash: out.report.trace_hash,
+                    deviations: out.schedule.len(),
+                    events: out.report.outcome.events(),
+                    violations: violations.len(),
+                    schedule: None,
+                };
+                (digest, cov, out.schedule)
             },
         );
-        for (mut digest, cov, schedule) in wave_results.into_iter().flatten() {
+        for (mut digest, cov, schedule) in results {
             if digest.violations > 0 {
                 digest.schedule = Some(schedule.clone());
                 violating += 1;
@@ -768,35 +752,46 @@ mod tests {
         ));
     }
 
+    /// Blind digests depend on neither the worker count nor the chunk
+    /// size: any chunk, dividing the budget or not, feeds the same
+    /// probes.
     #[test]
     fn outcome_is_worker_independent() {
         let s = scenario(false);
-        let cfg = ExploreConfig {
-            budget: 40,
-            seed: 9,
-            ..ExploreConfig::default()
-        };
-        let a = explore_scenario(&s, &cfg, Jobs::serial());
-        let b = explore_scenario(&s, &cfg, Jobs::new(4));
-        assert_eq!(a.schedules(), 40);
-        assert_eq!(a.violating(), 0, "correct protocol stays clean");
-        assert!(a.unique_orderings() > 1, "exploration found new orders");
         let fingerprint = |o: &ExploreOutcome| -> Vec<(u64, u64, usize, usize)> {
             o.probes
                 .iter()
                 .map(|p| (p.index, p.trace_hash, p.deviations, p.violations))
                 .collect()
         };
-        assert_eq!(fingerprint(&a), fingerprint(&b));
+        let mut want = None;
+        for chunk in [1, 7, FEED_CHUNK] {
+            let cfg = ExploreConfig {
+                budget: 40,
+                seed: 9,
+                chunk,
+                ..ExploreConfig::default()
+            };
+            let a = explore_scenario(&s, &cfg, Jobs::serial());
+            let b = explore_scenario(&s, &cfg, Jobs::new(4));
+            assert_eq!(a.schedules(), 40);
+            assert_eq!(a.violating(), 0, "correct protocol stays clean");
+            assert!(a.unique_orderings() > 1, "exploration found new orders");
+            assert_eq!(fingerprint(&a), fingerprint(&b), "chunk {chunk}");
+            let want = want.get_or_insert_with(|| fingerprint(&a));
+            assert_eq!(&fingerprint(&a), want, "chunk {chunk}");
+        }
     }
 
-    /// Feeding probes through reused lockstep waves must not change a
-    /// single digest field relative to running each probe alone ("scalar"
-    /// here is `rt::probe`, a fresh one-slot run per probe) — checked at
-    /// the explorer's own observation granularity. 21 probes: a full
-    /// wave, a ragged tail, and the FIFO baseline.
+    /// Feeding probes through per-worker runners, each reusing one slot
+    /// for probe after probe, must not change a single digest field
+    /// relative to running each probe alone ("scalar" here is
+    /// `rt::probe`, a fresh one-slot run per probe) — checked at the
+    /// explorer's own observation granularity. 21 probes: the FIFO
+    /// baseline and twenty fuzzed runs, each on a slot that hosted the
+    /// one before.
     #[test]
-    fn batched_feed_matches_per_probe_scalar_runs() {
+    fn slot_reusing_feed_matches_per_probe_scalar_runs() {
         let s = scenario(false);
         let cfg = ExploreConfig {
             budget: 21,
@@ -846,8 +841,9 @@ mod tests {
         assert!(a.states_per_1000() > 0.0);
     }
 
-    /// "Scalar" is a fresh one-slot `exec`; "batched" is the same job in
-    /// a four-slot wave of a runner whose slots already hosted a wave.
+    /// "Scalar" is a fresh one-slot `exec`; "batched" is the same job
+    /// third in a batch, on a runner whose slot already hosted a batch of
+    /// four `Pcr` runs.
     #[test]
     fn guided_probes_replay_bit_for_bit_on_scalar_and_batched_engines() {
         use precipice_runtime::Exec;
@@ -864,7 +860,7 @@ mod tests {
             flip: None,
         });
         let scalar = s.exec(Exec::new().schedule(policy.clone()));
-        let mut runner = BatchRunner::with_default_policy(&s, 4);
+        let mut runner = BatchRunner::with_default_policy(&s, 1);
         let mut jobs: Vec<BatchJob> = (0..4)
             .map(|i| BatchJob {
                 seed: s.sim.seed,

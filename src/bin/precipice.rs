@@ -239,16 +239,18 @@ fn parse_topology(spec: &str, seed: u64) -> Result<Graph, String> {
         ["ring", n] => Ok(precipice::graph::ring(size(n, 3)?)),
         ["path", n] => Ok(precipice::graph::path(size(n, 1)?)),
         ["star", n] => Ok(precipice::graph::star(size(n, 2)?)),
-        ["geometric", n, r] => Ok(precipice::graph::random_geometric_connected(
+        ["geometric", n, r] => precipice::graph::random_geometric_connected(
             size(n, 1)?,
             param(r, |r| r > 0.0, "the radius must be positive")?,
             seed,
-        )),
-        ["er", n, p] => Ok(precipice::graph::erdos_renyi_connected(
+        )
+        .map_err(|e| format!("topology {spec:?}: {e}")),
+        ["er", n, p] => precipice::graph::erdos_renyi_connected(
             size(n, 1)?,
             param(p, |p| (0.0..=1.0).contains(&p), "p must be in [0, 1]")?,
             seed,
-        )),
+        )
+        .map_err(|e| format!("topology {spec:?}: {e}")),
         ["tree", n] => Ok(precipice::graph::random_tree(size(n, 1)?, seed)),
         _ => Err(format!("unknown topology spec {spec:?}")),
     }

@@ -269,6 +269,16 @@ fn bad_flags_exit_nonzero() {
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(String::from_utf8_lossy(&out.stderr).contains("minimum"));
     }
+    // A random topology too sparse to sample connected is one too, on
+    // `run` and `check` alike.
+    for args in [
+        &["--topology", "er:40:0.001", "--region", "blob:2"][..],
+        &["check", "--topology", "er:40:0.001", "--region", "blob:2"],
+    ] {
+        let out = precipice(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("er:40:0.001"));
+    }
     // The live runtime has no sequential-multicast chain yet: refused,
     // not run atomically without a word.
     let out = precipice(&["check", "--backend", "live", "--sequential-multicast"]);

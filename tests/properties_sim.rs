@@ -54,8 +54,12 @@ fn build_graph(recipe: &Recipe) -> Graph {
             let side = (recipe.n as f64).sqrt().ceil().max(3.0) as usize;
             torus(GridDims::square(side))
         }
-        TopologyKind::Geometric => random_geometric_connected(recipe.n.max(8), 0.35, recipe.seed),
-        TopologyKind::ErdosRenyi => erdos_renyi_connected(recipe.n.max(8), 0.25, recipe.seed),
+        TopologyKind::Geometric => {
+            random_geometric_connected(recipe.n.max(8), 0.35, recipe.seed).expect("connected")
+        }
+        TopologyKind::ErdosRenyi => {
+            erdos_renyi_connected(recipe.n.max(8), 0.25, recipe.seed).expect("connected")
+        }
         TopologyKind::TreePlus => {
             // A tree plus a few chords: sparse, high-diameter.
             let tree = random_tree(recipe.n.max(4), recipe.seed);
