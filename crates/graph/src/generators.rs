@@ -11,9 +11,11 @@
 //! The closed-form topologies (ring, path, grid, torus) are defined by
 //! *row functions* — the sorted adjacency of node `p` as a pure function
 //! of `p` — and built in one pass with no intermediate edge list. The
-//! same row functions drive the `stream_*` variants, which write a
-//! [`.pcsr` file](crate::GraphStore) directly: a 10⁸-node torus streams
-//! to disk through a fixed-size buffer, never holding O(E) in memory.
+//! same row functions drive [`stream_torus`] and
+//! [`TopologySpec::write_pcsr`](crate::TopologySpec::write_pcsr), which
+//! write a [`.pcsr` file](crate::GraphStore) directly: a 10⁸-node torus
+//! streams to disk through a fixed-size buffer, never holding O(E) in
+//! memory.
 
 use crate::rng::Rng;
 use crate::store::{GraphStore, StoreError, StoreSummary};
@@ -49,7 +51,7 @@ impl GridDims {
 }
 
 /// Sorted adjacency row of node `p` in an `n`-ring (`n ≥ 3`).
-fn ring_row(n: usize, p: usize, out: &mut Vec<NodeId>) {
+pub(crate) fn ring_row(n: usize, p: usize, out: &mut Vec<NodeId>) {
     out.extend([
         NodeId::from_index((p + n - 1) % n),
         NodeId::from_index((p + 1) % n),
@@ -58,7 +60,7 @@ fn ring_row(n: usize, p: usize, out: &mut Vec<NodeId>) {
 }
 
 /// Sorted adjacency row of node `p` in an `n`-path.
-fn path_row(n: usize, p: usize, out: &mut Vec<NodeId>) {
+pub(crate) fn path_row(n: usize, p: usize, out: &mut Vec<NodeId>) {
     if p > 0 {
         out.push(NodeId::from_index(p - 1));
     }
@@ -70,7 +72,7 @@ fn path_row(n: usize, p: usize, out: &mut Vec<NodeId>) {
 /// Sorted adjacency row of node `p` in a `dims` grid (no wraparound).
 /// Emitted in ascending id order by construction: north, west, east,
 /// south.
-fn grid_row(dims: GridDims, p: usize, out: &mut Vec<NodeId>) {
+pub(crate) fn grid_row(dims: GridDims, p: usize, out: &mut Vec<NodeId>) {
     let (w, h) = (dims.width, dims.height);
     let (x, y) = (p % w, p / w);
     if y > 0 {
@@ -111,20 +113,6 @@ pub fn ring(n: usize) -> Graph {
     Graph::from_sorted_rows(n, |p, out| ring_row(n, p, out))
 }
 
-/// Streams an `n`-ring to `path` as a `.pcsr` file without building it
-/// in memory; see [`ring`] for the topology.
-///
-/// # Panics
-///
-/// Panics if `n < 3`.
-pub fn stream_ring(
-    n: usize,
-    path: impl AsRef<std::path::Path>,
-) -> Result<StoreSummary, StoreError> {
-    assert!(n >= 3, "a ring needs at least 3 nodes, got {n}");
-    GraphStore::write_rows(path, n, |p, out| ring_row(n, p, out))
-}
-
 /// A path (line) of `n` nodes: `0 - 1 - … - (n-1)`.
 ///
 /// # Panics
@@ -133,20 +121,6 @@ pub fn stream_ring(
 pub fn path(n: usize) -> Graph {
     assert!(n > 0, "a path needs at least 1 node");
     Graph::from_sorted_rows(n, |p, out| path_row(n, p, out))
-}
-
-/// Streams an `n`-path to `file` as a `.pcsr` file without building it
-/// in memory; see [`path`] for the topology.
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
-pub fn stream_path(
-    n: usize,
-    file: impl AsRef<std::path::Path>,
-) -> Result<StoreSummary, StoreError> {
-    assert!(n > 0, "a path needs at least 1 node");
-    GraphStore::write_rows(file, n, |p, out| path_row(n, p, out))
 }
 
 /// The complete graph `K_n`.
@@ -183,23 +157,6 @@ pub fn grid(dims: GridDims) -> Graph {
         "grid dimensions must be non-zero: {dims:?}"
     );
     Graph::from_sorted_rows(dims.len(), |p, out| grid_row(dims, p, out))
-}
-
-/// Streams a `dims` grid to `path` as a `.pcsr` file without building it
-/// in memory; see [`grid`] for the topology.
-///
-/// # Panics
-///
-/// Panics if either dimension is zero.
-pub fn stream_grid(
-    dims: GridDims,
-    path: impl AsRef<std::path::Path>,
-) -> Result<StoreSummary, StoreError> {
-    assert!(
-        !dims.is_empty(),
-        "grid dimensions must be non-zero: {dims:?}"
-    );
-    GraphStore::write_rows(path, dims.len(), |p, out| grid_row(dims, p, out))
 }
 
 /// A `width × height` 4-neighbour mesh **with** wraparound — the classic

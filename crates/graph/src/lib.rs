@@ -24,9 +24,10 @@
 //!
 //! The crate also provides the topology *generators* used by the
 //! experiment workloads (rings, grids, tori, random geometric graphs,
-//! Erdős–Rényi, Barabási–Albert, Watts–Strogatz, trees) and a small
-//! [`Topology`] abstraction so protocol code can query `G` on demand — the
-//! paper's "underlying topology service" — without owning it.
+//! Erdős–Rényi, Barabási–Albert, Watts–Strogatz, trees), [`TopologySpec`],
+//! the one string grammar that names a generated or mapped graph, and a
+//! small [`Topology`] abstraction so protocol code can query `G` on
+//! demand — the paper's "underlying topology service" — without owning it.
 //!
 //! # Example
 //!
@@ -55,6 +56,7 @@ mod nodeset;
 mod rank;
 mod region;
 pub mod rng;
+mod spec;
 mod store;
 mod topology;
 
@@ -65,13 +67,13 @@ pub use components::{
 pub use dot::to_dot;
 pub use generators::{
     barabasi_albert, complete, erdos_renyi_connected, grid, path, random_geometric_connected,
-    random_tree, ring, star, stream_grid, stream_path, stream_ring, stream_torus, torus,
-    watts_strogatz, GridDims,
+    random_tree, ring, star, stream_torus, torus, watts_strogatz, GridDims,
 };
 pub use graph::{Graph, GraphBuilder};
 pub use node::NodeId;
 pub use nodeset::NodeSet;
 pub use rank::{max_ranked_region, rank_cmp, rank_cmp_keyed, RankKey};
 pub use region::Region;
+pub use spec::TopologySpec;
 pub use store::{GraphStore, MappedGraph, StoreError, StoreSummary};
 pub use topology::Topology;

@@ -17,9 +17,9 @@ use std::fs;
 use std::path::PathBuf;
 
 use precipice_graph::{
-    barabasi_albert, connected_components, grid, path, ring, star, stream_grid, stream_path,
-    stream_ring, stream_torus, torus, watts_strogatz, Graph, GraphStore, GridDims, MappedGraph,
-    NodeId, Region, StoreError,
+    barabasi_albert, connected_components, grid, path, ring, star, stream_torus, torus,
+    watts_strogatz, Graph, GraphStore, GridDims, MappedGraph, NodeId, Region, StoreError,
+    TopologySpec,
 };
 
 fn tmp(name: &str) -> PathBuf {
@@ -93,70 +93,39 @@ fn mapped_kernels_are_bit_identical_across_topologies() {
 
 #[test]
 fn streamed_files_match_materialized_writes_byte_for_byte() {
-    // The streaming generators must produce the exact bytes of
-    // build-then-write: same CSR, same dense plan, same checksum.
-    type StreamFn = Box<dyn Fn(&std::path::Path)>;
-    let cases: Vec<(&str, Graph, StreamFn)> = vec![
-        (
-            "torus",
-            torus(GridDims {
-                width: 7,
-                height: 4,
-            }),
-            Box::new(|p| {
-                stream_torus(
-                    GridDims {
-                        width: 7,
-                        height: 4,
-                    },
-                    p,
-                )
-                .unwrap();
-            }),
-        ),
-        (
-            "grid",
-            grid(GridDims {
-                width: 5,
-                height: 6,
-            }),
-            Box::new(|p| {
-                stream_grid(
-                    GridDims {
-                        width: 5,
-                        height: 6,
-                    },
-                    p,
-                )
-                .unwrap();
-            }),
-        ),
-        (
-            "ring",
-            ring(33),
-            Box::new(|p| {
-                stream_ring(33, p).unwrap();
-            }),
-        ),
-        (
-            "path",
-            path(17),
-            Box::new(|p| {
-                stream_path(17, p).unwrap();
-            }),
-        ),
-    ];
-    for (name, g, stream) in cases {
+    // `TopologySpec::write_pcsr` streams the closed-form families and
+    // materializes the rest; either way it must write the exact bytes
+    // of build-then-write: same CSR, same dense plan, same checksum.
+    for (spec, streams) in [
+        ("torus:7", true),
+        ("grid:5x6", true),
+        ("ring:33", true),
+        ("path:17", true),
+        ("star:130", false),
+        ("tree:50", false),
+    ] {
+        let topology: TopologySpec = spec.parse().unwrap();
+        let name = spec.replace(':', "-");
         let built = tmp(&format!("bytes-{name}-built.pcsr"));
-        let streamed = tmp(&format!("bytes-{name}-streamed.pcsr"));
-        g.write_pcsr(&built).unwrap();
-        stream(&streamed);
+        let written = tmp(&format!("bytes-{name}-written.pcsr"));
+        topology.build(7).unwrap().write_pcsr(&built).unwrap();
+        let (_, streamed) = topology.write_pcsr(&written, 7).unwrap();
+        assert_eq!(streamed, streams, "{spec}");
         assert_eq!(
             fs::read(&built).unwrap(),
-            fs::read(&streamed).unwrap(),
-            "{name}: streamed file differs from materialized write"
+            fs::read(&written).unwrap(),
+            "{spec}: written file differs from materialized write"
         );
     }
+    // A non-square torus has no spec but streams all the same.
+    let (built, streamed) = (tmp("bytes-torus7x4-built.pcsr"), tmp("bytes-torus7x4.pcsr"));
+    let dims = GridDims {
+        width: 7,
+        height: 4,
+    };
+    torus(dims).write_pcsr(&built).unwrap();
+    stream_torus(dims, &streamed).unwrap();
+    assert_eq!(fs::read(&built).unwrap(), fs::read(&streamed).unwrap());
 }
 
 #[test]

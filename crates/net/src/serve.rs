@@ -27,12 +27,14 @@
 //! | `close` | `id?` | shut the instance down, report verdict |
 //! | `shutdown` | | close everything and end the session |
 //!
-//! `topology` accepts `torus:N`, `grid:WxH`, `ring:N`, `path:N`,
-//! `star:N` and `pcsr:PATH` (a mapped graph store file). `id` defaults
-//! to `"default"` everywhere. Fields a command does not name are
-//! ignored. `shards` is the instance's own shard count (the reply
-//! echoes it) and may not exceed the topology's node count: the pool
-//! grows to the largest count ever opened and keeps those workers.
+//! `topology` is any [`TopologySpec`], the CLI's `--topology` grammar,
+//! `pcsr:PATH` (a mapped graph store file) included. There is no seed
+//! field: the random families (`geometric`, `er`, `tree`) are built
+//! with seed 0. `id` defaults to `"default"` everywhere. Fields a
+//! command does not name are ignored. `shards` is the instance's own
+//! shard count (the reply echoes it) and may not exceed the topology's
+//! node count: the pool grows to the largest count ever opened and
+//! keeps those workers.
 //!
 //! A panic inside one instance's handlers (a decision policy's, in
 //! practice) fails that instance only. Its queued events are
@@ -69,7 +71,7 @@ use std::time::Duration;
 
 use precipice_core::json::Json;
 use precipice_core::ProtocolConfig;
-use precipice_graph::{grid, path, ring, star, torus, Graph, GridDims, NodeId, Region};
+use precipice_graph::{NodeId, Region, TopologySpec};
 
 use crate::cluster::ShardedCluster;
 use crate::gate::live_consistent;
@@ -144,7 +146,7 @@ impl ServeSession {
             .get("topology")
             .and_then(Json::as_str)
             .ok_or("open needs a \"topology\"")?;
-        let graph = parse_topology(spec)?;
+        let graph = spec.parse::<TopologySpec>()?.build(0)?;
         let shards = match request.get("shards") {
             Some(v) => v.as_u64().ok_or("\"shards\" must be a positive integer")? as usize,
             None => self.default_shards,
@@ -357,41 +359,10 @@ fn region_json(region: &Region) -> Json {
     Json::Arr(region.iter().map(|n| Json::from(n.0 as u64)).collect())
 }
 
-/// Parses a serve topology spec: `torus:N`, `grid:WxH`, `ring:N`,
-/// `path:N`, `star:N`, or `pcsr:PATH` (opened as a mapped graph).
-fn parse_topology(spec: &str) -> Result<Graph, String> {
-    if let Some(file) = spec.strip_prefix("pcsr:") {
-        return Graph::open_pcsr(file).map_err(|e| format!("open {file}: {e}"));
-    }
-    let (kind, arg) = spec
-        .split_once(':')
-        .ok_or_else(|| format!("malformed topology {spec:?}"))?;
-    // The generators assert their preconditions: a size below one is
-    // refused here, not left to abort the session and every instance.
-    let n = |arg: &str, min: usize| match arg.parse::<usize>() {
-        Ok(n) if n >= min => Ok(n),
-        Ok(n) => Err(format!("{spec:?}: size {n} is below the minimum of {min}")),
-        Err(_) => Err(format!("bad topology size {arg:?}")),
-    };
-    match kind {
-        "torus" => Ok(torus(GridDims::square(n(arg, 3)?))),
-        "grid" => match arg.split_once('x') {
-            Some((w, h)) => Ok(grid(GridDims {
-                width: n(w, 1)?,
-                height: n(h, 1)?,
-            })),
-            None => Ok(grid(GridDims::square(n(arg, 1)?))),
-        },
-        "ring" => Ok(ring(n(arg, 3)?)),
-        "path" => Ok(path(n(arg, 1)?)),
-        "star" => Ok(star(n(arg, 2)?)),
-        other => Err(format!("unknown topology kind {other:?}")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use precipice_graph::{path, torus, GridDims};
 
     fn ok(response: &str) -> Json {
         let v = Json::parse(response).expect("response parses");
@@ -489,6 +460,13 @@ mod tests {
         for bad in "ring:2 torus:2 grid:0x3 grid:0 path:0 star:1".split(' ') {
             let line = format!(r#"{{"cmd":"open","id":"x","topology":"{bad}"}}"#);
             assert!(fail(&s.handle_line(&line)).contains("minimum"), "{bad}");
+        }
+        // So are sizes past the u32 node id space, before any graph is
+        // allocated: once they wrapped, or panicked in the generator and
+        // took the whole session down.
+        for bad in "torus:4294967296 torus:65536 grid:4294967296x4294967296".split(' ') {
+            let line = format!(r#"{{"cmd":"open","id":"x","topology":"{bad}"}}"#);
+            assert!(fail(&s.handle_line(&line)).contains(bad), "{bad}");
         }
         ok(&s.handle_line(r#"{"cmd":"crash","id":"a","node":1}"#));
         ok(&s.handle_line(r#"{"cmd":"await","id":"a","timeout_ms":20000}"#));

@@ -47,7 +47,7 @@ use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use precipice_graph::{ring, rng::SplitMix, torus, Graph, GridDims, NodeId};
+use precipice_graph::{rng::SplitMix, Graph, NodeId, TopologySpec};
 use precipice_runtime::explore as rt;
 use precipice_runtime::{probe_coverage, BatchJob, BatchRunner, Counterexample, Scenario};
 use precipice_sim::{
@@ -476,86 +476,6 @@ pub fn explore_scenario(scenario: &Scenario, cfg: &ExploreConfig, jobs: Jobs) ->
 
 // --- Scenario shrinking ------------------------------------------------
 
-/// How a scenario's topology can be shrunk. A [`Graph`] does not
-/// remember which generator built it, so the caller names the family
-/// (the CLI derives it from its own `--topology` flag).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShrinkTopology {
-    /// A `side × side` torus; shrinking to side `s'` remaps crash
-    /// `(r, c)` to `(r mod s', c mod s')`.
-    Torus {
-        /// Current side length.
-        side: usize,
-    },
-    /// An `n`-node ring; shrinking to `n'` remaps crash `id` to
-    /// `id mod n'`.
-    Ring {
-        /// Current node count.
-        n: usize,
-    },
-    /// An opaque topology: shrink only the crash list and the
-    /// schedule, never the graph.
-    Fixed,
-}
-
-impl ShrinkTopology {
-    /// Candidate smaller sizes, most aggressive first: halve (floored
-    /// at the family minimum), then decrement.
-    fn candidates(self) -> Vec<usize> {
-        let (size, min) = match self {
-            // The generators' floors: wraparound below these would
-            // create duplicate or self edges.
-            ShrinkTopology::Torus { side } => (side, 3),
-            ShrinkTopology::Ring { n } => (n, 3),
-            ShrinkTopology::Fixed => return Vec::new(),
-        };
-        let mut v = Vec::new();
-        let half = (size / 2).max(min);
-        if half < size {
-            v.push(half);
-        }
-        let dec = size - 1;
-        if dec >= min && dec < size && Some(&dec) != v.first() {
-            v.push(dec);
-        }
-        v
-    }
-
-    /// The same family at `size`.
-    fn at(self, size: usize) -> ShrinkTopology {
-        match self {
-            ShrinkTopology::Torus { .. } => ShrinkTopology::Torus { side: size },
-            ShrinkTopology::Ring { .. } => ShrinkTopology::Ring { n: size },
-            ShrinkTopology::Fixed => ShrinkTopology::Fixed,
-        }
-    }
-
-    /// Rebuilds `scenario` on this family at `size`, remapping every
-    /// crash onto the smaller graph.
-    fn rebuild_at(self, scenario: &Scenario, size: usize) -> Scenario {
-        let (graph, remap): (Graph, Box<dyn Fn(NodeId) -> NodeId>) = match self {
-            ShrinkTopology::Torus { side } => (
-                torus(GridDims::square(size)),
-                Box::new(move |id: NodeId| {
-                    let (r, c) = (id.0 as usize / side, id.0 as usize % side);
-                    NodeId(((r % size) * size + (c % size)) as u32)
-                }),
-            ),
-            ShrinkTopology::Ring { .. } => (
-                ring(size),
-                Box::new(move |id: NodeId| NodeId(id.0 % size as u32)),
-            ),
-            ShrinkTopology::Fixed => unreachable!("Fixed yields no candidates"),
-        };
-        let crashes = scenario
-            .crashes
-            .iter()
-            .map(|&(node, at)| (remap(node), at))
-            .collect();
-        sealed(scenario, Arc::new(graph), crashes)
-    }
-}
-
 /// What [`shrink_scenario`] produced: the minimized scenario, a shrunk
 /// schedule on it, and the before/after accounting.
 #[derive(Debug, Clone)]
@@ -649,10 +569,12 @@ fn drop_crashes(current: &mut Scenario, seed: u64, spent: &mut u64) {
 }
 
 /// Shrinks a violating **scenario**, extending ddmin beyond the
-/// deviation list: greedily drops crashes, walks the topology down a
-/// halve-then-decrement ladder (remapping the surviving crashes onto
-/// the smaller graph), re-minimizes the crashes, and finally shrinks
-/// the violating schedule itself with [`rt::shrink_schedule`].
+/// deviation list: greedily drops crashes, walks `topology` (the spec
+/// `scenario.graph` was built from; a [`Graph`] does not remember it)
+/// down its [`TopologySpec::shrink`] ladder, remapping the surviving
+/// crashes onto each smaller graph, re-minimizes the crashes, and
+/// finally shrinks the violating schedule itself with
+/// [`rt::shrink_schedule`].
 ///
 /// Returns `None` when the oracle finds no violation on the input
 /// scenario within its probe budget (nothing to shrink). Every step is
@@ -660,7 +582,7 @@ fn drop_crashes(current: &mut Scenario, seed: u64, spent: &mut u64) {
 /// at any `--jobs`.
 pub fn shrink_scenario(
     scenario: &Scenario,
-    topology: ShrinkTopology,
+    topology: &TopologySpec,
     cfg: &ExploreConfig,
 ) -> Option<ScenarioShrink> {
     let mut spent: u64 = 0;
@@ -675,21 +597,25 @@ pub fn shrink_scenario(
 
     // Topology ladder: commit the first smaller size that still
     // violates, then try to shrink further from there.
-    let mut topo = topology;
+    let mut topo = topology.clone();
     loop {
-        let mut stepped = false;
-        for size in topo.candidates() {
-            let candidate = topo.rebuild_at(&current, size);
-            if violating_schedule(&candidate, cfg.seed, &mut spent).is_some() {
-                current = candidate;
-                topo = topo.at(size);
-                stepped = true;
-                break;
-            }
-        }
-        if !stepped {
+        let next = topo.shrink().into_iter().find_map(|smaller| {
+            let graph = smaller
+                .build(0)
+                .expect("a shrink step is a valid torus or ring");
+            let crashes = current
+                .crashes
+                .iter()
+                .map(|&(node, at)| (topo.remap(&smaller, node), at))
+                .collect();
+            let candidate = sealed(&current, Arc::new(graph), crashes);
+            violating_schedule(&candidate, cfg.seed, &mut spent).map(|_| (smaller, candidate))
+        });
+        let Some((smaller, candidate)) = next else {
             break;
-        }
+        };
+        current = candidate;
+        topo = smaller;
     }
 
     // The smaller topology may get by with fewer crashes still.
@@ -1054,7 +980,7 @@ mod tests {
             shrink_runs: 400,
             ..ExploreConfig::default()
         };
-        let shrunk = shrink_scenario(&big, ShrinkTopology::Torus { side: 5 }, &cfg)
+        let shrunk = shrink_scenario(&big, &TopologySpec::Torus(5), &cfg)
             .expect("the planted bug violates, so there is something to shrink");
         assert_eq!(shrunk.nodes_before, 25);
         assert_eq!(shrunk.crashes_before, 3);
@@ -1078,7 +1004,7 @@ mod tests {
         assert_eq!(replayed.report.trace_hash, shrunk.counterexample.trace_hash);
         assert!(!replayed.violations.is_empty());
         // Deterministic: a second run makes identical decisions.
-        let again = shrink_scenario(&big, ShrinkTopology::Torus { side: 5 }, &cfg).unwrap();
+        let again = shrink_scenario(&big, &TopologySpec::Torus(5), &cfg).unwrap();
         assert_eq!(again.nodes_after, shrunk.nodes_after);
         assert_eq!(again.crashes_after, shrunk.crashes_after);
         assert_eq!(again.scenario.crashes, shrunk.scenario.crashes);
@@ -1093,7 +1019,7 @@ mod tests {
     fn scenario_shrinking_of_clean_scenario_is_none() {
         let s = scenario(false);
         let cfg = ExploreConfig::default();
-        assert!(shrink_scenario(&s, ShrinkTopology::Torus { side: 4 }, &cfg).is_none());
+        assert!(shrink_scenario(&s, &TopologySpec::Torus(4), &cfg).is_none());
     }
 
     #[test]
@@ -1103,7 +1029,10 @@ mod tests {
             seed: 1,
             ..ExploreConfig::default()
         };
-        let shrunk = shrink_scenario(&s, ShrinkTopology::Fixed, &cfg).expect("violating");
+        // A mapped file's graph is opaque: no shrink ladder, so only the
+        // crashes and the schedule shrink (the file is never opened).
+        let opaque = TopologySpec::Pcsr("torus-4.pcsr".into());
+        let shrunk = shrink_scenario(&s, &opaque, &cfg).expect("violating");
         assert_eq!(shrunk.nodes_after, shrunk.nodes_before, "graph untouched");
         assert!(shrunk.crashes_after <= shrunk.crashes_before);
         assert!(!shrunk.counterexample.violations.is_empty());

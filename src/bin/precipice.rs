@@ -31,15 +31,13 @@ use std::fmt::Display;
 use std::process::ExitCode;
 
 use precipice::consensus::ProtocolConfig;
-use precipice::graph::{to_dot, Graph, GridDims, NodeId, Region};
+use precipice::graph::{to_dot, Graph, NodeId, Region, TopologySpec};
 use precipice::runtime::explore::{
     probe, probe_on, render_violations, shrink_schedule_on, Artifact, Counterexample,
 };
 use precipice::runtime::{check_spec, Engine, Exec, MulticastMode, RunDigest, RunReport, Scenario};
 use precipice::sim::{LatencyModel, Schedule, SchedulePolicy, SimConfig, SimTime};
-use precipice::workload::explore::{
-    explore_scenario, shrink_scenario, ExploreConfig, PolicyMix, ShrinkTopology,
-};
+use precipice::workload::explore::{explore_scenario, shrink_scenario, ExploreConfig, PolicyMix};
 use precipice::workload::patterns::{bfs_ball, blob_of_size, line_region, schedule, CrashTiming};
 use precipice::workload::stats::summarize;
 use precipice::workload::sweep::{Jobs, SweepSpec};
@@ -57,9 +55,9 @@ USAGE:
     precipice graph info <file.pcsr>
 
 OPTIONS:
-    --topology <spec>   torus:<side> | grid:<w>x<h> | ring:<n> | path:<n> |
-                        star:<n> | geometric:<n>:<radius> | er:<n>:<p> |
-                        tree:<n> | pcsr:<file>      [default: torus:8]
+    --topology <spec>   torus:<side> | grid:<w>x<h> | grid:<side> | ring:<n> |
+                        path:<n> | star:<n> | geometric:<n>:<radius> |
+                        er:<n>:<p> | tree:<n> | pcsr:<file>  [default: torus:8]
     --region <spec>     blob:<k> | line:<k> | ball:<radius> |
                         nodes:<id,id,...>           [default: blob:4]
     --at <node-id>      region seed node            [default: graph center]
@@ -197,65 +195,6 @@ fn parse_args<I: Iterator<Item = String>>(mut args: I) -> Result<Options, String
     Ok(opts)
 }
 
-/// Parses a topology size, refusing one below `min`: the generators
-/// assert their preconditions, so an unchecked size would abort the
-/// process instead of reporting a usage error.
-fn size(s: &str, min: usize) -> Result<usize, String> {
-    match s.parse::<usize>() {
-        Ok(n) if n >= min => Ok(n),
-        Ok(n) => Err(format!("topology size {n} is below the minimum of {min}")),
-        Err(e) => Err(format!("bad number {s:?}: {e}")),
-    }
-}
-
-/// Parses a real topology parameter that must satisfy `ok`, which
-/// `want` describes.
-fn param(s: &str, ok: fn(f64) -> bool, want: &str) -> Result<f64, String> {
-    match s.parse::<f64>() {
-        Ok(x) if ok(x) => Ok(x),
-        Ok(x) => Err(format!("topology parameter {x} out of range: {want}")),
-        Err(e) => Err(format!("bad number {s:?}: {e}")),
-    }
-}
-
-fn parse_topology(spec: &str, seed: u64) -> Result<Graph, String> {
-    // `pcsr:<path>` maps an on-disk topology zero-copy; match it before
-    // the colon split, since paths may contain colons.
-    if let Some(file) = spec.strip_prefix("pcsr:") {
-        return Graph::open_pcsr(file).map_err(|e| format!("cannot open {file:?}: {e}"));
-    }
-    let parts: Vec<&str> = spec.split(':').collect();
-    match parts.as_slice() {
-        ["torus", side] => Ok(precipice::graph::torus(GridDims::square(size(side, 3)?))),
-        ["grid", dims] => {
-            let (w, h) = dims
-                .split_once('x')
-                .ok_or_else(|| format!("grid wants <w>x<h>, got {dims:?}"))?;
-            Ok(precipice::graph::grid(GridDims {
-                width: size(w, 1)?,
-                height: size(h, 1)?,
-            }))
-        }
-        ["ring", n] => Ok(precipice::graph::ring(size(n, 3)?)),
-        ["path", n] => Ok(precipice::graph::path(size(n, 1)?)),
-        ["star", n] => Ok(precipice::graph::star(size(n, 2)?)),
-        ["geometric", n, r] => precipice::graph::random_geometric_connected(
-            size(n, 1)?,
-            param(r, |r| r > 0.0, "the radius must be positive")?,
-            seed,
-        )
-        .map_err(|e| format!("topology {spec:?}: {e}")),
-        ["er", n, p] => precipice::graph::erdos_renyi_connected(
-            size(n, 1)?,
-            param(p, |p| (0.0..=1.0).contains(&p), "p must be in [0, 1]")?,
-            seed,
-        )
-        .map_err(|e| format!("topology {spec:?}: {e}")),
-        ["tree", n] => Ok(precipice::graph::random_tree(size(n, 1)?, seed)),
-        _ => Err(format!("unknown topology spec {spec:?}")),
-    }
-}
-
 fn parse_region(spec: &str, graph: &Graph, at: Option<u32>) -> Result<Region, String> {
     let center = at.map(NodeId).unwrap_or(NodeId((graph.len() / 2) as u32));
     if !graph.contains(center) {
@@ -361,7 +300,7 @@ fn scenario_for(opts: &Options, graph: &Graph, region: &Region, seed: u64) -> Sc
 }
 
 fn run(opts: &Options) -> Result<bool, String> {
-    let graph = parse_topology(&opts.topology, opts.seed)?;
+    let graph = opts.topology.parse::<TopologySpec>()?.build(opts.seed)?;
     let region = parse_region(&opts.region, &graph, opts.at)?;
     // Validate the spec once up front; the sweep re-parses per seed
     // below (spread timing derives its schedule from the seed).
@@ -695,32 +634,20 @@ fn options_from_spec(spec: &BTreeMap<String, String>) -> Result<Options, String>
     Ok(opts)
 }
 
-/// Derives the shrinkable topology family from the `--topology` spec:
-/// only the sized regular families (`torus:<s>`, `ring:<n>`) support
-/// size shrinking; anything else keeps its graph and shrinks crashes
-/// and schedule only.
-fn shrink_topology_of(spec: &str) -> ShrinkTopology {
-    let num = |s: &str| s.parse::<usize>().ok();
-    match spec.split(':').collect::<Vec<_>>().as_slice() {
-        ["torus", side] => {
-            num(side).map_or(ShrinkTopology::Fixed, |side| ShrinkTopology::Torus { side })
-        }
-        ["ring", n] => num(n).map_or(ShrinkTopology::Fixed, |n| ShrinkTopology::Ring { n }),
-        _ => ShrinkTopology::Fixed,
-    }
-}
-
 /// Runs the `check` subcommand. Returns `Ok(true)` when no schedule
 /// violated the specification.
-fn run_check(opts: &CheckOptions) -> Result<bool, String> {
+fn run_check(mut opts: CheckOptions) -> Result<bool, String> {
+    let topology: TopologySpec = opts.base.topology.parse()?;
+    // Artifacts and summaries carry the canonical spec.
+    opts.base.topology = topology.to_string();
     let base = &opts.base;
-    let graph = parse_topology(&base.topology, base.seed)?;
+    let graph = topology.build(base.seed)?;
     let region = parse_region(&base.region, &graph, base.at)?;
     parse_timing(&base.timing, base.seed)?;
     let scenario = scenario_for(base, &graph, &region, base.seed);
     let (explored, violating) = match opts.engine {
-        Engine::Sim => explore_sim(opts, &scenario)?,
-        Engine::Live { shards } => explore_live(opts, &scenario, shards)?,
+        Engine::Sim => explore_sim(&opts, &topology, &scenario)?,
+        Engine::Live { shards } => explore_live(&opts, &scenario, shards)?,
     };
     if violating == 0 {
         println!("specification: CD1-CD7 hold on all {explored} explored schedules ✓");
@@ -751,7 +678,11 @@ fn print_summary(opts: &CheckOptions, title: &str, rows: &[(&str, &dyn Display)]
 /// `check` on the simulator: the parallel, coverage-tracking
 /// exploration, its shrunk counterexamples and, if asked, the scenario
 /// shrink. Returns the schedules explored and how many violated.
-fn explore_sim(opts: &CheckOptions, scenario: &Scenario) -> Result<(u64, u64), String> {
+fn explore_sim(
+    opts: &CheckOptions,
+    topology: &TopologySpec,
+    scenario: &Scenario,
+) -> Result<(u64, u64), String> {
     let base = &opts.base;
     let jobs = base.jobs.map(Jobs::new).unwrap_or_else(Jobs::from_env);
     let cfg = ExploreConfig {
@@ -786,7 +717,7 @@ fn explore_sim(opts: &CheckOptions, scenario: &Scenario) -> Result<(u64, u64), S
     }
 
     if opts.shrink_scenario && outcome.violating() > 0 {
-        match shrink_scenario(scenario, shrink_topology_of(&base.topology), &cfg) {
+        match shrink_scenario(scenario, topology, &cfg) {
             Some(s) => {
                 println!(
                     "## scenario shrink: {} -> {} nodes, {} -> {} crashes in {} oracle probes\n",
@@ -981,7 +912,7 @@ fn run_replay(path: &str) -> Result<bool, String> {
         Some(other) => return Err(format!("unknown backend {other:?} in artifact")),
     };
     let opts = options_from_spec(&spec)?;
-    let graph = parse_topology(&opts.topology, opts.seed)?;
+    let graph = opts.topology.parse::<TopologySpec>()?.build(opts.seed)?;
     let region = parse_region(&opts.region, &graph, opts.at)?;
     parse_timing(&opts.timing, opts.seed)?;
     let scenario = scenario_for(&opts, &graph, &region, opts.seed);
@@ -1028,10 +959,9 @@ fn run_replay(path: &str) -> Result<bool, String> {
 
 /// `graph build <spec> -o <file> [--seed u64]` / `graph info <file>`.
 ///
-/// Closed-form topologies (torus, grid, ring, path) stream to the file
-/// through the two-pass row writer — no in-memory graph, so the spec can
-/// be orders of magnitude larger than what a `--topology` run could
-/// build per process. Everything else is materialized once and written.
+/// `build` writes through [`TopologySpec::write_pcsr`], which streams
+/// the closed-form families, so the spec can be orders of magnitude
+/// larger than what a `--topology` run could build per process.
 fn run_graph<I: Iterator<Item = String>>(mut args: I) -> Result<bool, String> {
     match args.next().as_deref() {
         Some("build") => {
@@ -1056,11 +986,13 @@ fn run_graph<I: Iterator<Item = String>>(mut args: I) -> Result<bool, String> {
                     }
                 }
             }
-            let spec =
-                spec.ok_or_else(|| format!("graph build wants a topology spec\n\n{USAGE}"))?;
+            let spec: TopologySpec = spec
+                .ok_or_else(|| format!("graph build wants a topology spec\n\n{USAGE}"))?
+                .parse()?;
             let out = out.ok_or_else(|| format!("graph build wants -o <file>\n\n{USAGE}"))?;
             let t0 = std::time::Instant::now();
-            let (summary, mode) = stream_spec(&spec, &out, seed)?;
+            let (summary, streamed) = spec.write_pcsr(&out, seed)?;
+            let mode = if streamed { "streamed" } else { "materialized" };
             let ms = t0.elapsed().as_secs_f64() * 1e3;
             println!(
                 "wrote {out}: n={} edges={} dense_rows={} bytes={} ({mode}, {ms:.1} ms)",
@@ -1105,46 +1037,6 @@ fn run_graph<I: Iterator<Item = String>>(mut args: I) -> Result<bool, String> {
     }
 }
 
-/// Builds `spec` into `out`, streaming when the topology is closed-form.
-/// Returns the write summary and which path was taken ("streamed" /
-/// "materialized").
-fn stream_spec(
-    spec: &str,
-    out: &str,
-    seed: u64,
-) -> Result<(precipice::graph::StoreSummary, &'static str), String> {
-    use precipice::graph::{stream_grid, stream_path, stream_ring, stream_torus};
-    let streamed = match spec.split(':').collect::<Vec<_>>().as_slice() {
-        ["torus", side] => Some(stream_torus(GridDims::square(size(side, 3)?), out)),
-        ["grid", dims] => {
-            let (w, h) = dims
-                .split_once('x')
-                .ok_or_else(|| format!("grid wants <w>x<h>, got {dims:?}"))?;
-            Some(stream_grid(
-                GridDims {
-                    width: size(w, 1)?,
-                    height: size(h, 1)?,
-                },
-                out,
-            ))
-        }
-        ["ring", n] => Some(stream_ring(size(n, 3)?, out)),
-        ["path", n] => Some(stream_path(size(n, 1)?, out)),
-        _ => None,
-    };
-    match streamed {
-        Some(result) => result
-            .map(|s| (s, "streamed"))
-            .map_err(|e| format!("cannot write {out:?}: {e}")),
-        None => {
-            let g = parse_topology(spec, seed)?;
-            g.write_pcsr(out)
-                .map(|s| (s, "materialized"))
-                .map_err(|e| format!("cannot write {out:?}: {e}"))
-        }
-    }
-}
-
 fn main() -> ExitCode {
     // Runtime failures get an `error: ` prefix; parse/usage messages
     // stay bare (the long-standing contract of the single-run path).
@@ -1153,7 +1045,7 @@ fn main() -> ExitCode {
     let verdict = match args.peek().map(String::as_str) {
         Some("check") => {
             args.next();
-            parse_check_args(args).and_then(|opts| run_check(&opts).map_err(runtime_err))
+            parse_check_args(args).and_then(|opts| run_check(opts).map_err(runtime_err))
         }
         Some("graph") => {
             args.next();
@@ -1261,30 +1153,8 @@ mod tests {
     }
 
     #[test]
-    fn topology_specs() {
-        assert_eq!(parse_topology("torus:4", 0).unwrap().len(), 16);
-        assert_eq!(parse_topology("grid:3x5", 0).unwrap().len(), 15);
-        assert_eq!(parse_topology("ring:7", 0).unwrap().len(), 7);
-        assert_eq!(parse_topology("path:7", 0).unwrap().len(), 7);
-        assert_eq!(parse_topology("star:7", 0).unwrap().len(), 7);
-        assert_eq!(parse_topology("tree:9", 1).unwrap().len(), 9);
-        assert!(parse_topology("geometric:30:0.4", 1)
-            .unwrap()
-            .is_connected());
-        assert!(parse_topology("er:30:0.3", 1).unwrap().is_connected());
-        assert!(parse_topology("moebius:4", 0).is_err());
-        assert!(parse_topology("grid:3", 0).is_err());
-        // Below a generator's precondition: a reported error, not an abort.
-        for bad in "er:30:1.5 er:30:nan geometric:30:0 tree:0 torus:2 grid:0x3 ring:2 star:1 path:0"
-            .split(' ')
-        {
-            assert!(parse_topology(bad, 0).is_err(), "{bad}");
-        }
-    }
-
-    #[test]
     fn region_specs() {
-        let g = parse_topology("torus:6", 0).unwrap();
+        let g = "torus:6".parse::<TopologySpec>().unwrap().build(0).unwrap();
         assert_eq!(parse_region("blob:5", &g, None).unwrap().len(), 5);
         assert_eq!(parse_region("line:4", &g, Some(0)).unwrap().len(), 4);
         assert_eq!(parse_region("ball:1", &g, Some(7)).unwrap().len(), 5);
@@ -1444,7 +1314,7 @@ mod tests {
             shrink_scenario: false,
             engine: Engine::Sim,
         };
-        assert_eq!(run_check(&opts), Ok(true));
+        assert_eq!(run_check(opts), Ok(true));
     }
 
     #[test]
@@ -1464,7 +1334,7 @@ mod tests {
             shrink_scenario: false,
             engine: Engine::Live { shards: 2 },
         };
-        assert_eq!(run_check(&opts), Ok(true));
+        assert_eq!(run_check(opts), Ok(true));
     }
 
     #[test]
@@ -1489,7 +1359,7 @@ mod tests {
             engine: Engine::Live { shards: 2 },
         };
         assert_eq!(
-            run_check(&opts),
+            run_check(opts),
             Ok(false),
             "the planted bug must be caught on the live backend"
         );
@@ -1527,11 +1397,7 @@ mod tests {
             shrink_scenario: false,
             engine: Engine::Sim,
         };
-        assert_eq!(
-            run_check(&opts),
-            Ok(false),
-            "the planted bug must be caught"
-        );
+        assert_eq!(run_check(opts), Ok(false), "the planted bug must be caught");
         let text = std::fs::read_to_string(&artifact_path).expect("artifact written");
         let artifact = Artifact::parse(&text).expect("artifact parses");
         assert!(!artifact.violations.is_empty());

@@ -269,6 +269,25 @@ fn bad_flags_exit_nonzero() {
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(String::from_utf8_lossy(&out.stderr).contains("minimum"));
     }
+    // So is one past the u32 node id space, which once wrapped to an
+    // empty graph; nothing is written.
+    let file = std::env::temp_dir().join("precipice-cli-smoke-oversized.pcsr");
+    let _ = std::fs::remove_file(&file);
+    for args in [
+        &["--topology", "torus:4294967296"][..],
+        &[
+            "graph",
+            "build",
+            "torus:4294967296",
+            "-o",
+            file.to_str().unwrap(),
+        ],
+    ] {
+        let out = precipice(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("torus:4294967296"));
+    }
+    assert!(!file.exists(), "an oversized build wrote {file:?}");
     // A random topology too sparse to sample connected is one too, on
     // `run` and `check` alike.
     for args in [
