@@ -1,6 +1,7 @@
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 use precipice_graph::{NodeId, Region, Topology};
 
@@ -20,8 +21,9 @@ pub enum Event<D> {
     Deliver {
         /// The sender.
         from: NodeId,
-        /// The message.
-        message: Message<D>,
+        /// The message: the one allocation every copy of its multicast
+        /// shares.
+        message: Arc<Message<D>>,
     },
 }
 
@@ -38,8 +40,9 @@ pub enum Action<D> {
     Multicast {
         /// Destination nodes, in sorted order.
         recipients: Vec<NodeId>,
-        /// The message to send to each.
-        message: Message<D>,
+        /// The message to send to each: one allocation, which every
+        /// copy shares.
+        message: Arc<Message<D>>,
     },
     /// The node decided: it agreed on `view` as a crashed region, with
     /// the common decision value `value` (`⟨decide | S, d⟩`). Emitted at
@@ -58,8 +61,9 @@ pub trait Host<D> {
     /// `⟨monitorCrash | S⟩`: subscribe to the crashes of `targets`.
     fn monitor(&mut self, targets: &[NodeId]);
     /// `⟨multicast | R, [m]⟩`: send `message` to each recipient in order
-    /// (see [`Action::Multicast`]).
-    fn multicast(&mut self, recipients: &[NodeId], message: Message<D>);
+    /// (see [`Action::Multicast`]). Every copy is a clone of the one
+    /// `Arc`, and the last recipient's can be `message` itself.
+    fn multicast(&mut self, recipients: &[NodeId], message: Arc<Message<D>>);
     /// `⟨decide | S, d⟩`: the node agreed on `view` with value `value`.
     /// Called at most once per node.
     fn decide(&mut self, view: &View, value: &D);
@@ -71,7 +75,7 @@ impl<D: Clone> Host<D> for Vec<Action<D>> {
         self.push(Action::Monitor(targets.to_vec()));
     }
 
-    fn multicast(&mut self, recipients: &[NodeId], message: Message<D>) {
+    fn multicast(&mut self, recipients: &[NodeId], message: Arc<Message<D>>) {
         let recipients = recipients.to_vec();
         self.push(Action::Multicast {
             recipients,
@@ -293,7 +297,7 @@ where
     }
 
     /// Lines 18–25: route the message to its (possibly new) instance.
-    fn on_deliver(&mut self, from: NodeId, message: Message<P::Value>) {
+    fn on_deliver(&mut self, from: NodeId, message: Arc<Message<P::Value>>) {
         if self.rejected.contains(&message.view) {
             self.stats.ignored_messages += 1;
             return;
@@ -308,7 +312,7 @@ where
             message.border.clone(),
         ));
         instance.merge(from, &message);
-        self.received.insert(message.view, instance);
+        self.received.insert(message.view.clone(), instance);
     }
 
     /// Re-evaluates the state guards of Algorithm 1 until none fires.
@@ -410,7 +414,7 @@ where
             border: low.border().clone(),
             opinions: rejection_vector(self.me),
         };
-        host.multicast(low.border().as_slice(), message);
+        host.multicast(low.border().as_slice(), Arc::new(message));
     }
 
     /// Lines 12–17: start the consensus instance for the candidate view.
@@ -455,7 +459,7 @@ where
             border: view.border().clone(),
             opinions: initial_accept_vector(self.me, value),
         };
-        host.multicast(view.border().as_slice(), message);
+        host.multicast(view.border().as_slice(), Arc::new(message));
     }
 
     /// Lines 32–40: the current round of the active instance completed.
@@ -487,7 +491,7 @@ where
                 opinions: instance.vector_arc(r),
             };
             self.stats.round_messages += 1;
-            host.multicast(vp.border().as_slice(), message);
+            host.multicast(vp.border().as_slice(), Arc::new(message));
             self.finalize(&vp, r, host);
             return;
         }
@@ -503,7 +507,7 @@ where
             border: vp.border().clone(),
             opinions: instance.vector_arc(r),
         };
-        host.multicast(vp.border().as_slice(), message);
+        host.multicast(vp.border().as_slice(), Arc::new(message));
     }
 
     /// Lines 33–37: evaluate the completed instance.
@@ -550,7 +554,7 @@ mod tests {
     /// at once, later ones on subscription, exactly once each).
     struct Net {
         nodes: BTreeMap<NodeId, Node>,
-        queue: VecDeque<(NodeId, NodeId, Message<NodeId>)>,
+        queue: VecDeque<(NodeId, NodeId, Arc<Message<NodeId>>)>,
         crashed: BTreeSet<NodeId>,
         /// Crashes visible to the failure detector.
         released: BTreeSet<NodeId>,
@@ -858,7 +862,7 @@ mod tests {
             NodeId(0),
             Event::Deliver {
                 from: NodeId(2),
-                message: stale,
+                message: stale.into(),
             },
         );
         assert_eq!(net.nodes[&NodeId(0)].stats().ignored_messages, before + 1);
@@ -935,7 +939,7 @@ mod tests {
         let mut fast = build(ProtocolConfig::faithful().with_fast_abort(true));
         fast.handle(Event::Deliver {
             from: NodeId(2),
-            message: reject.clone(),
+            message: reject.clone().into(),
         });
         assert!(!fast.is_active());
         assert_eq!(fast.stats().aborted_instances, 1);
@@ -946,7 +950,7 @@ mod tests {
         let mut faithful = build(ProtocolConfig::faithful());
         faithful.handle(Event::Deliver {
             from: NodeId(2),
-            message: reject,
+            message: reject.into(),
         });
         assert!(faithful.is_active());
         assert_eq!(faithful.stats().aborted_instances, 0);
@@ -1043,7 +1047,7 @@ mod tests {
         capture(
             n.handle(Event::Deliver {
                 from: NodeId(0),
-                message: own,
+                message: own.into(),
             }),
             NodeId(0),
         );
@@ -1170,7 +1174,7 @@ mod tests {
         };
         let actions = n.handle(Event::Deliver {
             from: NodeId(0),
-            message: msg,
+            message: msg.into(),
         });
         assert!(
             actions.is_empty(),

@@ -26,11 +26,16 @@ use crate::{
 /// | `tree:<n>` | uniform random tree | n ≥ 1 | materializes |
 /// | `pcsr:<file>` | a mapped [`.pcsr` file](crate::GraphStore) | | materializes |
 ///
-/// No graph may have more than `u32::MAX` nodes, the node id space.
-/// [`FromStr`] checks all of the table, so building a parsed spec never
-/// trips a generator's assertion. [`Display`](fmt::Display) prints the
-/// canonical form (`grid:<side>` prints as `grid:<side>x<side>`), which
-/// parses back to the same spec.
+/// No graph may have more than `u32::MAX` nodes, the node id space, and
+/// no torus, grid, ring, path, star or tree more than `u32::MAX`
+/// adjacency entries (two per edge), the most a CSR offset can index
+/// (`torus:32768`, `ring:3000000000`). [`FromStr`] checks all of the
+/// table, so building a parsed spec never trips a generator's
+/// assertion. A spec inside both limits can still need more memory
+/// than the host has (`torus:32767` asks for about 20 GB), and then the
+/// build aborts on the failed allocation as any other would.
+/// [`Display`](fmt::Display) prints the canonical form (`grid:<side>`
+/// prints as `grid:<side>x<side>`), which parses back to the same spec.
 ///
 /// ```
 /// use precipice_graph::TopologySpec;
@@ -165,8 +170,9 @@ impl TopologySpec {
     }
 
     /// Checks every size against the family [`minimum`](Self::minimum),
-    /// the random families' parameters, and the node count against the
-    /// `u32` id space.
+    /// the random families' parameters, the node count against the `u32`
+    /// id space, and the adjacency entry count of the families whose
+    /// edge count is closed form against the `u32` CSR offsets.
     fn validate(&self) -> Result<(), String> {
         let min = self.minimum();
         let sized = |size: usize| {
@@ -187,13 +193,35 @@ impl TopologySpec {
             Self::Geometric(n, _) | Self::Er(n, _) => Some(sized(n)?),
             Self::Pcsr(_) => return Ok(()),
         };
-        match nodes {
-            Some(n) if n <= u32::MAX as usize => Ok(()),
-            _ => Err(format!(
-                "topology \"{self}\" has more than {} nodes, the most a node id can name",
+        let nodes = match nodes {
+            Some(n) if n <= u32::MAX as usize => n as u64,
+            _ => {
+                return Err(format!(
+                    "topology \"{self}\" has more than {} nodes, the most a node id can name",
+                    u32::MAX
+                ))
+            }
+        };
+        // Two entries per edge; no product below overflows, as `nodes`
+        // fits in 32 bits.
+        let entries = match *self {
+            Self::Torus(_) => 4 * nodes,
+            Self::Grid(dims) => {
+                let (w, h) = (dims.width as u64, dims.height as u64);
+                2 * (w * (h - 1) + (w - 1) * h)
+            }
+            Self::Ring(_) => 2 * nodes,
+            Self::Path(_) | Self::Star(_) | Self::Tree(_) => 2 * (nodes - 1),
+            _ => 0,
+        };
+        if entries > u64::from(u32::MAX) {
+            return Err(format!(
+                "topology \"{self}\" has {entries} adjacency entries, more than the {} \
+                 a CSR offset can index",
                 u32::MAX
-            )),
+            ));
         }
+        Ok(())
     }
 }
 
@@ -298,6 +326,12 @@ mod tests {
             ("torus:4294967296", "torus:4294967296"),
             ("torus:65536", "torus:65536"),
             ("grid:4294967296x4294967296", "grid:4294967296x4294967296"),
+            // Inside the id space, but past the u32 CSR offsets: a build
+            // died on its allocation or on the CSR offset assertion.
+            ("torus:65535", "torus:65535"),
+            ("torus:32768", "torus:32768"),
+            ("ring:3000000000", "ring:3000000000"),
+            ("grid:65536x65535", "adjacency entries"),
         ] {
             let err = bad.parse::<TopologySpec>().expect_err(bad);
             assert!(err.contains(why), "{bad}: {err}");

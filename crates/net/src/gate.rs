@@ -50,7 +50,7 @@ struct Parked<V> {
 }
 
 type Release<V> = (u64, EventKey, Option<ShardEvent<V>>);
-type Channel<V> = (u32, VecDeque<(u64, Message<V>)>);
+type Channel<V> = (u32, VecDeque<(u64, Arc<Message<V>>)>);
 
 impl<V> Parked<V> {
     /// Puts `key`, parked as `seq`, on the frontier at its place in seq

@@ -461,10 +461,13 @@ mod tests {
             let line = format!(r#"{{"cmd":"open","id":"x","topology":"{bad}"}}"#);
             assert!(fail(&s.handle_line(&line)).contains("minimum"), "{bad}");
         }
-        // So are sizes past the u32 node id space, before any graph is
-        // allocated: once they wrapped, or panicked in the generator and
-        // took the whole session down.
-        for bad in "torus:4294967296 torus:65536 grid:4294967296x4294967296".split(' ') {
+        // So are sizes past the u32 node id space or the u32 CSR offsets,
+        // before any graph is allocated: once they wrapped, panicked in
+        // the generator, or aborted on a 16 GiB allocation, and took the
+        // whole session down.
+        let huge = "torus:4294967296 torus:65536 grid:4294967296x4294967296 \
+                    torus:65535 torus:32768 ring:3000000000";
+        for bad in huge.split(' ') {
             let line = format!(r#"{{"cmd":"open","id":"x","topology":"{bad}"}}"#);
             assert!(fail(&s.handle_line(&line)).contains(bad), "{bad}");
         }

@@ -298,8 +298,8 @@ pub(crate) enum ShardEvent<V> {
         to: NodeId,
         /// Sending node.
         from: NodeId,
-        /// The protocol message.
-        message: Message<V>,
+        /// The protocol message, shared by every copy of its multicast.
+        message: Arc<Message<V>>,
     },
     /// The failure detector tells `to` that `crashed` crashed.
     Notify {
@@ -454,16 +454,17 @@ impl<V: Clone + precipice_core::WireSize> Router<V> {
     }
 
     /// One protocol multicast from `from`: every copy is routed, in
-    /// `recipients` order, the last taking `message` itself. A copy for
-    /// a dead recipient is dropped where it is handled, as the simulator
-    /// drops it at delivery, so no detector lock is taken here.
-    fn multicast(&self, from: NodeId, recipients: &[NodeId], message: Message<V>) {
+    /// `recipients` order, each a clone of the one `Arc` and the last
+    /// taking `message` itself. A copy for a dead recipient is dropped
+    /// where it is handled, as the simulator drops it at delivery, so no
+    /// detector lock is taken here.
+    fn multicast(&self, from: NodeId, recipients: &[NodeId], message: Arc<Message<V>>) {
         let size = message.wire_size() as u64;
         let Some((&last, rest)) = recipients.split_last() else {
             return;
         };
         for &to in rest {
-            let message = message.clone();
+            let message = Arc::clone(&message);
             self.route(ShardEvent::Deliver { to, from, message });
         }
         self.route(ShardEvent::Deliver {
@@ -667,7 +668,7 @@ impl<V: Clone + precipice_core::WireSize> Host<V> for LiveHost<'_, V> {
         self.router.monitor(self.me, targets);
     }
 
-    fn multicast(&mut self, recipients: &[NodeId], message: Message<V>) {
+    fn multicast(&mut self, recipients: &[NodeId], message: Arc<Message<V>>) {
         self.router.multicast(self.me, recipients, message);
     }
 
@@ -895,10 +896,12 @@ mod tests {
         };
         // 4 (round) + 8 (view) + 12 (border) + 4 + 9 (one accept).
         assert_eq!(message.wire_size(), 37);
+        // One allocation per multicast, which every copy shares.
+        let sent = [Arc::new(message.clone()), Arc::new(message.clone())];
         let recipients = [1, 2, 3, 4, 5].map(NodeId);
-        router.multicast(NodeId(0), &recipients, message.clone());
+        router.multicast(NodeId(0), &recipients, Arc::clone(&sent[0]));
         // The last recipient is dead: the moved message is routed too.
-        router.multicast(NodeId(1), &[NodeId(3), NodeId(4)], message.clone());
+        router.multicast(NodeId(1), &[NodeId(3), NodeId(4)], Arc::clone(&sent[1]));
 
         let counters = router.snapshot();
         assert_eq!(counters.dropped, 0, "nothing handled yet");
@@ -918,7 +921,8 @@ mod tests {
                     from,
                     message: m,
                 } => {
-                    assert_eq!(m, &message);
+                    assert_eq!(**m, message);
+                    assert!(Arc::ptr_eq(m, &sent[from.index()]), "a copy was cloned");
                     ('d', from.0, to.0)
                 }
             })

@@ -31,18 +31,19 @@ pub enum MulticastMode {
 }
 
 /// Wire traffic of the adapted protocol: a protocol message, or a
-/// continuation of a sequential multicast loop.
+/// continuation of a sequential multicast loop. Every copy of one
+/// multicast holds the same `Arc`.
 #[derive(Debug, Clone)]
 pub enum ProtoMsg<D> {
     /// An Algorithm-1 message.
-    Protocol(Message<D>),
+    Protocol(Arc<Message<D>>),
     /// Bookkeeping for [`MulticastMode::Sequential`]: deliver `message`
     /// to the remaining recipients, one hop at a time.
     Chain {
         /// Recipients not yet served, in order.
         remaining: Vec<NodeId>,
         /// The message being multicast.
-        message: Message<D>,
+        message: Arc<Message<D>>,
     },
 }
 
@@ -124,12 +125,16 @@ impl<D: Clone> Host<D> for SimHost<'_, '_, D> {
         }
     }
 
-    fn multicast(&mut self, recipients: &[NodeId], message: Message<D>) {
+    fn multicast(&mut self, recipients: &[NodeId], message: Arc<Message<D>>) {
         match self.mode {
             MulticastMode::Atomic => {
-                for &to in recipients {
-                    self.ctx.send(to, ProtoMsg::Protocol(message.clone()));
+                let Some((&last, rest)) = recipients.split_last() else {
+                    return;
+                };
+                for &to in rest {
+                    self.ctx.send(to, ProtoMsg::Protocol(Arc::clone(&message)));
                 }
+                self.ctx.send(last, ProtoMsg::Protocol(message));
             }
             MulticastMode::Sequential => chain_step(recipients, message, self.ctx),
         }
@@ -142,17 +147,20 @@ impl<D: Clone> Host<D> for SimHost<'_, '_, D> {
 }
 
 /// Serves the next recipient of a sequential multicast and queues the
-/// continuation (if any) back to ourselves.
-fn chain_step<D: Clone>(
+/// continuation (if any) back to ourselves; the last recipient gets
+/// `message` itself.
+fn chain_step<D>(
     recipients: &[NodeId],
-    message: Message<D>,
+    message: Arc<Message<D>>,
     ctx: &mut Context<'_, ProtoMsg<D>>,
 ) {
     let Some((&first, rest)) = recipients.split_first() else {
         return;
     };
-    ctx.send(first, ProtoMsg::Protocol(message.clone()));
-    if !rest.is_empty() {
+    if rest.is_empty() {
+        ctx.send(first, ProtoMsg::Protocol(message));
+    } else {
+        ctx.send(first, ProtoMsg::Protocol(Arc::clone(&message)));
         ctx.send(
             ctx.me(),
             ProtoMsg::Chain {
@@ -187,9 +195,82 @@ impl<P: DecisionPolicy> Process for ProtocolProcess<P> {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
     use super::*;
     use precipice_core::{NodeIdValuePolicy, ProtocolConfig};
     use precipice_graph::Region;
+    use precipice_sim::{SimConfig, Simulation};
+
+    type Copies = Rc<RefCell<Vec<(NodeId, Arc<Message<NodeId>>)>>>;
+
+    /// A protocol process that keeps every protocol message delivered
+    /// to it alive in `copies`, with its sender, so no allocation is
+    /// reused while the test compares addresses.
+    struct Tap {
+        inner: ProtocolProcess<NodeIdValuePolicy>,
+        copies: Copies,
+    }
+
+    impl Process for Tap {
+        type Msg = ProtoMsg<NodeId>;
+
+        fn on_start(&mut self, ctx: &mut Context<'_, Self::Msg>) {
+            self.inner.on_start(ctx);
+        }
+
+        fn on_message(&mut self, from: NodeId, msg: Self::Msg, ctx: &mut Context<'_, Self::Msg>) {
+            if let ProtoMsg::Protocol(message) = &msg {
+                self.copies.borrow_mut().push((from, Arc::clone(message)));
+            }
+            self.inner.on_message(from, msg, ctx);
+        }
+
+        fn on_crash_notification(&mut self, crashed: NodeId, ctx: &mut Context<'_, Self::Msg>) {
+            self.inner.on_crash_notification(crashed, ctx);
+        }
+    }
+
+    /// Every copy of one multicast is the one `Arc` the node built, in
+    /// both multicast modes: two delivered copies share an allocation
+    /// exactly when they came from the same sender with the same
+    /// message (no sender multicasts one message twice).
+    #[test]
+    fn copies_of_one_multicast_share_one_allocation() {
+        let g = Arc::new(precipice_graph::ring(8));
+        for mode in [MulticastMode::Atomic, MulticastMode::Sequential] {
+            let copies = Copies::default();
+            let processes = (0..g.len())
+                .map(|i| {
+                    let node = CliffEdgeNode::new(
+                        NodeId::from_index(i),
+                        Arc::clone(&g),
+                        NodeIdValuePolicy,
+                        ProtocolConfig::default(),
+                    );
+                    Tap {
+                        inner: ProtocolProcess::with_multicast_mode(node, mode),
+                        copies: Rc::clone(&copies),
+                    }
+                })
+                .collect();
+            let mut sim = Simulation::new(SimConfig::default(), processes);
+            sim.schedule_crash(NodeId(3), SimTime::from_millis(1));
+            sim.schedule_crash(NodeId(4), SimTime::from_millis(1));
+            assert!(sim.run().is_quiescent());
+            let copies = copies.borrow();
+            let mut shared = 0;
+            for (i, (from, a)) in copies.iter().enumerate() {
+                for (to, b) in &copies[i + 1..] {
+                    let same = from == to && a == b;
+                    assert_eq!(Arc::ptr_eq(a, b), same, "{mode:?}: {from} -> {a:?}");
+                    shared += usize::from(same);
+                }
+            }
+            assert!(shared > 0, "{mode:?}: no multicast reached two recipients");
+        }
+    }
 
     #[test]
     fn proto_msg_size_matches_wire_size() {
@@ -200,12 +281,12 @@ mod tests {
             opinions: Default::default(),
         };
         assert_eq!(
-            ProtoMsg::Protocol(message.clone()).size_bytes(),
+            ProtoMsg::Protocol(message.clone().into()).size_bytes(),
             message.wire_size()
         );
         let chain: ProtoMsg<NodeId> = ProtoMsg::Chain {
             remaining: vec![NodeId(0)],
-            message,
+            message: message.into(),
         };
         assert_eq!(chain.size_bytes(), 0);
     }

@@ -420,7 +420,8 @@ impl Explorer {
 
     /// Picks the event to execute next out of the seq-ordered enabled
     /// `frontier`; `fifo` is the index of the engine's FIFO choice (the
-    /// slot's latency order, the gate's earliest parked event).
+    /// slot's `(at, seq)` minimum, which it keeps rather than scans
+    /// for; the gate's earliest parked event, index 0).
     /// Records a deviation when the pick differs from FIFO, and
     /// advances the decision step. `key_of(i)` produces candidate `i`'s
     /// stable key on demand (replay matching and deviation recording —

@@ -345,10 +345,37 @@ pub(crate) mod tests {
         runs
     }
 
-    /// FIFO, both blind exploring policies, then — from what `Random`
-    /// recorded — a guided mutant (flipping the first recorded pick
-    /// against the last), a replay, and a replay whose tail is stale.
-    /// Returns the FIFO run.
+    /// The exploring path replaying the empty schedule picks the FIFO
+    /// event on every step, so the slot forgets its cached FIFO minimum
+    /// and rescans for it each time; it must run exactly as the heap
+    /// path does, and record no deviation.
+    fn assert_fifo_replay_matches_heap(
+        fifo: &BatchRun<Gossip>,
+        replayed: &BatchRun<Gossip>,
+        tag: &str,
+    ) {
+        assert_eq!(replayed.outcome, fifo.outcome, "outcome: {tag}");
+        assert_eq!(replayed.metrics, fifo.metrics, "metrics: {tag}");
+        assert_eq!(
+            replayed.trace.hash(),
+            fifo.trace.hash(),
+            "trace hash: {tag}"
+        );
+        assert_eq!(
+            replayed.trace.entries(),
+            fifo.trace.entries(),
+            "trace: {tag}"
+        );
+        assert_eq!(replayed.schedule, Some(Schedule::fifo()), "deviated: {tag}");
+        let seen = |(id, p): &(NodeId, Gossip)| (*id, p.received.clone(), p.notified.clone());
+        let states = |run: &BatchRun<Gossip>| run.processes.iter().map(seen).collect::<Vec<_>>();
+        assert_eq!(states(replayed), states(fifo), "process states: {tag}");
+    }
+
+    /// FIFO, the exploring path replaying FIFO, both blind exploring
+    /// policies, then — from what `Random` recorded — a guided mutant
+    /// (flipping the first recorded pick against the last), a replay,
+    /// and a replay whose tail is stale. Returns the FIFO run.
     fn check_every_policy(
         graph: &Arc<Graph>,
         config: SimConfig,
@@ -366,8 +393,11 @@ pub(crate) mod tests {
                 variant(SchedulePolicy::Fifo),
                 variant(SchedulePolicy::Random(config.seed ^ 0xabcd)),
                 variant(SchedulePolicy::Pcr(config.seed ^ 0x1234)),
+                variant(SchedulePolicy::Replay(Schedule::fifo())),
             ],
         );
+        let tag = format!("fifo replay seed {}", config.seed);
+        assert_fifo_replay_matches_heap(&runs[0], &runs[3], &tag);
         let base = runs[1].schedule.clone().expect("random records");
         let flip = match base.deviations[..] {
             [first, .., last] => Some((first.key, last.key)),

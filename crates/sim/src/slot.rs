@@ -25,7 +25,13 @@
 //!   enabled set (per-channel FIFO heads plus all crash/notify events)
 //!   is maintained incrementally in a seq-ordered vector and
 //!   per-channel intrusive lists, so a scheduling decision never
-//!   rescans the pending events.
+//!   rescans the pending events. The slot also keeps the frontier's
+//!   FIFO choice, its `(at, seq)` minimum: enabling an event lowers it,
+//!   and it is forgotten only when the policy picks that very event, so
+//!   the frontier is scanned for it only on the step after a FIFO pick
+//!   (rare under `Random`, about a third of `Pcr` steps). A delivery
+//!   carries its channel slot, so neither building its stable key nor
+//!   advancing its channel's head looks the channel up.
 //! - **Open-addressed node/channel tables.** Per-event bookkeeping
 //!   (crash flags, per-node counters, FIFO clamps, channel delivery
 //!   counts) hits small Fibonacci-hashed `u64 -> u32` maps and dense
@@ -137,9 +143,21 @@ impl MiniMap {
 }
 
 enum EventKind<M> {
-    Deliver { to: NodeId, from: NodeId, msg: M },
-    Notify { to: NodeId, crashed: NodeId },
-    Crash { node: NodeId },
+    /// `ci` is the channel slot of `from -> to`, so the explorer's
+    /// per-step bookkeeping reaches the channel without a map lookup.
+    Deliver {
+        to: NodeId,
+        from: NodeId,
+        ci: u32,
+        msg: M,
+    },
+    Notify {
+        to: NodeId,
+        crashed: NodeId,
+    },
+    Crash {
+        node: NodeId,
+    },
 }
 
 /// A scheduled event as it sits in the slab.
@@ -229,6 +247,11 @@ pub(crate) struct Slot<P: Process> {
     /// draw is an index into it, so the seq order is part of every
     /// explored stream (`tests/schedule_corpus.rs` pins them).
     frontier: Vec<FrontierEntry>,
+    /// The frontier's FIFO choice, its `(at, seq)` minimum, while known:
+    /// [`enable`](Self::enable) lowers it, and only picking the FIFO
+    /// event itself (or a reset) forgets it, so `pop_next` rescans the
+    /// frontier only on the steps after a FIFO pick.
+    fifo_min: Option<(SimTime, u64)>,
     pub(crate) explorer: Option<Explorer>,
     /// Crashes asked for since the last [`commit_crashes`](Self::commit_crashes),
     /// one per node — the earliest time asked for, in first-call order
@@ -275,6 +298,7 @@ impl<P: Process> Slot<P> {
             next_link: Vec::new(),
             heap: BinaryHeap::new(),
             frontier: Vec::new(),
+            fifo_min: None,
             explorer: None,
             crash_plan: Vec::new(),
             crash_index: MiniMap::new(),
@@ -312,6 +336,7 @@ impl<P: Process> Slot<P> {
         self.next_link.clear();
         self.heap.clear();
         self.frontier.clear();
+        self.fifo_min = None;
         self.explorer = Explorer::new(policy);
         if let Some(explorer) = &mut self.explorer {
             explorer.reserve(self.last_deviations);
@@ -403,12 +428,28 @@ impl<P: Process> Slot<P> {
         }
     }
 
-    /// Inserts into the seq-sorted frontier. New events carry the
-    /// highest seq so far, so this is usually a plain append; a
-    /// delivery unlocked mid-frontier pays one small memmove.
-    fn enable(frontier: &mut Vec<FrontierEntry>, e: FrontierEntry) {
-        let pos = frontier.partition_point(|f| f.seq < e.seq);
-        frontier.insert(pos, e);
+    /// Inserts into the seq-sorted frontier, lowering a known FIFO
+    /// minimum if `e` undercuts it. (The minimum is known only after a
+    /// non-FIFO pick moved the clock past it, and no event is scheduled
+    /// before the clock, so today this never fires; it keeps the cache
+    /// right without that argument.) New events carry the highest seq
+    /// so far, so this is usually a plain append; a delivery unlocked
+    /// mid-frontier pays one small memmove.
+    fn enable(&mut self, e: FrontierEntry) {
+        let pos = self.frontier.partition_point(|f| f.seq < e.seq);
+        self.frontier.insert(pos, e);
+        if let Some(min) = &mut self.fifo_min {
+            *min = (*min).min((e.at, e.seq));
+        }
+    }
+
+    /// The frontier's `(at, seq)` minimum by a full scan.
+    fn scan_fifo_min(frontier: &[FrontierEntry]) -> (SimTime, u64) {
+        frontier
+            .iter()
+            .map(|f| (f.at, f.seq))
+            .min()
+            .expect("frontier is non-empty")
     }
 
     /// Schedules a crash or failure-detector notification (always
@@ -422,15 +463,12 @@ impl<P: Process> Slot<P> {
         };
         let idx = self.alloc(Entry { at, seq, kind });
         if self.explorer.is_some() {
-            Self::enable(
-                &mut self.frontier,
-                FrontierEntry {
-                    idx,
-                    seq,
-                    at,
-                    target,
-                },
-            );
+            self.enable(FrontierEntry {
+                idx,
+                seq,
+                at,
+                target,
+            });
         } else {
             self.heap.push(HeapKey { at, seq, idx });
         }
@@ -438,28 +476,25 @@ impl<P: Process> Slot<P> {
 
     /// Schedules a delivery on channel slot `ci` (enabled only as the
     /// channel head under an exploring policy).
-    fn push_deliver(&mut self, at: SimTime, to: NodeId, from: NodeId, msg: P::Msg, ci: usize) {
+    fn push_deliver(&mut self, at: SimTime, to: NodeId, from: NodeId, msg: P::Msg, ci: u32) {
         let seq = self.seq;
         self.seq += 1;
         let idx = self.alloc(Entry {
             at,
             seq,
-            kind: EventKind::Deliver { to, from, msg },
+            kind: EventKind::Deliver { to, from, ci, msg },
         });
         if self.explorer.is_some() {
-            let ch = &mut self.channels[ci];
+            let ch = &mut self.channels[ci as usize];
             if ch.head == NONE {
                 ch.head = idx;
                 ch.tail = idx;
-                Self::enable(
-                    &mut self.frontier,
-                    FrontierEntry {
-                        idx,
-                        seq,
-                        at,
-                        target: to,
-                    },
-                );
+                self.enable(FrontierEntry {
+                    idx,
+                    seq,
+                    at,
+                    target: to,
+                });
             } else {
                 self.next_link[ch.tail as usize] = idx;
                 ch.tail = idx;
@@ -493,19 +528,19 @@ impl<P: Process> Slot<P> {
 
     /// Dense slot for the directed channel `from -> to`, created on
     /// first send.
-    fn chan_slot(&mut self, from: NodeId, to: NodeId) -> usize {
+    fn chan_slot(&mut self, from: NodeId, to: NodeId) -> u32 {
         let key = chan_key(from, to);
         if let Some(i) = self.chan_map.get(key) {
-            return i as usize;
+            return i;
         }
-        let i = self.channels.len();
+        let i = self.channels.len() as u32;
         self.channels.push(Channel {
             last_at: SimTime::ZERO,
             delivered: 0,
             head: NONE,
             tail: NONE,
         });
-        self.chan_map.insert(key, i as u32);
+        self.chan_map.insert(key, i);
         i
     }
 
@@ -520,16 +555,12 @@ impl<P: Process> Slot<P> {
     /// replay is exact.
     fn pop_next(&mut self) -> Entry<P::Msg> {
         let idx = if let Some(explorer) = self.explorer.as_mut() {
-            let slab = &self.slab;
-            let chan_map = &self.chan_map;
-            let channels = &self.channels;
-            let frontier = &self.frontier;
-            let fifo = frontier
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, c)| (c.at, c.seq))
-                .map(|(i, _)| i)
-                .expect("frontier is non-empty");
+            let (slab, channels, frontier) = (&self.slab, &self.channels, &self.frontier);
+            let min = *self
+                .fifo_min
+                .get_or_insert_with(|| Self::scan_fifo_min(frontier));
+            debug_assert_eq!(min, Self::scan_fifo_min(frontier), "stale FIFO minimum");
+            let fifo = frontier.partition_point(|f| f.seq < min.1);
             // Stable keys are built on demand only — for deviation
             // records and replay matching — never in the per-step scan.
             let key_of = |i: usize| {
@@ -537,13 +568,11 @@ impl<P: Process> Slot<P> {
                     .as_ref()
                     .expect("frontier entry is live");
                 match e.kind {
-                    EventKind::Deliver { to, from, .. } => {
-                        let ci = chan_map
-                            .get(chan_key(from, to))
-                            .expect("delivery has a channel");
-                        let nth = channels[ci as usize].delivered;
-                        EventKey::Deliver { from, to, nth }
-                    }
+                    EventKind::Deliver { to, from, ci, .. } => EventKey::Deliver {
+                        from,
+                        to,
+                        nth: channels[ci as usize].delivered,
+                    },
                     EventKind::Notify { to, crashed } => EventKey::Notify {
                         observer: to,
                         crashed,
@@ -552,16 +581,15 @@ impl<P: Process> Slot<P> {
                 }
             };
             let choice = explorer.choose(frontier, fifo, key_of);
+            if choice == fifo {
+                self.fifo_min = None;
+            }
             let picked = self.frontier.remove(choice);
             let e = self.slab[picked.idx as usize]
                 .as_ref()
                 .expect("picked entry is live");
-            if let EventKind::Deliver { to, from, .. } = e.kind {
-                let ci = self
-                    .chan_map
-                    .get(chan_key(from, to))
-                    .expect("delivery has a channel") as usize;
-                let ch = &mut self.channels[ci];
+            if let EventKind::Deliver { ci, .. } = e.kind {
+                let ch = &mut self.channels[ci as usize];
                 debug_assert_eq!(ch.head, picked.idx);
                 // Counts executed deliveries, including ones dropped at
                 // a crashed receiver — they consume a decision too.
@@ -578,15 +606,13 @@ impl<P: Process> Slot<P> {
                         EventKind::Deliver { to, .. } => to,
                         _ => unreachable!("channel lists hold deliveries only"),
                     };
-                    Self::enable(
-                        &mut self.frontier,
-                        FrontierEntry {
-                            idx: next,
-                            seq: ne.seq,
-                            at: ne.at,
-                            target,
-                        },
-                    );
+                    let (seq, at) = (ne.seq, ne.at);
+                    self.enable(FrontierEntry {
+                        idx: next,
+                        seq,
+                        at,
+                        target,
+                    });
                 }
             }
             picked.idx
@@ -648,7 +674,7 @@ impl<P: Process> Slot<P> {
                     self.schedule_notify(observer, node);
                 }
             }
-            EventKind::Deliver { to, from, msg } => {
+            EventKind::Deliver { to, from, msg, .. } => {
                 let ni = self.node_slot(to);
                 if self.nodes[ni].crashed {
                     self.counters.dropped += 1;
@@ -733,7 +759,7 @@ impl<P: Process> Slot<P> {
                     });
                     let latency = self.config.latency.sample(&mut self.rng);
                     let ci = self.chan_slot(me, to);
-                    let ch = &mut self.channels[ci];
+                    let ch = &mut self.channels[ci as usize];
                     // New channels start at SimTime::ZERO, so the clamp
                     // is the identity on the first send.
                     let at = (self.time + latency).max(ch.last_at);
