@@ -23,10 +23,9 @@ use precipice_workload::patterns::CrashTiming;
 use precipice_workload::stats::summarize;
 use precipice_workload::sweep::{Jobs, SweepSpec};
 use precipice_workload::table::{fmt_num, Table};
+use precipice_workload::{RegionSpec, TimingSpec};
 
-use crate::{
-    carve_region, experiment_sim, measure_cliff_edge, simultaneous, torus_of, RegionShape, RunCost,
-};
+use crate::{experiment_scenario, experiment_sim, measure_cliff_edge, torus_of, RunCost};
 
 /// E1 — Figure 1: two independent local agreements (a), and convergence
 /// under the paris crash racing the F1 agreement (b), swept over the
@@ -322,7 +321,14 @@ pub fn e4_locality_scaling(jobs: Jobs) -> Vec<Table> {
         .collect();
     let regions: BTreeMap<usize, Region> = sizes
         .iter()
-        .map(|&n| (n, carve_region(&graphs[&n], RegionShape::Blob, 8)))
+        .map(|&n| {
+            (
+                n,
+                RegionSpec::Blob(8)
+                    .carve(&graphs[&n], None)
+                    .expect("a torus has a centre"),
+            )
+        })
         .collect();
     let baseline_crashes = |n: usize| -> Vec<(NodeId, SimTime)> {
         regions[&n]
@@ -335,7 +341,6 @@ pub fn e4_locality_scaling(jobs: Jobs) -> Vec<Table> {
             let (cost, _) = measure_cliff_edge(
                 graphs[&n].clone(),
                 &regions[&n],
-                simultaneous(),
                 ProtocolConfig::default(),
                 seed,
             );
@@ -431,36 +436,34 @@ pub fn e5_region_scaling(jobs: Jobs) -> Vec<Table> {
     );
     let graph = torus_of(16384);
     let seeds: [u64; 3] = [5, 6, 7];
-    let combos: Vec<(RegionShape, usize)> = [
-        (RegionShape::Blob, vec![1usize, 2, 4, 8, 16, 32, 64, 128]),
-        (RegionShape::Line, vec![1usize, 2, 4, 8, 16, 32, 64]),
+    type Shape = fn(usize) -> RegionSpec;
+    let combos: Vec<(&str, Shape, usize)> = [
+        (
+            "Blob",
+            RegionSpec::Blob as Shape,
+            vec![1usize, 2, 4, 8, 16, 32, 64, 128],
+        ),
+        ("Line", RegionSpec::Line, vec![1usize, 2, 4, 8, 16, 32, 64]),
     ]
     .into_iter()
-    .flat_map(|(shape, sizes)| sizes.into_iter().map(move |k| (shape, k)))
+    .flat_map(|(label, shape, sizes)| sizes.into_iter().map(move |k| (label, shape, k)))
     .collect();
-    let cases: Vec<(RegionShape, usize, u64)> = combos
+    let cases: Vec<(Shape, usize, u64)> = combos
         .iter()
-        .flat_map(|&(shape, k)| seeds.iter().map(move |&s| (shape, k, s)))
+        .flat_map(|&(_, shape, k)| seeds.iter().map(move |&s| (shape, k, s)))
         .collect();
     let costs = SweepSpec::new(jobs).map(&cases, |_, &(shape, k, seed)| {
-        let region = carve_region(&graph, shape, k);
-        let (cost, _) = measure_cliff_edge(
-            graph.clone(),
-            &region,
-            simultaneous(),
-            ProtocolConfig::default(),
-            seed,
-        );
-        cost
+        let region = shape(k).carve(&graph, None).expect("a torus has a centre");
+        measure_cliff_edge(graph.clone(), &region, ProtocolConfig::default(), seed).0
     });
-    for (ci, &(shape, k)) in combos.iter().enumerate() {
+    for (ci, &(label, _, k)) in combos.iter().enumerate() {
         let chunk = &costs[ci * seeds.len()..(ci + 1) * seeds.len()];
         let mean = |f: fn(&RunCost) -> f64| {
             let samples: Vec<f64> = chunk.iter().map(f).collect();
             summarize(&samples).mean
         };
         t.push_row([
-            format!("{shape:?}"),
+            label.to_owned(),
             k.to_string(),
             chunk[0].border.to_string(),
             seeds.len().to_string(),
@@ -501,18 +504,9 @@ pub fn e6_churn_convergence(jobs: Jobs) -> Vec<Table> {
         .flat_map(|&(g, d)| seeds.iter().map(move |&s| (g, d, s)))
         .collect();
     let digests = SweepSpec::new(jobs).map(&cases, |_, &(growth, delay_ms, seed)| {
-        let region = carve_region(&graph, RegionShape::Line, growth + 1);
-        let scenario = Scenario::builder(graph.clone())
-            .crashes(precipice_workload::patterns::schedule(
-                region.iter(),
-                CrashTiming::Cascade {
-                    start: SimTime::from_millis(1),
-                    step: SimTime::from_millis(delay_ms),
-                },
-            ))
-            .sim_config(experiment_sim(seed, true))
-            .build();
-        scenario.exec(Exec::new()).report.digest()
+        let step = TimingSpec::Cascade(SimTime::from_millis(delay_ms));
+        let scenario = experiment_scenario(&graph, RegionSpec::Line(growth + 1), step, seed);
+        scenario.build().exec(Exec::new()).report.digest()
     });
     for (ci, &(growth, delay_ms)) in combos.iter().enumerate() {
         let chunk = &digests[ci * seeds.len()..(ci + 1) * seeds.len()];
@@ -548,11 +542,7 @@ pub fn e6_churn_convergence(jobs: Jobs) -> Vec<Table> {
 /// load-bearing.
 pub fn e7_ablations(jobs: Jobs) -> Vec<Table> {
     let graph = torus_of(256);
-    let region = carve_region(&graph, RegionShape::Blob, 6);
-    let cascade = CrashTiming::Cascade {
-        start: SimTime::from_millis(1),
-        step: SimTime::from_millis(4),
-    };
+    let cascade = TimingSpec::Cascade(SimTime::from_millis(4));
 
     let mut t = Table::new(
         "E7a — optimization ablations (6-node cascade on N = 256 torus)",
@@ -583,15 +573,13 @@ pub fn e7_ablations(jobs: Jobs) -> Vec<Table> {
         .flat_map(|ci| seeds.iter().map(move |&s| (ci, s)))
         .collect();
     let digests = SweepSpec::new(jobs).map(&cases, |_, &(ci, seed)| {
-        let scenario = Scenario::builder(graph.clone())
-            .crashes(precipice_workload::patterns::schedule(
-                region.iter(),
-                cascade,
-            ))
+        let scenario = experiment_scenario(&graph, RegionSpec::Blob(6), cascade, seed);
+        scenario
             .protocol(configs[ci].1)
-            .sim_config(experiment_sim(seed, true))
-            .build();
-        scenario.exec(Exec::new()).report.digest()
+            .build()
+            .exec(Exec::new())
+            .report
+            .digest()
     });
     for (ci, (label, _)) in configs.iter().enumerate() {
         let chunk = &digests[ci * seeds.len()..(ci + 1) * seeds.len()];
@@ -630,17 +618,8 @@ pub fn e7_ablations(jobs: Jobs) -> Vec<Table> {
         .flat_map(|&d| (0..runs).map(move |s| (d, s)))
         .collect();
     let outcomes = SweepSpec::new(jobs).map(&noarb_cases, |_, &(delay_ms, seed)| {
-        let region = carve_region(&graph, RegionShape::Line, 4);
-        let scenario = Scenario::builder(graph.clone())
-            .crashes(precipice_workload::patterns::schedule(
-                region.iter(),
-                CrashTiming::Cascade {
-                    start: SimTime::from_millis(1),
-                    step: SimTime::from_millis(delay_ms),
-                },
-            ))
-            .sim_config(experiment_sim(seed, true))
-            .build();
+        let step = TimingSpec::Cascade(SimTime::from_millis(delay_ms));
+        let scenario = experiment_scenario(&graph, RegionSpec::Line(4), step, seed).build();
         let outcome = precipice_baseline::noarb::run_without_arbitration(&scenario);
         (outcome.violations.len(), outcome.stalled_nodes() as f64)
     });
@@ -836,30 +815,25 @@ pub fn e8_live_backend(jobs: Jobs) -> Vec<Table> {
 pub fn e9_schedule_exploration(jobs: Jobs) -> Vec<Table> {
     use precipice_workload::explore::{explore_scenario, ExploreConfig, PolicyMix};
 
+    let at_once = |graph: &precipice_graph::Graph, region: RegionSpec| {
+        experiment_scenario(graph, region, TimingSpec::Simultaneous, 7)
+    };
     let clean_cases: Vec<(&str, Scenario)> = vec![
         (
             "ring:24, line:3",
-            Scenario::builder(precipice_graph::ring(24))
+            at_once(&precipice_graph::ring(24), RegionSpec::Line(3))
                 .name("e9-ring")
-                .crashes(schedule_region(
-                    &precipice_graph::ring(24),
-                    RegionShape::Line,
-                    3,
-                ))
-                .sim_config(experiment_sim(7, true))
                 .build(),
         ),
         (
             "torus:6, blob:4",
-            Scenario::builder(torus_of(36))
+            at_once(&torus_of(36), RegionSpec::Blob(4))
                 .name("e9-torus")
-                .crashes(schedule_region(&torus_of(36), RegionShape::Blob, 4))
-                .sim_config(experiment_sim(7, true))
                 .build(),
         ),
         (
             "clustered (fig2, k=3 domains)",
-            Figure2::new(3, 2).scenario(17, simultaneous()),
+            Figure2::new(3, 2).scenario(17, CrashTiming::Simultaneous(TimingSpec::START)),
         ),
     ];
 
@@ -911,11 +885,9 @@ pub fn e9_schedule_exploration(jobs: Jobs) -> Vec<Table> {
 
     // Self-test: the planted inverted-arbitration bug must be caught and
     // shrink to a tiny replayable counterexample.
-    let planted = Scenario::builder(torus_of(25))
+    let planted = at_once(&torus_of(25), RegionSpec::Blob(3))
         .name("e9-planted-bug")
-        .crashes(schedule_region(&torus_of(25), RegionShape::Blob, 3))
         .protocol(ProtocolConfig::faithful().with_inverted_arbitration(true))
-        .sim_config(experiment_sim(7, true))
         .build();
     let bug_cfg = ExploreConfig {
         budget: 96,
@@ -960,17 +932,6 @@ pub fn e9_schedule_exploration(jobs: Jobs) -> Vec<Table> {
         }
     }
     vec![t, bug]
-}
-
-/// Crash schedule for a carved region on `graph`: simultaneous at 1ms.
-fn schedule_region(
-    graph: &precipice_graph::Graph,
-    shape: RegionShape,
-    k: usize,
-) -> Vec<(NodeId, SimTime)> {
-    use precipice_workload::patterns::schedule;
-    let region = carve_region(graph, shape, k);
-    schedule(region.iter(), simultaneous())
 }
 
 /// One entry of the experiment index.

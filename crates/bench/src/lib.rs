@@ -11,9 +11,9 @@ pub mod experiments;
 
 use precipice_core::ProtocolConfig;
 use precipice_graph::{torus, Graph, GridDims, NodeId, Region};
-use precipice_runtime::{Exec, RunReport, Scenario};
+use precipice_runtime::{Exec, RunReport, Scenario, ScenarioBuilder};
 use precipice_sim::{LatencyModel, SimConfig, SimTime};
-use precipice_workload::patterns::{blob_of_size, line_region, schedule, CrashTiming};
+use precipice_workload::{RegionSpec, TimingSpec};
 
 /// Concatenated markdown of the non-volatile tables — the byte string
 /// the sweep determinism contract is checked against (volatile tables
@@ -44,6 +44,30 @@ pub fn experiment_sim(seed: u64, record_trace: bool) -> SimConfig {
         record_trace,
         max_events: Some(200_000_000),
     }
+}
+
+/// An experiment's scenario on `graph`, traced: `region` carved around
+/// the centre, crashing under `timing`, and simulated by
+/// [`experiment_sim`] with `seed`, which a spread draws from too.
+///
+/// # Panics
+///
+/// Panics if the region does not carve or its crashes overrun the
+/// clock; an experiment's inputs are fixed, so either is its bug.
+pub fn experiment_scenario(
+    graph: &Graph,
+    region: RegionSpec,
+    timing: TimingSpec,
+    seed: u64,
+) -> ScenarioBuilder {
+    let region = region.carve(graph, None).expect("the region carves");
+    Scenario::builder(graph.clone())
+        .crashes(
+            timing
+                .crashes(&region, seed)
+                .expect("the crashes are in time"),
+        )
+        .sim_config(experiment_sim(seed, true))
 }
 
 /// A torus whose side is `ceil(sqrt(n))`, the standard experiment
@@ -84,25 +108,6 @@ pub fn mapped_torus_of(n: usize) -> Graph {
         .unwrap_or_else(|e| panic!("cannot open torus cache {}: {e}", file.display()))
 }
 
-/// The shape of a crashed region for E5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RegionShape {
-    /// Compact BFS blob (minimal border per node).
-    Blob,
-    /// Thin line (maximal border per node).
-    Line,
-}
-
-/// Carves a region of `k` nodes of the given shape near the center of
-/// `graph` (assumed torus-like).
-pub fn carve_region(graph: &Graph, shape: RegionShape, k: usize) -> Region {
-    let center = NodeId((graph.len() / 2) as u32);
-    match shape {
-        RegionShape::Blob => blob_of_size(graph, center, k),
-        RegionShape::Line => line_region(graph, center, k),
-    }
-}
-
 /// Cost observations extracted from one cliff-edge run.
 #[derive(Debug, Clone, Copy)]
 pub struct RunCost {
@@ -126,19 +131,19 @@ pub struct RunCost {
     pub decision_ms: f64,
 }
 
-/// Runs cliff-edge consensus on `graph` with `region` crashing under
-/// `timing`, and extracts the cost observations.
+/// Runs cliff-edge consensus on `graph` with `region` crashing
+/// simultaneously, and extracts the cost observations.
 pub fn measure_cliff_edge(
     graph: Graph,
     region: &Region,
-    timing: CrashTiming,
     protocol: ProtocolConfig,
     seed: u64,
 ) -> (RunCost, RunReport<NodeId>) {
     let border = graph.border_of(region.iter()).len();
     let n = graph.len();
+    let crashes = TimingSpec::Simultaneous.crashes(region, seed);
     let scenario = Scenario::builder(graph)
-        .crashes(schedule(region.iter(), timing))
+        .crashes(crashes.expect("simultaneous crashes land at the start"))
         .protocol(protocol)
         .sim_config(experiment_sim(seed, false))
         .build();
@@ -160,11 +165,6 @@ pub fn measure_cliff_edge(
         decision_ms: report.last_decision_at().map_or(0.0, |t| t.as_millis_f64()),
     };
     (cost, report)
-}
-
-/// Convenience: a simultaneous crash at 1ms.
-pub fn simultaneous() -> CrashTiming {
-    CrashTiming::Simultaneous(SimTime::from_millis(1))
 }
 
 /// The figure scenarios whose simulator trace hashes
@@ -201,6 +201,7 @@ pub fn trace_hash_of(mut scenario: Scenario) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use precipice_workload::RegionSpec;
 
     #[test]
     fn torus_of_rounds_up() {
@@ -212,8 +213,8 @@ mod tests {
     #[test]
     fn carve_region_shapes() {
         let g = torus_of(100);
-        let blob = carve_region(&g, RegionShape::Blob, 9);
-        let line = carve_region(&g, RegionShape::Line, 9);
+        let blob = RegionSpec::Blob(9).carve(&g, None).unwrap();
+        let line = RegionSpec::Line(9).carve(&g, None).unwrap();
         assert_eq!(blob.len(), 9);
         assert_eq!(line.len(), 9);
         assert!(g.border_of(line.iter()).len() >= g.border_of(blob.iter()).len());
@@ -222,9 +223,8 @@ mod tests {
     #[test]
     fn measure_extracts_consistent_cost() {
         let g = torus_of(64);
-        let region = carve_region(&g, RegionShape::Blob, 4);
-        let (cost, report) =
-            measure_cliff_edge(g, &region, simultaneous(), ProtocolConfig::default(), 3);
+        let region = RegionSpec::Blob(4).carve(&g, None).unwrap();
+        let (cost, report) = measure_cliff_edge(g, &region, ProtocolConfig::default(), 3);
         assert_eq!(cost.n, 64);
         assert_eq!(cost.region, 4);
         assert!(cost.decisions > 0);

@@ -15,8 +15,9 @@
 //! Beside the wall-time ratio sits the exact half of the same claim: the
 //! run's cost is not merely flat across N, it is the same numbers.
 
-use precipice_bench::{carve_region, measure_cliff_edge, simultaneous, torus_of, RegionShape};
+use precipice_bench::{measure_cliff_edge, torus_of};
 use precipice_core::ProtocolConfig;
+use precipice_workload::RegionSpec;
 use std::time::Instant;
 
 /// Median-of-3 per-run wall time (seconds) for a fixed 8-node blob crash
@@ -24,17 +25,12 @@ use std::time::Instant;
 /// region — this test is about per-run cost, not build cost.
 fn lazy_run_seconds(n: usize) -> f64 {
     let graph = torus_of(n);
-    let region = carve_region(&graph, RegionShape::Blob, 8);
+    let region = RegionSpec::Blob(8).carve(&graph, None).unwrap();
     let mut times: Vec<f64> = (0..3)
         .map(|seed| {
             let started = Instant::now();
-            let (cost, _) = measure_cliff_edge(
-                graph.clone(),
-                &region,
-                simultaneous(),
-                ProtocolConfig::default(),
-                seed,
-            );
+            let (cost, _) =
+                measure_cliff_edge(graph.clone(), &region, ProtocolConfig::default(), seed);
             assert!(cost.decisions > 0, "run at n={n} seed={seed} undecided");
             started.elapsed().as_secs_f64()
         })
@@ -66,15 +62,10 @@ fn lazy_run_time_stays_flat_as_n_grows_1024x() {
 fn run_cost_is_identical_from_64_to_a_million_nodes() {
     let costs_at = |n: usize| {
         let graph = torus_of(n);
-        let region = carve_region(&graph, RegionShape::Blob, 8);
+        let region = RegionSpec::Blob(8).carve(&graph, None).unwrap();
         [1, 2, 3].map(|seed| {
-            let (c, _) = measure_cliff_edge(
-                graph.clone(),
-                &region,
-                simultaneous(),
-                ProtocolConfig::default(),
-                seed,
-            );
+            let (c, _) =
+                measure_cliff_edge(graph.clone(), &region, ProtocolConfig::default(), seed);
             assert!(c.decisions > 0, "run at n={n} seed={seed} undecided");
             (
                 c.messages,

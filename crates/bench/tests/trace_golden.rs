@@ -9,14 +9,14 @@
 use std::sync::Arc;
 
 use precipice_bench::{
-    carve_region, mapped_torus_of, measure_cliff_edge, pinned_figure_scenarios, simultaneous,
-    torus_of, trace_hash_of, RegionShape,
+    mapped_torus_of, measure_cliff_edge, pinned_figure_scenarios, torus_of, trace_hash_of,
 };
 use precipice_core::ProtocolConfig;
 use precipice_graph::{torus, Graph, GridDims, NodeId, Region};
 use precipice_runtime::{Exec, MulticastMode, Scenario};
 use precipice_sim::{LatencyModel, SchedulePolicy, SimConfig, SimTime};
 use precipice_workload::patterns::{blob_of_size, schedule, CrashTiming};
+use precipice_workload::RegionSpec;
 
 const GOLDEN: [(&str, u64); 5] = [
     ("fig1a_seed0", 0x503e1af1edce1c88),
@@ -85,11 +85,11 @@ fn torus_ladder_runs_survive_mapped_topology() {
         let owned = torus_of(n);
         let mapped = mapped_torus_of(n);
         assert_eq!(mapped.len(), owned.len());
-        let region = carve_region(&owned, RegionShape::Blob, 8);
+        let region = RegionSpec::Blob(8).carve(&owned, None).unwrap();
         for seed in 1..=3 {
             let run = |graph: &Graph| {
                 let protocol = ProtocolConfig::default();
-                measure_cliff_edge(graph.clone(), &region, simultaneous(), protocol, seed)
+                measure_cliff_edge(graph.clone(), &region, protocol, seed)
             };
             let (owned_cost, owned_report) = run(&owned);
             let (mapped_cost, mapped_report) = run(&mapped);

@@ -10,6 +10,9 @@
 //! byte-deterministic: the same command sequence always produces the
 //! same output lines (CI byte-diffs rely on this).
 //!
+//! The parser recurses once per level, so nesting is bounded at
+//! [`MAX_DEPTH`]: a line of `[[[…` cannot overflow the stack.
+//!
 //! # Example
 //!
 //! ```
@@ -24,6 +27,10 @@
 //! ```
 
 use std::fmt;
+
+/// The deepest arrays and objects may nest; one level deeper is a
+/// [`JsonError`]. Serve's commands nest one level.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 ///
@@ -146,13 +153,14 @@ impl Json {
     /// (trailing whitespace allowed).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
-            bytes: input.as_bytes(),
+            text: input,
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.text.len() {
             return Err(p.err("trailing characters after value"));
         }
         Ok(value)
@@ -235,8 +243,10 @@ fn write_escaped(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -248,13 +258,13 @@ impl Parser<'_> {
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn eat(&mut self, b: u8) -> Result<(), JsonError> {
@@ -267,7 +277,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -277,8 +287,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nested deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -351,10 +372,11 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii slice");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("malformed number"))
+        match self.text[start..self.pos].parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+            Ok(_) => Err(self.err("number out of range")),
+            Err(_) => Err(self.err("malformed number")),
+        }
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -409,11 +431,12 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is valid UTF-8 by
-                    // construction: we were handed a &str).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("non-empty rest");
+                    // `pos` is on a character boundary: it only moves
+                    // past ASCII bytes and whole characters.
+                    let c = self.text[self.pos..]
+                        .chars()
+                        .next()
+                        .expect("non-empty rest");
                     if (c as u32) < 0x20 {
                         return Err(self.err("unescaped control character"));
                     }
@@ -444,6 +467,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use precipice_graph::rng;
 
     #[test]
     fn scalars_round_trip() {
@@ -491,6 +515,135 @@ mod tests {
         let e = Json::parse("[1, @]").unwrap_err();
         assert_eq!(e.at, 4);
         assert!(e.to_string().contains("byte 4"));
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_fatal() {
+        let nest = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        // On a 2 MB stack, the default for test threads: a million levels
+        // once overflowed it.
+        let run = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+                let e = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+                assert_eq!(e.at, MAX_DEPTH, "at the first bracket too deep");
+                assert!(e.what.contains("nested deeper"), "{e}");
+                let e = Json::parse(&nest(1_000_000)).unwrap_err();
+                assert_eq!(e.at, MAX_DEPTH);
+                let objects = r#"{"a":"#.repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+                assert!(Json::parse(&objects).is_err());
+            });
+        run.unwrap().join().unwrap();
+    }
+
+    #[test]
+    fn parse_never_panics_and_every_ok_round_trips() {
+        // The serve script CI pipes through `precipice serve`.
+        const LINES: [&str; 8] = [
+            r#"{"cmd":"open","id":"demo","topology":"torus:4"}"#,
+            r#"{"cmd":"crash","id":"demo","node":9}"#,
+            r#"{"cmd":"await","id":"demo","timeout_ms":30000}"#,
+            r#"{"cmd":"read","id":"demo","node":8}"#,
+            r#"{"cmd":"status","id":"demo"}"#,
+            r#"{"cmd":"shutdown"}"#,
+            r#"{"cmd":"open","id":"x","topology":"grid:4294967296x4294967296"}"#,
+            r#"{"a":[1,-2.5e3,true,false,null,{"b":"é\n"}]}"#,
+        ];
+        const FRAGMENTS: [&str; 36] = [
+            "{",
+            "}",
+            "[",
+            "]",
+            ",",
+            ":",
+            "\"",
+            " ",
+            "\t",
+            "true",
+            "false",
+            "null",
+            "-",
+            "+",
+            ".",
+            "0",
+            "7",
+            "9007199254740993",
+            "e",
+            "E",
+            "e308",
+            "e-330",
+            "E400",
+            "\\",
+            "\\n",
+            "\\u",
+            "\\u00e9",
+            "\\ud83d\\ude00",
+            "\\ud800",
+            "\\udc00",
+            "\\uzzzz",
+            "é",
+            "😀",
+            "\u{1}",
+            "\"cmd\":",
+            "\"open\"",
+        ];
+        let mut parsed = 0;
+        rng::cases("json_parse_fuzz", 20_000, |rng| {
+            let mut bytes: Vec<u8> = Vec::new();
+            match rng.gen_range(0..4usize) {
+                // A serve line, mutated byte by byte.
+                0 => {
+                    bytes.extend_from_slice(rng.choose(&LINES).unwrap().as_bytes());
+                    for _ in 0..rng.gen_range(0..=3usize) {
+                        let at = rng.gen_range(0..=bytes.len());
+                        match rng.gen_range(0..3usize) {
+                            0 if at < bytes.len() => bytes[at] = rng.gen_range(0..=255u64) as u8,
+                            1 => bytes.truncate(at),
+                            _ => {
+                                let fragment = rng.choose(&FRAGMENTS).unwrap().as_bytes();
+                                bytes.splice(at..at, fragment.iter().copied());
+                            }
+                        }
+                    }
+                }
+                // Nesting around the bound.
+                1 => {
+                    let levels = rng.gen_range(MAX_DEPTH - 4..=MAX_DEPTH + 4);
+                    let open = if rng.gen_bool(0.5) { "[" } else { r#"{"k":"# };
+                    let close = if open == "[" { "]" } else { "}" };
+                    bytes.extend(open.repeat(levels).bytes().chain(b"0".iter().copied()));
+                    bytes.extend(close.repeat(rng.gen_range(0..=levels)).bytes());
+                }
+                // A long digit run, maybe with a fraction and an exponent.
+                2 => {
+                    for _ in 0..rng.gen_range(1..=400usize) {
+                        bytes.push(b'0' + rng.gen_range(0..10u64) as u8);
+                    }
+                    for part in [".5", "e", "-", "99"] {
+                        if rng.gen_bool(0.5) {
+                            bytes.extend_from_slice(part.as_bytes());
+                        }
+                    }
+                }
+                // Fragments over the JSON alphabet.
+                _ => {
+                    for _ in 0..rng.gen_range(0..=24usize) {
+                        bytes.extend_from_slice(rng.choose(&FRAGMENTS).unwrap().as_bytes());
+                    }
+                }
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            match Json::parse(&text) {
+                Ok(value) => {
+                    parsed += 1;
+                    let line = value.to_line();
+                    assert_eq!(Json::parse(&line), Ok(value), "{text:?} prints as {line:?}");
+                }
+                Err(e) => assert!(e.at <= text.len(), "{text:?}: {e}"),
+            }
+        });
+        assert!(parsed > 2_000, "the fuzz parsed only {parsed} inputs");
     }
 
     #[test]

@@ -471,6 +471,10 @@ mod tests {
             let line = format!(r#"{{"cmd":"open","id":"x","topology":"{bad}"}}"#);
             assert!(fail(&s.handle_line(&line)).contains(bad), "{bad}");
         }
+        // So is a line nested 60 000 deep, which once overflowed the
+        // parser's stack and aborted the process.
+        let deep = "[".repeat(60_000) + &"]".repeat(60_000);
+        assert!(fail(&s.handle_line(&deep)).contains("nested deeper"));
         ok(&s.handle_line(r#"{"cmd":"crash","id":"a","node":1}"#));
         ok(&s.handle_line(r#"{"cmd":"await","id":"a","timeout_ms":20000}"#));
         // The session is still usable.

@@ -342,6 +342,12 @@ pub fn render_violations(report: &RunReport<NodeId>, violations: &[Violation]) -
 /// shrunk schedule, the expected trace hash and the expected violation
 /// messages.
 ///
+/// The CLI's `topology`, `region` and `timing` values are canonical spec
+/// strings: the [`Display`](std::fmt::Display) forms of
+/// [`TopologySpec`](precipice_graph::TopologySpec) and of
+/// `precipice_workload`'s `RegionSpec` and `TimingSpec`, whose
+/// [`FromStr`](std::str::FromStr) reads them back on replay.
+///
 /// Line-oriented text format (`render`/`parse` round-trip):
 ///
 /// ```text
@@ -354,7 +360,8 @@ pub fn render_violations(report: &RunReport<NodeId>, violations: &[Violation]) -
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Artifact {
-    /// Caller-interpreted scenario description (e.g. CLI flag values).
+    /// Caller-interpreted scenario description (e.g. CLI flag values, as
+    /// canonical spec strings).
     pub spec: BTreeMap<String, String>,
     /// The shrunk schedule to replay.
     pub schedule: Schedule,

@@ -45,6 +45,8 @@
 
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
+use std::fmt;
+use std::str::FromStr;
 use std::sync::Arc;
 
 use precipice_graph::{rng::SplitMix, Graph, NodeId, TopologySpec};
@@ -72,20 +74,35 @@ pub enum PolicyMix {
     Guided,
 }
 
-impl PolicyMix {
-    /// Parses `random` / `pcr` / `mixed` / `guided`.
-    pub fn parse(s: &str) -> Result<PolicyMix, String> {
+impl FromStr for PolicyMix {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<PolicyMix, String> {
         match s {
             "random" => Ok(PolicyMix::Random),
             "pcr" => Ok(PolicyMix::Pcr),
             "mixed" => Ok(PolicyMix::Mixed),
             "guided" => Ok(PolicyMix::Guided),
-            other => Err(format!(
-                "unknown policy {other:?} (want random | pcr | mixed | guided)"
+            _ => Err(format!(
+                "unknown policy {s:?} (want random | pcr | mixed | guided)"
             )),
         }
     }
+}
 
+impl fmt::Display for PolicyMix {
+    /// The name [`FromStr`] parses.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            PolicyMix::Random => "random",
+            PolicyMix::Pcr => "pcr",
+            PolicyMix::Mixed => "mixed",
+            PolicyMix::Guided => "guided",
+        })
+    }
+}
+
+impl PolicyMix {
     /// The policy of probe `index` under exploration seed `seed`
     /// (probe 0 is always the FIFO baseline).
     ///
@@ -655,10 +672,16 @@ mod tests {
 
     #[test]
     fn policy_mix_parses_and_assigns() {
-        assert_eq!(PolicyMix::parse("random").unwrap(), PolicyMix::Random);
-        assert_eq!(PolicyMix::parse("pcr").unwrap(), PolicyMix::Pcr);
-        assert_eq!(PolicyMix::parse("mixed").unwrap(), PolicyMix::Mixed);
-        assert!(PolicyMix::parse("chaos").is_err());
+        for (name, mix) in [
+            ("random", PolicyMix::Random),
+            ("pcr", PolicyMix::Pcr),
+            ("mixed", PolicyMix::Mixed),
+            ("guided", PolicyMix::Guided),
+        ] {
+            assert_eq!(name.parse(), Ok(mix));
+            assert_eq!(mix.to_string(), name);
+        }
+        assert!("chaos".parse::<PolicyMix>().is_err());
         assert_eq!(PolicyMix::Mixed.policy_for(0, 0), SchedulePolicy::Fifo);
         assert!(matches!(
             PolicyMix::Mixed.policy_for(0, 1),

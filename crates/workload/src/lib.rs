@@ -8,6 +8,9 @@
 //! - [`patterns`] — correlated-failure generators (BFS balls, blobs,
 //!   line-shaped regions, scattered singletons, multi-region patterns)
 //!   and crash-timing schedules (simultaneous, cascades, random spread);
+//! - [`RegionSpec`] / [`TimingSpec`] — the spec grammars that name a
+//!   crashed region and its crash timing, as
+//!   [`TopologySpec`](precipice_graph::TopologySpec) names a graph;
 //! - [`figures`] — faithful reconstructions of the paper's Figure 1
 //!   (cities network with conflicting views), Figure 2 (cluster of
 //!   adjacent faulty domains) and Figure 3 (overlap adversary);
@@ -25,7 +28,10 @@
 
 pub mod explore;
 pub mod figures;
+mod grammar;
 pub mod patterns;
 pub mod stats;
 pub mod sweep;
 pub mod table;
+
+pub use grammar::{RegionSpec, TimingSpec};

@@ -25,6 +25,9 @@ pub fn bfs_ball(graph: &Graph, center: NodeId, radius: usize) -> Region {
     let mut ball: BTreeSet<NodeId> = [center].into();
     let mut frontier = vec![center];
     for _ in 0..radius {
+        if frontier.is_empty() {
+            break;
+        }
         let mut next = Vec::new();
         for &p in &frontier {
             for &q in graph.neighbors(p) {
@@ -194,17 +197,16 @@ where
 {
     match timing {
         CrashTiming::Simultaneous(at) => nodes.into_iter().map(|n| (n, at)).collect(),
-        CrashTiming::Cascade { start, step } => {
-            let mut at = start;
-            nodes
-                .into_iter()
-                .map(|n| {
-                    let slot = (n, at);
-                    at += step;
-                    slot
-                })
-                .collect()
-        }
+        // Each time is the previous one plus `step`, taken only when a
+        // node needs it: no step past the last crash can overflow.
+        CrashTiming::Cascade { start, step } => nodes
+            .into_iter()
+            .scan(None, |prev: &mut Option<SimTime>, n| {
+                let at = prev.map_or(start, |p| p + step);
+                *prev = Some(at);
+                Some((n, at))
+            })
+            .collect(),
         CrashTiming::Spread {
             start,
             window,

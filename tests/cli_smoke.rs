@@ -298,6 +298,27 @@ fn bad_flags_exit_nonzero() {
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(String::from_utf8_lossy(&out.stderr).contains("er:40:0.001"));
     }
+    // Region and timing specs outside their grammars are refused by name
+    // on `run` and `check` alike: empty blobs and lines once panicked, a
+    // cascade step past the clock once panicked and a spread window past
+    // it once wrapped silently. A last crash past the clock's horizon is
+    // refused when the scenario is built.
+    for spec in [
+        ["--region", "blob:0"],
+        ["--region", "line:0"],
+        ["--timing", "cascade:99999999999s"],
+        ["--timing", "spread:99999999999s"],
+        ["--timing", "cascade:6000000000s"],
+    ] {
+        for args in [&spec[..], &["check", spec[0], spec[1]]] {
+            let out = precipice(args);
+            assert_eq!(out.status.code(), Some(2), "{args:?}");
+            assert!(
+                String::from_utf8_lossy(&out.stderr).contains(spec[1]),
+                "{args:?}"
+            );
+        }
+    }
     // The live runtime has no sequential-multicast chain yet: refused,
     // not run atomically without a word.
     let out = precipice(&["check", "--backend", "live", "--sequential-multicast"]);
