@@ -1052,6 +1052,53 @@ mod tests {
     }
 
     #[test]
+    fn region_specs() {
+        let g = "torus:6".parse::<TopologySpec>().unwrap().build(0).unwrap();
+        let carve = |region: &str, at: Option<&str>| {
+            let mut args = vec!["--region", region];
+            args.extend(at.map(|at| ["--at", at]).into_iter().flatten());
+            let opts = parse(&args)?;
+            opts.region.carve(&g, opts.at.map(NodeId))
+        };
+        assert_eq!(carve("blob:5", None).unwrap().len(), 5);
+        assert_eq!(carve("line:4", Some("0")).unwrap().len(), 4);
+        assert_eq!(carve("ball:1", Some("7")).unwrap().len(), 5);
+        let explicit = carve("nodes:1,3,5", None).unwrap();
+        assert_eq!(explicit.as_slice(), &[NodeId(1), NodeId(3), NodeId(5)]);
+        assert!(carve("nodes:999", None).is_err());
+        assert!(carve("blob:x", None).is_err());
+        assert!(carve("blob:3", Some("999")).is_err());
+    }
+
+    #[test]
+    fn durations_and_timing() {
+        let timing = |spec: &str| parse(&["--timing", spec]).map(|opts| opts.timing);
+        let cascade = |d: SimTime| Ok(TimingSpec::Cascade(d));
+        assert_eq!(timing("cascade:4ms"), cascade(SimTime::from_millis(4)));
+        assert_eq!(timing("cascade:250us"), cascade(SimTime::from_micros(250)));
+        assert_eq!(timing("cascade:1s"), cascade(SimTime::from_secs(1)));
+        assert_eq!(timing("cascade:7"), cascade(SimTime::from_millis(7)));
+        assert!(timing("cascade:4lightyears").is_err());
+        let region: Region = (0..3).map(NodeId).collect();
+        let times = |spec: &str| -> Vec<SimTime> {
+            let schedule = timing(spec).unwrap().crashes(&region, 0).unwrap();
+            schedule.into_iter().map(|(_, at)| at).collect()
+        };
+        let start = TimingSpec::START;
+        assert_eq!(times("simultaneous"), [start; 3]);
+        let step = SimTime::from_millis(2);
+        assert_eq!(
+            times("cascade:2ms"),
+            [start, start + step, start + step + step]
+        );
+        let window = SimTime::from_millis(50);
+        assert!(times("spread:50ms")
+            .iter()
+            .all(|&at| at >= start && at <= start + window));
+        assert!(timing("sometimes").is_err());
+    }
+
+    #[test]
     fn end_to_end_run_is_clean() {
         let opts = Options {
             topology: "torus:6".parse().unwrap(),
