@@ -106,6 +106,11 @@ pub struct CliffEdgeNode<T, P: DecisionPolicy> {
     config: ProtocolConfig,
     /// `locallyCrashed`: crashes reported by the failure detector.
     locally_crashed: BTreeSet<NodeId>,
+    /// The connected components of `locallyCrashed`, each with its
+    /// border, in no particular order. A crash only ever extends them
+    /// (lines 5–11 add one node), so [`on_crash`](Self::on_crash) merges
+    /// in place instead of recomputing.
+    components: Vec<View>,
     /// `maxView`: highest-ranked crashed region known (line 10).
     max_view: Option<View>,
     /// `candidateView`: pending proposal, consumed by line 13.
@@ -124,7 +129,12 @@ pub struct CliffEdgeNode<T, P: DecisionPolicy> {
     /// `received` ∪ the `opinions`/`waiting` state, keyed by view.
     received: BTreeMap<Region, Instance<P::Value>>,
     /// Views this node rejected; their messages are ignored (line 18).
+    /// Disjoint from `received`: a view leaves it before it enters here.
     rejected: BTreeSet<Region>,
+    /// A view entered `received` or `Vp` moved since the line-26 guard
+    /// last found nothing to reject; the guard is a pure predicate of
+    /// the two, so until then it cannot fire.
+    rescan: bool,
     decided: Option<(View, P::Value)>,
     stats: ProtocolStats,
 }
@@ -167,6 +177,7 @@ where
             policy,
             config,
             locally_crashed: BTreeSet::new(),
+            components: Vec::new(),
             max_view: None,
             candidate_view: None,
             proposed: None,
@@ -174,6 +185,7 @@ where
             round: 0,
             received: BTreeMap::new(),
             rejected: BTreeSet::new(),
+            rescan: false,
             decided: None,
             stats: ProtocolStats::default(),
         }
@@ -266,44 +278,79 @@ where
         self.stats.crashes_detected += 1;
         self.locally_crashed.insert(q);
 
+        // N(q) grows the component first, then becomes line 7's targets.
+        let mut targets = self.topology.neighbors_of(q);
+        let grown = self.absorb(q, &targets);
+
         // Line 7: monitorCrash(border(q) \ locallyCrashed). We also drop
         // ourselves: self-monitoring can never fire.
-        let targets: Vec<NodeId> = self
-            .topology
-            .neighbors_of(q)
-            .into_iter()
-            .filter(|n| *n != self.me && !self.locally_crashed.contains(n))
-            .collect();
+        targets.retain(|n| *n != self.me && !self.locally_crashed.contains(n));
         if !targets.is_empty() {
             host.monitor(&targets);
         }
 
-        // Lines 8–11. The component query walks the sorted set, so its
-        // cost tracks |locallyCrashed|, not the magnitude of the ids.
-        let components = self.topology.components_of(&self.locally_crashed);
-        let best = components
-            .into_iter()
-            .map(|region| View::new(&self.topology, region))
-            .max_by(|a, b| a.rank_cmp(b))
-            .expect("locally_crashed is non-empty");
-        let grew = match &self.max_view {
-            None => true,
-            Some(mv) => best.rank_cmp(mv) == Ordering::Greater,
-        };
+        // Lines 8–11. Every other component was ranked against `maxView`
+        // when it last grew, and `≻` ranks a strict superset higher, so
+        // `maxView` stays the maxRankedRegion of the components by
+        // ranking the grown one alone.
+        let grew = self
+            .max_view
+            .as_ref()
+            .is_none_or(|mv| grown.rank_cmp(mv) == Ordering::Greater);
         if grew {
-            self.max_view = Some(best.clone());
-            self.candidate_view = Some(best);
+            self.max_view = Some(grown.clone());
+            self.candidate_view = Some(grown);
         }
+    }
+
+    /// Merges the newly crashed `q` (with neighbours `neighbors`) into
+    /// the components it borders and returns the grown component.
+    ///
+    /// The merged border is (their borders ∪ N(q)) \ the merged region:
+    /// no other component touches `q`, so none touches the result.
+    fn absorb(&mut self, q: NodeId, neighbors: &[NodeId]) -> View {
+        let (mut size, mut border_size) = (1, neighbors.len());
+        for c in self.components.iter().filter(|c| c.border().contains(q)) {
+            size += c.region().len();
+            border_size += c.border().len();
+        }
+        let mut region = Vec::with_capacity(size);
+        let mut border = Vec::with_capacity(border_size);
+        region.push(q);
+        border.extend_from_slice(neighbors);
+        for c in self.components.extract_if(.., |c| c.border().contains(q)) {
+            region.extend_from_slice(c.region().as_slice());
+            border.extend_from_slice(c.border().as_slice());
+        }
+        region.sort_unstable();
+        border.sort_unstable();
+        border.dedup();
+        border.retain(|n| region.binary_search(n).is_err());
+        let grown = View::from_parts(
+            Region::from_sorted_vec(region),
+            Region::from_sorted_vec(border),
+        );
+        debug_assert_eq!(
+            grown.border(),
+            &self.topology.border_region(grown.region()),
+            "{}: merged border of {} drifted from the topology's",
+            self.me,
+            grown
+        );
+        self.components.push(grown.clone());
+        grown
     }
 
     /// Lines 18–25: route the message to its (possibly new) instance.
     fn on_deliver(&mut self, from: NodeId, message: Arc<Message<P::Value>>) {
-        if self.rejected.contains(&message.view) {
-            self.stats.ignored_messages += 1;
-            return;
-        }
+        // A known instance is the common case; a rejected view is never
+        // in `received`, so only a miss needs the second search.
         if let Some(instance) = self.received.get_mut(&message.view) {
             instance.merge(from, &message);
+            return;
+        }
+        if self.rejected.contains(&message.view) {
+            self.stats.ignored_messages += 1;
             return;
         }
         self.stats.views_seen += 1;
@@ -313,6 +360,7 @@ where
         ));
         instance.merge(from, &message);
         self.received.insert(message.view.clone(), instance);
+        self.rescan = true;
     }
 
     /// Re-evaluates the state guards of Algorithm 1 until none fires.
@@ -325,28 +373,9 @@ where
         loop {
             // Guard line 26: some received view ranks strictly below our
             // (last) proposal — reject it. Lowest-ranked first, for
-            // determinism. (Skipped entirely by the no-arbitration
-            // ablation.)
-            if let Some(vp) = self
-                .current_view
-                .as_ref()
-                .filter(|_| self.config.arbitration)
-            {
-                // The planted `invert_arbitration` bug (test-only, for
-                // the schedule explorer) rejects views ranked *above*
-                // the proposal instead of below.
-                let doomed = if self.config.invert_arbitration {
-                    Ordering::Greater
-                } else {
-                    Ordering::Less
-                };
-                let target = self
-                    .received
-                    .values()
-                    .filter(|inst| inst.view().rank_cmp(vp) == doomed)
-                    .min_by(|a, b| a.view().rank_cmp(b.view()))
-                    .map(|inst| inst.view().region().clone());
-                if let Some(low) = target {
+            // determinism.
+            if self.rescan {
+                if let Some(low) = self.doomed_view() {
                     let instance = self
                         .received
                         .remove(&low)
@@ -354,40 +383,60 @@ where
                     self.do_reject(instance.into_view(), host);
                     continue;
                 }
+                self.rescan = false;
             }
 
-            // Fast-abort optimization: a known rejecter dooms the active
-            // instance; skip the remaining rounds.
-            if self.config.fast_abort_on_reject && self.is_active() {
-                let doomed = self.active_instance().is_some_and(Instance::has_rejectors);
-                if doomed {
-                    self.proposed = None;
-                    self.stats.aborted_instances += 1;
+            if !self.is_active() {
+                // Guard line 12: no active instance and a candidate is
+                // pending — propose it.
+                if self.proposed.is_none() && self.candidate_view.is_some() {
+                    self.do_propose(host);
                     continue;
                 }
+                break;
             }
 
-            // Guard line 12: no active instance and a candidate is
-            // pending — propose it.
-            if self.proposed.is_none() && self.candidate_view.is_some() {
-                self.do_propose(host);
+            // An active instance can only abort (the fast-abort
+            // optimization: a known rejecter dooms it, so skip the
+            // remaining rounds) or complete its current round (guard
+            // line 32); one lookup serves both.
+            let Some(instance) = self.active_instance() else {
+                break;
+            };
+            if self.config.fast_abort_on_reject && instance.has_rejectors() {
+                self.proposed = None;
+                self.stats.aborted_instances += 1;
                 continue;
             }
-
-            // Guard line 32: the active instance completed its current
-            // round.
-            if self.is_active() {
-                let complete = self
-                    .active_instance()
-                    .is_some_and(|inst| inst.round_complete(self.round, &self.locally_crashed));
-                if complete {
-                    self.complete_round(host);
-                    continue;
-                }
+            if instance.round_complete(self.round, &self.locally_crashed) {
+                self.complete_round(host);
+                continue;
             }
-
             break;
         }
+    }
+
+    /// Guard line 26's target: the lowest-ranked received view that
+    /// ranks strictly below `Vp`, if any. (Never one under the
+    /// no-arbitration ablation.)
+    fn doomed_view(&self) -> Option<Region> {
+        let vp = self
+            .current_view
+            .as_ref()
+            .filter(|_| self.config.arbitration)?;
+        // The planted `invert_arbitration` bug (test-only, for the
+        // schedule explorer) rejects views ranked *above* the proposal
+        // instead of below.
+        let doomed = if self.config.invert_arbitration {
+            Ordering::Greater
+        } else {
+            Ordering::Less
+        };
+        self.received
+            .values()
+            .filter(|inst| inst.view().rank_cmp(vp) == doomed)
+            .min_by(|a, b| a.view().rank_cmp(b.view()))
+            .map(|inst| inst.view().region().clone())
     }
 
     fn active_instance(&self) -> Option<&Instance<P::Value>> {
@@ -450,6 +499,7 @@ where
         let value = self.policy.propose(self.me, &view);
         self.proposed = Some(value.clone());
         self.current_view = Some(view.clone());
+        self.rescan = true;
         self.round = 1;
         self.stats.proposals += 1;
         self.stats.max_round = self.stats.max_round.max(1);
@@ -536,11 +586,64 @@ mod tests {
     use super::*;
     use crate::message::Opinion;
     use crate::NodeIdValuePolicy;
-    use precipice_graph::Graph;
+    use precipice_graph::{connected_components, rng, Graph, TopologySpec};
     use std::collections::VecDeque;
     use std::sync::Arc;
 
     type Node = CliffEdgeNode<Arc<Graph>, NodeIdValuePolicy>;
+
+    /// Lines 8–11 as the node once ran them on every crash: every
+    /// component of `locallyCrashed` from scratch, and the
+    /// highest-ranked one.
+    fn max_ranked_component(graph: &Graph, crashed: &BTreeSet<NodeId>) -> Option<View> {
+        connected_components(graph, crashed)
+            .into_iter()
+            .map(|region| View::new(graph, region))
+            .max_by(|a, b| a.rank_cmp(b))
+    }
+
+    impl<T: Topology, P: DecisionPolicy> CliffEdgeNode<T, P> {
+        /// The state the incremental paths keep, against a rebuild from
+        /// `graph`: the components partition `locallyCrashed` exactly as
+        /// [`connected_components`] does, each with its true border;
+        /// `maxView` is the from-scratch maxRankedRegion of them; and
+        /// the line-26 guard, whose scan the node skips while nothing
+        /// changed, has nothing left to reject.
+        fn check_state(&self, graph: &Graph) {
+            let mut held: Vec<&Region> = self.components.iter().map(View::region).collect();
+            held.sort();
+            let mut expected = connected_components(graph, &self.locally_crashed);
+            expected.sort();
+            assert_eq!(
+                held,
+                expected.iter().collect::<Vec<_>>(),
+                "{}: components of {:?}",
+                self.me,
+                self.locally_crashed
+            );
+            for c in &self.components {
+                assert_eq!(
+                    c.border().as_slice(),
+                    Topology::border_of_region(graph, c.region()),
+                    "{}: border of {}",
+                    self.me,
+                    c
+                );
+            }
+            assert_eq!(
+                self.max_view,
+                max_ranked_component(graph, &self.locally_crashed),
+                "{}: maxView",
+                self.me
+            );
+            assert_eq!(
+                self.doomed_view(),
+                None,
+                "{}: a received view outlived the line-26 guard",
+                self.me
+            );
+        }
+    }
 
     /// Minimal deterministic synchronous harness: a global FIFO queue
     /// (which preserves per-channel FIFO), staged crash injection, and
@@ -553,6 +656,7 @@ mod tests {
     /// does the failure detector start telling subscribers (current ones
     /// at once, later ones on subscription, exactly once each).
     struct Net {
+        graph: Arc<Graph>,
         nodes: BTreeMap<NodeId, Node>,
         queue: VecDeque<(NodeId, NodeId, Arc<Message<NodeId>>)>,
         crashed: BTreeSet<NodeId>,
@@ -567,6 +671,7 @@ mod tests {
     impl Net {
         fn new(graph: &Arc<Graph>, live: impl IntoIterator<Item = u32>) -> Self {
             let mut net = Net {
+                graph: graph.clone(),
                 nodes: BTreeMap::new(),
                 queue: VecDeque::new(),
                 crashed: BTreeSet::new(),
@@ -611,7 +716,9 @@ mod tests {
                 if !self.nodes.contains_key(&id) {
                     continue;
                 }
-                let actions = self.nodes.get_mut(&id).expect("checked").handle(event);
+                let node = self.nodes.get_mut(&id).expect("checked");
+                let actions = node.handle(event);
+                node.check_state(&self.graph);
                 for action in actions {
                     match action {
                         Action::Monitor(targets) => {
@@ -677,11 +784,18 @@ mod tests {
         }
 
         fn pump(&mut self) {
-            while let Some((from, to, message)) = self.queue.pop_front() {
-                if !self.nodes.contains_key(&to) {
-                    continue;
+            self.pump_some(usize::MAX);
+        }
+
+        /// Delivers up to `count` queued messages, oldest first.
+        fn pump_some(&mut self, count: usize) {
+            for _ in 0..count {
+                let Some((from, to, message)) = self.queue.pop_front() else {
+                    return;
+                };
+                if self.nodes.contains_key(&to) {
+                    self.dispatch(to, Event::Deliver { from, message });
                 }
-                self.dispatch(to, Event::Deliver { from, message });
             }
         }
 
@@ -1156,6 +1270,61 @@ mod tests {
                 "{pk} has several accept values for {view}: {vs:?}"
             );
         }
+    }
+
+    /// The incremental components and the skipped line-26 scans against
+    /// [`check_state`](CliffEdgeNode::check_state) after every event of
+    /// every node: random `er`/`geometric`/`tree`/`torus` graphs of 2–40
+    /// nodes, random crash sets, and random notification orders with
+    /// detection skew and deliveries interleaved.
+    #[test]
+    fn incremental_state_matches_a_rebuild_under_random_crashes() {
+        rng::cases("node-incremental-state", 100, |rng| {
+            let n = rng.gen_range(2..=40usize);
+            let spec = match rng.gen_range(0..4usize) {
+                0 => TopologySpec::Er(n, 0.15 + 0.45 * rng.gen_f64()),
+                1 => TopologySpec::Geometric(n, 0.35 + 0.35 * rng.gen_f64()),
+                2 => TopologySpec::Tree(n),
+                _ => TopologySpec::Torus(rng.gen_range(3..=6usize)),
+            };
+            let graph = Arc::new(spec.build(rng.next_u64()).expect("connected sample"));
+            let n = graph.len() as u32;
+            let share = 0.2 + 0.5 * rng.gen_f64();
+            let mut order: Vec<u32> = (0..n).filter(|_| rng.gen_bool(share)).collect();
+            if order.is_empty() {
+                order.push(rng.gen_range(0..n as usize) as u32);
+            }
+            if order.len() == n as usize {
+                order.pop();
+            }
+            rng.shuffle(&mut order);
+            let live: Vec<u32> = (0..n).filter(|p| !order.contains(p)).collect();
+            let config = ProtocolConfig::faithful()
+                .with_fast_abort(rng.gen_bool(0.5))
+                .with_early_termination(rng.gen_bool(0.5))
+                .with_inverted_arbitration(rng.gen_bool(0.1));
+            let mut net = Net::new(&graph, live).with_config(config);
+            for q in order {
+                net.pump_some(rng.gen_range(0..8usize));
+                // Detection skew: some subscribers hear of `q` before
+                // the rest.
+                let early: Vec<u32> = net
+                    .monitors
+                    .iter()
+                    .filter(|(obs, targets)| {
+                        net.nodes.contains_key(obs) && targets.contains(&NodeId(q))
+                    })
+                    .map(|(obs, _)| obs.0)
+                    .collect();
+                for obs in early {
+                    if rng.gen_bool(0.3) {
+                        net.notify_one(obs, q);
+                    }
+                }
+                net.release(q);
+            }
+            net.pump();
+        });
     }
 
     #[test]

@@ -7,8 +7,8 @@ use crate::nodeset::words_for;
 use crate::store::{GraphStore, MappedGraph, StoreError, StoreSummary};
 use crate::{NodeId, NodeSet, Region};
 
-/// Keep the border memo bounded: protocol churn can mint an unbounded
-/// stream of distinct candidate regions, and the cache must never become
+/// Keep the border memo bounded: a long checking run can rank an
+/// unbounded stream of distinct regions, and the cache must never become
 /// the memory hot spot it exists to remove.
 const BORDER_CACHE_CAP: usize = 1 << 16;
 
@@ -43,10 +43,11 @@ const BORDER_CACHE_CAP: usize = 1 << 16;
 ///
 /// Borders of [`Region`]s are additionally memoized in a shared,
 /// thread-safe cache ([`border_of_region_cached`](Graph::border_of_region_cached)):
-/// every border node of the same crashed region derives the identical
-/// border, so one computation serves the whole instance. The cache is
-/// keyed by region and implicitly by topology (it lives inside the
-/// graph), is shared across clones, and is ignored by `Eq`.
+/// the border is a pure function of the region, so the checkers, the
+/// live gate and [`rank_cmp`](crate::rank_cmp) compute it once per
+/// region. The cache is keyed by region and implicitly by topology (it
+/// lives inside the graph), is shared across clones, and is ignored by
+/// `Eq`.
 ///
 /// # Example
 ///
@@ -443,12 +444,13 @@ impl Graph {
 
     /// The border of a [`Region`], memoized.
     ///
-    /// Every node bordering the same crashed region derives the identical
-    /// border (the border is a pure function of region and topology), so
-    /// the memo is shared across all [`Graph`] clones and `Arc` handles:
-    /// one bitset computation serves every `View::new` and every ranking
-    /// comparison that sees the region. The returned `Region` is
-    /// `Arc`-shared with the cache entry — repeated hits are zero-copy.
+    /// The border is a pure function of region and topology, so the memo
+    /// is shared across all [`Graph`] clones and `Arc` handles: one
+    /// computation serves every ranking comparison and every view the
+    /// checkers and the live gate build for the region. (The protocol
+    /// node grows its borders itself; only its debug assertions come
+    /// here.) The returned `Region` is `Arc`-shared with the cache entry — repeated
+    /// hits are zero-copy.
     pub fn border_of_region_cached(&self, region: &Region) -> Region {
         if let Some(hit) = self
             .borders

@@ -519,16 +519,28 @@ impl MappedGraph {
                 ),
             });
         }
-        if csr.len != edge_count * 2 {
+        let Some(csr_entries) = edge_count.checked_mul(2) else {
+            return Err(StoreError::Inconsistent {
+                detail: format!("edge_count = {edge_count}: 2·E overflows u64"),
+            });
+        };
+        if csr.len != csr_entries {
             return Err(StoreError::Inconsistent {
                 detail: format!(
-                    "csr section holds {} entries, expected 2·E = {}",
-                    csr.len,
-                    edge_count * 2
+                    "csr section holds {} entries, expected 2·E = {csr_entries}",
+                    csr.len
                 ),
             });
         }
-        if dense_words.len != dense_ids.len * mask_words {
+        let Some(dense_entries) = dense_ids.len.checked_mul(mask_words) else {
+            return Err(StoreError::Inconsistent {
+                detail: format!(
+                    "dense_ids.len = {} × mask_words = {mask_words} overflows u64",
+                    dense_ids.len
+                ),
+            });
+        };
+        if dense_words.len != dense_entries {
             return Err(StoreError::Inconsistent {
                 detail: format!(
                     "dense sections disagree: {} ids × {mask_words} words ≠ {} words",
@@ -557,17 +569,15 @@ impl MappedGraph {
                     pos: section.pos,
                 });
             }
-            if section.pos < HEADER_LEN
-                || section
-                    .pos
-                    .checked_add(section.byte_len(elem))
-                    .is_none_or(|end| end > payload_end)
-            {
+            let end = section
+                .len
+                .checked_mul(elem)
+                .and_then(|bytes| section.pos.checked_add(bytes));
+            if section.pos < HEADER_LEN || end.is_none_or(|end| end > payload_end) {
                 return Err(StoreError::Truncated {
                     detail: format!(
-                        "section {name:?} [{}, +{} bytes) does not fit in the {payload_end}-byte payload",
-                        section.pos,
-                        section.byte_len(elem)
+                        "section {name:?} at {} ({} × {elem} bytes) does not fit in the {payload_end}-byte payload",
+                        section.pos, section.len
                     ),
                 });
             }

@@ -1,17 +1,16 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use crate::{Graph, NodeId, NodeSet, Region};
+use crate::{Graph, NodeId, Region};
 
 /// On-demand access to the knowledge graph `G` — the paper's "underlying
 /// topology service" (§2.2).
 ///
 /// Protocol code only ever *queries* topology (neighbours of live or
-/// crashed nodes, borders, connected components); it never mutates it.
-/// Abstracting the access behind a trait lets the same protocol core run
-/// against a shared in-memory [`Graph`] (simulator), an `Arc<Graph>` handed
-/// to every node thread (live backend), or any future distributed lookup
-/// service.
+/// crashed nodes, borders); it never mutates it. Abstracting the access
+/// behind a trait lets the same protocol core run against a shared
+/// in-memory [`Graph`] (simulator), an `Arc<Graph>` handed to every node
+/// thread (live backend), or any future distributed lookup service.
 ///
 /// The provided methods have generic `neighbors_of`-based defaults so any
 /// lookup service works out of the box; [`Graph`] and `Arc<Graph>`
@@ -62,40 +61,11 @@ pub trait Topology {
 
     /// The border of a [`Region`], as a [`Region`].
     ///
-    /// This is the form protocol code wants (views carry their border as
-    /// a region); [`Graph`] overrides it to return the `Arc`-shared memo
+    /// This is the form a view wants (it carries its border as a
+    /// region); [`Graph`] overrides it to return the `Arc`-shared memo
     /// entry, so repeated queries for the same region are zero-copy.
     fn border_region(&self, region: &Region) -> Region {
         self.border_of_region(region).into_iter().collect()
-    }
-
-    /// Connected components of the subgraph induced by `set`, mirroring
-    /// [`connected_components`](crate::connected_components).
-    fn components_of(&self, set: &BTreeSet<NodeId>) -> Vec<Region> {
-        let mut remaining = set.clone();
-        let mut out = Vec::new();
-        while let Some(&seed) = remaining.iter().next() {
-            let mut comp = BTreeSet::new();
-            let mut frontier = vec![seed];
-            comp.insert(seed);
-            while let Some(p) = frontier.pop() {
-                for q in self.neighbors_of(p) {
-                    if remaining.contains(&q) && comp.insert(q) {
-                        frontier.push(q);
-                    }
-                }
-            }
-            for p in &comp {
-                remaining.remove(p);
-            }
-            out.push(comp.into_iter().collect());
-        }
-        out
-    }
-
-    /// Connected components of the subgraph induced by a [`NodeSet`].
-    fn components_of_set(&self, set: &NodeSet) -> Vec<Region> {
-        self.components_of(&set.to_btree_set())
     }
 }
 
@@ -119,14 +89,6 @@ impl Topology for Graph {
     fn border_region(&self, region: &Region) -> Region {
         self.border_of_region_cached(region)
     }
-
-    fn components_of(&self, set: &BTreeSet<NodeId>) -> Vec<Region> {
-        crate::connected_components(self, set)
-    }
-
-    fn components_of_set(&self, set: &NodeSet) -> Vec<Region> {
-        crate::connected_components_set(self, set)
-    }
 }
 
 impl Topology for Arc<Graph> {
@@ -148,14 +110,6 @@ impl Topology for Arc<Graph> {
 
     fn border_region(&self, region: &Region) -> Region {
         self.as_ref().border_region(region)
-    }
-
-    fn components_of(&self, set: &BTreeSet<NodeId>) -> Vec<Region> {
-        self.as_ref().components_of(set)
-    }
-
-    fn components_of_set(&self, set: &NodeSet) -> Vec<Region> {
-        self.as_ref().components_of_set(set)
     }
 }
 
@@ -179,20 +133,11 @@ impl<T: Topology + ?Sized> Topology for &T {
     fn border_region(&self, region: &Region) -> Region {
         (**self).border_region(region)
     }
-
-    fn components_of(&self, set: &BTreeSet<NodeId>) -> Vec<Region> {
-        (**self).components_of(set)
-    }
-
-    fn components_of_set(&self, set: &NodeSet) -> Vec<Region> {
-        (**self).components_of_set(set)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::connected_components;
 
     fn set(ids: &[u32]) -> BTreeSet<NodeId> {
         ids.iter().map(|&i| NodeId(i)).collect()
@@ -219,18 +164,6 @@ mod tests {
         // The generic default agrees with the bitset override.
         let naive = NeighborOnly(g.clone());
         assert_eq!(naive.border_of_set(&s), g.border_of_set(&s));
-    }
-
-    #[test]
-    fn trait_components_match_free_function() {
-        let g = Graph::from_edges(6, [(0, 1), (2, 3), (4, 5), (1, 2)]);
-        let s = set(&[0, 1, 3, 5]);
-        assert_eq!(g.components_of(&s), connected_components(&g, &s));
-        let naive = NeighborOnly(g.clone());
-        assert_eq!(naive.components_of(&s), g.components_of(&s));
-        let ns = NodeSet::from(&s);
-        assert_eq!(g.components_of_set(&ns), g.components_of(&s));
-        assert_eq!(naive.components_of_set(&ns), g.components_of(&s));
     }
 
     #[test]

@@ -279,6 +279,39 @@ fn inconsistent_offset_endpoints_are_diagnosed() {
     }
 }
 
+/// `g`'s `.pcsr` bytes with the header's u64 at `at` set to `value`.
+fn with_header_u64(g: &Graph, name: &str, at: usize, value: u64) -> PathBuf {
+    let file = tmp(name);
+    g.write_pcsr(&file).unwrap();
+    let mut bytes = fs::read(&file).unwrap();
+    bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    fs::write(&file, &bytes).unwrap();
+    file
+}
+
+/// Header counts whose products overflow `u64` are refused by name, in
+/// every build: a debug build once panicked on the multiplication, and
+/// a release build wrapped it and reported a bogus expected length.
+#[test]
+fn overflowing_header_counts_are_diagnosed() {
+    let cases = [
+        (path(4), 24, 1 << 63, "edge_count"),
+        (path(4), 24, u64::MAX, "edge_count"),
+        // Three mask words per row, so 2⁶³ rows overflow.
+        (torus(GridDims::square(12)), 80, 1 << 63, "dense_ids.len"),
+    ];
+    for (g, at, value, field) in cases {
+        let file = with_header_u64(&g, &format!("overflow-{at}-{value}.pcsr"), at, value);
+        match MappedGraph::open(&file) {
+            Err(StoreError::Inconsistent { detail }) => {
+                assert!(detail.contains(field), "{field} = {value}: {detail}");
+                assert!(detail.contains("overflows"), "{field} = {value}: {detail}");
+            }
+            other => panic!("{field} = {value}: expected Inconsistent, got {other:?}"),
+        }
+    }
+}
+
 #[test]
 fn open_summary_fields_match_write_summary() {
     let g = torus(GridDims::square(10));

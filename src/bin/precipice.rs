@@ -774,25 +774,43 @@ fn print_counterexample(
 /// `#` comments are skipped, so scripted command files pipe straight
 /// in. Exits cleanly on `shutdown` or stdin EOF.
 fn run_serve(shards: usize) -> Result<bool, String> {
-    use std::io::{BufRead, Write};
-    let mut session = precipice::net::ServeSession::new(shards);
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    for line in stdin.lock().lines() {
-        let line = line.map_err(|e| format!("reading stdin: {e}"))?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let response = session.handle_line(trimmed);
-        writeln!(out, "{response}").map_err(|e| format!("writing stdout: {e}"))?;
-        out.flush().map_err(|e| format!("flushing stdout: {e}"))?;
-        if session.finished() {
+    let session = precipice::net::ServeSession::new(shards);
+    serve_lines(session, std::io::stdin().lock(), std::io::stdout().lock())?;
+    Ok(true)
+}
+
+/// The serve loop: one reply line on `out` per request line of `input`,
+/// until `shutdown` or end of input. Blank and `#` lines get no reply; a
+/// line that is not UTF-8 gets an `"ok":false` one, and the session
+/// goes on.
+fn serve_lines(
+    mut session: precipice::net::ServeSession,
+    mut input: impl std::io::BufRead,
+    mut out: impl std::io::Write,
+) -> Result<(), String> {
+    use precipice::consensus::json::Json;
+    let mut line = Vec::new();
+    while !session.finished() {
+        line.clear();
+        let read = input
+            .read_until(b'\n', &mut line)
+            .map_err(|e| format!("reading stdin: {e}"))?;
+        if read == 0 {
             break;
         }
+        let response = match std::str::from_utf8(&line).map(str::trim) {
+            Ok(request) if request.is_empty() || request.starts_with('#') => continue,
+            Ok(request) => session.handle_line(request),
+            Err(e) => Json::obj([
+                ("ok", Json::Bool(false)),
+                ("error", Json::from(format!("request is not UTF-8: {e}"))),
+            ])
+            .to_line(),
+        };
+        writeln!(out, "{response}").map_err(|e| format!("writing stdout: {e}"))?;
+        out.flush().map_err(|e| format!("flushing stdout: {e}"))?;
     }
-    Ok(true)
+    Ok(())
 }
 
 /// Parses `serve` arguments (just `--shards`).
@@ -986,6 +1004,26 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn serve_answers_a_non_utf8_line_and_keeps_going() {
+        let input: &[u8] = b"{\"cmd\":\"open\",\"topology\":\"torus:4\"}\n\
+            \xff\xfe\n\
+            {\"cmd\":\"crash\",\"node\":9}\n\
+            {\"cmd\":\"status\"}\n\
+            {\"cmd\":\"shutdown\"}\n\
+            {\"cmd\":\"status\"}\n";
+        let mut out = Vec::new();
+        let session = precipice::net::ServeSession::new(1);
+        serve_lines(session, input, &mut out).unwrap();
+        let out = String::from_utf8(out).unwrap();
+        let replies: Vec<&str> = out.lines().collect();
+        assert_eq!(replies.len(), 5, "nothing after shutdown: {out}");
+        assert!(replies[1].starts_with("{\"ok\":false"), "{}", replies[1]);
+        assert!(replies[1].contains("UTF-8"), "{}", replies[1]);
+        assert!(replies[2].contains("\"killed\":9"), "{}", replies[2]);
+        assert!(replies[3].starts_with("{\"ok\":true"), "{}", replies[3]);
+    }
 
     fn parse(args: &[&str]) -> Result<Options, String> {
         parse_args(args.iter().map(|s| s.to_string()))

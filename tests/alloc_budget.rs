@@ -109,13 +109,16 @@ fn fuzz_shape() -> Scenario {
 
 /// Ceiling on allocations per event of one cold `exec` — slot arenas
 /// growing from empty included — just above the worst of the three
-/// policies below (0.747 / 0.917 / 0.818). Those include the one
-/// `Arc<Message>` each multicast shares among its copies (0.666 / 0.840
-/// / 0.743 without it, when every copy cloned the message's three
-/// refcounts instead). The tree-per-round instance state took 2.3–2.5
-/// here, and a `Vec` of actions plus a recipient `Vec` per multicast,
-/// built for every event and unpacked by the engine, took 0.85–1.04.
-const ALLOCATIONS_PER_EVENT: f64 = 0.92;
+/// policies below: 0.526 / 0.604 / 0.563 in a release build, 0.630 /
+/// 0.741 / 0.658 in a debug one, whose check of each merged border
+/// against the topology's builds a second border per crash. Those
+/// include the one `Arc<Message>` each multicast shares among its
+/// copies. Recomputing every component of the crashed set and reading
+/// its border from the graph's memo on each crash took 0.747 / 0.917 /
+/// 0.818; the tree-per-round instance state took 2.3–2.5, and a `Vec` of
+/// actions plus a recipient `Vec` per multicast, built for every event
+/// and unpacked by the engine, took 0.85–1.04.
+const ALLOCATIONS_PER_EVENT: f64 = if cfg!(debug_assertions) { 0.75 } else { 0.61 };
 
 #[test]
 fn an_explored_schedule_stays_within_its_allocation_budget() {
@@ -173,6 +176,11 @@ impl Topology for ImplicitTorus {
     }
 }
 
+/// Ceiling on the bytes below, just above what they measure: 2216 in a
+/// release build, 2468 in a debug one (its merged-border check). The
+/// from-scratch components took 2548 in either.
+const BORDER_NODE_BYTES: u64 = if cfg!(debug_assertions) { 2560 } else { 2304 };
+
 #[test]
 fn a_border_node_of_a_million_node_torus_allocates_by_border_not_by_id() {
     let topology = ImplicitTorus { side: 1024 };
@@ -207,7 +215,8 @@ fn a_border_node_of_a_million_node_torus_allocates_by_border_not_by_id() {
     assert!(node.is_active(), "the crash must start an instance");
     assert_eq!(actions.len(), 3, "monitor, monitor, propose: {actions:?}");
     assert!(
-        bytes <= 4096,
-        "{bytes} bytes for one crash and one proposal at ids near 2^19"
+        bytes <= BORDER_NODE_BYTES,
+        "{bytes} bytes for one crash and one proposal at ids near 2^19, \
+         budget {BORDER_NODE_BYTES}"
     );
 }
