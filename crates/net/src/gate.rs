@@ -134,8 +134,15 @@ impl<V> Gate<V> {
         if parked.frontier.is_empty() {
             return None;
         }
-        let keys = &parked.keys;
-        let pick = explorer.choose(&parked.frontier, 0, |i| keys[i]);
+        let (frontier, keys) = (&parked.frontier, &parked.keys);
+        // The FIFO choice's dependents, by a filter: the gate is not hot.
+        let target = frontier[0].target;
+        let dependents: Vec<u64> = frontier
+            .iter()
+            .filter(|f| f.target == target)
+            .map(|f| f.seq)
+            .collect();
+        let pick = explorer.choose(frontier, 0, || dependents.into_iter(), |i| keys[i]);
         parked.frontier.remove(pick);
         let key = parked.keys.remove(pick);
         parked.released += 1;

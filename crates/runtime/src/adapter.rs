@@ -35,8 +35,14 @@ pub enum MulticastMode {
 /// multicast holds the same `Arc`.
 #[derive(Debug, Clone)]
 pub enum ProtoMsg<D> {
-    /// An Algorithm-1 message.
-    Protocol(Arc<Message<D>>),
+    /// An Algorithm-1 message, with its [`Message::wire_size`]: an
+    /// atomic multicast computes it once for all its copies.
+    Protocol {
+        /// The message.
+        message: Arc<Message<D>>,
+        /// Its wire size in bytes.
+        bytes: usize,
+    },
     /// Bookkeeping for [`MulticastMode::Sequential`]: deliver `message`
     /// to the remaining recipients, one hop at a time.
     Chain {
@@ -50,7 +56,7 @@ pub enum ProtoMsg<D> {
 impl<D: WireSize> MessageSize for ProtoMsg<D> {
     fn size_bytes(&self) -> usize {
         match self {
-            ProtoMsg::Protocol(m) => m.wire_size(),
+            ProtoMsg::Protocol { bytes, .. } => *bytes,
             // Loop bookkeeping, not wire traffic.
             ProtoMsg::Chain { .. } => 0,
         }
@@ -118,7 +124,7 @@ struct SimHost<'a, 'c, D> {
     decision: &'a mut Option<(View, D, SimTime)>,
 }
 
-impl<D: Clone> Host<D> for SimHost<'_, '_, D> {
+impl<D: Clone + WireSize> Host<D> for SimHost<'_, '_, D> {
     fn monitor(&mut self, targets: &[NodeId]) {
         for &target in targets {
             self.ctx.monitor(target);
@@ -131,10 +137,12 @@ impl<D: Clone> Host<D> for SimHost<'_, '_, D> {
                 let Some((&last, rest)) = recipients.split_last() else {
                     return;
                 };
+                let bytes = message.wire_size();
                 for &to in rest {
-                    self.ctx.send(to, ProtoMsg::Protocol(Arc::clone(&message)));
+                    let message = Arc::clone(&message);
+                    self.ctx.send(to, ProtoMsg::Protocol { message, bytes });
                 }
-                self.ctx.send(last, ProtoMsg::Protocol(message));
+                self.ctx.send(last, ProtoMsg::Protocol { message, bytes });
             }
             MulticastMode::Sequential => chain_step(recipients, message, self.ctx),
         }
@@ -148,8 +156,9 @@ impl<D: Clone> Host<D> for SimHost<'_, '_, D> {
 
 /// Serves the next recipient of a sequential multicast and queues the
 /// continuation (if any) back to ourselves; the last recipient gets
-/// `message` itself.
-fn chain_step<D>(
+/// `message` itself. Each hop is its own handler, so each sizes the
+/// copy it sends.
+fn chain_step<D: WireSize>(
     recipients: &[NodeId],
     message: Arc<Message<D>>,
     ctx: &mut Context<'_, ProtoMsg<D>>,
@@ -157,10 +166,18 @@ fn chain_step<D>(
     let Some((&first, rest)) = recipients.split_first() else {
         return;
     };
+    let bytes = message.wire_size();
     if rest.is_empty() {
-        ctx.send(first, ProtoMsg::Protocol(message));
+        ctx.send(first, ProtoMsg::Protocol { message, bytes });
     } else {
-        ctx.send(first, ProtoMsg::Protocol(Arc::clone(&message)));
+        let copy = Arc::clone(&message);
+        ctx.send(
+            first,
+            ProtoMsg::Protocol {
+                message: copy,
+                bytes,
+            },
+        );
         ctx.send(
             ctx.me(),
             ProtoMsg::Chain {
@@ -180,7 +197,7 @@ impl<P: DecisionPolicy> Process for ProtocolProcess<P> {
 
     fn on_message(&mut self, from: NodeId, msg: Self::Msg, ctx: &mut Context<'_, Self::Msg>) {
         match msg {
-            ProtoMsg::Protocol(message) => self.drive(Event::Deliver { from, message }, ctx),
+            ProtoMsg::Protocol { message, .. } => self.drive(Event::Deliver { from, message }, ctx),
             ProtoMsg::Chain { remaining, message } => {
                 debug_assert_eq!(from, self.node.me(), "chains are self-addressed");
                 chain_step(&remaining, message, ctx);
@@ -203,11 +220,12 @@ mod tests {
     use precipice_graph::Region;
     use precipice_sim::{SimConfig, Simulation};
 
-    type Copies = Rc<RefCell<Vec<(NodeId, Arc<Message<NodeId>>)>>>;
+    type Copies = Rc<RefCell<Vec<(NodeId, Arc<Message<NodeId>>, usize)>>>;
 
     /// A protocol process that keeps every protocol message delivered
-    /// to it alive in `copies`, with its sender, so no allocation is
-    /// reused while the test compares addresses.
+    /// to it alive in `copies`, with its sender and the size it was
+    /// sent with, so no allocation is reused while the test compares
+    /// addresses.
     struct Tap {
         inner: ProtocolProcess<NodeIdValuePolicy>,
         copies: Copies,
@@ -221,8 +239,9 @@ mod tests {
         }
 
         fn on_message(&mut self, from: NodeId, msg: Self::Msg, ctx: &mut Context<'_, Self::Msg>) {
-            if let ProtoMsg::Protocol(message) = &msg {
-                self.copies.borrow_mut().push((from, Arc::clone(message)));
+            if let ProtoMsg::Protocol { message, bytes } = &msg {
+                let copy = (from, Arc::clone(message), *bytes);
+                self.copies.borrow_mut().push(copy);
             }
             self.inner.on_message(from, msg, ctx);
         }
@@ -232,37 +251,44 @@ mod tests {
         }
     }
 
+    /// Every protocol message delivered in a run on a ring where two
+    /// adjacent nodes crash, taken with `Tap`.
+    fn tapped_run(mode: MulticastMode) -> Copies {
+        let g = Arc::new(precipice_graph::ring(8));
+        let copies = Copies::default();
+        let processes = (0..g.len())
+            .map(|i| {
+                let node = CliffEdgeNode::new(
+                    NodeId::from_index(i),
+                    Arc::clone(&g),
+                    NodeIdValuePolicy,
+                    ProtocolConfig::default(),
+                );
+                Tap {
+                    inner: ProtocolProcess::with_multicast_mode(node, mode),
+                    copies: Rc::clone(&copies),
+                }
+            })
+            .collect();
+        let mut sim = Simulation::new(SimConfig::default(), processes);
+        sim.schedule_crash(NodeId(3), SimTime::from_millis(1));
+        sim.schedule_crash(NodeId(4), SimTime::from_millis(1));
+        assert!(sim.run().is_quiescent());
+        copies
+    }
+
     /// Every copy of one multicast is the one `Arc` the node built, in
     /// both multicast modes: two delivered copies share an allocation
     /// exactly when they came from the same sender with the same
     /// message (no sender multicasts one message twice).
     #[test]
     fn copies_of_one_multicast_share_one_allocation() {
-        let g = Arc::new(precipice_graph::ring(8));
         for mode in [MulticastMode::Atomic, MulticastMode::Sequential] {
-            let copies = Copies::default();
-            let processes = (0..g.len())
-                .map(|i| {
-                    let node = CliffEdgeNode::new(
-                        NodeId::from_index(i),
-                        Arc::clone(&g),
-                        NodeIdValuePolicy,
-                        ProtocolConfig::default(),
-                    );
-                    Tap {
-                        inner: ProtocolProcess::with_multicast_mode(node, mode),
-                        copies: Rc::clone(&copies),
-                    }
-                })
-                .collect();
-            let mut sim = Simulation::new(SimConfig::default(), processes);
-            sim.schedule_crash(NodeId(3), SimTime::from_millis(1));
-            sim.schedule_crash(NodeId(4), SimTime::from_millis(1));
-            assert!(sim.run().is_quiescent());
+            let copies = tapped_run(mode);
             let copies = copies.borrow();
             let mut shared = 0;
-            for (i, (from, a)) in copies.iter().enumerate() {
-                for (to, b) in &copies[i + 1..] {
+            for (i, (from, a, _)) in copies.iter().enumerate() {
+                for (to, b, _) in &copies[i + 1..] {
                     let same = from == to && a == b;
                     assert_eq!(Arc::ptr_eq(a, b), same, "{mode:?}: {from} -> {a:?}");
                     shared += usize::from(same);
@@ -272,18 +298,32 @@ mod tests {
         }
     }
 
+    /// A protocol copy is sized as its message's wire size, in both
+    /// multicast modes (an atomic multicast sizes the message once for
+    /// all its copies, a sequential one at each hop); a chain
+    /// continuation is not wire traffic.
     #[test]
     fn proto_msg_size_matches_wire_size() {
+        for mode in [MulticastMode::Atomic, MulticastMode::Sequential] {
+            let copies = tapped_run(mode);
+            let copies = copies.borrow();
+            assert!(!copies.is_empty());
+            for (_, message, bytes) in copies.iter() {
+                assert_eq!(*bytes, message.wire_size(), "{mode:?}");
+            }
+        }
         let message: Message<NodeId> = Message {
             round: 1,
             view: Region::from_iter([NodeId(1)]),
             border: Region::from_iter([NodeId(0), NodeId(2)]),
             opinions: Default::default(),
         };
-        assert_eq!(
-            ProtoMsg::Protocol(message.clone().into()).size_bytes(),
-            message.wire_size()
-        );
+        let bytes = message.wire_size();
+        let copy = ProtoMsg::Protocol {
+            message: message.clone().into(),
+            bytes,
+        };
+        assert_eq!(copy.size_bytes(), bytes);
         let chain: ProtoMsg<NodeId> = ProtoMsg::Chain {
             remaining: vec![NodeId(0)],
             message: message.into(),

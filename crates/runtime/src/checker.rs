@@ -261,23 +261,27 @@ pub fn check_spec_coverage<D: Clone + Eq + Debug>(report: &RunReport<D>) -> (Vec
     // --- CD3: Locality -------------------------------------------------
     if let Some(pairs) = &report.message_pairs {
         branches |= branch::CD3_CHECKED;
-        // Precompute each domain's closure S ∪ border(S).
-        let closures: Vec<BTreeSet<NodeId>> = domains
+        // Each domain's closure S ∪ border(S), sorted.
+        let closures: Vec<Vec<NodeId>> = domains
             .iter()
             .map(|dom| {
-                dom.iter()
-                    .chain(graph.border_of(dom.iter()))
-                    .collect::<BTreeSet<NodeId>>()
+                let mut closure: Vec<NodeId> =
+                    dom.iter().chain(graph.border_of(dom.iter())).collect();
+                closure.sort_unstable();
+                closure
             })
             .collect();
-        let mut seen: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
-        for &(from, to) in pairs {
-            if !seen.insert((from, to)) {
+        // A run sends thousands of messages over a few hundred channels:
+        // check each channel once, at its first send, so violations come
+        // out in first-send order.
+        let mut first_sends = FirstSends::new(pairs);
+        for (i, &(from, to)) in pairs.iter().enumerate() {
+            if !first_sends.is_first(i) {
                 continue;
             }
             let ok = closures
                 .iter()
-                .any(|c| c.contains(&from) && c.contains(&to));
+                .any(|c| c.binary_search(&from).is_ok() && c.binary_search(&to).is_ok());
             if !ok {
                 branches |= branch::CD3_BROKE;
                 violations.push(Violation::Locality { from, to });
@@ -382,6 +386,49 @@ pub fn check_spec_coverage<D: Clone + Eq + Debug>(report: &RunReport<D>) -> (Vec
     }
 
     (violations, branches)
+}
+
+/// The first send on each directed channel of a message list, as an
+/// open-addressed set of message indices (four bytes a slot, at a load
+/// of at most 3/4 even if every message used its own channel): one
+/// allocation, however many channels there are.
+struct FirstSends<'a> {
+    pairs: &'a [(NodeId, NodeId)],
+    slots: Vec<u32>,
+}
+
+/// Empty slot of a [`FirstSends`].
+const NO_SEND: u32 = u32::MAX;
+
+impl<'a> FirstSends<'a> {
+    fn new(pairs: &'a [(NodeId, NodeId)]) -> Self {
+        assert!(
+            pairs.len() < NO_SEND as usize,
+            "message index space exhausted"
+        );
+        let slots = vec![NO_SEND; (pairs.len() * 4 / 3 + 1).next_power_of_two()];
+        FirstSends { pairs, slots }
+    }
+
+    /// `true` if message `i` is the first on its channel; call once per
+    /// message, in send order.
+    fn is_first(&mut self, i: usize) -> bool {
+        let (from, to) = self.pairs[i];
+        let channel = u64::from(from.0) << 32 | u64::from(to.0);
+        let mask = self.slots.len() - 1;
+        // Fibonacci hashing: multiply by 2^64/φ, keep the high bits.
+        let mut slot = (channel.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize & mask;
+        loop {
+            match self.slots[slot] {
+                NO_SEND => {
+                    self.slots[slot] = i as u32;
+                    return true;
+                }
+                first if self.pairs[first as usize] == (from, to) => return false,
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -574,6 +621,33 @@ mod tests {
         assert!(violations
             .iter()
             .any(|v| matches!(v, Violation::Locality { from, to } if *from == NodeId(4) && *to == NodeId(5))));
+    }
+
+    /// CD3 checks each channel once, at its first send: repeated and
+    /// interleaved out-of-closure messages, mixed with legal ones,
+    /// report each offending channel once, in first-send order — not
+    /// in channel order, which the second case would break.
+    #[test]
+    fn locality_violations_come_once_per_channel_in_first_send_order() {
+        let clean = Scenario::builder(path(6))
+            .crash(NodeId(1), SimTime::from_millis(1))
+            .build()
+            .exec(Exec::new())
+            .report;
+        let (four, five) = (NodeId(4), NodeId(5));
+        for (a, b) in [(four, five), (five, four)] {
+            let mut report = clean.clone();
+            let pairs = report.message_pairs.as_mut().unwrap();
+            let legal = pairs[0];
+            pairs.extend([(a, b), legal, (b, a), (a, b), legal, (b, a)]);
+            assert_eq!(
+                check_spec(&report),
+                [
+                    Violation::Locality { from: a, to: b },
+                    Violation::Locality { from: b, to: a },
+                ]
+            );
+        }
     }
 
     #[test]

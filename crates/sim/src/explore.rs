@@ -56,15 +56,19 @@
 //! budget on a 144-node torus is ~900 k pairs, ~300 k of them
 //! distinct). A probe's pairs are a plain `Vec` of
 //! `(first, second)` keys in execution order, filled in one pass over
-//! its trace. The map *interns* event keys — each key gets a `u32` id
+//! its trace. The map *interns* event keys — each key gets a 31-bit id
 //! the first time the serial, probe-order fold meets it — and stores a
-//! pair as the two ids packed into one `u64`, with a byte of direction
-//! bits beside it (nine bytes a pair, plus four-byte index slots at a
-//! load of 3/8 to 3/4). Ids are an artefact of the fold order and
-//! **never observable**: counts, novelty verdicts and the sorted
-//! flip-candidate list are functions of the key pairs alone, and two
-//! maps are equal when they hold the same set of orders, states and
-//! branches, whatever ids they handed out on the way. The ordered-map
+//! pair as one `u64`, the two ids and two direction bits, in place in
+//! a single open-addressed table (eight bytes a slot at a load of 3/8
+//! to 3/4, no side vectors). A probe is folded in passes, so that the
+//! cache misses on its pairs' slots overlap: intern and pack every
+//! pair, read every pair's home slot, then insert the pairs that were
+//! not already there in their direction. Ids are an artefact of the
+//! fold order and **never observable**: counts, novelty verdicts and
+//! the sorted flip-candidate list are functions of the key pairs
+//! alone, and two maps are equal when they hold the same set of
+//! orders, states and branches, whatever ids they handed out on the
+//! way. The ordered-map
 //! implementation this replaced lives on in the test module as the
 //! differential oracle.
 
@@ -183,7 +187,10 @@ impl EventKey {
             EventKey::Notify { observer, crashed } => (1, observer.0, crashed.0, 0),
             EventKey::Crash { node } => (2, node.0, 0, 0),
         };
-        mix64(mix64(u64::from(a) << 32 | u64::from(b)) ^ (u64::from(c) << 2 | tag))
+        // One finaliser round over the two words, the second spread by
+        // an odd multiplier so that `nth` and the tag reach every bit.
+        let spread = (u64::from(c) << 2 | tag).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        mix64((u64::from(a) << 32 | u64::from(b)) ^ spread)
     }
 }
 
@@ -378,8 +385,6 @@ pub struct Explorer {
     mode: Mode,
     recorded: Vec<Deviation>,
     step: u64,
-    /// Reusable dependent-set buffer for PCR picks.
-    scratch: Vec<u32>,
 }
 
 impl Explorer {
@@ -408,7 +413,6 @@ impl Explorer {
             mode,
             recorded: Vec::new(),
             step: 0,
-            scratch: Vec::new(),
         })
     }
 
@@ -425,31 +429,25 @@ impl Explorer {
     /// Records a deviation when the pick differs from FIFO, and
     /// advances the decision step. `key_of(i)` produces candidate `i`'s
     /// stable key on demand (replay matching and deviation recording —
-    /// the only consumers; it never touches the RNG).
-    pub fn choose(
+    /// the only consumers; it never touches the RNG). `dependents()`
+    /// yields the seqs, ascending, of the enabled events at the FIFO
+    /// choice's target, that choice included: the slot walks its
+    /// per-target index, the gate filters its frontier. Only `Pcr`
+    /// picks and `Guided` extension picks call it.
+    pub fn choose<D: ExactSizeIterator<Item = u64>>(
         &mut self,
         frontier: &[FrontierEntry],
         fifo: usize,
+        dependents: impl FnOnce() -> D,
         mut key_of: impl FnMut(usize) -> EventKey,
     ) -> usize {
         debug_assert!(!frontier.is_empty());
         let choice = match &mut self.mode {
             Mode::Random(rng) => rng.below(frontier.len()),
-            Mode::Pcr(rng) => {
-                // Only permute events dependent with the FIFO choice:
-                // those racing at the same target node. Everything else
-                // commutes (atomic handlers, per-node state).
-                let target = frontier[fifo].target;
-                self.scratch.clear();
-                self.scratch.extend(
-                    frontier
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, c)| c.target == target)
-                        .map(|(i, _)| i as u32),
-                );
-                self.scratch[rng.below(self.scratch.len())] as usize
-            }
+            // Only permute events dependent with the FIFO choice: those
+            // racing at the same target node. Everything else commutes
+            // (atomic handlers, per-node state).
+            Mode::Pcr(rng) => pick_dependent(rng, frontier, dependents()),
             Mode::Replay { queue, next } => {
                 let mut choice = fifo;
                 if let Some(dev) = queue.get(*next) {
@@ -496,16 +494,7 @@ impl Explorer {
                         }
                     }
                     if choice == fifo && *next >= queue.len() && rng.below(4) == 0 {
-                        let target = frontier[fifo].target;
-                        self.scratch.clear();
-                        self.scratch.extend(
-                            frontier
-                                .iter()
-                                .enumerate()
-                                .filter(|(_, c)| c.target == target)
-                                .map(|(i, _)| i as u32),
-                        );
-                        choice = self.scratch[rng.below(self.scratch.len())] as usize;
+                        choice = pick_dependent(rng, frontier, dependents());
                     }
                 }
                 choice
@@ -542,10 +531,20 @@ impl Explorer {
     }
 }
 
-/// Direction bit: the lower-id key of a race pair executed first.
-const PAIR_LO_FIRST: u8 = 1;
-/// Direction bit: the higher-id key executed first.
-const PAIR_HI_FIRST: u8 = 2;
+/// A uniform pick among `dependents` (seqs, ascending, of enabled
+/// events), as an index into the seq-ordered `frontier`: one draw, a
+/// walk to the drawn seq, and a binary search for it.
+fn pick_dependent(
+    rng: &mut SplitMix,
+    frontier: &[FrontierEntry],
+    mut dependents: impl ExactSizeIterator<Item = u64>,
+) -> usize {
+    let k = rng.below(dependents.len());
+    let seq = dependents.nth(k).expect("the draw is below the count");
+    let i = frontier.partition_point(|f| f.seq < seq);
+    debug_assert_eq!(frontier[i].seq, seq, "a dependent is on the frontier");
+    i
+}
 
 /// What one probe contributed to coverage: the ordered race pairs its
 /// trace executed, a hash of the decision/view state the run ended in,
@@ -619,6 +618,105 @@ impl IdTable {
     }
 }
 
+/// Direction bit of a packed race pair: the lower-id key ran first.
+const PAIR_LO_FIRST: u64 = 1;
+/// Direction bit: the higher-id key ran first.
+const PAIR_HI_FIRST: u64 = 2;
+/// Both direction bits: a pair seen in both orders.
+const PAIR_BOTH: u64 = PAIR_LO_FIRST | PAIR_HI_FIRST;
+/// Empty slot of a [`PairTable`]; a stored pair always has a direction
+/// bit set.
+const NO_PAIR: u64 = 0;
+/// Key ids are 31-bit, so two of them and the direction bits fit a word.
+const ID_MASK: u64 = (1 << 31) - 1;
+
+/// Packs "`a` ran before `b`" (interned ids) into one word:
+/// `lower id << 33 | higher id << 2 | direction bit`.
+fn pack(a: u32, b: u32) -> u64 {
+    let (lo, hi, bit) = if a <= b {
+        (a, b, PAIR_LO_FIRST)
+    } else {
+        (b, a, PAIR_HI_FIRST)
+    };
+    u64::from(lo) << 33 | u64::from(hi) << 2 | bit
+}
+
+/// The lower id, the higher id and the direction bits of a packed pair.
+fn unpack(pair: u64) -> (usize, usize, u64) {
+    let (lo, hi) = (pair >> 33, pair >> 2 & ID_MASK);
+    (lo as usize, hi as usize, pair & PAIR_BOTH)
+}
+
+/// Open-addressed set of packed race pairs, linear probing at a load of
+/// at most 3/4: a slot is the pair itself, its direction bits ored in
+/// as the pair is seen each way round.
+#[derive(Debug, Clone, Default)]
+struct PairTable {
+    slots: Vec<u64>,
+    len: usize,
+}
+
+impl PairTable {
+    /// The slot `pair` hashes to, whatever its direction bits.
+    #[inline]
+    fn home(slots: &[u64], pair: u64) -> usize {
+        mix64(pair >> 2) as usize & (slots.len() - 1)
+    }
+
+    /// `true` if `pair`'s home slot already holds it in `pair`'s
+    /// direction — the fold's second pass drops such pairs. A pair
+    /// stored further along its probe run is not looked for.
+    #[inline]
+    fn seen_at_home(&self, pair: u64) -> bool {
+        if self.slots.is_empty() {
+            return false;
+        }
+        let slot = self.slots[Self::home(&self.slots, pair)];
+        slot | pair == slot && slot >> 2 == pair >> 2
+    }
+
+    /// Records `pair`'s direction; `true` if the pair or that direction
+    /// is new.
+    fn insert(&mut self, pair: u64) -> bool {
+        if (self.len + 1) * 4 > self.slots.len() * 3 {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = Self::home(&self.slots, pair);
+        loop {
+            let slot = self.slots[i];
+            if slot == NO_PAIR {
+                self.slots[i] = pair;
+                self.len += 1;
+                return true;
+            }
+            if slot >> 2 == pair >> 2 {
+                self.slots[i] = slot | pair;
+                return slot | pair != slot;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    fn grow(&mut self) {
+        let doubled = (self.slots.len() * 2).max(16);
+        let old = mem::replace(&mut self.slots, vec![NO_PAIR; doubled]);
+        let mask = doubled - 1;
+        for pair in old.into_iter().filter(|&pair| pair != NO_PAIR) {
+            let mut i = Self::home(&self.slots, pair);
+            while self.slots[i] != NO_PAIR {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = pair;
+        }
+    }
+
+    /// The stored pairs, in table order.
+    fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        self.slots.iter().copied().filter(|&pair| pair != NO_PAIR)
+    }
+}
+
 /// Deterministic union of per-probe coverage: which race pairs have
 /// been seen in which orders, which view-lattice states have been
 /// entered, and which checker branches have fired.
@@ -633,23 +731,30 @@ impl IdTable {
 /// # Representation
 ///
 /// Event keys are **interned**: the first time a key is folded in it
-/// gets the next `u32` id, and a race pair is stored as one `u64` —
-/// `(lower id) << 32 | higher id` — with its two direction bits in a
-/// byte beside it, both in dense vectors indexed through an
-/// `IdTable`. Ids follow fold order, so two maps holding the same
-/// coverage generally disagree on every id; nothing public exposes
-/// them. That is also why `==` is **set equality** — same
-/// `(first, second)` orders seen, same states, same branches — rather
-/// than a comparison of the tables.
+/// gets the next id, its position in a dense key vector indexed by an
+/// `IdTable` (about 8 k keys on the `check_fuzz` shape, so both stay
+/// in cache). A race pair is one `u64` — the two 31-bit ids, lower
+/// first, and two direction bits — stored in place in a single
+/// open-addressed table at a load of at most 3/4: eight bytes a slot,
+/// no side vectors. [`observe`](Self::observe) folds a probe in three
+/// passes: intern and pack every pair; read every pair's home slot,
+/// dropping the pairs already there in their direction; insert the
+/// rest. The second pass's loads do not depend on each other, so their
+/// cache misses overlap instead of queueing behind each insert, and
+/// the third finds those slots in cache. Ids follow fold order, so two maps
+/// holding the same coverage generally disagree on every id; nothing
+/// public exposes them. That is also why `==` is **set equality** —
+/// same `(first, second)` orders seen, same states, same branches —
+/// rather than a comparison of the tables.
 #[derive(Debug, Clone, Default)]
 pub struct CoverageMap {
     /// Interned event keys; a key's id is its position.
     keys: Vec<EventKey>,
     key_index: IdTable,
-    /// Race pairs as packed id pairs, with their direction bits.
-    pairs: Vec<u64>,
-    pair_bits: Vec<u8>,
-    pair_index: IdTable,
+    /// Race pairs, packed, with their direction bits.
+    pairs: PairTable,
+    /// The fold's packed pairs, a buffer kept for the next probe.
+    pending: Vec<u64>,
     states: BTreeSet<u64>,
     branches: u32,
 }
@@ -658,7 +763,7 @@ impl PartialEq for CoverageMap {
     fn eq(&self, other: &Self) -> bool {
         self.branches == other.branches
             && self.states == other.states
-            && self.pairs.len() == other.pairs.len()
+            && self.pairs.len == other.pairs.len
             && self.canonical() == other.canonical()
     }
 }
@@ -680,59 +785,25 @@ impl CoverageMap {
             |id| keys[id].hash64(),
         );
         found.unwrap_or_else(|| {
+            debug_assert!(
+                (self.keys.len() as u64) < ID_MASK,
+                "31-bit id space exhausted"
+            );
             self.keys.push(key);
             self.keys.len() - 1
         }) as u32
     }
 
-    /// Records that `first` ran before `second`; `true` if that order
-    /// (or the pair itself) is new to the map.
-    fn add_pair(&mut self, first: EventKey, second: EventKey) -> bool {
-        let (a, b) = (self.intern(first), self.intern(second));
-        let (pair, bit) = if a <= b {
-            (u64::from(a) << 32 | u64::from(b), PAIR_LO_FIRST)
-        } else {
-            (u64::from(b) << 32 | u64::from(a), PAIR_HI_FIRST)
-        };
-        let pairs = &self.pairs;
-        let found = self.pair_index.find_or_claim(
-            pairs.len(),
-            mix64(pair),
-            |id| pairs[id] == pair,
-            |id| mix64(pairs[id]),
-        );
-        match found {
-            Some(id) => {
-                let seen = self.pair_bits[id];
-                self.pair_bits[id] = seen | bit;
-                seen & bit == 0
-            }
-            None => {
-                self.pairs.push(pair);
-                self.pair_bits.push(bit);
-                true
-            }
-        }
-    }
-
-    /// The ids packed into `pair`, lower first.
-    fn ids(pair: u64) -> (usize, usize) {
-        ((pair >> 32) as usize, pair as u32 as usize)
-    }
-
     /// Every order seen, as `(first, second)`; a pair seen both ways
     /// appears twice. Table order — a function of the fold order.
     fn orders(&self) -> impl Iterator<Item = (EventKey, EventKey)> + '_ {
-        self.pairs
-            .iter()
-            .zip(&self.pair_bits)
-            .flat_map(move |(&pair, &bits)| {
-                let (lo, hi) = Self::ids(pair);
-                let (lo, hi) = (self.keys[lo], self.keys[hi]);
-                let lo_first = (bits & PAIR_LO_FIRST != 0).then_some((lo, hi));
-                let hi_first = (bits & PAIR_HI_FIRST != 0).then_some((hi, lo));
-                lo_first.into_iter().chain(hi_first)
-            })
+        self.pairs.iter().flat_map(move |pair| {
+            let (lo, hi, bits) = unpack(pair);
+            let (lo, hi) = (self.keys[lo], self.keys[hi]);
+            let lo_first = (bits & PAIR_LO_FIRST != 0).then_some((lo, hi));
+            let hi_first = (bits & PAIR_HI_FIRST != 0).then_some((hi, lo));
+            lo_first.into_iter().chain(hi_first)
+        })
     }
 
     /// The orders seen, sorted: the map's pair content independent of
@@ -747,10 +818,32 @@ impl CoverageMap {
     /// the map: a new race pair, a new direction on a known pair, a new
     /// final state, or a new checker branch.
     pub fn observe(&mut self, probe: &ProbeCoverage) -> bool {
-        let mut novel = false;
+        // Pass one: intern and pack every pair (the key table is small
+        // enough to stay in cache).
+        let mut pending = mem::take(&mut self.pending);
+        pending.clear();
         for &(first, second) in &probe.pairs {
-            novel |= self.add_pair(first, second);
+            let pair = pack(self.intern(first), self.intern(second));
+            pending.push(pair);
         }
+        // Pass two: read every pair's home slot, keeping the pairs not
+        // already there in their direction. A short loop of independent
+        // loads, so their cache misses overlap; the compaction writes
+        // every pair and advances past the kept ones, with no branch on
+        // the loaded slot.
+        let mut kept = 0;
+        for i in 0..pending.len() {
+            let pair = pending[i];
+            pending[kept] = pair;
+            kept += usize::from(!self.pairs.seen_at_home(pair));
+        }
+        // Pass three: insert what is left into slots pass two brought
+        // into cache.
+        let mut novel = false;
+        for &pair in &pending[..kept] {
+            novel |= self.pairs.insert(pair);
+        }
+        self.pending = pending;
         novel |= self.states.insert(probe.state);
         if self.branches | probe.branches != self.branches {
             self.branches |= probe.branches;
@@ -763,7 +856,8 @@ impl CoverageMap {
     /// equals `b.merge(&a)`).
     pub fn merge(&mut self, other: &CoverageMap) {
         for (first, second) in other.orders() {
-            self.add_pair(first, second);
+            let pair = pack(self.intern(first), self.intern(second));
+            self.pairs.insert(pair);
         }
         self.states.extend(other.states.iter().copied());
         self.branches |= other.branches;
@@ -776,13 +870,15 @@ impl CoverageMap {
 
     /// Distinct race pairs observed (in either or both orders).
     pub fn race_pairs(&self) -> usize {
-        self.pairs.len()
+        self.pairs.len
     }
 
     /// Race pairs observed in **both** orders.
     pub fn flipped_pairs(&self) -> usize {
-        let both = PAIR_LO_FIRST | PAIR_HI_FIRST;
-        self.pair_bits.iter().filter(|&&b| b == both).count()
+        self.pairs
+            .iter()
+            .filter(|&pair| pair & PAIR_BOTH == PAIR_BOTH)
+            .count()
     }
 
     /// Checker-branch bitmask accumulated so far.
@@ -811,15 +907,13 @@ impl CoverageMap {
         for (r, &id) in ranked.iter().enumerate() {
             rank[id as usize] = r as u32;
         }
-        let both = PAIR_LO_FIRST | PAIR_HI_FIRST;
         // (smaller rank, larger rank, whether the smaller ran first)
         let mut single: Vec<(u32, u32, bool)> = self
             .pairs
             .iter()
-            .zip(&self.pair_bits)
-            .filter(|&(_, &bits)| bits != both)
-            .map(|(&pair, &bits)| {
-                let (lo, hi) = Self::ids(pair);
+            .map(unpack)
+            .filter(|&(_, _, bits)| bits != PAIR_BOTH)
+            .map(|(lo, hi, bits)| {
                 let (lo, hi) = (rank[lo], rank[hi]);
                 let lo_first = bits == PAIR_LO_FIRST;
                 if lo <= hi {
@@ -991,8 +1085,8 @@ mod tests {
         let key_of = |i: usize| events[i].0;
         // Replay of an empty schedule is pure FIFO and records nothing.
         let mut ex = Explorer::new(SchedulePolicy::Replay(Schedule::fifo())).unwrap();
-        assert_eq!(ex.choose(&cands, 0, key_of), 0);
-        assert_eq!(ex.choose(&cands, 1, key_of), 1);
+        assert_eq!(ex.choose(&cands, 0, std::iter::empty, key_of), 0);
+        assert_eq!(ex.choose(&cands, 1, std::iter::empty, key_of), 1);
         assert!(ex.recorded().is_empty());
         assert_eq!(ex.steps(), 2);
 
@@ -1002,9 +1096,9 @@ mod tests {
             key: crash_key(2),
         }]);
         let mut ex = Explorer::new(SchedulePolicy::Replay(sched.clone())).unwrap();
-        assert_eq!(ex.choose(&cands, 0, key_of), 0);
+        assert_eq!(ex.choose(&cands, 0, std::iter::empty, key_of), 0);
         assert_eq!(
-            ex.choose(&cands, 0, key_of),
+            ex.choose(&cands, 0, std::iter::empty, key_of),
             1,
             "deviation picked over fifo"
         );
@@ -1016,7 +1110,7 @@ mod tests {
             key: crash_key(99),
         }]);
         let mut ex = Explorer::new(SchedulePolicy::Replay(stale)).unwrap();
-        assert_eq!(ex.choose(&cands, 0, key_of), 0);
+        assert_eq!(ex.choose(&cands, 0, std::iter::empty, key_of), 0);
         assert!(ex.recorded().is_empty());
     }
 
@@ -1107,8 +1201,9 @@ mod tests {
         let run = |spec: GuidedSpec| {
             let mut ex = Explorer::new(SchedulePolicy::Guided(spec)).unwrap();
             let cands = frontier_of(&events);
+            let dependents: Vec<u64> = cands.iter().map(|c| c.seq).collect();
             (0..16)
-                .map(|_| ex.choose(&cands, 0, |i| events[i].0))
+                .map(|_| ex.choose(&cands, 0, || dependents.iter().copied(), |i| events[i].0))
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(spec.clone()), run(spec.clone()), "seed-deterministic");
@@ -1133,9 +1228,9 @@ mod tests {
         };
         let mut ex = Explorer::new(SchedulePolicy::Guided(spec)).unwrap();
         // Step 0: the base deviation wins (flip not consulted).
-        assert_eq!(ex.choose(&cands, 0, key_of), 1);
+        assert_eq!(ex.choose(&cands, 0, std::iter::empty, key_of), 1);
         // Step 1: base exhausted, fifo is C1 = flip.0, C3 enabled → flip.
-        assert_eq!(ex.choose(&cands, 0, key_of), 2);
+        assert_eq!(ex.choose(&cands, 0, std::iter::empty, key_of), 2);
         // Step 2: flip already spent; with seed 5 the extension draw
         // stays FIFO here, and the recorded schedule holds both
         // deviations — replayable like any other.
@@ -1153,6 +1248,100 @@ mod tests {
                 step: 1,
                 key: crash_key(3)
             }
+        );
+    }
+
+    /// The slot's per-target index against the frontier filter it
+    /// replaced, over 10⁴ random frontiers (2–200 entries on 1–8
+    /// targets, enables landing anywhere in seq order, interleaved with
+    /// picks at a random FIFO index): every `Pcr` pick and every
+    /// `Guided` extension pick equals the pick the filter transcription
+    /// below makes with the same generator.
+    #[test]
+    fn indexed_dependent_picks_match_the_frontier_filter() {
+        use crate::slot::TargetIndex;
+        use precipice_graph::rng::cases;
+
+        /// The dependent pick as `choose` made it before the index:
+        /// filter the frontier by the FIFO choice's target, collect
+        /// the indices, draw one.
+        fn filtered(rng: &mut SplitMix, frontier: &[FrontierEntry], fifo: usize) -> usize {
+            let target = frontier[fifo].target;
+            let dependents: Vec<usize> = (0..frontier.len())
+                .filter(|&i| frontier[i].target == target)
+                .collect();
+            dependents[rng.below(dependents.len())]
+        }
+
+        /// Enables `seq` at `target`, as the slot does.
+        fn enable(
+            frontier: &mut Vec<FrontierEntry>,
+            index: &mut TargetIndex,
+            seq: u64,
+            target: u64,
+        ) {
+            let entry = FrontierEntry {
+                idx: seq as u32,
+                seq,
+                at: SimTime::ZERO,
+                target: NodeId(target as u32),
+            };
+            frontier.insert(frontier.partition_point(|f| f.seq < seq), entry);
+            index.enable(target as usize, seq as u32, seq);
+        }
+
+        cases(
+            "indexed_dependent_picks_match_the_frontier_filter",
+            10_000,
+            |rng| {
+                let targets = rng.gen_range(1..=8u64);
+                let size = rng.gen_range(2..=200usize);
+                let seed = rng.next_u64();
+                let policy = match rng.gen_bool(0.5) {
+                    true => SchedulePolicy::Pcr(seed),
+                    false => SchedulePolicy::Guided(GuidedSpec {
+                        base: Schedule::fifo(),
+                        seed,
+                        flip: None,
+                    }),
+                };
+                let mut explorer = Explorer::new(policy).unwrap();
+                let mut transcribed = match &explorer.mode {
+                    Mode::Pcr(rng) | Mode::Guided { rng, .. } => rng.clone(),
+                    _ => unreachable!("an exploring policy"),
+                };
+                // Seqs come from a shuffled pool, so an enable may land
+                // anywhere in the frontier, as an unlocked delivery does.
+                let mut pool: Vec<u64> = (0..2 * size as u64).collect();
+                rng.shuffle(&mut pool);
+                let (mut frontier, mut index) = (Vec::new(), TargetIndex::default());
+                for seq in pool.drain(..size) {
+                    enable(&mut frontier, &mut index, seq, rng.gen_range(0..targets));
+                }
+                for _ in 0..32 {
+                    if frontier.is_empty() {
+                        break;
+                    }
+                    while !pool.is_empty() && rng.gen_bool(0.3) {
+                        let seq = pool.pop().unwrap();
+                        enable(&mut frontier, &mut index, seq, rng.gen_range(0..targets));
+                    }
+                    let fifo = rng.gen_range(0..frontier.len());
+                    let expected = match &explorer.mode {
+                        Mode::Pcr(_) => filtered(&mut transcribed, &frontier, fifo),
+                        _ if transcribed.below(4) == 0 => {
+                            filtered(&mut transcribed, &frontier, fifo)
+                        }
+                        _ => fifo,
+                    };
+                    let dependents = || index.dependents_of(frontier[fifo].idx);
+                    let key_of = |i: usize| crash_key(frontier[i].seq as u32);
+                    let pick = explorer.choose(&frontier, fifo, dependents, key_of);
+                    assert_eq!(pick, expected, "{} entries, FIFO at {fifo}", frontier.len());
+                    let picked = frontier.remove(pick);
+                    index.disable(picked.idx);
+                }
+            },
         );
     }
 

@@ -3,25 +3,33 @@
 //! test binary) and thread-local counters, so the harness's other
 //! threads never show up in a measurement.
 //!
-//! Two pins, both of which the tree-per-round `Instance` and the
-//! id-indexed crashed-set mirror of `CliffEdgeNode` exceeded:
+//! Two pins on the protocol, both of which the tree-per-round
+//! `Instance` and the id-indexed crashed-set mirror of `CliffEdgeNode`
+//! exceeded:
 //!
 //! - allocations per simulated event of one `Scenario::exec` on the
 //!   shape the `check_fuzz` benchmark workload explores;
 //! - bytes one border node of a 2²⁰-node torus allocates to learn of a
 //!   crash and take a neighbour's proposal — O(border), whatever the
 //!   magnitude of the ids.
+//!
+//! And two on what an explored schedule costs after it has run:
+//!
+//! - folding a probe's coverage in again allocates nothing;
+//! - `check_spec_coverage` allocates the same on a report whatever
+//!   number of channels its messages used.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use precipice_core::{
     CliffEdgeNode, Event, Message, NodeIdValuePolicy, Opinion, OpinionVector, ProtocolConfig,
 };
 use precipice_graph::{torus, GridDims, NodeId, Region, Topology};
-use precipice_runtime::{Exec, Scenario};
-use precipice_sim::{LatencyModel, SchedulePolicy, SimConfig, SimTime};
+use precipice_runtime::{check_spec_coverage, probe_coverage, Exec, Scenario};
+use precipice_sim::{CoverageMap, LatencyModel, SchedulePolicy, SimConfig, SimTime};
 use precipice_workload::patterns::{blob_of_size, schedule, CrashTiming};
 
 struct Counting;
@@ -109,11 +117,11 @@ fn fuzz_shape() -> Scenario {
 
 /// Ceiling on allocations per event of one cold `exec` — slot arenas
 /// growing from empty included — just above the worst of the three
-/// policies below: 0.526 / 0.604 / 0.563 in a release build, 0.630 /
-/// 0.741 / 0.658 in a debug one, whose check of each merged border
+/// policies below: 0.526 / 0.605 / 0.563 in a release build, 0.630 /
+/// 0.742 / 0.658 in a debug one, whose check of each merged border
 /// against the topology's builds a second border per crash. Those
 /// include the one `Arc<Message>` each multicast shares among its
-/// copies. Recomputing every component of the crashed set and reading
+/// copies, and the growth of the slot's per-target dependent index. Recomputing every component of the crashed set and reading
 /// its border from the graph's memo on each crash took 0.747 / 0.917 /
 /// 0.818; the tree-per-round instance state took 2.3–2.5, and a `Vec` of
 /// actions plus a recipient `Vec` per multicast, built for every event
@@ -218,5 +226,77 @@ fn a_border_node_of_a_million_node_torus_allocates_by_border_not_by_id() {
         bytes <= BORDER_NODE_BYTES,
         "{bytes} bytes for one crash and one proposal at ids near 2^19, \
          budget {BORDER_NODE_BYTES}"
+    );
+}
+
+/// Every probe of an exploration is folded into its coverage map, and
+/// most of what a late probe carries is already there. Folding a probe
+/// in again finds nothing new and allocates nothing: its keys are
+/// interned, its pairs are in the table, and the fold's scratch buffer
+/// is the one the first fold sized.
+#[test]
+fn refolding_a_probe_allocates_nothing() {
+    let scenario = fuzz_shape();
+    let outcome = scenario.exec(Exec::new().schedule(SchedulePolicy::Pcr(2)));
+    let (violations, probe) = probe_coverage(&outcome);
+    assert!(violations.is_empty());
+    let mut coverage = CoverageMap::new();
+    assert!(coverage.observe(&probe));
+    let (novel, allocations, bytes) = allocated_by(|| coverage.observe(&probe));
+    println!(
+        "alloc_budget: refold of {} race pairs: {allocations} allocations, {bytes} bytes",
+        probe.pairs.len()
+    );
+    assert!(!novel, "a probe folded twice is not novel the second time");
+    assert!(probe.pairs.len() > 1000);
+    assert_eq!((allocations, bytes), (0, 0));
+}
+
+/// Allocations of one `check_spec_coverage` of the traced FIFO run on
+/// the `check_fuzz` shape, 6456 messages over 399 channels: 241 in a
+/// release build and in a debug one. Deduplicating the channels in a
+/// `BTreeSet` took 296, and 257 with the messages cut down to a quarter
+/// of the channels — one more B-tree node every few channels.
+const CHECK_SPEC_ALLOCATIONS: u64 = 241;
+
+/// CD3 deduplicates the report's messages by channel in one flat set,
+/// sized by the message count, so the checker's allocations do not grow
+/// with the channels: the full report, and the same report cut down to
+/// its first messages over a quarter of its channels, cost the same.
+#[test]
+fn checking_a_report_allocates_the_same_whatever_its_channels() {
+    let report = fuzz_shape().exec(Exec::new()).report;
+    let pairs = report
+        .message_pairs
+        .as_ref()
+        .expect("the shape records a trace");
+    let mut channels = BTreeSet::new();
+    for &pair in pairs {
+        channels.insert(pair);
+    }
+    let all = channels.len();
+    channels.clear();
+    let kept = pairs
+        .iter()
+        .position(|&pair| channels.insert(pair) && channels.len() > all / 4)
+        .expect("a quarter of the channels is reached");
+    let mut head = report.clone();
+    head.message_pairs.as_mut().unwrap().truncate(kept);
+    let mut counts = Vec::new();
+    for report in [&report, &head] {
+        let ((violations, _), allocations, bytes) = allocated_by(|| check_spec_coverage(report));
+        let messages = report.message_pairs.as_ref().unwrap().len();
+        println!(
+            "alloc_budget: check_spec_coverage of {messages} messages: \
+             {allocations} allocations, {bytes} bytes"
+        );
+        assert!(violations.is_empty());
+        counts.push(allocations);
+    }
+    assert_eq!(counts[0], counts[1], "{all} channels against {}", all / 4);
+    assert!(
+        counts[0] <= CHECK_SPEC_ALLOCATIONS,
+        "{} allocations, budget {CHECK_SPEC_ALLOCATIONS}",
+        counts[0]
     );
 }
