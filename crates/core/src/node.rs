@@ -212,19 +212,9 @@ where
         self.proposed.is_some() && self.decided.is_none()
     }
 
-    /// The last view this node proposed, if any.
-    pub fn current_proposal(&self) -> Option<&View> {
-        self.current_view.as_ref()
-    }
-
     /// Crashes reported to this node so far.
     pub fn locally_crashed(&self) -> &BTreeSet<NodeId> {
         &self.locally_crashed
-    }
-
-    /// Views this node has rejected.
-    pub fn rejected_views(&self) -> impl Iterator<Item = &Region> + '_ {
-        self.rejected.iter()
     }
 
     /// Protocol counters.
@@ -624,7 +614,7 @@ mod tests {
             for c in &self.components {
                 assert_eq!(
                     c.border().as_slice(),
-                    Topology::border_of_region(graph, c.region()),
+                    graph.border_of(c.region().iter()),
                     "{}: border of {}",
                     self.me,
                     c

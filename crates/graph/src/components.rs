@@ -1,122 +1,52 @@
 //! Reachability and connected components over induced subgraphs.
 //!
-//! Two implementations live here. The **bitset path** (everything
-//! public) runs breadth-first search word-parallel over the graph's
-//! neighbor-mask table: each frontier expansion is
-//! `mask(p) & set & !seen` per word, so a whole 64-node block is examined
-//! in three ALU ops. The test-only **`reference` module** retains the
-//! original `BTreeSet` implementations verbatim; they are the executable
+//! Every query here is one breadth-first search, [`search`], over a
+//! sorted member slice: a node is marked visited by its position in the
+//! slice, and a neighbour's position is found by binary search, so a
+//! query costs O(|S|·deg·log|S|) whatever `n` or the magnitude of the
+//! ids. [`Graph::is_connected`] runs the same search with the id itself
+//! as the position. The test-only **`reference` module** keeps the
+//! original `BTreeSet` implementations; they are the executable
 //! specification that the differential tests at the bottom of this file
 //! compare against byte-for-byte.
 
 use std::collections::BTreeSet;
 
-use crate::{Graph, NodeId, NodeSet, Region};
+use crate::{Graph, NodeId, Region};
 
-/// Reusable scratch state for repeated BFS queries: the `seen` bitset and
-/// the frontier stack survive across calls, so a query sequence (for
-/// example the component peeling loop of [`connected_components_set`])
-/// allocates once.
-#[derive(Debug, Clone, Default)]
-pub struct BfsScratch {
-    seen: NodeSet,
-    frontier: Vec<NodeId>,
-}
-
-impl BfsScratch {
-    /// Fresh scratch, pre-sized for graphs of `n` nodes.
-    pub fn with_capacity(n: usize) -> Self {
-        BfsScratch {
-            seen: NodeSet::with_capacity(n),
-            frontier: Vec::new(),
-        }
-    }
-
-    /// The nodes reached by the most recent query.
-    pub fn seen(&self) -> &NodeSet {
-        &self.seen
-    }
-
-    /// Runs the BFS of [`reachable_within_set`] into this scratch,
-    /// leaving the result in [`seen`](Self::seen).
-    pub fn reach(&mut self, g: &Graph, start: NodeId, set: &NodeSet) {
-        // `seen ⊆ set` always, so the scratch only needs `set`'s occupied
-        // word extent — never the graph's full ⌈n/64⌉ words. This keeps a
-        // footprint-sized query footprint-priced on arbitrarily large
-        // graphs (the lazy-run scaling contract).
-        let words = set.words().len();
-        let seen_words = self.seen.words_mut();
-        seen_words.clear();
-        seen_words.resize(words, 0);
-        self.frontier.clear();
-        if !set.contains(start) {
-            self.seen.recount();
-            return;
-        }
-        self.seen.insert(start);
-        self.frontier.push(start);
-        let set_words = set.words();
-        while let Some(p) = self.frontier.pop() {
-            let seen_words = self.seen.words_mut();
-            // Hybrid expansion: a whole mask row costs ⌈n/64⌉ word ops
-            // and examines 64 candidates per op — worth it only when the
-            // node's degree exceeds the row length, which is exactly when
-            // the graph caches a dense row. Sparse nodes instead probe
-            // each neighbor with O(1) bit tests.
-            if let Some(row) = g.dense_row(p) {
-                // Row words beyond `set`'s extent can contribute nothing
-                // (`set_word` would be 0), so the pass stops at `words`.
-                for (i, &m) in row.iter().enumerate().take(words) {
-                    let set_word = set_words.get(i).copied().unwrap_or(0);
-                    let mut fresh = m & set_word & !seen_words[i];
-                    if fresh == 0 {
-                        continue;
-                    }
-                    seen_words[i] |= fresh;
-                    while fresh != 0 {
-                        let bit = fresh.trailing_zeros() as usize;
-                        fresh &= fresh - 1;
-                        self.frontier.push(NodeId::from_index(i * 64 + bit));
-                    }
-                }
-            } else {
-                for &q in g.neighbors(p) {
-                    let (wi, bit) = (q.index() / 64, 1u64 << (q.index() % 64));
-                    if set_words.get(wi).copied().unwrap_or(0) & bit != 0
-                        && seen_words[wi] & bit == 0
-                    {
-                        seen_words[wi] |= bit;
-                        self.frontier.push(q);
-                    }
+/// Breadth-first search from `start` through the induced subgraph whose
+/// members `position` numbers: each member reached and not yet marked in
+/// `seen` is marked and appended to `reached`, which doubles as the
+/// queue. Reaches nothing if `start` is not a member.
+pub(crate) fn search(
+    g: &Graph,
+    start: NodeId,
+    position: impl Fn(NodeId) -> Option<usize>,
+    seen: &mut [bool],
+    reached: &mut Vec<NodeId>,
+) {
+    let Some(i) = position(start) else {
+        return;
+    };
+    seen[i] = true;
+    let mut next = reached.len();
+    reached.push(start);
+    while let Some(&p) = reached.get(next) {
+        next += 1;
+        for &q in g.neighbors(p) {
+            if let Some(j) = position(q) {
+                if !seen[j] {
+                    seen[j] = true;
+                    reached.push(q);
                 }
             }
         }
-        self.seen.recount();
     }
 }
 
-/// Bitset form of [`reachable_within`]: nodes of `set` reachable from
-/// `start` through edges of `g` whose both endpoints lie in `set`.
-///
-/// Returns the empty set if `start ∉ set`.
-///
-/// # Example
-///
-/// ```
-/// use precipice_graph::{reachable_within_set, Graph, NodeId, NodeSet};
-///
-/// let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]);
-/// let set: NodeSet = [NodeId(0), NodeId(1), NodeId(3)].into_iter().collect();
-/// let reached = reachable_within_set(&g, NodeId(0), &set);
-/// // n3 is in the set but unreachable without n2.
-/// assert_eq!(reached.iter().collect::<Vec<_>>(), vec![NodeId(0), NodeId(1)]);
-/// ```
-pub fn reachable_within_set(g: &Graph, start: NodeId, set: &NodeSet) -> NodeSet {
-    // `reach` sizes the scratch to `set`'s extent, so pre-sizing for the
-    // whole graph here would just re-introduce an O(n/64) zeroing pass.
-    let mut scratch = BfsScratch::default();
-    scratch.reach(g, start, set);
-    scratch.seen
+/// Positions in a sorted member slice, by binary search.
+fn position_in(members: &[NodeId]) -> impl Fn(NodeId) -> Option<usize> + '_ {
+    move |q| members.binary_search(&q).ok()
 }
 
 /// Nodes of `set` reachable from `start` through edges of `g` whose both
@@ -137,55 +67,11 @@ pub fn reachable_within_set(g: &Graph, start: NodeId, set: &NodeSet) -> NodeSet 
 /// assert_eq!(reached, [NodeId(0), NodeId(1)].into());
 /// ```
 pub fn reachable_within(g: &Graph, start: NodeId, set: &BTreeSet<NodeId>) -> BTreeSet<NodeId> {
-    reachable_within_set(g, start, &NodeSet::from(set)).to_btree_set()
-}
-
-/// Bitset form of [`connected_components`]: the maximal regions of `set`,
-/// in increasing order of their smallest node.
-///
-/// One scratch bitset and one frontier stack are reused across all
-/// components; each peel is a word-parallel BFS followed by a
-/// word-parallel subtraction from the remainder.
-pub fn connected_components_set(g: &Graph, set: &NodeSet) -> Vec<Region> {
-    if crate::nodeset::sparse_wins(set.len(), g.mask_words()) {
-        return components_sparse(g, set);
-    }
-    let mut remaining = set.clone();
-    let mut scratch = BfsScratch::default();
-    let mut components = Vec::new();
-    while let Some(seed) = remaining.min() {
-        scratch.reach(g, seed, &remaining);
-        remaining.difference_with(&scratch.seen);
-        components.push(scratch.seen.to_region());
-    }
-    components
-}
-
-/// Per-member peeling for protocol-sized sets: O(|S|·deg·log|S|) with no
-/// bitset passes at all, so the cost is independent of both `n` and the
-/// magnitude of the member ids. Produces byte-identical output to the
-/// bitset path — components in increasing order of their smallest node,
-/// each sorted — which the cross-threshold tests below pin down.
-fn components_sparse(g: &Graph, set: &NodeSet) -> Vec<Region> {
-    let mut remaining: BTreeSet<NodeId> = set.iter().collect();
-    let mut components = Vec::new();
-    while let Some(&seed) = remaining.iter().next() {
-        let mut comp = BTreeSet::new();
-        comp.insert(seed);
-        let mut frontier = vec![seed];
-        while let Some(p) = frontier.pop() {
-            for &q in g.neighbors(p) {
-                if remaining.contains(&q) && comp.insert(q) {
-                    frontier.push(q);
-                }
-            }
-        }
-        for p in &comp {
-            remaining.remove(p);
-        }
-        components.push(comp.into_iter().collect());
-    }
-    components
+    let members: Vec<NodeId> = set.iter().copied().collect();
+    let mut seen = vec![false; members.len()];
+    let mut reached = Vec::new();
+    search(g, start, position_in(&members), &mut seen, &mut reached);
+    reached.into_iter().collect()
 }
 
 /// The paper's `connectedComponents(S)` (§3.1): the maximal regions of `S`,
@@ -206,30 +92,21 @@ fn components_sparse(g: &Graph, set: &NodeSet) -> Vec<Region> {
 /// assert_eq!(comps[1], Region::from_iter([NodeId(4)]));
 /// ```
 pub fn connected_components(g: &Graph, set: &BTreeSet<NodeId>) -> Vec<Region> {
-    if crate::nodeset::sparse_wins(set.len(), g.mask_words()) {
-        // Peel straight off the sorted set — converting to a bitset first
-        // would cost O(max-id/64) before the footprint-sized work starts.
-        let mut remaining = set.clone();
-        let mut components = Vec::new();
-        while let Some(&seed) = remaining.iter().next() {
-            let mut comp = BTreeSet::new();
-            comp.insert(seed);
-            let mut frontier = vec![seed];
-            while let Some(p) = frontier.pop() {
-                for &q in g.neighbors(p) {
-                    if remaining.contains(&q) && comp.insert(q) {
-                        frontier.push(q);
-                    }
-                }
-            }
-            for p in &comp {
-                remaining.remove(p);
-            }
-            components.push(comp.into_iter().collect());
+    let members: Vec<NodeId> = set.iter().copied().collect();
+    let mut seen = vec![false; members.len()];
+    let mut components = Vec::new();
+    // The first unseen member is the smallest node of what remains, so
+    // components come out in increasing order of their smallest node.
+    for (i, &seed) in members.iter().enumerate() {
+        if seen[i] {
+            continue;
         }
-        return components;
+        let mut component = Vec::new();
+        search(g, seed, position_in(&members), &mut seen, &mut component);
+        component.sort_unstable();
+        components.push(Region::from_sorted_vec(component));
     }
-    connected_components_set(g, &NodeSet::from(set))
+    components
 }
 
 /// `true` if `region` is a *region* of `g` in the paper's sense: a
@@ -246,33 +123,21 @@ pub fn connected_components(g: &Graph, set: &BTreeSet<NodeId>) -> Vec<Region> {
 /// assert!(!is_connected_subset(&g, &Region::empty()));
 /// ```
 pub fn is_connected_subset(g: &Graph, region: &Region) -> bool {
-    let Some(seed) = region.iter().next() else {
+    let members = region.as_slice();
+    let Some(&seed) = members.first() else {
         return false;
     };
-    if crate::nodeset::sparse_wins(region.len(), g.mask_words()) {
-        // Membership by binary search on the sorted region: no bitset is
-        // ever materialized, so small-region checks cost O(|R|·deg·log|R|)
-        // regardless of n or the ids involved.
-        let mut seen: BTreeSet<NodeId> = BTreeSet::new();
-        seen.insert(seed);
-        let mut frontier = vec![seed];
-        while let Some(p) = frontier.pop() {
-            for &q in g.neighbors(p) {
-                if region.contains(q) && seen.insert(q) {
-                    frontier.push(q);
-                }
-            }
-        }
-        return seen.len() == region.len();
-    }
-    reachable_within_set(g, seed, &NodeSet::from(region)).len() == region.len()
+    let mut seen = vec![false; members.len()];
+    let mut reached = Vec::with_capacity(members.len());
+    search(g, seed, position_in(members), &mut seen, &mut reached);
+    reached.len() == members.len()
 }
 
 #[cfg(test)]
 mod reference {
     //! The original `BTreeSet`-based implementations, retained verbatim as
-    //! the executable specification for the bitset path: the differential
-    //! tests below assert the optimized implementations match these
+    //! the executable specification for the slice search and the border
+    //! kernel: the differential tests below assert those match these
     //! byte-for-byte on random graphs and subsets.
 
     use std::collections::BTreeSet;
@@ -410,20 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_is_reusable_across_queries() {
-        let g = ring(8);
-        let mut scratch = BfsScratch::with_capacity(g.len());
-        let a: NodeSet = [NodeId(0), NodeId(1)].into_iter().collect();
-        scratch.reach(&g, NodeId(0), &a);
-        assert_eq!(scratch.seen().len(), 2);
-        let b: NodeSet = [NodeId(4)].into_iter().collect();
-        scratch.reach(&g, NodeId(4), &b);
-        assert_eq!(scratch.seen().iter().collect::<Vec<_>>(), vec![NodeId(4)]);
-        scratch.reach(&g, NodeId(0), &b);
-        assert!(scratch.seen().is_empty());
-    }
-
-    #[test]
     fn bitset_matches_reference_on_fixed_cases() {
         let g = grid(GridDims {
             width: 5,
@@ -478,10 +329,11 @@ mod tests {
         set
     }
 
-    /// Differential: the bitset implementations must match the retained
-    /// `BTreeSet` reference implementations byte-for-byte — same
+    /// Differential: the slice search and the border kernel must match the
+    /// retained `BTreeSet` reference implementations byte-for-byte — same
     /// components in the same order, same sorted borders, same reach
-    /// sets — on arbitrary graphs and subsets.
+    /// sets, connectivity exactly when there is one component — on
+    /// arbitrary graphs and subsets.
     #[test]
     fn bitset_algorithms_match_reference() {
         cases("bitset_algorithms_match_reference", 64, |rng| {
@@ -489,11 +341,6 @@ mod tests {
             let set = arb_subset(rng, &g);
             assert_eq!(
                 connected_components(&g, &set),
-                reference::connected_components(&g, &set)
-            );
-            let ns = NodeSet::from(&set);
-            assert_eq!(
-                connected_components_set(&g, &ns),
                 reference::connected_components(&g, &set)
             );
             assert_eq!(
@@ -505,21 +352,20 @@ mod tests {
                 g.border_of_region_cached(&region).as_slice().to_vec(),
                 reference::border_of(&g, set.iter().copied())
             );
+            assert_eq!(
+                is_connected_subset(&g, &region),
+                reference::connected_components(&g, &set).len() == 1
+            );
             for &start in &set {
                 assert_eq!(
                     reachable_within(&g, start, &set),
                     reference::reachable_within(&g, start, &set)
                 );
-                assert_eq!(
-                    reachable_within_set(&g, start, &ns).to_btree_set(),
-                    reference::reachable_within(&g, start, &set)
-                );
             }
-            // A start outside the set reaches nothing, both ways.
+            // A start outside the set reaches nothing.
             let outside = g.nodes().find(|p| !set.contains(p));
             if let Some(outside) = outside {
                 assert!(reachable_within(&g, outside, &set).is_empty());
-                assert!(reachable_within_set(&g, outside, &ns).is_empty());
             }
         });
     }

@@ -1,11 +1,10 @@
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 use std::sync::{Arc, RwLock};
 
-use crate::nodeset::words_for;
 use crate::store::{GraphStore, MappedGraph, StoreError, StoreSummary};
-use crate::{NodeId, NodeSet, Region};
+use crate::{NodeId, Region};
 
 /// Keep the border memo bounded: a long checking run can rank an
 /// unbounded stream of distinct regions, and the cache must never become
@@ -27,14 +26,11 @@ const BORDER_CACHE_CAP: usize = 1 << 16;
 /// structure anywhere (the previous dense neighbor-mask table was ~134 MB
 /// at n = 32768 and ≥125 GB at n = 10⁶).
 ///
-/// Word-parallel set kernels ([`border_into`](Graph::border_into), the
-/// BFS in [`crate::components`]) still want dense bitmask rows for *hub*
-/// nodes whose degree exceeds a mask row's word count. Those rows are
-/// kept in a side cache covering only nodes of degree ≥ ⌈n/64⌉
-/// ([`dense_row`](Graph::dense_row)); since at most `2|E|/⌈n/64⌉` nodes
-/// can qualify, the cache is bounded by `16|E|` bytes — still O(|E|). On
-/// bounded-degree topologies (torus, ring, geometric) it is empty beyond
-/// trivial sizes.
+/// The set kernels read nothing but these rows: a border sorts the
+/// members' gathered neighbours ([`border_of`](Graph::border_of)), and
+/// a component search marks members by their position in a sorted slice
+/// ([`connected_components`](crate::connected_components)), so a query
+/// costs O(|S|·deg·log) whatever `n` or the magnitude of the ids.
 ///
 /// The CSR arrays live either on the heap (built by [`GraphBuilder`])
 /// or in a memory-mapped `.pcsr` file ([`Graph::open_pcsr`]); the two
@@ -67,8 +63,6 @@ pub struct Graph {
     /// ([`offsets`](Graph::offsets_slice) / [`csr_slice`](Graph::csr_slice)),
     /// so results are bit-identical across storage.
     adjacency: Adjacency,
-    /// Words per dense mask row (`⌈n/64⌉`).
-    mask_words: usize,
     labels: Option<Vec<String>>,
     edge_count: usize,
     /// Region-border memo, shared across clones (same immutable topology,
@@ -90,30 +84,17 @@ enum Adjacency {
         offsets: Arc<Vec<u32>>,
         /// Flat CSR adjacency array (each undirected edge appears twice).
         csr: Arc<Vec<NodeId>>,
-        /// Dense bitmask rows for high-degree nodes only.
-        dense: Arc<DenseRows>,
     },
     /// A read-only mapping of a `.pcsr` file ([`Graph::open_pcsr`]); the
     /// same sections, zero-copy.
     Mapped(Arc<MappedGraph>),
 }
 
-/// Dense `⌈n/64⌉`-word neighbor-bitmask rows for the nodes whose degree
-/// makes a word-parallel row pass cheaper than per-neighbor bit probes.
-#[derive(Debug, Default)]
-struct DenseRows {
-    /// Node ids owning a row, ascending; row `i` belongs to `ids[i]`.
-    ids: Vec<u32>,
-    /// Row storage: row `i` is `words[i * mask_words .. (i+1) * mask_words]`.
-    words: Vec<u64>,
-}
-
 impl PartialEq for Graph {
     fn eq(&self, other: &Self) -> bool {
-        // The dense rows are derived from the CSR arrays; the border
-        // cache is a memo. Neither carries independent information.
-        // Comparing by slice makes an owned graph equal to its mapped
-        // round trip.
+        // The border cache is a memo and carries no independent
+        // information. Comparing by slice makes an owned graph equal to
+        // its mapped round trip.
         self.offsets_slice() == other.offsets_slice()
             && self.csr_slice() == other.csr_slice()
             && self.labels == other.labels
@@ -152,7 +133,6 @@ impl Graph {
     pub fn open_pcsr(path: impl AsRef<Path>) -> Result<Self, StoreError> {
         let mapped = MappedGraph::open(path)?;
         Ok(Graph {
-            mask_words: mapped.mask_words(),
             edge_count: mapped.edge_count(),
             adjacency: Adjacency::Mapped(Arc::new(mapped)),
             labels: None,
@@ -183,10 +163,8 @@ impl Graph {
     where
         F: FnMut(usize, &mut Vec<NodeId>),
     {
-        let mask_words = words_for(n);
         let mut offsets = vec![0u32; n + 1];
         let mut csr: Vec<NodeId> = Vec::new();
-        let mut dense = DenseRows::default();
         let mut buf: Vec<NodeId> = Vec::new();
         for p in 0..n {
             buf.clear();
@@ -202,23 +180,13 @@ impl Graph {
             );
             csr.extend_from_slice(&buf);
             offsets[p + 1] = csr.len() as u32;
-            if mask_words > 0 && buf.len() >= mask_words {
-                dense.ids.push(p as u32);
-                let base = dense.words.len();
-                dense.words.resize(base + mask_words, 0);
-                for q in &buf {
-                    dense.words[base + q.index() / 64] |= 1 << (q.index() % 64);
-                }
-            }
         }
         let edge_count = csr.len() / 2;
         Graph {
             adjacency: Adjacency::Owned {
                 offsets: Arc::new(offsets),
                 csr: Arc::new(csr),
-                dense: Arc::new(dense),
             },
-            mask_words,
             labels: None,
             edge_count,
             borders: Arc::new(RwLock::new(HashMap::new())),
@@ -275,29 +243,8 @@ impl Graph {
         &self.csr_slice()[offsets[p.index()] as usize..offsets[p.index() + 1] as usize]
     }
 
-    /// The dense neighbor-bitmask row of `p` (`mask_words` words, bit `q`
-    /// set iff `(p, q) ∈ E`), if `p` is one of the high-degree nodes the
-    /// graph caches a row for (degree ≥ ⌈n/64⌉). Bounded-degree
-    /// topologies have no such nodes beyond trivial sizes — callers must
-    /// fall back to [`neighbors`](Graph::neighbors).
-    #[inline]
-    pub fn dense_row(&self, p: NodeId) -> Option<&[u64]> {
-        let (ids, words): (&[u32], &[u64]) = match &self.adjacency {
-            Adjacency::Owned { dense, .. } => (&dense.ids, &dense.words),
-            Adjacency::Mapped(m) => (m.dense_ids_slice(), m.dense_words_slice()),
-        };
-        let i = ids.binary_search(&p.0).ok()?;
-        Some(&words[i * self.mask_words..(i + 1) * self.mask_words])
-    }
-
-    /// Words per dense mask row (`⌈n/64⌉`) — the row length of every
-    /// [`NodeSet`] covering this graph's id range.
-    pub fn mask_words(&self) -> usize {
-        self.mask_words
-    }
-
     /// Total heap bytes of the adjacency representation (CSR offsets +
-    /// flat array + dense hub rows + labels). O(|Π| + |E|) by
+    /// flat array + labels). O(|Π| + |E|) by
     /// construction; the accounting exists so tests can pin the scaling.
     ///
     /// A mapped graph owns no adjacency heap at all — its sections live
@@ -305,15 +252,9 @@ impl Graph {
     /// file — so only the label bytes (always `None` today) count.
     pub fn memory_bytes(&self) -> usize {
         let adjacency = match &self.adjacency {
-            Adjacency::Owned {
-                offsets,
-                csr,
-                dense,
-            } => {
+            Adjacency::Owned { offsets, csr } => {
                 offsets.len() * std::mem::size_of::<u32>()
                     + csr.len() * std::mem::size_of::<NodeId>()
-                    + dense.ids.len() * std::mem::size_of::<u32>()
-                    + dense.words.len() * std::mem::size_of::<u64>()
             }
             Adjacency::Mapped(_) => 0,
         };
@@ -341,9 +282,6 @@ impl Graph {
         if !self.contains(p) || !self.contains(q) {
             return false;
         }
-        if let Some(row) = self.dense_row(p) {
-            return row[q.index() / 64] & (1 << (q.index() % 64)) != 0;
-        }
         self.neighbors(p).binary_search(&q).is_ok()
     }
 
@@ -363,49 +301,6 @@ impl Graph {
         })
     }
 
-    /// Writes `border(members)` into `out` (cleared first): the union of
-    /// the members' neighbourhoods, minus the members themselves. This is
-    /// the word-parallel kernel every border query funnels through. Each
-    /// member contributes either a full OR pass over its cached dense row
-    /// (hub nodes, degree ≥ ⌈n/64⌉) or per-neighbor bit sets (everyone
-    /// else — all nodes on bounded-degree topologies); no allocation
-    /// beyond `out`'s backing words.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a member is not a node of this graph.
-    pub fn border_into(&self, members: &NodeSet, out: &mut NodeSet) {
-        let words = self.mask_words;
-        let out_words = out.words_mut();
-        out_words.clear();
-        out_words.resize(words, 0);
-        for p in members.iter() {
-            assert!(p.index() < self.len(), "no such node {p}");
-            // Hybrid: OR the cached row when the degree justifies a full
-            // ⌈n/64⌉-word pass, otherwise set per-neighbor bits.
-            if let Some(row) = self.dense_row(p) {
-                for (o, &m) in out_words.iter_mut().zip(row) {
-                    *o |= m;
-                }
-            } else {
-                for q in self.neighbors(p) {
-                    out_words[q.index() / 64] |= 1 << (q.index() % 64);
-                }
-            }
-        }
-        for (o, &m) in out_words.iter_mut().zip(members.words()) {
-            *o &= !m;
-        }
-        out.recount();
-    }
-
-    /// `border(members)` as a fresh [`NodeSet`].
-    pub fn border_set(&self, members: &NodeSet) -> NodeSet {
-        let mut out = NodeSet::with_capacity(self.len());
-        self.border_into(members, &mut out);
-        out
-    }
-
     /// The border of a node *set* `S` (paper §2.2):
     /// `border(S) = { q ∈ Π \ S | ∃ p ∈ S : (p,q) ∈ E }`, sorted.
     ///
@@ -423,23 +318,19 @@ impl Graph {
     where
         I: IntoIterator<Item = NodeId>,
     {
-        let members: Vec<NodeId> = set.into_iter().collect();
-        if crate::nodeset::sparse_wins(members.len(), self.mask_words) {
-            let members: BTreeSet<NodeId> = members.into_iter().collect();
-            let mut border = BTreeSet::new();
-            for &p in &members {
-                assert!(p.index() < self.len(), "no such node {p}");
-                for &q in self.neighbors(p) {
-                    if !members.contains(&q) {
-                        border.insert(q);
-                    }
-                }
-            }
-            return border.into_iter().collect();
-        }
-        let mut ns = NodeSet::with_capacity(self.len());
-        ns.extend(members);
-        self.border_set(&ns).iter().collect()
+        let mut members: Vec<NodeId> = set.into_iter().collect();
+        members.sort_unstable();
+        members.dedup();
+        self.border_of_sorted(&members)
+    }
+
+    /// [`border_kernel`] over this graph's CSR rows, gathered into one
+    /// buffer sized by the members' degrees.
+    fn border_of_sorted(&self, members: &[NodeId]) -> Vec<NodeId> {
+        let gathered = members.iter().map(|&p| self.degree(p)).sum();
+        border_kernel(members, gathered, |p, out| {
+            out.extend_from_slice(self.neighbors(p));
+        })
     }
 
     /// The border of a [`Region`], memoized.
@@ -460,24 +351,7 @@ impl Graph {
         {
             return hit.clone();
         }
-        let computed = if crate::nodeset::sparse_wins(region.len(), self.mask_words) {
-            // Protocol-sized regions skip the bitset entirely: the border
-            // is gathered per-neighbor with membership by binary search
-            // on the sorted region, so a memo miss costs O(|R|·deg)
-            // instead of O(n/64) — identical sorted output either way.
-            let mut border = BTreeSet::new();
-            for p in region.iter() {
-                assert!(p.index() < self.len(), "no such node {p}");
-                for &q in self.neighbors(p) {
-                    if !region.contains(q) {
-                        border.insert(q);
-                    }
-                }
-            }
-            border.into_iter().collect()
-        } else {
-            self.border_set(&NodeSet::from(region)).to_region()
-        };
+        let computed = Region::from_sorted_vec(self.border_of_sorted(region.as_slice()));
         let mut cache = self.borders.write().expect("border cache poisoned");
         if cache.len() >= BORDER_CACHE_CAP {
             cache.clear();
@@ -526,10 +400,42 @@ impl Graph {
         if self.is_empty() {
             return true;
         }
-        let mut all = NodeSet::with_capacity(self.len());
-        all.extend(self.nodes());
-        crate::components::reachable_within_set(self, NodeId(0), &all).len() == self.len()
+        // Every node is a member, at the position of its own id.
+        let mut seen = vec![false; self.len()];
+        let mut reached = Vec::with_capacity(self.len());
+        crate::components::search(
+            self,
+            NodeId(0),
+            |q| Some(q.index()),
+            &mut seen,
+            &mut reached,
+        );
+        reached.len() == self.len()
     }
+}
+
+/// `border(S)` of a sorted, duplicate-free member slice `S`: every
+/// member's neighbours, appended by `gather` to a buffer of `capacity`,
+/// sorted and deduplicated, minus the members, dropped in one merge
+/// pass. The one border computation of the crate; it costs
+/// O(|S|·deg·log(|S|·deg)) whatever `n` or the magnitude of the ids.
+pub(crate) fn border_kernel(
+    members: &[NodeId],
+    capacity: usize,
+    mut gather: impl FnMut(NodeId, &mut Vec<NodeId>),
+) -> Vec<NodeId> {
+    let mut border = Vec::with_capacity(capacity);
+    for &p in members {
+        gather(p, &mut border);
+    }
+    border.sort_unstable();
+    border.dedup();
+    let mut members = members.iter().peekable();
+    border.retain(|q| {
+        while members.next_if(|&p| p < q).is_some() {}
+        members.next_if_eq(&q).is_none()
+    });
+    border
 }
 
 impl fmt::Debug for Graph {
@@ -631,12 +537,10 @@ impl GraphBuilder {
         self.add_edge(u, v)
     }
 
-    /// Finalizes the graph: counting-sorts the edge list into CSR form
-    /// (sorting and deduplicating each adjacency row) and precomputes
-    /// dense bitmask rows for high-degree nodes.
+    /// Finalizes the graph: counting-sorts the edge list into CSR form,
+    /// sorting and deduplicating each adjacency row.
     pub fn build(self) -> Graph {
         let n = self.n;
-        let mask_words = words_for(n);
         assert!(
             self.edges.len() <= (u32::MAX as usize) / 2,
             "edge list too large for u32 CSR offsets"
@@ -680,29 +584,11 @@ impl GraphBuilder {
         csr.shrink_to_fit();
         let edge_count = csr.len() / 2;
 
-        // Dense rows only where a full ⌈n/64⌉-word pass beats per-neighbor
-        // probes. At most 2|E|/mask_words nodes qualify, so the cache is
-        // ≤ 16|E| bytes — O(|E|), never O(n²) bits.
-        let mut dense = DenseRows::default();
-        for p in 0..n {
-            let (lo, hi) = (offsets[p] as usize, offsets[p + 1] as usize);
-            if mask_words > 0 && hi - lo >= mask_words {
-                dense.ids.push(p as u32);
-                let base = dense.words.len();
-                dense.words.resize(base + mask_words, 0);
-                for q in &csr[lo..hi] {
-                    dense.words[base + q.index() / 64] |= 1 << (q.index() % 64);
-                }
-            }
-        }
-
         Graph {
             adjacency: Adjacency::Owned {
                 offsets: Arc::new(offsets),
                 csr: Arc::new(csr),
-                dense: Arc::new(dense),
             },
-            mask_words,
             labels: self.labels,
             edge_count,
             borders: Arc::new(RwLock::new(HashMap::new())),
@@ -735,31 +621,6 @@ mod tests {
     }
 
     #[test]
-    fn dense_rows_mirror_adjacency() {
-        // n = 70 ⇒ mask_words = 2; every node of degree ≥ 2 gets a row.
-        let g = Graph::from_edges(70, [(0, 1), (1, 69), (69, 0), (5, 64)]);
-        assert_eq!(g.mask_words(), 2);
-        for p in g.nodes() {
-            match g.dense_row(p) {
-                Some(row) => {
-                    assert!(g.degree(p) >= g.mask_words(), "sparse {p} has a row");
-                    let from_row: Vec<NodeId> = (0..g.len())
-                        .filter(|&q| row[q / 64] & (1 << (q % 64)) != 0)
-                        .map(NodeId::from_index)
-                        .collect();
-                    assert_eq!(from_row, g.neighbors(p).to_vec(), "row of {p}");
-                }
-                None => assert!(g.degree(p) < g.mask_words(), "hub {p} lacks a row"),
-            }
-        }
-        // Hub nodes 0, 1, 69 (degree 2) have rows; 5 and 64 (degree 1)
-        // fall back to the CSR row.
-        assert!(g.dense_row(NodeId(0)).is_some());
-        assert!(g.dense_row(NodeId(5)).is_none());
-        assert!(g.has_edge(NodeId(5), NodeId(64)) && g.has_edge(NodeId(64), NodeId(5)));
-    }
-
-    #[test]
     fn memory_is_edge_proportional() {
         // A 4-regular torus-like edge set: memory must scale with E, not
         // n²/8 the way the old dense mask table did.
@@ -782,7 +643,6 @@ mod tests {
             "adjacency should be well under 10 MB, got {}",
             g.memory_bytes()
         );
-        assert!(g.dense_row(NodeId(0)).is_none(), "torus rows stay sparse");
     }
 
     #[test]
@@ -821,18 +681,6 @@ mod tests {
         assert_eq!(clone.border_cache_len(), 1);
         assert_eq!(g.border_size_of(&region), 2);
         assert_eq!(g.border_cache_len(), 1);
-    }
-
-    #[test]
-    fn border_into_reuses_scratch() {
-        let g = path4();
-        let mut out = NodeSet::new();
-        let members: NodeSet = [NodeId(0)].into_iter().collect();
-        g.border_into(&members, &mut out);
-        assert_eq!(out.iter().collect::<Vec<_>>(), vec![NodeId(1)]);
-        let members2: NodeSet = [NodeId(2), NodeId(3)].into_iter().collect();
-        g.border_into(&members2, &mut out);
-        assert_eq!(out.iter().collect::<Vec<_>>(), vec![NodeId(1)]);
     }
 
     #[test]

@@ -11,16 +11,22 @@
 //! - **connected components** of a crashed node set
 //!   ([`connected_components`]),
 //! - the strict total **ranking** `≻` between regions used by the
-//!   arbitration mechanism ([`rank_cmp`], [`max_ranked_region`]).
+//!   arbitration mechanism ([`rank_cmp`], defined once by
+//!   [`rank_cmp_keyed`]).
 //!
-//! All of the set algebra runs on a dense word-array bitset, [`NodeSet`]:
-//! the graph precomputes a per-node neighbor bitmask table so borders are
-//! a few OR/AND-NOT word operations ([`Graph::border_into`]), BFS is
-//! word-parallel ([`reachable_within_set`], [`connected_components_set`]),
-//! and region borders are memoized across the whole system
-//! ([`Graph::border_of_region_cached`]). The original `BTreeSet`
+//! The set algebra reads only the CSR adjacency rows and is priced by the
+//! set it is asked about, never by `n`: one border kernel sorts the
+//! members' gathered neighbours and drops the members by merge
+//! ([`Graph::border_of`], the memo's miss path and
+//! [`Topology::border_region`]), and one breadth-first search over a
+//! sorted member slice answers [`connected_components`],
+//! [`is_connected_subset`], [`reachable_within`] and
+//! [`Graph::is_connected`]. Region borders are memoized across the whole
+//! system ([`Graph::border_of_region_cached`]). The original `BTreeSet`
 //! implementations are retained as a test-only module of `components.rs`,
 //! the executable specification for its differential property tests.
+//! [`NodeSet`], a dense word-array bitset, serves callers that keep
+//! id-indexed sets of their own.
 //!
 //! The crate also provides the topology *generators* used by the
 //! experiment workloads (rings, grids, tori, random geometric graphs,
@@ -60,10 +66,7 @@ mod spec;
 mod store;
 mod topology;
 
-pub use components::{
-    connected_components, connected_components_set, is_connected_subset, reachable_within,
-    reachable_within_set, BfsScratch,
-};
+pub use components::{connected_components, is_connected_subset, reachable_within};
 pub use dot::to_dot;
 pub use generators::{
     barabasi_albert, complete, erdos_renyi_connected, grid, path, random_geometric_connected,
@@ -72,7 +75,7 @@ pub use generators::{
 pub use graph::{Graph, GraphBuilder};
 pub use node::NodeId;
 pub use nodeset::NodeSet;
-pub use rank::{max_ranked_region, rank_cmp, rank_cmp_keyed, RankKey};
+pub use rank::{rank_cmp, rank_cmp_keyed};
 pub use region::Region;
 pub use spec::TopologySpec;
 pub use store::{GraphStore, MappedGraph, StoreError, StoreSummary};

@@ -131,14 +131,6 @@ pub(crate) fn as_node_ids(bytes: &[u8]) -> &[NodeId] {
     unsafe { std::slice::from_raw_parts(words.as_ptr() as *const NodeId, words.len()) }
 }
 
-/// Views little-endian mapped bytes as `&[u64]`.
-pub(crate) fn as_u64s(bytes: &[u8]) -> &[u64] {
-    assert_eq!(bytes.len() % 8, 0, "ragged u64 section");
-    assert_eq!(bytes.as_ptr().align_offset(std::mem::align_of::<u64>()), 0);
-    // SAFETY: as for as_u32s.
-    unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const u64, bytes.len() / 8) }
-}
-
 impl std::fmt::Debug for Mmap {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Mmap").field("len", &self.len).finish()

@@ -1,12 +1,9 @@
-//! Dense bitset-backed node sets — the hot-path representation behind
-//! borders, reachability, and connected components.
+//! Dense bitset-backed node sets, for callers that keep id-indexed sets
+//! of their own (the global baseline's coverage masks).
 //!
 //! # Invariants
 //!
-//! Every public operation maintains these; downstream code (the graph
-//! algorithms in [`crate::components`], the border kernel in
-//! [`crate::Graph`], and the wait-set tracking in `precipice-core`)
-//! relies on them:
+//! Every public operation maintains these, and callers rely on them:
 //!
 //! 1. **Dense words.** Membership of `NodeId(i)` is bit `i % 64` of word
 //!    `i / 64`. There is no indirection; word index arithmetic is the
@@ -44,25 +41,13 @@ pub(crate) fn words_for(n: usize) -> usize {
     n.div_ceil(WORD_BITS)
 }
 
-/// Dispatch predicate for the hybrid set kernels: `true` when a set of
-/// `len` members over a graph whose dense masks span `mask_words` words
-/// is so sparse that per-member probing (O(`len`·deg·log `len`)) beats
-/// even a single word-parallel pass (O(`mask_words`)). Keeping the
-/// cutoff a factor of 64 under the break-even point makes the sparse
-/// path a strict win — the kernels stay footprint-proportional for
-/// protocol-sized sets on arbitrarily large graphs without ever slowing
-/// the dense path down.
-#[inline]
-pub(crate) fn sparse_wins(len: usize, mask_words: usize) -> bool {
-    len.saturating_mul(WORD_BITS) < mask_words
-}
-
 /// A dense, growable bitset of [`NodeId`]s.
 ///
-/// This is the workhorse set type of the graph layer: membership, union,
-/// intersection and difference are word-parallel (`|`, `&`, `& !`), so
-/// the per-round set algebra of the protocol costs O(`n`/64) instead of
-/// O(`n` log `n`) tree operations with per-element allocations.
+/// Membership is one bit test, and union, intersection and difference
+/// are word-parallel (`|`, `&`, `& !`), so a set over ids below `n`
+/// costs `n`/8 bytes and O(`n`/64) per bulk operation. That suits a
+/// caller whose sets span most of the id range; a set the size of a
+/// region is better kept as a sorted [`Region`].
 ///
 /// # Example
 ///
@@ -154,8 +139,7 @@ impl NodeSet {
         present
     }
 
-    /// Empties the set, keeping the allocation (the scratch-buffer reuse
-    /// pattern of the BFS kernels).
+    /// Empties the set, keeping the allocation.
     pub fn clear(&mut self) {
         self.words.fill(0);
         self.len = 0;
@@ -224,21 +208,13 @@ impl NodeSet {
         }
     }
 
-    /// The backing words (low bit of word 0 is `NodeId(0)`). Exposed for
-    /// word-parallel kernels like [`Graph::border_into`](crate::Graph::border_into).
+    /// The backing words (low bit of word 0 is `NodeId(0)`).
     pub fn words(&self) -> &[u64] {
         &self.words
     }
 
-    /// Mutable backing words for word-parallel kernels. The caller must
-    /// call [`recount`](Self::recount) (or otherwise restore invariant 2)
-    /// after editing.
-    pub(crate) fn words_mut(&mut self) -> &mut Vec<u64> {
-        &mut self.words
-    }
-
     /// Recomputes the cached cardinality from the words.
-    pub(crate) fn recount(&mut self) {
+    fn recount(&mut self) {
         self.len = self.words.iter().map(|w| w.count_ones() as usize).sum();
     }
 

@@ -33,8 +33,9 @@ pub fn rank_cmp(g: &Graph, a: &Region, b: &Region) -> Ordering {
     rank_cmp_keyed(a, g.border_size_of(a), b, g.border_size_of(b))
 }
 
-/// Like [`rank_cmp`] but with the border sizes already known, avoiding the
-/// border recomputation. Exposed for protocol code that caches borders.
+/// The ranking `≻` itself, over regions whose border sizes are already
+/// known: the single definition that [`rank_cmp`] and the protocol's
+/// views, which carry their borders, both compare through.
 pub fn rank_cmp_keyed(
     a: &Region,
     a_border_size: usize,
@@ -42,100 +43,6 @@ pub fn rank_cmp_keyed(
     b_border_size: usize,
 ) -> Ordering {
     (a.len(), a_border_size, a.as_slice()).cmp(&(b.len(), b_border_size, b.as_slice()))
-}
-
-/// A region together with its precomputed rank components, ordered by the
-/// ranking relation `≻` ([`rank_cmp`]).
-///
-/// Useful when the same region is compared repeatedly (the protocol ranks
-/// every incoming view against its current proposal).
-///
-/// # Example
-///
-/// ```
-/// use precipice_graph::{Graph, NodeId, Region, RankKey};
-///
-/// let g = Graph::from_edges(3, [(0, 1), (1, 2)]);
-/// let k1 = RankKey::new(&g, Region::from_iter([NodeId(0)]));
-/// let k2 = RankKey::new(&g, Region::from_iter([NodeId(1)]));
-/// // Same size; n1 has the larger border (two neighbours vs one).
-/// assert!(k2 > k1);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RankKey {
-    size: usize,
-    border_size: usize,
-    region: Region,
-}
-
-impl RankKey {
-    /// Computes the key for `region` on graph `g` (border size via the
-    /// graph's border memo).
-    pub fn new(g: &Graph, region: Region) -> Self {
-        let border_size = g.border_size_of(&region);
-        RankKey {
-            size: region.len(),
-            border_size,
-            region,
-        }
-    }
-
-    /// Builds a key from cached parts (must satisfy
-    /// `border_size = |border(region)|` for the intended graph).
-    pub fn from_parts(region: Region, border_size: usize) -> Self {
-        RankKey {
-            size: region.len(),
-            border_size,
-            region,
-        }
-    }
-
-    /// The region this key ranks.
-    pub fn region(&self) -> &Region {
-        &self.region
-    }
-
-    /// `|border(region)|` as cached at construction.
-    pub fn border_size(&self) -> usize {
-        self.border_size
-    }
-}
-
-impl PartialOrd for RankKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for RankKey {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (self.size, self.border_size, self.region.as_slice()).cmp(&(
-            other.size,
-            other.border_size,
-            other.region.as_slice(),
-        ))
-    }
-}
-
-/// The paper's `maxRankedRegion(C)` (§3.1): the highest-ranked region of a
-/// collection, or `None` if the collection is empty.
-///
-/// # Example
-///
-/// ```
-/// use precipice_graph::{max_ranked_region, Graph, NodeId, Region};
-///
-/// let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]);
-/// let a = Region::from_iter([NodeId(0)]);
-/// let b = Region::from_iter([NodeId(2), NodeId(3)]);
-/// let best = max_ranked_region(&g, [a, b.clone()]).unwrap();
-/// assert_eq!(best, b);
-/// ```
-pub fn max_ranked_region<I>(g: &Graph, regions: I) -> Option<Region>
-where
-    I: IntoIterator<Item = Region>,
-{
-    regions.into_iter().max_by(|a, b| rank_cmp(g, a, b))
 }
 
 #[cfg(test)]
@@ -204,9 +111,12 @@ mod tests {
             width: 3,
             height: 3,
         });
-        let best = max_ranked_region(&g, [r(&[0]), r(&[4]), r(&[0, 1])]).unwrap();
-        assert_eq!(best, r(&[0, 1]));
-        assert_eq!(max_ranked_region(&g, std::iter::empty()), None);
+        // The paper's maxRankedRegion (§3.1): size first, then border.
+        let regions = [r(&[0]), r(&[4]), r(&[0, 1])];
+        let best = regions.iter().max_by(|a, b| rank_cmp(&g, a, b));
+        assert_eq!(best, Some(&r(&[0, 1])));
+        let best = regions[..2].iter().max_by(|a, b| rank_cmp(&g, a, b));
+        assert_eq!(best, Some(&r(&[4])));
     }
 
     #[test]
@@ -223,18 +133,5 @@ mod tests {
                 assert_eq!(rank_cmp(&g, a, b), rank_cmp_keyed(a, ka, b, kb));
             }
         }
-    }
-
-    #[test]
-    fn rank_key_accessors() {
-        let g = grid(GridDims {
-            width: 3,
-            height: 3,
-        });
-        let k = RankKey::new(&g, r(&[4]));
-        assert_eq!(k.border_size(), 4);
-        assert_eq!(k.region(), &r(&[4]));
-        let same = RankKey::from_parts(r(&[4]), 4);
-        assert_eq!(k, same);
     }
 }

@@ -35,6 +35,9 @@
 //! checksum walk to [`MappedGraph::verify`], keeping open latency
 //! independent of file size. Node labels are not persisted — the format
 //! targets the generated experiment topologies, which are unlabeled.
+//! The dense hub rows (one `⌈n/64⌉`-word neighbour bitmask per node of
+//! degree ≥ `⌈n/64⌉`) are part of version 1: the writer emits them and
+//! `open` validates their geometry, though no kernel reads them.
 //!
 //! # Streaming builds
 //!
@@ -49,7 +52,7 @@ use std::fs::File;
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use crate::mmap::{as_node_ids, as_u32s, as_u64s, Mmap};
+use crate::mmap::{as_node_ids, as_u32s, Mmap};
 use crate::nodeset::words_for;
 use crate::{Graph, NodeId};
 
@@ -439,7 +442,6 @@ pub struct MappedGraph {
     offsets: Section,
     csr: Section,
     dense_ids: Section,
-    dense_words: Section,
     file_bytes: u64,
     checksum: u64,
 }
@@ -592,7 +594,6 @@ impl MappedGraph {
             offsets,
             csr,
             dense_ids,
-            dense_words,
             file_bytes,
             checksum,
         };
@@ -664,16 +665,6 @@ impl MappedGraph {
     /// The flat CSR adjacency section (`2·E` entries).
     pub(crate) fn csr(&self) -> &[NodeId] {
         as_node_ids(self.section_bytes(self.csr, 4))
-    }
-
-    /// Ids owning a dense hub row, ascending.
-    pub(crate) fn dense_ids_slice(&self) -> &[u32] {
-        as_u32s(self.section_bytes(self.dense_ids, 4))
-    }
-
-    /// Dense hub-row storage (`dense_rows · mask_words` words).
-    pub(crate) fn dense_words_slice(&self) -> &[u64] {
-        as_u64s(self.section_bytes(self.dense_words, 8))
     }
 
     /// Recomputes the content checksum and compares it with the trailing

@@ -1,6 +1,6 @@
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
+use crate::graph::border_kernel;
 use crate::{Graph, NodeId, Region};
 
 /// On-demand access to the knowledge graph `G` — the paper's "underlying
@@ -12,10 +12,10 @@ use crate::{Graph, NodeId, Region};
 /// in-memory [`Graph`] (simulator), an `Arc<Graph>` handed to every node
 /// thread (live backend), or any future distributed lookup service.
 ///
-/// The provided methods have generic `neighbors_of`-based defaults so any
-/// lookup service works out of the box; [`Graph`] and `Arc<Graph>`
-/// override them with the word-parallel bitset kernels and the shared
-/// border memo (see [`Graph::border_into`] and
+/// A lookup service implements `neighbors_of` and `node_count`; the
+/// provided [`border_region`](Topology::border_region) runs the crate's
+/// one border kernel over `neighbors_of`. [`Graph`] and `Arc<Graph>`
+/// answer it from the shared border memo instead (see
 /// [`Graph::border_of_region_cached`]).
 ///
 /// # Example
@@ -40,32 +40,12 @@ pub trait Topology {
     /// by checkers and baselines.
     fn node_count(&self) -> usize;
 
-    /// The border of a node set: members' neighbours that are not
-    /// themselves members, sorted.
-    fn border_of_set(&self, set: &BTreeSet<NodeId>) -> Vec<NodeId> {
-        let mut border = BTreeSet::new();
-        for &p in set {
-            for q in self.neighbors_of(p) {
-                if !set.contains(&q) {
-                    border.insert(q);
-                }
-            }
-        }
-        border.into_iter().collect()
-    }
-
-    /// The border of a [`Region`], sorted.
-    fn border_of_region(&self, region: &Region) -> Vec<NodeId> {
-        self.border_of_set(&region.iter().collect())
-    }
-
-    /// The border of a [`Region`], as a [`Region`].
-    ///
-    /// This is the form a view wants (it carries its border as a
-    /// region); [`Graph`] overrides it to return the `Arc`-shared memo
-    /// entry, so repeated queries for the same region are zero-copy.
+    /// The border of a [`Region`] — its members' neighbours that are not
+    /// themselves members — as a [`Region`], the form a view carries.
     fn border_region(&self, region: &Region) -> Region {
-        self.border_of_region(region).into_iter().collect()
+        Region::from_sorted_vec(border_kernel(region.as_slice(), 0, |p, out| {
+            out.extend(self.neighbors_of(p));
+        }))
     }
 }
 
@@ -76,14 +56,6 @@ impl Topology for Graph {
 
     fn node_count(&self) -> usize {
         self.len()
-    }
-
-    fn border_of_set(&self, set: &BTreeSet<NodeId>) -> Vec<NodeId> {
-        self.border_of(set.iter().copied())
-    }
-
-    fn border_of_region(&self, region: &Region) -> Vec<NodeId> {
-        self.border_of_region_cached(region).iter().collect()
     }
 
     fn border_region(&self, region: &Region) -> Region {
@@ -100,38 +72,8 @@ impl Topology for Arc<Graph> {
         self.as_ref().node_count()
     }
 
-    fn border_of_set(&self, set: &BTreeSet<NodeId>) -> Vec<NodeId> {
-        self.as_ref().border_of_set(set)
-    }
-
-    fn border_of_region(&self, region: &Region) -> Vec<NodeId> {
-        self.as_ref().border_of_region(region)
-    }
-
     fn border_region(&self, region: &Region) -> Region {
         self.as_ref().border_region(region)
-    }
-}
-
-impl<T: Topology + ?Sized> Topology for &T {
-    fn neighbors_of(&self, p: NodeId) -> Vec<NodeId> {
-        (**self).neighbors_of(p)
-    }
-
-    fn node_count(&self) -> usize {
-        (**self).node_count()
-    }
-
-    fn border_of_set(&self, set: &BTreeSet<NodeId>) -> Vec<NodeId> {
-        (**self).border_of_set(set)
-    }
-
-    fn border_of_region(&self, region: &Region) -> Vec<NodeId> {
-        (**self).border_of_region(region)
-    }
-
-    fn border_region(&self, region: &Region) -> Region {
-        (**self).border_region(region)
     }
 }
 
@@ -139,12 +81,8 @@ impl<T: Topology + ?Sized> Topology for &T {
 mod tests {
     use super::*;
 
-    fn set(ids: &[u32]) -> BTreeSet<NodeId> {
-        ids.iter().map(|&i| NodeId(i)).collect()
-    }
-
     /// A deliberately naive topology that only knows `neighbors_of`, to
-    /// exercise the generic defaults.
+    /// exercise the provided `border_region`.
     struct NeighborOnly(Graph);
 
     impl Topology for NeighborOnly {
@@ -156,14 +94,19 @@ mod tests {
         }
     }
 
+    fn region(ids: &[u32]) -> Region {
+        ids.iter().map(|&i| NodeId(i)).collect()
+    }
+
     #[test]
     fn trait_border_matches_inherent() {
         let g = Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]);
-        let s = set(&[1, 2]);
-        assert_eq!(g.border_of_set(&s), g.border_of(s.iter().copied()));
-        // The generic default agrees with the bitset override.
+        let s = region(&[1, 2]);
+        let inherent: Region = g.border_of(s.iter()).into_iter().collect();
+        assert_eq!(g.border_region(&s), inherent);
+        // The provided method agrees with the memoized override.
         let naive = NeighborOnly(g.clone());
-        assert_eq!(naive.border_of_set(&s), g.border_of_set(&s));
+        assert_eq!(naive.border_region(&s), inherent);
     }
 
     #[test]
@@ -171,19 +114,25 @@ mod tests {
         let g = Arc::new(Graph::from_edges(3, [(0, 1), (1, 2)]));
         assert_eq!(g.neighbors_of(NodeId(1)), vec![NodeId(0), NodeId(2)]);
         assert_eq!(g.node_count(), 3);
+        assert_eq!(g.border_region(&region(&[0])), region(&[1]));
         let r: &Graph = &g;
         assert_eq!(r.neighbors_of(NodeId(0)), vec![NodeId(1)]);
-        assert_eq!(Topology::node_count(&r), 3);
+        assert_eq!(Topology::node_count(r), 3);
     }
 
     #[test]
     fn border_of_region_matches_set_form() {
         let g = Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]);
-        let region: Region = [NodeId(2), NodeId(3)].into_iter().collect();
-        assert_eq!(g.border_of_region(&region), vec![NodeId(1), NodeId(4)]);
-        let expected: Region = [NodeId(1), NodeId(4)].into_iter().collect();
-        assert_eq!(g.border_region(&region), expected);
+        let s = region(&[2, 3]);
+        assert_eq!(g.border_of(s.iter()), vec![NodeId(1), NodeId(4)]);
+        let expected = region(&[1, 4]);
+        assert_eq!(g.border_region(&s), expected);
         let naive = NeighborOnly(g.clone());
-        assert_eq!(naive.border_region(&region), expected);
+        assert_eq!(naive.border_region(&s), expected);
+        // Members out of order in the set form give the same border.
+        assert_eq!(
+            g.border_of([NodeId(3), NodeId(2), NodeId(3)]),
+            vec![NodeId(1), NodeId(4)]
+        );
     }
 }

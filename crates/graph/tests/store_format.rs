@@ -17,9 +17,9 @@ use std::fs;
 use std::path::PathBuf;
 
 use precipice_graph::{
-    barabasi_albert, connected_components, grid, path, ring, star, stream_torus, torus,
-    watts_strogatz, Graph, GraphStore, GridDims, MappedGraph, NodeId, Region, StoreError,
-    TopologySpec,
+    barabasi_albert, connected_components, grid, is_connected_subset, path, ring, star,
+    stream_torus, torus, watts_strogatz, Graph, GraphStore, GridDims, MappedGraph, NodeId, Region,
+    StoreError, TopologySpec,
 };
 
 fn tmp(name: &str) -> PathBuf {
@@ -40,12 +40,38 @@ fn assert_mapped_equivalent(g: &Graph, name: &str) {
     assert_eq!(&m, g, "mapped round trip must compare equal");
     assert_eq!(m.len(), g.len());
     assert_eq!(m.edge_count(), g.edge_count());
-    assert_eq!(m.mask_words(), g.mask_words());
+    assert_eq!(
+        MappedGraph::open(&file).unwrap().mask_words(),
+        g.len().div_ceil(64)
+    );
 
     for p in g.nodes() {
         assert_eq!(m.neighbors(p), g.neighbors(p), "neighbors of {p}");
         assert_eq!(m.degree(p), g.degree(p));
-        assert_eq!(m.dense_row(p), g.dense_row(p), "dense row of {p}");
+        // `p` with its even neighbours: connected through `p`, and without
+        // it, split wherever those neighbours share no edge.
+        let ball: BTreeSet<NodeId> = std::iter::once(p)
+            .chain(
+                g.neighbors(p)
+                    .iter()
+                    .copied()
+                    .filter(|q| q.index() % 2 == 0),
+            )
+            .collect();
+        let rim: BTreeSet<NodeId> = ball.iter().copied().filter(|&q| q != p).collect();
+        for set in [&ball, &rim] {
+            assert_eq!(
+                connected_components(&m, set),
+                connected_components(g, set),
+                "components around {p}"
+            );
+            let region: Region = set.iter().copied().collect();
+            assert_eq!(
+                is_connected_subset(&m, &region),
+                is_connected_subset(g, &region),
+                "connectivity around {p}"
+            );
+        }
     }
 
     // Border and component kernels, the protocol's hot path.

@@ -40,12 +40,6 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// Returns this config with a different seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Returns this config with trace storage enabled.
     pub fn with_trace(mut self) -> Self {
         self.record_trace = true;
@@ -257,11 +251,6 @@ impl<P: Process> Simulation<P> {
         self.slot.explorer.as_ref().map(Explorer::recorded)
     }
 
-    /// Scheduling decisions taken so far under an exploring policy.
-    pub fn scheduling_steps(&self) -> Option<u64> {
-        self.slot.explorer.as_ref().map(Explorer::steps)
-    }
-
     /// `true` if `node` has crashed (per the authoritative schedule, as of
     /// virtual now).
     pub fn is_crashed(&self, node: NodeId) -> bool {
@@ -324,14 +313,6 @@ impl<P: Process> Simulation<P> {
     /// Trace of the run so far.
     pub fn trace(&self) -> &Trace {
         &self.slot.trace
-    }
-
-    /// Moves the trace out of a finished run (the simulation is left
-    /// with an empty, non-recording trace) — lets result assembly hand
-    /// the recorded entries to callers without cloning the entry
-    /// buffer.
-    pub fn take_trace(&mut self) -> Trace {
-        std::mem::replace(&mut self.slot.trace, Trace::new(false))
     }
 }
 

@@ -32,7 +32,7 @@ use std::process::ExitCode;
 use std::str::FromStr;
 
 use precipice::consensus::ProtocolConfig;
-use precipice::graph::{to_dot, Graph, NodeId, Region, TopologySpec};
+use precipice::graph::{to_dot, Graph, MappedGraph, NodeId, Region, TopologySpec};
 use precipice::runtime::explore::{
     probe, probe_on, render_violations, shrink_schedule_on, Artifact, Counterexample,
 };
@@ -218,7 +218,16 @@ fn protocol_of(opts: &Options) -> ProtocolConfig {
 /// family draws from `opts.seed`) and the region carved once, and each
 /// scenario's crashes are timed under its own seed, which a spread
 /// draws from.
+///
+/// A `pcsr:` topology's checksum is verified first: opening a file
+/// checks its header and offset endpoints only, and a corrupt interior
+/// offset would otherwise panic the first query that reads it.
 fn scenarios_of(opts: &Options, seeds: &[u64]) -> Result<(Region, Vec<Scenario>), String> {
+    if let TopologySpec::Pcsr(file) = &opts.topology {
+        MappedGraph::open(file)
+            .and_then(|mapped| mapped.verify())
+            .map_err(|e| format!("cannot load {file:?}: {e}"))?;
+    }
     let graph = opts.topology.build(opts.seed)?;
     let region = opts.region.carve(&graph, opts.at.map(NodeId))?;
     let scenario = |seed: u64| -> Result<Scenario, String> {

@@ -246,6 +246,48 @@ fn graph_info_rejects_garbage_gracefully() {
 }
 
 #[test]
+fn a_corrupt_pcsr_interior_offset_is_refused_by_name() {
+    // `open` checks only the offset endpoints, so a file whose interior
+    // offset was raised past its successor opens fine and used to panic
+    // the first border query with an inverted slice range (exit 101).
+    // The checksum, verified once at load, names it instead.
+    let dir = std::env::temp_dir().join("precipice-cli-smoke");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("torus4-bad-offset.pcsr");
+    let built = precipice(&["graph", "build", "torus:4", "-o", file.to_str().unwrap()]);
+    assert!(built.status.success());
+    let mut bytes = std::fs::read(&file).unwrap();
+    let section = u64::from_le_bytes(bytes[40..48].try_into().unwrap()) as usize;
+    let offset = |k: usize| section + 4 * k;
+    let seventh: [u8; 4] = bytes[offset(7)..offset(7) + 4].try_into().unwrap();
+    bytes[offset(5)..offset(5) + 4].copy_from_slice(&seventh);
+    std::fs::write(&file, &bytes).unwrap();
+
+    let topology = format!("pcsr:{}", file.display());
+    for args in [
+        &["--topology", &topology, "--region", "blob:4"][..],
+        &[
+            "check",
+            "--topology",
+            &topology,
+            "--region",
+            "blob:4",
+            "--budget",
+            "4",
+        ],
+    ] {
+        let out = precipice(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("checksum"), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("torus4-bad-offset.pcsr"),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn help_exits_with_usage() {
     let out = precipice(&["--help"]);
     // The CLI prints usage on stderr and exits 2 (usage is the "error"
