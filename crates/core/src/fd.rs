@@ -42,7 +42,7 @@ use precipice_graph::{Graph, NodeId};
 /// is the engine's job (the simulator's run slot schedules it after a
 /// detection latency, the live runtime's router posts it to the
 /// observer's shard).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FailureDetector {
     /// When set, `neighbors(q)` are implicit subscribers of `q` (see the
     /// type docs); `subscribers` then only holds out-of-neighbourhood
@@ -90,18 +90,20 @@ impl FailureDetector {
     /// `target` already crashed (and `observer` was not yet notified).
     #[must_use]
     pub fn subscribe(&mut self, observer: NodeId, target: NodeId) -> bool {
-        if self.crashed.contains(&target) {
-            return self.notified.insert((observer, target));
-        }
-        // A statically covered pair needs no bookkeeping: the crash of
-        // `target` resolves `observer` from the graph.
+        // A statically covered pair needs no bookkeeping, before or after
+        // the crash: the crash of `target` resolves `observer` from the
+        // graph and marks the pair notified then.
         let covered = self
             .static_graph
             .as_ref()
             .is_some_and(|g| g.has_edge(observer, target));
-        if !covered {
-            self.subscribers.entry(target).or_default().insert(observer);
+        if covered {
+            return false;
         }
+        if self.crashed.contains(&target) {
+            return self.notified.insert((observer, target));
+        }
+        self.subscribers.entry(target).or_default().insert(observer);
         false
     }
 
@@ -310,6 +312,43 @@ mod tests {
         assert_eq!(fd.record_crash(NodeId(2)).len(), 3);
         assert!(fd.record_crash(NodeId(2)).is_empty());
         assert!(fd.is_crashed(NodeId(2)));
+    }
+
+    /// What lets the live router skip its detector lock for `Init`'s
+    /// monitor: under the graph-backed rule, subscribing along any edge
+    /// returns `false` and leaves the detector as it was — before the
+    /// target's crash and after it. Random graphs and crash orders, each
+    /// edge probed in both directions after every crash.
+    #[test]
+    fn a_covered_subscription_changes_nothing() {
+        precipice_graph::rng::cases("a_covered_subscription_changes_nothing", 200, |rng| {
+            let n = rng.gen_range(2..16u64) as u32;
+            let edges: Vec<(u32, u32)> = (0..n)
+                .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+                .filter(|_| rng.gen_bool(0.3))
+                .collect();
+            let graph = Arc::new(Graph::from_edges(n as usize, edges.iter().copied()));
+            let mut fd = FailureDetector::with_static_graph(graph);
+            let mut order: Vec<NodeId> = (0..n).map(NodeId).collect();
+            rng.shuffle(&mut order);
+            let crashes = rng.gen_range(0..=order.len());
+            for step in 0..=crashes {
+                for &(u, v) in &edges {
+                    for (p, t) in [(u, v), (v, u)].map(|(p, t)| (NodeId(p), NodeId(t))) {
+                        let before = fd.clone();
+                        assert!(!fd.subscribe(p, t), "{p} -> {t} after {step} crashes");
+                        assert_eq!(fd, before, "{p} -> {t} after {step} crashes");
+                    }
+                }
+                let Some(&q) = order.get(step).filter(|_| step < crashes) else {
+                    break;
+                };
+                // Some dynamic state beside the static rule, then the crash.
+                let stranger = order[rng.gen_range(0..order.len())];
+                let _ = fd.subscribe(stranger, q);
+                let _ = fd.record_crash(q);
+            }
+        });
     }
 
     /// The whole policy against a brute-force model: a pair is notified

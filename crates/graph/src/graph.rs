@@ -243,6 +243,17 @@ impl Graph {
         &self.csr_slice()[offsets[p.index()] as usize..offsets[p.index() + 1] as usize]
     }
 
+    /// [`neighbors`](Self::neighbors) for a caller that must not panic:
+    /// `None` if `p` is not a node or its CSR row breaks
+    /// `offsets[p] ≤ offsets[p + 1] ≤ csr.len()`. Built and verified
+    /// graphs never have such a row; a mapped `.pcsr` whose checksum was
+    /// not verified at load (serve's `open` stays O(1)) can.
+    pub fn checked_neighbors(&self, p: NodeId) -> Option<&[NodeId]> {
+        let offsets = self.offsets_slice();
+        let (start, end) = (*offsets.get(p.index())?, *offsets.get(p.index() + 1)?);
+        self.csr_slice().get(start as usize..end as usize)
+    }
+
     /// Total heap bytes of the adjacency representation (CSR offsets +
     /// flat array + labels). O(|Π| + |E|) by
     /// construction; the accounting exists so tests can pin the scaling.

@@ -737,6 +737,29 @@ mod tests {
     }
 
     #[test]
+    fn a_corrupt_interior_offset_reads_as_no_row_when_checked() {
+        // Offset 513 zeroed: node 512's row becomes an inverted range,
+        // which `open` (endpoints only) lets through.
+        let g = torus(GridDims::square(32));
+        let path = tmp("corrupt-row.pcsr");
+        GraphStore::write(&g, &path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let section = u64::from_le_bytes(bytes[40..48].try_into().unwrap()) as usize;
+        bytes[section + 4 * 513..section + 4 * 514].fill(0);
+        std::fs::write(&path, &bytes).unwrap();
+        let mapped = Graph::open_pcsr(&path).unwrap();
+        assert_eq!(mapped.checked_neighbors(NodeId(512)), None);
+        assert_eq!(
+            mapped.checked_neighbors(NodeId(511)),
+            Some(g.neighbors(NodeId(511)))
+        );
+        for p in g.nodes() {
+            assert_eq!(g.checked_neighbors(p), Some(g.neighbors(p)));
+        }
+        assert_eq!(g.checked_neighbors(NodeId(1024)), None);
+    }
+
+    #[test]
     fn asymmetric_rows_are_rejected() {
         // Node 0 names 1 but not vice versa: odd directed total.
         let err = GraphStore::write_rows(tmp("asym.pcsr"), 2, |p, out| {

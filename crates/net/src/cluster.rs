@@ -256,9 +256,12 @@ where
         let killed = std::mem::take(&mut self.killed);
         let mut stats = BTreeMap::new();
         for table in &instance.nodes {
-            for (id, node) in lock(table).iter() {
-                if !killed.contains(id) && *node.stats() != ProtocolStats::default() {
-                    stats.insert(*id, *node.stats());
+            for slot in &lock(table).slots {
+                let Some(node) = slot.node.as_ref().filter(|_| !killed.contains(&slot.id)) else {
+                    continue;
+                };
+                if *node.stats() != ProtocolStats::default() {
+                    stats.insert(slot.id, *node.stats());
                 }
             }
         }

@@ -1,7 +1,9 @@
 //! MPSC rings: the cross-shard mailboxes of the sharded runtime.
 //!
 //! Each shard of an instance owns exactly one [`Ring`]; every other
-//! shard (and the control thread) posts into it. A ring is one FIFO
+//! shard (and the control thread) posts into it. A shard's handlers do
+//! not: an event they address to their own shard goes on its local
+//! queue instead (see the `shard` module docs). A ring is one FIFO
 //! queue, allocated up front for its capacity. Mailboxes are per shard,
 //! not per node: an instance with `W` shards has `W` rings in total,
 //! whatever the topology's size.
@@ -21,7 +23,9 @@
 //! **spill threshold**, not a bound: a push that finds `capacity` events
 //! already queued still enqueues, past the up-front allocation, and
 //! counts as spilled ([`Ring::spilled`] reports how often a burst
-//! exceeded the capacity).
+//! exceeded the capacity). Only cross-shard traffic and kills can
+//! spill: a one-shard instance's ring carries the kills' crash
+//! notifications alone.
 //!
 //! # Why pushes rarely wake anyone
 //!

@@ -84,9 +84,17 @@ const DEFAULT_SHARDS: usize = 2;
 /// dispatcher. See the [module docs](self) for the wire protocol.
 #[derive(Debug)]
 pub struct ServeSession {
-    instances: BTreeMap<String, ShardedCluster>,
+    instances: BTreeMap<String, Hosted>,
     default_shards: usize,
     finished: bool,
+}
+
+/// An open instance and the topology it was opened on, as `open` spelt
+/// it.
+#[derive(Debug)]
+struct Hosted {
+    cluster: ShardedCluster,
+    topology: String,
 }
 
 impl Default for ServeSession {
@@ -171,7 +179,9 @@ impl ServeSession {
                 .map_err(|e| format!("cannot start {shards} shard workers: {e}"))?;
         let nodes = cluster.graph().len();
         let shards = cluster.shards();
-        self.instances.insert(id.clone(), cluster);
+        let topology = spec.to_owned();
+        self.instances
+            .insert(id.clone(), Hosted { cluster, topology });
         Ok(Json::obj([
             ("ok", Json::Bool(true)),
             ("id", Json::from(id)),
@@ -181,21 +191,27 @@ impl ServeSession {
     }
 
     /// The instance `request` names, unless it has failed.
-    fn instance(&mut self, request: &Json) -> Result<&mut ShardedCluster, String> {
+    fn instance(&mut self, request: &Json) -> Result<&mut Hosted, String> {
         let id = instance_id(request);
-        let cluster = self
+        let hosted = self
             .instances
             .get_mut(&id)
             .ok_or_else(|| format!("no open instance {id:?}"))?;
-        unfailed(&id, cluster)?;
-        Ok(cluster)
+        unfailed(&id, &hosted.cluster)?;
+        Ok(hosted)
     }
 
     fn crash(&mut self, request: &Json) -> Result<Json, String> {
         let node = node_field(request)?;
-        let cluster = self.instance(request)?;
+        let Hosted { cluster, topology } = self.instance(request)?;
         if !cluster.graph().contains(node) {
             return Err(format!("{node} is not in the topology"));
+        }
+        // The kill reads `node`'s row on this thread. A mapped file's rows
+        // are not all checked at `open`, which stays O(1); an unsound one
+        // is refused here instead of panicking the session.
+        if cluster.graph().checked_neighbors(node).is_none() {
+            return Err(format!("{node}'s adjacency row in {topology} is corrupt"));
         }
         cluster.kill(node);
         Ok(Json::obj([
@@ -207,7 +223,7 @@ impl ServeSession {
     fn await_quiet(&mut self, request: &Json) -> Result<Json, String> {
         let timeout = duration_field(request, "timeout_ms", 30_000)?;
         let id = instance_id(request);
-        let cluster = self.instance(request)?;
+        let cluster = &self.instance(request)?.cluster;
         let quiescent = cluster.await_quiescence(timeout);
         // A failure during the wait is what ended it.
         unfailed(&id, cluster)?;
@@ -221,7 +237,7 @@ impl ServeSession {
 
     fn read(&mut self, request: &Json) -> Result<Json, String> {
         let node = node_field(request)?;
-        let cluster = self.instance(request)?;
+        let cluster = &self.instance(request)?.cluster;
         if !cluster.graph().contains(node) {
             return Err(format!("{node} is not in the topology"));
         }
@@ -245,7 +261,7 @@ impl ServeSession {
 
     fn status(&mut self, request: &Json) -> Result<Json, String> {
         let id = instance_id(request);
-        let cluster = self.instance(request)?;
+        let cluster = &self.instance(request)?.cluster;
         let killed: Vec<Json> = cluster
             .killed()
             .iter()
@@ -266,18 +282,18 @@ impl ServeSession {
 
     fn close(&mut self, request: &Json) -> Result<Json, String> {
         let id = instance_id(request);
-        let cluster = self
+        let hosted = self
             .instances
             .remove(&id)
             .ok_or_else(|| format!("no open instance {id:?}"))?;
-        close_report(id, cluster)
+        close_report(id, hosted.cluster)
     }
 
     fn shutdown_all(&mut self) -> Result<Json, String> {
         let mut closed = Vec::new();
         let mut all_consistent = true;
-        for (id, cluster) in std::mem::take(&mut self.instances) {
-            let report = close_report(id.clone(), cluster);
+        for (id, hosted) in std::mem::take(&mut self.instances) {
+            let report = close_report(id.clone(), hosted.cluster);
             all_consistent &=
                 report.is_ok_and(|r| r.get("consistent").and_then(Json::as_bool) == Some(true));
             closed.push(Json::from(id));
@@ -378,6 +394,12 @@ mod tests {
         let v = Json::parse(response).expect("response parses");
         assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false));
         v.get("error").and_then(Json::as_str).unwrap().to_owned()
+    }
+
+    /// Hosts a cluster built by the test as instance `id`.
+    fn host(s: &mut ServeSession, id: &str, cluster: ShardedCluster) {
+        let topology = "a test's own graph".into();
+        s.instances.insert(id.into(), Hosted { cluster, topology });
     }
 
     #[test]
@@ -501,7 +523,7 @@ mod tests {
 
         let mut s = ServeSession::default();
         let (cluster, entered, release) = held_cluster(torus(GridDims::square(4)), 2);
-        s.instances.insert("default".into(), cluster);
+        host(&mut s, "default", cluster);
 
         // Never crashed: quiescent, and no window to sit out.
         assert_does_not_sleep("await on an idle instance", || {
@@ -545,7 +567,7 @@ mod tests {
                 precipice_core::NodeIdValuePolicy
             },
         );
-        s.instances.insert("a".into(), exploding);
+        host(&mut s, "a", exploding);
         ok(&s.handle_line(r#"{"cmd":"open","id":"b","topology":"torus:4"}"#));
         ok(&s.handle_line(r#"{"cmd":"crash","id":"a","node":9}"#));
         ok(&s.handle_line(r#"{"cmd":"crash","id":"b","node":9}"#));
@@ -582,10 +604,14 @@ mod tests {
             1,
             |_me| -> precipice_core::NodeIdValuePolicy { panic!("no policy today") },
         );
-        s.instances.insert("a".into(), exploding);
+        host(&mut s, "a", exploding);
         ok(&s.handle_line(r#"{"cmd":"open","id":"b","topology":"path:3"}"#));
         // Not awaited: the panic happens while `shutdown` drains.
-        s.instances.get_mut("a").expect("inserted").kill(NodeId(1));
+        s.instances
+            .get_mut("a")
+            .expect("inserted")
+            .cluster
+            .kill(NodeId(1));
         let down = ok(&s.handle_line(r#"{"cmd":"shutdown"}"#));
         assert_eq!(down.get("consistent").and_then(Json::as_bool), Some(false));
         assert_eq!(
@@ -594,6 +620,55 @@ mod tests {
                 .map(<[Json]>::len),
             Some(2)
         );
+    }
+
+    /// A mapped `torus:32` whose offset 513 is zeroed opens (open checks
+    /// the endpoints only), but node 512's row is an inverted range.
+    /// Crashing 512 reads that row on the session's thread: refused by
+    /// name. Crashing its neighbour 480 reads it first in 512's handler:
+    /// that instance fails through the caught panic, and the session and
+    /// its other instances carry on.
+    #[test]
+    fn a_corrupt_row_is_refused_or_fails_only_its_instance() {
+        let dir = std::env::temp_dir().join(format!("precipice-serve-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("torus32-bad-row.pcsr");
+        torus(GridDims::square(32)).write_pcsr(&file).unwrap();
+        let mut bytes = std::fs::read(&file).unwrap();
+        let section = u64::from_le_bytes(bytes[40..48].try_into().unwrap()) as usize;
+        bytes[section + 4 * 513..section + 4 * 514].fill(0);
+        std::fs::write(&file, &bytes).unwrap();
+
+        let mut s = ServeSession::new(1);
+        let topology = format!("pcsr:{}", file.display());
+        for id in ["a", "b"] {
+            let line = format!(r#"{{"cmd":"open","id":"{id}","topology":"{topology}"}}"#);
+            ok(&s.handle_line(&line));
+        }
+        let why = fail(&s.handle_line(r#"{"cmd":"crash","id":"a","node":512}"#));
+        assert!(why.contains("n512"), "{why}");
+        assert!(why.contains("torus32-bad-row.pcsr"), "{why}");
+        let status = ok(&s.handle_line(r#"{"cmd":"status","id":"a"}"#));
+        assert_eq!(
+            status
+                .get("killed")
+                .and_then(Json::as_array)
+                .map(<[Json]>::len),
+            Some(0)
+        );
+
+        ok(&s.handle_line(r#"{"cmd":"crash","id":"b","node":480}"#));
+        let why = fail(&s.handle_line(r#"{"cmd":"await","id":"b","timeout_ms":20000}"#));
+        assert!(why.contains(r#"instance "b" failed"#), "{why}");
+        // Instance a still agrees on a cliff away from the bad row.
+        ok(&s.handle_line(r#"{"cmd":"crash","id":"a","node":100}"#));
+        let waited = ok(&s.handle_line(r#"{"cmd":"await","id":"a","timeout_ms":20000}"#));
+        assert_eq!(waited.get("quiescent").and_then(Json::as_bool), Some(true));
+        let closed = ok(&s.handle_line(r#"{"cmd":"close","id":"a"}"#));
+        assert_eq!(closed.get("consistent").and_then(Json::as_bool), Some(true));
+        assert_eq!(closed.get("decisions").and_then(Json::as_u64), Some(4));
+        fail(&s.handle_line(r#"{"cmd":"close","id":"b"}"#));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -16,8 +16,14 @@
 //!   run) the first time an event addressed to it is popped — exactly
 //!   like the sim's lazy process table. A 10⁶-node topology with one
 //!   crashed node allocates state for the border only.
-//! - **MPSC rings.** Cross-shard traffic flows over one [`Ring`] per
-//!   shard (see [`ring`](crate::ring)).
+//! - **Node slots.** A shard keeps the nodes it has touched as the
+//!   simulator's run slot does: a [`MiniMap`] from node id into a slab
+//!   of slots, each holding the node (once activated) and a `crashed`
+//!   flag. A node killed before it ever activated gets a tombstone slot.
+//! - **Local queue, MPSC rings.** An event a handler addresses to a
+//!   node of its own shard goes on that shard's local queue, beside the
+//!   node table; cross-shard traffic and the control thread's kills flow
+//!   over one [`Ring`] per shard (see [`ring`](crate::ring)).
 //! - **One outstanding-event counter.** The kill-switch quiescence
 //!   oracle is one atomic shared by all shards (see *Quiescence*
 //!   below): zero ⇒ quiescent, exactly, and
@@ -34,10 +40,15 @@
 //! never forces activation), dynamic monitors are recorded only for
 //! non-neighbours, and a kill notifies `neighbours(q) ∪ dynamic(q)`
 //! exactly once per (observer, target) pair, in ascending node order.
-//! The [`Router`] here holds the detector behind one lock and routes
-//! what it decides. A multicast does not consult it: every copy is
-//! routed, and one addressed to a dead node is dropped where it is
-//! handled, as the simulator drops it at delivery.
+//! The [`Router`] here holds the detector behind one lock, beside a
+//! crash log of every kill in kill order, and routes what it decides.
+//! Handling an event takes that lock only when the log has grown since
+//! the shard last looked (an atomic holds its length): the shard then
+//! copies its own new crashes into its slots. A multicast does not
+//! consult the detector: every copy is routed, and one addressed to a
+//! dead node is dropped where it is handled, as the simulator drops it
+//! at delivery. Nor does a monitor of graph neighbours only — `Init`'s
+//! — which the static rule already covers.
 //!
 //! # The pool
 //!
@@ -55,12 +66,13 @@
 //! - A producer ([`Router::release`]) pushes the event, then swaps the
 //!   flag to `true`; if it was `false`, that producer hands worker `i`
 //!   one token (`Arc<dyn Tenant>`, shard).
-//! - The worker holding a token pops the shard's ring without blocking.
-//!   After [`DRAIN_BATCH`] events it puts the token at the back of its
-//!   token ring, so a storm on one instance delays a neighbour by a
-//!   batch, not by the storm. On an empty ring it stores `false`, looks
-//!   at the ring once more, and retires the token unless the ring is
-//!   non-empty *and* it wins the flag back.
+//! - The worker holding a token pops the shard's local queue, and when
+//!   that is empty its ring, without blocking. After [`DRAIN_BATCH`]
+//!   events it puts the token at the back of its token ring, so a storm
+//!   on one instance delays a neighbour by a batch, not by the storm.
+//!   With both empty it stores `false`, looks at the ring once more, and
+//!   retires the token unless the ring is non-empty *and* it wins the
+//!   flag back.
 //!
 //! No event is stranded: every flag access is `SeqCst` and the ring's
 //! mutex orders the push against the second look. A producer that read
@@ -70,14 +82,19 @@
 //! `false → true`, and the winner owns a token. Only the winner of that
 //! edge makes a token, and all tokens for shard `i` go to worker `i`,
 //! so a shard has one consumer at a time and its node-table lock is
-//! never contended.
+//! never contended. Nor is a local event stranded: only a handler of
+//! the shard, inside a turn, pushes one, and a turn ends either with
+//! the local queue empty or at the batch bound, with its token queued
+//! again and the local queue kept in the node table for the next turn.
 //!
 //! A handler runs under `catch_unwind`. A panic — a policy's, in
 //! practice — fails *that instance*: the message is kept for
 //! [`ShardedCluster::failure`](crate::ShardedCluster::failure), the
 //! instance's rings are closed so later posts are refused, and what is
 //! still queued — the outputs the handler routed before it panicked
-//! among them — is discharged unhandled, so a waiter wakes. The worker
+//! among them — is discharged unhandled, so a waiter wakes. The shard's
+//! local queue is cleared on the spot: its events were never charged,
+//! and the token that covers them is discharged as usual. The worker
 //! and its other tenants carry on. The panic is caught inside the
 //! node-table guard's scope, so that lock is not poisoned; the locks a
 //! handler takes further in can be, and every lock of an instance is
@@ -95,6 +112,11 @@
 //!
 //! - an event is **charged before it is pushed** to a ring, so it is
 //!   counted before any consumer can see it;
+//! - a **local event is covered by the token's charge** instead: it is
+//!   pushed by a handler inside a turn, whose token is charged, and the
+//!   worker discharges that token only once both the ring and the local
+//!   queue are empty (or carries it over, local queue and all, at the
+//!   batch bound);
 //! - it is **discharged only after its handler has returned**, and
 //!   every post that handler made has itself been charged — the count
 //!   cannot dip to zero between a handler's outputs and its
@@ -107,11 +129,11 @@
 //!
 //! A single counter rather than one per shard: a reader summing
 //! per-shard counters one after another can see each at zero while an
-//! event hops between them, and every handled event already takes the
-//! failure-detector lock to read the crashed set, so the shared cache
-//! line costs nothing new. Gated runs park posts in the gate
-//! *uncharged*; there zero means "the one released event has been
-//! handled".
+//! event hops between them. Same-shard events do not touch it at all,
+//! so the shared cache line is paid per cross-shard event and per turn.
+//! Gated runs park posts in the gate *uncharged* — a gated handler's
+//! outputs never take the local queue — and there zero means "the one
+//! released event has been handled".
 //!
 //! # Retirement
 //!
@@ -141,20 +163,22 @@
 //!
 //! # Lock order
 //!
-//! A shard's node-table lock (held for a whole turn), then `fd` (the
-//! router's [`FailureDetector`] mutex, taken once per handled event and
-//! once per monitor — a multicast takes none), then the gate's lock
-//! (also taken by a decision, to read the release clock); the
-//! policy-factory and decisions locks are taken under the node-table
-//! lock and hold nothing; ring mutexes — event rings and token rings
-//! alike — and the pool's worker list are leaves. Nothing takes `fd`
-//! while holding a ring or gate lock, and the detector itself calls
-//! back into nothing.
+//! A shard's node-table lock (held for a whole turn; it also guards the
+//! local queue), then `fd` (the router's [`FailureDetector`] and crash
+//! log mutex: taken by a kill, which appends to the log; by a handler
+//! that finds the log grown, to copy its shard's new crashes; and by a
+//! monitor of a non-neighbour — a multicast takes none), then the
+//! gate's lock (also taken by a decision, to read the release clock);
+//! the policy-factory and decisions locks are taken under the
+//! node-table lock and hold nothing; ring mutexes — event rings and
+//! token rings alike — and the pool's worker list are leaves. Nothing
+//! takes `fd` while holding a ring or gate lock, and the detector
+//! itself calls back into nothing.
 
 use std::any::Any;
-use std::collections::{btree_map, BTreeMap};
+use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -163,6 +187,7 @@ use precipice_core::{
     CliffEdgeNode, DecisionPolicy, Event, FailureDetector, Host, Message, ProtocolConfig, View,
 };
 use precipice_graph::{Graph, NodeId};
+use precipice_sim::MiniMap;
 
 use crate::gate::Gate;
 use crate::quiesce::Outstanding;
@@ -367,9 +392,13 @@ pub(crate) struct Router<V> {
     /// Events and tokens charged and not yet discharged, across all
     /// shards.
     pub(crate) outstanding: Arc<Outstanding>,
-    /// The failure detector, graph-backed over `graph`, shared by all
-    /// shards.
-    fd: Mutex<FailureDetector>,
+    /// The failure detector, graph-backed over `graph`, and the kills in
+    /// kill order, shared by all shards.
+    fd: Mutex<Detector>,
+    /// The length of `fd`'s crash log, stored (`Release`) after each
+    /// append and loaded (`Acquire`) by every handled event: a handler
+    /// that finds it unchanged takes no lock.
+    crashes: AtomicUsize,
     /// When set, posts are parked here instead of entering the rings —
     /// the delivery gate for schedule exploration.
     gate: Option<Arc<Gate<V>>>,
@@ -387,7 +416,11 @@ impl<V: Clone + precipice_core::WireSize> Router<V> {
         let shards = workers.len();
         let range = graph.len().div_ceil(shards).max(1);
         Router {
-            fd: Mutex::new(FailureDetector::with_static_graph(Arc::clone(&graph))),
+            fd: Mutex::new(Detector {
+                fd: FailureDetector::with_static_graph(Arc::clone(&graph)),
+                log: Vec::new(),
+            }),
+            crashes: AtomicUsize::new(0),
             graph,
             shards,
             range,
@@ -410,15 +443,14 @@ impl<V: Clone + precipice_core::WireSize> Router<V> {
         ((node.0 as usize) / self.range).min(self.shards - 1)
     }
 
-    pub(crate) fn is_crashed(&self, node: NodeId) -> bool {
-        lock(&self.fd).is_crashed(node)
-    }
-
-    /// Routes `event` towards its owner: charges and enqueues it, or
-    /// parks it in the gate when one is installed.
-    fn route(&self, event: ShardEvent<V>) {
+    /// Routes `event` towards its owner: parks it in the gate when one is
+    /// installed, queues it on `local` when that is its owner's queue,
+    /// and otherwise charges and enqueues it on its owner's ring.
+    fn route(&self, event: ShardEvent<V>, local: Option<&mut Local<'_, V>>) {
         if let Some(gate) = &self.gate {
             gate.park(event);
+        } else if let Some(local) = local.filter(|l| self.shard_of(event.to()) == l.shard) {
+            local.queue.push_back(event);
         } else {
             self.release(event);
         }
@@ -446,7 +478,8 @@ impl<V: Clone + precipice_core::WireSize> Router<V> {
     }
 
     /// Closes every ring: queued events still drain, later posts are
-    /// refused and discharged on the spot.
+    /// refused and discharged on the spot. A handler's same-shard
+    /// outputs take no ring, so they drain with the turn that made them.
     pub(crate) fn close(&self) {
         for ring in &self.rings {
             ring.close();
@@ -458,20 +491,28 @@ impl<V: Clone + precipice_core::WireSize> Router<V> {
     /// taking `message` itself. A copy for a dead recipient is dropped
     /// where it is handled, as the simulator drops it at delivery, so no
     /// detector lock is taken here.
-    fn multicast(&self, from: NodeId, recipients: &[NodeId], message: Arc<Message<V>>) {
+    fn multicast(
+        &self,
+        from: NodeId,
+        recipients: &[NodeId],
+        message: Arc<Message<V>>,
+        mut local: Option<&mut Local<'_, V>>,
+    ) {
         let size = message.wire_size() as u64;
         let Some((&last, rest)) = recipients.split_last() else {
             return;
         };
         for &to in rest {
             let message = Arc::clone(&message);
-            self.route(ShardEvent::Deliver { to, from, message });
+            let copy = ShardEvent::Deliver { to, from, message };
+            self.route(copy, local.as_deref_mut());
         }
-        self.route(ShardEvent::Deliver {
+        let copy = ShardEvent::Deliver {
             to: last,
             from,
             message,
-        });
+        };
+        self.route(copy, local);
         let sent = recipients.len() as u64;
         let counters = &self.counters;
         counters.messages_sent.fetch_add(sent, Ordering::Relaxed);
@@ -481,30 +522,47 @@ impl<V: Clone + precipice_core::WireSize> Router<V> {
     }
 
     /// `observer` asks to monitor `targets`, under one fd lock; each
-    /// target already dead is notified now, in `targets` order.
-    fn monitor(&self, observer: NodeId, targets: &[NodeId]) {
-        let mut fd = lock(&self.fd);
+    /// target already dead is notified now, in `targets` order. Targets
+    /// that are all graph neighbours of `observer` — `Init`'s monitor —
+    /// take no lock: the detector covers them statically, and
+    /// subscribing to a covered pair is a no-op before and after the
+    /// crash (see [`FailureDetector::subscribe`]).
+    fn monitor(&self, observer: NodeId, targets: &[NodeId], mut local: Option<&mut Local<'_, V>>) {
+        let row = self.graph.neighbors(observer);
+        if targets.iter().all(|t| row.binary_search(t).is_ok()) {
+            return;
+        }
+        let mut detector = lock(&self.fd);
         for &target in targets {
-            if fd.subscribe(observer, target) {
-                self.notify(observer, target);
+            if detector.fd.subscribe(observer, target) {
+                self.notify(observer, target, local.as_deref_mut());
             }
         }
     }
 
-    /// Marks `q` crashed and notifies its observers (see
-    /// [`FailureDetector::record_crash`]); a no-op if `q` was already
-    /// dead.
+    /// Marks `q` crashed, appends it to the crash log and notifies its
+    /// observers (see [`FailureDetector::record_crash`]); a no-op if `q`
+    /// was already dead. The log's new length is published before any
+    /// notification is routed, so every handler that an event caused by
+    /// this kill reaches sees `q` dead.
     pub(crate) fn kill(&self, q: NodeId) {
-        let mut fd = lock(&self.fd);
-        for observer in fd.record_crash(q) {
-            self.notify(observer, q);
+        let mut detector = lock(&self.fd);
+        let Detector { fd, log } = &mut *detector;
+        if fd.is_crashed(q) {
+            return;
+        }
+        let observers = fd.record_crash(q);
+        log.push(q);
+        self.crashes.store(log.len(), Ordering::Release);
+        for observer in observers {
+            self.notify(observer, q, None);
         }
     }
 
     /// Routes one crash notification. Called with the fd lock held.
-    fn notify(&self, to: NodeId, crashed: NodeId) {
+    fn notify(&self, to: NodeId, crashed: NodeId, local: Option<&mut Local<'_, V>>) {
         self.counters.notifications.fetch_add(1, Ordering::Relaxed);
-        self.route(ShardEvent::Notify { to, crashed });
+        self.route(ShardEvent::Notify { to, crashed }, local);
     }
 
     /// The gate's release clock (0 outside gated runs).
@@ -528,7 +586,77 @@ impl<V: Clone + precipice_core::WireSize> Router<V> {
 /// A decision as the shards record it: view, value, release step.
 type DecisionCell<V> = BTreeMap<NodeId, (View, V, u64)>;
 
-type ShardNodes<P> = BTreeMap<NodeId, CliffEdgeNode<Arc<Graph>, P>>;
+/// The router's failure detector and its crash log: every kill, in kill
+/// order, for the shards to copy into their node slots.
+struct Detector {
+    fd: FailureDetector,
+    log: Vec<NodeId>,
+}
+
+/// Where a handler's same-shard outputs go: the shard being drained and
+/// its local queue.
+struct Local<'a, V> {
+    shard: usize,
+    queue: &'a mut VecDeque<ShardEvent<V>>,
+}
+
+/// One node a shard has touched, as the simulator's run slot keeps it.
+pub(crate) struct NodeSlot<P: DecisionPolicy> {
+    pub(crate) id: NodeId,
+    /// `None` for a tombstone: a node killed before it was activated.
+    pub(crate) node: Option<CliffEdgeNode<Arc<Graph>, P>>,
+    crashed: bool,
+}
+
+/// What one shard owns, behind its lock: the slots of the nodes it has
+/// touched, the events its own handlers addressed to it, and how much of
+/// the router's crash log it has copied into its slots.
+pub(crate) struct ShardTable<P: DecisionPolicy> {
+    /// Node id → index into `slots`.
+    index: MiniMap,
+    pub(crate) slots: Vec<NodeSlot<P>>,
+    /// Same-shard events, uncharged: the turn's token covers them (see
+    /// *Quiescence* in the [module docs](self)).
+    local: VecDeque<ShardEvent<P::Value>>,
+    crashes_seen: usize,
+}
+
+impl<P: DecisionPolicy> Default for ShardTable<P> {
+    fn default() -> Self {
+        ShardTable {
+            index: MiniMap::new(),
+            slots: Vec::new(),
+            local: VecDeque::new(),
+            crashes_seen: 0,
+        }
+    }
+}
+
+impl<P: DecisionPolicy> ShardTable<P> {
+    /// Copies the crash log's new entries that `shard` owns into slots:
+    /// a touched node's slot is flagged, an untouched one gets a
+    /// tombstone.
+    fn take_crashes(&mut self, router: &Router<P::Value>, shard: usize) {
+        let detector = lock(&router.fd);
+        for &q in &detector.log[self.crashes_seen..] {
+            if router.shard_of(q) != shard {
+                continue;
+            }
+            match self.index.get(u64::from(q.0)) {
+                Some(i) => self.slots[i as usize].crashed = true,
+                None => {
+                    self.index.insert(u64::from(q.0), self.slots.len() as u32);
+                    self.slots.push(NodeSlot {
+                        id: q,
+                        node: None,
+                        crashed: true,
+                    });
+                }
+            }
+        }
+        self.crashes_seen = detector.log.len();
+    }
+}
 
 /// One agreement instance: everything a tenant of the pool owns.
 pub(crate) struct Instance<P: DecisionPolicy> {
@@ -539,7 +667,7 @@ pub(crate) struct Instance<P: DecisionPolicy> {
     pub(crate) decisions: Mutex<DecisionCell<P::Value>>,
     /// Per-shard node tables. Worker `i` holds lock `i` for a turn and
     /// `shutdown` reads it after retirement; it is never contended.
-    pub(crate) nodes: Vec<Mutex<ShardNodes<P>>>,
+    pub(crate) nodes: Vec<Mutex<ShardTable<P>>>,
     /// The first handler panic's message; set once, then nothing more
     /// is handled.
     pub(crate) failed: OnceLock<String>,
@@ -568,24 +696,40 @@ where
         })
     }
 
-    /// Pop-side of the event loop for one event: activate on demand,
-    /// then drive the node with the live runtime as its host.
-    fn handle(&self, event: ShardEvent<P::Value>, nodes: &mut ShardNodes<P>) {
+    /// Pop-side of the event loop for one event of `shard`: drop it if
+    /// its target is dead, activate the target on demand, then drive it
+    /// with the live runtime as its host.
+    fn handle(&self, shard: usize, event: ShardEvent<P::Value>, table: &mut ShardTable<P>) {
         let router = &self.router;
         let to = event.to();
         router.counters.events.fetch_add(1, Ordering::Relaxed);
-        if router.is_crashed(to) {
-            router.counters.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
+        if router.crashes.load(Ordering::Acquire) != table.crashes_seen {
+            table.take_crashes(router, shard);
         }
+        let ShardTable {
+            index,
+            slots,
+            local,
+            ..
+        } = table;
         let mut host = LiveHost {
             me: to,
             router,
+            local: Local {
+                shard,
+                queue: local,
+            },
             decisions: &self.decisions,
         };
-        let node = match nodes.entry(to) {
-            btree_map::Entry::Occupied(entry) => entry.into_mut(),
-            btree_map::Entry::Vacant(entry) => {
+        let key = u64::from(to.0);
+        let slot = match index.get(key) {
+            // Every dead node of this shard has a slot by now.
+            Some(i) if slots[i as usize].crashed => {
+                router.counters.dropped.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+            Some(i) => i as usize,
+            None => {
                 // First event for this node: build it and run Init before
                 // the event itself — the protocol requires Init first, and
                 // its neighbourhood monitor is free under graph-backed FD.
@@ -594,9 +738,19 @@ where
                 let mut node =
                     CliffEdgeNode::new(to, Arc::clone(router.graph()), policy, self.config);
                 node.drive(Event::Init, &mut host);
-                entry.insert(node)
+                index.insert(key, slots.len() as u32);
+                slots.push(NodeSlot {
+                    id: to,
+                    node: Some(node),
+                    crashed: false,
+                });
+                slots.len() - 1
             }
         };
+        let node = slots[slot]
+            .node
+            .as_mut()
+            .expect("a live slot holds its node");
         match event {
             ShardEvent::Deliver { from, message, .. } => {
                 router.counters.delivered.fetch_add(1, Ordering::Relaxed);
@@ -628,25 +782,38 @@ where
     fn drain(&self, shard: usize) -> bool {
         let router = &self.router;
         let (ring, scheduled) = (&router.rings[shard], &router.scheduled[shard]);
-        let mut nodes = lock(&self.nodes[shard]);
+        let mut table = lock(&self.nodes[shard]);
         for _ in 0..DRAIN_BATCH {
-            let Some(event) = ring.try_pop() else {
-                // Give the flag up, then look once more: a producer that
-                // pushed since the pop read `true` and scheduled nothing.
-                scheduled.store(false, Ordering::SeqCst);
-                if ring.queued() == 0 || scheduled.swap(true, Ordering::SeqCst) {
-                    return false;
-                }
-                continue;
+            // Local events first; only a ring event was charged.
+            let (event, charged) = match table.local.pop_front() {
+                Some(event) => (event, false),
+                None => match ring.try_pop() {
+                    Some(event) => (event, true),
+                    None => {
+                        // Give the flag up, then look once more: a producer
+                        // that pushed since the pop read `true` and
+                        // scheduled nothing.
+                        scheduled.store(false, Ordering::SeqCst);
+                        if ring.queued() == 0 || scheduled.swap(true, Ordering::SeqCst) {
+                            return false;
+                        }
+                        continue;
+                    }
+                },
             };
             if self.failed.get().is_none() {
-                // Caught below the guard on `nodes`, which stays clean.
-                let handled = catch_unwind(AssertUnwindSafe(|| self.handle(event, &mut nodes)));
+                // Caught below the guard on `table`, which stays clean.
+                let handled =
+                    catch_unwind(AssertUnwindSafe(|| self.handle(shard, event, &mut table)));
                 if let Err(panic) = handled {
                     self.fail(panic);
+                    // Uncharged, and never to be handled.
+                    table.local.clear();
                 }
             }
-            router.outstanding.done();
+            if charged {
+                router.outstanding.done();
+            }
         }
         true
     }
@@ -660,16 +827,18 @@ where
 struct LiveHost<'a, V> {
     me: NodeId,
     router: &'a Router<V>,
+    local: Local<'a, V>,
     decisions: &'a Mutex<DecisionCell<V>>,
 }
 
 impl<V: Clone + precipice_core::WireSize> Host<V> for LiveHost<'_, V> {
     fn monitor(&mut self, targets: &[NodeId]) {
-        self.router.monitor(self.me, targets);
+        self.router.monitor(self.me, targets, Some(&mut self.local));
     }
 
     fn multicast(&mut self, recipients: &[NodeId], message: Arc<Message<V>>) {
-        self.router.multicast(self.me, recipients, message);
+        let local = Some(&mut self.local);
+        self.router.multicast(self.me, recipients, message, local);
     }
 
     fn decide(&mut self, view: &View, value: &V) {
@@ -899,9 +1068,11 @@ mod tests {
         // One allocation per multicast, which every copy shares.
         let sent = [Arc::new(message.clone()), Arc::new(message.clone())];
         let recipients = [1, 2, 3, 4, 5].map(NodeId);
-        router.multicast(NodeId(0), &recipients, Arc::clone(&sent[0]));
+        // From outside a handler, so every copy takes the ring.
+        router.multicast(NodeId(0), &recipients, Arc::clone(&sent[0]), None);
         // The last recipient is dead: the moved message is routed too.
-        router.multicast(NodeId(1), &[NodeId(3), NodeId(4)], Arc::clone(&sent[1]));
+        let last_dead = [NodeId(3), NodeId(4)];
+        router.multicast(NodeId(1), &last_dead, Arc::clone(&sent[1]), None);
 
         let counters = router.snapshot();
         assert_eq!(counters.dropped, 0, "nothing handled yet");
@@ -947,7 +1118,7 @@ mod tests {
         // Queue the dead copies again, discharge the rest unhandled, and
         // take the shard's turn as its worker would.
         for event in queued {
-            if router.is_crashed(event.to()) {
+            if [NodeId(2), NodeId(4)].contains(&event.to()) {
                 assert!(router.rings[0].push(event));
             } else {
                 router.outstanding.done();
@@ -961,6 +1132,26 @@ mod tests {
         assert_eq!(counters.events, 3);
         assert_eq!((counters.delivered, counters.activations), (0, 0));
         assert_eq!(router.outstanding.get(), 0, "a dropped copy stayed charged");
+    }
+
+    /// On one shard every protocol copy is a same-shard event, so the
+    /// ring carries only the kills' 1024 notifications and never holds
+    /// more than its capacity; and the 256 tombstones of killed nodes
+    /// are not activations.
+    #[test]
+    fn a_one_shard_storm_never_spills() {
+        let lattice =
+            (0..16u32).flat_map(|r| (0..16).map(move |c| NodeId((4 * r + 1) * 64 + 4 * c + 1)));
+        let mut cluster =
+            ShardedCluster::start(torus(GridDims::square(64)), ProtocolConfig::default(), 1);
+        for q in lattice {
+            cluster.kill(q);
+        }
+        assert!(cluster.await_quiescence(TIMEOUT));
+        assert_eq!(cluster.spilled(), 0);
+        assert_eq!(cluster.decision_count(), 1024);
+        assert_eq!(cluster.activated(), 1024);
+        assert_eq!(cluster.shutdown().decisions.len(), 1024);
     }
 
     #[test]

@@ -96,5 +96,6 @@ pub use latency::LatencyModel;
 pub use metrics::{Metrics, NodeMetrics};
 pub use process::{Command, Context, MessageSize, Process};
 pub use sim::{RunOutcome, SimConfig, Simulation};
+pub use slot::MiniMap;
 pub use time::SimTime;
 pub use trace::{Trace, TraceEntry};

@@ -72,8 +72,13 @@ const NONE: u32 = u32::MAX;
 /// probing: the per-event node/channel lookups are the hottest
 /// operations in a run, and a SipHash-ed `HashMap` spends more time
 /// hashing the 8-byte key than probing. Insert-only between clears
-/// (values are stable slot indices), so there are no tombstones.
-pub(crate) struct MiniMap {
+/// (values are stable slot indices), so there are no tombstones. The
+/// live runtime's shards index their node slots with it too.
+///
+/// Keys must not be `u64::MAX`, the empty-bucket marker; node ids and
+/// packed `(from, to)` channel keys never are.
+#[derive(Debug)]
+pub struct MiniMap {
     slots: Vec<(u64, u32)>,
     len: usize,
 }
@@ -82,8 +87,15 @@ pub(crate) struct MiniMap {
 /// channel keys pack two 32-bit ids).
 const EMPTY: u64 = u64::MAX;
 
+impl Default for MiniMap {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl MiniMap {
-    pub(crate) fn new() -> Self {
+    /// An empty map of sixteen buckets.
+    pub fn new() -> Self {
         MiniMap {
             slots: vec![(EMPTY, 0); 16],
             len: 0,
@@ -101,8 +113,9 @@ impl MiniMap {
         ((key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize) & mask
     }
 
+    /// The value stored under `key`, if any.
     #[inline]
-    pub(crate) fn get(&self, key: u64) -> Option<u32> {
+    pub fn get(&self, key: u64) -> Option<u32> {
         let mask = self.slots.len() - 1;
         let mut i = Self::bucket(key, mask);
         loop {
@@ -118,7 +131,7 @@ impl MiniMap {
     }
 
     /// Inserts a key known to be absent.
-    pub(crate) fn insert(&mut self, key: u64, value: u32) {
+    pub fn insert(&mut self, key: u64, value: u32) {
         if (self.len + 1) * 4 >= self.slots.len() * 3 {
             self.grow();
         }
