@@ -81,10 +81,10 @@ pub fn torus_of(n: usize) -> Graph {
 /// least `n` nodes, streaming it to disk on first use.
 ///
 /// The cache lives under the system temp dir and is validated on every
-/// call (a corrupt or truncated file is rebuilt, not trusted), so
-/// experiment rows at sizes where an in-memory build would dominate —
-/// the 10⁸-node E4 row — pay the two-pass streaming build exactly once
-/// per machine and microseconds per subsequent open.
+/// call (a corrupt, truncated or older-format file is rebuilt, not
+/// trusted), so experiment rows at sizes where an in-memory build would
+/// dominate — the 10⁸-node E4 row — pay the two-pass streaming build
+/// exactly once per machine and microseconds per subsequent open.
 pub fn cached_torus_pcsr(n: usize) -> std::path::PathBuf {
     let side = (n as f64).sqrt().ceil().max(3.0) as usize;
     let dir = std::env::temp_dir().join("precipice-pcsr-cache");

@@ -129,7 +129,7 @@ impl Graph {
     /// results to the owned build it was written from. Labels are not
     /// persisted by the format, so the mapped graph is unlabeled.
     /// Validation is structural; call [`MappedGraph::verify`] separately
-    /// for the O(file) checksum walk.
+    /// for the O(file) checksum and row walk.
     pub fn open_pcsr(path: impl AsRef<Path>) -> Result<Self, StoreError> {
         let mapped = MappedGraph::open(path)?;
         Ok(Graph {

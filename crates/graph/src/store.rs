@@ -10,20 +10,18 @@
 //! `&[NodeId]` slices the owned representation exposes, so every kernel
 //! downstream (borders, BFS, ranking) is bit-identical on either storage.
 //!
-//! # Layout (version 1, all integers little-endian)
+//! # Layout (version 2, all integers little-endian)
 //!
 //! ```text
 //! 0    magic            8 bytes  b"PCSRGRPH"
-//! 8    version          u32      1
-//! 12   flags            u32      bit 0: dense hub rows present
+//! 8    version          u32      2
+//! 12   reserved         zeros to byte 16
 //! 16   n                u64      node count
 //! 24   edge_count       u64      undirected edges (CSR holds 2·E entries)
-//! 32   mask_words       u64      ⌈n/64⌉, the dense-row width
+//! 32   reserved         zeros to byte 40
 //! 40   offsets section  pos u64, len u64   (u32 entries, len = n + 1)
 //! 56   csr section      pos u64, len u64   (u32 entries, len = 2·E)
-//! 72   dense ids        pos u64, len u64   (u32 entries)
-//! 88   dense words      pos u64, len u64   (u64 entries)
-//! 104  reserved         zeros to byte 128
+//! 72   reserved         zeros to byte 128
 //! 128  sections, each starting at a 64-byte-aligned file offset
 //! end-8  checksum       u64      FNV-1a over bytes [128, end-8)
 //! ```
@@ -32,12 +30,11 @@
 //! every section slice-castable in place. The trailing checksum covers
 //! all section bytes (including alignment padding); [`MappedGraph::open`]
 //! validates the header and section geometry in O(1) and leaves the O(E)
-//! checksum walk to [`MappedGraph::verify`], keeping open latency
+//! checksum and row walk to [`MappedGraph::verify`], keeping open latency
 //! independent of file size. Node labels are not persisted — the format
 //! targets the generated experiment topologies, which are unlabeled.
-//! The dense hub rows (one `⌈n/64⌉`-word neighbour bitmask per node of
-//! degree ≥ `⌈n/64⌉`) are part of version 1: the writer emits them and
-//! `open` validates their geometry, though no kernel reads them.
+//! Reserved bytes are written as zeros and never read. Version 1 also
+//! carried dense hub rows that no kernel read; `open` refuses it.
 //!
 //! # Streaming builds
 //!
@@ -48,27 +45,36 @@
 //! takes the E-series to 10⁸ nodes.
 
 use std::fmt;
-use std::fs::File;
-use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
+use std::fs::{self, File};
+use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::mmap::{as_node_ids, as_u32s, Mmap};
-use crate::nodeset::words_for;
 use crate::{Graph, NodeId};
 
 /// File magic, byte 0.
 pub(crate) const MAGIC: [u8; 8] = *b"PCSRGRPH";
 /// Current format version.
-pub(crate) const VERSION: u32 = 1;
+pub(crate) const VERSION: u32 = 2;
 /// Fixed header size; the first section starts here.
 pub(crate) const HEADER_LEN: u64 = 128;
 /// Section alignment, in bytes.
 const ALIGN: u64 = 64;
-/// `flags` bit 0: the dense hub-row sections are non-empty.
-const FLAG_DENSE: u32 = 1;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a of `bytes`, continuing from `hash` ([`FNV_OFFSET`] to start).
+///
+/// `#[inline]` because the writer's generic `put` is instantiated in the
+/// caller's crate and calls it once per 4-byte value.
+#[inline]
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
 
 /// Errors opening, validating, or writing a `.pcsr` file.
 ///
@@ -108,7 +114,8 @@ pub enum StoreError {
         /// Checksum of the bytes actually present.
         found: u64,
     },
-    /// Header fields contradict each other or the section contents.
+    /// Header fields contradict each other or the section contents, or
+    /// a row breaks the adjacency contract.
     Inconsistent {
         /// Human-readable description of the contradiction.
         detail: String,
@@ -124,9 +131,11 @@ impl fmt::Display for StoreError {
                 "not a .pcsr file: magic {:02x?} (expected {:02x?})",
                 found, MAGIC
             ),
-            StoreError::UnsupportedVersion { found } => {
-                write!(f, "unsupported .pcsr version {found} (this build reads {VERSION})")
-            }
+            StoreError::UnsupportedVersion { found } => write!(
+                f,
+                "unsupported .pcsr version {found} (this build reads {VERSION}; \
+                 rebuild the file with `precipice graph build`)"
+            ),
             StoreError::Truncated { detail } => write!(f, "truncated .pcsr file: {detail}"),
             StoreError::Misaligned { section, pos } => write!(
                 f,
@@ -136,9 +145,7 @@ impl fmt::Display for StoreError {
                 f,
                 "checksum mismatch: file records {expected:#018x}, contents hash to {found:#018x}"
             ),
-            StoreError::Inconsistent { detail } => {
-                write!(f, "inconsistent .pcsr header: {detail}")
-            }
+            StoreError::Inconsistent { detail } => write!(f, "inconsistent .pcsr file: {detail}"),
         }
     }
 }
@@ -165,8 +172,6 @@ pub struct StoreSummary {
     pub n: usize,
     /// Undirected edge count.
     pub edge_count: usize,
-    /// Dense hub rows persisted.
-    pub dense_rows: usize,
     /// Total file size in bytes.
     pub file_bytes: u64,
 }
@@ -188,9 +193,7 @@ impl<W: Write> HashingWriter<W> {
     }
 
     fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
-        for &b in bytes {
-            self.hash = (self.hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
+        self.hash = fnv1a(self.hash, bytes);
         self.written += bytes.len() as u64;
         self.inner.write_all(bytes)
     }
@@ -206,27 +209,6 @@ impl<W: Write> HashingWriter<W> {
     }
 }
 
-/// FNV-1a of a byte stream, chunked (the verify path).
-fn fnv1a_of_reader<R: Read>(mut r: R, mut remaining: u64) -> io::Result<u64> {
-    let mut hash = FNV_OFFSET;
-    let mut buf = vec![0u8; 1 << 20];
-    while remaining > 0 {
-        let want = buf.len().min(remaining as usize);
-        let got = r.read(&mut buf[..want])?;
-        if got == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "file shrank during verify",
-            ));
-        }
-        for &b in &buf[..got] {
-            hash = (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-        remaining -= got as u64;
-    }
-    Ok(hash)
-}
-
 /// Writer for the `.pcsr` format.
 ///
 /// Two entry points: [`GraphStore::write`] persists an already-built
@@ -238,10 +220,8 @@ pub struct GraphStore;
 impl GraphStore {
     /// Writes `graph`'s adjacency to `path` as a `.pcsr` file.
     ///
-    /// Labels are not persisted (see the module docs). The dense
-    /// hub-row sections are recomputed from the adjacency with the same
-    /// degree rule the in-memory builder uses, so a write→open round
-    /// trip reproduces the owned representation bit for bit.
+    /// Labels are not persisted (see the module docs), so a write→open
+    /// round trip reproduces the owned CSR arrays bit for bit.
     pub fn write(graph: &Graph, path: impl AsRef<Path>) -> Result<StoreSummary, StoreError> {
         Self::write_rows(path, graph.len(), |p, out| {
             out.extend_from_slice(graph.neighbors(NodeId::from_index(p)));
@@ -254,19 +234,45 @@ impl GraphStore {
     /// (cleared by the caller before each invocation), **sorted
     /// ascending, without duplicates or self-loops, and symmetrically**
     /// (`q ∈ row(p)` ⇔ `p ∈ row(q)`). The function is called twice per
-    /// node — once to count degrees (which become the offsets section
-    /// and the dense-row plan) and once to emit the adjacency — so it
-    /// should be a pure function of `p`.
+    /// node — once to count degrees (which become the offsets section)
+    /// and once to emit the adjacency — so it should be a pure function
+    /// of `p`.
     ///
-    /// Peak memory is the write buffer plus the dense hub rows (empty on
-    /// bounded-degree topologies beyond trivial sizes): no O(E) edge
-    /// list, no in-memory CSR. A 10⁸-node torus streams in a few GB of
-    /// file through a ~1 MB buffer.
+    /// Peak memory is the write buffer: no O(E) edge list, no in-memory
+    /// CSR. A 10⁸-node torus streams in a few GB of file through a ~1 MB
+    /// buffer.
+    ///
+    /// The file is written under a sibling name unique to this write
+    /// (`<name>.<pid>-<k>.tmp`), synced, and renamed over `path`, so a
+    /// process that has `path` mapped keeps reading the old file intact;
+    /// on error the temporary file is removed and `path` is untouched.
     pub fn write_rows<F>(
         path: impl AsRef<Path>,
         n: usize,
-        mut row: F,
+        row: F,
     ) -> Result<StoreSummary, StoreError>
+    where
+        F: FnMut(usize, &mut Vec<NodeId>),
+    {
+        static WRITES: AtomicU64 = AtomicU64::new(0);
+        let path = path.as_ref();
+        let mut name = path.file_name().unwrap_or_default().to_os_string();
+        let k = WRITES.fetch_add(1, Ordering::Relaxed);
+        name.push(format!(".{}-{k}.tmp", std::process::id()));
+        let tmp = path.with_file_name(name);
+        let written = Self::write_file(&tmp, n, row).and_then(|summary| {
+            fs::rename(&tmp, path)?;
+            Ok(summary)
+        });
+        if written.is_err() {
+            // Best effort: the write's own error is the one to report.
+            let _ = fs::remove_file(&tmp);
+        }
+        written
+    }
+
+    /// The body of [`write_rows`](Self::write_rows): writes and syncs `path`.
+    fn write_file<F>(path: &Path, n: usize, mut row: F) -> Result<StoreSummary, StoreError>
     where
         F: FnMut(usize, &mut Vec<NodeId>),
     {
@@ -275,19 +281,16 @@ impl GraphStore {
                 detail: format!("n = {n} exceeds the u32 node-id space"),
             });
         }
-        let mask_words = words_for(n);
-        let file = File::create(path.as_ref())?;
+        let file = File::create(path)?;
         let mut buffered = BufWriter::with_capacity(1 << 20, file);
         // Placeholder header, not covered by the checksum; rewritten with
         // real values once the section geometry is known.
         buffered.write_all(&[0u8; HEADER_LEN as usize])?;
         let mut w = HashingWriter::new(buffered);
 
-        // Pass 1: degrees → running-prefix offsets, streamed out
-        // directly; note which nodes qualify for a dense hub row.
+        // Pass 1: degrees → running-prefix offsets, streamed out directly.
         let mut buf: Vec<NodeId> = Vec::new();
         let mut total: u64 = 0;
-        let mut dense_plan: Vec<u32> = Vec::new();
         let offsets_pos = HEADER_LEN;
         w.put(&0u32.to_le_bytes())?;
         for p in 0..n {
@@ -301,9 +304,6 @@ impl GraphStore {
                 });
             }
             w.put(&(total as u32).to_le_bytes())?;
-            if mask_words > 0 && buf.len() >= mask_words {
-                dense_plan.push(p as u32);
-            }
         }
         if !total.is_multiple_of(2) {
             return Err(StoreError::Inconsistent {
@@ -312,34 +312,14 @@ impl GraphStore {
         }
         let edge_count = (total / 2) as usize;
 
-        // Pass 2: adjacency rows, plus the dense hub rows accumulated on
-        // the side (bounded by 16·E bytes, same as the in-memory cache).
+        // Pass 2: adjacency rows.
         let csr_pos = w.pad_to_alignment()?;
-        let mut dense_words: Vec<u64> = Vec::with_capacity(dense_plan.len() * mask_words);
-        let mut dense_cursor = 0usize;
         for p in 0..n {
             buf.clear();
             row(p, &mut buf);
             for q in &buf {
                 w.put(&q.0.to_le_bytes())?;
             }
-            if dense_cursor < dense_plan.len() && dense_plan[dense_cursor] == p as u32 {
-                dense_cursor += 1;
-                let base = dense_words.len();
-                dense_words.resize(base + mask_words, 0);
-                for q in &buf {
-                    dense_words[base + q.index() / 64] |= 1 << (q.index() % 64);
-                }
-            }
-        }
-
-        let dense_ids_pos = w.pad_to_alignment()?;
-        for id in &dense_plan {
-            w.put(&id.to_le_bytes())?;
-        }
-        let dense_words_pos = w.pad_to_alignment()?;
-        for word in &dense_words {
-            w.put(&word.to_le_bytes())?;
         }
 
         // Trailing checksum, then rewind and fill in the real header.
@@ -349,20 +329,13 @@ impl GraphStore {
         let mut header = [0u8; HEADER_LEN as usize];
         header[0..8].copy_from_slice(&MAGIC);
         header[8..12].copy_from_slice(&VERSION.to_le_bytes());
-        let flags: u32 = if dense_plan.is_empty() { 0 } else { FLAG_DENSE };
-        header[12..16].copy_from_slice(&flags.to_le_bytes());
-        header[16..24].copy_from_slice(&(n as u64).to_le_bytes());
-        header[24..32].copy_from_slice(&(edge_count as u64).to_le_bytes());
-        header[32..40].copy_from_slice(&(mask_words as u64).to_le_bytes());
         for (at, value) in [
+            (16, n as u64),
+            (24, edge_count as u64),
             (40, offsets_pos),
             (48, n as u64 + 1),
             (56, csr_pos),
             (64, total),
-            (72, dense_ids_pos),
-            (80, dense_plan.len() as u64),
-            (88, dense_words_pos),
-            (96, dense_words.len() as u64),
         ] {
             header[at..at + 8].copy_from_slice(&value.to_le_bytes());
         }
@@ -377,13 +350,13 @@ impl GraphStore {
         Ok(StoreSummary {
             n,
             edge_count,
-            dense_rows: dense_plan.len(),
             file_bytes,
         })
     }
 }
 
-/// Row contract enforcement for [`GraphStore::write_rows`].
+/// The row contract of [`GraphStore::write_rows`], which
+/// [`MappedGraph::verify`] enforces on a file's rows too.
 fn validate_row(p: usize, n: usize, row: &[NodeId]) -> Result<(), StoreError> {
     let mut prev: Option<NodeId> = None;
     for &q in row {
@@ -407,7 +380,8 @@ fn validate_row(p: usize, n: usize, row: &[NodeId]) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// One validated section of a mapped file: byte position + element count.
+/// One validated `u32` section of a mapped file: byte position + entry
+/// count.
 #[derive(Debug, Clone, Copy)]
 struct Section {
     pos: u64,
@@ -415,8 +389,9 @@ struct Section {
 }
 
 impl Section {
-    fn byte_len(self, elem: u64) -> u64 {
-        self.len * elem
+    /// One past the section's last byte, `None` if that overflows `u64`.
+    fn end(self) -> Option<u64> {
+        self.len.checked_mul(4)?.checked_add(self.pos)
     }
 }
 
@@ -426,22 +401,27 @@ impl Section {
 /// [`open`](MappedGraph::open) validates the header and the section
 /// geometry (magic, version, bounds, alignment, offset-array endpoints)
 /// in O(1) — pages are only faulted in as kernels touch them, so opening
-/// a multi-gigabyte topology costs microseconds. The full content
-/// checksum is verified on demand by [`verify`](MappedGraph::verify).
+/// a multi-gigabyte topology costs microseconds. The checksum and every
+/// row are verified on demand by [`verify`](MappedGraph::verify).
 ///
 /// Usually consumed through [`Graph::open_pcsr`], which wraps the
 /// mapping in the ordinary [`Graph`] API (every kernel — borders, BFS,
 /// components, ranking — runs unchanged and bit-identically on mapped
 /// storage).
+///
+/// The mapping reads the file's pages as they are on disk. Rewriting the
+/// path with [`GraphStore`] is safe: the writer renames a new file over
+/// it, and this mapping keeps the old one. A program that truncates the
+/// mapped file *in place* (say `truncate -s 0`, or a writer without the
+/// rename) makes the next read past the new end a `SIGBUS`, which no
+/// check at open can prevent.
 #[derive(Debug)]
 pub struct MappedGraph {
     map: Mmap,
     n: usize,
     edge_count: usize,
-    mask_words: usize,
     offsets: Section,
     csr: Section,
-    dense_ids: Section,
     file_bytes: u64,
     checksum: u64,
 }
@@ -472,16 +452,13 @@ impl MappedGraph {
                 detail: format!("{file_bytes} bytes cannot hold the {HEADER_LEN}-byte header and trailing checksum"),
             });
         }
-        let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
         let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
-        let version = u32_at(8);
+        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
         if version != VERSION {
             return Err(StoreError::UnsupportedVersion { found: version });
         }
-        let flags = u32_at(12);
         let n = u64_at(16);
         let edge_count = u64_at(24);
-        let mask_words = u64_at(32);
         let offsets = Section {
             pos: u64_at(40),
             len: u64_at(48),
@@ -490,26 +467,10 @@ impl MappedGraph {
             pos: u64_at(56),
             len: u64_at(64),
         };
-        let dense_ids = Section {
-            pos: u64_at(72),
-            len: u64_at(80),
-        };
-        let dense_words = Section {
-            pos: u64_at(88),
-            len: u64_at(96),
-        };
 
         if n > u64::from(u32::MAX) {
             return Err(StoreError::Inconsistent {
                 detail: format!("n = {n} exceeds the u32 node-id space"),
-            });
-        }
-        if mask_words != words_for(n as usize) as u64 {
-            return Err(StoreError::Inconsistent {
-                detail: format!(
-                    "mask_words = {mask_words}, expected ⌈n/64⌉ = {}",
-                    words_for(n as usize)
-                ),
             });
         }
         if offsets.len != n + 1 {
@@ -534,51 +495,18 @@ impl MappedGraph {
                 ),
             });
         }
-        let Some(dense_entries) = dense_ids.len.checked_mul(mask_words) else {
-            return Err(StoreError::Inconsistent {
-                detail: format!(
-                    "dense_ids.len = {} × mask_words = {mask_words} overflows u64",
-                    dense_ids.len
-                ),
-            });
-        };
-        if dense_words.len != dense_entries {
-            return Err(StoreError::Inconsistent {
-                detail: format!(
-                    "dense sections disagree: {} ids × {mask_words} words ≠ {} words",
-                    dense_ids.len, dense_words.len
-                ),
-            });
-        }
-        if (flags & FLAG_DENSE != 0) != (dense_ids.len > 0) {
-            return Err(StoreError::Inconsistent {
-                detail: format!(
-                    "flags = {flags:#x} disagree with {} dense rows",
-                    dense_ids.len
-                ),
-            });
-        }
         let payload_end = file_bytes - 8;
-        for (name, section, elem) in [
-            ("offsets", offsets, 4u64),
-            ("csr", csr, 4),
-            ("dense_ids", dense_ids, 4),
-            ("dense_words", dense_words, 8),
-        ] {
+        for (name, section) in [("offsets", offsets), ("csr", csr)] {
             if section.pos % ALIGN != 0 {
                 return Err(StoreError::Misaligned {
                     section: name,
                     pos: section.pos,
                 });
             }
-            let end = section
-                .len
-                .checked_mul(elem)
-                .and_then(|bytes| section.pos.checked_add(bytes));
-            if section.pos < HEADER_LEN || end.is_none_or(|end| end > payload_end) {
+            if section.pos < HEADER_LEN || section.end().is_none_or(|end| end > payload_end) {
                 return Err(StoreError::Truncated {
                     detail: format!(
-                        "section {name:?} at {} ({} × {elem} bytes) does not fit in the {payload_end}-byte payload",
+                        "section {name:?} at {} ({} × 4 bytes) does not fit in the {payload_end}-byte payload",
                         section.pos, section.len
                     ),
                 });
@@ -590,10 +518,8 @@ impl MappedGraph {
             map,
             n: n as usize,
             edge_count: edge_count as usize,
-            mask_words: mask_words as usize,
             offsets,
             csr,
-            dense_ids,
             file_bytes,
             checksum,
         };
@@ -630,19 +556,9 @@ impl MappedGraph {
         self.edge_count
     }
 
-    /// Words per dense mask row (`⌈n/64⌉`).
-    pub fn mask_words(&self) -> usize {
-        self.mask_words
-    }
-
     /// Total file size in bytes.
     pub fn file_bytes(&self) -> u64 {
         self.file_bytes
-    }
-
-    /// Number of dense hub rows persisted.
-    pub fn dense_rows(&self) -> usize {
-        self.dense_ids.len as usize
     }
 
     /// The recorded trailing checksum (not yet compared to the contents
@@ -651,33 +567,67 @@ impl MappedGraph {
         self.checksum
     }
 
-    fn section_bytes(&self, section: Section, elem: u64) -> &[u8] {
+    fn section_bytes(&self, section: Section) -> &[u8] {
         let start = section.pos as usize;
-        let end = start + section.byte_len(elem) as usize;
-        &self.map.bytes()[start..end]
+        &self.map.bytes()[start..start + section.len as usize * 4]
     }
 
     /// The CSR offsets section (`n + 1` entries).
     pub(crate) fn offsets(&self) -> &[u32] {
-        as_u32s(self.section_bytes(self.offsets, 4))
+        as_u32s(self.section_bytes(self.offsets))
     }
 
     /// The flat CSR adjacency section (`2·E` entries).
     pub(crate) fn csr(&self) -> &[NodeId] {
-        as_node_ids(self.section_bytes(self.csr, 4))
+        as_node_ids(self.section_bytes(self.csr))
     }
 
-    /// Recomputes the content checksum and compares it with the trailing
-    /// record. O(file size) — the one validation [`open`](MappedGraph::open)
-    /// deliberately skips.
+    /// Checks everything [`open`](MappedGraph::open) skips, in O(file
+    /// size): the content checksum against the trailing record, then
+    /// every row — `offsets[p] ≤ offsets[p + 1] ≤ csr.len()`, the row
+    /// contract of [`GraphStore::write_rows`] (ids below n, strictly
+    /// ascending, no self-loop), and symmetry (`q ∈ row(p)` ⇒
+    /// `p ∈ row(q)`). A file that passes reads as a well-formed
+    /// undirected graph; the first bad row is named otherwise.
     pub fn verify(&self) -> Result<(), StoreError> {
         let payload = &self.map.bytes()[HEADER_LEN as usize..(self.file_bytes - 8) as usize];
-        let found = fnv1a_of_reader(payload, payload.len() as u64)?;
+        let found = fnv1a(FNV_OFFSET, payload);
         if found != self.checksum {
             return Err(StoreError::ChecksumMismatch {
                 expected: self.checksum,
                 found,
             });
+        }
+        let (offsets, csr) = (self.offsets(), self.csr());
+        let row = |p: usize| csr.get(*offsets.get(p)? as usize..*offsets.get(p + 1)? as usize);
+        // Each row on its own first, so a bad id is named in its own row
+        // rather than as the asymmetry it also causes.
+        for p in 0..self.n {
+            let Some(neighbors) = row(p) else {
+                return Err(StoreError::Inconsistent {
+                    detail: format!(
+                        "row of node {p} spans offsets {}..{}, not a range of the {}-entry csr",
+                        offsets[p],
+                        offsets[p + 1],
+                        csr.len()
+                    ),
+                });
+            };
+            validate_row(p, self.n, neighbors)?;
+        }
+        for p in 0..self.n {
+            let me = NodeId::from_index(p);
+            for &q in row(p).unwrap_or_default() {
+                if row(q.index())
+                    .unwrap_or_default()
+                    .binary_search(&me)
+                    .is_err()
+                {
+                    return Err(StoreError::Inconsistent {
+                        detail: format!("row of node {p} names {q}, whose row does not name {me}"),
+                    });
+                }
+            }
         }
         Ok(())
     }
@@ -716,8 +666,6 @@ mod tests {
 
     #[test]
     fn streamed_rows_match_builder_output() {
-        // Dense rows exist at this size (n = 9, mask_words = 1, degree
-        // 4 ≥ 1) so the hub sections are exercised too.
         let g = torus(GridDims::square(3));
         let built = tmp("built.pcsr");
         let streamed = tmp("streamed.pcsr");
@@ -731,9 +679,7 @@ mod tests {
             std::fs::read(&streamed).unwrap(),
             "streamed and graph-backed writes must be byte-identical"
         );
-        let m = MappedGraph::open(&streamed).unwrap();
-        assert_eq!(m.dense_rows(), 9);
-        m.verify().unwrap();
+        MappedGraph::open(&streamed).unwrap().verify().unwrap();
     }
 
     #[test]

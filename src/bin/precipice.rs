@@ -112,6 +112,7 @@ GRAPH SUBCOMMANDS (on-disk topologies):
                         stream straight to disk without materializing the
                         graph, so sizes far beyond RAM-resident builds work
     graph info <file>   print the .pcsr header and verify its checksum
+                        and every row
 ";
 
 #[derive(Debug, Clone, PartialEq)]
@@ -219,9 +220,9 @@ fn protocol_of(opts: &Options) -> ProtocolConfig {
 /// scenario's crashes are timed under its own seed, which a spread
 /// draws from.
 ///
-/// A `pcsr:` topology's checksum is verified first: opening a file
-/// checks its header and offset endpoints only, and a corrupt interior
-/// offset would otherwise panic the first query that reads it.
+/// A `pcsr:` topology is verified first (checksum, then every row):
+/// opening a file checks its header and offset endpoints only, and a
+/// corrupt row would otherwise panic the first query that reads it.
 fn scenarios_of(opts: &Options, seeds: &[u64]) -> Result<(Region, Vec<Scenario>), String> {
     if let TopologySpec::Pcsr(file) = &opts.topology {
         MappedGraph::open(file)
@@ -920,10 +921,9 @@ fn run_graph<I: Iterator<Item = String>>(mut args: I) -> Result<bool, String> {
             let mode = if streamed { "streamed" } else { "materialized" };
             let ms = t0.elapsed().as_secs_f64() * 1e3;
             println!(
-                "wrote {out}: n={} edges={} dense_rows={} bytes={} ({mode}, {ms:.1} ms)",
+                "wrote {out}: n={} edges={} bytes={} ({mode}, {ms:.1} ms)",
                 fmt_num(summary.n as f64),
                 fmt_num(summary.edge_count as f64),
-                summary.dense_rows,
                 fmt_num(summary.file_bytes as f64),
             );
             Ok(true)
@@ -941,8 +941,6 @@ fn run_graph<I: Iterator<Item = String>>(mut args: I) -> Result<bool, String> {
             println!("file:       {path}");
             println!("nodes:      {}", fmt_num(m.len() as f64));
             println!("edges:      {}", fmt_num(m.edge_count() as f64));
-            println!("mask words: {}", m.mask_words());
-            println!("dense rows: {}", m.dense_rows());
             println!("file bytes: {}", fmt_num(m.file_bytes() as f64));
             println!("checksum:   {:#018x}", m.recorded_checksum());
             match m.verify() {

@@ -288,6 +288,58 @@ fn a_corrupt_pcsr_interior_offset_is_refused_by_name() {
 }
 
 #[test]
+fn a_pcsr_row_edited_under_a_recomputed_checksum_is_refused_by_name() {
+    // Node 528's first neighbour rewritten to 5000 and the checksum
+    // recomputed: the checksum alone passed it, and the run panicked
+    // sending to n5000 (exit 101). Verify's row walk names the row.
+    let dir = std::env::temp_dir().join("precipice-cli-smoke");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("torus32-bad-row.pcsr");
+    let built = precipice(&["graph", "build", "torus:32", "-o", file.to_str().unwrap()]);
+    assert!(built.status.success());
+    let mut bytes = std::fs::read(&file).unwrap();
+    let u64_at = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+    let (offsets, csr) = (u64_at(&bytes, 40) as usize, u64_at(&bytes, 56) as usize);
+    let start = u32::from_le_bytes(bytes[offsets + 4 * 528..][..4].try_into().unwrap());
+    let entry = csr + 4 * start as usize;
+    bytes[entry..entry + 4].copy_from_slice(&5000u32.to_le_bytes());
+    let end = bytes.len() - 8;
+    let checksum = bytes[128..end]
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    bytes[end..].copy_from_slice(&checksum.to_le_bytes());
+    std::fs::write(&file, &bytes).unwrap();
+
+    let topology = format!("pcsr:{}", file.display());
+    for args in [
+        &["--topology", &topology, "--region", "nodes:528"][..],
+        &[
+            "check",
+            "--topology",
+            &topology,
+            "--region",
+            "nodes:528",
+            "--budget",
+            "4",
+        ],
+    ] {
+        let out = precipice(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("torus32-bad-row.pcsr"),
+            "{args:?}: {stderr}"
+        );
+        assert!(
+            stderr.contains("row of node 528 names n5000"),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn help_exits_with_usage() {
     let out = precipice(&["--help"]);
     // The CLI prints usage on stderr and exits 2 (usage is the "error"
