@@ -10,7 +10,7 @@
 pub mod experiments;
 
 use precipice_core::ProtocolConfig;
-use precipice_graph::{torus, Graph, GridDims, NodeId, Region};
+use precipice_graph::{torus, FileId, Graph, GridDims, MappedGraph, NodeId, Region};
 use precipice_runtime::{Exec, RunReport, Scenario, ScenarioBuilder};
 use precipice_sim::{LatencyModel, SimConfig, SimTime};
 use precipice_workload::{RegionSpec, TimingSpec};
@@ -80,24 +80,53 @@ pub fn torus_of(n: usize) -> Graph {
 /// Path of the cached `.pcsr` file for the [`torus_of`] topology of at
 /// least `n` nodes, streaming it to disk on first use.
 ///
-/// The cache lives under the system temp dir and is validated on every
-/// call (a corrupt, truncated or older-format file is rebuilt, not
-/// trusted), so experiment rows at sizes where an in-memory build would
+/// The cache lives under the system temp dir. A file is verified in full
+/// ([`MappedGraph::verify`]: checksum and every row) once per identity
+/// ([`FileId`]): a sidecar `<file>.verified` records the identity of the
+/// file last verified or streamed, and a file that still matches it is
+/// trusted without the walk. A corrupt, truncated, older-format or
+/// replaced file fails the match and is verified again, and rebuilt if
+/// it fails. So experiment rows at sizes where an in-memory build would
 /// dominate — the 10⁸-node E4 row — pay the two-pass streaming build
-/// exactly once per machine and microseconds per subsequent open.
+/// once per machine and a few system calls per later call.
 pub fn cached_torus_pcsr(n: usize) -> std::path::PathBuf {
     let side = (n as f64).sqrt().ceil().max(3.0) as usize;
     let dir = std::env::temp_dir().join("precipice-pcsr-cache");
-    std::fs::create_dir_all(&dir).expect("create .pcsr cache dir");
+    cache_torus_in(&dir, side).0
+}
+
+/// How [`cache_torus_in`] came by its file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cached {
+    /// The file matched its sidecar and was not read.
+    Trusted,
+    /// The file's identity was new to the sidecar, and it verified.
+    Verified,
+    /// The file was missing or failed to verify, and was streamed anew.
+    Streamed,
+}
+
+/// `<dir>/torus-<side>x<side>.pcsr`, verified once per identity through
+/// its `.verified` sidecar; see [`cached_torus_pcsr`].
+fn cache_torus_in(dir: &std::path::Path, side: usize) -> (std::path::PathBuf, Cached) {
+    std::fs::create_dir_all(dir).expect("create .pcsr cache dir");
     let file = dir.join(format!("torus-{side}x{side}.pcsr"));
-    let usable = precipice_graph::MappedGraph::open(&file)
-        .and_then(|m| m.verify())
-        .is_ok();
-    if !usable {
-        precipice_graph::stream_torus(GridDims::square(side), &file)
-            .unwrap_or_else(|e| panic!("cannot stream torus cache {}: {e}", file.display()));
+    let sidecar = file.with_extension("pcsr.verified");
+    let recorded = std::fs::read_to_string(&sidecar).unwrap_or_default();
+    let how = match MappedGraph::open(&file) {
+        Ok(m) if recorded == m.file_id().to_string() => return (file, Cached::Trusted),
+        Ok(m) if m.verify().is_ok() => Cached::Verified,
+        _ => {
+            precipice_graph::stream_torus(GridDims::square(side), &file)
+                .unwrap_or_else(|e| panic!("cannot stream torus cache {}: {e}", file.display()));
+            Cached::Streamed
+        }
+    };
+    // A failed record costs the next call a verify, nothing more.
+    if let Ok(id) = FileId::of_path(&file) {
+        let _ = std::fs::write(&sidecar, id.to_string());
     }
-    file
+    (file, how)
 }
 
 /// The [`torus_of`] topology served zero-copy from the `.pcsr` cache
@@ -208,6 +237,40 @@ mod tests {
         assert_eq!(torus_of(64).len(), 64);
         assert_eq!(torus_of(60).len(), 64);
         assert_eq!(torus_of(5).len(), 9);
+    }
+
+    /// The sidecar spares a known file the verify; a file with another
+    /// identity is verified again, and rebuilt if it fails.
+    #[test]
+    fn the_torus_cache_verifies_once_per_file_identity() {
+        let dir = std::env::temp_dir().join(format!("precipice-cache-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (file, how) = cache_torus_in(&dir, 4);
+        assert_eq!(how, Cached::Streamed);
+        assert_eq!(cache_torus_in(&dir, 4).1, Cached::Trusted);
+
+        // A rewrite is a new identity: verified again, then trusted.
+        torus(GridDims::square(4)).write_pcsr(&file).unwrap();
+        assert_eq!(cache_torus_in(&dir, 4).1, Cached::Verified);
+        assert_eq!(cache_torus_in(&dir, 4).1, Cached::Trusted);
+
+        // A corrupt file whose identity the sidecar vouches for is not
+        // read: the skipped verify is what the sidecar saves.
+        let mut bytes = std::fs::read(&file).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 1;
+        std::fs::write(&file, &bytes).unwrap();
+        let sidecar = dir.join("torus-4x4.pcsr.verified");
+        std::fs::write(&sidecar, FileId::of_path(&file).unwrap().to_string()).unwrap();
+        assert_eq!(cache_torus_in(&dir, 4).1, Cached::Trusted);
+
+        // With a stale sidecar it fails the verify and is rebuilt.
+        std::fs::write(&sidecar, "stale").unwrap();
+        assert_eq!(cache_torus_in(&dir, 4).1, Cached::Streamed);
+        let rebuilt = MappedGraph::open(&file).unwrap();
+        rebuilt.verify().unwrap();
+        assert_eq!(cache_torus_in(&dir, 4).1, Cached::Trusted);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

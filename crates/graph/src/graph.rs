@@ -3,7 +3,7 @@ use std::fmt;
 use std::path::Path;
 use std::sync::{Arc, RwLock};
 
-use crate::store::{GraphStore, MappedGraph, StoreError, StoreSummary};
+use crate::store::{FileId, GraphStore, MappedGraph, StoreError, StoreSummary};
 use crate::{NodeId, Region};
 
 /// Keep the border memo bounded: a long checking run can rank an
@@ -150,6 +150,26 @@ impl Graph {
     /// rather than owned heap vectors.
     pub fn is_mapped(&self) -> bool {
         matches!(self.adjacency, Adjacency::Mapped(_))
+    }
+
+    /// The identity of the mapped `.pcsr` file
+    /// ([`MappedGraph::file_id`]), or `None` for owned adjacency.
+    pub fn file_id(&self) -> Option<FileId> {
+        match &self.adjacency {
+            Adjacency::Mapped(m) => Some(m.file_id()),
+            Adjacency::Owned { .. } => None,
+        }
+    }
+
+    /// Gives a mapped graph's resident pages back to the kernel while
+    /// keeping the mapping: the next read of a row refaults it from the
+    /// page cache, unchanged. For a graph kept open while nothing reads
+    /// it. A no-op for owned adjacency.
+    pub fn release_pages(&self) -> std::io::Result<()> {
+        match &self.adjacency {
+            Adjacency::Mapped(m) => m.release_pages(),
+            Adjacency::Owned { .. } => Ok(()),
+        }
     }
 
     /// Builds a graph directly from already-sorted adjacency rows.

@@ -78,5 +78,5 @@ pub use nodeset::NodeSet;
 pub use rank::{rank_cmp, rank_cmp_keyed};
 pub use region::Region;
 pub use spec::TopologySpec;
-pub use store::{GraphStore, MappedGraph, StoreError, StoreSummary};
+pub use store::{FileId, GraphStore, MappedGraph, StoreError, StoreSummary};
 pub use topology::Topology;

@@ -3,15 +3,18 @@
 //! The on-disk graph store ([`crate::store`]) wants zero-copy access to
 //! multi-gigabyte CSR sections; copying them through `read` would cost
 //! exactly the O(E) allocation the format exists to avoid. The workspace
-//! has no external dependencies, so this module binds the two libc entry
-//! points directly (`mmap`/`munmap`, POSIX, present on every platform
-//! this crate builds for) behind a safe owner type.
+//! has no external dependencies, so this module binds three libc entry
+//! points directly (`mmap`/`munmap`, POSIX, and `madvise`; all three are
+//! present on every platform this crate builds for) behind a safe owner
+//! type.
 //!
 //! This is the only unsafe code in the crate: the crate-level lint is
 //! `deny(unsafe_code)` with a scoped allow here, and the safety argument
 //! is local — a successful `mmap(PROT_READ, MAP_SHARED)` of `len` bytes
 //! stays valid until the matching `munmap`, which [`Mmap::drop`] is the
-//! only caller of.
+//! only caller of, and `madvise(MADV_DONTNEED)` on it
+//! ([`Mmap::release_pages`]) drops only page-table entries, never the
+//! bytes a later read sees.
 
 #![allow(unsafe_code)]
 
@@ -32,10 +35,12 @@ extern "C" {
         offset: i64,
     ) -> *mut c_void;
     fn munmap(addr: *mut c_void, len: usize) -> c_int;
+    fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
 }
 
 const PROT_READ: c_int = 1;
 const MAP_SHARED: c_int = 1;
+const MADV_DONTNEED: c_int = 4;
 /// `mmap`'s error sentinel (`MAP_FAILED`).
 const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
 
@@ -97,6 +102,29 @@ impl Mmap {
         // self; the borrow cannot outlive the unmap in drop.
         unsafe { std::slice::from_raw_parts(self.ptr as *const u8, self.len) }
     }
+
+    /// Gives the mapping's resident pages back to the kernel; the
+    /// address range stays mapped.
+    ///
+    /// The pages of a read-only shared file mapping are the page cache's:
+    /// dropping them from this process's page tables frees nothing on
+    /// disk or in the cache, and the next read of any byte refaults it
+    /// from the cache, unchanged. It lowers the process's resident set
+    /// after a long-lived mapping has been read all over.
+    pub(crate) fn release_pages(&self) -> io::Result<()> {
+        if self.len == 0 {
+            return Ok(());
+        }
+        // SAFETY: exactly the live region returned by mmap in of_file.
+        // For a PROT_READ, MAP_SHARED file mapping, MADV_DONTNEED only
+        // discards page-table entries; there are no private or dirty
+        // pages whose contents it could drop, so every outstanding
+        // borrow of `bytes()` reads the same file bytes afterwards.
+        if unsafe { madvise(self.ptr, self.len, MADV_DONTNEED) } != 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
+    }
 }
 
 impl Drop for Mmap {
@@ -155,6 +183,9 @@ mod tests {
         let file = File::open(&path).unwrap();
         let map = Mmap::of_file(&file, payload.len()).unwrap();
         assert_eq!(map.bytes(), &payload[..]);
+        // Released pages refault from the file, unchanged.
+        map.release_pages().unwrap();
+        assert_eq!(map.bytes(), &payload[..]);
     }
 
     #[test]
@@ -166,5 +197,6 @@ mod tests {
         let file = File::open(&path).unwrap();
         let map = Mmap::of_file(&file, 0).unwrap();
         assert!(map.bytes().is_empty());
+        map.release_pages().unwrap();
     }
 }

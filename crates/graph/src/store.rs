@@ -47,6 +47,7 @@
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, BufWriter, Seek, SeekFrom, Write};
+use std::os::unix::fs::MetadataExt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -174,6 +175,52 @@ pub struct StoreSummary {
     pub edge_count: usize,
     /// Total file size in bytes.
     pub file_bytes: u64,
+}
+
+/// The identity of a file's bytes as the filesystem reports it: device,
+/// inode, length and modification time.
+///
+/// Two stats of one path give the same `FileId` while the path names
+/// the same unmodified file. A rename over it (as [`GraphStore`]'s
+/// writer does), a truncation or a rewrite in place changes the inode,
+/// the length or the mtime, so a `FileId` stands for what a mapping of
+/// the file reads. A change that restores all four fields (an in-place
+/// edit followed by `touch -d` to the old mtime) is not seen.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct FileId {
+    dev: u64,
+    ino: u64,
+    len: u64,
+    mtime_s: i64,
+    mtime_ns: i64,
+}
+
+impl FileId {
+    /// The identity of the file `meta` describes.
+    pub(crate) fn of(meta: &fs::Metadata) -> Self {
+        FileId {
+            dev: meta.dev(),
+            ino: meta.ino(),
+            len: meta.len(),
+            mtime_s: meta.mtime(),
+            mtime_ns: meta.mtime_nsec(),
+        }
+    }
+
+    /// The identity of the file at `path`, following symlinks.
+    pub fn of_path(path: impl AsRef<Path>) -> io::Result<Self> {
+        Ok(Self::of(&fs::metadata(path)?))
+    }
+}
+
+impl fmt::Display for FileId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "dev {} ino {} len {} mtime {}.{:09}",
+            self.dev, self.ino, self.len, self.mtime_s, self.mtime_ns
+        )
+    }
 }
 
 /// Incremental FNV-1a over everything written after the header.
@@ -418,6 +465,7 @@ impl Section {
 #[derive(Debug)]
 pub struct MappedGraph {
     map: Mmap,
+    id: FileId,
     n: usize,
     edge_count: usize,
     offsets: Section,
@@ -434,7 +482,8 @@ impl MappedGraph {
     /// function does not panic on untrusted bytes.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
         let file = File::open(path.as_ref())?;
-        let file_bytes = file.metadata()?.len();
+        let meta = file.metadata()?;
+        let (id, file_bytes) = (FileId::of(&meta), meta.len());
         if file_bytes < 8 {
             return Err(StoreError::Truncated {
                 detail: format!("{file_bytes} bytes is too short even for the magic"),
@@ -516,6 +565,7 @@ impl MappedGraph {
 
         let mapped = MappedGraph {
             map,
+            id,
             n: n as usize,
             edge_count: edge_count as usize,
             offsets,
@@ -565,6 +615,20 @@ impl MappedGraph {
     /// unless [`verify`](MappedGraph::verify) has run).
     pub fn recorded_checksum(&self) -> u64 {
         self.checksum
+    }
+
+    /// The identity of the file this maps, taken from the descriptor it
+    /// was mapped through, so it describes these bytes even if the path
+    /// has since been renamed over.
+    pub fn file_id(&self) -> FileId {
+        self.id
+    }
+
+    /// Gives the mapping's resident pages back to the kernel; the next
+    /// read refaults them from the page cache, unchanged. For a mapping
+    /// that stays open while nothing reads it.
+    pub(crate) fn release_pages(&self) -> io::Result<()> {
+        self.map.release_pages()
     }
 
     fn section_bytes(&self, section: Section) -> &[u8] {

@@ -286,7 +286,9 @@ pub fn live_consistent(report: &LiveReport, graph: &Graph) -> bool {
         if !view.border().contains(*node) {
             return false;
         }
-        if View::new(graph, view.region().clone()).border() != view.border() {
+        // The uncached kernel: a session's graph outlives its instances,
+        // and one memo entry per decided region would pile up in it.
+        if graph.border_of(view.region().iter()) != view.border().as_slice() {
             return false;
         }
     }
@@ -517,5 +519,31 @@ mod tests {
         for &at in outcome.decision_steps.values() {
             assert!(at > crash_step);
         }
+    }
+
+    /// The verdict recomputes each border with the uncached kernel, so
+    /// it refuses a wrong border and memoizes nothing.
+    #[test]
+    fn the_verdict_refuses_a_wrong_border_without_the_memo() {
+        let graph = torus(GridDims::square(4));
+        let region = Region::from_iter([NodeId(9)]);
+        let border = Region::from_iter(graph.border_of(region.iter()));
+        let report = |border: &Region| LiveReport {
+            decisions: border
+                .iter()
+                .map(|p| {
+                    (
+                        p,
+                        (View::from_parts(region.clone(), border.clone()), NodeId(5)),
+                    )
+                })
+                .collect(),
+            stats: BTreeMap::new(),
+            killed: BTreeSet::from([NodeId(9)]),
+        };
+        assert!(live_consistent(&report(&border), &graph));
+        let short = Region::from_iter(border.iter().skip(1));
+        assert!(!live_consistent(&report(&short), &graph));
+        assert_eq!(graph.border_cache_len(), 0);
     }
 }

@@ -11,6 +11,26 @@
 //! one process, and a mapped `.pcsr` topology puts a 10⁶-node instance
 //! within one process's reach.
 //!
+//! # Shared topologies
+//!
+//! Instances share a topology by its identity: a generated family by its
+//! canonical [`TopologySpec`], a `pcsr:` file by the [`FileId`] of the
+//! file it maps (device, inode, length, mtime). Every `open` of an
+//! identity that an instance already uses shares that instance's
+//! [`Graph`], its mapping and its border memo, and a file that was
+//! rebuilt, truncated or rewritten since gets a graph of its own. Besides
+//! the graphs in use, the session keeps at most one that no instance
+//! uses, the last one a `close` left idle, so a stream of open → close
+//! lifecycles maps and parses its topology once. An idle mapped graph
+//! keeps its address range but gives its resident pages back
+//! ([`Graph::release_pages`]); `shutdown` drops every graph.
+//!
+//! `open` checks a `.pcsr` file's header and section geometry only, in
+//! O(1). A full [`MappedGraph::verify`](precipice_graph::MappedGraph::verify)
+//! of a 2²⁰-node torus takes about 60 ms, which would dwarf a lifecycle
+//! and the session's setup alike, so `crash` checks the one row the kill
+//! reads instead ([`Graph::checked_neighbors`]).
+//!
 //! # Protocol
 //!
 //! Requests are single-line JSON objects with a `"cmd"` field;
@@ -71,7 +91,7 @@ use std::time::Duration;
 
 use precipice_core::json::Json;
 use precipice_core::ProtocolConfig;
-use precipice_graph::{NodeId, Region, TopologySpec};
+use precipice_graph::{FileId, Graph, NodeId, Region, TopologySpec};
 
 use crate::cluster::ShardedCluster;
 use crate::gate::live_consistent;
@@ -85,16 +105,95 @@ const DEFAULT_SHARDS: usize = 2;
 #[derive(Debug)]
 pub struct ServeSession {
     instances: BTreeMap<String, Hosted>,
+    graphs: Graphs,
     default_shards: usize,
     finished: bool,
 }
 
-/// An open instance and the topology it was opened on, as `open` spelt
-/// it.
+/// An open instance, the topology it was opened on, as `open` spelt it,
+/// and the identity of its graph.
 #[derive(Debug)]
 struct Hosted {
     cluster: ShardedCluster,
     topology: String,
+    key: GraphKey,
+}
+
+/// What makes two `open`s the same topology.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+enum GraphKey {
+    /// A generated family, by its canonical spec.
+    Spec(String),
+    /// A mapped `.pcsr` file, by the identity of the bytes it maps.
+    File(FileId),
+}
+
+/// The session's graphs: every one an open instance uses, and at most
+/// one that none does.
+#[derive(Debug, Default)]
+struct Graphs {
+    shared: BTreeMap<GraphKey, Shared>,
+    /// The graph no instance uses, if one is kept.
+    idle: Option<GraphKey>,
+}
+
+/// A kept graph.
+#[derive(Debug)]
+struct Shared {
+    graph: Arc<Graph>,
+    /// Open instances on `graph`.
+    users: usize,
+}
+
+impl Graphs {
+    /// The graph `spec` names: the one kept under its identity, or a new
+    /// build, keyed by the descriptor it was mapped through, so the key
+    /// describes the bytes even if the path changed since the lookup.
+    /// Nothing is kept until [`acquire`](Self::acquire).
+    fn of(&self, spec: &TopologySpec) -> Result<(GraphKey, Arc<Graph>), String> {
+        let key = match spec {
+            TopologySpec::Pcsr(file) => FileId::of_path(file).ok().map(GraphKey::File),
+            _ => Some(GraphKey::Spec(spec.to_string())),
+        };
+        if let Some(key) = key {
+            if let Some(shared) = self.shared.get(&key) {
+                return Ok((key, Arc::clone(&shared.graph)));
+            }
+        }
+        let graph = spec.build(0)?;
+        let key = graph
+            .file_id()
+            .map_or_else(|| GraphKey::Spec(spec.to_string()), GraphKey::File);
+        Ok((key, Arc::new(graph)))
+    }
+
+    /// Counts one more instance on `graph`, keeping it under `key`.
+    fn acquire(&mut self, key: &GraphKey, graph: Arc<Graph>) {
+        if self.idle.as_ref() == Some(key) {
+            self.idle = None;
+        }
+        self.shared
+            .entry(key.clone())
+            .or_insert(Shared { graph, users: 0 })
+            .users += 1;
+    }
+
+    /// Counts one instance fewer on `key`'s graph. A graph left unused
+    /// becomes the idle one, in place of the last, and gives its pages
+    /// back.
+    fn release(&mut self, key: &GraphKey) {
+        let shared = self.shared.get_mut(key).expect("a hosted graph is kept");
+        shared.users -= 1;
+        if shared.users > 0 {
+            return;
+        }
+        // Advisory: a refusal leaves the pages resident, which costs
+        // memory, not correctness.
+        let _ = shared.graph.release_pages();
+        if let Some(last) = self.idle.replace(key.clone()) {
+            self.shared.remove(&last);
+        }
+    }
 }
 
 impl Default for ServeSession {
@@ -109,6 +208,7 @@ impl ServeSession {
     pub fn new(default_shards: usize) -> Self {
         ServeSession {
             instances: BTreeMap::new(),
+            graphs: Graphs::default(),
             default_shards: default_shards.max(1),
             finished: false,
         }
@@ -154,7 +254,7 @@ impl ServeSession {
             .get("topology")
             .and_then(Json::as_str)
             .ok_or("open needs a \"topology\"")?;
-        let graph = spec.parse::<TopologySpec>()?.build(0)?;
+        let (key, graph) = self.graphs.of(&spec.parse::<TopologySpec>()?)?;
         let shards = match request.get("shards") {
             Some(v) => v.as_u64().ok_or("\"shards\" must be a positive integer")? as usize,
             None => self.default_shards,
@@ -174,14 +274,27 @@ impl ServeSession {
             _ => ProtocolConfig::default(),
         };
         let factory = |_me| precipice_core::NodeIdValuePolicy;
-        let cluster =
-            ShardedCluster::launch(resident(), Arc::new(graph), config, shards, factory, None)
-                .map_err(|e| format!("cannot start {shards} shard workers: {e}"))?;
+        let cluster = ShardedCluster::launch(
+            resident(),
+            Arc::clone(&graph),
+            config,
+            shards,
+            factory,
+            None,
+        )
+        .map_err(|e| format!("cannot start {shards} shard workers: {e}"))?;
         let nodes = cluster.graph().len();
         let shards = cluster.shards();
         let topology = spec.to_owned();
-        self.instances
-            .insert(id.clone(), Hosted { cluster, topology });
+        self.graphs.acquire(&key, graph);
+        self.instances.insert(
+            id.clone(),
+            Hosted {
+                cluster,
+                topology,
+                key,
+            },
+        );
         Ok(Json::obj([
             ("ok", Json::Bool(true)),
             ("id", Json::from(id)),
@@ -203,7 +316,9 @@ impl ServeSession {
 
     fn crash(&mut self, request: &Json) -> Result<Json, String> {
         let node = node_field(request)?;
-        let Hosted { cluster, topology } = self.instance(request)?;
+        let Hosted {
+            cluster, topology, ..
+        } = self.instance(request)?;
         if !cluster.graph().contains(node) {
             return Err(format!("{node} is not in the topology"));
         }
@@ -286,7 +401,9 @@ impl ServeSession {
             .instances
             .remove(&id)
             .ok_or_else(|| format!("no open instance {id:?}"))?;
-        close_report(id, hosted.cluster)
+        let report = close_report(id, hosted.cluster);
+        self.graphs.release(&hosted.key);
+        report
     }
 
     fn shutdown_all(&mut self) -> Result<Json, String> {
@@ -298,6 +415,7 @@ impl ServeSession {
                 report.is_ok_and(|r| r.get("consistent").and_then(Json::as_bool) == Some(true));
             closed.push(Json::from(id));
         }
+        self.graphs = Graphs::default();
         self.finished = true;
         Ok(Json::obj([
             ("ok", Json::Bool(true)),
@@ -378,7 +496,7 @@ fn region_json(region: &Region) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use precipice_graph::{path, torus, GridDims};
+    use precipice_graph::{path, ring, torus, GridDims};
 
     fn ok(response: &str) -> Json {
         let v = Json::parse(response).expect("response parses");
@@ -398,8 +516,15 @@ mod tests {
 
     /// Hosts a cluster built by the test as instance `id`.
     fn host(s: &mut ServeSession, id: &str, cluster: ShardedCluster) {
-        let topology = "a test's own graph".into();
-        s.instances.insert(id.into(), Hosted { cluster, topology });
+        let topology = String::from("a test's own graph");
+        let key = GraphKey::Spec(format!("{topology} {id}"));
+        s.graphs.acquire(&key, Arc::clone(cluster.graph()));
+        let hosted = Hosted {
+            cluster,
+            topology,
+            key,
+        };
+        s.instances.insert(id.into(), hosted);
     }
 
     #[test]
@@ -669,6 +794,181 @@ mod tests {
         assert_eq!(closed.get("decisions").and_then(Json::as_u64), Some(4));
         fail(&s.handle_line(r#"{"cmd":"close","id":"b"}"#));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A scratch directory of this test process's own.
+    fn scratch(name: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("precipice-serve-{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn open(s: &mut ServeSession, id: &str, topology: &str) {
+        ok(&s.handle_line(&format!(
+            r#"{{"cmd":"open","id":"{id}","topology":"{topology}"}}"#
+        )));
+    }
+
+    /// Crashes `node` in instance `id`, awaits it and reads the decision
+    /// of its neighbour `reader`.
+    fn agree(s: &mut ServeSession, id: &str, node: u32, reader: u32) {
+        ok(&s.handle_line(&format!(r#"{{"cmd":"crash","id":"{id}","node":{node}}}"#)));
+        let line = format!(r#"{{"cmd":"await","id":"{id}","timeout_ms":20000}}"#);
+        let waited = ok(&s.handle_line(&line));
+        assert_eq!(waited.get("quiescent").and_then(Json::as_bool), Some(true));
+        let line = format!(r#"{{"cmd":"read","id":"{id}","node":{reader}}}"#);
+        let read = ok(&s.handle_line(&line));
+        assert_eq!(read.get("decided").and_then(Json::as_bool), Some(true));
+    }
+
+    fn close_consistent(s: &mut ServeSession, id: &str) {
+        let closed = ok(&s.handle_line(&format!(r#"{{"cmd":"close","id":"{id}"}}"#)));
+        assert_eq!(closed.get("consistent").and_then(Json::as_bool), Some(true));
+    }
+
+    fn graph_of<'a>(s: &'a ServeSession, id: &str) -> &'a Arc<Graph> {
+        s.instances[id].cluster.graph()
+    }
+
+    #[test]
+    fn opens_of_one_topology_share_one_graph() {
+        let file = scratch("share").join("torus8.pcsr");
+        torus(GridDims::square(8)).write_pcsr(&file).unwrap();
+        let pcsr = format!("pcsr:{}", file.display());
+        let mut s = ServeSession::new(1);
+        for (id, topology) in [
+            ("a", &*pcsr),
+            ("b", &pcsr),
+            ("c", "torus:8"),
+            ("d", "torus:8"),
+        ] {
+            open(&mut s, id, topology);
+        }
+        assert!(Arc::ptr_eq(graph_of(&s, "a"), graph_of(&s, "b")));
+        assert!(Arc::ptr_eq(graph_of(&s, "c"), graph_of(&s, "d")));
+        assert!(!Arc::ptr_eq(graph_of(&s, "a"), graph_of(&s, "c")));
+        assert!(graph_of(&s, "a").is_mapped());
+        for id in ["a", "b", "c", "d"] {
+            agree(&mut s, id, 9, 8);
+        }
+        let down = ok(&s.handle_line(r#"{"cmd":"shutdown"}"#));
+        assert_eq!(down.get("consistent").and_then(Json::as_bool), Some(true));
+        assert!(s.graphs.shared.is_empty());
+        let _ = std::fs::remove_dir_all(file.parent().expect("a scratch dir"));
+    }
+
+    /// `graph build` renames a new file over the old one: the next open
+    /// maps the new file, and the open instance keeps the old one.
+    #[test]
+    fn a_rebuilt_file_gets_a_graph_of_its_own() {
+        let file = scratch("rebuild").join("torus8.pcsr");
+        let spec: TopologySpec = "torus:8".parse().unwrap();
+        spec.write_pcsr(&file, 0).unwrap();
+        let pcsr = format!("pcsr:{}", file.display());
+        let mut s = ServeSession::new(2);
+        open(&mut s, "a", &pcsr);
+        agree(&mut s, "a", 9, 8);
+        spec.write_pcsr(&file, 0).unwrap();
+        open(&mut s, "b", &pcsr);
+        assert!(!Arc::ptr_eq(graph_of(&s, "a"), graph_of(&s, "b")));
+        assert_ne!(graph_of(&s, "a").file_id(), graph_of(&s, "b").file_id());
+        agree(&mut s, "b", 9, 8);
+        agree(&mut s, "a", 36, 37);
+        close_consistent(&mut s, "a");
+        close_consistent(&mut s, "b");
+        let _ = std::fs::remove_dir_all(file.parent().expect("a scratch dir"));
+    }
+
+    #[test]
+    fn closed_instances_leave_at_most_one_idle_graph() {
+        let file = scratch("idle").join("ring5.pcsr");
+        ring(5).write_pcsr(&file).unwrap();
+        let pcsr = format!("pcsr:{}", file.display());
+        let mut s = ServeSession::new(1);
+        let topologies = [
+            ("a", "torus:4"),
+            ("b", "path:5"),
+            ("c", &*pcsr),
+            ("d", "path:5"),
+        ];
+        for (id, topology) in topologies {
+            open(&mut s, id, topology);
+        }
+        assert_eq!(s.graphs.shared.len(), 3);
+        for (id, _) in topologies {
+            agree(&mut s, id, 2, 1);
+            close_consistent(&mut s, id);
+            assert!(s.graphs.shared.values().filter(|g| g.users == 0).count() <= 1);
+        }
+        // What the last close left idle is kept for the next open.
+        assert_eq!(s.graphs.shared.len(), 1);
+        assert_eq!(s.graphs.idle, Some(GraphKey::Spec("path:5".into())));
+        let kept = Arc::clone(&s.graphs.shared.values().next().unwrap().graph);
+        open(&mut s, "e", "path:5");
+        assert!(Arc::ptr_eq(graph_of(&s, "e"), &kept));
+        assert_eq!(s.graphs.idle, None);
+        ok(&s.handle_line(r#"{"cmd":"shutdown"}"#));
+        assert!(s.graphs.shared.is_empty());
+        let _ = std::fs::remove_dir_all(file.parent().expect("a scratch dir"));
+    }
+
+    /// A close that leaves a mapped graph idle gives its pages back; the
+    /// next open of the file shares it, and every row reads as written.
+    #[test]
+    fn a_released_mapping_reads_every_row() {
+        let file = scratch("release").join("torus32.pcsr");
+        let owned = torus(GridDims::square(32));
+        owned.write_pcsr(&file).unwrap();
+        let pcsr = format!("pcsr:{}", file.display());
+        let mut s = ServeSession::new(1);
+        open(&mut s, "a", &pcsr);
+        let mapped = Arc::clone(graph_of(&s, "a"));
+        agree(&mut s, "a", 100, 101);
+        close_consistent(&mut s, "a");
+        for p in owned.nodes() {
+            assert_eq!(mapped.checked_neighbors(p), Some(owned.neighbors(p)));
+        }
+        mapped.release_pages().unwrap();
+        assert_eq!(*mapped, owned);
+        open(&mut s, "b", &pcsr);
+        assert!(Arc::ptr_eq(graph_of(&s, "b"), &mapped));
+        agree(&mut s, "b", 100, 101);
+        close_consistent(&mut s, "b");
+        let _ = std::fs::remove_dir_all(file.parent().expect("a scratch dir"));
+    }
+
+    #[test]
+    fn a_missing_file_is_named_as_before() {
+        let file = scratch("missing").join("absent.pcsr");
+        let mut s = ServeSession::default();
+        let line = format!(r#"{{"cmd":"open","topology":"pcsr:{}"}}"#, file.display());
+        let why = std::fs::metadata(&file).unwrap_err();
+        assert_eq!(
+            fail(&s.handle_line(&line)),
+            format!("cannot open {file:?}: i/o error: {why}")
+        );
+        assert!(s.graphs.shared.is_empty());
+        let _ = std::fs::remove_dir_all(file.parent().expect("a scratch dir"));
+    }
+
+    /// The close verdict recomputes each decided border without the
+    /// memo: a graph shared past its instances does not gather one entry
+    /// per region ever decided on it.
+    #[test]
+    fn the_verdict_leaves_the_border_memo_alone() {
+        let mut s = ServeSession::new(1);
+        open(&mut s, "a", "torus:8");
+        let graph = Arc::clone(graph_of(&s, "a"));
+        let before = graph.border_cache_len();
+        agree(&mut s, "a", 9, 8);
+        // A debug build's node checks its merged borders through the memo.
+        let decided = graph.border_cache_len();
+        if !cfg!(debug_assertions) {
+            assert_eq!(decided, before);
+        }
+        close_consistent(&mut s, "a");
+        assert_eq!(graph.border_cache_len(), decided);
     }
 
     #[test]
