@@ -320,9 +320,8 @@ where
             Region::from_sorted_vec(region),
             Region::from_sorted_vec(border),
         );
-        debug_assert_eq!(
-            grown.border(),
-            &self.topology.border_region(grown.region()),
+        debug_assert!(
+            self.topology.is_border_of(grown.region(), grown.border()),
             "{}: merged border of {} drifted from the topology's",
             self.me,
             grown

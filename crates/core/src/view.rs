@@ -34,10 +34,8 @@ pub struct View {
 impl View {
     /// Builds the view for `region`, deriving its border from `topology`.
     ///
-    /// For [`Graph`](precipice_graph::Graph)-backed topologies the border
-    /// comes out of the graph's shared region-border memo. The checkers
-    /// and the live gate build views this way; the protocol node does
-    /// not, since it grows each border as its crashed region grows (see
+    /// Tests build views this way; the protocol node does not, since it
+    /// grows each border as its crashed region grows (see
     /// [`CliffEdgeNode`](crate::CliffEdgeNode)).
     pub fn new<T: Topology>(topology: &T, region: Region) -> Self {
         let border = topology.border_region(&region);

@@ -199,7 +199,8 @@ mod reference {
 mod tests {
     use super::*;
     use crate::rng::{cases, Rng};
-    use crate::{grid, random_tree, ring, GridDims};
+    use crate::topology::tests::NeighborOnly;
+    use crate::{grid, random_tree, ring, GridDims, Topology};
 
     fn set(ids: &[u32]) -> BTreeSet<NodeId> {
         ids.iter().map(|&i| NodeId(i)).collect()
@@ -348,10 +349,31 @@ mod tests {
                 reference::border_of(&g, set.iter().copied())
             );
             let region: Region = set.iter().copied().collect();
-            assert_eq!(
-                g.border_of_region_cached(&region).as_slice().to_vec(),
-                reference::border_of(&g, set.iter().copied())
-            );
+            let border: Region = reference::border_of(&g, set.iter().copied())
+                .into_iter()
+                .collect();
+            assert_eq!(g.border_of(region.iter()), border.as_slice());
+            // `is_border_of` holds for the true border and fails for one
+            // member dropped, one non-member node added, or one region
+            // member added; the provided trait method agrees every time.
+            let naive = NeighborOnly(g.clone());
+            let check = |b: &Region| {
+                let fast = g.is_border_of(&region, b);
+                assert_eq!(fast, naive.is_border_of(&region, b));
+                fast
+            };
+            let with = |q: NodeId| border.iter().chain([q]).collect::<Region>();
+            assert!(check(&border));
+            for q in border.iter() {
+                assert!(!check(&border.iter().filter(|&p| p != q).collect()));
+            }
+            let outsider = g.nodes().find(|p| !set.contains(p) && !border.contains(*p));
+            if let Some(outsider) = outsider {
+                assert!(!check(&with(outsider)));
+            }
+            if let Some(&member) = set.first() {
+                assert!(!check(&with(member)));
+            }
             assert_eq!(
                 is_connected_subset(&g, &region),
                 reference::connected_components(&g, &set).len() == 1

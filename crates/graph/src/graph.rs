@@ -1,15 +1,9 @@
-use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 use crate::store::{FileId, GraphStore, MappedGraph, StoreError, StoreSummary};
 use crate::{NodeId, Region};
-
-/// Keep the border memo bounded: a long checking run can rank an
-/// unbounded stream of distinct regions, and the cache must never become
-/// the memory hot spot it exists to remove.
-const BORDER_CACHE_CAP: usize = 1 << 16;
 
 /// Finite undirected knowledge graph `G = (Π, E)` (paper §2.2).
 ///
@@ -37,14 +31,6 @@ const BORDER_CACHE_CAP: usize = 1 << 16;
 /// storages expose identical slices, so every kernel is bit-identical
 /// across them and callers never need to care which one they hold.
 ///
-/// Borders of [`Region`]s are additionally memoized in a shared,
-/// thread-safe cache ([`border_of_region_cached`](Graph::border_of_region_cached)):
-/// the border is a pure function of the region, so the checkers, the
-/// live gate and [`rank_cmp`](crate::rank_cmp) compute it once per
-/// region. The cache is keyed by region and implicitly by topology (it
-/// lives inside the graph), is shared across clones, and is ignored by
-/// `Eq`.
-///
 /// # Example
 ///
 /// ```
@@ -65,9 +51,6 @@ pub struct Graph {
     adjacency: Adjacency,
     labels: Option<Vec<String>>,
     edge_count: usize,
-    /// Region-border memo, shared across clones (same immutable topology,
-    /// same borders).
-    borders: Arc<RwLock<HashMap<Region, Region>>>,
 }
 
 /// Backing storage for the CSR arrays.
@@ -92,9 +75,8 @@ enum Adjacency {
 
 impl PartialEq for Graph {
     fn eq(&self, other: &Self) -> bool {
-        // The border cache is a memo and carries no independent
-        // information. Comparing by slice makes an owned graph equal to
-        // its mapped round trip.
+        // Comparing by slice makes an owned graph equal to its mapped
+        // round trip.
         self.offsets_slice() == other.offsets_slice()
             && self.csr_slice() == other.csr_slice()
             && self.labels == other.labels
@@ -136,7 +118,6 @@ impl Graph {
             edge_count: mapped.edge_count(),
             adjacency: Adjacency::Mapped(Arc::new(mapped)),
             labels: None,
-            borders: Arc::new(RwLock::new(HashMap::new())),
         })
     }
 
@@ -209,7 +190,6 @@ impl Graph {
             },
             labels: None,
             edge_count,
-            borders: Arc::new(RwLock::new(HashMap::new())),
         }
     }
 
@@ -364,43 +344,28 @@ impl Graph {
         })
     }
 
-    /// The border of a [`Region`], memoized.
-    ///
-    /// The border is a pure function of region and topology, so the memo
-    /// is shared across all [`Graph`] clones and `Arc` handles: one
-    /// computation serves every ranking comparison and every view the
-    /// checkers and the live gate build for the region. (The protocol
-    /// node grows its borders itself; only its debug assertions come
-    /// here.) The returned `Region` is `Arc`-shared with the cache entry — repeated
-    /// hits are zero-copy.
+    /// The border of a [`Region`] as a [`Region`]: the one border kernel
+    /// over the region's sorted members. Only the `benchmark/` package's
+    /// probes call it; it goes once they time [`border_of`](Self::border_of).
     pub fn border_of_region_cached(&self, region: &Region) -> Region {
-        if let Some(hit) = self
-            .borders
-            .read()
-            .expect("border cache poisoned")
-            .get(region)
-        {
-            return hit.clone();
-        }
-        let computed = Region::from_sorted_vec(self.border_of_sorted(region.as_slice()));
-        let mut cache = self.borders.write().expect("border cache poisoned");
-        if cache.len() >= BORDER_CACHE_CAP {
-            cache.clear();
-        }
-        cache
-            .entry(region.clone())
-            .or_insert_with(|| computed.clone());
-        computed
+        Region::from_sorted_vec(self.border_of_sorted(region.as_slice()))
     }
 
-    /// `|border(region)|`, via the border memo.
-    pub fn border_size_of(&self, region: &Region) -> usize {
-        self.border_of_region_cached(region).len()
-    }
-
-    /// Number of memoized region borders (diagnostics).
-    pub fn border_cache_len(&self) -> usize {
-        self.borders.read().expect("border cache poisoned").len()
+    /// `true` if `border` is the border of `region`: each border member
+    /// lies outside the region and next to a member, and each neighbour
+    /// of a member lies in the region or the border. Only binary searches
+    /// over sorted rows, so it allocates nothing.
+    pub fn is_border_of(&self, region: &Region, border: &Region) -> bool {
+        let (members, border) = (region.as_slice(), border.as_slice());
+        let member = |q: &NodeId| members.binary_search(q).is_ok();
+        border
+            .iter()
+            .all(|&q| !member(&q) && self.neighbors(q).iter().any(member))
+            && members.iter().all(|&p| {
+                self.neighbors(p)
+                    .iter()
+                    .all(|q| member(q) || border.binary_search(q).is_ok())
+            })
     }
 
     /// Optional human-readable label of `p` (used by named topologies such
@@ -622,7 +587,6 @@ impl GraphBuilder {
             },
             labels: self.labels,
             edge_count,
-            borders: Arc::new(RwLock::new(HashMap::new())),
         }
     }
 }
@@ -697,21 +661,6 @@ mod tests {
             g.border_of([NodeId(1), NodeId(1)]),
             vec![NodeId(0), NodeId(2)]
         );
-    }
-
-    #[test]
-    fn border_cache_hits_and_is_shared() {
-        let g = path4();
-        let region: Region = [NodeId(1), NodeId(2)].into_iter().collect();
-        let expected: Region = [NodeId(0), NodeId(3)].into_iter().collect();
-        assert_eq!(g.border_of_region_cached(&region), expected);
-        assert_eq!(g.border_cache_len(), 1);
-        // Clones and repeated queries share the memo.
-        let clone = g.clone();
-        assert_eq!(clone.border_of_region_cached(&region), expected);
-        assert_eq!(clone.border_cache_len(), 1);
-        assert_eq!(g.border_size_of(&region), 2);
-        assert_eq!(g.border_cache_len(), 1);
     }
 
     #[test]

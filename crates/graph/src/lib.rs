@@ -17,14 +17,14 @@
 //! The set algebra reads only the CSR adjacency rows and is priced by the
 //! set it is asked about, never by `n`: one border kernel sorts the
 //! members' gathered neighbours and drops the members by merge
-//! ([`Graph::border_of`], the memo's miss path and
-//! [`Topology::border_region`]), and one breadth-first search over a
-//! sorted member slice answers [`connected_components`],
-//! [`is_connected_subset`], [`reachable_within`] and
-//! [`Graph::is_connected`]. Region borders are memoized across the whole
-//! system ([`Graph::border_of_region_cached`]). The original `BTreeSet`
-//! implementations are retained as a test-only module of `components.rs`,
-//! the executable specification for its differential property tests.
+//! ([`Graph::border_of`] and [`Topology::border_region`]), and one
+//! breadth-first search over a sorted member slice answers
+//! [`connected_components`], [`is_connected_subset`],
+//! [`reachable_within`] and [`Graph::is_connected`]. A [`Graph`] is
+//! plain data: its CSR rows, labels and edge count, with no cache and
+//! no lock. The original `BTreeSet` implementations are retained as a
+//! test-only module of `components.rs`, the executable specification for
+//! its differential property tests.
 //! [`NodeSet`], a dense word-array bitset, serves callers that keep
 //! id-indexed sets of their own.
 //!

@@ -28,9 +28,8 @@ use crate::{Graph, Region};
 /// assert_eq!(rank_cmp(&g, &big, &small), Ordering::Greater);
 /// ```
 pub fn rank_cmp(g: &Graph, a: &Region, b: &Region) -> Ordering {
-    // Border sizes come from the graph's region-border memo, so repeated
-    // comparisons against the same regions never recompute a border.
-    rank_cmp_keyed(a, g.border_size_of(a), b, g.border_size_of(b))
+    let border_size = |r: &Region| g.border_of(r.iter()).len();
+    rank_cmp_keyed(a, border_size(a), b, border_size(b))
 }
 
 /// The ranking `≻` itself, over regions whose border sizes are already

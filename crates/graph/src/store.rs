@@ -46,10 +46,10 @@
 
 use std::fmt;
 use std::fs::{self, File};
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 use std::os::unix::fs::MetadataExt;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::mmap::{as_node_ids, as_u32s, Mmap};
 use crate::{Graph, NodeId};
@@ -290,9 +290,10 @@ impl GraphStore {
     /// buffer.
     ///
     /// The file is written under a sibling name unique to this write
-    /// (`<name>.<pid>-<k>.tmp`), synced, and renamed over `path`, so a
-    /// process that has `path` mapped keeps reading the old file intact;
-    /// on error the temporary file is removed and `path` is untouched.
+    /// (`<name>.<pid>-<thread>.tmp`: a thread finishes one write before it
+    /// starts the next), synced, and renamed over `path`, so a process
+    /// that has `path` mapped keeps reading the old file intact; on error
+    /// the temporary file is removed and `path` is untouched.
     pub fn write_rows<F>(
         path: impl AsRef<Path>,
         n: usize,
@@ -301,11 +302,11 @@ impl GraphStore {
     where
         F: FnMut(usize, &mut Vec<NodeId>),
     {
-        static WRITES: AtomicU64 = AtomicU64::new(0);
         let path = path.as_ref();
         let mut name = path.file_name().unwrap_or_default().to_os_string();
-        let k = WRITES.fetch_add(1, Ordering::Relaxed);
-        name.push(format!(".{}-{k}.tmp", std::process::id()));
+        let mut thread = DefaultHasher::new();
+        std::thread::current().id().hash(&mut thread);
+        name.push(format!(".{}-{:x}.tmp", std::process::id(), thread.finish()));
         let tmp = path.with_file_name(name);
         let written = Self::write_file(&tmp, n, row).and_then(|summary| {
             fs::rename(&tmp, path)?;

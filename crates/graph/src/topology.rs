@@ -14,9 +14,10 @@ use crate::{Graph, NodeId, Region};
 ///
 /// A lookup service implements `neighbors_of` and `node_count`; the
 /// provided [`border_region`](Topology::border_region) runs the crate's
-/// one border kernel over `neighbors_of`. [`Graph`] and `Arc<Graph>`
-/// answer it from the shared border memo instead (see
-/// [`Graph::border_of_region_cached`]).
+/// one border kernel over `neighbors_of`, and the provided
+/// [`is_border_of`](Topology::is_border_of) compares against it.
+/// [`Graph`] and `Arc<Graph>` answer `is_border_of` without allocating
+/// ([`Graph::is_border_of`]).
 ///
 /// # Example
 ///
@@ -47,6 +48,11 @@ pub trait Topology {
             out.extend(self.neighbors_of(p));
         }))
     }
+
+    /// `true` if `border` is the border of `region`.
+    fn is_border_of(&self, region: &Region, border: &Region) -> bool {
+        self.border_region(region) == *border
+    }
 }
 
 impl Topology for Graph {
@@ -58,8 +64,8 @@ impl Topology for Graph {
         self.len()
     }
 
-    fn border_region(&self, region: &Region) -> Region {
-        self.border_of_region_cached(region)
+    fn is_border_of(&self, region: &Region, border: &Region) -> bool {
+        Graph::is_border_of(self, region, border)
     }
 }
 
@@ -72,18 +78,18 @@ impl Topology for Arc<Graph> {
         self.as_ref().node_count()
     }
 
-    fn border_region(&self, region: &Region) -> Region {
-        self.as_ref().border_region(region)
+    fn is_border_of(&self, region: &Region, border: &Region) -> bool {
+        Graph::is_border_of(self, region, border)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// A deliberately naive topology that only knows `neighbors_of`, to
-    /// exercise the provided `border_region`.
-    struct NeighborOnly(Graph);
+    /// exercise the provided methods.
+    pub(crate) struct NeighborOnly(pub(crate) Graph);
 
     impl Topology for NeighborOnly {
         fn neighbors_of(&self, p: NodeId) -> Vec<NodeId> {
@@ -104,7 +110,7 @@ mod tests {
         let s = region(&[1, 2]);
         let inherent: Region = g.border_of(s.iter()).into_iter().collect();
         assert_eq!(g.border_region(&s), inherent);
-        // The provided method agrees with the memoized override.
+        // The provided method over `neighbors_of` agrees.
         let naive = NeighborOnly(g.clone());
         assert_eq!(naive.border_region(&s), inherent);
     }

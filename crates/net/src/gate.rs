@@ -286,8 +286,6 @@ pub fn live_consistent(report: &LiveReport, graph: &Graph) -> bool {
         if !view.border().contains(*node) {
             return false;
         }
-        // The uncached kernel: a session's graph outlives its instances,
-        // and one memo entry per decided region would pile up in it.
         if graph.border_of(view.region().iter()) != view.border().as_slice() {
             return false;
         }
@@ -521,8 +519,7 @@ mod tests {
         }
     }
 
-    /// The verdict recomputes each border with the uncached kernel, so
-    /// it refuses a wrong border and memoizes nothing.
+    /// The verdict recomputes each border, so it refuses a wrong one.
     #[test]
     fn the_verdict_refuses_a_wrong_border_without_the_memo() {
         let graph = torus(GridDims::square(4));
@@ -544,6 +541,5 @@ mod tests {
         assert!(live_consistent(&report(&border), &graph));
         let short = Region::from_iter(border.iter().skip(1));
         assert!(!live_consistent(&report(&short), &graph));
-        assert_eq!(graph.border_cache_len(), 0);
     }
 }

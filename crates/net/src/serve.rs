@@ -17,8 +17,8 @@
 //! canonical [`TopologySpec`], a `pcsr:` file by the [`FileId`] of the
 //! file it maps (device, inode, length, mtime). Every `open` of an
 //! identity that an instance already uses shares that instance's
-//! [`Graph`], its mapping and its border memo, and a file that was
-//! rebuilt, truncated or rewritten since gets a graph of its own. Besides
+//! [`Graph`] and its mapping, and a file that was rebuilt, truncated or
+//! rewritten since gets a graph of its own. Besides
 //! the graphs in use, the session keeps at most one that no instance
 //! uses, the last one a `close` left idle, so a stream of open → close
 //! lifecycles maps and parses its topology once. An idle mapped graph
@@ -950,25 +950,6 @@ mod tests {
         );
         assert!(s.graphs.shared.is_empty());
         let _ = std::fs::remove_dir_all(file.parent().expect("a scratch dir"));
-    }
-
-    /// The close verdict recomputes each decided border without the
-    /// memo: a graph shared past its instances does not gather one entry
-    /// per region ever decided on it.
-    #[test]
-    fn the_verdict_leaves_the_border_memo_alone() {
-        let mut s = ServeSession::new(1);
-        open(&mut s, "a", "torus:8");
-        let graph = Arc::clone(graph_of(&s, "a"));
-        let before = graph.border_cache_len();
-        agree(&mut s, "a", 9, 8);
-        // A debug build's node checks its merged borders through the memo.
-        let decided = graph.border_cache_len();
-        if !cfg!(debug_assertions) {
-            assert_eq!(decided, before);
-        }
-        close_consistent(&mut s, "a");
-        assert_eq!(graph.border_cache_len(), decided);
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //!   crash and take a neighbour's proposal — O(border), whatever the
 //!   magnitude of the ids.
 //!
-//! One on the graph's set kernels: a border, the components of a set and
+//! Two on the graph's set kernels: a border, the components of a set and
 //! a connectivity check allocate the same on a small torus and a
-//! million-node one.
+//! million-node one, and checking a border allocates nothing on either.
 //!
 //! And two on what an explored schedule costs after it has run:
 //!
@@ -124,16 +124,17 @@ fn fuzz_shape() -> Scenario {
 
 /// Ceiling on allocations per event of one cold `exec` — slot arenas
 /// growing from empty included — just above the worst of the three
-/// policies below: 0.526 / 0.605 / 0.563 in a release build, 0.578 /
-/// 0.673 / 0.610 in a debug one, whose check of each merged border
-/// against the topology's builds a second border per crash (0.630 /
-/// 0.742 / 0.658 while that border went through bitsets). Those
-/// include the one `Arc<Message>` each multicast shares among its
-/// copies, and the growth of the slot's per-target dependent index. Recomputing every component of the crashed set and reading
-/// its border from the graph's memo on each crash took 0.747 / 0.917 /
-/// 0.818; the tree-per-round instance state took 2.3–2.5, and a `Vec` of
-/// actions plus a recipient `Vec` per multicast, built for every event
-/// and unpacked by the engine, took 0.85–1.04.
+/// policies below: 0.526 / 0.605 / 0.563 in a release build and in a
+/// debug one, whose check of each merged border against the topology
+/// allocates nothing (0.578 / 0.673 / 0.610 while that check built a
+/// second border per crash, 0.630 / 0.742 / 0.658 while that border went
+/// through bitsets). Those include the one `Arc<Message>` each multicast
+/// shares among its copies, and the growth of the slot's per-target
+/// dependent index. Recomputing every component of the crashed set and
+/// reading its border from a shared memo on each crash took 0.747 /
+/// 0.917 / 0.818; the tree-per-round instance state took 2.3–2.5, and a
+/// `Vec` of actions plus a recipient `Vec` per multicast, built for every
+/// event and unpacked by the engine, took 0.85–1.04.
 const ALLOCATIONS_PER_EVENT: f64 = if cfg!(debug_assertions) { 0.68 } else { 0.61 };
 
 #[test]
@@ -276,6 +277,24 @@ fn the_set_kernels_allocate_by_the_set_not_by_the_graph() {
         })
         .collect();
     assert_eq!(costs[0], costs[1], "torus:32 against torus:1024");
+}
+
+/// `is_border_of`, the node's debug check of each border it grows, is
+/// binary searches over sorted rows: on a `blob:8` it allocates nothing,
+/// on a small torus or a million-node one.
+#[test]
+fn checking_a_border_allocates_nothing() {
+    let blob: RegionSpec = "blob:8".parse().unwrap();
+    for side in [32u32, 1024] {
+        let graph = torus(GridDims::square(side as usize));
+        let centre = NodeId(side / 2 * side + side / 2);
+        let region = blob.carve(&graph, Some(centre)).unwrap();
+        let border: Region = graph.border_of(region.iter()).into_iter().collect();
+        let (holds, allocations, bytes) = allocated_by(|| graph.is_border_of(&region, &border));
+        println!("alloc_budget: blob:8 on torus:{side}: is_border_of {allocations} / {bytes} B");
+        assert!(holds, "torus:{side}");
+        assert_eq!((allocations, bytes), (0, 0), "torus:{side}");
+    }
 }
 
 /// Every probe of an exploration is folded into its coverage map, and
